@@ -653,10 +653,13 @@ void Engine::syncAccessNode(Node& node, SimTime now) {
 
 void Engine::expireNodeData(Node& node, SimTime now) {
   node.expire(now);
+  // Collect first: removeFile invalidates the files() view.
+  std::vector<FileId> dead;
   for (FileId file : node.pieces().files()) {
     const FileInfo* info = internet_.catalog().find(file);
-    if (info == nullptr || !info->alive(now)) node.pieces().removeFile(file);
+    if (info == nullptr || !info->alive(now)) dead.push_back(file);
   }
+  for (FileId file : dead) node.pieces().removeFile(file);
 }
 
 void Engine::processContact(const trace::Contact& contact) {
@@ -696,39 +699,7 @@ void Engine::processContact(const trace::Contact& contact) {
   }
 
   // --- hello exchange ----------------------------------------------------
-  std::vector<std::vector<std::string>> texts(members.size());
-  std::vector<std::vector<Uri>> wantedUris(members.size());
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    texts[i] = members[i]->activeQueryTexts(now);
-    for (FileId file : members[i]->wantedFilesView(now)) {
-      const FileInfo* info = internet_.catalog().find(file);
-      if (info != nullptr) wantedUris[i].push_back(info->uri);
-    }
-    // Under MBT, stored "requesting URIs" of peers are re-advertised, so a
-    // request can travel multiple hops toward an access node.
-    if (params_.protocol.distributesQueries()) {
-      for (const Uri& uri : members[i]->peerWantedUris(now)) {
-        wantedUris[i].push_back(uri);
-      }
-    }
-  }
-  if (params_.protocol.distributesQueries()) {
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      for (std::size_t j = 0; j < members.size(); ++j) {
-        if (i == j || !members[j]->contributes()) continue;
-        members[i]->storePeerQueries(members[j]->id(), texts[j], now);
-      }
-    }
-  }
-  if (params_.protocol.distributesMetadata()) {
-    // Wanted URIs exist only when metadata circulates; they ride on hellos.
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      for (std::size_t j = 0; j < members.size(); ++j) {
-        if (i == j) continue;
-        members[i]->storePeerWants(wantedUris[j], now);
-      }
-    }
-  }
+  exchangeHellos(members, params_.protocol, internet_.catalog(), now);
 
   // Optional airtime model: long contacts move proportionally more.
   int budgetMultiplier = 1;

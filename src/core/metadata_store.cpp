@@ -44,6 +44,7 @@ bool MetadataStore::add(const Metadata& md) {
     }
   }
   records_.emplace(md.file, Record{md, nextSeq_++});
+  earliestExpiry_ = std::min(earliestExpiry_, md.expiresAt());
   ++generation_;
   return true;
 }
@@ -56,12 +57,15 @@ const Metadata* MetadataStore::get(FileId file) const {
 }
 
 std::size_t MetadataStore::expire(SimTime now) {
+  if (now < earliestExpiry_) return 0;
   std::size_t dropped = 0;
+  earliestExpiry_ = std::numeric_limits<SimTime>::max();
   for (auto it = records_.begin(); it != records_.end();) {
     if (it->second.md.expired(now)) {
       it = records_.erase(it);
       ++dropped;
     } else {
+      earliestExpiry_ = std::min(earliestExpiry_, it->second.md.expiresAt());
       ++it;
     }
   }
@@ -120,12 +124,14 @@ void MetadataStore::loadState(Deserializer& in) {
   // Raw insertion: a restore must reproduce the saved store exactly, never
   // re-run capacity eviction or fire the hook.
   records_.clear();
+  earliestExpiry_ = std::numeric_limits<SimTime>::max();
   ++generation_;
   const std::size_t count = in.length();
   for (std::size_t i = 0; i < count; ++i) {
     Record rec;
     rec.md.loadState(in);
     rec.seq = in.u64();
+    earliestExpiry_ = std::min(earliestExpiry_, rec.md.expiresAt());
     records_.emplace(rec.md.file, std::move(rec));
   }
   nextSeq_ = in.u64();

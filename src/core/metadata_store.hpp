@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -57,6 +58,7 @@ class MetadataStore {
   [[nodiscard]] const Metadata* get(FileId file) const;
 
   /// Drops records whose TTL has elapsed at `now`. Returns number dropped.
+  /// Returns without scanning while `now` is before the expiry watermark.
   std::size_t expire(SimTime now);
 
   void remove(FileId file);
@@ -98,6 +100,11 @@ class MetadataStore {
   [[nodiscard]] std::unordered_map<FileId, Record>::iterator evictionVictim();
 
   std::unordered_map<FileId, Record> records_;
+  /// Lower bound on every stored record's expiresAt(), so expire() at an
+  /// earlier `now` cannot drop anything. add() lowers it, a scan and
+  /// loadState recompute it exactly; max() when the store is empty. Not
+  /// serialized.
+  SimTime earliestExpiry_ = std::numeric_limits<SimTime>::max();
   std::uint64_t nextSeq_ = 1;
   std::optional<std::size_t> capacity_;
   EvictionHook evictionHook_;

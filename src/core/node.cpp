@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "src/core/file_catalog.hpp"
+#include "src/core/protocol.hpp"
 #include "src/util/string_util.hpp"
 
 namespace hdtn::core {
@@ -62,10 +64,6 @@ const std::vector<std::vector<std::string>>& Node::contactQueryTokens(
     combined.at = now;
   }
   return combined.value;
-}
-
-std::vector<FileId> Node::wantedFiles(SimTime now) const {
-  return wantedFilesView(now);
 }
 
 const std::vector<FileId>& Node::wantedFilesView(SimTime now) const {
@@ -147,13 +145,27 @@ void Node::noteRejectedFrom(NodeId sender) {
 
 void Node::expire(SimTime now) {
   metadata_.expire(now);
-  const auto droppedQueries = std::erase_if(peerQueries_, [&](const auto& kv) {
-    return now - kv.second.storedAt > cooperativeTtl_;
-  });
-  std::erase_if(peerWants_, [&](const auto& kv) {
-    return now - kv.second > cooperativeTtl_;
-  });
-  if (droppedQueries > 0) touch();
+  // A stamp is stale when now - stamp > ttl, i.e. stamp < horizon; a
+  // watermark at or past the horizon proves its map holds nothing stale.
+  const SimTime horizon = now - cooperativeTtl_;
+  if (oldestQueryStamp_ < horizon) {
+    const auto dropped = std::erase_if(peerQueries_, [&](const auto& kv) {
+      return kv.second.storedAt < horizon;
+    });
+    oldestQueryStamp_ = kNoStamp;
+    for (const auto& [peer, stored] : peerQueries_) {
+      oldestQueryStamp_ = std::min(oldestQueryStamp_, stored.storedAt);
+    }
+    if (dropped > 0) touch();
+  }
+  if (oldestWantStamp_ < horizon) {
+    std::erase_if(peerWants_,
+                  [&](const auto& kv) { return kv.second < horizon; });
+    oldestWantStamp_ = kNoStamp;
+    for (const auto& [uri, when] : peerWants_) {
+      oldestWantStamp_ = std::min(oldestWantStamp_, when);
+    }
+  }
 }
 
 void Node::setFrequentContacts(std::vector<NodeId> contacts) {
@@ -166,10 +178,13 @@ bool Node::isFrequentContact(NodeId peer) const {
                             frequentContacts_.end(), peer);
 }
 
-void Node::storePeerQueries(NodeId peer, std::vector<std::string> texts,
+void Node::storePeerQueries(NodeId peer, const std::vector<std::string>& texts,
                             SimTime now) {
   if (!isFrequentContact(peer)) return;
-  peerQueries_[peer] = StoredQueries{std::move(texts), now};
+  StoredQueries& stored = peerQueries_[peer];
+  stored.texts = texts;
+  stored.storedAt = now;
+  oldestQueryStamp_ = std::min(oldestQueryStamp_, now);
   touch();
 }
 
@@ -189,7 +204,16 @@ const std::vector<std::string>& Node::proxiedQueryTexts(SimTime now) const {
 }
 
 void Node::storePeerWants(const std::vector<Uri>& uris, SimTime now) {
-  for (const Uri& uri : uris) peerWants_[uri] = now;
+  for (const Uri& uri : uris) storePeerWant(uri, now);
+}
+
+void Node::storePeerWant(std::string_view uri, SimTime now) {
+  if (auto it = peerWants_.find(uri); it != peerWants_.end()) {
+    it->second = now;
+  } else {
+    peerWants_.emplace(uri, now);
+  }
+  oldestWantStamp_ = std::min(oldestWantStamp_, now);
 }
 
 std::vector<Uri> Node::peerWantedUris(SimTime now) const {
@@ -309,6 +333,7 @@ void Node::loadState(Deserializer& in) {
   }
 
   peerQueries_.clear();
+  oldestQueryStamp_ = kNoStamp;
   const std::size_t storedCount = in.length();
   for (std::size_t i = 0; i < storedCount; ++i) {
     const NodeId peer{in.u32()};
@@ -316,17 +341,74 @@ void Node::loadState(Deserializer& in) {
     sq.texts.resize(in.length());
     for (std::string& text : sq.texts) text = in.str();
     sq.storedAt = in.i64();
+    oldestQueryStamp_ = std::min(oldestQueryStamp_, sq.storedAt);
     peerQueries_.emplace(peer, std::move(sq));
   }
 
   peerWants_.clear();
+  oldestWantStamp_ = kNoStamp;
   const std::size_t wantCount = in.length();
   for (std::size_t i = 0; i < wantCount; ++i) {
     Uri uri = in.str();
-    peerWants_[std::move(uri)] = in.i64();
+    const SimTime when = in.i64();
+    oldestWantStamp_ = std::min(oldestWantStamp_, when);
+    peerWants_[std::move(uri)] = when;
   }
 
   touch();
+}
+
+void exchangeHellos(std::span<Node* const> members,
+                    const ProtocolConfig& protocol, const FileCatalog& catalog,
+                    SimTime now) {
+  if (protocol.distributesQueries()) {
+    // `texts` views the peer's cache; storePeerQueries never rebuilds it.
+    for (std::size_t j = 0; j < members.size(); ++j) {
+      const Node& peer = *members[j];
+      if (!peer.contributes()) continue;
+      const std::vector<std::string>& texts = peer.activeQueryTexts(now);
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        if (i != j) members[i]->storePeerQueries(peer.id(), texts, now);
+      }
+    }
+  }
+  // Wanted URIs exist only when metadata circulates; they ride on hellos.
+  if (!protocol.distributesMetadata()) return;
+
+  // Every advertised URI once, with its first advertiser and whether another
+  // member advertised it too. Views point at catalog URIs and at members'
+  // peerWants_ keys; both outlive the exchange, and the keys stay put while
+  // the stores below insert (the map is node-based and nothing is erased).
+  struct Advert {
+    std::size_t first;
+    bool shared;
+  };
+  std::unordered_map<std::string_view, Advert> adverts;
+  auto advertise = [&](std::string_view uri, std::size_t member) {
+    auto [it, inserted] = adverts.try_emplace(uri, Advert{member, false});
+    if (!inserted && it->second.first != member) it->second.shared = true;
+  };
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const Node& node = *members[i];
+    for (FileId file : node.wantedFilesView(now)) {
+      const FileInfo* info = catalog.find(file);
+      if (info != nullptr) advertise(info->uri, i);
+    }
+    // Under MBT, stored "requesting URIs" of peers are re-advertised, so a
+    // request can travel multiple hops toward an access node.
+    if (protocol.distributesQueries()) {
+      for (const auto& [uri, when] : node.peerWants_) {
+        if (now - when <= node.cooperativeTtl_) advertise(uri, i);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    for (const auto& [uri, advert] : adverts) {
+      if (advert.shared || advert.first != i) {
+        members[i]->storePeerWant(uri, now);
+      }
+    }
+  }
 }
 
 }  // namespace hdtn::core

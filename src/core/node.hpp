@@ -14,8 +14,11 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -27,6 +30,25 @@
 #include "src/util/types.hpp"
 
 namespace hdtn::core {
+
+class FileCatalog;
+class Node;
+struct ProtocolConfig;
+
+/// One contact's hello exchange among `members` (paper Section IV). Each
+/// member advertises its active query texts and its wanted URIs: the files
+/// it is downloading and, under MBT, the fresh "requesting URIs" it stored
+/// from earlier hellos, so a request travels multiple hops toward an access
+/// node. Under MBT every member stores each contributing peer's query texts
+/// (kept for frequent contacts only); under MBT and MBT-Q every member
+/// stores every URI some *other* member advertised.
+///
+/// Equivalent to every member storing every other member's hello in turn,
+/// but linear in the clique: all stores stamp the same `now`, so repeated
+/// writes of one URI are idempotent and each member stores each URI once.
+void exchangeHellos(std::span<Node* const> members,
+                    const ProtocolConfig& protocol, const FileCatalog& catalog,
+                    SimTime now);
 
 struct NodeOptions {
   /// True for Internet-access nodes ("they can download the files they
@@ -78,14 +100,12 @@ class Node {
   [[nodiscard]] const std::vector<std::vector<std::string>>&
   contactQueryTokens(SimTime now, bool includeProxied) const;
 
-  /// Files the node is currently downloading: a metadata was selected for
-  /// an unexpired query and the file is not yet complete.
-  [[nodiscard]] std::vector<FileId> wantedFiles(SimTime now) const;
-
-  /// Cached wantedFiles: the engine consults the wanted list several times
-  /// per contact (hellos, planners, repair) and DownloadPeer::wanted views
-  /// this storage instead of copying it. The reference is valid until the
-  /// node state mutates.
+  /// Files the node is currently downloading, ascending: a metadata was
+  /// selected for an unexpired query and the file is not yet complete.
+  /// Cached: the engine consults the wanted list several times per contact
+  /// (hellos, planners, repair) and DownloadPeer::wanted views this storage
+  /// instead of copying it. The reference is valid until the node state
+  /// mutates.
   [[nodiscard]] const std::vector<FileId>& wantedFilesView(SimTime now) const;
 
   /// True if some active (unexpired, metadata-pending) query matches `md`.
@@ -148,7 +168,8 @@ class Node {
   std::vector<QueryId> acceptPiece(FileId file, std::uint32_t piece,
                                    std::uint32_t pieceCount, SimTime now);
 
-  /// Drops expired metadata and forgets stale cooperative state.
+  /// Drops expired metadata and forgets stale cooperative state. Returns
+  /// without scanning while the stamp watermarks prove nothing is stale.
   void expire(SimTime now);
 
   // --- cooperative state --------------------------------------------------
@@ -160,8 +181,8 @@ class Node {
   [[nodiscard]] bool isFrequentContact(NodeId peer) const;
 
   /// Replaces the stored query strings of a frequent contact (MBT). Calls
-  /// for non-frequent peers are ignored.
-  void storePeerQueries(NodeId peer, std::vector<std::string> texts,
+  /// for non-frequent peers are ignored (and copy nothing).
+  void storePeerQueries(NodeId peer, const std::vector<std::string>& texts,
                         SimTime now);
 
   /// Stored frequent-contact query texts still fresh at `now` (deduplicated,
@@ -186,6 +207,22 @@ class Node {
   void loadState(Deserializer& in);
 
  private:
+  friend void exchangeHellos(std::span<Node* const>, const ProtocolConfig&,
+                             const FileCatalog&, SimTime);
+
+  /// Stamps one peer-wanted URI at `now`; refreshing a known URI builds no
+  /// string.
+  void storePeerWant(std::string_view uri, SimTime now);
+
+  /// Hashes std::string and std::string_view alike, so peerWants_ lookups
+  /// by view need no temporary string.
+  struct UriHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view uri) const {
+      return std::hash<std::string_view>{}(uri);
+    }
+  };
+
   NodeId id_;
   NodeOptions options_;
   MetadataVerifier verifier_;
@@ -203,8 +240,16 @@ class Node {
     SimTime storedAt = 0;
   };
   std::unordered_map<NodeId, StoredQueries> peerQueries_;
-  std::unordered_map<Uri, SimTime> peerWants_;
+  std::unordered_map<Uri, SimTime, UriHash, std::equal_to<>> peerWants_;
   Duration cooperativeTtl_ = 3 * kDay;
+
+  // Expiry watermarks: lower bounds on the oldest peerQueries_ / peerWants_
+  // stamp (kNoStamp when the map is empty). expire() scans a map only when
+  // its bound is older than `now - cooperativeTtl_`; a scan, and loadState,
+  // recompute the bound exactly. Not serialized.
+  static constexpr SimTime kNoStamp = std::numeric_limits<SimTime>::max();
+  SimTime oldestQueryStamp_ = kNoStamp;
+  SimTime oldestWantStamp_ = kNoStamp;
 
   // --- per-contact caches -------------------------------------------------
   // The engine asks for the same derived views several times per contact

@@ -26,6 +26,7 @@ bool PieceStore::registerFile(FileId file, std::uint32_t pieceCount) {
     it->second.word = allocWords(wordsFor(pieceCount));
     it->second.pieces = pieceCount;
     it->second.seq = nextSeq_++;
+    filesViewStale_ = true;
     return true;
   }
   return it->second.pieces == pieceCount;
@@ -60,6 +61,7 @@ void PieceStore::removeFile(FileId file) {
   totalHeld_ -= it->second.held;
   freeBlocks_[wordsFor(it->second.pieces)].push_back(it->second.word);
   entries_.erase(it);
+  filesViewStale_ = true;
 }
 
 bool PieceStore::isRegistered(FileId file) const {
@@ -98,12 +100,14 @@ std::vector<std::uint32_t> PieceStore::missingPieces(FileId file) const {
   return out;
 }
 
-std::vector<FileId> PieceStore::files() const {
-  std::vector<FileId> out;
-  out.reserve(entries_.size());
-  for (const auto& [file, _] : entries_) out.push_back(file);
-  std::sort(out.begin(), out.end());
-  return out;
+const std::vector<FileId>& PieceStore::files() const {
+  if (filesViewStale_) {
+    filesView_.clear();
+    for (const auto& [file, _] : entries_) filesView_.push_back(file);
+    std::sort(filesView_.begin(), filesView_.end());
+    filesViewStale_ = false;
+  }
+  return filesView_;
 }
 
 std::vector<FileId> PieceStore::completeFiles() const {
@@ -165,9 +169,8 @@ void PieceStore::evictOnePiece() {
 }
 
 void PieceStore::saveState(Serializer& out) const {
-  const std::vector<FileId> sorted = files();
-  out.u64(sorted.size());
-  for (const FileId file : sorted) {
+  out.u64(files().size());
+  for (const FileId file : files()) {
     const Entry& e = entries_.at(file);
     out.u32(file.value);
     out.u64(e.pieces);
@@ -185,6 +188,7 @@ void PieceStore::loadState(Deserializer& in) {
   arena_.clear();
   freeBlocks_.clear();
   totalHeld_ = 0;
+  filesViewStale_ = true;
   const std::size_t count = in.length();
   for (std::size_t i = 0; i < count; ++i) {
     const FileId file{in.u32()};

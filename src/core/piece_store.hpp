@@ -59,8 +59,9 @@ class PieceStore {
   /// Indices of pieces of `file` not yet held (empty if unregistered).
   [[nodiscard]] std::vector<std::uint32_t> missingPieces(FileId file) const;
 
-  /// All registered files, ascending id.
-  [[nodiscard]] std::vector<FileId> files() const;
+  /// All registered files, ascending id. Cached: rebuilt only after a file
+  /// was registered or removed; valid until the next such change.
+  [[nodiscard]] const std::vector<FileId>& files() const;
 
   /// Registered files with every piece present, ascending id.
   [[nodiscard]] std::vector<FileId> completeFiles() const;
@@ -119,6 +120,9 @@ class PieceStore {
   std::size_t totalHeld_ = 0;
   std::uint64_t nextSeq_ = 1;
   std::optional<std::size_t> capacity_;
+  /// files() view; stale after registerFile adds, removeFile and loadState.
+  mutable std::vector<FileId> filesView_;
+  mutable bool filesViewStale_ = false;
 };
 
 }  // namespace hdtn::core

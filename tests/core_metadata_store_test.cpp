@@ -50,6 +50,53 @@ TEST(MetadataStore, ExpireDropsOldRecords) {
   EXPECT_EQ(store.expire(100), 0u);  // idempotent
 }
 
+TEST(MetadataStore, ExpireSeesRecordArrivingBelowWatermark) {
+  MetadataStore store;
+  store.add(makeMetadata(1, 0.5, 0, 1000));
+  EXPECT_EQ(store.expire(10), 0u);  // scan: nothing expires before 1000
+  store.add(makeMetadata(2, 0.5, 0, 50));  // expires before the bound
+  EXPECT_EQ(store.expire(49), 0u);
+  EXPECT_EQ(store.expire(50), 1u);
+  EXPECT_FALSE(store.has(FileId(2)));
+  EXPECT_TRUE(store.has(FileId(1)));
+}
+
+TEST(MetadataStore, ExpireExactlyAtExpiresAt) {
+  MetadataStore store;
+  store.add(makeMetadata(1, 0.5, 10, 100));
+  EXPECT_EQ(store.expire(109), 0u);
+  EXPECT_TRUE(store.has(FileId(1)));
+  EXPECT_EQ(store.expire(110), 1u);
+  EXPECT_TRUE(store.empty());
+}
+
+TEST(MetadataStore, PopularityRefreshKeepsOriginalExpiry) {
+  MetadataStore store;
+  store.add(makeMetadata(1, 0.3, 0, 100));
+  EXPECT_EQ(store.expire(50), 0u);
+  // A refresh raises popularity only; the later publish time is ignored.
+  store.add(makeMetadata(1, 0.8, 60, 100));
+  EXPECT_EQ(store.expire(99), 0u);
+  EXPECT_EQ(store.expire(100), 1u);
+  EXPECT_FALSE(store.has(FileId(1)));
+}
+
+TEST(MetadataStore, ExpireAfterLoadStateSeesRestoredRecords) {
+  MetadataStore source;
+  source.add(makeMetadata(1, 0.5, 0, 100));
+  Serializer out;
+  source.saveState(out);
+
+  MetadataStore restored;
+  restored.add(makeMetadata(2, 0.5, 0, 1000));
+  EXPECT_EQ(restored.expire(10), 0u);  // watermark now 1000
+  Deserializer in(out.bytes());
+  restored.loadState(in);
+  EXPECT_EQ(restored.expire(99), 0u);
+  EXPECT_EQ(restored.expire(100), 1u);
+  EXPECT_TRUE(restored.empty());
+}
+
 TEST(MetadataStore, RemoveSpecific) {
   MetadataStore store;
   store.add(makeMetadata(1, 0.5, 0, 100));

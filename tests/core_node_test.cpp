@@ -47,14 +47,14 @@ TEST(Node, QueryAdvertisedUntilMetadataFound) {
 TEST(Node, WantedFilesTrackQueryLifecycle) {
   Node node(NodeId(1), {});
   node.addQuery(makeQuery(0, 1, "fox news ep1", 10));
-  EXPECT_TRUE(node.wantedFiles(0).empty());  // no metadata yet
+  EXPECT_TRUE(node.wantedFilesView(0).empty());  // no metadata yet
   node.acceptMetadata(makeMetadata(10, "fox news ep1", 2, 0.5), 10);
-  EXPECT_EQ(node.wantedFiles(10), (std::vector<FileId>{FileId(10)}));
+  EXPECT_EQ(node.wantedFilesView(10), (std::vector<FileId>{FileId(10)}));
   node.acceptPiece(FileId(10), 0, 2, 20);
-  EXPECT_EQ(node.wantedFiles(20), (std::vector<FileId>{FileId(10)}));
+  EXPECT_EQ(node.wantedFilesView(20), (std::vector<FileId>{FileId(10)}));
   const auto satisfied = node.acceptPiece(FileId(10), 1, 2, 30);
   ASSERT_EQ(satisfied.size(), 1u);
-  EXPECT_TRUE(node.wantedFiles(30).empty());
+  EXPECT_TRUE(node.wantedFilesView(30).empty());
 }
 
 TEST(Node, ExpiredQueriesNeitherAdvertisedNorWanted) {
@@ -62,7 +62,7 @@ TEST(Node, ExpiredQueriesNeitherAdvertisedNorWanted) {
   node.addQuery(makeQuery(0, 1, "fox news ep1", 10));
   EXPECT_TRUE(node.activeQueryTexts(4 * kDay).empty());
   node.acceptMetadata(makeMetadata(10, "fox news ep1", 1, 0.5), 10);
-  EXPECT_TRUE(node.wantedFiles(4 * kDay).empty());
+  EXPECT_TRUE(node.wantedFilesView(4 * kDay).empty());
 }
 
 TEST(Node, ExpiredMetadataNotAccepted) {
@@ -162,6 +162,65 @@ TEST(Node, ExpirePurgesMetadataAndCooperativeState) {
   EXPECT_FALSE(node.metadata().has(FileId(10)));
   EXPECT_TRUE(node.proxiedQueryTexts(2 * kDay).empty());
   EXPECT_TRUE(node.peerWantedUris(2 * kDay).empty());
+}
+
+TEST(Node, ExpireKeepsStateExactlyOneTtlOld) {
+  Node node(NodeId(1), {});
+  node.setFrequentContacts({NodeId(2)});
+  node.setCooperativeStateTtl(kDay);
+  node.storePeerQueries(NodeId(2), {"q"}, 0);
+  node.storePeerWants({"dtn://a/f1"}, 0);
+  node.expire(kDay);  // now - stamp == ttl: kept
+  EXPECT_EQ(node.proxiedQueryTexts(kDay).size(), 1u);
+  EXPECT_EQ(node.peerWantedUris(kDay).size(), 1u);
+  node.expire(kDay + 1);  // ttl + 1: dropped
+  Serializer out;
+  node.saveState(out);
+  Node fresh(NodeId(1), {});
+  Serializer empty;
+  fresh.saveState(empty);
+  EXPECT_EQ(out.bytes(), empty.bytes());
+}
+
+TEST(Node, ExpireFollowsRefreshedStamps) {
+  Node node(NodeId(1), {});
+  node.setFrequentContacts({NodeId(2)});
+  node.setCooperativeStateTtl(kDay);
+  node.storePeerQueries(NodeId(2), {"q"}, 0);
+  node.storePeerWants({"dtn://a/f1", "dtn://a/f2"}, 0);
+  node.storePeerQueries(NodeId(2), {"q"}, 10);  // refresh
+  node.storePeerWants({"dtn://a/f1"}, 10);
+  node.expire(kDay + 1);  // drops f2 only
+  EXPECT_EQ(node.peerWantedUris(kDay + 1),
+            (std::vector<Uri>{"dtn://a/f1"}));
+  EXPECT_EQ(node.proxiedQueryTexts(kDay + 1).size(), 1u);
+  node.expire(kDay + 10);  // refreshed stamps are exactly one ttl old
+  EXPECT_EQ(node.peerWantedUris(kDay + 10).size(), 1u);
+  EXPECT_EQ(node.proxiedQueryTexts(kDay + 10).size(), 1u);
+  // A stamp older than the recomputed watermark still gets expired.
+  node.storePeerWants({"dtn://a/f3"}, 5);
+  node.expire(kDay + 6);
+  EXPECT_EQ(node.peerWantedUris(0), (std::vector<Uri>{"dtn://a/f1"}));
+  node.expire(kDay + 11);
+  EXPECT_TRUE(node.peerWantedUris(0).empty());
+  EXPECT_TRUE(node.proxiedQueryTexts(0).empty());
+}
+
+TEST(Node, ExpireAfterLoadStateSeesRestoredStamps) {
+  Node source(NodeId(1), {});
+  source.setCooperativeStateTtl(kDay);
+  source.storePeerWants({"dtn://a/f1"}, 0);
+  Serializer out;
+  source.saveState(out);
+
+  Node restored(NodeId(1), {});
+  restored.setCooperativeStateTtl(kDay);
+  restored.storePeerWants({"dtn://a/f9"}, 2 * kDay);
+  restored.expire(2 * kDay);  // watermark now 2 days
+  Deserializer in(out.bytes());
+  restored.loadState(in);
+  restored.expire(kDay + 1);
+  EXPECT_TRUE(restored.peerWantedUris(0).empty());
 }
 
 TEST(Node, OptionsAndContributes) {

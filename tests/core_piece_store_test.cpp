@@ -77,6 +77,27 @@ TEST(PieceStore, FilesSorted) {
             (std::vector<FileId>{FileId(2), FileId(5), FileId(9)}));
 }
 
+TEST(PieceStore, FilesViewFollowsRegisterRemoveAndLoad) {
+  PieceStore store;
+  store.registerFile(FileId(5), 1);
+  EXPECT_EQ(store.files(), (std::vector<FileId>{FileId(5)}));
+  store.registerFile(FileId(2), 1);
+  EXPECT_EQ(store.files(), (std::vector<FileId>{FileId(2), FileId(5)}));
+  store.addPiece(FileId(2), 0);  // pieces do not change the file set
+  EXPECT_EQ(store.files(), (std::vector<FileId>{FileId(2), FileId(5)}));
+  store.removeFile(FileId(5));
+  EXPECT_EQ(store.files(), (std::vector<FileId>{FileId(2)}));
+
+  PieceStore other;
+  other.registerFile(FileId(7), 2);
+  other.registerFile(FileId(3), 1);
+  Serializer out;
+  other.saveState(out);
+  Deserializer in(out.bytes());
+  store.loadState(in);
+  EXPECT_EQ(store.files(), (std::vector<FileId>{FileId(3), FileId(7)}));
+}
+
 TEST(PieceStore, UnregisteredQueriesAreSafe) {
   PieceStore store;
   EXPECT_FALSE(store.hasPiece(FileId(1), 0));

@@ -206,7 +206,7 @@ TEST(Device, FileTransferAcrossLossyRadio) {
     ++now;
     ASSERT_LT(now, 1000);
   }
-  EXPECT_EQ(leecher.node().wantedFiles(now),
+  EXPECT_EQ(leecher.node().wantedFilesView(now),
             (std::vector<FileId>{fx.file}));
 
   // Pieces: naive ARQ — send every missing piece each round.
