@@ -1,0 +1,215 @@
+// Pins the engine's complete output on every link-model path: named-piece
+// broadcasts, pairwise transfers and coded frames, each under a fault mix
+// with recovery on, with and without a Byzantine adversary, with and without
+// the defense. A run's digest is the SHA-1 of its JSONL event stream, every
+// EngineTotals word and the four delivery reports, so any change to a draw,
+// a counter or an event in any delivery path changes it.
+//
+// The same runs check the link-model identities between the event stream
+// and the totals (docs/OBSERVABILITY.md).
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <map>
+#include <sstream>
+#include <string>
+#include <type_traits>
+#include <utility>
+
+#include "src/core/engine.hpp"
+#include "src/faults/adversary.hpp"
+#include "src/obs/event_log.hpp"
+#include "src/obs/events.hpp"
+#include "src/trace/nus.hpp"
+#include "src/util/sha1.hpp"
+
+namespace hdtn::core {
+namespace {
+
+// Writes the JSONL stream and counts events by (type, extra).
+class PinObserver final : public obs::EngineObserver {
+ public:
+  PinObserver() : sink_(jsonl_) {}
+
+  void onEvent(const obs::SimEvent& event) override {
+    sink_.onEvent(event);
+    ++counts_[{event.type, event.extra}];
+    ++byType_[event.type];
+  }
+
+  [[nodiscard]] std::string jsonl() const { return jsonl_.str(); }
+  [[nodiscard]] std::uint64_t count(obs::SimEventType type) const {
+    const auto it = byType_.find(type);
+    return it == byType_.end() ? 0 : it->second;
+  }
+  [[nodiscard]] std::uint64_t count(obs::SimEventType type,
+                                    std::uint32_t extra) const {
+    const auto it = counts_.find({type, extra});
+    return it == counts_.end() ? 0 : it->second;
+  }
+
+ private:
+  std::ostringstream jsonl_;
+  obs::JsonlEventSink sink_;
+  std::map<std::pair<obs::SimEventType, std::uint32_t>, std::uint64_t>
+      counts_;
+  std::map<obs::SimEventType, std::uint64_t> byType_;
+};
+
+enum class Mix { kFaults, kDefended, kUndefended };
+
+struct PinCase {
+  const char* name;
+  DownloadMode mode;
+  ProtocolKind kind;
+  Mix mix;
+  const char* digest;  // captured before the link-model refactor
+};
+
+EngineParams pinParams(const PinCase& c) {
+  EngineParams p;
+  p.protocol.kind = c.kind;
+  p.downloadMode = c.mode;
+  p.internetAccessFraction = 0.3;
+  p.newFilesPerDay = 12;
+  p.fileTtlDays = 2;
+  p.piecesPerFile = 4;
+  p.frequentContactPeriod = kDay;
+  p.seed = 11;
+  p.faults.messageLossRate = 0.25;
+  p.faults.contactTruncationRate = 0.2;
+  p.faults.pieceCorruptionRate = 0.15;
+  p.faults.churnDownFraction = 0.15;
+  p.faults.churnMeanDowntime = 3 * kHour;
+  p.recovery.maxRetries = 2;
+  p.recovery.retransmitBudget = 16;
+  p.recovery.repairPerContact = 4;
+  p.recovery.coordinatorFailover = true;
+  if (c.mix != Mix::kFaults) {
+    p.adversary.byzantineFraction = 0.2;
+    p.adversary.attacks = faults::kAllAttacks;
+    p.reputation.defense = c.mix == Mix::kDefended;
+  }
+  return p;
+}
+
+std::string runDigest(const EngineResult& result, const std::string& jsonl) {
+  std::string text = jsonl;
+  char line[160];
+  for (const DeliveryReport* report :
+       {&result.delivery, &result.accessDelivery, &result.contributorDelivery,
+        &result.freeRiderDelivery}) {
+    std::snprintf(line, sizeof(line), "%zu %zu %zu %a %a %a %a\n",
+                  report->queries, report->metadataDelivered,
+                  report->filesDelivered, report->metadataRatio,
+                  report->fileRatio, report->meanMetadataDelaySeconds,
+                  report->meanFileDelaySeconds);
+    text += line;
+  }
+  static_assert(std::is_trivially_copyable_v<EngineTotals> &&
+                sizeof(EngineTotals) % sizeof(std::uint64_t) == 0);
+  std::array<std::uint64_t, sizeof(EngineTotals) / sizeof(std::uint64_t)>
+      words{};
+  std::memcpy(words.data(), &result.totals, sizeof(result.totals));
+  for (const std::uint64_t word : words) text += std::to_string(word) + " ";
+  return Sha1::hash(text).hex();
+}
+
+void PrintTo(const PinCase& c, std::ostream* os) { *os << c.name; }
+
+class EnginePin : public testing::TestWithParam<PinCase> {};
+
+TEST_P(EnginePin, OutputMatchesPinnedDigestAndLinkIdentities) {
+  const PinCase& c = GetParam();
+  trace::NusParams tp;
+  tp.students = 60;
+  tp.courses = 12;
+  tp.coursesPerStudent = 2;
+  tp.days = 6;
+  tp.attendanceRate = 0.9;
+  tp.seed = 5;
+  const trace::ContactTrace trace = trace::generateNus(tp);
+
+  Engine engine(trace, pinParams(c));
+  PinObserver observer;
+  engine.setObserver(&observer);
+  const EngineResult result = engine.run();
+  const EngineTotals& t = result.totals;
+
+  EXPECT_EQ(runDigest(result, observer.jsonl()), c.digest) << c.name;
+
+  using obs::SimEventType;
+  const auto fault = [](faults::FaultKind kind) {
+    return static_cast<std::uint32_t>(kind);
+  };
+  const auto attack = [](faults::AttackKind kind) {
+    return static_cast<std::uint32_t>(kind);
+  };
+  EXPECT_EQ(observer.count(SimEventType::kFaultInjected,
+                           fault(faults::FaultKind::kMessageLoss)),
+            t.faultMessagesDropped);
+  EXPECT_EQ(observer.count(SimEventType::kFaultInjected,
+                           fault(faults::FaultKind::kPieceCorruption)),
+            t.faultPiecesRejectedCorrupt);
+  EXPECT_EQ(observer.count(SimEventType::kDecodeFailed),
+            t.codedDecodeFailures);
+  EXPECT_EQ(observer.count(SimEventType::kPieceRejectedCorrupt),
+            t.faultPiecesRejectedCorrupt - t.codedDecodeFailures +
+                t.piecesLied);
+  EXPECT_EQ(observer.count(SimEventType::kFaultInjected,
+                           fault(faults::FaultKind::kContactTruncation)),
+            t.faultContactsTruncated);
+  EXPECT_EQ(observer.count(SimEventType::kAttackInjected,
+                           attack(faults::AttackKind::kPieceLie)),
+            t.piecesLied);
+  EXPECT_EQ(observer.count(SimEventType::kAttackInjected,
+                           attack(faults::AttackKind::kPollution)),
+            t.pollutionInjected);
+
+  // The matrix must actually reach the paths it pins.
+  EXPECT_GT(t.faultMessagesDropped, 0u);
+  EXPECT_GT(t.faultPiecesRejectedCorrupt, 0u);
+  EXPECT_GT(t.recoveryRetransmits, 0u);
+  EXPECT_GT(t.recoveryRedeliveries, 0u);
+  EXPECT_GT(t.repairRequests, 0u);
+  if (c.mode == DownloadMode::kCoded) {
+    EXPECT_GT(t.codedDecodeFailures, 0u);
+    if (c.mix != Mix::kFaults) {
+      EXPECT_GT(t.pollutionInjected, 0u);
+    }
+  } else if (c.mix != Mix::kFaults) {
+    EXPECT_GT(t.piecesLied, 0u);
+  }
+}
+
+const PinCase kPinCases[] = {
+    {"BroadcastMbtFaults", DownloadMode::kBroadcast, ProtocolKind::kMbt,
+     Mix::kFaults, "b030b14420f0cfb50954f4330a747e1e17ab6ff3"},
+    {"BroadcastMbtDefended", DownloadMode::kBroadcast, ProtocolKind::kMbt,
+     Mix::kDefended, "1ea4339a11eb3fd0caf559df8f3130afa3b41c7c"},
+    {"BroadcastMbtUndefended", DownloadMode::kBroadcast, ProtocolKind::kMbt,
+     Mix::kUndefended, "7b263ebc0c7b10950f35c29a3f6d102a54830f87"},
+    {"PairwiseMbtFaults", DownloadMode::kPairwise, ProtocolKind::kMbt,
+     Mix::kFaults, "7236bab7e0040354cfd84ba0d61c5fbeb87944bf"},
+    {"PairwiseMbtDefended", DownloadMode::kPairwise, ProtocolKind::kMbt,
+     Mix::kDefended, "7a8275b0d7bc9acda1c89587869d0758d30cdedc"},
+    {"PairwiseMbtUndefended", DownloadMode::kPairwise, ProtocolKind::kMbt,
+     Mix::kUndefended, "83934ee6838d4a393a0d6f406a3827a22629af60"},
+    {"CodedMbtQmFaults", DownloadMode::kCoded, ProtocolKind::kMbtQm,
+     Mix::kFaults, "7ee78803fb71b1eaef4e77b00e9d9bc630f4ece3"},
+    {"CodedMbtQmDefended", DownloadMode::kCoded, ProtocolKind::kMbtQm,
+     Mix::kDefended, "b316f6e4c676672b74ecf20050a5360861636901"},
+    {"CodedMbtQmUndefended", DownloadMode::kCoded, ProtocolKind::kMbtQm,
+     Mix::kUndefended, "be889bd7d1bb0d59d1e3ae69afff49533ed3b720"},
+};
+
+INSTANTIATE_TEST_SUITE_P(Matrix, EnginePin, testing::ValuesIn(kPinCases),
+                         [](const testing::TestParamInfo<PinCase>& info) {
+                           return std::string(info.param.name);
+                         });
+
+}  // namespace
+}  // namespace hdtn::core
