@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/core/query.hpp"
 #include "src/obs/events.hpp"
@@ -354,51 +353,6 @@ std::vector<MetadataBroadcast> planTitForTat(
   return plan;
 }
 
-// Reference tit-for-tat: full rescan of candidates x members every turn.
-// Kept as the direct transcription of the paper's rule for the equivalence
-// tests.
-std::vector<MetadataBroadcast> planTitForTatReference(
-    std::span<const DiscoveryPeer> peers, int budget) {
-  const TftSetup setup = tftSetup(peers);
-  if (setup.order.empty()) return {};
-  const CandidateSet& set = setup.set;
-
-  std::vector<MetadataBroadcast> plan;
-  std::unordered_set<FileId> sent;
-  std::size_t turn = 0;
-  int idleTurns = 0;
-  while (static_cast<int>(plan.size()) < budget &&
-         idleTurns < static_cast<int>(setup.order.size())) {
-    const std::size_t si = setup.order[turn % setup.order.size()];
-    ++turn;
-    const DiscoveryPeer& senderPeer = peers[si];
-    // The sender picks, among its own records not yet broadcast, the one
-    // with the highest credit-weighted demand.
-    const Candidate* best = nullptr;
-    double bestWeight = -1.0;
-    for (std::size_t c = 0; c < set.items.size(); ++c) {
-      const Candidate& cand = set.items[c];
-      if (sent.contains(cand.metadata->file)) continue;
-      if (!testBit(set.row(c), si)) continue;
-      const double weight = demandWeight(senderPeer, cand);
-      if (best == nullptr || weight > bestWeight ||
-          (weight == bestWeight &&
-           cand.metadata->file < best->metadata->file)) {
-        best = &cand;
-        bestWeight = weight;
-      }
-    }
-    if (best == nullptr) {
-      ++idleTurns;
-      continue;
-    }
-    idleTurns = 0;
-    sent.insert(best->metadata->file);
-    plan.push_back(broadcastFor(senderPeer.id, *best));
-  }
-  return plan;
-}
-
 }  // namespace
 
 std::vector<MetadataBroadcast> planDiscovery(
@@ -426,20 +380,6 @@ std::vector<MetadataBroadcast> planDiscovery(
     observer->onEvent(event);
   }
   return plan;
-}
-
-std::vector<MetadataBroadcast> planDiscoveryReference(
-    std::span<const DiscoveryPeer> peers, int budget, Scheduling scheduling) {
-  if (budget <= 0 || peers.size() < 2) return {};
-  switch (scheduling) {
-    case Scheduling::kCooperative:
-      return planCooperative(peers, budget, /*useRequestPhase=*/true);
-    case Scheduling::kTitForTat:
-      return planTitForTatReference(peers, budget);
-    case Scheduling::kPopularityOnly:
-      return planCooperative(peers, budget, /*useRequestPhase=*/false);
-  }
-  return {};
 }
 
 }  // namespace hdtn::core

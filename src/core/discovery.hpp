@@ -82,12 +82,4 @@ struct MetadataBroadcast {
     std::span<const DiscoveryPeer> peers, int budget, Scheduling scheduling,
     obs::EngineObserver* observer = nullptr, SimTime now = 0);
 
-/// Naive reference planner, retained for equivalence testing: the direct
-/// transcription of the paper's scheduling rules with no indexing (the
-/// tit-for-tat loop rescans every candidate each turn). Must produce output
-/// byte-identical to planDiscovery on any input; see
-/// core_planner_property_test.cpp.
-[[nodiscard]] std::vector<MetadataBroadcast> planDiscoveryReference(
-    std::span<const DiscoveryPeer> peers, int budget, Scheduling scheduling);
-
 }  // namespace hdtn::core

@@ -908,14 +908,8 @@ void Engine::runDiscoveryPhase(const std::vector<Node*>& members, SimTime now,
           m->distrusts(b.sender)) {
         continue;
       }
-      // Lossy contact: this receiver misses the frame (others may still
-      // hear it — loss is drawn per deliverable message-receiver pair).
-      if (faults_ != nullptr &&
-          metadataReceptionFaulted(m->id(), b.sender, md.file, now)) {
-        if (session != nullptr) {
-          ++totals_.recoveryFramesLost;
-          session->noteLoss({b.sender, m->id(), md.file});
-        }
+      if (linkCanFail() && !sendFirst({b.sender, m->id(), md.file}, session,
+                                      now)) {
         continue;
       }
       deliverMetadataTo(*m, b.sender, md, now);
@@ -923,21 +917,83 @@ void Engine::runDiscoveryPhase(const std::vector<Node*>& members, SimTime now,
   }
 }
 
-bool Engine::metadataReceptionFaulted(NodeId receiver, NodeId sender,
-                                      FileId file, SimTime now) {
-  if (!faults_->dropMessage()) return false;
-  ++totals_.faultMessagesDropped;
+Engine::Link Engine::transmit(const LostFrame& frame, SimTime now) {
+  const bool coded = frame.piece == kCodedFrameIndex;
+  const bool namedPiece = !frame.isMetadata() && !coded;
+  obs::SimEvent event;
+  event.time = now;
+  event.node = frame.receiver;
+  event.peer = frame.sender;
+  event.file = frame.file;
+  // A Byzantine sender lies about a named piece before the channel acts:
+  // the forged payload fails the SHA-1 piece checksum in the receiver's
+  // held metadata — same outcome as corruption, but the slot was burnt on
+  // purpose and (defense on) the sender is charged for it.
+  if (namedPiece && adversary_ != nullptr &&
+      adversary_->isByzantine(frame.sender) &&
+      adversary_->attackEnabled(faults::AttackKind::kPieceLie) &&
+      adversary_->liesAboutPiece()) {
+    ++totals_.piecesLied;
+    ++totals_.adversaryAttacks;
+    if (observer_ != nullptr) {
+      obs::SimEvent attack = event;
+      attack.type = obs::SimEventType::kAttackInjected;
+      attack.node = frame.sender;
+      attack.peer = frame.receiver;
+      attack.extra = static_cast<std::uint32_t>(faults::AttackKind::kPieceLie);
+      emit(attack);
+      event.type = obs::SimEventType::kPieceRejectedCorrupt;
+      event.extra = frame.piece;
+      emit(event);
+    }
+    noteEvidence(frame.sender, EvidenceKind::kFailedVerification, now);
+    return Link::kRejected;
+  }
+  if (faults_ == nullptr) return Link::kDelivered;
+  // Loss is drawn per deliverable (frame, receiver) pair: others in the
+  // clique may still hear the frame.
+  if (faults_->dropMessage()) {
+    ++totals_.faultMessagesDropped;
+    if (observer_ != nullptr) {
+      event.type = obs::SimEventType::kFaultInjected;
+      event.extra = static_cast<std::uint32_t>(faults::FaultKind::kMessageLoss);
+      emit(event);
+    }
+    return Link::kLost;
+  }
+  if (frame.isMetadata() || !faults_->corruptPiece()) return Link::kDelivered;
+  // The payload arrived damaged. A named piece fails its metadata checksum;
+  // a coded frame fails its frame checksum and is rejected before folding,
+  // since it would poison the whole generation.
+  ++totals_.faultPiecesRejectedCorrupt;
+  if (coded) ++totals_.codedDecodeFailures;
   if (observer_ != nullptr) {
-    obs::SimEvent event;
     event.type = obs::SimEventType::kFaultInjected;
-    event.time = now;
-    event.node = receiver;
-    event.peer = sender;
-    event.file = file;
-    event.extra = static_cast<std::uint32_t>(faults::FaultKind::kMessageLoss);
+    event.extra =
+        static_cast<std::uint32_t>(faults::FaultKind::kPieceCorruption);
+    emit(event);
+    if (coded) {
+      event.type = obs::SimEventType::kDecodeFailed;
+      event.extra = internet_.catalog().find(frame.file)->pieceCount();
+    } else {
+      event.type = obs::SimEventType::kPieceRejectedCorrupt;
+      event.extra = frame.piece;
+    }
     emit(event);
   }
-  return true;
+  return Link::kRejected;
+}
+
+bool Engine::sendFirst(const LostFrame& frame, RecoverySession* session,
+                       SimTime now) {
+  const Link outcome = transmit(frame, now);
+  // Only a dropped frame is noted for retransmission: a frame rejected by
+  // its checksum is re-requested by the receiver at a later contact.
+  if (outcome == Link::kLost && session != nullptr) {
+    ++totals_.recoveryFramesLost;
+    session->noteLoss(frame);
+  }
+  return outcome == Link::kDelivered;
 }
 
 void Engine::deliverMetadataTo(Node& receiver, NodeId sender,
@@ -987,53 +1043,6 @@ void Engine::deliverMetadataTo(Node& receiver, NodeId sender,
       emit(event);
     }
   }
-}
-
-bool Engine::pieceReceptionFaulted(NodeId receiver, NodeId sender,
-                                   FileId file, std::uint32_t piece,
-                                   bool requested, SimTime now,
-                                   RecoverySession* session) {
-  if (faults_->dropMessage()) {
-    ++totals_.faultMessagesDropped;
-    if (session != nullptr) {
-      ++totals_.recoveryFramesLost;
-      session->noteLoss({sender, receiver, file, piece, requested});
-    }
-    if (observer_ != nullptr) {
-      obs::SimEvent event;
-      event.type = obs::SimEventType::kFaultInjected;
-      event.time = now;
-      event.node = receiver;
-      event.peer = sender;
-      event.file = file;
-      event.extra =
-          static_cast<std::uint32_t>(faults::FaultKind::kMessageLoss);
-      emit(event);
-    }
-    return true;
-  }
-  if (faults_->corruptPiece()) {
-    // The payload arrived damaged; the SHA-1 piece checksum in the held
-    // metadata catches it, so the piece never enters the store and the
-    // receiver re-requests it at a later contact.
-    ++totals_.faultPiecesRejectedCorrupt;
-    if (observer_ != nullptr) {
-      obs::SimEvent event;
-      event.type = obs::SimEventType::kFaultInjected;
-      event.time = now;
-      event.node = receiver;
-      event.peer = sender;
-      event.file = file;
-      event.extra =
-          static_cast<std::uint32_t>(faults::FaultKind::kPieceCorruption);
-      emit(event);
-      event.type = obs::SimEventType::kPieceRejectedCorrupt;
-      event.extra = piece;
-      emit(event);
-    }
-    return true;
-  }
-  return false;
 }
 
 void Engine::deliverPieceTo(Node& receiver, NodeId sender, FileId file,
@@ -1099,57 +1108,6 @@ bool Engine::isQuarantined(NodeId node, SimTime now) {
   return quarantined;
 }
 
-bool Engine::adversaryLiedPiece(NodeId receiver, NodeId sender, FileId file,
-                                std::uint32_t piece, SimTime now) {
-  if (adversary_ == nullptr || !adversary_->isByzantine(sender) ||
-      !adversary_->attackEnabled(faults::AttackKind::kPieceLie)) {
-    return false;
-  }
-  if (!adversary_->liesAboutPiece()) return false;
-  // The forged payload fails the SHA-1 piece checksum in the receiver's
-  // held metadata — same outcome as random corruption, but the slot was
-  // burnt on purpose and (defense on) the sender is charged for it.
-  ++totals_.piecesLied;
-  ++totals_.adversaryAttacks;
-  if (observer_ != nullptr) {
-    obs::SimEvent event;
-    event.type = obs::SimEventType::kAttackInjected;
-    event.time = now;
-    event.node = sender;
-    event.peer = receiver;
-    event.file = file;
-    event.extra = static_cast<std::uint32_t>(faults::AttackKind::kPieceLie);
-    emit(event);
-    event.type = obs::SimEventType::kPieceRejectedCorrupt;
-    event.node = receiver;
-    event.peer = sender;
-    event.extra = piece;
-    emit(event);
-  }
-  noteEvidence(sender, EvidenceKind::kFailedVerification, now);
-  return true;
-}
-
-bool Engine::adversaryPollutesFrame(NodeId sender, FileId file, SimTime now) {
-  if (adversary_ == nullptr || !adversary_->isByzantine(sender) ||
-      !adversary_->attackEnabled(faults::AttackKind::kPollution)) {
-    return false;
-  }
-  if (!adversary_->pollutesFrame()) return false;
-  ++totals_.pollutionInjected;
-  ++totals_.adversaryAttacks;
-  if (observer_ != nullptr) {
-    obs::SimEvent event;
-    event.type = obs::SimEventType::kAttackInjected;
-    event.time = now;
-    event.node = sender;
-    event.file = file;
-    event.extra = static_cast<std::uint32_t>(faults::AttackKind::kPollution);
-    emit(event);
-  }
-  return true;
-}
-
 namespace {
 
 // Lazily creates the (receiver, file) decoder, seeding it with unit rows
@@ -1173,28 +1131,58 @@ coding::GenerationDecoder& codedDecoderFor(CodedEngineState& state,
 
 }  // namespace
 
-std::vector<std::uint8_t> Engine::codedFrameCoefficients(
-    Node& sender, FileId file, std::uint32_t generationSize,
-    std::uint64_t seed, bool* taintedOut) {
-  if (taintedOut != nullptr) *taintedOut = false;
-  if (sender.pieces().isComplete(file)) {
-    return coding::sparseCoefficients(generationSize, seed,
-                                      params_.coded.sparsity);
+Engine::CodedFrame Engine::codedFrame(Node& sender, FileId file,
+                                      std::uint32_t generationSize,
+                                      std::uint64_t seed, SimTime now) {
+  // A Byzantine sender may pollute the frame it emits: one adversary draw
+  // per Byzantine-sent frame.
+  const bool injected =
+      adversary_ != nullptr && adversary_->isByzantine(sender.id()) &&
+      adversary_->attackEnabled(faults::AttackKind::kPollution) &&
+      adversary_->pollutesFrame();
+  if (injected) {
+    ++totals_.pollutionInjected;
+    ++totals_.adversaryAttacks;
+    if (observer_ != nullptr) {
+      obs::SimEvent event;
+      event.type = obs::SimEventType::kAttackInjected;
+      event.time = now;
+      event.node = sender.id();
+      event.file = file;
+      event.extra =
+          static_cast<std::uint32_t>(faults::AttackKind::kPollution);
+      emit(event);
+    }
   }
-  return codedDecoderFor(*coded_, sender, file, generationSize)
-      .recodeCoefficients(seed, params_.coded.sparsity, nullptr, taintedOut);
+  CodedFrame frame;
+  bool relayTainted = false;
+  if (sender.pieces().isComplete(file)) {
+    frame.coefficients = coding::sparseCoefficients(generationSize, seed,
+                                                    params_.coded.sparsity);
+  } else {
+    frame.coefficients =
+        codedDecoderFor(*coded_, sender, file, generationSize)
+            .recodeCoefficients(seed, params_.coded.sparsity, nullptr,
+                                &relayTainted);
+  }
+  frame.polluted = injected || relayTainted;
+  // A relayed mix of an already-tainted row space carries the junk along
+  // but the honest relayer is not to blame: no origin is attached.
+  frame.origin =
+      injected ? sender.id().value : coding::GenerationDecoder::kNoOrigin;
+  return frame;
 }
 
 bool Engine::deliverCodedFrameTo(Node& receiver, NodeId sender, FileId file,
                                  std::uint32_t generationSize, bool requested,
-                                 std::span<const std::uint8_t> coefficients,
-                                 bool polluted, std::uint32_t origin,
-                                 const FileInfo& info, SimTime now) {
+                                 const CodedFrame& frame, const FileInfo& info,
+                                 SimTime now) {
   coding::GenerationDecoder& decoder =
       codedDecoderFor(*coded_, receiver, file, generationSize);
   const std::uint64_t opsBefore = decoder.rowOps();
   const std::uint64_t degenerateBefore = decoder.degenerateFrames();
-  const bool innovative = decoder.addFrame(coefficients, {}, polluted, origin);
+  const bool innovative =
+      decoder.addFrame(frame.coefficients, {}, frame.polluted, frame.origin);
   totals_.codedDecodeRowOps += decoder.rowOps() - opsBefore;
   totals_.codedDegenerateFrames +=
       decoder.degenerateFrames() - degenerateBefore;
@@ -1316,67 +1304,23 @@ void Engine::deliverCodedBroadcast(const CodedBroadcast& cb,
       emit(event);
     }
     if (info == nullptr) continue;
-    const bool polluted = adversaryPollutesFrame(cb.sender, cb.file, now);
-    bool relayTainted = false;
-    const std::vector<std::uint8_t> coefficients = codedFrameCoefficients(
-        sender, cb.file, cb.generationSize, seed, &relayTainted);
-    // A relayed mix of an already-tainted row space carries the junk along
-    // but the honest relayer is not to blame: no origin is attached.
-    const std::uint32_t origin =
-        polluted ? cb.sender.value : coding::GenerationDecoder::kNoOrigin;
+    const CodedFrame frame =
+        codedFrame(sender, cb.file, cb.generationSize, seed, now);
     for (Node* m : members) {
       if (m->id() == cb.sender || m->pieces().isComplete(cb.file)) continue;
       const bool requested =
           std::find(cb.requesters.begin(), cb.requesters.end(), m->id()) !=
           cb.requesters.end();
-      if (faults_ != nullptr) {
-        if (faults_->dropMessage()) {
-          ++totals_.faultMessagesDropped;
-          if (session != nullptr) {
-            ++totals_.recoveryFramesLost;
-            // A lost coded frame is replaceable by ANY fresh combination:
-            // the pending entry records the generation, not the frame.
-            session->noteLoss(
-                {cb.sender, m->id(), cb.file, kCodedFrameIndex, requested});
-          }
-          if (observer_ != nullptr) {
-            obs::SimEvent event;
-            event.type = obs::SimEventType::kFaultInjected;
-            event.time = now;
-            event.node = m->id();
-            event.peer = cb.sender;
-            event.file = cb.file;
-            event.extra =
-                static_cast<std::uint32_t>(faults::FaultKind::kMessageLoss);
-            emit(event);
-          }
-          continue;
-        }
-        if (faults_->corruptPiece()) {
-          // A damaged combination fails its frame checksum; folding it
-          // would poison the whole generation, so it is rejected outright.
-          ++totals_.faultPiecesRejectedCorrupt;
-          ++totals_.codedDecodeFailures;
-          if (observer_ != nullptr) {
-            obs::SimEvent event;
-            event.type = obs::SimEventType::kFaultInjected;
-            event.time = now;
-            event.node = m->id();
-            event.peer = cb.sender;
-            event.file = cb.file;
-            event.extra = static_cast<std::uint32_t>(
-                faults::FaultKind::kPieceCorruption);
-            emit(event);
-            event.type = obs::SimEventType::kDecodeFailed;
-            event.extra = cb.generationSize;
-            emit(event);
-          }
-          continue;
-        }
+      // A lost coded frame is replaceable by ANY fresh combination: the
+      // pending entry records the generation, not the frame.
+      if (linkCanFail() &&
+          !sendFirst({cb.sender, m->id(), cb.file, kCodedFrameIndex,
+                      requested},
+                     session, now)) {
+        continue;
       }
       deliverCodedFrameTo(*m, cb.sender, cb.file, cb.generationSize,
-                          requested, coefficients, polluted || relayTainted,
-                          origin, *info, now);
+                          requested, frame, *info, now);
     }
   }
 }
@@ -1533,12 +1477,9 @@ void Engine::runDownloadPhase(const std::vector<Node*>& members, SimTime now,
           receiver->pieces().hasPiece(t.file, t.piece)) {
         continue;
       }
-      if (adversaryLiedPiece(t.receiver, t.sender, t.file, t.piece, now)) {
-        continue;
-      }
-      if (faults_ != nullptr &&
-          pieceReceptionFaulted(t.receiver, t.sender, t.file, t.piece,
-                                t.requested, now, session)) {
+      if (linkCanFail() &&
+          !sendFirst({t.sender, t.receiver, t.file, t.piece, t.requested},
+                     session, now)) {
         continue;
       }
       deliverPieceTo(*receiver, t.sender, t.file, t.piece, *info,
@@ -1576,14 +1517,9 @@ void Engine::runDownloadPhase(const std::vector<Node*>& members, SimTime now,
       const bool requested =
           std::find(b.requesters.begin(), b.requesters.end(), m->id()) !=
           b.requesters.end();
-      // The lie is drawn per deliverable (piece, receiver) pair, the same
-      // discipline as the channel fault draws.
-      if (adversaryLiedPiece(m->id(), b.sender, b.file, b.piece, now)) {
-        continue;
-      }
-      if (faults_ != nullptr &&
-          pieceReceptionFaulted(m->id(), b.sender, b.file, b.piece,
-                                requested, now, session)) {
+      if (linkCanFail() &&
+          !sendFirst({b.sender, m->id(), b.file, b.piece, requested}, session,
+                     now)) {
         continue;
       }
       deliverPieceTo(*m, b.sender, b.file, b.piece, *info, requested, now);
@@ -1609,8 +1545,11 @@ void Engine::attemptRedelivery(LostFrame frame, RecoverySession* session,
   }
   Node& sender = node(frame.sender);
   Node& receiver = node(frame.receiver);
+  const bool coded = frame.piece == kCodedFrameIndex;
+  const Metadata* md = nullptr;
+  const FileInfo* info = nullptr;
   if (frame.isMetadata()) {
-    const Metadata* md = sender.metadata().get(frame.file);
+    md = sender.metadata().get(frame.file);
     if (md == nullptr || md->expired(now) ||
         receiver.rejectedMetadata().contains(frame.file) ||
         receiver.distrusts(frame.sender)) {
@@ -1623,108 +1562,46 @@ void Engine::attemptRedelivery(LostFrame frame, RecoverySession* session,
       noteEvidence(frame.receiver, EvidenceKind::kAckAnomaly, now);
       return;
     }
-    if (faults_ != nullptr &&
-        metadataReceptionFaulted(frame.receiver, frame.sender, frame.file,
-                                 now)) {
-      ++frame.attempts;
-      if (session != nullptr) session->requeue(frame);
-      return;
-    }
-    deliverMetadataTo(receiver, frame.sender, *md, now);
-    if (receiver.metadata().has(frame.file)) ++totals_.recoveryRedeliveries;
+  } else {
+    info = internet_.catalog().find(frame.file);
+    if (info == nullptr || !info->alive(now)) return;
+    // A coded frame is deliverable while the sender holds any of the
+    // generation and the receiver still lacks some of it.
+    const bool deliverable =
+        coded ? !receiver.pieces().isComplete(frame.file) &&
+                    (sender.pieces().piecesHeld(frame.file) > 0 ||
+                     sender.pieces().isComplete(frame.file))
+              : sender.pieces().hasPiece(frame.file, frame.piece) &&
+                    !receiver.pieces().hasPiece(frame.file, frame.piece);
+    if (!deliverable) return;
+  }
+  if (linkCanFail() && transmit(frame, now) != Link::kDelivered) {
+    // A failed retransmission is a retry, not a fresh loss: back to the
+    // queue, not noteLoss.
+    ++frame.attempts;
+    if (session != nullptr) session->requeue(frame);
     return;
   }
-  const FileInfo* info = internet_.catalog().find(frame.file);
-  if (coded_ != nullptr && frame.piece == kCodedFrameIndex) {
+  if (frame.isMetadata()) {
+    deliverMetadataTo(receiver, frame.sender, *md, now);
+    if (receiver.metadata().has(frame.file)) ++totals_.recoveryRedeliveries;
+  } else if (coded) {
     // Coded repair: instead of replaying the lost frame, the sender draws a
     // *fresh* combination — any independent mix of its row space is exactly
     // as useful, so nothing needs remembering beyond the generation id.
-    if (info == nullptr || !info->alive(now) ||
-        receiver.pieces().isComplete(frame.file) ||
-        (sender.pieces().piecesHeld(frame.file) == 0 &&
-         !sender.pieces().isComplete(frame.file))) {
-      return;
-    }
-    if (faults_ != nullptr) {
-      if (faults_->dropMessage()) {
-        ++totals_.faultMessagesDropped;
-        if (observer_ != nullptr) {
-          obs::SimEvent event;
-          event.type = obs::SimEventType::kFaultInjected;
-          event.time = now;
-          event.node = frame.receiver;
-          event.peer = frame.sender;
-          event.file = frame.file;
-          event.extra =
-              static_cast<std::uint32_t>(faults::FaultKind::kMessageLoss);
-          emit(event);
-        }
-        ++frame.attempts;
-        if (session != nullptr) session->requeue(frame);
-        return;
-      }
-      if (faults_->corruptPiece()) {
-        ++totals_.faultPiecesRejectedCorrupt;
-        ++totals_.codedDecodeFailures;
-        if (observer_ != nullptr) {
-          obs::SimEvent event;
-          event.type = obs::SimEventType::kFaultInjected;
-          event.time = now;
-          event.node = frame.receiver;
-          event.peer = frame.sender;
-          event.file = frame.file;
-          event.extra = static_cast<std::uint32_t>(
-              faults::FaultKind::kPieceCorruption);
-          emit(event);
-          event.type = obs::SimEventType::kDecodeFailed;
-          event.extra = info->pieceCount();
-          emit(event);
-        }
-        ++frame.attempts;
-        if (session != nullptr) session->requeue(frame);
-        return;
-      }
-    }
     const std::uint32_t generationSize = info->pieceCount();
-    const std::uint64_t seed = coded_->rng();
-    const bool polluted = adversaryPollutesFrame(frame.sender, frame.file, now);
-    bool relayTainted = false;
-    const std::vector<std::uint8_t> coefficients = codedFrameCoefficients(
-        sender, frame.file, generationSize, seed, &relayTainted);
-    if (deliverCodedFrameTo(receiver, frame.sender, frame.file,
-                            generationSize, frame.requested, coefficients,
-                            polluted || relayTainted,
-                            polluted ? frame.sender.value
-                                     : coding::GenerationDecoder::kNoOrigin,
-                            *info, now)) {
+    if (deliverCodedFrameTo(
+            receiver, frame.sender, frame.file, generationSize,
+            frame.requested,
+            codedFrame(sender, frame.file, generationSize, coded_->rng(), now),
+            *info, now)) {
       ++totals_.recoveryRedeliveries;
     }
-    return;
+  } else {
+    deliverPieceTo(receiver, frame.sender, frame.file, frame.piece, *info,
+                   frame.requested, now);
+    ++totals_.recoveryRedeliveries;
   }
-  if (info == nullptr || !info->alive(now) ||
-      !sender.pieces().hasPiece(frame.file, frame.piece) ||
-      receiver.pieces().hasPiece(frame.file, frame.piece)) {
-    return;
-  }
-  if (adversaryLiedPiece(frame.receiver, frame.sender, frame.file,
-                         frame.piece, now)) {
-    // Rejected by the checksum, exactly like corruption: retry later.
-    ++frame.attempts;
-    if (session != nullptr) session->requeue(frame);
-    return;
-  }
-  if (faults_ != nullptr &&
-      pieceReceptionFaulted(frame.receiver, frame.sender, frame.file,
-                            frame.piece, frame.requested, now, nullptr)) {
-    // Lost (or corrupted) again: back to the queue, not noteLoss — a
-    // retransmission loss is a retry, not a fresh frame.
-    ++frame.attempts;
-    if (session != nullptr) session->requeue(frame);
-    return;
-  }
-  deliverPieceTo(receiver, frame.sender, frame.file, frame.piece, *info,
-                 frame.requested, now);
-  ++totals_.recoveryRedeliveries;
 }
 
 void Engine::servePendingRecoveries(const std::vector<Node*>& members,
@@ -1823,13 +1700,9 @@ void Engine::runRepairPhase(const std::vector<Node*>& members, SimTime now,
             noteEvidence(receiver.id(), EvidenceKind::kSummaryMismatch, now);
             continue;
           }
-          if (faults_ != nullptr &&
-              metadataReceptionFaulted(receiver.id(), sender.id(), md->file,
-                                       now)) {
-            if (session != nullptr) {
-              ++totals_.recoveryFramesLost;
-              session->noteLoss({sender.id(), receiver.id(), md->file});
-            }
+          if (linkCanFail() &&
+              !sendFirst({sender.id(), receiver.id(), md->file}, session,
+                         now)) {
             continue;
           }
           deliverMetadataTo(receiver, sender.id(), *md, now);
@@ -1869,12 +1742,9 @@ void Engine::runRepairPhase(const std::vector<Node*>& members, SimTime now,
             noteEvidence(receiver.id(), EvidenceKind::kSummaryMismatch, now);
             continue;
           }
-          if (adversaryLiedPiece(receiver.id(), sender.id(), file, p, now)) {
-            continue;
-          }
-          if (faults_ != nullptr &&
-              pieceReceptionFaulted(receiver.id(), sender.id(), file, p,
-                                    true, now, session)) {
+          if (linkCanFail() &&
+              !sendFirst({sender.id(), receiver.id(), file, p, true}, session,
+                         now)) {
             continue;
           }
           deliverPieceTo(receiver, sender.id(), file, p, *info, true, now);
@@ -1897,97 +1767,13 @@ void loadRngState(Deserializer& in, Rng& rng) {
   rng.setState(state);
 }
 
-void saveTotals(Serializer& out, const EngineTotals& t) {
-  out.u64(t.contactsProcessed);
-  out.u64(t.filesPublished);
-  out.u64(t.queriesGenerated);
-  out.u64(t.metadataBroadcasts);
-  out.u64(t.pieceBroadcasts);
-  out.u64(t.metadataReceptions);
-  out.u64(t.pieceReceptions);
-  out.u64(t.forgeriesCrafted);
-  out.u64(t.forgeriesAccepted);
-  out.u64(t.forgeriesRejected);
-  out.u64(t.faultMessagesDropped);
-  out.u64(t.faultContactsTruncated);
-  out.u64(t.faultPiecesRejectedCorrupt);
-  out.u64(t.faultNodeDownIntervals);
-  out.u64(t.recoveryFramesLost);
-  out.u64(t.recoveryRetransmits);
-  out.u64(t.recoveryRedeliveries);
-  out.u64(t.coordinatorFailovers);
-  out.u64(t.repairRequests);
-  out.u64(t.metadataEvictions);
-  out.u64(t.codedBroadcasts);
-  out.u64(t.codedInnovativeFrames);
-  out.u64(t.codedRedundantFrames);
-  out.u64(t.generationsDecoded);
-  out.u64(t.codedDecodeFailures);
-  out.u64(t.codedDecodeRowOps);
-  out.u64(t.codedDegenerateFrames);
-  out.u64(t.adversaryAttacks);
-  out.u64(t.pollutionInjected);
-  out.u64(t.pollutionDetected);
-  out.u64(t.pollutedDeliveries);
-  out.u64(t.generationsRolledBack);
-  out.u64(t.piecesLied);
-  out.u64(t.summariesForged);
-  out.u64(t.acksSpoofed);
-  out.u64(t.broadcastsSuppressed);
-  out.u64(t.nodesQuarantined);
-  out.u64(t.nodesReleased);
-  out.u64(t.falseQuarantines);
-}
-
-void loadTotals(Deserializer& in, EngineTotals& t) {
-  t.contactsProcessed = in.u64();
-  t.filesPublished = in.u64();
-  t.queriesGenerated = in.u64();
-  t.metadataBroadcasts = in.u64();
-  t.pieceBroadcasts = in.u64();
-  t.metadataReceptions = in.u64();
-  t.pieceReceptions = in.u64();
-  t.forgeriesCrafted = in.u64();
-  t.forgeriesAccepted = in.u64();
-  t.forgeriesRejected = in.u64();
-  t.faultMessagesDropped = in.u64();
-  t.faultContactsTruncated = in.u64();
-  t.faultPiecesRejectedCorrupt = in.u64();
-  t.faultNodeDownIntervals = in.u64();
-  t.recoveryFramesLost = in.u64();
-  t.recoveryRetransmits = in.u64();
-  t.recoveryRedeliveries = in.u64();
-  t.coordinatorFailovers = in.u64();
-  t.repairRequests = in.u64();
-  t.metadataEvictions = in.u64();
-  t.codedBroadcasts = in.u64();
-  t.codedInnovativeFrames = in.u64();
-  t.codedRedundantFrames = in.u64();
-  t.generationsDecoded = in.u64();
-  t.codedDecodeFailures = in.u64();
-  t.codedDecodeRowOps = in.u64();
-  t.codedDegenerateFrames = in.u64();
-  t.adversaryAttacks = in.u64();
-  t.pollutionInjected = in.u64();
-  t.pollutionDetected = in.u64();
-  t.pollutedDeliveries = in.u64();
-  t.generationsRolledBack = in.u64();
-  t.piecesLied = in.u64();
-  t.summariesForged = in.u64();
-  t.acksSpoofed = in.u64();
-  t.broadcastsSuppressed = in.u64();
-  t.nodesQuarantined = in.u64();
-  t.nodesReleased = in.u64();
-  t.falseQuarantines = in.u64();
-}
-
 }  // namespace
 
 void Engine::saveComponentState(Serializer& out) const {
   saveRngState(out, rng_);
   out.boolean(hasPublishRng_);
   if (hasPublishRng_) saveRngState(out, publishRng_);
-  saveTotals(out, totals_);
+  for (const std::uint64_t word : totalsWords(totals_)) out.u64(word);
   out.u32(nextForgedId_);
   out.i64(expiryScanUpTo_);
 
@@ -2051,7 +1837,9 @@ void Engine::loadComponentState(Deserializer& in) {
         "configuration");
   }
   if (hasPublishRng_) loadRngState(in, publishRng_);
-  loadTotals(in, totals_);
+  EngineTotalsWords totals;
+  for (std::uint64_t& word : totals) word = in.u64();
+  totals_ = totalsFromWords(totals);
   nextForgedId_ = in.u32();
   expiryScanUpTo_ = in.i64();
 

@@ -8,10 +8,12 @@
 // with fixed per-contact budgets of metadata and file transmissions.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/download.hpp"
@@ -236,6 +238,25 @@ struct EngineTotals {
   std::uint64_t falseQuarantines = 0;
 };
 
+/// EngineTotals is one flat block of 64-bit counters. Checkpoints, sharded
+/// merges and result digests walk it word by word in declaration order, so
+/// a new counter is saved, loaded and merged without further code (and
+/// changes the checkpoint layout).
+using EngineTotalsWords =
+    std::array<std::uint64_t, sizeof(EngineTotals) / sizeof(std::uint64_t)>;
+static_assert(std::has_unique_object_representations_v<EngineTotals> &&
+                  sizeof(EngineTotals) == sizeof(EngineTotalsWords),
+              "EngineTotals must hold only std::uint64_t counters");
+
+[[nodiscard]] inline EngineTotalsWords totalsWords(const EngineTotals& t) {
+  return std::bit_cast<EngineTotalsWords>(t);
+}
+
+[[nodiscard]] inline EngineTotals totalsFromWords(
+    const EngineTotalsWords& words) {
+  return std::bit_cast<EngineTotals>(words);
+}
+
 struct EngineResult {
   DeliveryReport delivery;             ///< non-access nodes (the paper's metric)
   DeliveryReport accessDelivery;       ///< access nodes (sanity ~ 1.0)
@@ -418,6 +439,29 @@ class Engine {
                          int metadataBudget, RecoverySession* session);
   void runDownloadPhase(const std::vector<Node*>& members, SimTime now,
                         int pieceBudget, RecoverySession* session);
+  /// What the link did with one frame for one receiver.
+  enum class Link {
+    kDelivered,  ///< the receiver gets the frame
+    kLost,       ///< the channel dropped it
+    kRejected,   ///< it arrived but failed its checksum (corruption, a lie)
+  };
+  /// True when a frame can fail to arrive (faults or the adversary on); the
+  /// clean path tests this inline and never calls transmit.
+  [[nodiscard]] bool linkCanFail() const {
+    return faults_ != nullptr || adversary_ != nullptr;
+  }
+  /// The link model: decides whether `frame` (metadata, named piece, or
+  /// coded frame; see LostFrame) reaches its receiver. Per receiver it draws
+  /// metadata: loss; named piece: the Byzantine lie, then loss, then
+  /// corruption; coded frame: loss, then corruption. Owns the counters,
+  /// fault/attack events and lie evidence those draws produce; the caller
+  /// owns recovery bookkeeping (docs/FAULTS.md, "Link model").
+  Link transmit(const LostFrame& frame, SimTime now);
+  /// First transmission of `frame`: returns true when delivered. A frame
+  /// the channel drops is noted in `session` (when attached) and counted in
+  /// recoveryFramesLost; a rejected one is not (the receiver re-requests it).
+  bool sendFirst(const LostFrame& frame, RecoverySession* session,
+                 SimTime now);
   /// Delivers one planned coded broadcast: draws a coefficient seed per
   /// frame, folds the frame into every incomplete member's decoder, credits
   /// innovative receptions, and converts full-rank decoders into stored
@@ -425,39 +469,31 @@ class Engine {
   void deliverCodedBroadcast(const CodedBroadcast& cb,
                              const std::vector<Node*>& members, SimTime now,
                              RecoverySession* session);
+  /// One coded frame as its sender emits it.
+  struct CodedFrame {
+    std::vector<std::uint8_t> coefficients;
+    /// Byzantine junk: injected by this sender or relayed from a tainted
+    /// row space.
+    bool polluted = false;
+    /// The injecting attacker, or GenerationDecoder::kNoOrigin.
+    std::uint32_t origin = 0;
+  };
+  /// The sender-side draws for one coded frame from coefficient seed
+  /// `seed`: the pollution draw (counted and evented when a Byzantine
+  /// sender pollutes), then a fresh sparse combination from a complete
+  /// holder or a recoded row-space mix from a partial one.
+  CodedFrame codedFrame(Node& sender, FileId file,
+                        std::uint32_t generationSize, std::uint64_t seed,
+                        SimTime now);
   /// Folds one coded frame into `receiver`'s decoder with full accounting
   /// (innovation counters, credits, decode-at-full-rank). Returns true when
   /// the frame was innovative. Shared by the broadcast and recovery paths.
-  /// `polluted` marks a frame whose payload is Byzantine junk and `origin`
-  /// the attacker's id (GenerationDecoder::kNoOrigin for honest or relayed
-  /// traffic); at full rank a tainted decoder is rolled back (defense on)
-  /// or delivers garbage (defense off).
+  /// At full rank a tainted decoder is rolled back (defense on) or delivers
+  /// garbage (defense off).
   bool deliverCodedFrameTo(Node& receiver, NodeId sender, FileId file,
                            std::uint32_t generationSize, bool requested,
-                           std::span<const std::uint8_t> coefficients,
-                           bool polluted, std::uint32_t origin,
-                           const FileInfo& info, SimTime now);
-  /// The coefficient vector a sender emits for `seed`: a fresh sparse
-  /// combination from a complete holder, a recoded row-space mix from a
-  /// partial one. `taintedOut` (optional) is set when the emitted mix
-  /// includes a polluted row of the sender's own decoder (relayed
-  /// pollution).
-  [[nodiscard]] std::vector<std::uint8_t> codedFrameCoefficients(
-      Node& sender, FileId file, std::uint32_t generationSize,
-      std::uint64_t seed, bool* taintedOut = nullptr);
-  /// Draws the channel loss for one deliverable metadata frame: returns
-  /// true when the frame was lost, updating counters and emitting the
-  /// fault event. Only called when faults_ is non-null.
-  bool metadataReceptionFaulted(NodeId receiver, NodeId sender, FileId file,
-                                SimTime now);
-  /// Draws the channel faults for one deliverable piece: returns true when
-  /// the reception must be skipped (frame lost, or payload corrupted and
-  /// rejected by its checksum), updating counters and emitting events.
-  /// A lost (not corrupted) frame is recorded in `session` when one is
-  /// attached. Only called when faults_ is non-null.
-  bool pieceReceptionFaulted(NodeId receiver, NodeId sender, FileId file,
-                             std::uint32_t piece, bool requested, SimTime now,
-                             RecoverySession* session);
+                           const CodedFrame& frame, const FileInfo& info,
+                           SimTime now);
   /// Stores one metadata record at `receiver` with full accounting
   /// (reception counter, verification/rejection handling, credits, metrics,
   /// events). Shared by the discovery, retransmission, and repair paths.
@@ -468,9 +504,9 @@ class Engine {
   void deliverPieceTo(Node& receiver, NodeId sender, FileId file,
                       std::uint32_t piece, const FileInfo& info,
                       bool requested, SimTime now);
-  /// One retransmission attempt of `frame` (counted + evented): re-draws
-  /// the channel faults and delivers on success; on another loss the frame
-  /// is re-queued into `session` (when attached and retries remain).
+  /// One retransmission attempt of `frame` (counted + evented): sends it
+  /// through the link again and delivers on success; any failure re-queues
+  /// it into `session` (when attached and retries remain).
   void attemptRedelivery(LostFrame frame, RecoverySession* session,
                          SimTime now);
   /// Serves every cross-contact pending frame whose sender and receiver
@@ -489,16 +525,6 @@ class Engine {
   /// when the defense is off). Applies lazy suspicion decay and
   /// counts/events releases.
   bool isQuarantined(NodeId node, SimTime now);
-  /// True when a Byzantine `sender` lies about this named-piece transfer:
-  /// the forged payload fails the metadata checksum, the reception is
-  /// dropped, and (defense on) verification evidence accrues. Consumes one
-  /// adversary draw per Byzantine-sent piece.
-  bool adversaryLiedPiece(NodeId receiver, NodeId sender, FileId file,
-                          std::uint32_t piece, SimTime now);
-  /// True when a Byzantine `sender` pollutes the coded frame it is about
-  /// to emit (counts and events the injection). Consumes one adversary
-  /// draw per Byzantine-sent coded frame.
-  bool adversaryPollutesFrame(NodeId sender, FileId file, SimTime now);
   // Checkpoint internals. Component (de)serialization lives in engine.cpp
   // (it touches the file-local EngineCaches); the file format, checksum,
   // fingerprint, and schedule-replay logic live in checkpoint.cpp.

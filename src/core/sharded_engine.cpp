@@ -136,26 +136,10 @@ struct ReportAccumulator {
 };
 
 void addTotals(EngineTotals& into, const EngineTotals& t) {
-  into.contactsProcessed += t.contactsProcessed;
-  into.filesPublished += t.filesPublished;
-  into.queriesGenerated += t.queriesGenerated;
-  into.metadataBroadcasts += t.metadataBroadcasts;
-  into.pieceBroadcasts += t.pieceBroadcasts;
-  into.metadataReceptions += t.metadataReceptions;
-  into.pieceReceptions += t.pieceReceptions;
-  into.forgeriesCrafted += t.forgeriesCrafted;
-  into.forgeriesAccepted += t.forgeriesAccepted;
-  into.forgeriesRejected += t.forgeriesRejected;
-  into.faultMessagesDropped += t.faultMessagesDropped;
-  into.faultContactsTruncated += t.faultContactsTruncated;
-  into.faultPiecesRejectedCorrupt += t.faultPiecesRejectedCorrupt;
-  into.faultNodeDownIntervals += t.faultNodeDownIntervals;
-  into.recoveryFramesLost += t.recoveryFramesLost;
-  into.recoveryRetransmits += t.recoveryRetransmits;
-  into.recoveryRedeliveries += t.recoveryRedeliveries;
-  into.coordinatorFailovers += t.coordinatorFailovers;
-  into.repairRequests += t.repairRequests;
-  into.metadataEvictions += t.metadataEvictions;
+  EngineTotalsWords sum = totalsWords(into);
+  const EngineTotalsWords part = totalsWords(t);
+  for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += part[i];
+  into = totalsFromWords(sum);
 }
 
 /// Merges per-component results in canonical component order (the caller

@@ -277,83 +277,6 @@ class DenseCliqueFinder {
   std::vector<std::vector<std::uint32_t>> rawOut_;
 };
 
-// Reference Bron-Kerbosch with pivoting. R: current clique, P: candidates,
-// X: already processed. Sets are kept as sorted vectors; intersections are
-// linear. Retained for the equivalence tests.
-class BronKerboschReference {
- public:
-  explicit BronKerboschReference(const AdjacencyGraph& graph)
-      : graph_(graph) {}
-
-  std::vector<std::vector<NodeId>> run() {
-    std::vector<NodeId> r;
-    std::vector<NodeId> p = graph_.nodes();
-    std::vector<NodeId> x;
-    expand(r, p, x);
-    std::sort(out_.begin(), out_.end(), [](const auto& a, const auto& b) {
-      if (a.size() != b.size()) return a.size() > b.size();
-      return a < b;
-    });
-    return std::move(out_);
-  }
-
- private:
-  std::vector<NodeId> intersectNeighbors(const std::vector<NodeId>& set,
-                                         NodeId v) const {
-    std::vector<NodeId> out;
-    const auto* nbrs = graph_.neighborSet(v);
-    if (nbrs == nullptr) return out;
-    for (NodeId n : set) {
-      if (nbrs->contains(n)) out.push_back(n);
-    }
-    return out;
-  }
-
-  void expand(std::vector<NodeId>& r, std::vector<NodeId> p,
-              std::vector<NodeId> x) {
-    if (p.empty() && x.empty()) {
-      if (!r.empty()) {
-        std::vector<NodeId> clique = r;
-        std::sort(clique.begin(), clique.end());
-        out_.push_back(std::move(clique));
-      }
-      return;
-    }
-    // Pivot: the vertex in P union X with the most neighbors in P minimizes
-    // branching.
-    NodeId pivot;
-    std::size_t best = 0;
-    bool first = true;
-    for (const auto& set : {p, x}) {
-      for (NodeId v : set) {
-        const std::size_t deg = intersectNeighbors(p, v).size();
-        if (first || deg > best) {
-          pivot = v;
-          best = deg;
-          first = false;
-        }
-      }
-    }
-    const auto* pivotNbrs = graph_.neighborSet(pivot);
-    std::vector<NodeId> candidates;
-    for (NodeId v : p) {
-      if (pivotNbrs == nullptr || !pivotNbrs->contains(v)) {
-        candidates.push_back(v);
-      }
-    }
-    for (NodeId v : candidates) {
-      r.push_back(v);
-      expand(r, intersectNeighbors(p, v), intersectNeighbors(x, v));
-      r.pop_back();
-      p.erase(std::find(p.begin(), p.end(), v));
-      x.push_back(v);
-    }
-  }
-
-  const AdjacencyGraph& graph_;
-  std::vector<std::vector<NodeId>> out_;
-};
-
 }  // namespace
 
 std::vector<std::vector<NodeId>> maximalCliques(const AdjacencyGraph& graph) {
@@ -378,42 +301,6 @@ bool isClique(const AdjacencyGraph& graph,
     }
   }
   return true;
-}
-
-std::vector<std::vector<NodeId>> maximalCliquesReference(
-    const AdjacencyGraph& graph) {
-  return BronKerboschReference(graph).run();
-}
-
-std::vector<std::vector<NodeId>> maximalCliquesContainingReference(
-    const AdjacencyGraph& graph, NodeId node) {
-  std::vector<std::vector<NodeId>> out;
-  for (auto& clique : maximalCliquesReference(graph)) {
-    if (std::binary_search(clique.begin(), clique.end(), node)) {
-      out.push_back(std::move(clique));
-    }
-  }
-  return out;
-}
-
-std::vector<std::vector<NodeId>> partitionIntoCliquesReference(
-    const AdjacencyGraph& graph) {
-  AdjacencyGraph work = graph;
-  std::vector<std::vector<NodeId>> out;
-  while (work.nodeCount() > 0) {
-    auto cliques = maximalCliquesReference(work);
-    if (cliques.empty()) break;
-    // maximalCliques sorts by (size desc, members asc), so front() is the
-    // deterministic greedy choice.
-    std::vector<NodeId> chosen = cliques.front();
-    for (NodeId n : chosen) work.removeNode(n);
-    out.push_back(std::move(chosen));
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.size() != b.size()) return a.size() > b.size();
-    return a < b;
-  });
-  return out;
 }
 
 }  // namespace hdtn

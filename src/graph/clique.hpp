@@ -34,19 +34,4 @@ namespace hdtn {
 [[nodiscard]] bool isClique(const AdjacencyGraph& graph,
                             const std::vector<NodeId>& members);
 
-// --- naive reference implementations --------------------------------------
-// The direct set-vector Bron-Kerbosch (O(|P|^2) pivot scan, full
-// re-enumeration per partition round), retained for equivalence testing:
-// each must produce output byte-identical to its optimized counterpart on
-// any input. See graph_clique_test.cpp.
-
-[[nodiscard]] std::vector<std::vector<NodeId>> maximalCliquesReference(
-    const AdjacencyGraph& graph);
-
-[[nodiscard]] std::vector<std::vector<NodeId>> maximalCliquesContainingReference(
-    const AdjacencyGraph& graph, NodeId node);
-
-[[nodiscard]] std::vector<std::vector<NodeId>> partitionIntoCliquesReference(
-    const AdjacencyGraph& graph);
-
 }  // namespace hdtn

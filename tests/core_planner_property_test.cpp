@@ -13,6 +13,7 @@
 #include "src/core/internet.hpp"
 #include "src/net/codec.hpp"
 #include "src/util/random.hpp"
+#include "tests/reference_oracles.hpp"
 
 namespace hdtn::core {
 namespace {

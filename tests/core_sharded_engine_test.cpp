@@ -208,6 +208,30 @@ TEST(ShardedEngine, MergedResultEqualsComponentSum) {
   EXPECT_EQ(merged.totals.contactsProcessed, diesel.contactCount());
 }
 
+TEST(ShardedEngine, MergedTotalsSumEveryCounter) {
+  // A coded, adversarial, defended run drives the coding, attack and
+  // quarantine counters; every word of the merged totals must be the sum
+  // over the components.
+  trace::CityStream stream(smallCity());
+  ShardedParams params = shardedParams(ProtocolKind::kMbtQm, 4, 2);
+  params.engine.downloadMode = DownloadMode::kCoded;
+  params.engine.piecesPerFile = 4;
+  params.engine.adversary.byzantineFraction = 0.2;
+  params.engine.adversary.attacks = faults::kAllAttacks;
+  params.engine.reputation.defense = true;
+  ShardedEngine sharded(stream, params);
+  const EngineResult merged = sharded.run();
+  ASSERT_GT(sharded.componentCount(), 1u);
+  EngineTotalsWords sum{};
+  for (std::size_t i = 0; i < sharded.componentCount(); ++i) {
+    const EngineTotalsWords part = totalsWords(sharded.component(i).totals());
+    for (std::size_t w = 0; w < sum.size(); ++w) sum[w] += part[w];
+  }
+  EXPECT_EQ(totalsWords(merged.totals), sum);
+  EXPECT_GT(merged.totals.codedBroadcasts, 0u);
+  EXPECT_GT(merged.totals.adversaryAttacks, 0u);
+}
+
 TEST(ShardedEngine, SharedPublishStreamKeepsCatalogsAligned) {
   // Every component publishes the same daily catalog through the shared
   // publish horizon: merged filesPublished is componentCount * days *

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "src/util/random.hpp"
+#include "tests/reference_oracles.hpp"
 
 namespace hdtn {
 namespace {
