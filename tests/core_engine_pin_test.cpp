@@ -6,13 +6,16 @@
 // a counter or an event in any delivery path changes it.
 //
 // The same runs check the link-model identities between the event stream
-// and the totals (docs/OBSERVABILITY.md).
+// and the totals (docs/OBSERVABILITY.md), and pin the exact bytes of a
+// checkpoint saved halfway through each run.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -67,6 +70,10 @@ struct PinCase {
   ProtocolKind kind;
   Mix mix;
   const char* digest;  // captured before the link-model refactor
+  // Checkpoint saved at half the trace's end time: file size and SHA-1,
+  // captured before the one-buffer checkpoint envelope.
+  std::size_t checkpointBytes;
+  const char* checkpointDigest;
 };
 
 EngineParams pinParams(const PinCase& c) {
@@ -120,10 +127,7 @@ std::string runDigest(const EngineResult& result, const std::string& jsonl) {
 
 void PrintTo(const PinCase& c, std::ostream* os) { *os << c.name; }
 
-class EnginePin : public testing::TestWithParam<PinCase> {};
-
-TEST_P(EnginePin, OutputMatchesPinnedDigestAndLinkIdentities) {
-  const PinCase& c = GetParam();
+trace::ContactTrace pinTrace() {
   trace::NusParams tp;
   tp.students = 60;
   tp.courses = 12;
@@ -131,7 +135,14 @@ TEST_P(EnginePin, OutputMatchesPinnedDigestAndLinkIdentities) {
   tp.days = 6;
   tp.attendanceRate = 0.9;
   tp.seed = 5;
-  const trace::ContactTrace trace = trace::generateNus(tp);
+  return trace::generateNus(tp);
+}
+
+class EnginePin : public testing::TestWithParam<PinCase> {};
+
+TEST_P(EnginePin, OutputMatchesPinnedDigestAndLinkIdentities) {
+  const PinCase& c = GetParam();
+  const trace::ContactTrace trace = pinTrace();
 
   Engine engine(trace, pinParams(c));
   PinObserver observer;
@@ -185,25 +196,49 @@ TEST_P(EnginePin, OutputMatchesPinnedDigestAndLinkIdentities) {
   }
 }
 
+TEST_P(EnginePin, CheckpointBytesMatchPin) {
+  const PinCase& c = GetParam();
+  const trace::ContactTrace trace = pinTrace();
+  Engine engine(trace, pinParams(c));
+  engine.runUntil(trace.endTime() / 2);
+  const std::string path =
+      testing::TempDir() + "/engine_pin_" + c.name + ".ckpt";
+  engine.saveCheckpoint(path, "pin");
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes.size(), c.checkpointBytes) << c.name;
+  EXPECT_EQ(Sha1::hash(bytes).hex(), c.checkpointDigest) << c.name;
+}
+
 const PinCase kPinCases[] = {
     {"BroadcastMbtFaults", DownloadMode::kBroadcast, ProtocolKind::kMbt,
-     Mix::kFaults, "b030b14420f0cfb50954f4330a747e1e17ab6ff3"},
+     Mix::kFaults, "b030b14420f0cfb50954f4330a747e1e17ab6ff3",
+     300686, "7c5f4cf63f06bb6b6b41fc6f416997dec4f63fec"},
     {"BroadcastMbtDefended", DownloadMode::kBroadcast, ProtocolKind::kMbt,
-     Mix::kDefended, "1ea4339a11eb3fd0caf559df8f3130afa3b41c7c"},
+     Mix::kDefended, "1ea4339a11eb3fd0caf559df8f3130afa3b41c7c",
+     279548, "004e6a1e059791f699cfb4784a6b5495be5865c2"},
     {"BroadcastMbtUndefended", DownloadMode::kBroadcast, ProtocolKind::kMbt,
-     Mix::kUndefended, "7b263ebc0c7b10950f35c29a3f6d102a54830f87"},
+     Mix::kUndefended, "7b263ebc0c7b10950f35c29a3f6d102a54830f87",
+     280182, "8749b3488b0267b27e4042db1001aa7942744d8f"},
     {"PairwiseMbtFaults", DownloadMode::kPairwise, ProtocolKind::kMbt,
-     Mix::kFaults, "7236bab7e0040354cfd84ba0d61c5fbeb87944bf"},
+     Mix::kFaults, "7236bab7e0040354cfd84ba0d61c5fbeb87944bf",
+     296191, "89789f16dbc3c551f35a5f625733fa4aa1e5894e"},
     {"PairwiseMbtDefended", DownloadMode::kPairwise, ProtocolKind::kMbt,
-     Mix::kDefended, "7a8275b0d7bc9acda1c89587869d0758d30cdedc"},
+     Mix::kDefended, "7a8275b0d7bc9acda1c89587869d0758d30cdedc",
+     277054, "d508a9e88eddb6fb448253788a346382073b7a71"},
     {"PairwiseMbtUndefended", DownloadMode::kPairwise, ProtocolKind::kMbt,
-     Mix::kUndefended, "83934ee6838d4a393a0d6f406a3827a22629af60"},
+     Mix::kUndefended, "83934ee6838d4a393a0d6f406a3827a22629af60",
+     276752, "84817d44798330f1e2c2775cdf39d621a18154f6"},
     {"CodedMbtQmFaults", DownloadMode::kCoded, ProtocolKind::kMbtQm,
-     Mix::kFaults, "7ee78803fb71b1eaef4e77b00e9d9bc630f4ece3"},
+     Mix::kFaults, "7ee78803fb71b1eaef4e77b00e9d9bc630f4ece3",
+     90154, "661d0dba695a7e2c301de2b614178f6b2fe91031"},
     {"CodedMbtQmDefended", DownloadMode::kCoded, ProtocolKind::kMbtQm,
-     Mix::kDefended, "b316f6e4c676672b74ecf20050a5360861636901"},
+     Mix::kDefended, "b316f6e4c676672b74ecf20050a5360861636901",
+     103802, "d81fe47b03e6f4ac45eb69f5cb59b6375aba48e8"},
     {"CodedMbtQmUndefended", DownloadMode::kCoded, ProtocolKind::kMbtQm,
-     Mix::kUndefended, "be889bd7d1bb0d59d1e3ae69afff49533ed3b720"},
+     Mix::kUndefended, "be889bd7d1bb0d59d1e3ae69afff49533ed3b720",
+     103753, "c5f91992c0f71dda22899e39ea956f982baf9aa8"},
 };
 
 INSTANTIATE_TEST_SUITE_P(Matrix, EnginePin, testing::ValuesIn(kPinCases),
