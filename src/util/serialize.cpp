@@ -8,14 +8,23 @@ namespace hdtn {
 
 bool readFileBytes(const std::string& path, std::string* out,
                    std::string* error) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     if (error) *error = "cannot open " + path;
     return false;
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
+  // One sized read. A directory opens too, with a meaningless end offset,
+  // so the size is only trusted for a regular file.
+  const std::streamoff size = in.tellg();
+  std::error_code ec;
+  bool ok = size >= 0 && std::filesystem::is_regular_file(path, ec);
+  std::string bytes;
+  if (ok && size > 0) {
+    bytes.resize(static_cast<std::size_t>(size));
+    in.seekg(0);
+    ok = static_cast<bool>(in.read(bytes.data(), size));
+  }
+  if (!ok) {
     if (error) *error = "read error on " + path;
     return false;
   }

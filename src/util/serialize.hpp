@@ -30,13 +30,9 @@ class Serializer {
  public:
   void u8(std::uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
 
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v) { littleEndian(v); }
 
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u64(std::uint64_t v) { littleEndian(v); }
 
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -54,10 +50,23 @@ class Serializer {
     bytes_.append(static_cast<const char*>(data), n);
   }
 
+  /// Pre-sizes the buffer for `n` bytes in total.
+  void reserve(std::size_t n) { bytes_.reserve(n); }
+
   [[nodiscard]] const std::string& bytes() const { return bytes_; }
   [[nodiscard]] std::string takeBytes() { return std::move(bytes_); }
 
  private:
+  // One append of the value's bytes, least significant first.
+  template <typename T>
+  void littleEndian(T v) {
+    char le[sizeof(T)];
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      le[i] = static_cast<char>(v >> (8 * i));
+    }
+    bytes_.append(le, sizeof(T));
+  }
+
   std::string bytes_;
 };
 
@@ -72,17 +81,9 @@ class Deserializer {
     return static_cast<std::uint8_t>(bytes_[pos_++]);
   }
 
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{u8()} << (8 * i);
-    return v;
-  }
+  std::uint32_t u32() { return littleEndian<std::uint32_t>(); }
 
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{u8()} << (8 * i);
-    return v;
-  }
+  std::uint64_t u64() { return littleEndian<std::uint64_t>(); }
 
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
@@ -131,12 +132,25 @@ class Deserializer {
     }
   }
 
+  // One bounds check, then the value's bytes, least significant first.
+  template <typename T>
+  T littleEndian() {
+    need(sizeof(T));
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= T{static_cast<std::uint8_t>(bytes_[pos_ + i])} << (8 * i);
+    }
+    pos_ += sizeof(T);
+    return v;
+  }
+
   std::string_view bytes_;
   std::size_t pos_ = 0;
 };
 
-/// Slurps a whole file into `out`. Returns false (with `*error` set) on
-/// open or read failure.
+/// Reads a whole regular file into `out` with one sized read. Returns false
+/// (with `*error` set) when the file cannot be opened, is not a regular
+/// file, or the read fails.
 bool readFileBytes(const std::string& path, std::string* out,
                    std::string* error);
 

@@ -107,15 +107,22 @@ TEST(Serialize, RemainingAndDoneTrackConsumption) {
 
 TEST(Serialize, FileRoundTripAtomicWrite) {
   const std::string path = testing::TempDir() + "/serialize_roundtrip.bin";
-  const std::string payload = "binary\0payload", error = "";
-  std::string writeError;
-  ASSERT_TRUE(writeFileAtomic(path, payload, &writeError)) << writeError;
-  std::string readBack, readError;
-  ASSERT_TRUE(readFileBytes(path, &readBack, &readError)) << readError;
-  EXPECT_EQ(readBack, payload);
-  // No temp file left behind.
-  std::ifstream tmp(path + ".tmp");
-  EXPECT_FALSE(tmp.good());
+  std::string large(std::size_t{3} << 19, '\0');  // 1.5 MiB
+  for (std::size_t i = 0; i < large.size(); ++i) {
+    large[i] = static_cast<char>(i * 131 + i / 4096);
+  }
+  for (const std::string& payload :
+       {std::string("binary\0payload", 14), std::string(), large}) {
+    SCOPED_TRACE("payload of " + std::to_string(payload.size()) + " bytes");
+    std::string writeError;
+    ASSERT_TRUE(writeFileAtomic(path, payload, &writeError)) << writeError;
+    std::string readBack = "stale", readError;
+    ASSERT_TRUE(readFileBytes(path, &readBack, &readError)) << readError;
+    EXPECT_EQ(readBack, payload);
+    // No temp file left behind.
+    std::ifstream tmp(path + ".tmp");
+    EXPECT_FALSE(tmp.good());
+  }
 }
 
 TEST(Serialize, ReadMissingFileReportsError) {
@@ -123,6 +130,13 @@ TEST(Serialize, ReadMissingFileReportsError) {
   EXPECT_FALSE(readFileBytes(testing::TempDir() + "/missing.bin", &out,
                              &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(Serialize, ReadDirectoryReportsError) {
+  // A directory opens like a file but has no meaningful size to read.
+  std::string out, error;
+  EXPECT_FALSE(readFileBytes(testing::TempDir(), &out, &error));
+  EXPECT_NE(error.find("read error"), std::string::npos) << error;
 }
 
 }  // namespace
