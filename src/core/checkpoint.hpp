@@ -15,11 +15,18 @@
 // discards exactly that prefix without running it. See docs/CHECKPOINT.md.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "src/util/types.hpp"
+
+namespace hdtn {
+class Serializer;
+}  // namespace hdtn
 
 namespace hdtn::core {
 
@@ -55,4 +62,33 @@ struct CheckpointInfo {
 /// Engine::restoreCheckpoint. Throws CheckpointError on any problem.
 [[nodiscard]] CheckpointInfo readCheckpointInfo(const std::string& path);
 
+namespace detail {
+
+/// The checkpoint envelope, shared by Engine and ShardedEngine checkpoints.
+/// Each kind has its own magic ("HDTNCKPT", "HDTNSHRD") and error wording;
+/// the header layout is the same (checkpoint.cpp).
+enum class EnvelopeKind { kEngine, kSharded };
+
+/// Writes one checkpoint file with a single atomic write: a zeroed header
+/// and the payload `encodePayload` appends share one buffer, the payload
+/// is hashed in place, and the size and digest are patched into the
+/// header. `*sizeHint` is the writer's previous file size, used to reserve
+/// the buffer; it is updated to this file's size. Throws CheckpointError
+/// on I/O failure.
+void writeCheckpointFile(
+    const std::string& path, EnvelopeKind kind, std::size_t* sizeHint,
+    const std::function<void(Serializer&)>& encodePayload);
+
+/// A checkpoint file whose envelope verified.
+struct CheckpointFile {
+  std::string bytes;
+  [[nodiscard]] std::string_view payload() const;
+};
+
+/// Reads `path` and verifies its magic, version, payload size and payload
+/// checksum. Throws CheckpointError naming the first problem.
+[[nodiscard]] CheckpointFile readCheckpointFile(const std::string& path,
+                                                EnvelopeKind kind);
+
+}  // namespace detail
 }  // namespace hdtn::core

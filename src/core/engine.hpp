@@ -577,6 +577,9 @@ class Engine {
   bool feeding_ = false;
   bool scheduled_ = false;
   bool finished_ = false;
+  /// Size of the last checkpoint file saved, to reserve the next one's
+  /// buffer up front. Not part of the checkpointed state.
+  mutable std::size_t checkpointSizeHint_ = 0;
 };
 
 /// Convenience: builds, runs, and returns the result in one call.

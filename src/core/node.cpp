@@ -280,8 +280,9 @@ void Node::saveState(Serializer& out) const {
     out.i64(sq->storedAt);
   }
 
-  std::vector<std::pair<Uri, SimTime>> wants(peerWants_.begin(),
-                                             peerWants_.end());
+  // Views, not copies: the URIs stay in the map while they are sorted.
+  std::vector<std::pair<std::string_view, SimTime>> wants(peerWants_.begin(),
+                                                          peerWants_.end());
   std::sort(wants.begin(), wants.end());
   out.u64(wants.size());
   for (const auto& [uri, when] : wants) {

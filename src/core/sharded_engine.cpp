@@ -1,7 +1,6 @@
 #include "src/core/sharded_engine.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -22,9 +21,6 @@ constexpr std::uint64_t kPublishSalt = 0x7075626c69736800ull;
 /// Label given to the pooled isolated-node component by union-find
 /// partitioning.
 constexpr std::uint32_t kIsolatedLabel = 0xffffffffu;
-
-constexpr char kShardMagic[8] = {'H', 'D', 'T', 'N', 'S', 'H', 'R', 'D'};
-constexpr std::size_t kShardHeaderSize = 8 + 4 + 8 + 20;
 
 /// splitmix64-style stateless mix: component seeds derive from the run seed
 /// and the component's smallest global node id without consuming any draws
@@ -448,31 +444,21 @@ void ShardedEngine::saveCheckpoint(const std::string& path,
         "ShardedEngine::saveCheckpoint: the run already finished; there is "
         "nothing left to resume");
   }
-  Serializer payload;
-  payload.i64(epoch_);
-  payload.str(extra);
-  const Sha1Digest fingerprint = shardedFingerprint();
-  payload.raw(fingerprint.bytes.data(), fingerprint.bytes.size());
-  payload.u64(components_.size());
-  for (const Component& c : components_) {
-    payload.u64(c.engine->sim_.executedEvents());
-    payload.i64(c.engine->sim_.now());
-    payload.u64(c.contactsFed);
-    c.engine->saveComponentState(payload);
-  }
-
-  Serializer file;
-  file.raw(kShardMagic, sizeof(kShardMagic));
-  file.u32(kCheckpointVersion);
-  file.u64(payload.bytes().size());
-  const Sha1Digest digest = Sha1::hash(payload.bytes());
-  file.raw(digest.bytes.data(), digest.bytes.size());
-  file.raw(payload.bytes().data(), payload.bytes().size());
-
-  std::string error;
-  if (!writeFileAtomic(path, file.bytes(), &error)) {
-    throw CheckpointError("ShardedEngine::saveCheckpoint: " + error);
-  }
+  detail::writeCheckpointFile(
+      path, detail::EnvelopeKind::kSharded, &checkpointSizeHint_,
+      [&](Serializer& payload) {
+        payload.i64(epoch_);
+        payload.str(extra);
+        const Sha1Digest fingerprint = shardedFingerprint();
+        payload.raw(fingerprint.bytes.data(), fingerprint.bytes.size());
+        payload.u64(components_.size());
+        for (const Component& c : components_) {
+          payload.u64(c.engine->sim_.executedEvents());
+          payload.i64(c.engine->sim_.now());
+          payload.u64(c.contactsFed);
+          c.engine->saveComponentState(payload);
+        }
+      });
 }
 
 void ShardedEngine::restoreCheckpoint(const std::string& path) {
@@ -489,41 +475,10 @@ void ShardedEngine::restoreCheckpoint(const std::string& path) {
     }
   }
 
-  std::string fileBytes;
-  std::string error;
-  if (!readFileBytes(path, &fileBytes, &error)) {
-    throw CheckpointError("cannot read checkpoint: " + error);
-  }
-  const std::string_view bytes(fileBytes);
-  if (bytes.size() < kShardHeaderSize) {
-    throw CheckpointError(path + ": truncated sharded checkpoint");
-  }
-  if (std::memcmp(bytes.data(), kShardMagic, sizeof(kShardMagic)) != 0) {
-    throw CheckpointError(path +
-                          ": not a sharded checkpoint file (bad magic)");
-  }
-  Deserializer header(bytes.substr(sizeof(kShardMagic)));
-  const std::uint32_t version = header.u32();
-  if (version != kCheckpointVersion) {
-    throw CheckpointError(
-        path + ": unsupported checkpoint version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kCheckpointVersion) +
-        ")");
-  }
-  const std::uint64_t payloadSize = header.u64();
-  Sha1Digest stored;
-  header.raw(stored.bytes.data(), stored.bytes.size());
-  if (bytes.size() - kShardHeaderSize != payloadSize) {
-    throw CheckpointError(path + ": truncated sharded checkpoint payload");
-  }
-  const std::string_view payload = bytes.substr(kShardHeaderSize);
-  if (!(Sha1::hash(payload) == stored)) {
-    throw CheckpointError(path +
-                          ": checksum mismatch (corrupt checkpoint file)");
-  }
-
+  const detail::CheckpointFile file =
+      detail::readCheckpointFile(path, detail::EnvelopeKind::kSharded);
   try {
-    Deserializer in(payload);
+    Deserializer in(file.payload());
     const SimTime savedEpoch = in.i64();
     in.str();  // caller extra blob: not interpreted here
     Sha1Digest fingerprint;

@@ -200,6 +200,9 @@ class ShardedEngine {
   SimTime epoch_ = 0;
   bool streaming_ = false;
   bool finished_ = false;
+  /// Size of the last checkpoint file saved, to reserve the next one's
+  /// buffer up front. Not part of the checkpointed state.
+  mutable std::size_t checkpointSizeHint_ = 0;
 };
 
 }  // namespace hdtn::core
