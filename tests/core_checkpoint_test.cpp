@@ -59,7 +59,7 @@ EngineParams paramsFor(ProtocolKind kind, bool withFaults) {
   return params;
 }
 
-std::string ckptPath(const char* name) {
+std::string ckptPath(const std::string& name) {
   return testing::TempDir() + "/" + name + ".ckpt";
 }
 
@@ -418,7 +418,11 @@ class CheckpointErrors : public ::testing::Test {
   void SetUp() override {
     trace_ = nusTrace();
     params_ = paramsFor(ProtocolKind::kMbtQm, false);
-    path_ = ckptPath("errors");
+    // One file per test: ctest runs each test in its own process, in
+    // parallel, and several tests overwrite their file with mutated bytes.
+    path_ = ckptPath(
+        std::string("errors_") +
+        testing::UnitTest::GetInstance()->current_test_info()->name());
     Engine engine(trace_, params_);
     for (int i = 0; i < 20; ++i) ASSERT_TRUE(engine.step());
     engine.saveCheckpoint(path_);
