@@ -496,9 +496,10 @@ class Engine {
                            SimTime now);
   /// Stores one metadata record at `receiver` with full accounting
   /// (reception counter, verification/rejection handling, credits, metrics,
-  /// events). Shared by the discovery, retransmission, and repair paths.
-  void deliverMetadataTo(Node& receiver, NodeId sender, const Metadata& md,
-                         SimTime now);
+  /// events). Shared by the discovery, retransmission, and repair paths;
+  /// the receiver's store shares `md` with the sender's.
+  void deliverMetadataTo(Node& receiver, NodeId sender,
+                         const SharedMetadata& md, SimTime now);
   /// Stores one piece at `receiver` with full accounting. Shared by the
   /// download, retransmission, and repair paths.
   void deliverPieceTo(Node& receiver, NodeId sender, FileId file,
@@ -531,8 +532,8 @@ class Engine {
   void saveComponentState(Serializer& out) const;
   void loadComponentState(Deserializer& in);
   /// Recomputes the popularity-ordered carry stock for the current publish
-  /// epoch (caches_->topPopular holds pointers into the catalog, so restore
-  /// recomputes it instead of serializing it).
+  /// epoch (caches_->topPopular holds the catalog's record objects, so
+  /// restore recomputes it instead of serializing it).
   void refreshPublishEpochCaches();
   /// SHA-1 over the engine configuration (params + trace identity); stored
   /// in checkpoints so a restore into a different run fails loudly.

@@ -93,8 +93,8 @@ FileId FileCatalog::publish(const PublishRequest& request) {
 
   byUri_.emplace(info.uri, info.id);
   files_.push_back(std::move(info));
-  metadata_.push_back(std::move(md));
-  return metadata_.back().file;
+  metadata_.push_back(std::make_shared<const Metadata>(std::move(md)));
+  return metadata_.back()->file;
 }
 
 const FileInfo* FileCatalog::find(FileId id) const {
@@ -107,7 +107,7 @@ const FileInfo* FileCatalog::findByUri(const Uri& uri) const {
   return it == byUri_.end() ? nullptr : find(it->second);
 }
 
-const Metadata& FileCatalog::metadataFor(FileId id) const {
+const SharedMetadata& FileCatalog::sharedMetadataFor(FileId id) const {
   assert(id.valid() && id.value < metadata_.size());
   return metadata_[id.value];
 }
@@ -129,7 +129,9 @@ bool FileCatalog::verifyPiece(FileId id, std::uint32_t piece,
 void FileCatalog::setPopularity(FileId id, Popularity popularity) {
   assert(id.valid() && id.value < files_.size());
   files_[id.value].popularity = popularity;
-  metadata_[id.value].popularity = popularity;
+  auto next = std::make_shared<Metadata>(*metadata_[id.value]);
+  next->popularity = popularity;
+  metadata_[id.value] = std::move(next);
 }
 
 std::vector<FileId> FileCatalog::aliveFiles(SimTime now) const {

@@ -76,8 +76,15 @@ class FileCatalog {
   [[nodiscard]] const FileInfo* find(FileId id) const;
   [[nodiscard]] const FileInfo* findByUri(const Uri& uri) const;
 
-  /// The signed metadata record for a published file.
-  [[nodiscard]] const Metadata& metadataFor(FileId id) const;
+  /// The signed metadata record for a published file. Valid until the next
+  /// setPopularity of `id` (which publishes a new record object).
+  [[nodiscard]] const Metadata& metadataFor(FileId id) const {
+    return *sharedMetadataFor(id);
+  }
+
+  /// The record object itself, to hand to node stores: every holder the
+  /// catalog reaches shares this one object instead of a copy.
+  [[nodiscard]] const SharedMetadata& sharedMetadataFor(FileId id) const;
 
   /// Checksum of one piece, from the stored metadata.
   [[nodiscard]] const Sha1Digest& pieceDigest(FileId id,
@@ -90,7 +97,8 @@ class FileCatalog {
   /// Updates a file's popularity (and its metadata snapshot). Used when the
   /// metadata server replaces the publisher-assigned estimate with the
   /// observed request rate (paper Section IV: popularity "can be maintained
-  /// by a central metadata server").
+  /// by a central metadata server"). Publishes a new record object: holders
+  /// of the old one keep it, popularity included.
   void setPopularity(FileId id, Popularity popularity);
 
   /// Ids of all files alive at `now`.
@@ -102,7 +110,7 @@ class FileCatalog {
  private:
   PublisherRegistry* registry_;
   std::vector<FileInfo> files_;
-  std::vector<Metadata> metadata_;
+  std::vector<SharedMetadata> metadata_;
   std::unordered_map<Uri, FileId> byUri_;
 };
 

@@ -139,23 +139,26 @@ std::vector<RankedMatch> InternetServices::search(
   return rankMatches(queryText, candidates);
 }
 
-std::vector<const Metadata*> InternetServices::topPopular(
+std::vector<SharedMetadata> InternetServices::topPopular(
     SimTime now, std::size_t limit) const {
-  std::vector<const Metadata*> out;
+  std::vector<SharedMetadata> out;
   for (FileId id : catalog_.aliveFiles(now)) {
-    out.push_back(&catalog_.metadataFor(id));
+    out.push_back(catalog_.sharedMetadataFor(id));
   }
-  std::sort(out.begin(), out.end(), [](const Metadata* a, const Metadata* b) {
-    if (a->popularity != b->popularity) return a->popularity > b->popularity;
-    return a->file < b->file;
-  });
+  std::sort(out.begin(), out.end(),
+            [](const SharedMetadata& a, const SharedMetadata& b) {
+              if (a->popularity != b->popularity) {
+                return a->popularity > b->popularity;
+              }
+              return a->file < b->file;
+            });
   if (out.size() > limit) out.resize(limit);
   return out;
 }
 
-const Metadata* InternetServices::metadataForUri(const Uri& uri) const {
+SharedMetadata InternetServices::metadataForUri(const Uri& uri) const {
   const FileInfo* info = catalog_.findByUri(uri);
-  return info == nullptr ? nullptr : &catalog_.metadataFor(info->id);
+  return info == nullptr ? nullptr : catalog_.sharedMetadataFor(info->id);
 }
 
 std::vector<FileId> publishSyntheticBatch(InternetServices& internet,

@@ -84,11 +84,13 @@ class InternetServices {
   [[nodiscard]] std::vector<RankedMatch> search(const std::string& queryText,
                                                 SimTime now) const;
 
-  /// Metadata of alive files in decreasing popularity, at most `limit`.
-  [[nodiscard]] std::vector<const Metadata*> topPopular(
+  /// Metadata of alive files in decreasing popularity, at most `limit`:
+  /// the catalog's own record objects, so holders share them.
+  [[nodiscard]] std::vector<SharedMetadata> topPopular(
       SimTime now, std::size_t limit) const;
 
-  [[nodiscard]] const Metadata* metadataForUri(const Uri& uri) const;
+  /// The catalog's record object for `uri`; null when the URI is unknown.
+  [[nodiscard]] SharedMetadata metadataForUri(const Uri& uri) const;
 
   /// Checkpoints the catalog (as publish requests carrying the *current*
   /// popularity) and the popularity table. loadState re-publishes every

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -65,7 +66,16 @@ struct Metadata {
   /// derived and rebuilt on load.
   void saveState(Serializer& out) const;
   void loadState(Deserializer& in);
+
+  /// Every field equal (restore uses it to re-share identical records).
+  bool operator==(const Metadata&) const = default;
 };
+
+/// One immutable record shared by the catalog and every store holding it.
+/// A signed, named record never changes once published; the one field a
+/// holder may change, its popularity snapshot, is changed on a private
+/// copy (see MetadataStore::add).
+using SharedMetadata = std::shared_ptr<const Metadata>;
 
 /// Publisher authentication: a keyed-hash scheme standing in for the
 /// publisher signatures the paper requires ("authentication information of

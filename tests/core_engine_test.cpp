@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <stdexcept>
 
 #include "src/trace/dieselnet.hpp"
@@ -450,6 +452,74 @@ TEST(Engine, RepeatForgersGetDistrusted) {
     }
   }
   EXPECT_TRUE(someDistrust);
+}
+
+// Every node holding a file id holds the same record object, and for a
+// genuine (catalog) id that object is the catalog's own. Returns the object
+// per held file id.
+std::map<FileId, const Metadata*> expectOneRecordObjectPerFile(
+    const Engine& engine) {
+  std::map<FileId, const Metadata*> objects;
+  for (std::uint32_t i = 0; i < engine.nodeCount(); ++i) {
+    for (const Metadata* md : engine.node(NodeId(i)).metadata().all()) {
+      const auto [it, inserted] = objects.emplace(md->file, md);
+      EXPECT_EQ(it->second, md) << "node " << i << " holds its own copy of "
+                                << md->file.value;
+    }
+  }
+  const FileCatalog& catalog = engine.internet().catalog();
+  for (const auto& [file, md] : objects) {
+    if (catalog.find(file) != nullptr) {
+      EXPECT_EQ(md, &catalog.metadataFor(file)) << file.value;
+    }
+  }
+  return objects;
+}
+
+EngineParams forgedRunParams() {
+  auto params = baseParams(ProtocolKind::kMbt);
+  params.forgerFraction = 0.25;
+  params.verifyMetadata = false;
+  return params;
+}
+
+std::size_t countForged(const std::map<FileId, const Metadata*>& objects,
+                        const Engine& engine) {
+  return static_cast<std::size_t>(
+      std::count_if(objects.begin(), objects.end(), [&](const auto& kv) {
+        return engine.internet().catalog().find(kv.first) == nullptr;
+      }));
+}
+
+TEST(Engine, HoldersShareOneRecordObjectPerFile) {
+  const auto trace = smallNusTrace();
+  Engine engine(trace, forgedRunParams());
+  engine.run();
+  const auto objects = expectOneRecordObjectPerFile(engine);
+  // Both kinds are exercised: catalog records and forgers' fakes.
+  EXPECT_GT(objects.size(), countForged(objects, engine));
+  EXPECT_GT(countForged(objects, engine), 0u);
+}
+
+TEST(Engine, RestoredHoldersShareOneRecordObjectPerFile) {
+  const auto trace = smallNusTrace();
+  const auto params = forgedRunParams();
+  Engine original(trace, params);
+  original.runUntil(trace.endTime() / 2);
+  const std::string path = testing::TempDir() + "/engine_shared_records.ckpt";
+  original.saveCheckpoint(path);
+  const auto before = expectOneRecordObjectPerFile(original);
+
+  Engine restored(trace, params);
+  restored.restoreCheckpoint(path);
+  const auto after = expectOneRecordObjectPerFile(restored);
+  // As many record objects as the run it resumes, holding equal records.
+  ASSERT_EQ(after.size(), before.size());
+  EXPECT_GT(countForged(after, restored), 0u);
+  for (const auto& [file, md] : before) {
+    ASSERT_TRUE(after.contains(file)) << file.value;
+    EXPECT_EQ(*after.at(file), *md) << file.value;
+  }
 }
 
 TEST(Engine, RunTwiceThrows) {

@@ -130,6 +130,21 @@ TEST(FileCatalog, AliveFilesFiltersByTime) {
   EXPECT_EQ(catalog.allFiles().size(), 2u);
 }
 
+TEST(FileCatalog, SetPopularityPublishesNewSnapshot) {
+  FileCatalog catalog;
+  const FileId id = catalog.publish(sampleRequest());
+  const SharedMetadata before = catalog.sharedMetadataFor(id);
+  EXPECT_EQ(&catalog.metadataFor(id), before.get());
+  catalog.setPopularity(id, 0.9);
+  // Holders of the old record keep its popularity; the catalog moves on.
+  EXPECT_DOUBLE_EQ(before->popularity, 0.4);
+  EXPECT_DOUBLE_EQ(catalog.metadataFor(id).popularity, 0.9);
+  EXPECT_DOUBLE_EQ(catalog.find(id)->popularity, 0.9);
+  Metadata expected = *before;
+  expected.popularity = 0.9;
+  EXPECT_EQ(catalog.metadataFor(id), expected);
+}
+
 TEST(FileCatalog, DistinctFilesDistinctChecksums) {
   FileCatalog catalog;
   const FileId a = catalog.publish(sampleRequest());
