@@ -1,9 +1,11 @@
 // Pins the engine's complete output on every link-model path: named-piece
 // broadcasts, pairwise transfers and coded frames, each under a fault mix
 // with recovery on, with and without a Byzantine adversary, with and without
-// the defense. A run's digest is the SHA-1 of its JSONL event stream, every
-// EngineTotals word and the four delivery reports, so any change to a draw,
-// a counter or an event in any delivery path changes it.
+// the defense. One more broadcast run re-estimates popularity every day, so
+// holders of a file carry different snapshots of its record. A run's digest
+// is the SHA-1 of its JSONL event stream, every EngineTotals word and the
+// four delivery reports, so any change to a draw, a counter or an event in
+// any delivery path changes it.
 //
 // The same runs check the link-model identities between the event stream
 // and the totals (docs/OBSERVABILITY.md), and pin the exact bytes of a
@@ -74,6 +76,9 @@ struct PinCase {
   // captured before the one-buffer checkpoint envelope.
   std::size_t checkpointBytes;
   const char* checkpointDigest;
+  // Popularity re-estimated from access-node requests every day, so
+  // holders of one file carry different popularity snapshots.
+  bool observedPopularity = false;
 };
 
 EngineParams pinParams(const PinCase& c) {
@@ -86,6 +91,7 @@ EngineParams pinParams(const PinCase& c) {
   p.piecesPerFile = 4;
   p.frequentContactPeriod = kDay;
   p.seed = 11;
+  p.useObservedPopularity = c.observedPopularity;
   p.faults.messageLossRate = 0.25;
   p.faults.contactTruncationRate = 0.2;
   p.faults.pieceCorruptionRate = 0.15;
@@ -239,6 +245,11 @@ const PinCase kPinCases[] = {
     {"CodedMbtQmUndefended", DownloadMode::kCoded, ProtocolKind::kMbtQm,
      Mix::kUndefended, "be889bd7d1bb0d59d1e3ae69afff49533ed3b720",
      103753, "c5f91992c0f71dda22899e39ea956f982baf9aa8"},
+    // Both pins of this case were captured before metadata records were
+    // shared between holders.
+    {"BroadcastMbtObserved", DownloadMode::kBroadcast, ProtocolKind::kMbt,
+     Mix::kFaults, "fbb4484fbad06a1a83b4b57fa730a2487cea0aba",
+     322643, "b867d04dd0e9d3a642d117f41feb5311ebc06b68", true},
 };
 
 INSTANTIATE_TEST_SUITE_P(Matrix, EnginePin, testing::ValuesIn(kPinCases),
