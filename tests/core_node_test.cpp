@@ -218,7 +218,8 @@ TEST(Node, ExpireAfterLoadStateSeesRestoredStamps) {
   restored.storePeerWants({"dtn://a/f9"}, 2 * kDay);
   restored.expire(2 * kDay);  // watermark now 2 days
   Deserializer in(out.bytes());
-  restored.loadState(in);
+  MetadataInterner interner;
+  restored.loadState(in, interner);
   restored.expire(kDay + 1);
   EXPECT_TRUE(restored.peerWantedUris(0).empty());
 }
