@@ -16,7 +16,7 @@
 //
 //   bench_scale                        # full run, writes BENCH_scale.json
 //   bench_scale --nodes=200000         # smaller headline
-//   bench_scale --smoke --max-wall-seconds=300 --max-kib-per-node=8
+//   bench_scale --smoke --max-wall-seconds=300 --max-kib-per-node=3.3
 #include <sys/resource.h>
 
 #include <chrono>

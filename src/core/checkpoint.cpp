@@ -217,6 +217,31 @@ Sha1Digest Engine::configFingerprint() const {
   s.boolean(params_.reputation.defense);
   s.f64(params_.reputation.quarantineThreshold);
   s.f64(params_.reputation.decayPerDay);
+  // The evidence weights joined the fingerprint after v5. Each is hashed,
+  // tagged with its EvidenceKind, only when it differs from its default, so
+  // every v5 file saved with the defaults still matches.
+  const ReputationParams defaults;
+  const struct {
+    EvidenceKind kind;
+    double weight;
+    double byDefault;
+  } weights[] = {
+      {EvidenceKind::kFailedVerification,
+       params_.reputation.failedVerificationWeight,
+       defaults.failedVerificationWeight},
+      {EvidenceKind::kSummaryMismatch, params_.reputation.summaryMismatchWeight,
+       defaults.summaryMismatchWeight},
+      {EvidenceKind::kAckAnomaly, params_.reputation.ackAnomalyWeight,
+       defaults.ackAnomalyWeight},
+      {EvidenceKind::kBroadcastSuppressed,
+       params_.reputation.broadcastSuppressedWeight,
+       defaults.broadcastSuppressedWeight},
+  };
+  for (const auto& w : weights) {
+    if (w.weight == w.byDefault) continue;
+    s.u32(static_cast<std::uint32_t>(w.kind));
+    s.f64(w.weight);
+  }
   s.u64(params_.seed);
   // Trace identity: the schedule replay is only valid against the exact
   // same contact sequence.

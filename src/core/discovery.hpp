@@ -54,8 +54,9 @@ struct DiscoveryPeer {
   std::vector<std::string> queries;
   /// Optional pre-tokenized form of `queries` (one token list per query).
   /// When set, the planner matches against these and never tokenizes (or
-  /// reads) `queries` — the engine points this at Node::contactQueryTokens
-  /// so tokenization happens once per query, not once per contact.
+  /// reads) `queries` — the engine points this at
+  /// ContactViews::contactQueryTokens so tokenization happens once per
+  /// query, not once per contact.
   const std::vector<std::vector<std::string>>* tokenizedQueries = nullptr;
   /// The member's credit ledger (used when it is the sender under TFT).
   const CreditLedger* credits = nullptr;

@@ -66,8 +66,8 @@ struct DownloadPeer {
   const PieceStore* pieces = nullptr;
   /// Files this member is actively downloading (it holds a matching
   /// metadata for an unsatisfied query); advertised as URIs in hellos.
-  /// A view over node-owned storage (Node::wantedFilesView) — planners
-  /// never copy the list.
+  /// A view over the engine's per-contact storage
+  /// (ContactViews::wantedFiles) — planners never copy the list.
   std::span<const FileId> wanted;
   const CreditLedger* credits = nullptr;
   bool contributes = true;

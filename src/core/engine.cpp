@@ -261,28 +261,6 @@ void Engine::setupNodes() {
     options.metadataCapacity = params_.nodeMetadataCapacity;
     options.forger = forgers.contains(id);
     Node& node = nodes_.emplace(id, options);
-    if (params_.nodeMetadataCapacity > 0) {
-      Node* raw = &node;
-      raw->metadata().setEvictionHook([this, raw](const Metadata& md) {
-        ++totals_.metadataEvictions;
-        if (observer_ != nullptr) {
-          obs::SimEvent event;
-          event.type = obs::SimEventType::kMetadataEvicted;
-          event.time = sim_.now();
-          event.node = raw->id();
-          event.file = md.file;
-          event.value = md.popularity;
-          emit(event);
-        }
-      });
-    }
-    if (params_.verifyMetadata && !options.forger) {
-      node.setMetadataVerifier([this](const Metadata& md) {
-        const bool genuine = internet_.registry().verify(md);
-        if (!genuine) ++totals_.forgeriesRejected;
-        return genuine;
-      });
-    }
     if (i < frequentLists.size()) {
       node.setFrequentContacts(frequentLists[i]);
     }
@@ -485,22 +463,18 @@ void Engine::publishDay(SimTime now) {
   totals_.filesPublished += files.size();
 
   // Each node becomes interested in each new file with probability equal to
-  // the file's popularity (Section VI-A).
+  // the file's popularity (Section VI-A). Every such query is the same
+  // query, so the file's interested nodes share one query object.
   for (FileId fileId : files) {
     const FileInfo& info = *internet_.catalog().find(fileId);
-    const std::string queryText = canonicalQueryText(info);
+    const auto query = std::make_shared<const FileQuery>(
+        canonicalQueryText(info), fileId, now, info.ttl);
     for (Node& member : nodes_) {
       if (!rng_.chance(info.popularity)) continue;
-      Query query;
-      query.owner = member.id();
-      query.text = queryText;
-      query.target = fileId;
-      query.issuedAt = now;
-      query.ttl = info.ttl;
-      query.id = metrics_.registerQuery(
-          query.owner, fileId, now, info.ttl,
+      const QueryId id = metrics_.registerQuery(
+          member.id(), fileId, now, info.ttl,
           member.options().internetAccess, member.options().freeRider);
-      member.addQuery(query);
+      member.addQuery(id, query);
       ++totals_.queriesGenerated;
       if (member.options().internetAccess) {
         internet_.popularity().recordRequest(fileId, member.id(), now);
@@ -530,6 +504,7 @@ void Engine::publishDay(SimTime now) {
   // interest exists whether or not the device is on.
   for (NodeId id : nodes_.accessIds()) {
     if (faults_ != nullptr && faults_->isDown(id, now)) continue;
+    views_.clear();
     syncAccessNode(nodes_[id], now);
   }
 
@@ -549,7 +524,9 @@ void Engine::publishDay(SimTime now) {
         forged->pieceChecksums.assign(1, Sha1::hash("junk"));
         forged->authTag = Sha1::hash("forged" + forged->uri);
         forged->rebuildKeywords();
-        forger.metadata().add(forged);
+        SharedMetadata shed;
+        forger.metadata().add(forged, &shed);
+        if (shed != nullptr) noteMetadataEvicted(forger, *shed);
         ++totals_.forgeriesCrafted;
         if (observer_ != nullptr) {
           obs::SimEvent event;
@@ -600,7 +577,7 @@ void Engine::syncAccessNode(Node& node, SimTime now) {
   auto acceptFromServer = [&](const SharedMetadata& md) {
     if (md->expired(now)) return;
     const bool isNew = !node.metadata().has(md->file);
-    node.acceptMetadata(md, now);
+    storeMetadata(node, md, now);
     // Re-check has(): a bounded store may have shed the record on admission.
     if (isNew && node.metadata().has(md->file)) {
       metrics_.onNodeGotMetadata(node.id(), md->file, now);
@@ -610,9 +587,9 @@ void Engine::syncAccessNode(Node& node, SimTime now) {
   // 1. Search the server for this node's queries (its own, plus the stored
   //    queries of its frequent contacts under MBT). Cached per publish
   //    epoch: re-searching between publications cannot find anything new.
-  std::vector<std::string> texts = node.activeQueryTexts(now);
+  std::vector<std::string> texts = views_.activeQueryTexts(node, now);
   if (params_.protocol.distributesQueries()) {
-    for (const auto& text : node.proxiedQueryTexts(now)) {
+    for (const auto& text : views_.proxiedQueryTexts(node, now)) {
       texts.push_back(text);
     }
   }
@@ -638,7 +615,7 @@ void Engine::syncAccessNode(Node& node, SimTime now) {
 
   // 3. Download files this node selected ("enough bandwidth to download the
   //    files they need").
-  for (FileId file : node.wantedFilesView(now)) {
+  for (FileId file : views_.wantedFiles(node, now)) {
     deliverWholeFile(node, file, now);
   }
 
@@ -677,6 +654,7 @@ void Engine::processContact(const trace::Contact& contact) {
   }
   if (members.size() < 2) return;
   ++totals_.contactsProcessed;
+  views_.clear();
 
   if (observer_ != nullptr) {
     obs::SimEvent event;
@@ -701,7 +679,8 @@ void Engine::processContact(const trace::Contact& contact) {
   }
 
   // --- hello exchange ----------------------------------------------------
-  exchangeHellos(members, params_.protocol, internet_.catalog(), now);
+  exchangeHellos(members, params_.protocol, internet_.catalog(), now,
+                 views_);
 
   // Optional airtime model: long contacts move proportionally more.
   int budgetMultiplier = 1;
@@ -878,10 +857,9 @@ void Engine::runDiscoveryPhase(const std::vector<Node*>& members, SimTime now,
     peer.rejected = &m->rejectedMetadata();
     peer.distrustedSenders = &m->distrustedPeers();
     // Pre-tokenized own (plus, under MBT, proxied) queries straight from the
-    // node's per-contact cache — no per-contact string copies or
-    // re-tokenization.
-    peer.tokenizedQueries =
-        &m->contactQueryTokens(now, params_.protocol.distributesQueries());
+    // per-contact views — no re-tokenization of the node's own queries.
+    peer.tokenizedQueries = &views_.contactQueryTokens(
+        *m, now, params_.protocol.distributesQueries());
     peer.credits = &m->credits();
     // Quarantined peers receive but are excluded from sender selection.
     peer.contributes = m->contributes() && !isQuarantined(m->id(), now);
@@ -1016,12 +994,39 @@ bool Engine::sendFirst(const LostFrame& frame, RecoverySession* session,
   return outcome == Link::kDelivered;
 }
 
+void Engine::storeMetadata(Node& node, const SharedMetadata& md,
+                           SimTime now) {
+  if (md->expired(now)) return;
+  if (params_.verifyMetadata && !node.options().forger &&
+      !internet_.registry().verify(*md)) {
+    ++totals_.forgeriesRejected;
+    node.rejectMetadata(md->file);
+    return;
+  }
+  SharedMetadata shed;
+  node.acceptMetadata(md, now, &shed);
+  if (shed != nullptr) noteMetadataEvicted(node, *shed);
+}
+
+void Engine::noteMetadataEvicted(const Node& node, const Metadata& md) {
+  ++totals_.metadataEvictions;
+  if (observer_ != nullptr) {
+    obs::SimEvent event;
+    event.type = obs::SimEventType::kMetadataEvicted;
+    event.time = sim_.now();
+    event.node = node.id();
+    event.file = md.file;
+    event.value = md.popularity;
+    emit(event);
+  }
+}
+
 void Engine::deliverMetadataTo(Node& receiver, NodeId sender,
                                const SharedMetadata& shared, SimTime now) {
   const Metadata& md = *shared;
   // Credit the sender before the store flips the query state.
   const bool requested = receiver.anyQueryMatches(md, now);
-  receiver.acceptMetadata(shared, now);
+  storeMetadata(receiver, shared, now);
   ++totals_.metadataReceptions;
   if (receiver.rejectedMetadata().contains(md.file)) {
     // Failed verification: remember the offender, no credit.
@@ -1356,7 +1361,9 @@ void Engine::runDownloadPhase(const std::vector<Node*>& members, SimTime now,
   // per-contact broadcast budget still gates the DTN side.
   std::vector<FileId> cliqueWants;
   for (Node* m : members) {
-    for (FileId file : m->wantedFilesView(now)) cliqueWants.push_back(file);
+    for (FileId file : views_.wantedFiles(*m, now)) {
+      cliqueWants.push_back(file);
+    }
   }
   for (Node* m : members) {
     if (!m->options().internetAccess) continue;
@@ -1369,7 +1376,7 @@ void Engine::runDownloadPhase(const std::vector<Node*>& members, SimTime now,
     DownloadPeer peer;
     peer.id = m->id();
     peer.pieces = &m->pieces();
-    peer.wanted = m->wantedFilesView(now);
+    peer.wanted = views_.wantedFiles(*m, now);
     peer.credits = &m->credits();
     // Quarantined peers keep receiving (an honest false positive must be
     // able to catch up) but are excluded from sender selection.
@@ -1734,7 +1741,7 @@ void Engine::runRepairPhase(const std::vector<Node*>& members, SimTime now,
       // Piece repair: pieces of the receiver's wanted files the sender
       // holds and the summary proves missing (recomputed per sender —
       // metadata repair above may have selected new downloads).
-      for (FileId file : receiver.wantedFilesView(now)) {
+      for (FileId file : views_.wantedFiles(receiver, now)) {
         if (budget <= 0) break;
         const FileInfo* info = internet_.catalog().find(file);
         if (info == nullptr || !info->alive(now) ||
@@ -1926,12 +1933,14 @@ void Engine::loadComponentState(Deserializer& in) {
     throw SerializeError("corrupt payload: node count mismatch");
   }
   // The catalog is loaded first, so node records equal to its own (and to
-  // each other) are re-shared, as they were before the save.
-  MetadataInterner interner;
+  // each other) are re-shared, as they were before the save. Query objects
+  // are re-shared the same way: one per file again.
+  MetadataInterner records;
   for (const FileId id : internet_.catalog().allFiles()) {
-    interner.seed(internet_.catalog().sharedMetadataFor(id));
+    records.seed(internet_.catalog().sharedMetadataFor(id));
   }
-  for (Node& member : nodes_) member.loadState(in, interner);
+  QueryInterner queries;
+  for (Node& member : nodes_) member.loadState(in, records, queries);
 
   caches_.reset();
   if (in.boolean()) {

@@ -494,6 +494,14 @@ class Engine {
                            std::uint32_t generationSize, bool requested,
                            const CodedFrame& frame, const FileInfo& info,
                            SimTime now);
+  /// Stores `md` at `node`, verifying it first when params_.verifyMetadata
+  /// is on (every node but a forger checks the authentication tag against
+  /// the publisher registry, paper Section III-B field (f)): a forgery is
+  /// counted and remembered as rejected instead. A record the node's
+  /// bounded store sheds to make room is counted and evented.
+  void storeMetadata(Node& node, const SharedMetadata& md, SimTime now);
+  /// Counts and events one record `node`'s bounded store shed.
+  void noteMetadataEvicted(const Node& node, const Metadata& md);
   /// Stores one metadata record at `receiver` with full accounting
   /// (reception counter, verification/rejection handling, credits, metrics,
   /// events). Shared by the discovery, retransmission, and repair paths;
@@ -563,6 +571,9 @@ class Engine {
   const DownloadPlanner* planner_ = nullptr;
   EngineTotals totals_;
   std::unique_ptr<EngineCaches> caches_;
+  /// Per-contact scratch: the member views one contact (or one access
+  /// sync) asks for repeatedly. Owned by this engine alone.
+  ContactViews views_;
   sim::Simulator sim_;
   obs::EngineObserver* observer_ = nullptr;
   /// Files whose expiry was already evented (advanced at publish instants).

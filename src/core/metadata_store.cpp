@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 namespace hdtn::core {
 
@@ -31,147 +32,167 @@ SharedMetadata MetadataInterner::intern(Metadata md) {
   return fresh;
 }
 
-std::unordered_map<FileId, MetadataStore::Record>::iterator
-MetadataStore::evictionVictim() {
-  auto victim = records_.end();
-  for (auto it = records_.begin(); it != records_.end(); ++it) {
-    if (victim == records_.end() ||
-        it->second.md->popularity < victim->second.md->popularity ||
-        (it->second.md->popularity == victim->second.md->popularity &&
-         it->second.seq < victim->second.seq)) {
+namespace {
+
+// The first of the file-sorted `entries` whose file is not below `file`.
+template <typename Entries>
+auto lowerBound(Entries& entries, FileId file) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), file,
+      [](const auto& entry, FileId key) { return entry.file < key; });
+}
+
+}  // namespace
+
+const MetadataStore::Entry* MetadataStore::find(FileId file) const {
+  const auto it = lowerBound(entries_, file);
+  return it != entries_.end() && it->file == file ? &*it : nullptr;
+}
+
+std::vector<MetadataStore::Entry>::iterator MetadataStore::evictionVictim() {
+  auto victim = entries_.end();
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (victim == entries_.end() ||
+        it->md->popularity < victim->md->popularity ||
+        (it->md->popularity == victim->md->popularity &&
+         it->seq < victim->seq)) {
       victim = it;
     }
   }
   return victim;
 }
 
-bool MetadataStore::add(const SharedMetadata& md) {
-  auto it = records_.find(md->file);
-  if (it != records_.end()) {
-    if (md->popularity > it->second.md->popularity) {
+bool MetadataStore::add(const SharedMetadata& md, SharedMetadata* shed) {
+  auto it = lowerBound(entries_, md->file);
+  if (it != entries_.end() && it->file == md->file) {
+    if (md->popularity > it->md->popularity) {
       // Copy-on-write: other holders of the shared record keep their own
       // popularity. The refresh reorders byPopularity(): also a mutation.
-      auto own = std::make_shared<Metadata>(*it->second.md);
+      auto own = std::make_shared<Metadata>(*it->md);
       own->popularity = md->popularity;
-      it->second.md = std::move(own);
+      it->md = std::move(own);
       ++generation_;
     }
     return false;
   }
-  if (capacity_ && records_.size() >= *capacity_) {
+  if (capacity_ && entries_.size() >= *capacity_) {
     auto victim = evictionVictim();
-    if (victim != records_.end() &&
-        md->popularity < victim->second.md->popularity) {
+    if (victim != entries_.end() && md->popularity < victim->md->popularity) {
       // Admission control: the incoming record would be the next victim
       // itself, so shed it instead of churning the store.
-      if (evictionHook_) evictionHook_(*md);
+      if (shed != nullptr) *shed = md;
       return false;
     }
-    if (victim != records_.end()) {
-      const SharedMetadata evicted = std::move(victim->second.md);
-      records_.erase(victim);
-      if (evictionHook_) evictionHook_(*evicted);
+    if (victim != entries_.end()) {
+      if (shed != nullptr) *shed = std::move(victim->md);
+      entries_.erase(victim);
+      it = lowerBound(entries_, md->file);
     }
   }
-  records_.emplace(md->file, Record{md, nextSeq_++});
+  // Entries keep 32-bit sequence numbers; no store admits 2^32 records.
+  if (nextSeq_ > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("MetadataStore: insertion sequence exhausted");
+  }
+  entries_.insert(it, Entry{md->file, static_cast<std::uint32_t>(nextSeq_++),
+                            md});
   earliestExpiry_ = std::min(earliestExpiry_, md->expiresAt());
   ++generation_;
   return true;
 }
 
-bool MetadataStore::has(FileId file) const { return records_.contains(file); }
+bool MetadataStore::has(FileId file) const { return find(file) != nullptr; }
 
 const Metadata* MetadataStore::get(FileId file) const {
-  auto it = records_.find(file);
-  return it == records_.end() ? nullptr : it->second.md.get();
+  const Entry* entry = find(file);
+  return entry == nullptr ? nullptr : entry->md.get();
 }
 
 SharedMetadata MetadataStore::shared(FileId file) const {
-  auto it = records_.find(file);
-  return it == records_.end() ? nullptr : it->second.md;
+  const Entry* entry = find(file);
+  return entry == nullptr ? nullptr : entry->md;
 }
 
 std::size_t MetadataStore::expire(SimTime now) {
   if (now < earliestExpiry_) return 0;
-  std::size_t dropped = 0;
   earliestExpiry_ = std::numeric_limits<SimTime>::max();
-  for (auto it = records_.begin(); it != records_.end();) {
-    if (it->second.md->expired(now)) {
-      it = records_.erase(it);
-      ++dropped;
-    } else {
-      earliestExpiry_ = std::min(earliestExpiry_, it->second.md->expiresAt());
-      ++it;
-    }
-  }
+  // remove_if applies the predicate exactly once per entry, in order.
+  const std::size_t dropped = std::erase_if(entries_, [&](const Entry& e) {
+    if (e.md->expired(now)) return true;
+    earliestExpiry_ = std::min(earliestExpiry_, e.md->expiresAt());
+    return false;
+  });
   if (dropped > 0) ++generation_;
   return dropped;
 }
 
 void MetadataStore::remove(FileId file) {
-  if (records_.erase(file) > 0) {
+  const auto it = lowerBound(entries_, file);
+  if (it != entries_.end() && it->file == file) {
+    entries_.erase(it);
     ++generation_;
   }
 }
 
-std::span<const Metadata* const> MetadataStore::all() const {
-  if (allView_.generation != generation_) {
-    allView_.items.clear();
-    allView_.items.reserve(records_.size());
-    for (const auto& [_, rec] : records_) {
-      allView_.items.push_back(rec.md.get());
-    }
-    std::sort(allView_.items.begin(), allView_.items.end(),
-              [](const Metadata* a, const Metadata* b) {
-                return a->file < b->file;
-              });
-    allView_.generation = generation_;
-  }
-  return allView_.items;
-}
-
 std::span<const Metadata* const> MetadataStore::byPopularity() const {
-  if (popularityView_.generation != generation_) {
-    const auto sorted = all();
-    popularityView_.items.assign(sorted.begin(), sorted.end());
-    std::stable_sort(popularityView_.items.begin(),
-                     popularityView_.items.end(),
+  PopularityView& view = popularityView_.getOrCreate();
+  if (view.generation != generation_) {
+    view.items.clear();
+    for (const Entry& entry : entries_) view.items.push_back(entry.md.get());
+    std::stable_sort(view.items.begin(), view.items.end(),
                      [](const Metadata* a, const Metadata* b) {
                        if (a->popularity != b->popularity) {
                          return a->popularity > b->popularity;
                        }
                        return a->file < b->file;
                      });
-    popularityView_.generation = generation_;
+    view.generation = generation_;
   }
-  return popularityView_.items;
+  return view.items;
 }
 
 void MetadataStore::saveState(Serializer& out) const {
-  const auto sorted = all();
-  out.u64(sorted.size());
-  for (const Metadata* md : sorted) {
-    md->saveState(out);
-    out.u64(records_.at(md->file).seq);
+  out.u64(entries_.size());
+  for (const Entry& entry : entries_) {
+    entry.md->saveState(out);
+    out.u64(entry.seq);
   }
   out.u64(nextSeq_);
 }
 
 void MetadataStore::loadState(Deserializer& in, MetadataInterner& interner) {
   // Raw insertion: a restore must reproduce the saved store exactly, never
-  // re-run capacity eviction or fire the hook.
-  records_.clear();
+  // re-run capacity eviction or shed anything.
+  entries_.clear();
   earliestExpiry_ = std::numeric_limits<SimTime>::max();
   ++generation_;
   const std::size_t count = in.length();
+  entries_.reserve(count);
+  constexpr std::uint64_t kMaxSeq = std::numeric_limits<std::uint32_t>::max();
   for (std::size_t i = 0; i < count; ++i) {
     Metadata md;
     md.loadState(in);
-    Record rec{interner.intern(std::move(md)), in.u64()};
-    earliestExpiry_ = std::min(earliestExpiry_, rec.md->expiresAt());
-    records_.emplace(rec.md->file, std::move(rec));
+    const std::uint64_t seq = in.u64();
+    if (seq > kMaxSeq) {
+      throw SerializeError("MetadataStore: insertion sequence out of range");
+    }
+    SharedMetadata shared = interner.intern(std::move(md));
+    earliestExpiry_ = std::min(earliestExpiry_, shared->expiresAt());
+    entries_.push_back(
+        Entry{shared->file, static_cast<std::uint32_t>(seq), std::move(shared)});
   }
   nextSeq_ = in.u64();
+  // saveState writes file-id order; a hand-made checkpoint may not. Sort,
+  // and keep the first of any repeated file, as a keyed insert would.
+  const auto byFile = [](const Entry& a, const Entry& b) {
+    return a.file < b.file;
+  };
+  if (!std::is_sorted(entries_.begin(), entries_.end(), byFile)) {
+    std::stable_sort(entries_.begin(), entries_.end(), byFile);
+  }
+  const auto repeated = std::unique(
+      entries_.begin(), entries_.end(),
+      [](const Entry& a, const Entry& b) { return a.file == b.file; });
+  entries_.erase(repeated, entries_.end());
 }
 
 }  // namespace hdtn::core

@@ -10,26 +10,27 @@
 // object. Popularity is the only field a holder changes, and a refresh that
 // raises it swaps in a private copy for this store alone (copy-on-write).
 //
-// Enumeration views (all(), byPopularity()) are cached: the store keeps a
-// generation counter bumped on every mutation, and each view is rebuilt
-// lazily only when its cached generation falls behind. The per-contact hot
-// path (every peer's store enumerated once per contact) therefore sorts
-// nothing and allocates nothing in the steady state. Returned spans are
-// invalidated by any non-const call, like iterators of a standard container;
-// the records they point at are shared objects that stay valid at least
-// that long, whatever other stores do.
+// The store keeps one flat entry per record (file id, insertion sequence,
+// shared record), sorted by file id, so all() is a view over the entries
+// themselves: nothing to rebuild, nothing to sort. byPopularity() is cached:
+// the store keeps a generation counter bumped on every mutation and rebuilds
+// that view lazily only when its cached generation falls behind. Returned
+// views are invalidated by any non-const call, like iterators of a standard
+// container; the records they point at are shared objects that stay valid
+// at least that long, whatever other stores do.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <ranges>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "src/core/metadata.hpp"
+#include "src/util/clone_ptr.hpp"
 #include "src/util/types.hpp"
 
 namespace hdtn::core {
@@ -78,12 +79,6 @@ class MetadataStore {
   explicit MetadataStore(std::size_t capacityRecords)
       : capacity_(capacityRecords) {}
 
-  /// Called with every record shed by capacity pressure (stored records
-  /// evicted *and* incoming records refused admission). TTL expiry and
-  /// explicit remove() do not fire it.
-  using EvictionHook = std::function<void(const Metadata&)>;
-  void setEvictionHook(EvictionHook hook) { evictionHook_ = std::move(hook); }
-
   [[nodiscard]] std::optional<std::size_t> capacity() const {
     return capacity_;
   }
@@ -93,11 +88,14 @@ class MetadataStore {
   /// higher popularity, a private copy of the held record with that
   /// popularity. Returns true when the record was not present before and
   /// was admitted (a bounded store may shed the incoming record instead).
-  bool add(const SharedMetadata& md);
+  /// A record shed by capacity pressure (a stored victim, or the incoming
+  /// record refused admission) is handed to `shed` when given; at most one
+  /// record is shed per call, and TTL expiry and remove() shed nothing.
+  bool add(const SharedMetadata& md, SharedMetadata* shed = nullptr);
   /// Stores a new object holding `md` (tests and the wire Device, whose
   /// records come from no other holder).
-  bool add(const Metadata& md) {
-    return add(std::make_shared<const Metadata>(md));
+  bool add(const Metadata& md, SharedMetadata* shed = nullptr) {
+    return add(std::make_shared<const Metadata>(md), shed);
   }
 
   [[nodiscard]] bool has(FileId file) const;
@@ -111,18 +109,19 @@ class MetadataStore {
 
   void remove(FileId file);
 
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-  [[nodiscard]] bool empty() const { return records_.empty(); }
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
 
-  /// All records, file-id ascending. Valid until the next mutation.
-  [[nodiscard]] std::span<const Metadata* const> all() const;
+  /// All records as `const Metadata*`, file-id ascending: a random-access
+  /// view over the entries (size(), operator[], range-for). Valid until the
+  /// next mutation.
+  [[nodiscard]] auto all() const {
+    return std::views::transform(entries_, &Entry::record);
+  }
 
   /// All records, popularity descending (ties by file id ascending). Valid
   /// until the next mutation.
   [[nodiscard]] std::span<const Metadata* const> byPopularity() const;
-
-  /// Mutation counter, for callers layering their own caches on top.
-  [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
   /// Checkpoints all records (file-id ascending for deterministic bytes).
   void saveState(Serializer& out) const;
@@ -131,23 +130,28 @@ class MetadataStore {
   void loadState(Deserializer& in, MetadataInterner& interner);
 
  private:
-  struct CachedView {
+  /// One stored record: 24 bytes. `seq` is the insertion order (the
+  /// eviction tie-break); the record itself is shared.
+  struct Entry {
+    FileId file;
+    std::uint32_t seq = 0;
+    SharedMetadata md;
+
+    [[nodiscard]] const Metadata* record() const { return md.get(); }
+  };
+
+  struct PopularityView {
     std::uint64_t generation = 0;  // valid when == store generation (> 0)
     std::vector<const Metadata*> items;
   };
 
-  /// Stored record plus its insertion order (the eviction tie-break). One
-  /// map entry per record; the record itself is shared.
-  struct Record {
-    SharedMetadata md;
-    std::uint64_t seq = 0;
-  };
-
+  /// The entry holding `file`, or nullptr.
+  [[nodiscard]] const Entry* find(FileId file) const;
   /// The stored record with the lowest (popularity, seq) — the next capacity
   /// victim. end() when empty. Total order: seqs are unique.
-  [[nodiscard]] std::unordered_map<FileId, Record>::iterator evictionVictim();
+  [[nodiscard]] std::vector<Entry>::iterator evictionVictim();
 
-  std::unordered_map<FileId, Record> records_;
+  std::vector<Entry> entries_;  ///< file-id ascending
   /// Lower bound on every stored record's expiresAt(), so expire() at an
   /// earlier `now` cannot drop anything. add() lowers it, a scan and
   /// loadState recompute it exactly; max() when the store is empty. Not
@@ -155,12 +159,12 @@ class MetadataStore {
   SimTime earliestExpiry_ = std::numeric_limits<SimTime>::max();
   std::uint64_t nextSeq_ = 1;
   std::optional<std::size_t> capacity_;
-  EvictionHook evictionHook_;
   // Generation 0 means "no view built yet"; every mutation bumps it, so a
   // view stamped with the current generation is exact.
   std::uint64_t generation_ = 1;
-  mutable CachedView allView_;
-  mutable CachedView popularityView_;
+  /// Allocated on the first byPopularity() call: only the recovery and
+  /// adversary paths enumerate by popularity.
+  mutable ClonePtr<PopularityView> popularityView_;
 };
 
 }  // namespace hdtn::core

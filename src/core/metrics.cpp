@@ -1,8 +1,57 @@
 #include "src/core/metrics.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace hdtn::core {
+namespace {
+
+std::uint64_t keyHash(NodeId owner, FileId target) {
+  // splitmix64 finalizer over the packed key: every bit feeds both the slot
+  // (low bits) and the tag (high bits).
+  std::uint64_t x =
+      (static_cast<std::uint64_t>(owner.value) << 32) | target.value;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+constexpr std::uint64_t kTagMask = 0xFFFFFFFF00000000ULL;
+
+}  // namespace
+
+void MetricsCollector::placeInIndex(std::size_t record) {
+  const QueryRecord& r = records_[record];
+  const std::uint64_t hash = keyHash(r.owner, r.target);
+  std::size_t pos = hash & (index_.size() - 1);
+  while (index_[pos] != 0) pos = (pos + 1) & (index_.size() - 1);
+  index_[pos] = (hash & kTagMask) | (record + 1);
+}
+
+void MetricsCollector::indexLastRecord() {
+  if (records_.size() * 2 <= index_.size()) {
+    placeInIndex(records_.size() - 1);
+    return;
+  }
+  // Grow to double size and re-place every record in order, so records of
+  // one key keep their insertion order along the probe sequence.
+  index_.assign(std::max<std::size_t>(16, std::bit_ceil(records_.size() * 2)),
+                0);
+  for (std::size_t i = 0; i < records_.size(); ++i) placeInIndex(i);
+}
+
+template <typename Fn>
+void MetricsCollector::forEachRecordOf(NodeId owner, FileId target, Fn&& fn) {
+  if (index_.empty()) return;
+  const std::uint64_t hash = keyHash(owner, target);
+  for (std::size_t pos = hash & (index_.size() - 1); index_[pos] != 0;
+       pos = (pos + 1) & (index_.size() - 1)) {
+    if ((index_[pos] & kTagMask) != (hash & kTagMask)) continue;
+    QueryRecord& r = records_[(index_[pos] & ~kTagMask) - 1];
+    if (r.owner == owner && r.target == target) fn(r);
+  }
+}
 
 QueryId MetricsCollector::registerQuery(NodeId owner, FileId target,
                                         SimTime issuedAt, Duration ttl,
@@ -16,8 +65,8 @@ QueryId MetricsCollector::registerQuery(NodeId owner, FileId target,
   r.ttl = ttl;
   r.ownerIsAccess = ownerIsAccess;
   r.ownerIsFreeRider = ownerIsFreeRider;
-  byOwnerTarget_[key(owner, target)].push_back(records_.size());
   records_.push_back(r);
+  indexLastRecord();
   return records_.back().id;
 }
 
@@ -40,20 +89,16 @@ void MetricsCollector::markFileDelivered(QueryId id, SimTime when) {
 
 void MetricsCollector::onNodeGotMetadata(NodeId owner, FileId target,
                                          SimTime when) {
-  auto it = byOwnerTarget_.find(key(owner, target));
-  if (it == byOwnerTarget_.end()) return;
-  for (std::size_t idx : it->second) {
-    markMetadataDelivered(records_[idx].id, when);
-  }
+  forEachRecordOf(owner, target, [&](const QueryRecord& r) {
+    markMetadataDelivered(r.id, when);
+  });
 }
 
 void MetricsCollector::onNodeCompletedFile(NodeId owner, FileId target,
                                            SimTime when) {
-  auto it = byOwnerTarget_.find(key(owner, target));
-  if (it == byOwnerTarget_.end()) return;
-  for (std::size_t idx : it->second) {
-    markFileDelivered(records_[idx].id, when);
-  }
+  forEachRecordOf(owner, target, [&](const QueryRecord& r) {
+    markFileDelivered(r.id, when);
+  });
 }
 
 const MetricsCollector::QueryRecord& MetricsCollector::record(
@@ -131,7 +176,7 @@ void MetricsCollector::saveState(Serializer& out) const {
 
 void MetricsCollector::loadState(Deserializer& in) {
   records_.clear();
-  byOwnerTarget_.clear();
+  index_.clear();
   const std::size_t count = in.length();
   records_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -149,8 +194,8 @@ void MetricsCollector::loadState(Deserializer& in) {
     const bool hasFileAt = in.boolean();
     const SimTime fileAt = in.i64();
     if (hasFileAt) r.fileAt = fileAt;
-    byOwnerTarget_[key(r.owner, r.target)].push_back(records_.size());
     records_.push_back(r);
+    indexLastRecord();
   }
 }
 

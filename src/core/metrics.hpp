@@ -8,7 +8,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/util/serialize.hpp"
@@ -82,13 +81,24 @@ class MetricsCollector {
  private:
   [[nodiscard]] bool inScope(const QueryRecord& r, MetricScope scope) const;
 
-  std::vector<QueryRecord> records_;
-  /// (owner, target) -> indices into records_.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> byOwnerTarget_;
+  /// Appends records_.back() to the index, growing the table first when
+  /// it would pass half full.
+  void indexLastRecord();
+  /// Puts records_[record] in the first free slot of its probe sequence.
+  void placeInIndex(std::size_t record);
+  /// Calls fn(record) for every record of (owner, target), in insertion
+  /// order.
+  template <typename Fn>
+  void forEachRecordOf(NodeId owner, FileId target, Fn&& fn);
 
-  static std::uint64_t key(NodeId owner, FileId target) {
-    return (static_cast<std::uint64_t>(owner.value) << 32) | target.value;
-  }
+  std::vector<QueryRecord> records_;
+  /// (owner, target) -> records_ index: an open-addressed table (linear
+  /// probing, power-of-two size, at most half full) that allocates nothing
+  /// per key. A slot packs the high 32 bits of the key's hash with the
+  /// record index + 1 (0 = empty), so a probe rejects most other keys
+  /// without reading the record. Records sharing a key take successive
+  /// slots along the probe sequence.
+  std::vector<std::uint64_t> index_;
 };
 
 }  // namespace hdtn::core

@@ -11,113 +11,97 @@ namespace hdtn::core {
 
 Node::Node(NodeId id, NodeOptions options)
     : id_(id),
-      options_(options),
       metadata_(options.metadataCapacity > 0
                     ? MetadataStore(options.metadataCapacity)
                     : MetadataStore()),
       pieces_(options.pieceCapacity > 0 ? PieceStore(options.pieceCapacity)
-                                        : PieceStore()) {}
+                                        : PieceStore()),
+      internetAccess_(options.internetAccess),
+      freeRider_(options.freeRider),
+      forger_(options.forger) {}
 
-void Node::addQuery(const Query& query) {
-  QueryState state;
-  state.query = query;
-  state.tokens = keywordTokens(query.text);
-  queries_.push_back(std::move(state));
+void Node::addQuery(QueryId id, SharedQuery query) {
+  QueryState& state = queries_.emplace_back();
+  state.query = std::move(query);
+  state.id = id;
   touch();
 }
 
-const std::vector<std::string>& Node::activeQueryTexts(SimTime now) const {
-  auto& cache = activeTextsCache_;
-  if (cache.generation != stateGen_ || cache.at != now) {
-    cache.value.clear();
-    for (const QueryState& qs : queries_) {
-      if (qs.metadataFound || qs.query.expired(now)) continue;
-      cache.value.push_back(qs.query.text);
-    }
-    cache.generation = stateGen_;
-    cache.at = now;
-  }
-  return cache.value;
+void Node::addQuery(const Query& query) {
+  addQuery(query.id, std::make_shared<const FileQuery>(
+                         query.text, query.target, query.issuedAt, query.ttl));
 }
 
-const std::vector<std::vector<std::string>>& Node::contactQueryTokens(
-    SimTime now, bool includeProxied) const {
-  auto& own = ownTokensCache_;
-  if (own.generation != stateGen_ || own.at != now) {
-    own.value.clear();
-    for (const QueryState& qs : queries_) {
-      if (qs.metadataFound || qs.query.expired(now)) continue;
-      own.value.push_back(qs.tokens);
-    }
-    own.generation = stateGen_;
-    own.at = now;
+std::size_t Node::firstLiveQuery(SimTime now) const {
+  if (now < prefixExpiresBy_) return 0;
+  while (firstLive_ < queries_.size() &&
+         queries_[firstLive_].query->expired(now)) {
+    prefixExpiresBy_ =
+        std::max(prefixExpiresBy_, queries_[firstLive_].query->expiresAt());
+    ++firstLive_;
   }
-  if (!includeProxied) return own.value;
-
-  auto& combined = combinedTokensCache_;
-  if (combined.generation != stateGen_ || combined.at != now) {
-    combined.value = own.value;
-    for (const std::string& text : proxiedQueryTexts(now)) {
-      combined.value.push_back(keywordTokens(text));
-    }
-    combined.generation = stateGen_;
-    combined.at = now;
-  }
-  return combined.value;
+  return firstLive_;
 }
 
-const std::vector<FileId>& Node::wantedFilesView(SimTime now) const {
-  // Completing a file and selecting metadata both touch(); a piece arriving
-  // without completing the file leaves the wanted set unchanged, so the
-  // (generation, now) key is sound.
-  auto& cache = wantedCache_;
-  if (cache.generation != stateGen_ || cache.at != now) {
-    std::set<FileId> wanted;
-    for (const QueryState& qs : queries_) {
-      if (!qs.metadataFound || qs.fileFound || qs.query.expired(now)) {
-        continue;
-      }
-      if (pieces_.isComplete(qs.chosenFile)) continue;
-      wanted.insert(qs.chosenFile);
-    }
-    cache.value.assign(wanted.begin(), wanted.end());
-    cache.generation = stateGen_;
-    cache.at = now;
+std::vector<std::string> Node::activeQueryTexts(SimTime now) const {
+  std::vector<std::string> texts;
+  for (const QueryState& qs : liveQueries(now)) {
+    if (qs.metadataFound || qs.query->expired(now)) continue;
+    texts.push_back(qs.query->text);
   }
-  return cache.value;
+  return texts;
+}
+
+std::vector<std::vector<std::string>> Node::activeQueryTokens(
+    SimTime now) const {
+  std::vector<std::vector<std::string>> tokens;
+  for (const QueryState& qs : liveQueries(now)) {
+    if (qs.metadataFound || qs.query->expired(now)) continue;
+    tokens.push_back(qs.query->tokens);
+  }
+  return tokens;
+}
+
+std::vector<FileId> Node::wantedFilesView(SimTime now) const {
+  std::vector<FileId> wanted;
+  for (const QueryState& qs : liveQueries(now)) {
+    if (!qs.metadataFound || qs.fileFound || qs.query->expired(now)) {
+      continue;
+    }
+    if (pieces_.isComplete(qs.chosenFile)) continue;
+    wanted.push_back(qs.chosenFile);
+  }
+  std::sort(wanted.begin(), wanted.end());
+  wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
+  return wanted;
 }
 
 bool Node::anyQueryMatches(const Metadata& md, SimTime now) const {
-  return std::any_of(queries_.begin(), queries_.end(),
-                     [&](const QueryState& qs) {
-                       return !qs.metadataFound && !qs.query.expired(now) &&
-                              queryTokensMatch(qs.tokens, md);
-                     });
+  return std::ranges::any_of(liveQueries(now), [&](const QueryState& qs) {
+    return !qs.metadataFound && !qs.query->expired(now) &&
+           queryTokensMatch(qs.query->tokens, md);
+  });
 }
 
 std::vector<QueryId> Node::acceptMetadata(const SharedMetadata& shared,
-                                          SimTime now) {
+                                          SimTime now, SharedMetadata* shed) {
   const Metadata& md = *shared;
   std::vector<QueryId> selected;
   if (md.expired(now)) return selected;
-  if (verifier_ && !verifier_(md)) {
-    rejectedMetadata_.insert(md.file);
-    return selected;
-  }
   touch();
-  metadata_.add(shared);
+  metadata_.add(shared, shed);
   // A bounded store may shed the incoming record under capacity pressure;
   // a record that was never stored must not be selected for download.
   if (!metadata_.has(md.file)) return selected;
-  for (QueryState& qs : queries_) {
-    if (qs.metadataFound || qs.query.expired(now)) continue;
-    if (!queryTokensMatch(qs.tokens, md)) continue;
+  for (QueryState& qs : liveQueries(now)) {
+    if (qs.metadataFound || qs.query->expired(now)) continue;
+    if (!queryTokensMatch(qs.query->tokens, md)) continue;
     // The simulated user examines the match and selects it for download.
     qs.metadataFound = true;
     qs.chosenFile = md.file;
     pieces_.registerFile(md.file, md.pieceCount());
     pieces_.setPriority(md.file, md.popularity);
-    selected.push_back(qs.query.id);
+    selected.push_back(qs.id);
   }
   return selected;
 }
@@ -130,19 +114,34 @@ std::vector<QueryId> Node::acceptPiece(FileId file, std::uint32_t piece,
   pieces_.addPiece(file, piece);
   if (!pieces_.isComplete(file)) return satisfied;
   touch();
-  for (QueryState& qs : queries_) {
+  for (QueryState& qs : liveQueries(now)) {
     if (!qs.metadataFound || qs.fileFound || qs.chosenFile != file) continue;
-    if (qs.query.expired(now)) continue;
+    if (qs.query->expired(now)) continue;
     qs.fileFound = true;
-    satisfied.push_back(qs.query.id);
+    satisfied.push_back(qs.id);
   }
   return satisfied;
 }
 
+void Node::rejectMetadata(FileId file) {
+  rejections_.getOrCreate().files.insert(file);
+}
+
+const std::unordered_set<FileId>& Node::rejectedMetadata() const {
+  static const std::unordered_set<FileId> kNone;
+  return rejections_ ? rejections_->files : kNone;
+}
+
 void Node::noteRejectedFrom(NodeId sender) {
-  if (++rejectionsFrom_[sender] >= kDistrustThreshold) {
-    distrustedPeers_.insert(sender);
+  Rejections& rejections = rejections_.getOrCreate();
+  if (++rejections.offences[sender] >= kDistrustThreshold) {
+    rejections.distrusted.insert(sender);
   }
+}
+
+const std::unordered_set<NodeId>& Node::distrustedPeers() const {
+  static const std::unordered_set<NodeId> kNone;
+  return rejections_ ? rejections_->distrusted : kNone;
 }
 
 void Node::expire(SimTime now) {
@@ -150,13 +149,14 @@ void Node::expire(SimTime now) {
   // A stamp is stale when now - stamp > ttl, i.e. stamp < horizon; a
   // watermark at or past the horizon proves its map holds nothing stale.
   const SimTime horizon = now - cooperativeTtl_;
-  if (oldestQueryStamp_ < horizon) {
-    const auto dropped = std::erase_if(peerQueries_, [&](const auto& kv) {
-      return kv.second.storedAt < horizon;
-    });
-    oldestQueryStamp_ = kNoStamp;
-    for (const auto& [peer, stored] : peerQueries_) {
-      oldestQueryStamp_ = std::min(oldestQueryStamp_, stored.storedAt);
+  if (proxy_ && proxy_->oldestStamp < horizon) {
+    const auto dropped =
+        std::erase_if(proxy_->peerQueries, [&](const auto& kv) {
+          return kv.second.storedAt < horizon;
+        });
+    proxy_->oldestStamp = kNoStamp;
+    for (const auto& [peer, stored] : proxy_->peerQueries) {
+      proxy_->oldestStamp = std::min(proxy_->oldestStamp, stored.storedAt);
     }
     if (dropped > 0) touch();
   }
@@ -171,38 +171,35 @@ void Node::expire(SimTime now) {
 }
 
 void Node::setFrequentContacts(std::vector<NodeId> contacts) {
+  if (contacts.empty() && !proxy_) return;
   std::sort(contacts.begin(), contacts.end());
-  frequentContacts_ = std::move(contacts);
+  proxy_.getOrCreate().frequentContacts = std::move(contacts);
 }
 
 bool Node::isFrequentContact(NodeId peer) const {
-  return std::binary_search(frequentContacts_.begin(),
-                            frequentContacts_.end(), peer);
+  return proxy_ &&
+         std::binary_search(proxy_->frequentContacts.begin(),
+                            proxy_->frequentContacts.end(), peer);
 }
 
 void Node::storePeerQueries(NodeId peer, const std::vector<std::string>& texts,
                             SimTime now) {
   if (!isFrequentContact(peer)) return;
-  StoredQueries& stored = peerQueries_[peer];
+  ProxyState::StoredQueries& stored = proxy_->peerQueries[peer];
   stored.texts = texts;
   stored.storedAt = now;
-  oldestQueryStamp_ = std::min(oldestQueryStamp_, now);
+  proxy_->oldestStamp = std::min(proxy_->oldestStamp, now);
   touch();
 }
 
-const std::vector<std::string>& Node::proxiedQueryTexts(SimTime now) const {
-  auto& cache = proxiedTextsCache_;
-  if (cache.generation != stateGen_ || cache.at != now) {
-    std::set<std::string> texts;
-    for (const auto& [peer, stored] : peerQueries_) {
-      if (now - stored.storedAt > cooperativeTtl_) continue;
-      texts.insert(stored.texts.begin(), stored.texts.end());
-    }
-    cache.value.assign(texts.begin(), texts.end());
-    cache.generation = stateGen_;
-    cache.at = now;
+std::vector<std::string> Node::proxiedQueryTexts(SimTime now) const {
+  if (!proxy_) return {};
+  std::set<std::string> texts;
+  for (const auto& [peer, stored] : proxy_->peerQueries) {
+    if (now - stored.storedAt > cooperativeTtl_) continue;
+    texts.insert(stored.texts.begin(), stored.texts.end());
   }
-  return cache.value;
+  return {texts.begin(), texts.end()};
 }
 
 void Node::storePeerWants(const std::vector<Uri>& uris, SimTime now) {
@@ -233,14 +230,16 @@ void Node::saveState(Serializer& out) const {
   pieces_.saveState(out);
   credits_.saveState(out);
 
+  // Each query's fields come from its shared object; the owner is always
+  // this node.
   out.u64(queries_.size());
   for (const QueryState& qs : queries_) {
-    out.u32(qs.query.id.value);
-    out.u32(qs.query.owner.value);
-    out.str(qs.query.text);
-    out.u32(qs.query.target.value);
-    out.i64(qs.query.issuedAt);
-    out.i64(qs.query.ttl);
+    out.u32(qs.id.value);
+    out.u32(id_.value);
+    out.str(qs.query->text);
+    out.u32(qs.query->target.value);
+    out.i64(qs.query->issuedAt);
+    out.i64(qs.query->ttl);
     out.boolean(qs.metadataFound);
     out.u32(qs.chosenFile.value);
     out.boolean(qs.fileFound);
@@ -248,30 +247,37 @@ void Node::saveState(Serializer& out) const {
 
   // Unordered containers are written in sorted order so checkpoint bytes
   // are deterministic (iteration order is behavior-neutral elsewhere).
-  std::vector<FileId> rejected(rejectedMetadata_.begin(),
-                               rejectedMetadata_.end());
+  std::vector<FileId> rejected(rejectedMetadata().begin(),
+                               rejectedMetadata().end());
   std::sort(rejected.begin(), rejected.end());
   out.u64(rejected.size());
   for (const FileId file : rejected) out.u32(file.value);
 
-  std::vector<std::pair<NodeId, int>> rejections(rejectionsFrom_.begin(),
-                                                 rejectionsFrom_.end());
-  std::sort(rejections.begin(), rejections.end());
-  out.u64(rejections.size());
-  for (const auto& [peer, count] : rejections) {
+  std::vector<std::pair<NodeId, int>> offences;
+  if (rejections_) {
+    offences.assign(rejections_->offences.begin(),
+                    rejections_->offences.end());
+  }
+  std::sort(offences.begin(), offences.end());
+  out.u64(offences.size());
+  for (const auto& [peer, count] : offences) {
     out.u32(peer.value);
     out.i64(count);
   }
 
-  std::vector<NodeId> distrusted(distrustedPeers_.begin(),
-                                 distrustedPeers_.end());
+  std::vector<NodeId> distrusted(distrustedPeers().begin(),
+                                 distrustedPeers().end());
   std::sort(distrusted.begin(), distrusted.end());
   out.u64(distrusted.size());
   for (const NodeId peer : distrusted) out.u32(peer.value);
 
-  std::vector<std::pair<NodeId, const StoredQueries*>> stored;
-  stored.reserve(peerQueries_.size());
-  for (const auto& [peer, sq] : peerQueries_) stored.emplace_back(peer, &sq);
+  std::vector<std::pair<NodeId, const ProxyState::StoredQueries*>> stored;
+  if (proxy_) {
+    stored.reserve(proxy_->peerQueries.size());
+    for (const auto& [peer, sq] : proxy_->peerQueries) {
+      stored.emplace_back(peer, &sq);
+    }
+  }
   std::sort(stored.begin(), stored.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   out.u64(stored.size());
@@ -293,59 +299,61 @@ void Node::saveState(Serializer& out) const {
   }
 }
 
-void Node::loadState(Deserializer& in, MetadataInterner& interner) {
-  metadata_.loadState(in, interner);
+void Node::loadState(Deserializer& in, MetadataInterner& records,
+                     QueryInterner& queries) {
+  metadata_.loadState(in, records);
   pieces_.loadState(in);
   credits_.loadState(in);
 
   queries_.clear();
+  firstLive_ = 0;
+  prefixExpiresBy_ = std::numeric_limits<SimTime>::min();
   const std::size_t queryCount = in.length();
   queries_.reserve(queryCount);
   for (std::size_t i = 0; i < queryCount; ++i) {
     QueryState qs;
-    qs.query.id = QueryId{in.u32()};
-    qs.query.owner = NodeId{in.u32()};
-    qs.query.text = in.str();
-    qs.query.target = FileId{in.u32()};
-    qs.query.issuedAt = in.i64();
-    qs.query.ttl = in.i64();
-    qs.tokens = keywordTokens(qs.query.text);
+    qs.id = QueryId{in.u32()};
+    in.u32();  // owner: this node
+    std::string text = in.str();
+    const FileId target{in.u32()};
+    const SimTime issuedAt = in.i64();
+    const Duration ttl = in.i64();
+    qs.query = queries.intern(std::move(text), target, issuedAt, ttl);
     qs.metadataFound = in.boolean();
     qs.chosenFile = FileId{in.u32()};
     qs.fileFound = in.boolean();
     queries_.push_back(std::move(qs));
   }
 
-  rejectedMetadata_.clear();
+  rejections_.reset();
   const std::size_t rejectedCount = in.length();
   for (std::size_t i = 0; i < rejectedCount; ++i) {
-    rejectedMetadata_.insert(FileId{in.u32()});
+    rejectMetadata(FileId{in.u32()});
   }
-
-  rejectionsFrom_.clear();
-  const std::size_t rejectionCount = in.length();
-  for (std::size_t i = 0; i < rejectionCount; ++i) {
+  const std::size_t offenceCount = in.length();
+  for (std::size_t i = 0; i < offenceCount; ++i) {
     const NodeId peer{in.u32()};
-    rejectionsFrom_[peer] = static_cast<int>(in.i64());
+    rejections_.getOrCreate().offences[peer] = static_cast<int>(in.i64());
   }
-
-  distrustedPeers_.clear();
   const std::size_t distrustCount = in.length();
   for (std::size_t i = 0; i < distrustCount; ++i) {
-    distrustedPeers_.insert(NodeId{in.u32()});
+    rejections_.getOrCreate().distrusted.insert(NodeId{in.u32()});
   }
 
-  peerQueries_.clear();
-  oldestQueryStamp_ = kNoStamp;
+  if (proxy_) {
+    proxy_->peerQueries.clear();
+    proxy_->oldestStamp = kNoStamp;
+  }
   const std::size_t storedCount = in.length();
   for (std::size_t i = 0; i < storedCount; ++i) {
     const NodeId peer{in.u32()};
-    StoredQueries sq;
+    ProxyState::StoredQueries sq;
     sq.texts.resize(in.length());
     for (std::string& text : sq.texts) text = in.str();
     sq.storedAt = in.i64();
-    oldestQueryStamp_ = std::min(oldestQueryStamp_, sq.storedAt);
-    peerQueries_.emplace(peer, std::move(sq));
+    ProxyState& proxyState = proxy_.getOrCreate();
+    proxyState.oldestStamp = std::min(proxyState.oldestStamp, sq.storedAt);
+    proxyState.peerQueries.emplace(peer, std::move(sq));
   }
 
   peerWants_.clear();
@@ -363,13 +371,15 @@ void Node::loadState(Deserializer& in, MetadataInterner& interner) {
 
 void exchangeHellos(std::span<Node* const> members,
                     const ProtocolConfig& protocol, const FileCatalog& catalog,
-                    SimTime now) {
+                    SimTime now, ContactViews& views) {
   if (protocol.distributesQueries()) {
-    // `texts` views the peer's cache; storePeerQueries never rebuilds it.
+    // `texts` views the peer's cached slot; storePeerQueries never
+    // recomputes it.
     for (std::size_t j = 0; j < members.size(); ++j) {
       const Node& peer = *members[j];
       if (!peer.contributes()) continue;
-      const std::vector<std::string>& texts = peer.activeQueryTexts(now);
+      const std::vector<std::string>& texts =
+          views.activeQueryTexts(peer, now);
       for (std::size_t i = 0; i < members.size(); ++i) {
         if (i != j) members[i]->storePeerQueries(peer.id(), texts, now);
       }
@@ -393,7 +403,7 @@ void exchangeHellos(std::span<Node* const> members,
   };
   for (std::size_t i = 0; i < members.size(); ++i) {
     const Node& node = *members[i];
-    for (FileId file : node.wantedFilesView(now)) {
+    for (FileId file : views.wantedFiles(node, now)) {
       const FileInfo* info = catalog.find(file);
       if (info != nullptr) advertise(info->uri, i);
     }
@@ -412,6 +422,82 @@ void exchangeHellos(std::span<Node* const> members,
       }
     }
   }
+}
+
+void exchangeHellos(std::span<Node* const> members,
+                    const ProtocolConfig& protocol, const FileCatalog& catalog,
+                    SimTime now) {
+  ContactViews views;
+  exchangeHellos(members, protocol, catalog, now, views);
+}
+
+ContactViews::Slot& ContactViews::slot(const Node& node) {
+  const std::uint32_t id = node.id().value;
+  if (id >= slotOf_.size()) slotOf_.resize(id + 1, 0);
+  std::uint32_t& index = slotOf_[id];
+  if (index < used_ && slots_[index].node == &node) return slots_[index];
+  if (used_ == slots_.size()) slots_.emplace_back();
+  index = static_cast<std::uint32_t>(used_++);
+  Slot& fresh = slots_[index];
+  fresh.node = &node;
+  fresh.activeTexts.generation = 0;
+  fresh.proxiedTexts.generation = 0;
+  fresh.ownTokens.generation = 0;
+  fresh.combinedTokens.generation = 0;
+  fresh.wanted.generation = 0;
+  return fresh;
+}
+
+namespace {
+
+// `cache.value`, recomputed with `build()` unless current for (node, now).
+template <typename Cache, typename Build>
+const auto& refreshed(Cache& cache, const Node& node, SimTime now,
+                      Build&& build) {
+  if (cache.generation != node.stateGeneration() || cache.at != now) {
+    cache.value = build();
+    cache.generation = node.stateGeneration();
+    cache.at = now;
+  }
+  return cache.value;
+}
+
+}  // namespace
+
+const std::vector<std::string>& ContactViews::activeQueryTexts(
+    const Node& node, SimTime now) {
+  return refreshed(slot(node).activeTexts, node, now,
+                   [&] { return node.activeQueryTexts(now); });
+}
+
+const std::vector<std::string>& ContactViews::proxiedQueryTexts(
+    const Node& node, SimTime now) {
+  return refreshed(slot(node).proxiedTexts, node, now,
+                   [&] { return node.proxiedQueryTexts(now); });
+}
+
+const std::vector<std::vector<std::string>>& ContactViews::contactQueryTokens(
+    const Node& node, SimTime now, bool includeProxied) {
+  Slot& s = slot(node);
+  const auto& own = refreshed(s.ownTokens, node, now,
+                              [&] { return node.activeQueryTokens(now); });
+  if (!includeProxied) return own;
+  return refreshed(s.combinedTokens, node, now, [&] {
+    std::vector<std::vector<std::string>> tokens = own;
+    for (const std::string& text : proxiedQueryTexts(node, now)) {
+      tokens.push_back(keywordTokens(text));
+    }
+    return tokens;
+  });
+}
+
+const std::vector<FileId>& ContactViews::wantedFiles(const Node& node,
+                                                     SimTime now) {
+  // Completing a file and selecting metadata both touch(); a piece arriving
+  // without completing the file leaves the wanted set unchanged, so the
+  // (generation, now) key is sound.
+  return refreshed(slot(node).wanted, node, now,
+                   [&] { return node.wantedFilesView(now); });
 }
 
 }  // namespace hdtn::core

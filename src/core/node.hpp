@@ -13,9 +13,9 @@
 // the query expires.
 #pragma once
 
-#include <functional>
+#include <deque>
 #include <limits>
-#include <optional>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -27,10 +27,12 @@
 #include "src/core/metadata_store.hpp"
 #include "src/core/piece_store.hpp"
 #include "src/core/query.hpp"
+#include "src/util/clone_ptr.hpp"
 #include "src/util/types.hpp"
 
 namespace hdtn::core {
 
+class ContactViews;
 class FileCatalog;
 class Node;
 struct ProtocolConfig;
@@ -41,11 +43,16 @@ struct ProtocolConfig;
 /// from earlier hellos, so a request travels multiple hops toward an access
 /// node. Under MBT every member stores each contributing peer's query texts
 /// (kept for frequent contacts only); under MBT and MBT-Q every member
-/// stores every URI some *other* member advertised.
+/// stores every URI some *other* member advertised. `views` is the caller's
+/// per-contact scratch (ContactViews).
 ///
 /// Equivalent to every member storing every other member's hello in turn,
 /// but linear in the clique: all stores stamp the same `now`, so repeated
 /// writes of one URI are idempotent and each member stores each URI once.
+void exchangeHellos(std::span<Node* const> members,
+                    const ProtocolConfig& protocol, const FileCatalog& catalog,
+                    SimTime now, ContactViews& views);
+/// The same exchange with scratch of its own (tests, one-off cliques).
 void exchangeHellos(std::span<Node* const> members,
                     const ProtocolConfig& protocol, const FileCatalog& catalog,
                     SimTime now);
@@ -71,8 +78,16 @@ class Node {
   Node(NodeId id, NodeOptions options);
 
   [[nodiscard]] NodeId id() const { return id_; }
-  [[nodiscard]] const NodeOptions& options() const { return options_; }
-  [[nodiscard]] bool contributes() const { return !options_.freeRider; }
+  /// The construction options. The capacities are read back from the
+  /// stores, which hold them; the node keeps only its role flags.
+  [[nodiscard]] NodeOptions options() const {
+    return {.internetAccess = internetAccess_,
+            .freeRider = freeRider_,
+            .pieceCapacity = pieces_.capacity().value_or(0),
+            .metadataCapacity = metadata_.capacity().value_or(0),
+            .forger = forger_};
+  }
+  [[nodiscard]] bool contributes() const { return !freeRider_; }
 
   [[nodiscard]] MetadataStore& metadata() { return metadata_; }
   [[nodiscard]] const MetadataStore& metadata() const { return metadata_; }
@@ -83,76 +98,73 @@ class Node {
 
   // --- own queries -------------------------------------------------------
 
+  /// Adds query `id`, sharing `query` (the engine passes one object per
+  /// file to every node that issues it).
+  void addQuery(QueryId id, SharedQuery query);
+  /// Adds `query` with a new query object of its own (tests and the wire
+  /// Device). The owner is this node.
   void addQuery(const Query& query);
 
   /// Texts of queries still searching for metadata at `now` (advertised in
-  /// hellos). Cached per (state generation, now): the engine asks several
-  /// times per contact (hello, discovery, download) and only the first call
-  /// does any work. The reference is valid until the node state mutates.
-  [[nodiscard]] const std::vector<std::string>& activeQueryTexts(
+  /// hellos), in issue order. ContactViews caches this per contact.
+  [[nodiscard]] std::vector<std::string> activeQueryTexts(SimTime now) const;
+
+  /// Token lists of the same queries, in the same order (the own half of
+  /// ContactViews::contactQueryTokens).
+  [[nodiscard]] std::vector<std::vector<std::string>> activeQueryTokens(
       SimTime now) const;
 
-  /// Tokenized forms of the queries this node wants served during a contact:
-  /// its own active queries plus, when `includeProxied`, the stored queries
-  /// of its frequent contacts (MBT). Query texts are tokenized once when
-  /// first seen, not per contact; the combined list is cached like
-  /// activeQueryTexts. Feed to DiscoveryPeer::tokenizedQueries.
-  [[nodiscard]] const std::vector<std::vector<std::string>>&
-  contactQueryTokens(SimTime now, bool includeProxied) const;
-
   /// Files the node is currently downloading, ascending: a metadata was
-  /// selected for an unexpired query and the file is not yet complete.
-  /// Cached: the engine consults the wanted list several times per contact
-  /// (hellos, planners, repair) and DownloadPeer::wanted views this storage
-  /// instead of copying it. The reference is valid until the node state
-  /// mutates.
-  [[nodiscard]] const std::vector<FileId>& wantedFilesView(SimTime now) const;
+  /// selected for an unexpired query and the file is not yet complete. A
+  /// fresh vector; ContactViews::wantedFiles caches it per contact.
+  [[nodiscard]] std::vector<FileId> wantedFilesView(SimTime now) const;
 
   /// True if some active (unexpired, metadata-pending) query matches `md`.
   [[nodiscard]] bool anyQueryMatches(const Metadata& md, SimTime now) const;
 
-  /// Per-query state, for metrics and tests.
+  /// Per-query state, for metrics and tests: 32 bytes, the query itself
+  /// shared with every other node asking for the same file.
   struct QueryState {
-    Query query;
-    /// query.text tokenized once at addQuery time (hot paths match against
-    /// tokens; the text itself is only sent in hellos).
-    std::vector<std::string> tokens;
-    bool metadataFound = false;
+    SharedQuery query;
+    QueryId id;
     FileId chosenFile;  ///< valid once metadataFound
+    bool metadataFound = false;
     bool fileFound = false;
   };
+  /// Every query the node was ever given, in the order it got them
+  /// (expired ones included: checkpoints save them all).
   [[nodiscard]] const std::vector<QueryState>& queryStates() const {
     return queries_;
   }
 
-  // --- store update hooks (called by the engine when data arrives) -------
+  /// Bumped by every mutation of query or cooperative state; ContactViews
+  /// keys its cached views on it.
+  [[nodiscard]] std::uint64_t stateGeneration() const { return stateGen_; }
 
-  /// Optional authenticity check applied before any record is accepted
-  /// (paper Section III-B field (f): "authentication information of the
-  /// metadata against fake publishers"). Unset = accept everything.
-  using MetadataVerifier = std::function<bool(const Metadata&)>;
-  void setMetadataVerifier(MetadataVerifier verifier) {
-    verifier_ = std::move(verifier);
-  }
+  // --- store update hooks (called by the engine when data arrives) -------
 
   /// Stores a metadata record; attaches it to any matching pending queries
   /// (the user selects it) and registers the file for download. Returns ids
-  /// of queries that selected this record. Records failing the verifier are
-  /// dropped (nothing stored, nothing selected) and remembered in
-  /// rejectedMetadata() so peers stop re-sending them. The store shares
-  /// `md` rather than copying it (MetadataStore::add).
-  std::vector<QueryId> acceptMetadata(const SharedMetadata& md, SimTime now);
+  /// of queries that selected this record. The store shares `md` rather
+  /// than copying it (MetadataStore::add); a record the bounded store sheds
+  /// to make room (or refuses) goes to `shed` when given. Authenticity
+  /// (paper Section III-B field (f)) is the caller's check: a record that
+  /// fails it goes to rejectMetadata() instead.
+  std::vector<QueryId> acceptMetadata(const SharedMetadata& md, SimTime now,
+                                      SharedMetadata* shed = nullptr);
   /// Accepts a new object holding `md` (tests and the wire Device).
   std::vector<QueryId> acceptMetadata(const Metadata& md, SimTime now) {
     return acceptMetadata(std::make_shared<const Metadata>(md), now);
   }
 
+  /// Remembers that this node refused `file` (it failed verification), so
+  /// peers stop re-sending it.
+  void rejectMetadata(FileId file);
+
   /// File ids of records this node refused (failed verification). Exposed
   /// to the discovery planner: a rejected record counts as "already held"
   /// so it is never re-broadcast to this node.
-  [[nodiscard]] const std::unordered_set<FileId>& rejectedMetadata() const {
-    return rejectedMetadata_;
-  }
+  [[nodiscard]] const std::unordered_set<FileId>& rejectedMetadata() const;
 
   /// Records that `sender` delivered a record that failed verification.
   /// After kDistrustThreshold offences the sender is distrusted: this node
@@ -160,11 +172,9 @@ class Node {
   /// day would otherwise burn one broadcast slot per id per clique).
   void noteRejectedFrom(NodeId sender);
   [[nodiscard]] bool distrusts(NodeId peer) const {
-    return distrustedPeers_.contains(peer);
+    return rejections_ && rejections_->distrusted.contains(peer);
   }
-  [[nodiscard]] const std::unordered_set<NodeId>& distrustedPeers() const {
-    return distrustedPeers_;
-  }
+  [[nodiscard]] const std::unordered_set<NodeId>& distrustedPeers() const;
 
   static constexpr int kDistrustThreshold = 2;
 
@@ -179,10 +189,10 @@ class Node {
 
   // --- cooperative state --------------------------------------------------
 
+  /// Sets the frequent-contact relation (MBT query proxying stores queries
+  /// of these peers only). A node without frequent contacts allocates no
+  /// proxy state at all.
   void setFrequentContacts(std::vector<NodeId> contacts);
-  [[nodiscard]] const std::vector<NodeId>& frequentContacts() const {
-    return frequentContacts_;
-  }
   [[nodiscard]] bool isFrequentContact(NodeId peer) const;
 
   /// Replaces the stored query strings of a frequent contact (MBT). Calls
@@ -191,9 +201,8 @@ class Node {
                         SimTime now);
 
   /// Stored frequent-contact query texts still fresh at `now` (deduplicated,
-  /// sorted). Cached like activeQueryTexts; valid until the next mutation.
-  [[nodiscard]] const std::vector<std::string>& proxiedQueryTexts(
-      SimTime now) const;
+  /// sorted). ContactViews caches this per contact.
+  [[nodiscard]] std::vector<std::string> proxiedQueryTexts(SimTime now) const;
 
   /// Remembers URIs that peers advertised as wanted ("requesting URIs").
   void storePeerWants(const std::vector<Uri>& uris, SimTime now);
@@ -206,19 +215,37 @@ class Node {
 
   /// Checkpoints the node's mutable protocol state: stores, credits, query
   /// lifecycle, distrust bookkeeping, and cooperative state. Construction
-  /// state (id, options, verifier, frequent contacts, cooperative TTL) is
+  /// state (id, options, frequent contacts, cooperative TTL) is
   /// reconstructed deterministically by Engine setup and not serialized.
-  /// loadState re-shares metadata records through `interner`.
+  /// loadState re-shares metadata records through `records` and query
+  /// objects through `queries`.
   void saveState(Serializer& out) const;
-  void loadState(Deserializer& in, MetadataInterner& interner);
+  void loadState(Deserializer& in, MetadataInterner& records,
+                 QueryInterner& queries);
 
  private:
   friend void exchangeHellos(std::span<Node* const>, const ProtocolConfig&,
-                             const FileCatalog&, SimTime);
+                             const FileCatalog&, SimTime, ContactViews&);
+
+  /// Index of the first query a scan at `now` must visit. Queries before
+  /// the watermark firstLive_ all expired by prefixExpiresBy_, so a scan at
+  /// or after that time skips them; an earlier `now` (only tests ask about
+  /// the past) scans from the start. Advances the watermark over queries
+  /// expired at `now`: the engine issues queries in issue order with one
+  /// TTL, so its expired queries form a prefix.
+  [[nodiscard]] std::size_t firstLiveQuery(SimTime now) const;
+  [[nodiscard]] std::span<const QueryState> liveQueries(SimTime now) const {
+    return std::span<const QueryState>(queries_).subspan(firstLiveQuery(now));
+  }
+  [[nodiscard]] std::span<QueryState> liveQueries(SimTime now) {
+    return std::span<QueryState>(queries_).subspan(firstLiveQuery(now));
+  }
 
   /// Stamps one peer-wanted URI at `now`; refreshing a known URI builds no
   /// string.
   void storePeerWant(std::string_view uri, SimTime now);
+
+  void touch() { ++stateGen_; }
 
   /// Hashes std::string and std::string_view alike, so peerWants_ lookups
   /// by view need no temporary string.
@@ -229,56 +256,109 @@ class Node {
     }
   };
 
+  /// Verification bookkeeping. Only runs with forgers ever reject a record,
+  /// so the node allocates it on the first rejection.
+  struct Rejections {
+    std::unordered_set<FileId> files;
+    std::unordered_map<NodeId, int> offences;
+    std::unordered_set<NodeId> distrusted;
+  };
+
+  static constexpr SimTime kNoStamp = std::numeric_limits<SimTime>::max();
+
+  /// MBT query proxying: the frequent-contact relation and the queries
+  /// stored from those peers. Allocated when the node gets frequent
+  /// contacts (or a checkpoint restores stored queries).
+  struct ProxyState {
+    std::vector<NodeId> frequentContacts;  ///< sorted
+    struct StoredQueries {
+      std::vector<std::string> texts;
+      SimTime storedAt = 0;
+    };
+    std::unordered_map<NodeId, StoredQueries> peerQueries;
+    /// Lower bound on the oldest peerQueries stamp (kNoStamp when empty);
+    /// see oldestWantStamp_.
+    SimTime oldestStamp = kNoStamp;
+  };
+
   NodeId id_;
-  NodeOptions options_;
-  MetadataVerifier verifier_;
-  std::unordered_set<FileId> rejectedMetadata_;
-  std::unordered_map<NodeId, int> rejectionsFrom_;
-  std::unordered_set<NodeId> distrustedPeers_;
+  /// Query watermark (see firstLiveQuery). Recomputed, never serialized.
+  mutable std::uint32_t firstLive_ = 0;
+  mutable SimTime prefixExpiresBy_ = std::numeric_limits<SimTime>::min();
+  std::uint64_t stateGen_ = 1;
   MetadataStore metadata_;
   PieceStore pieces_;
   CreditLedger credits_;
   std::vector<QueryState> queries_;
-
-  std::vector<NodeId> frequentContacts_;
-  struct StoredQueries {
-    std::vector<std::string> texts;
-    SimTime storedAt = 0;
-  };
-  std::unordered_map<NodeId, StoredQueries> peerQueries_;
   std::unordered_map<Uri, SimTime, UriHash, std::equal_to<>> peerWants_;
-  Duration cooperativeTtl_ = 3 * kDay;
-
-  // Expiry watermarks: lower bounds on the oldest peerQueries_ / peerWants_
-  // stamp (kNoStamp when the map is empty). expire() scans a map only when
-  // its bound is older than `now - cooperativeTtl_`; a scan, and loadState,
-  // recompute the bound exactly. Not serialized.
-  static constexpr SimTime kNoStamp = std::numeric_limits<SimTime>::max();
-  SimTime oldestQueryStamp_ = kNoStamp;
+  // Expiry watermark: a lower bound on the oldest peerWants_ stamp
+  // (kNoStamp when the map is empty). expire() scans the map only when the
+  // bound is older than `now - cooperativeTtl_`; a scan, and loadState,
+  // recompute the bound exactly. Not serialized. ProxyState::oldestStamp
+  // does the same for stored peer queries.
   SimTime oldestWantStamp_ = kNoStamp;
+  Duration cooperativeTtl_ = 3 * kDay;
+  ClonePtr<ProxyState> proxy_;
+  ClonePtr<Rejections> rejections_;
+  bool internetAccess_ = false;
+  bool freeRider_ = false;
+  bool forger_ = false;
+};
 
-  // --- per-contact caches -------------------------------------------------
-  // The engine asks for the same derived views several times per contact
-  // (hello exchange, discovery planning, access sync), always at the same
-  // `now`. Each cache is valid while (generation, now) both match; any
-  // mutation of query/cooperative state bumps stateGen_ (0 is reserved so
-  // default-constructed caches start stale).
+static_assert(sizeof(Node) <= 512,
+              "Node is stored inline in NodePool: keep per-node state "
+              "compact (docs/PERFORMANCE.md, \"Memory\")");
+
+/// Per-contact scratch for the views a contact asks of its members several
+/// times (hello exchange, access sync, discovery and download planning,
+/// repair). Each Engine owns one, so a ShardedEngine component never shares
+/// its scratch with another component. A cached view stays valid while its
+/// node's state generation and `now` both match, so a node mutated mid
+/// contact recomputes on its next ask. Returned references stay valid until
+/// the same view of the same node is recomputed, or until clear().
+class ContactViews {
+ public:
+  /// Forgets every node (slots keep their storage for reuse). The engine
+  /// calls this before each contact and each publish-time access sync.
+  void clear() { used_ = 0; }
+
+  [[nodiscard]] const std::vector<std::string>& activeQueryTexts(
+      const Node& node, SimTime now);
+  [[nodiscard]] const std::vector<std::string>& proxiedQueryTexts(
+      const Node& node, SimTime now);
+  /// Tokenized forms of the queries `node` wants served during a contact:
+  /// its own active queries plus, when `includeProxied`, the stored queries
+  /// of its frequent contacts (MBT). Feed to DiscoveryPeer::tokenizedQueries.
+  [[nodiscard]] const std::vector<std::vector<std::string>>&
+  contactQueryTokens(const Node& node, SimTime now, bool includeProxied);
+  /// Node::wantedFilesView, cached; DownloadPeer::wanted views this
+  /// storage.
+  [[nodiscard]] const std::vector<FileId>& wantedFiles(const Node& node,
+                                                       SimTime now);
+
+ private:
   template <typename T>
-  struct ContactCache {
-    std::uint64_t generation = 0;
+  struct Cached {
+    std::uint64_t generation = 0;  ///< 0 = stale (node generations start at 1)
     SimTime at = 0;
     T value;
   };
-  void touch() { ++stateGen_; }
+  struct Slot {
+    const Node* node = nullptr;
+    Cached<std::vector<std::string>> activeTexts;
+    Cached<std::vector<std::string>> proxiedTexts;
+    Cached<std::vector<std::vector<std::string>>> ownTokens;
+    Cached<std::vector<std::vector<std::string>>> combinedTokens;
+    Cached<std::vector<FileId>> wanted;
+  };
+  /// The slot of `node` in this contact, claiming a fresh one on first ask.
+  Slot& slot(const Node& node);
 
-  std::uint64_t stateGen_ = 1;
-  mutable ContactCache<std::vector<std::string>> activeTextsCache_;
-  mutable ContactCache<std::vector<std::string>> proxiedTextsCache_;
-  mutable ContactCache<std::vector<std::vector<std::string>>>
-      ownTokensCache_;
-  mutable ContactCache<std::vector<std::vector<std::string>>>
-      combinedTokensCache_;
-  mutable ContactCache<std::vector<FileId>> wantedCache_;
+  /// A deque, so claiming a slot never moves the ones already handed out.
+  std::deque<Slot> slots_;
+  std::size_t used_ = 0;
+  /// Node id -> its slot in this contact, when that slot's node matches.
+  std::vector<std::uint32_t> slotOf_;
 };
 
 }  // namespace hdtn::core

@@ -7,9 +7,10 @@
 // lists, role bitmap) beside them so daily all-node scans touch one dense
 // array instead of testing every node's options.
 //
-// Address stability: eviction hooks and verifiers capture raw Node*, so the
-// pool reserves its full capacity in reset() and never reallocates. emplace()
-// past the reserved capacity is a programming error (asserted).
+// Address stability: contact member lists and the engine's per-contact views
+// (ContactViews) hold raw Node*, so the pool reserves its full capacity in
+// reset() and never reallocates. emplace() past the reserved capacity is a
+// programming error (asserted).
 #pragma once
 
 #include <cassert>

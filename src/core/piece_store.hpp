@@ -35,6 +35,10 @@ class PieceStore {
   explicit PieceStore(std::size_t capacityPieces)
       : capacity_(capacityPieces) {}
 
+  [[nodiscard]] std::optional<std::size_t> capacity() const {
+    return capacity_;
+  }
+
   /// Registers interest in a file (fixes its piece count). Idempotent;
   /// returns false if the file was registered with a different count.
   bool registerFile(FileId file, std::uint32_t pieceCount);

@@ -48,6 +48,27 @@ std::size_t keywordCountOf(const Metadata& md) {
 
 }  // namespace
 
+FileQuery::FileQuery(std::string text, FileId target, SimTime issuedAt,
+                     Duration ttl)
+    : text(std::move(text)),
+      tokens(keywordTokens(this->text)),
+      target(target),
+      issuedAt(issuedAt),
+      ttl(ttl) {}
+
+SharedQuery QueryInterner::intern(std::string text, FileId target,
+                                  SimTime issuedAt, Duration ttl) {
+  auto [it, inserted] = known_.try_emplace(target);
+  if (!inserted && it->second->text == text &&
+      it->second->issuedAt == issuedAt && it->second->ttl == ttl) {
+    return it->second;
+  }
+  auto fresh = std::make_shared<const FileQuery>(std::move(text), target,
+                                                 issuedAt, ttl);
+  if (inserted) it->second = fresh;
+  return fresh;
+}
+
 bool queryMatches(const std::string& queryText, const Metadata& md) {
   return containsAllTokens(keywordTokens(queryText), md);
 }
@@ -105,7 +126,9 @@ std::vector<RankedMatch> rankMatches(
 
 const Metadata* bestMatch(const std::string& queryText,
                           const MetadataStore& store) {
-  const auto ranked = rankMatches(queryText, store.all());
+  const auto all = store.all();
+  const std::vector<const Metadata*> records(all.begin(), all.end());
+  const auto ranked = rankMatches(queryText, records);
   return ranked.empty() ? nullptr : ranked.front().metadata;
 }
 

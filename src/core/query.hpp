@@ -8,9 +8,11 @@
 // for "the right file" among similarly named ones.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/metadata.hpp"
@@ -32,6 +34,44 @@ struct Query {
 
   [[nodiscard]] SimTime expiresAt() const { return issuedAt + ttl; }
   [[nodiscard]] bool expired(SimTime now) const { return now >= expiresAt(); }
+};
+
+/// What every user asking for one published file asks: the text, its
+/// tokens, the target, the issue time and the TTL. An engine issues
+/// `canonicalQueryText(info)` for every query of a file at its publish
+/// instant, so it builds one immutable object per file and every node's
+/// query state shares it (like a pending-interest entry that one name keeps
+/// however many consumers ask for it).
+struct FileQuery {
+  FileQuery(std::string text, FileId target, SimTime issuedAt, Duration ttl);
+
+  std::string text;
+  /// `text` tokenized once (hot paths match against tokens; the text itself
+  /// is only sent in hellos).
+  std::vector<std::string> tokens;
+  FileId target;
+  SimTime issuedAt = 0;
+  Duration ttl = 0;
+
+  [[nodiscard]] SimTime expiresAt() const { return issuedAt + ttl; }
+  [[nodiscard]] bool expired(SimTime now) const { return now >= expiresAt(); }
+};
+using SharedQuery = std::shared_ptr<const FileQuery>;
+
+/// Re-shares query objects on checkpoint restore, as MetadataInterner does
+/// for records: every saved query equal to a known one (same target, text,
+/// issue time and TTL) reuses that object, so a resumed run holds one query
+/// object per file like the run it resumes.
+class QueryInterner {
+ public:
+  [[nodiscard]] SharedQuery intern(std::string text, FileId target,
+                                   SimTime issuedAt, Duration ttl);
+
+ private:
+  /// Engine queries of one file are all equal, so the target names one
+  /// object; a query unlike the known one (only a hand-made checkpoint has
+  /// those) keeps its own object.
+  std::unordered_map<FileId, SharedQuery> known_;
 };
 
 /// True when every keyword of `queryText` occurs in the metadata keywords.

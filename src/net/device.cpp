@@ -13,13 +13,7 @@ std::size_t outcomeIndex(RxOutcome outcome) {
 
 Device::Device(NodeId id, core::NodeOptions options,
                const core::PublisherRegistry* registry)
-    : node_(id, options), registry_(registry) {
-  if (registry_ != nullptr) {
-    node_.setMetadataVerifier([this](const core::Metadata& md) {
-      return registry_->verify(md);
-    });
-  }
-}
+    : node_(id, options), registry_(registry) {}
 
 Bytes Device::makeHelloFrame(SimTime now) {
   HelloMessage hello;
@@ -84,9 +78,14 @@ RxOutcome Device::receive(std::span<const std::uint8_t> frame, SimTime now) {
       if (node_.metadata().has(md->file)) {
         return record(RxOutcome::kMetadataDuplicate);
       }
+      if (registry_ != nullptr && !md->expired(now) &&
+          !registry_->verify(*md)) {
+        node_.rejectMetadata(md->file);
+        return record(RxOutcome::kMetadataRejected);
+      }
       node_.acceptMetadata(*md, now);
       if (!node_.metadata().has(md->file)) {
-        // The verifier refused it (or it was expired).
+        // It was expired (or a bounded store refused it).
         return record(RxOutcome::kMetadataRejected);
       }
       return record(RxOutcome::kMetadataStored);

@@ -383,16 +383,23 @@ void WorkQueue::compact() {
       content += encodeSubmit(job.spec);
       content += encodeState(job);
     }
-    ssize_t off = 0;
-    while (off < static_cast<ssize_t>(content.size())) {
+    std::size_t off = 0;
+    while (off < content.size()) {
       const ssize_t n =
           write(fd, content.data() + off, content.size() - off);
       if (n <= 0) break;
-      off += n;
+      off += static_cast<std::size_t>(n);
     }
-    fsync(fd);
-    close(fd);
-    bytesWritten_ += content.size();
+    bytesWritten_ += off;
+    // A short write (a full disk) or a failed fsync leaves a snapshot that
+    // misses jobs. Keep the old snapshot and the WAL, which together still
+    // hold every acknowledged job, and count no compaction.
+    const bool synced = off == content.size() && fsync(fd) == 0;
+    const bool closed = close(fd) == 0;
+    if (!synced || !closed) {
+      ::unlink(tmpPath.c_str());
+      return;
+    }
   }
   std::error_code ec;
   fs::rename(tmpPath, snapshotPath, ec);

@@ -9,6 +9,7 @@
 #include "src/trace/dieselnet.hpp"
 #include "src/trace/nus.hpp"
 #include "src/trace/trace_stats.hpp"
+#include "src/util/string_util.hpp"
 
 namespace hdtn::core {
 namespace {
@@ -520,6 +521,67 @@ TEST(Engine, RestoredHoldersShareOneRecordObjectPerFile) {
     ASSERT_TRUE(after.contains(file)) << file.value;
     EXPECT_EQ(*after.at(file), *md) << file.value;
   }
+}
+
+// Every node's query for a file shares one object, holding the file's
+// canonical query. Returns the objects by target file.
+std::map<FileId, const FileQuery*> expectOneQueryObjectPerFile(
+    const Engine& engine) {
+  std::map<FileId, const FileQuery*> objects;
+  std::size_t states = 0;
+  for (std::uint32_t i = 0; i < engine.nodeCount(); ++i) {
+    for (const Node::QueryState& qs : engine.node(NodeId(i)).queryStates()) {
+      ++states;
+      const auto [it, inserted] =
+          objects.emplace(qs.query->target, qs.query.get());
+      EXPECT_EQ(it->second, qs.query.get())
+          << "node " << i << " holds its own query for "
+          << qs.query->target.value;
+    }
+  }
+  const FileCatalog& catalog = engine.internet().catalog();
+  for (const auto& [file, query] : objects) {
+    const FileInfo* info = catalog.find(file);
+    EXPECT_NE(info, nullptr) << file.value;
+    if (info == nullptr) continue;
+    EXPECT_EQ(query->text, canonicalQueryText(*info)) << file.value;
+    EXPECT_EQ(query->tokens, keywordTokens(query->text)) << file.value;
+    EXPECT_EQ(query->issuedAt, info->publishedAt) << file.value;
+    EXPECT_EQ(query->ttl, info->ttl) << file.value;
+  }
+  // Sharing is exercised: files have many askers.
+  EXPECT_GT(states, 2 * objects.size());
+  return objects;
+}
+
+TEST(Engine, QueriesShareOneObjectPerFile) {
+  const auto trace = smallNusTrace();
+  Engine engine(trace, baseParams(ProtocolKind::kMbt));
+  engine.run();
+  EXPECT_FALSE(expectOneQueryObjectPerFile(engine).empty());
+}
+
+TEST(Engine, RestoredQueriesShareOneObjectPerFile) {
+  const auto trace = smallNusTrace();
+  const auto params = baseParams(ProtocolKind::kMbt);
+  Engine original(trace, params);
+  original.runUntil(trace.endTime() / 2);
+  const std::string path = testing::TempDir() + "/engine_shared_queries.ckpt";
+  original.saveCheckpoint(path);
+  const auto before = expectOneQueryObjectPerFile(original);
+
+  Engine restored(trace, params);
+  restored.restoreCheckpoint(path);
+  const auto after = expectOneQueryObjectPerFile(restored);
+  // As many query objects as the run it resumes, asking the same things.
+  ASSERT_EQ(after.size(), before.size());
+  for (const auto& [file, query] : before) {
+    ASSERT_TRUE(after.contains(file)) << file.value;
+    EXPECT_EQ(after.at(file)->text, query->text) << file.value;
+    EXPECT_EQ(after.at(file)->issuedAt, query->issuedAt) << file.value;
+    EXPECT_EQ(after.at(file)->ttl, query->ttl) << file.value;
+  }
+  expectResultsIdentical(restored.finish(), original.finish());
 }
 
 TEST(Engine, RunTwiceThrows) {

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/util/random.hpp"
+
 namespace hdtn::core {
 namespace {
 
@@ -17,6 +26,15 @@ Metadata makeMetadata(std::uint32_t id, double popularity, SimTime published,
   md.ttl = ttl;
   md.rebuildKeywords();
   return md;
+}
+
+// Adds `md`, appending the file of any record the store sheds to `shed`.
+bool addCollecting(MetadataStore& store, const Metadata& md,
+                   std::vector<FileId>& shed) {
+  SharedMetadata out;
+  const bool admitted = store.add(md, &out);
+  if (out != nullptr) shed.push_back(out->file);
+  return admitted;
 }
 
 TEST(MetadataStore, AddAndGet) {
@@ -132,11 +150,10 @@ TEST(MetadataStore, ByPopularityDescendingWithIdTiebreak) {
 TEST(MetadataStore, BoundedStoreEvictsLowestPopularity) {
   MetadataStore store(2);
   std::vector<FileId> shed;
-  store.setEvictionHook([&](const Metadata& md) { shed.push_back(md.file); });
-  EXPECT_TRUE(store.add(makeMetadata(1, 0.2, 0, 100)));
-  EXPECT_TRUE(store.add(makeMetadata(2, 0.5, 0, 100)));
+  EXPECT_TRUE(addCollecting(store, makeMetadata(1, 0.2, 0, 100), shed));
+  EXPECT_TRUE(addCollecting(store, makeMetadata(2, 0.5, 0, 100), shed));
   // A more popular record displaces the least-popular stored one.
-  EXPECT_TRUE(store.add(makeMetadata(3, 0.9, 0, 100)));
+  EXPECT_TRUE(addCollecting(store, makeMetadata(3, 0.9, 0, 100), shed));
   EXPECT_EQ(store.size(), 2u);
   EXPECT_FALSE(store.has(FileId(1)));
   EXPECT_TRUE(store.has(FileId(2)));
@@ -148,11 +165,10 @@ TEST(MetadataStore, BoundedStoreEvictsLowestPopularity) {
 TEST(MetadataStore, BoundedStoreShedsIncomingWhenLeastPopular) {
   MetadataStore store(2);
   std::vector<FileId> shed;
-  store.setEvictionHook([&](const Metadata& md) { shed.push_back(md.file); });
-  store.add(makeMetadata(1, 0.5, 0, 100));
-  store.add(makeMetadata(2, 0.7, 0, 100));
+  addCollecting(store, makeMetadata(1, 0.5, 0, 100), shed);
+  addCollecting(store, makeMetadata(2, 0.7, 0, 100), shed);
   // The incoming record is the victim: admission refused, store unchanged.
-  EXPECT_FALSE(store.add(makeMetadata(3, 0.1, 0, 100)));
+  EXPECT_FALSE(addCollecting(store, makeMetadata(3, 0.1, 0, 100), shed));
   EXPECT_EQ(store.size(), 2u);
   EXPECT_FALSE(store.has(FileId(3)));
   EXPECT_TRUE(store.has(FileId(1)));
@@ -164,10 +180,10 @@ TEST(MetadataStore, BoundedStoreShedsIncomingWhenLeastPopular) {
 TEST(MetadataStore, BoundedEvictionTiesBreakOldestFirst) {
   MetadataStore store(2);
   std::vector<FileId> shed;
-  store.setEvictionHook([&](const Metadata& md) { shed.push_back(md.file); });
-  store.add(makeMetadata(5, 0.4, 0, 100));  // oldest at the tied popularity
-  store.add(makeMetadata(2, 0.4, 0, 100));
-  store.add(makeMetadata(9, 0.8, 0, 100));
+  // 5 is the oldest at the tied popularity.
+  addCollecting(store, makeMetadata(5, 0.4, 0, 100), shed);
+  addCollecting(store, makeMetadata(2, 0.4, 0, 100), shed);
+  addCollecting(store, makeMetadata(9, 0.8, 0, 100), shed);
   ASSERT_EQ(shed.size(), 1u);
   EXPECT_EQ(shed[0], FileId(5));  // insertion order, not file id
   EXPECT_TRUE(store.has(FileId(2)));
@@ -175,13 +191,12 @@ TEST(MetadataStore, BoundedEvictionTiesBreakOldestFirst) {
 
 TEST(MetadataStore, BoundedRefreshNeverEvicts) {
   MetadataStore store(2);
-  bool fired = false;
-  store.setEvictionHook([&](const Metadata&) { fired = true; });
-  store.add(makeMetadata(1, 0.3, 0, 100));
-  store.add(makeMetadata(2, 0.6, 0, 100));
+  std::vector<FileId> shed;
+  addCollecting(store, makeMetadata(1, 0.3, 0, 100), shed);
+  addCollecting(store, makeMetadata(2, 0.6, 0, 100), shed);
   // Refreshing a held record is not an insertion: no capacity pressure.
-  EXPECT_FALSE(store.add(makeMetadata(1, 0.9, 0, 100)));
-  EXPECT_FALSE(fired);
+  EXPECT_FALSE(addCollecting(store, makeMetadata(1, 0.9, 0, 100), shed));
+  EXPECT_TRUE(shed.empty());
   EXPECT_DOUBLE_EQ(store.get(FileId(1))->popularity, 0.9);
 }
 
@@ -200,8 +215,7 @@ TEST(MetadataStore, BoundedSaveLoadRoundTripKeepsEvictionOrder) {
   // The restored store must evict the same victim the original would:
   // insertion seq survives the round trip.
   std::vector<FileId> shed;
-  restored.setEvictionHook([&](const Metadata& md) { shed.push_back(md.file); });
-  restored.add(makeMetadata(4, 0.8, 0, 100));
+  addCollecting(restored, makeMetadata(4, 0.8, 0, 100), shed);
   ASSERT_EQ(shed.size(), 1u);
   EXPECT_EQ(shed[0], FileId(1));  // tied with 2 on popularity, but older
 }
@@ -256,17 +270,16 @@ TEST(MetadataStoreSharing, RefreshCopiesOnWrite) {
 
 TEST(MetadataStoreSharing, EvictionHookReceivesTheShedRecord) {
   MetadataStore store(1);
-  std::vector<const Metadata*> shed;
-  store.setEvictionHook([&](const Metadata& md) { shed.push_back(&md); });
+  std::vector<SharedMetadata> shed(3);
   const SharedMetadata low = makeShared(1, 0.2);
   const SharedMetadata high = makeShared(2, 0.9);
   const SharedMetadata lower = makeShared(3, 0.1);
-  store.add(low);
-  store.add(high);   // evicts `low`
-  store.add(lower);  // refused admission
-  ASSERT_EQ(shed.size(), 2u);
-  EXPECT_EQ(shed[0], low.get());
-  EXPECT_EQ(shed[1], lower.get());
+  store.add(low, &shed[0]);
+  store.add(high, &shed[1]);   // evicts `low`
+  store.add(lower, &shed[2]);  // refused admission
+  EXPECT_EQ(shed[0], nullptr);
+  EXPECT_EQ(shed[1], low);
+  EXPECT_EQ(shed[2], lower);
   EXPECT_EQ(store.get(FileId(2)), high.get());
 }
 
@@ -350,6 +363,186 @@ TEST(MetadataStoreSharing, InternerKeepsAnUnequalRecordApart) {
   ASSERT_NE(restored.get(FileId(1)), nullptr);
   EXPECT_NE(restored.get(FileId(1)), catalogRecord.get());
   EXPECT_EQ(restored.get(FileId(1))->publishedAt, 50);
+}
+
+// --- property test against a std::map model ---------------------------------
+
+// MetadataStore's rules written the obvious way over a std::map: the flat
+// store must agree with it on every query and byte.
+class StoreModel {
+ public:
+  explicit StoreModel(std::optional<std::size_t> capacity)
+      : capacity_(capacity) {}
+
+  /// (admitted, shed record or null).
+  std::pair<bool, SharedMetadata> add(const SharedMetadata& md) {
+    auto it = held_.find(md->file);
+    if (it != held_.end()) {
+      if (md->popularity > it->second.md->popularity) {
+        auto own = std::make_shared<Metadata>(*it->second.md);
+        own->popularity = md->popularity;
+        it->second.md = std::move(own);
+      }
+      return {false, nullptr};
+    }
+    SharedMetadata shed;
+    if (capacity_ && held_.size() >= *capacity_) {
+      auto victim = held_.end();
+      for (auto v = held_.begin(); v != held_.end(); ++v) {
+        if (victim == held_.end() ||
+            std::pair(v->second.md->popularity, v->second.seq) <
+                std::pair(victim->second.md->popularity, victim->second.seq)) {
+          victim = v;
+        }
+      }
+      if (victim != held_.end() &&
+          md->popularity < victim->second.md->popularity) {
+        return {false, md};
+      }
+      if (victim != held_.end()) {
+        shed = victim->second.md;
+        held_.erase(victim);
+      }
+    }
+    held_.emplace(md->file, Held{md, nextSeq_++});
+    return {true, shed};
+  }
+
+  std::size_t expire(SimTime now) {
+    return std::erase_if(held_,
+                         [&](const auto& kv) { return kv.second.md->expired(now); });
+  }
+
+  void remove(FileId file) { held_.erase(file); }
+
+  [[nodiscard]] std::vector<const Metadata*> all() const {
+    std::vector<const Metadata*> out;
+    for (const auto& [file, h] : held_) out.push_back(h.md.get());
+    return out;
+  }
+
+  [[nodiscard]] std::vector<const Metadata*> byPopularity() const {
+    std::vector<const Metadata*> out = all();
+    std::sort(out.begin(), out.end(), [](const Metadata* a, const Metadata* b) {
+      if (a->popularity != b->popularity) return a->popularity > b->popularity;
+      return a->file < b->file;
+    });
+    return out;
+  }
+
+  [[nodiscard]] std::string bytes() const {
+    Serializer out;
+    out.u64(held_.size());
+    for (const auto& [file, h] : held_) {
+      h.md->saveState(out);
+      out.u64(h.seq);
+    }
+    out.u64(nextSeq_);
+    return out.bytes();
+  }
+
+  [[nodiscard]] const Metadata* get(FileId file) const {
+    const auto it = held_.find(file);
+    return it == held_.end() ? nullptr : it->second.md.get();
+  }
+
+ private:
+  struct Held {
+    SharedMetadata md;
+    std::uint64_t seq = 0;
+  };
+  std::map<FileId, Held> held_;
+  std::uint64_t nextSeq_ = 1;
+  std::optional<std::size_t> capacity_;
+};
+
+std::string storeBytes(const MetadataStore& store) {
+  Serializer out;
+  store.saveState(out);
+  return out.bytes();
+}
+
+TEST(MetadataStoreProperty, MatchesMapModel) {
+  constexpr std::uint32_t kFiles = 24;
+  for (const std::optional<std::size_t> capacity :
+       {std::optional<std::size_t>{}, std::optional<std::size_t>{1},
+        std::optional<std::size_t>{3}, std::optional<std::size_t>{8}}) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      Rng rng(seed * 31 + capacity.value_or(0));
+      MetadataStore store = capacity ? MetadataStore(*capacity)
+                                     : MetadataStore();
+      StoreModel model(capacity);
+      SimTime now = 0;
+      for (int step = 0; step < 300; ++step) {
+        const std::string where = "capacity " +
+                                  std::to_string(capacity.value_or(0)) +
+                                  " seed " + std::to_string(seed) + " step " +
+                                  std::to_string(step);
+        now += rng.uniformInt(0, 20);
+        const FileId file(static_cast<std::uint32_t>(
+            1 + rng.uniformInt(0, kFiles - 1) * 7 % 61));
+        const std::int64_t op = rng.uniformInt(0, 9);
+        if (op < 6) {
+          // Popularities on a coarse grid, so ties (the seq tie-break)
+          // and refreshes both happen.
+          const SharedMetadata md = std::make_shared<const Metadata>(
+              makeMetadata(file.value,
+                           static_cast<double>(rng.uniformInt(1, 5)) / 5.0,
+                           now - rng.uniformInt(0, 50),
+                           rng.uniformInt(20, 200)));
+          SharedMetadata shed;
+          const bool admitted = store.add(md, &shed);
+          const auto [modelAdmitted, modelShed] = model.add(md);
+          EXPECT_EQ(admitted, modelAdmitted) << where;
+          // By value: refresh copies and restores make objects of their own.
+          ASSERT_EQ(shed == nullptr, modelShed == nullptr) << where;
+          if (shed != nullptr) {
+            EXPECT_EQ(*shed, *modelShed) << where;
+          }
+        } else if (op < 8) {
+          EXPECT_EQ(store.expire(now), model.expire(now)) << where;
+        } else if (op < 9) {
+          store.remove(file);
+          model.remove(file);
+        } else {
+          // Round trip through a checkpoint.
+          const std::string bytes = storeBytes(store);
+          MetadataStore restored = capacity ? MetadataStore(*capacity)
+                                            : MetadataStore();
+          Deserializer in(bytes);
+          MetadataInterner interner;
+          restored.loadState(in, interner);
+          EXPECT_EQ(storeBytes(restored), bytes) << where;
+          store = std::move(restored);
+        }
+
+        const auto all = store.all();
+        const std::vector<const Metadata*> held(all.begin(), all.end());
+        const std::vector<const Metadata*> expected = model.all();
+        ASSERT_EQ(held.size(), expected.size()) << where;
+        EXPECT_EQ(store.size(), expected.size()) << where;
+        for (std::size_t i = 0; i < held.size(); ++i) {
+          EXPECT_EQ(*held[i], *expected[i]) << where << " entry " << i;
+        }
+        const auto byPopularity = store.byPopularity();
+        const std::vector<const Metadata*> expectedByPopularity =
+            model.byPopularity();
+        ASSERT_EQ(byPopularity.size(), expectedByPopularity.size()) << where;
+        for (std::size_t i = 0; i < byPopularity.size(); ++i) {
+          EXPECT_EQ(byPopularity[i]->file, expectedByPopularity[i]->file)
+              << where << " rank " << i;
+        }
+        for (std::uint32_t f = 0; f <= 61; ++f) {
+          const Metadata* md = model.get(FileId(f));
+          EXPECT_EQ(store.has(FileId(f)), md != nullptr) << where;
+          if (md == nullptr) continue;
+          ASSERT_NE(store.get(FileId(f)), nullptr) << where;
+          EXPECT_EQ(*store.get(FileId(f)), *md) << where;
+        }
+        EXPECT_EQ(storeBytes(store), model.bytes()) << where;
+      }
+    }
+  }
 }
 
 }  // namespace

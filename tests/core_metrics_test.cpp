@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
+#include "src/util/random.hpp"
+
 namespace hdtn::core {
 namespace {
 
@@ -190,6 +196,46 @@ TEST(Metrics, MeanDelaysAverageOnlyDelivered) {
   m.markMetadataDelivered(b, 130);  // delay 30
   const auto report = m.report(MetricScope::kNonAccess);
   EXPECT_DOUBLE_EQ(report.meanMetadataDelaySeconds, 20.0);
+}
+
+// The (owner, target) index across table growth and a checkpoint round
+// trip: visiting every pair once, in random order, marks each record at
+// the visit of its own pair (duplicates included) and at no other.
+TEST(Metrics, OwnerTargetIndexMatchesFullScan) {
+  constexpr std::uint32_t kIds = 40;
+  Rng rng(11);
+  MetricsCollector m;
+  for (int i = 0; i < 3000; ++i) {
+    m.registerQuery(
+        NodeId(static_cast<std::uint32_t>(rng.uniformInt(0, kIds - 1))),
+        FileId(static_cast<std::uint32_t>(rng.uniformInt(0, kIds - 1))), 0,
+        1 << 20, false, false);
+  }
+  Serializer out;
+  m.saveState(out);
+  MetricsCollector restored;
+  Deserializer in(out.bytes());
+  restored.loadState(in);
+
+  std::vector<std::pair<NodeId, FileId>> visits;
+  for (std::uint32_t owner = 0; owner < kIds; ++owner) {
+    for (std::uint32_t target = 0; target < kIds; ++target) {
+      visits.emplace_back(NodeId(owner), FileId(target));
+    }
+  }
+  rng.shuffle(visits);
+  for (MetricsCollector* collector : {&m, &restored}) {
+    std::map<std::pair<NodeId, FileId>, SimTime> visitedAt;
+    for (std::size_t k = 0; k < visits.size(); ++k) {
+      const SimTime when = static_cast<SimTime>(k + 1);
+      collector->onNodeGotMetadata(visits[k].first, visits[k].second, when);
+      visitedAt[visits[k]] = when;
+    }
+    for (const auto& r : collector->records()) {
+      ASSERT_TRUE(r.metadataAt.has_value()) << r.id.value;
+      EXPECT_EQ(*r.metadataAt, visitedAt.at({r.owner, r.target})) << r.id.value;
+    }
+  }
 }
 
 }  // namespace

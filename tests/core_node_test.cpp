@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/util/random.hpp"
+#include "tests/reference_oracles.hpp"
+
 namespace hdtn::core {
 namespace {
 
@@ -218,8 +224,9 @@ TEST(Node, ExpireAfterLoadStateSeesRestoredStamps) {
   restored.storePeerWants({"dtn://a/f9"}, 2 * kDay);
   restored.expire(2 * kDay);  // watermark now 2 days
   Deserializer in(out.bytes());
-  MetadataInterner interner;
-  restored.loadState(in, interner);
+  MetadataInterner records;
+  QueryInterner queries;
+  restored.loadState(in, records, queries);
   restored.expire(kDay + 1);
   EXPECT_TRUE(restored.peerWantedUris(0).empty());
 }
@@ -242,6 +249,121 @@ TEST(Node, QueryStatesExposeProgress) {
   EXPECT_TRUE(states[0].metadataFound);
   EXPECT_TRUE(states[0].fileFound);
   EXPECT_EQ(states[0].chosenFile, FileId(10));
+}
+
+// The six query scans skip the expired prefix of the node's queries behind
+// a watermark. Drive one node through random addQuery / acceptMetadata /
+// acceptPiece / expire steps at non-decreasing times, adding some queries
+// out of issue order (an earlier issue time, or a shorter TTL, than queries
+// already held), and check every scan against its full-scan reference
+// after each step: at the step's time and at an earlier one.
+TEST(Node, WatermarkScansMatchFullScans) {
+  constexpr std::uint32_t kFiles = 12;
+  std::vector<Metadata> records;
+  for (std::uint32_t i = 0; i < kFiles; ++i) {
+    records.push_back(makeMetadata(100 + i,
+                                   "show s" + std::to_string(i % 4) + " ep" +
+                                       std::to_string(i),
+                                   1 + i % 3, 0.1 * (1 + i % 5)));
+  }
+  std::ptrdiff_t expiredQueries = 0;
+  std::ptrdiff_t completedQueries = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    Node node(NodeId(1), {});
+    ContactViews views;
+    SimTime now = 0;
+    std::uint32_t nextQuery = 0;
+    for (int step = 0; step < 200; ++step) {
+      now += rng.uniformInt(0, kDay / 3);
+      const auto pick = static_cast<std::size_t>(
+          rng.uniformInt(0, static_cast<std::int64_t>(kFiles) - 1));
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      switch (rng.uniformInt(0, 3)) {
+        case 0: {
+          Query q;
+          q.id = QueryId(nextQuery++);
+          q.owner = node.id();
+          q.target = records[pick].file;
+          q.text = rng.chance(0.5)
+                       ? "show s" + std::to_string(pick % 4)
+                       : "show s" + std::to_string(pick % 4) + " ep" +
+                             std::to_string(pick);
+          q.issuedAt =
+              rng.chance(0.7) ? now : now - rng.uniformInt(0, 2 * kDay);
+          q.ttl = rng.uniformInt(1, 3 * kDay);
+          node.addQuery(q);
+          break;
+        }
+        case 1: {
+          Metadata md = records[pick];
+          md.publishedAt = std::max<SimTime>(0, now - rng.uniformInt(0, 12 * kDay));
+          const std::vector<QueryId> expected =
+              md.expired(now) ? std::vector<QueryId>{}
+                              : metadataSelectionReference(node, md, now);
+          EXPECT_EQ(node.acceptMetadata(md, now), expected) << where;
+          break;
+        }
+        case 2: {
+          // Mostly pieces of files being downloaded, so files complete.
+          const std::vector<FileId> wanted = node.wantedFilesView(now);
+          const Metadata& md =
+              !wanted.empty() && rng.chance(0.7)
+                  ? records[wanted[static_cast<std::size_t>(rng.uniformInt(
+                                0, static_cast<std::int64_t>(wanted.size()) -
+                                       1))]
+                                .value -
+                            100]
+                  : records[pick];
+          const auto piece = static_cast<std::uint32_t>(
+              rng.uniformInt(0, md.pieceCount() - 1));
+          const std::vector<QueryId> completes =
+              fileCompletionReference(node, md.file, now);
+          const std::vector<QueryId> satisfied =
+              node.acceptPiece(md.file, piece, md.pieceCount(), now);
+          EXPECT_EQ(satisfied, node.pieces().isComplete(md.file)
+                                   ? completes
+                                   : std::vector<QueryId>{})
+              << where;
+          break;
+        }
+        default:
+          node.expire(now);
+          break;
+      }
+      for (const SimTime at : {now, now - rng.uniformInt(0, kDay)}) {
+        EXPECT_EQ(node.activeQueryTexts(at),
+                  activeQueryTextsReference(node, at))
+            << where << " at " << at;
+        EXPECT_EQ(node.activeQueryTokens(at),
+                  activeQueryTokensReference(node, at))
+            << where << " at " << at;
+        EXPECT_EQ(views.contactQueryTokens(node, at, false),
+                  activeQueryTokensReference(node, at))
+            << where << " at " << at;
+        EXPECT_EQ(node.wantedFilesView(at), wantedFilesReference(node, at))
+            << where << " at " << at;
+        EXPECT_EQ(views.wantedFiles(node, at), wantedFilesReference(node, at))
+            << where << " at " << at;
+        for (const Metadata& md : records) {
+          EXPECT_EQ(node.anyQueryMatches(md, at),
+                    anyQueryMatchesReference(node, md, at))
+              << where << " at " << at << " file " << md.file.value;
+        }
+      }
+    }
+    const auto& states = node.queryStates();
+    expiredQueries += std::count_if(
+        states.begin(), states.end(),
+        [&](const Node::QueryState& qs) { return qs.query->expired(now); });
+    completedQueries += std::count_if(
+        states.begin(), states.end(),
+        [](const Node::QueryState& qs) { return qs.fileFound; });
+  }
+  // The runs reached every branch: queries expired and files completed.
+  EXPECT_GT(expiredQueries, 100);
+  EXPECT_GT(completedQueries, 20);
 }
 
 }  // namespace

@@ -392,6 +392,32 @@ TEST(ShardedEngine, StreamingCheckpointRejectsDifferentStream) {
   EXPECT_THROW(restored.restoreCheckpoint(path), CheckpointError);
 }
 
+// The component fingerprints cover the evidence weights, so the sharded
+// fingerprint does too.
+TEST(ShardedEngine, CheckpointRejectsDifferentEvidenceWeights) {
+  const auto diesel = smallDieselTrace();
+  const std::string path = ckptPath("evidence-weights");
+  ShardedParams defended = shardedParams(ProtocolKind::kMbt, 2, 1);
+  defended.engine.reputation.defense = true;
+  ShardedEngine saver(diesel, defended);
+  saver.runUntil(kDay);
+  saver.saveCheckpoint(path);
+
+  ShardedEngine same(diesel, defended);
+  EXPECT_NO_THROW(same.restoreCheckpoint(path));
+  const std::vector<double ReputationParams::*> weights = {
+      &ReputationParams::failedVerificationWeight,
+      &ReputationParams::summaryMismatchWeight,
+      &ReputationParams::ackAnomalyWeight,
+      &ReputationParams::broadcastSuppressedWeight};
+  for (double ReputationParams::*weight : weights) {
+    ShardedParams other = defended;
+    other.engine.reputation.*weight = 2.5;
+    ShardedEngine restored(diesel, other);
+    EXPECT_THROW(restored.restoreCheckpoint(path), CheckpointError);
+  }
+}
+
 TEST(ShardedEngine, RestoreRequiresFreshEngine) {
   const auto diesel = smallDieselTrace();
   const ShardedParams params = shardedParams(ProtocolKind::kMbt, 2, 1);

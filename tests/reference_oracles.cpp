@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <set>
 #include <unordered_set>
 #include <utility>
 
+#include "src/core/query.hpp"
 #include "src/util/random.hpp"
 
 namespace hdtn {
@@ -187,6 +189,75 @@ std::vector<MetadataBroadcast> planDiscoveryReference(
     plan.push_back(std::move(broadcast));
   }
   return plan;
+}
+
+std::vector<std::string> activeQueryTextsReference(const Node& node,
+                                                   SimTime now) {
+  std::vector<std::string> texts;
+  for (const Node::QueryState& qs : node.queryStates()) {
+    if (!qs.metadataFound && !qs.query->expired(now)) {
+      texts.push_back(qs.query->text);
+    }
+  }
+  return texts;
+}
+
+std::vector<std::vector<std::string>> activeQueryTokensReference(
+    const Node& node, SimTime now) {
+  std::vector<std::vector<std::string>> tokens;
+  for (const Node::QueryState& qs : node.queryStates()) {
+    if (!qs.metadataFound && !qs.query->expired(now)) {
+      tokens.push_back(qs.query->tokens);
+    }
+  }
+  return tokens;
+}
+
+std::vector<FileId> wantedFilesReference(const Node& node, SimTime now) {
+  std::set<FileId> wanted;
+  for (const Node::QueryState& qs : node.queryStates()) {
+    if (qs.metadataFound && !qs.fileFound && !qs.query->expired(now) &&
+        !node.pieces().isComplete(qs.chosenFile)) {
+      wanted.insert(qs.chosenFile);
+    }
+  }
+  return {wanted.begin(), wanted.end()};
+}
+
+bool anyQueryMatchesReference(const Node& node, const Metadata& md,
+                              SimTime now) {
+  for (const Node::QueryState& qs : node.queryStates()) {
+    if (!qs.metadataFound && !qs.query->expired(now) &&
+        queryMatches(qs.query->text, md)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::vector<QueryId> metadataSelectionReference(const Node& node,
+                                                const Metadata& md,
+                                                SimTime now) {
+  std::vector<QueryId> selected;
+  for (const Node::QueryState& qs : node.queryStates()) {
+    if (!qs.metadataFound && !qs.query->expired(now) &&
+        queryMatches(qs.query->text, md)) {
+      selected.push_back(qs.id);
+    }
+  }
+  return selected;
+}
+
+std::vector<QueryId> fileCompletionReference(const Node& node, FileId file,
+                                             SimTime now) {
+  std::vector<QueryId> satisfied;
+  for (const Node::QueryState& qs : node.queryStates()) {
+    if (qs.metadataFound && !qs.fileFound && qs.chosenFile == file &&
+        !qs.query->expired(now)) {
+      satisfied.push_back(qs.id);
+    }
+  }
+  return satisfied;
 }
 
 }  // namespace core

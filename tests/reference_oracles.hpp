@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/core/discovery.hpp"
+#include "src/core/node.hpp"
 #include "src/graph/adjacency.hpp"
 #include "src/util/types.hpp"
 
@@ -32,6 +33,37 @@ namespace core {
 /// planDiscovery. See core_planner_property_test.cpp.
 [[nodiscard]] std::vector<MetadataBroadcast> planDiscoveryReference(
     std::span<const DiscoveryPeer> peers, int budget, Scheduling scheduling);
+
+// Full-scan references for the Node query scans, which skip the expired
+// prefix of the node's queries behind a watermark: each visits every
+// query state. See core_node_test.cpp.
+
+/// Node::activeQueryTexts.
+[[nodiscard]] std::vector<std::string> activeQueryTextsReference(
+    const Node& node, SimTime now);
+
+/// Node::activeQueryTokens (the own half of contactQueryTokens).
+[[nodiscard]] std::vector<std::vector<std::string>> activeQueryTokensReference(
+    const Node& node, SimTime now);
+
+/// Node::wantedFilesView.
+[[nodiscard]] std::vector<FileId> wantedFilesReference(const Node& node,
+                                                       SimTime now);
+
+/// Node::anyQueryMatches.
+[[nodiscard]] bool anyQueryMatchesReference(const Node& node,
+                                            const Metadata& md, SimTime now);
+
+/// The ids Node::acceptMetadata(md, now) selects when it stores `md`:
+/// evaluated on the state before the call.
+[[nodiscard]] std::vector<QueryId> metadataSelectionReference(
+    const Node& node, const Metadata& md, SimTime now);
+
+/// The ids Node::acceptPiece satisfies when `file` is complete at `now`:
+/// evaluated on the state before the call.
+[[nodiscard]] std::vector<QueryId> fileCompletionReference(const Node& node,
+                                                           FileId file,
+                                                           SimTime now);
 
 }  // namespace core
 }  // namespace hdtn

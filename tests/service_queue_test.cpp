@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -223,6 +225,43 @@ TEST(WorkQueueTest, CompactionBoundsTheWalAndPrunesOldTerminalJobs) {
   EXPECT_EQ(reopened.find(20)->state, JobState::kDone);
   EXPECT_EQ(reopened.find(20)->result, "r19");
   EXPECT_EQ(reopened.find(1), nullptr);
+}
+
+// A snapshot write that fails part way (a file-size limit stands in for a
+// full disk) must keep the old snapshot and the WAL: no acknowledged job is
+// lost, and no compaction is counted.
+TEST(WorkQueueTest, FailedSnapshotWriteKeepsEveryAcknowledgedJob) {
+  TempDir dir;
+  QueueLimits limits;
+  limits.maxDepth = 64;
+  std::string error;
+  {
+    WorkQueue queue(dir.path, limits);
+    ASSERT_TRUE(queue.open(&error, nullptr)) << error;
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_NE(queue.submit(std::to_string(i), 0, "seed = 1\n", &error), 0u);
+    }
+    struct sigaction ignore {};
+    struct sigaction previous {};
+    ignore.sa_handler = SIG_IGN;
+    ASSERT_EQ(sigaction(SIGXFSZ, &ignore, &previous), 0);
+    rlimit saved{};
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit small = saved;
+    small.rlim_cur = 1500;
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &small), 0);
+    queue.compact();
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &saved), 0);
+    ASSERT_EQ(sigaction(SIGXFSZ, &previous, nullptr), 0);
+    EXPECT_EQ(queue.compactions(), 0u);
+  }
+  WorkQueue reopened(dir.path, limits);
+  std::vector<std::string> warnings;
+  ASSERT_TRUE(reopened.open(&error, &warnings)) << error;
+  EXPECT_EQ(reopened.jobs().size(), 50u);
+  for (std::uint64_t id = 1; id <= 50; ++id) {
+    EXPECT_NE(reopened.find(id), nullptr) << "job " << id << " lost";
+  }
 }
 
 }  // namespace
