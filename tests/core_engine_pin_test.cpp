@@ -79,6 +79,8 @@ struct PinCase {
   // Popularity re-estimated from access-node requests every day, so
   // holders of one file carry different popularity snapshots.
   bool observedPopularity = false;
+  // Pieces per file, the generation size k of the coded cases.
+  std::uint32_t piecesPerFile = 4;
 };
 
 EngineParams pinParams(const PinCase& c) {
@@ -88,7 +90,7 @@ EngineParams pinParams(const PinCase& c) {
   p.internetAccessFraction = 0.3;
   p.newFilesPerDay = 12;
   p.fileTtlDays = 2;
-  p.piecesPerFile = 4;
+  p.piecesPerFile = c.piecesPerFile;
   p.frequentContactPeriod = kDay;
   p.seed = 11;
   p.useObservedPopularity = c.observedPopularity;
@@ -250,6 +252,12 @@ const PinCase kPinCases[] = {
     {"BroadcastMbtObserved", DownloadMode::kBroadcast, ProtocolKind::kMbt,
      Mix::kFaults, "fbb4484fbad06a1a83b4b57fa730a2487cea0aba",
      322643, "b867d04dd0e9d3a642d117f41feb5311ebc06b68", true},
+    // k = 16 reaches a whole 16-byte step of the vector row kernel; every
+    // other coded case runs at k = 4. Both pins were captured before the
+    // decoder rows were flattened.
+    {"CodedMbtQmDefendedK16", DownloadMode::kCoded, ProtocolKind::kMbtQm,
+     Mix::kDefended, "77951b98e49fea357d28ffb6e3cae14d476a5e52",
+     169576, "67b789495dc67dc7823126a3a14675821efb52d2", false, 16},
 };
 
 INSTANTIATE_TEST_SUITE_P(Matrix, EnginePin, testing::ValuesIn(kPinCases),
