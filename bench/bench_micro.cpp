@@ -1,11 +1,12 @@
 // Microbenchmarks of the library's hot paths (google-benchmark): SHA-1
-// hashing, maximal-clique enumeration, query matching, and the discovery /
-// download planners at contact-window scale.
+// hashing, RLNC decoding, maximal-clique enumeration, query matching, and
+// the discovery / download planners at contact-window scale.
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
+#include "src/core/coding.hpp"
 #include "src/core/discovery.hpp"
 #include "src/core/download.hpp"
 #include "src/core/engine.hpp"
@@ -36,6 +37,42 @@ void BM_Sha1_256KiB(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()));
 }
 BENCHMARK(BM_Sha1_256KiB);
+
+// Folds a fixed seeded stream of coded frames into a fresh decoder: k + k/4
+// frames at the engine's default sparsity 0.5, so the stream reaches full
+// rank and ends with redundant frames. Arguments: k, payload bytes (0 is
+// the engine's coefficient-only decoder). Items are frames folded.
+void BM_DecoderFold(benchmark::State& state) {
+  const auto k = static_cast<std::uint32_t>(state.range(0));
+  const auto payloadBytes = static_cast<std::uint32_t>(state.range(1));
+  Rng rng(17);
+  std::vector<std::vector<std::uint8_t>> pieces(
+      k, std::vector<std::uint8_t>(payloadBytes));
+  for (auto& piece : pieces) {
+    for (auto& byte : piece) byte = static_cast<std::uint8_t>(rng());
+  }
+  const coding::CodedEncoder encoder(std::move(pieces));
+  std::vector<coding::CodedEncoder::Frame> frames;
+  for (std::uint32_t f = 0; f < k + k / 4; ++f) {
+    frames.push_back(encoder.frame(rng(), 0.5));
+  }
+  for (auto _ : state) {
+    coding::GenerationDecoder decoder(k, payloadBytes);
+    for (const auto& frame : frames) {
+      decoder.addFrame(frame.coefficients, frame.payload);
+    }
+    benchmark::DoNotOptimize(decoder.rank());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(frames.size()));
+}
+BENCHMARK(BM_DecoderFold)
+    ->Args({4, 0})
+    ->Args({4, 1024})
+    ->Args({16, 0})
+    ->Args({16, 1024})
+    ->Args({64, 0})
+    ->Args({64, 1024});
 
 AdjacencyGraph randomGraph(std::uint32_t n, double edgeChance,
                            std::uint64_t seed) {

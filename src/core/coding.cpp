@@ -2,13 +2,113 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
+
+#if defined(__x86_64__) || defined(__i386__)
+#define HDTN_CODING_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace hdtn::core::coding {
 
 namespace {
 
 constexpr std::uint32_t kPoly = 0x11d;  // x^8 + x^4 + x^3 + x^2 + 1
+
+constexpr std::uint8_t mulBitwise(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t acc = 0;
+  while (b != 0) {
+    if (b & 1) acc ^= a;
+    a <<= 1;
+    if (a & 0x100) a ^= kPoly;
+    b >>= 1;
+  }
+  return static_cast<std::uint8_t>(acc);
+}
+
+// The row kernels' product tables, computed at compile time.
+struct ProductTables {
+  /// nibble[c][0][x] = c * x and nibble[c][1][x] = c * (x << 4), x < 16:
+  /// since c * b = c * (b & 15) ^ c * (b & 240), two PSHUFB lookups
+  /// multiply 16 bytes.
+  alignas(16) std::uint8_t nibble[256][2][16];
+  /// row[c][b] = c * b.
+  std::uint8_t row[256][256];
+};
+
+constexpr ProductTables buildProductTables() {
+  ProductTables t{};
+  for (std::uint32_t c = 0; c < 256; ++c) {
+    for (std::uint32_t b = 0; b < 256; ++b) t.row[c][b] = mulBitwise(c, b);
+    for (std::uint32_t x = 0; x < 16; ++x) {
+      t.nibble[c][0][x] = t.row[c][x];
+      t.nibble[c][1][x] = t.row[c][x << 4];
+    }
+  }
+  return t;
+}
+
+constexpr ProductTables kProducts = buildProductTables();
+
+[[gnu::always_inline]] inline void mulAddBytes(std::uint8_t* dst,
+                                               const std::uint8_t* src,
+                                               std::uint8_t c, std::size_t n) {
+  const std::uint8_t* product = kProducts.row[c];
+  for (std::size_t i = 0; i < n; ++i) dst[i] ^= product[src[i]];
+}
+
+#ifdef HDTN_CODING_X86
+
+[[gnu::target("ssse3")]] void mulAddSsse3(std::uint8_t* dst,
+                                          const std::uint8_t* src,
+                                          std::uint8_t c, std::size_t n) {
+  const __m128i lo =
+      _mm_load_si128(reinterpret_cast<const __m128i*>(kProducts.nibble[c][0]));
+  const __m128i hi =
+      _mm_load_si128(reinterpret_cast<const __m128i*>(kProducts.nibble[c][1]));
+  const __m128i lowNibbles = _mm_set1_epi8(0x0f);
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m128i s =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
+    const __m128i product = _mm_xor_si128(
+        _mm_shuffle_epi8(lo, _mm_and_si128(s, lowNibbles)),
+        _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(s, 4), lowNibbles)));
+    __m128i* d = reinterpret_cast<__m128i*>(dst + i);
+    _mm_storeu_si128(d, _mm_xor_si128(_mm_loadu_si128(d), product));
+  }
+  mulAddBytes(dst + i, src + i, c, n - i);
+}
+
+std::string_view missingCpuFeature() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return "CPUID leaf 1";
+  if ((ecx & (1u << 9)) == 0) return "SSSE3 (CPUID leaf 1 ECX bit 9)";
+  return {};
+}
+
+#else
+
+std::string_view missingCpuFeature() { return "SSSE3 (not an x86 build)"; }
+
+#endif  // HDTN_CODING_X86
+
+using RowKernel = void (*)(std::uint8_t*, const std::uint8_t*, std::uint8_t,
+                           std::size_t);
+
+// Chosen once per process, on the first row operation.
+RowKernel rowKernel() {
+#ifdef HDTN_CODING_X86
+  static const RowKernel kernel = detail::rowKernelMissing().empty()
+                                      ? mulAddSsse3
+                                      : detail::mulAddRowPortable;
+  return kernel;
+#else
+  return detail::mulAddRowPortable;
+#endif
+}
 
 struct GfTables {
   // exp is doubled so gfMul can add logs without a mod-255 reduction.
@@ -54,16 +154,7 @@ std::uint8_t gfMul(std::uint8_t a, std::uint8_t b) {
 }
 
 std::uint8_t gfMulSlow(std::uint8_t a, std::uint8_t b) {
-  std::uint32_t acc = 0;
-  std::uint32_t aa = a;
-  std::uint32_t bb = b;
-  while (bb != 0) {
-    if (bb & 1) acc ^= aa;
-    aa <<= 1;
-    if (aa & 0x100) aa ^= kPoly;
-    bb >>= 1;
-  }
-  return static_cast<std::uint8_t>(acc);
+  return mulBitwise(a, b);
 }
 
 std::uint8_t gfInv(std::uint8_t a) {
@@ -76,6 +167,35 @@ std::uint8_t gfDiv(std::uint8_t a, std::uint8_t b) {
   if (a == 0) return 0;
   return gfMul(a, gfInv(b));
 }
+
+namespace detail {
+
+void mulAddRowPortable(std::uint8_t* dst, const std::uint8_t* src,
+                       std::uint8_t c, std::size_t n) {
+  mulAddBytes(dst, src, c, n);
+}
+
+bool mulAddRowSsse3(std::uint8_t* dst, const std::uint8_t* src,
+                    std::uint8_t c, std::size_t n) {
+#ifdef HDTN_CODING_X86
+  if (!rowKernelMissing().empty()) return false;
+  mulAddSsse3(dst, src, c, n);
+  return true;
+#else
+  (void)dst;
+  (void)src;
+  (void)c;
+  (void)n;
+  return false;
+#endif
+}
+
+std::string_view rowKernelMissing() {
+  static const std::string_view missing = missingCpuFeature();
+  return missing;
+}
+
+}  // namespace detail
 
 std::vector<std::uint8_t> sparseCoefficients(std::uint32_t k,
                                              std::uint64_t seed,
@@ -105,7 +225,8 @@ GenerationDecoder::GenerationDecoder(std::uint32_t generationSize,
                                      std::uint32_t payloadBytes)
     : k_(generationSize),
       payloadBytes_(payloadBytes),
-      pivot_(generationSize, kNoPivot) {
+      pivot_(generationSize, kNoPivot),
+      scratch_(static_cast<std::size_t>(generationSize) + payloadBytes) {
   if (generationSize == 0) {
     throw std::invalid_argument("GenerationDecoder: empty generation");
   }
@@ -123,21 +244,16 @@ bool GenerationDecoder::addFrame(std::span<const std::uint8_t> coefficients,
   if (coefficients.size() != k_ || payload.size() != payloadBytes_) {
     throw std::invalid_argument("GenerationDecoder: frame shape mismatch");
   }
-  bool anyNonZero = false;
-  for (std::uint8_t c : coefficients) {
-    if (c != 0) {
-      anyNonZero = true;
-      break;
-    }
-  }
-  if (!anyNonZero) {
+  if (std::all_of(coefficients.begin(), coefficients.end(),
+                  [](std::uint8_t c) { return c == 0; })) {
     // A zero vector can never raise the rank; folding it would only burn
     // rowOps on forward elimination of nothing.
     ++degenerateFrames_;
     return false;
   }
-  return fold({coefficients.begin(), coefficients.end()},
-              {payload.begin(), payload.end()}, polluted, origin);
+  std::copy(coefficients.begin(), coefficients.end(), scratch_.begin());
+  std::copy(payload.begin(), payload.end(), scratch_.begin() + k_);
+  return fold(polluted, origin);
 }
 
 bool GenerationDecoder::addSourcePiece(std::uint32_t piece,
@@ -145,15 +261,16 @@ bool GenerationDecoder::addSourcePiece(std::uint32_t piece,
   if (piece >= k_ || payload.size() != payloadBytes_) {
     throw std::invalid_argument("GenerationDecoder: bad source piece");
   }
-  std::vector<std::uint8_t> unit(k_, 0);
-  unit[piece] = 1;
-  return fold(std::move(unit), {payload.begin(), payload.end()}, false,
-              kNoOrigin);
+  std::fill_n(scratch_.begin(), k_, std::uint8_t{0});
+  scratch_[piece] = 1;
+  std::copy(payload.begin(), payload.end(), scratch_.begin() + k_);
+  return fold(false, kNoOrigin);
 }
 
-bool GenerationDecoder::fold(std::vector<std::uint8_t> coeffs,
-                             std::vector<std::uint8_t> data, bool polluted,
-                             std::uint32_t origin) {
+bool GenerationDecoder::fold(bool polluted, std::uint32_t origin) {
+  const RowKernel mulAdd = rowKernel();
+  std::uint8_t* coeffs = scratch_.data();
+  std::uint8_t* data = coeffs + k_;
   // A frame is tainted when it arrived polluted or when elimination mixes
   // in a tainted stored row — pollution spreads exactly like information.
   bool tainted = polluted;
@@ -161,75 +278,69 @@ bool GenerationDecoder::fold(std::vector<std::uint8_t> coeffs,
   for (std::uint32_t col = 0; col < k_; ++col) {
     const std::uint8_t factor = coeffs[col];
     if (factor == 0 || pivot_[col] == kNoPivot) continue;
-    const Row& prow = rows_[pivot_[col]];
-    if (prow.tainted) tainted = true;
-    for (std::uint32_t j = 0; j < k_; ++j) {
-      coeffs[j] = gfAdd(coeffs[j], gfMul(factor, prow.coeffs[j]));
-    }
-    for (std::size_t j = 0; j < data.size(); ++j) {
-      data[j] = gfAdd(data[j], gfMul(factor, prow.payload[j]));
+    const std::uint32_t prow = pivot_[col];
+    if (flags_[prow].tainted) tainted = true;
+    mulAdd(coeffs, rowCoeffs(prow), factor, k_);
+    if (payloadBytes_ != 0) {
+      mulAdd(data, rowPayload(prow), factor, payloadBytes_);
     }
     ++rowOps_;
   }
   // First surviving nonzero column becomes the pivot.
-  std::uint32_t pivotCol = kNoPivot;
-  for (std::uint32_t col = 0; col < k_; ++col) {
-    if (coeffs[col] != 0) {
-      pivotCol = col;
-      break;
-    }
-  }
-  if (pivotCol == kNoPivot) return false;  // redundant frame
+  const std::uint8_t* lead =
+      std::find_if(coeffs, coeffs + k_, [](std::uint8_t c) { return c != 0; });
+  if (lead == coeffs + k_) return false;  // redundant frame
+  const auto pivotCol = static_cast<std::uint32_t>(lead - coeffs);
 
-  // Normalize the leading coefficient to 1.
-  const std::uint8_t inv = gfInv(coeffs[pivotCol]);
+  // Append the new row normalized to a leading 1: the kernel writes
+  // inv * frame into the zeroed row.
+  const std::uint32_t newIndex = rank_;
+  coeffs_.resize(coeffs_.size() + k_);
+  payloads_.resize(payloads_.size() + payloadBytes_);
+  std::uint8_t* newCoeffs = rowCoeffs(newIndex);
+  std::uint8_t* newData = rowPayload(newIndex);
+  const std::uint8_t inv = gfInv(*lead);
   if (inv != 1) {
-    for (std::uint32_t j = 0; j < k_; ++j) coeffs[j] = gfMul(coeffs[j], inv);
-    for (std::size_t j = 0; j < data.size(); ++j) {
-      data[j] = gfMul(data[j], inv);
-    }
+    mulAdd(newCoeffs, coeffs, inv, k_);
+    if (payloadBytes_ != 0) mulAdd(newData, data, inv, payloadBytes_);
     ++rowOps_;
+  } else {
+    std::memcpy(newCoeffs, coeffs, k_);
+    if (payloadBytes_ != 0) std::memcpy(newData, data, payloadBytes_);
   }
   // Back-substitute: clear this column from every stored row so the matrix
   // stays fully reduced (identity at full rank).
-  const std::uint32_t newIndex = static_cast<std::uint32_t>(rows_.size());
-  for (Row& row : rows_) {
-    const std::uint8_t factor = row.coeffs[pivotCol];
+  for (std::uint32_t r = 0; r < newIndex; ++r) {
+    std::uint8_t* row = rowCoeffs(r);
+    const std::uint8_t factor = row[pivotCol];
     if (factor == 0) continue;
-    if (tainted) row.tainted = true;
-    for (std::uint32_t j = 0; j < k_; ++j) {
-      row.coeffs[j] = gfAdd(row.coeffs[j], gfMul(factor, coeffs[j]));
-    }
-    for (std::size_t j = 0; j < data.size(); ++j) {
-      row.payload[j] = gfAdd(row.payload[j], gfMul(factor, data[j]));
+    if (tainted) flags_[r].tainted = true;
+    mulAdd(row, newCoeffs, factor, k_);
+    if (payloadBytes_ != 0) {
+      mulAdd(rowPayload(r), newData, factor, payloadBytes_);
     }
     ++rowOps_;
   }
-  rows_.push_back({std::move(coeffs), std::move(data), tainted, polluted,
-                   polluted ? origin : kNoOrigin});
+  flags_.push_back({polluted ? origin : kNoOrigin, tainted, polluted});
   pivot_[pivotCol] = newIndex;
   ++rank_;
   return true;
 }
 
 bool GenerationDecoder::tainted() const {
-  for (const Row& row : rows_) {
-    if (row.tainted) return true;
-  }
-  return false;
+  return std::any_of(flags_.begin(), flags_.end(),
+                     [](const RowFlags& row) { return row.tainted; });
 }
 
 std::uint32_t GenerationDecoder::pollutedRows() const {
-  std::uint32_t count = 0;
-  for (const Row& row : rows_) {
-    if (row.polluted) ++count;
-  }
-  return count;
+  return static_cast<std::uint32_t>(
+      std::count_if(flags_.begin(), flags_.end(),
+                    [](const RowFlags& row) { return row.polluted; }));
 }
 
 std::vector<std::uint32_t> GenerationDecoder::pollutedOrigins() const {
   std::vector<std::uint32_t> origins;
-  for (const Row& row : rows_) {
+  for (const RowFlags& row : flags_) {
     if (row.polluted && row.origin != kNoOrigin) {
       origins.push_back(row.origin);
     }
@@ -249,21 +360,16 @@ std::vector<std::uint8_t> GenerationDecoder::recodeCoefficients(
   // Mix over the stored (independent) rows: any nonzero mix of independent
   // rows is itself nonzero, so the recoded frame always carries information
   // from this node's subspace.
+  const RowKernel mulAdd = rowKernel();
   const std::vector<std::uint8_t> mix =
       sparseCoefficients(rank_, seed, sparsity);
   for (std::uint32_t i = 0; i < rank_; ++i) {
     const std::uint8_t factor = mix[i];
     if (factor == 0) continue;
-    const Row& row = rows_[i];
-    if (taintedOut != nullptr && row.tainted) *taintedOut = true;
-    for (std::uint32_t j = 0; j < k_; ++j) {
-      out[j] = gfAdd(out[j], gfMul(factor, row.coeffs[j]));
-    }
+    if (taintedOut != nullptr && flags_[i].tainted) *taintedOut = true;
+    mulAdd(out.data(), rowCoeffs(i), factor, k_);
     if (payloadOut != nullptr) {
-      for (std::uint32_t j = 0; j < payloadBytes_; ++j) {
-        (*payloadOut)[j] = gfAdd((*payloadOut)[j],
-                                 gfMul(factor, row.payload[j]));
-      }
+      mulAdd(payloadOut->data(), rowPayload(i), factor, payloadBytes_);
     }
   }
   return out;
@@ -277,7 +383,8 @@ std::vector<std::vector<std::uint8_t>> GenerationDecoder::decode() const {
   // Fully reduced at full rank: the row owning pivot column p is the unit
   // vector e_p, so its payload is piece p verbatim.
   for (std::uint32_t col = 0; col < k_; ++col) {
-    pieces[col] = rows_[pivot_[col]].payload;
+    const std::uint8_t* payload = rowPayload(pivot_[col]);
+    pieces[col].assign(payload, payload + payloadBytes_);
   }
   return pieces;
 }
@@ -288,51 +395,59 @@ void GenerationDecoder::saveState(Serializer& out) const {
   out.u32(rank_);
   out.u64(rowOps_);
   out.u64(degenerateFrames_);
-  out.u64(rows_.size());
-  for (const Row& row : rows_) {
-    out.raw(row.coeffs.data(), row.coeffs.size());
-    out.raw(row.payload.data(), row.payload.size());
-    out.u8(row.tainted ? 1 : 0);
-    out.u8(row.polluted ? 1 : 0);
-    out.u32(row.origin);
+  out.u64(flags_.size());
+  for (std::uint32_t r = 0; r < rank_; ++r) {
+    out.raw(rowCoeffs(r), k_);
+    out.raw(rowPayload(r), payloadBytes_);
+    out.u8(flags_[r].tainted ? 1 : 0);
+    out.u8(flags_[r].polluted ? 1 : 0);
+    out.u32(flags_[r].origin);
   }
   for (std::uint32_t col = 0; col < k_; ++col) out.u32(pivot_[col]);
 }
 
 void GenerationDecoder::loadState(Deserializer& in) {
-  k_ = in.u32();
-  payloadBytes_ = in.u32();
-  rank_ = in.u32();
-  rowOps_ = in.u64();
-  degenerateFrames_ = in.u64();
-  if (k_ == 0 || rank_ > k_) {
+  GenerationDecoder loaded;
+  loaded.k_ = in.u32();
+  loaded.payloadBytes_ = in.u32();
+  loaded.rank_ = in.u32();
+  loaded.rowOps_ = in.u64();
+  loaded.degenerateFrames_ = in.u64();
+  const std::uint32_t k = loaded.k_;
+  const std::uint32_t payloadBytes = loaded.payloadBytes_;
+  if (k == 0 || loaded.rank_ > k) {
     throw SerializeError("GenerationDecoder: corrupt shape");
   }
-  const std::uint64_t rowCount =
-      in.length(static_cast<std::size_t>(k_) + payloadBytes_ + 6);
-  if (rowCount != rank_) {
+  const std::size_t rowBytes = static_cast<std::size_t>(k) + payloadBytes + 6;
+  const std::uint64_t rowCount = in.length(rowBytes);
+  if (rowCount != loaded.rank_) {
     throw SerializeError("GenerationDecoder: row count != rank");
   }
-  rows_.clear();
-  rows_.reserve(rowCount);
-  for (std::uint64_t i = 0; i < rowCount; ++i) {
-    Row row;
-    row.coeffs.resize(k_);
-    in.raw(row.coeffs.data(), k_);
-    row.payload.resize(payloadBytes_);
-    in.raw(row.payload.data(), payloadBytes_);
-    row.tainted = in.u8() != 0;
-    row.polluted = in.u8() != 0;
-    row.origin = in.u32();
-    rows_.push_back(std::move(row));
+  // in.length() bounded rowCount * rowBytes by the remaining bytes; the k
+  // pivots must fit behind the rows too, or a forged k would size the
+  // allocations below.
+  if ((in.remaining() - rowCount * rowBytes) / 4 < k) {
+    throw SerializeError("GenerationDecoder: state exceeds the payload");
   }
-  pivot_.assign(k_, kNoPivot);
-  for (std::uint32_t col = 0; col < k_; ++col) {
-    pivot_[col] = in.u32();
-    if (pivot_[col] != kNoPivot && pivot_[col] >= rows_.size()) {
+  loaded.coeffs_.resize(rowCount * k);
+  loaded.payloads_.resize(rowCount * payloadBytes);
+  loaded.flags_.resize(rowCount);
+  for (std::uint32_t r = 0; r < loaded.rank_; ++r) {
+    in.raw(loaded.rowCoeffs(r), k);
+    in.raw(loaded.rowPayload(r), payloadBytes);
+    loaded.flags_[r].tainted = in.u8() != 0;
+    loaded.flags_[r].polluted = in.u8() != 0;
+    loaded.flags_[r].origin = in.u32();
+  }
+  loaded.pivot_.resize(k);
+  for (std::uint32_t& pivot : loaded.pivot_) {
+    pivot = in.u32();
+    if (pivot != kNoPivot && pivot >= rowCount) {
       throw SerializeError("GenerationDecoder: pivot out of range");
     }
   }
+  loaded.scratch_.resize(static_cast<std::size_t>(k) + payloadBytes);
+  *this = std::move(loaded);
 }
 
 CodedEncoder::CodedEncoder(std::vector<std::vector<std::uint8_t>> pieces)
@@ -360,13 +475,11 @@ std::vector<std::uint8_t> CodedEncoder::payloadFor(
   if (coefficients.size() != pieces_.size()) {
     throw std::invalid_argument("CodedEncoder: coefficient count mismatch");
   }
+  const RowKernel mulAdd = rowKernel();
   std::vector<std::uint8_t> payload(payloadBytes(), 0);
   for (std::size_t i = 0; i < pieces_.size(); ++i) {
-    const std::uint8_t factor = coefficients[i];
-    if (factor == 0) continue;
-    for (std::size_t j = 0; j < payload.size(); ++j) {
-      payload[j] = gfAdd(payload[j], gfMul(factor, pieces_[i][j]));
-    }
+    if (coefficients[i] == 0) continue;
+    mulAdd(payload.data(), pieces_[i].data(), coefficients[i], payload.size());
   }
   return payload;
 }

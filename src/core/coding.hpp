@@ -14,8 +14,10 @@
 // frame arrival order — which makes its state checkpointable byte-for-byte.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "src/util/serialize.hpp"
@@ -43,6 +45,34 @@ namespace hdtn::core::coding {
 
 /// a / b; `b` must be nonzero.
 [[nodiscard]] std::uint8_t gfDiv(std::uint8_t a, std::uint8_t b);
+
+// --- row kernels --------------------------------------------------------
+// Every row operation of elimination, recoding and encoding is one call
+// `dst[i] ^= c * src[i]` for i < n. Two kernels compute it byte for byte
+// alike: a portable one, and an SSSE3 one that multiplies 16 bytes per
+// step. The library picks the SSSE3 kernel once per process when CPUID
+// reports SSSE3, and the portable one otherwise; nothing else selects.
+
+namespace detail {
+
+/// The portable kernel: one lookup per byte in the 256-byte product row
+/// of `c`. The reference for the vector kernel, and the only kernel off
+/// x86.
+void mulAddRowPortable(std::uint8_t* dst, const std::uint8_t* src,
+                       std::uint8_t c, std::size_t n);
+
+/// The SSSE3 split-nibble kernel: two PSHUFB lookups in 16-entry product
+/// tables per 16 bytes, the portable kernel for the last n % 16. Returns
+/// false, leaving `dst` untouched, when this CPU cannot run it (see
+/// rowKernelMissing).
+bool mulAddRowSsse3(std::uint8_t* dst, const std::uint8_t* src,
+                    std::uint8_t c, std::size_t n);
+
+/// The CPUID feature the SSSE3 kernel needs and this CPU lacks, e.g.
+/// "SSSE3 (CPUID leaf 1 ECX bit 9)"; empty when the kernel runs here.
+[[nodiscard]] std::string_view rowKernelMissing();
+
+}  // namespace detail
 
 // --- coefficient vectors ------------------------------------------------
 
@@ -141,29 +171,50 @@ class GenerationDecoder {
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> decode() const;
 
   /// Checkpoints the full elimination state; a restored decoder continues
-  /// byte-identically (docs/CHECKPOINT.md, payload v4).
+  /// byte-identically (docs/CHECKPOINT.md, payload v4). loadState checks
+  /// that the remaining bytes hold every row and pivot before it allocates,
+  /// and leaves the decoder untouched when it throws.
   void saveState(Serializer& out) const;
   void loadState(Deserializer& in);
 
  private:
-  struct Row {
-    std::vector<std::uint8_t> coeffs;
-    std::vector<std::uint8_t> payload;
+  struct RowFlags {
+    std::uint32_t origin = kNoOrigin;  ///< attacker id when polluted
     bool tainted = false;    ///< mixes in at least one polluted frame
     bool polluted = false;   ///< the frame itself arrived polluted
-    std::uint32_t origin = kNoOrigin;  ///< attacker id when polluted
   };
 
-  bool fold(std::vector<std::uint8_t> coeffs, std::vector<std::uint8_t> data,
-            bool polluted, std::uint32_t origin);
+  /// Eliminates the frame in scratch_ against the stored rows and, when it
+  /// survives, appends it as a new reduced row.
+  bool fold(bool polluted, std::uint32_t origin);
+
+  [[nodiscard]] std::uint8_t* rowCoeffs(std::uint32_t row) {
+    return coeffs_.data() + static_cast<std::size_t>(row) * k_;
+  }
+  [[nodiscard]] const std::uint8_t* rowCoeffs(std::uint32_t row) const {
+    return coeffs_.data() + static_cast<std::size_t>(row) * k_;
+  }
+  [[nodiscard]] std::uint8_t* rowPayload(std::uint32_t row) {
+    return payloads_.data() + static_cast<std::size_t>(row) * payloadBytes_;
+  }
+  [[nodiscard]] const std::uint8_t* rowPayload(std::uint32_t row) const {
+    return payloads_.data() + static_cast<std::size_t>(row) * payloadBytes_;
+  }
 
   std::uint32_t k_ = 0;
   std::uint32_t payloadBytes_ = 0;
   std::uint32_t rank_ = 0;
   std::uint64_t rowOps_ = 0;
   std::uint64_t degenerateFrames_ = 0;
-  std::vector<Row> rows_;             ///< one per innovative frame, reduced
+  // The reduced rows, one per innovative frame, in arrival order: row r's
+  // coefficients are coeffs_[r * k_, (r + 1) * k_), its payload likewise
+  // in payloads_. Both grow by one row per innovative frame.
+  std::vector<std::uint8_t> coeffs_;
+  std::vector<std::uint8_t> payloads_;
+  std::vector<RowFlags> flags_;       ///< one per row
   std::vector<std::uint32_t> pivot_;  ///< column -> row index (kNoPivot)
+  /// The frame being folded: k_ coefficients, then payloadBytes_ bytes.
+  std::vector<std::uint8_t> scratch_;
   static constexpr std::uint32_t kNoPivot = 0xffffffffu;
 };
 

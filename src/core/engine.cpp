@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
@@ -30,11 +29,18 @@ struct EngineCaches {
 };
 
 // Coded-mode engine state: the dedicated coefficient-seed stream plus one
-// incremental decoder per (receiver, in-flight generation). Ordered maps so
-// checkpoint bytes are deterministic.
+// incremental decoder per (member, in-flight generation).
 struct CodedEngineState {
+  /// One node's in-flight decoders, sorted by file. `used` marks a node
+  /// that ever looked a decoder up: a save keeps its entry, empty or not
+  /// (docs/CODING.md, "Determinism, faults, recovery, checkpoints").
+  struct DecoderSlot {
+    std::vector<std::pair<FileId, coding::GenerationDecoder>> files;
+    bool used = false;
+  };
+
   Rng rng{0};
-  std::map<NodeId, std::map<FileId, coding::GenerationDecoder>> decoders;
+  std::vector<DecoderSlot> decoders;  ///< indexed by node id
 };
 
 namespace {
@@ -181,6 +187,7 @@ Engine::Engine(const trace::ContactTrace& trace, EngineParams params)
       downloadModeInfo(params_.downloadMode, params_.protocol.scheduling)
           .planner;
   setupNodes();
+  if (coded_ != nullptr) coded_->decoders.resize(nodes_.size());
 }
 
 Engine::~Engine() = default;
@@ -1143,16 +1150,26 @@ namespace {
 coding::GenerationDecoder& codedDecoderFor(CodedEngineState& state,
                                            const Node& member, FileId file,
                                            std::uint32_t generationSize) {
-  auto& byFile = state.decoders[member.id()];
-  auto it = byFile.find(file);
-  if (it == byFile.end()) {
-    it = byFile.emplace(file, coding::GenerationDecoder(generationSize))
-             .first;
+  CodedEngineState::DecoderSlot& slot = state.decoders[member.id().value];
+  slot.used = true;
+  auto it = std::lower_bound(
+      slot.files.begin(), slot.files.end(), file,
+      [](const auto& entry, FileId f) { return entry.first < f; });
+  if (it == slot.files.end() || it->first != file) {
+    it = slot.files.emplace(it, file,
+                            coding::GenerationDecoder(generationSize));
     for (std::uint32_t p = 0; p < generationSize; ++p) {
       if (member.pieces().hasPiece(file, p)) it->second.addSourcePiece(p);
     }
   }
   return it->second;
+}
+
+/// Retires the (member, file) decoder; the member's entry stays.
+void eraseCodedDecoder(CodedEngineState& state, NodeId member, FileId file) {
+  auto& files = state.decoders[member.value].files;
+  std::erase_if(files,
+                [file](const auto& entry) { return entry.first == file; });
 }
 
 }  // namespace
@@ -1259,7 +1276,7 @@ bool Engine::deliverCodedFrameTo(Node& receiver, NodeId sender, FileId file,
     for (std::uint32_t culprit : decoder.pollutedOrigins()) {
       noteEvidence(NodeId{culprit}, EvidenceKind::kFailedVerification, now);
     }
-    coded_->decoders[receiver.id()].erase(file);
+    eraseCodedDecoder(*coded_, receiver.id(), file);
     return true;
   }
   const bool garbage = decoder.tainted();
@@ -1306,7 +1323,7 @@ bool Engine::deliverCodedFrameTo(Node& receiver, NodeId sender, FileId file,
       emit(event);
     }
   }
-  coded_->decoders[receiver.id()].erase(file);
+  eraseCodedDecoder(*coded_, receiver.id(), file);
   return true;
 }
 
@@ -1821,11 +1838,15 @@ void Engine::saveComponentState(Serializer& out) const {
   out.boolean(coded_ != nullptr);
   if (coded_ != nullptr) {
     saveRngState(out, coded_->rng);
-    out.u64(coded_->decoders.size());
-    for (const auto& [member, byFile] : coded_->decoders) {
-      out.u32(member.value);
-      out.u64(byFile.size());
-      for (const auto& [file, decoder] : byFile) {
+    const auto& slots = coded_->decoders;
+    out.u64(static_cast<std::uint64_t>(
+        std::count_if(slots.begin(), slots.end(),
+                      [](const auto& slot) { return slot.used; })));
+    for (std::uint32_t member = 0; member < slots.size(); ++member) {
+      if (!slots[member].used) continue;
+      out.u32(member);
+      out.u64(slots[member].files.size());
+      for (const auto& [file, decoder] : slots[member].files) {
         out.u32(file.value);
         decoder.saveState(out);
       }
@@ -1912,17 +1933,37 @@ void Engine::loadComponentState(Deserializer& in) {
   }
   if (coded_ != nullptr) {
     loadRngState(in, coded_->rng);
-    coded_->decoders.clear();
+    // A save lists members, and each member's files, in ascending id order.
+    // Anything else, or a member outside the node table, is corrupt.
+    std::vector<CodedEngineState::DecoderSlot> slots(nodes_.size());
+    std::uint32_t previousMember = 0;
     const std::size_t memberCount = in.length();
     for (std::size_t i = 0; i < memberCount; ++i) {
-      const NodeId member{in.u32()};
-      auto& byFile = coded_->decoders[member];
+      const std::uint32_t member = in.u32();
+      if (member >= slots.size()) {
+        throw SerializeError("corrupt payload: decoder member id " +
+                             std::to_string(member) + " >= node count " +
+                             std::to_string(slots.size()));
+      }
+      if (i > 0 && member <= previousMember) {
+        throw SerializeError(
+            "corrupt payload: decoder member ids not ascending");
+      }
+      previousMember = member;
+      CodedEngineState::DecoderSlot& slot = slots[member];
+      slot.used = true;
       const std::size_t fileCount = in.length();
       for (std::size_t f = 0; f < fileCount; ++f) {
         const FileId file{in.u32()};
-        byFile[file].loadState(in);
+        if (!slot.files.empty() && !(slot.files.back().first < file)) {
+          throw SerializeError("corrupt payload: decoder file ids of member " +
+                               std::to_string(member) + " not ascending");
+        }
+        slot.files.emplace_back(file, coding::GenerationDecoder{});
+        slot.files.back().second.loadState(in);
       }
     }
+    coded_->decoders = std::move(slots);
   }
 
   internet_.loadState(in);

@@ -1,7 +1,9 @@
 #include "src/trace/trace_stats.hpp"
 
 #include <algorithm>
-#include <set>
+#include <bit>
+#include <cstdint>
+#include <unordered_map>
 
 namespace hdtn::trace {
 
@@ -80,26 +82,49 @@ std::vector<NodePair> frequentContactPairs(const ContactTrace& trace,
   std::size_t windows = static_cast<std::size_t>(span / period);
   if (span % period >= period / 2 || windows == 0) ++windows;
 
-  // pair -> set of window indices covered.
-  std::map<NodePair, std::set<std::size_t>> covered;
+  // One bit per window for every pair that met in some window: `slotOf`
+  // maps the pair to its slot, and slot s owns covered[s * words, +words).
+  const std::size_t words = (windows + 63) / 64;
+  std::unordered_map<std::uint64_t, std::uint32_t> slotOf;
+  std::vector<NodePair> pairs;
+  std::vector<std::uint64_t> covered;
+  std::vector<std::uint64_t> mask;  // the contact's window bits, by word
   for (const Contact& c : trace.contacts()) {
     const auto firstWindow = static_cast<std::size_t>(c.start / period);
     // A contact can straddle a window boundary; credit every overlapped one.
-    const auto lastWindow = static_cast<std::size_t>((c.end - 1) / period);
+    const auto lastWindow = std::min(
+        static_cast<std::size_t>((c.end - 1) / period), windows - 1);
+    if (firstWindow > lastWindow) continue;
+    const std::size_t firstWord = firstWindow / 64;
+    mask.assign(lastWindow / 64 - firstWord + 1, ~std::uint64_t{0});
+    mask.front() &= ~std::uint64_t{0} << (firstWindow % 64);
+    mask.back() &= ~std::uint64_t{0} >> (63 - lastWindow % 64);
     for (std::size_t i = 0; i < c.members.size(); ++i) {
       for (std::size_t j = i + 1; j < c.members.size(); ++j) {
-        auto& windowsOf = covered[makePair(c.members[i], c.members[j])];
-        for (std::size_t w = firstWindow;
-             w <= lastWindow && w < windows; ++w) {
-          windowsOf.insert(w);
+        const NodePair pair = makePair(c.members[i], c.members[j]);
+        const std::uint64_t key =
+            (std::uint64_t{pair.first.value} << 32) | pair.second.value;
+        const auto [it, added] =
+            slotOf.try_emplace(key, static_cast<std::uint32_t>(pairs.size()));
+        if (added) {
+          pairs.push_back(pair);
+          covered.resize(covered.size() + words);
         }
+        std::uint64_t* bits = covered.data() + it->second * words + firstWord;
+        for (std::size_t w = 0; w < mask.size(); ++w) bits[w] |= mask[w];
       }
     }
   }
   std::vector<NodePair> out;
-  for (const auto& [pair, windowsOf] : covered) {
-    if (windowsOf.size() >= windows) out.push_back(pair);
+  for (std::size_t slot = 0; slot < pairs.size(); ++slot) {
+    const std::uint64_t* bits = covered.data() + slot * words;
+    std::size_t count = 0;
+    for (std::size_t w = 0; w < words; ++w) {
+      count += static_cast<std::size_t>(std::popcount(bits[w]));
+    }
+    if (count == windows) out.push_back(pairs[slot]);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

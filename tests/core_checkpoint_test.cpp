@@ -13,10 +13,13 @@
 #include <string>
 #include <vector>
 
+#include "src/core/coding.hpp"
 #include "src/core/engine.hpp"
 #include "src/obs/event_log.hpp"
 #include "src/trace/dieselnet.hpp"
 #include "src/trace/nus.hpp"
+#include "src/util/serialize.hpp"
+#include "src/util/sha1.hpp"
 
 namespace hdtn::core {
 namespace {
@@ -589,6 +592,168 @@ TEST_F(CheckpointErrors, ReadCheckpointInfoRejectsCorruptFiles) {
   mutated[mutated.size() - 1] ^= 0x01;
   spit(path_, mutated);
   EXPECT_THROW(readCheckpointInfo(path_), CheckpointError);
+}
+
+// The coded decoder table of a saved engine: where each listed member id
+// and each of its file ids sits in the payload.
+struct DecoderTableLayout {
+  std::vector<std::size_t> memberAt;
+  std::vector<std::vector<std::size_t>> fileAt;
+};
+
+// Walks a v5 engine payload of a coded run with faults, recovery, the
+// adversary and the defense all off, up to and through its decoder table.
+DecoderTableLayout decoderTableLayout(std::string_view payload) {
+  DecoderTableLayout layout;
+  Deserializer in(payload);
+  const auto at = [&] { return payload.size() - in.remaining(); };
+  (void)in.u64();  // executed events
+  (void)in.i64();  // clock
+  (void)in.str();  // caller blob
+  Sha1Digest fingerprint;
+  in.raw(fingerprint.bytes.data(), fingerprint.bytes.size());
+  for (int i = 0; i < 4; ++i) (void)in.u64();  // engine RNG
+  if (in.boolean()) {
+    for (int i = 0; i < 4; ++i) (void)in.u64();  // publish RNG
+  }
+  for (std::size_t i = 0; i < sizeof(EngineTotals) / sizeof(std::uint64_t);
+       ++i) {
+    (void)in.u64();
+  }
+  (void)in.u32();  // next forged id
+  (void)in.i64();  // expiry scan watermark
+  for (int section = 0; section < 4; ++section) {
+    EXPECT_FALSE(in.boolean());  // faults, recovery, adversary, reputation
+  }
+  EXPECT_TRUE(in.boolean());  // coded state
+  for (int i = 0; i < 4; ++i) (void)in.u64();  // coded RNG
+  const std::uint64_t members = in.u64();
+  for (std::uint64_t m = 0; m < members; ++m) {
+    layout.memberAt.push_back(at());
+    (void)in.u32();
+    layout.fileAt.emplace_back();
+    const std::uint64_t files = in.u64();
+    for (std::uint64_t f = 0; f < files; ++f) {
+      layout.fileAt.back().push_back(at());
+      (void)in.u32();
+      coding::GenerationDecoder decoder;
+      decoder.loadState(in);
+    }
+  }
+  return layout;
+}
+
+std::uint32_t readU32(const std::string& bytes, std::size_t offset) {
+  Deserializer in(std::string_view(bytes).substr(offset, 4));
+  return in.u32();
+}
+
+void writeU32(std::string& bytes, std::size_t offset, std::uint32_t value) {
+  Serializer out;
+  out.u32(value);
+  bytes.replace(offset, 4, out.bytes());
+}
+
+// Hand-edits the decoder table of a valid coded checkpoint and re-seals the
+// payload digest, so only the restore checks stand between the edit and
+// the engine.
+class CheckpointDecoderTable : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 20;
+  static constexpr std::size_t kDigestAt = 8 + 4 + 8;
+
+  void SetUp() override {
+    trace_ = nusTrace();
+    params_ = paramsFor(ProtocolKind::kMbtQm, false);
+    params_.downloadMode = DownloadMode::kCoded;
+    params_.piecesPerFile = 4;
+    path_ = ckptPath(
+        std::string("decoder_table_") +
+        testing::UnitTest::GetInstance()->current_test_info()->name());
+    // The first step boundary where two members are listed and some
+    // member has two generations in flight.
+    Engine engine(trace_, params_);
+    while (engine.step()) {
+      engine.saveCheckpoint(path_);
+      bytes_ = slurp(path_);
+      layout_ = decoderTableLayout(
+          std::string_view(bytes_).substr(kHeaderBytes));
+      for (std::size_t m = 0; m < layout_.fileAt.size(); ++m) {
+        if (layout_.fileAt[m].size() >= 2 && layout_.memberAt.size() >= 2) {
+          twoFiles_ = m;
+          return;
+        }
+      }
+    }
+    FAIL() << "no step boundary had two generations in flight at a member";
+  }
+
+  void writeResealed(std::string bytes) {
+    const Sha1Digest digest =
+        Sha1::hash(std::string_view(bytes).substr(kHeaderBytes));
+    bytes.replace(kDigestAt, digest.bytes.size(),
+                  reinterpret_cast<const char*>(digest.bytes.data()),
+                  digest.bytes.size());
+    spit(path_, bytes);
+  }
+
+  void expectRestoreThrows(std::string bytes, const std::string& needle) {
+    writeResealed(std::move(bytes));
+    Engine engine(trace_, params_);
+    try {
+      engine.restoreCheckpoint(path_);
+      FAIL() << "restoreCheckpoint did not throw";
+    } catch (const CheckpointError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << "actual message: " << e.what();
+    }
+  }
+
+  trace::ContactTrace trace_;
+  EngineParams params_;
+  std::string path_;
+  std::string bytes_;
+  DecoderTableLayout layout_;
+  std::size_t twoFiles_ = 0;
+};
+
+TEST_F(CheckpointDecoderTable, UneditedTableRestores) {
+  writeResealed(bytes_);
+  Engine engine(trace_, params_);
+  engine.restoreCheckpoint(path_);
+  expectSameResult(engine.finish(), runSimulation(trace_, params_));
+}
+
+TEST_F(CheckpointDecoderTable, RejectsMemberIdBeyondNodeCount) {
+  std::string bytes = bytes_;
+  writeU32(bytes, kHeaderBytes + layout_.memberAt.back(),
+           static_cast<std::uint32_t>(trace_.nodeCount()));
+  expectRestoreThrows(bytes, "decoder member id");
+}
+
+TEST_F(CheckpointDecoderTable, RejectsRepeatedMemberId) {
+  std::string bytes = bytes_;
+  writeU32(bytes, kHeaderBytes + layout_.memberAt[1],
+           readU32(bytes, kHeaderBytes + layout_.memberAt[0]));
+  expectRestoreThrows(bytes, "decoder member ids not ascending");
+}
+
+TEST_F(CheckpointDecoderTable, RejectsDuplicateFileId) {
+  std::string bytes = bytes_;
+  const std::vector<std::size_t>& files = layout_.fileAt[twoFiles_];
+  writeU32(bytes, kHeaderBytes + files[1],
+           readU32(bytes, kHeaderBytes + files[0]));
+  expectRestoreThrows(bytes, "not ascending");
+}
+
+TEST_F(CheckpointDecoderTable, RejectsDescendingFileIds) {
+  std::string bytes = bytes_;
+  const std::vector<std::size_t>& files = layout_.fileAt[twoFiles_];
+  const std::uint32_t first = readU32(bytes, kHeaderBytes + files[0]);
+  const std::uint32_t second = readU32(bytes, kHeaderBytes + files[1]);
+  writeU32(bytes, kHeaderBytes + files[0], second);
+  writeU32(bytes, kHeaderBytes + files[1], first);
+  expectRestoreThrows(bytes, "not ascending");
 }
 
 }  // namespace

@@ -1,15 +1,31 @@
 // GF(2^8) field arithmetic and RLNC encoder/decoder tests: exhaustive
-// field laws, table-vs-bitwise cross-check, decoder round-trips under
-// random erasures, rank monotonicity, recoding, and checkpoint state.
+// field laws, table-vs-bitwise cross-check, row kernels against the bitwise
+// product, decoder round-trips under random erasures, rank monotonicity,
+// recoding, checkpoint state, and the flat-row decoder against the
+// row-vector reference.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <fstream>
+#include <new>
 #include <vector>
 
 #include "src/core/coding.hpp"
 #include "src/util/random.hpp"
 #include "src/util/serialize.hpp"
 #include "src/util/sha1.hpp"
+#include "tests/reference_oracles.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#define HDTN_TEST_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define HDTN_TEST_ASAN 1
+#endif
+#endif
 
 namespace hdtn::core::coding {
 namespace {
@@ -72,6 +88,62 @@ TEST(GfArithmetic, MulIsAssociativeAndCommutativeOnSamples) {
         ASSERT_EQ(gfMul(gfMul(aa, bb), cc), gfMul(aa, gfMul(bb, cc)));
       }
     }
+  }
+}
+
+using KernelFn = bool (*)(std::uint8_t*, const std::uint8_t*, std::uint8_t,
+                          std::size_t);
+
+bool portableKernel(std::uint8_t* dst, const std::uint8_t* src,
+                    std::uint8_t c, std::size_t n) {
+  detail::mulAddRowPortable(dst, src, c, n);
+  return true;
+}
+
+// Every factor at every row length 0-67: the whole 16-byte steps and every
+// tail length behind them. `src` is allocated at exactly n bytes, so a
+// kernel reading past the row trips ASan; `dst` carries guard bytes behind
+// the row that must survive.
+void expectKernelMatchesBitwise(KernelFn kernel) {
+  Rng rng(0x6F8u);
+  constexpr std::size_t kGuard = 16;
+  for (int c = 0; c < 256; ++c) {
+    const auto factor = static_cast<std::uint8_t>(c);
+    for (std::size_t n = 0; n <= 67; ++n) {
+      std::vector<std::uint8_t> src(n);
+      std::vector<std::uint8_t> dst(n + kGuard);
+      for (auto& b : src) b = static_cast<std::uint8_t>(rng());
+      for (auto& b : dst) b = static_cast<std::uint8_t>(rng());
+      std::vector<std::uint8_t> expected = dst;
+      for (std::size_t i = 0; i < n; ++i) {
+        expected[i] ^= gfMulSlow(factor, src[i]);
+      }
+      ASSERT_TRUE(kernel(dst.data(), src.data(), factor, n));
+      ASSERT_EQ(dst, expected) << "factor " << c << ", length " << n;
+    }
+  }
+}
+
+TEST(RowKernels, PortableMatchesBitwiseForEveryFactorAndLength) {
+  expectKernelMatchesBitwise(portableKernel);
+}
+
+TEST(RowKernels, Ssse3MatchesBitwiseForEveryFactorAndLength) {
+  if (!detail::rowKernelMissing().empty()) {
+    GTEST_SKIP() << "the SSSE3 kernel needs " << detail::rowKernelMissing();
+  }
+  expectKernelMatchesBitwise(detail::mulAddRowSsse3);
+}
+
+TEST(RowKernels, Ssse3LeavesRowAloneOrRuns) {
+  std::vector<std::uint8_t> src(32, 0x53);
+  std::vector<std::uint8_t> dst(32, 0x0f);
+  if (detail::mulAddRowSsse3(dst.data(), src.data(), 0x9d, dst.size())) {
+    EXPECT_TRUE(detail::rowKernelMissing().empty());
+    EXPECT_EQ(dst[31], 0x0f ^ gfMulSlow(0x9d, 0x53));
+  } else {
+    EXPECT_FALSE(detail::rowKernelMissing().empty());
+    EXPECT_EQ(dst, std::vector<std::uint8_t>(32, 0x0f));
   }
 }
 
@@ -429,6 +501,170 @@ TEST(GenerationDecoder, DecodedBytesHashMatchSource) {
     for (const auto& piece : decoder.decode()) decoded.update(piece);
     EXPECT_EQ(decoded.finish(), source.finish()) << "trial " << trial;
   }
+}
+
+// One random frame stream into the flat-row decoder and the row-vector
+// reference: coded frames at random sparsity, polluted frames with and
+// without an origin, source pieces, recodes of the decoder's own row space
+// (always redundant), all-zero and over-length frames. After every frame
+// the two must agree on every observable and on the saved bytes; every
+// seventh frame the decoder is replaced by a copy restored from its save.
+void expectDecodersAgree(std::uint32_t k, std::uint32_t payloadBytes,
+                         std::uint64_t seed) {
+  SCOPED_TRACE(testing::Message() << "k=" << k << " payloadBytes="
+                                  << payloadBytes << " seed=" << seed);
+  Rng rng(seed);
+  GenerationDecoder decoder(k, payloadBytes);
+  GenerationDecoderReference reference(k, payloadBytes);
+  const auto randomBytes = [&rng](std::size_t n) {
+    std::vector<std::uint8_t> bytes(n);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+    return bytes;
+  };
+  const auto saved = [](const auto& d) {
+    Serializer out;
+    d.saveState(out);
+    return out.takeBytes();
+  };
+  const int frames = static_cast<int>(3 * k) + 12;
+  for (int f = 0; f < frames; ++f) {
+    SCOPED_TRACE(testing::Message() << "frame " << f);
+    const int kind = static_cast<int>(rng.uniformInt(0, 19));
+    std::vector<std::uint8_t> coeffs;
+    std::vector<std::uint8_t> payload = randomBytes(payloadBytes);
+    bool polluted = false;
+    std::uint32_t origin = GenerationDecoder::kNoOrigin;
+    bool innovative = false;
+    bool expected = false;
+    if (kind < 3) {
+      const auto piece = static_cast<std::uint32_t>(rng.uniformInt(0, k - 1));
+      innovative = decoder.addSourcePiece(piece, payload);
+      expected = reference.addSourcePiece(piece, payload);
+    } else {
+      if (kind == 3) {
+        coeffs.assign(k, 0);  // all zero
+      } else if (kind == 4) {
+        coeffs = randomBytes(k + 1 + rng.uniformInt(0, 2));  // over-length
+      } else if (kind == 5) {
+        coeffs = decoder.recodeCoefficients(rng(), rng.uniform(0.1, 1.0),
+                                            &payload, nullptr);
+      } else {
+        coeffs = sparseCoefficients(k, rng(), rng.uniform(0.05, 1.0));
+      }
+      if (rng.chance(0.3)) {
+        polluted = true;
+        if (rng.chance(0.7)) {
+          origin = static_cast<std::uint32_t>(rng.uniformInt(0, 5));
+        }
+      }
+      innovative = decoder.addFrame(coeffs, payload, polluted, origin);
+      expected = reference.addFrame(coeffs, payload, polluted, origin);
+    }
+    ASSERT_EQ(innovative, expected);
+    ASSERT_EQ(decoder.rank(), reference.rank());
+    ASSERT_EQ(decoder.rowOps(), reference.rowOps());
+    ASSERT_EQ(decoder.degenerateFrames(), reference.degenerateFrames());
+    ASSERT_EQ(decoder.tainted(), reference.tainted());
+    ASSERT_EQ(decoder.pollutedRows(), reference.pollutedRows());
+    ASSERT_EQ(decoder.pollutedOrigins(), reference.pollutedOrigins());
+    const std::uint64_t mixSeed = rng();
+    const double sparsity = rng.uniform(0.1, 1.0);
+    std::vector<std::uint8_t> mixed;
+    std::vector<std::uint8_t> mixedExpected;
+    bool mixTainted = false;
+    bool mixTaintedExpected = true;
+    ASSERT_EQ(decoder.recodeCoefficients(mixSeed, sparsity, &mixed,
+                                         &mixTainted),
+              reference.recodeCoefficients(mixSeed, sparsity, &mixedExpected,
+                                           &mixTaintedExpected));
+    ASSERT_EQ(mixed, mixedExpected);
+    ASSERT_EQ(mixTainted, mixTaintedExpected);
+    ASSERT_EQ(decoder.complete(), reference.complete());
+    if (decoder.complete() && payloadBytes > 0) {
+      ASSERT_EQ(decoder.decode(), reference.decode());
+    }
+    const std::string bytes = saved(decoder);
+    ASSERT_EQ(bytes, saved(reference));
+    if (f % 7 == 6) {
+      GenerationDecoder restored;
+      Deserializer in(bytes);
+      restored.loadState(in);
+      ASSERT_TRUE(in.done());
+      decoder = std::move(restored);
+    }
+  }
+  EXPECT_TRUE(reference.complete()) << "the stream never reached full rank";
+}
+
+TEST(GenerationDecoder, MatchesRowVectorReferenceOnRandomStreams) {
+  for (const std::uint32_t k : {1u, 4u, 16u, 33u}) {
+    for (const std::uint32_t payloadBytes : {0u, 12u, 1024u}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        expectDecodersAgree(k, payloadBytes, seed * 1000 + k + payloadBytes);
+      }
+    }
+  }
+}
+
+// A 36-byte record whose generation size is 2^32 - 1 but which carries no
+// rows and no pivots: loadState must reject it as corrupt before sizing
+// anything by that count.
+std::string unboundedGenerationRecord() {
+  Serializer out;
+  out.u32(0xffffffffu);  // generation size k
+  out.u32(0);            // payloadBytes
+  out.u32(0);            // rank
+  out.u64(0);            // rowOps
+  out.u64(0);            // degenerateFrames
+  out.u64(0);            // rows
+  return out.takeBytes();
+}
+
+void loadUnboundedGenerationRecord() {
+  const std::string bytes = unboundedGenerationRecord();
+  Deserializer in(bytes);
+  GenerationDecoder decoder;
+  decoder.loadState(in);
+}
+
+TEST(GenerationDecoder, LoadStateRejectsGenerationSizeBeyondThePayload) {
+  ASSERT_EQ(unboundedGenerationRecord().size(), 36u);
+#ifdef HDTN_TEST_ASAN
+  // ASan reserves its shadow memory as address space, so the cap below
+  // cannot work under it; unbounded, the check must still come first.
+  EXPECT_THROW(loadUnboundedGenerationRecord(), SerializeError);
+#else
+  // In a child whose address space may grow by 1 GiB at most, where a
+  // 16 GiB pivot table throws std::bad_alloc instead of taking the host's
+  // memory. Exit 0: SerializeError; 1: no throw; 2: bad_alloc; 3: other.
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    long pages = 0;
+    std::ifstream("/proc/self/statm") >> pages;
+    const rlim_t cap = static_cast<rlim_t>(pages) *
+                           static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+                       (rlim_t{1} << 30);
+    const rlimit limit{cap, cap};
+    if (pages <= 0 || setrlimit(RLIMIT_AS, &limit) != 0) _exit(4);
+    try {
+      loadUnboundedGenerationRecord();
+      _exit(1);
+    } catch (const SerializeError&) {
+      _exit(0);
+    } catch (const std::bad_alloc&) {
+      _exit(2);
+    } catch (...) {
+      _exit(3);
+    }
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status)) << "child status " << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "exit 1: no throw; 2: std::bad_alloc; 3: another exception; "
+         "4: could not cap the address space";
+#endif
 }
 
 }  // namespace

@@ -3,12 +3,16 @@
 // and must produce output byte-identical to it on any input.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#include "src/core/coding.hpp"
 #include "src/core/discovery.hpp"
 #include "src/core/node.hpp"
 #include "src/graph/adjacency.hpp"
+#include "src/trace/trace_stats.hpp"
+#include "src/util/serialize.hpp"
 #include "src/util/types.hpp"
 
 namespace hdtn {
@@ -65,5 +69,70 @@ namespace core {
                                                            FileId file,
                                                            SimTime now);
 
+namespace coding {
+
+/// Reference RLNC decoder: each reduced row owns a coefficient vector and a
+/// payload vector, every fold copies the frame into fresh vectors, and each
+/// byte goes through one gfMul call. GenerationDecoder keeps its rows in
+/// flat blocks and runs a row kernel; the two must agree on every result
+/// and on the saveState bytes. See core_coding_test.cpp.
+class GenerationDecoderReference {
+ public:
+  GenerationDecoderReference(std::uint32_t generationSize,
+                             std::uint32_t payloadBytes);
+
+  bool addFrame(std::span<const std::uint8_t> coefficients,
+                std::span<const std::uint8_t> payload, bool polluted,
+                std::uint32_t origin);
+  bool addSourcePiece(std::uint32_t piece,
+                      std::span<const std::uint8_t> payload);
+  [[nodiscard]] std::vector<std::uint8_t> recodeCoefficients(
+      std::uint64_t seed, double sparsity,
+      std::vector<std::uint8_t>* payloadOut, bool* taintedOut) const;
+
+  [[nodiscard]] std::uint32_t rank() const { return rank_; }
+  [[nodiscard]] bool complete() const { return rank_ == k_; }
+  [[nodiscard]] std::uint64_t rowOps() const { return rowOps_; }
+  [[nodiscard]] std::uint64_t degenerateFrames() const {
+    return degenerateFrames_;
+  }
+  [[nodiscard]] bool tainted() const;
+  [[nodiscard]] std::uint32_t pollutedRows() const;
+  [[nodiscard]] std::vector<std::uint32_t> pollutedOrigins() const;
+  [[nodiscard]] std::vector<std::vector<std::uint8_t>> decode() const;
+  void saveState(Serializer& out) const;
+
+ private:
+  struct Row {
+    std::vector<std::uint8_t> coeffs;
+    std::vector<std::uint8_t> payload;
+    bool tainted = false;
+    bool polluted = false;
+    std::uint32_t origin = GenerationDecoder::kNoOrigin;
+  };
+
+  bool fold(std::vector<std::uint8_t> coeffs, std::vector<std::uint8_t> data,
+            bool polluted, std::uint32_t origin);
+
+  std::uint32_t k_ = 0;
+  std::uint32_t payloadBytes_ = 0;
+  std::uint32_t rank_ = 0;
+  std::uint64_t rowOps_ = 0;
+  std::uint64_t degenerateFrames_ = 0;
+  std::vector<Row> rows_;
+  std::vector<std::uint32_t> pivot_;
+  static constexpr std::uint32_t kNoPivot = 0xffffffffu;
+};
+
+}  // namespace coding
 }  // namespace core
+
+namespace trace {
+
+/// trace::frequentContactPairs with one ordered set of covered windows per
+/// pair in an ordered map. See trace_stats_test.cpp.
+[[nodiscard]] std::vector<NodePair> frequentContactPairsReference(
+    const ContactTrace& trace, Duration period);
+
+}  // namespace trace
 }  // namespace hdtn

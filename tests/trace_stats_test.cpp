@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/util/random.hpp"
+#include "tests/reference_oracles.hpp"
+
 namespace hdtn::trace {
 namespace {
 
@@ -114,6 +119,67 @@ TEST(FrequentContactLists, SymmetricAndSorted) {
 TEST(FrequentContacts, EmptyTraceNoPairs) {
   ContactTrace t("t", 5);
   EXPECT_TRUE(frequentContactPairs(t, kDay).empty());
+}
+
+// Random traces against the map-of-sets reference: cliques of 2-48
+// members, contacts straddling up to three window boundaries, a trailing
+// partial window of any length, contacts in arrival order or sorted, and
+// 1-150 windows (so more than one 64-bit word of window bits). Each trace
+// has a regular group meeting in every window, so frequent pairs exist,
+// and some of its meetings are dropped, so near misses exist too.
+TEST(FrequentContacts, MatchesMapReferenceOnRandomTraces) {
+  Rng rng(0xF8E0u);
+  std::size_t frequentSeen = 0;
+  bool multiWordSeen = false;
+  for (int trial = 0; trial < 120; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const auto nodes = static_cast<std::uint32_t>(rng.uniformInt(2, 60));
+    const Duration period = rng.uniformInt(50, 5000);
+    const auto fullWindows = rng.uniformInt(1, 150);
+    const SimTime span = fullWindows * period + rng.uniformInt(0, period - 1);
+    multiWordSeen = multiWordSeen || fullWindows > 64;
+    std::vector<std::uint32_t> all(nodes);
+    for (std::uint32_t i = 0; i < nodes; ++i) all[i] = i;
+    const auto randomClique = [&](std::size_t size) {
+      rng.shuffle(all);
+      std::vector<NodeId> members;
+      for (std::size_t i = 0; i < size; ++i) members.emplace_back(all[i]);
+      return members;
+    };
+    ContactTrace t("t", nodes);
+    const auto add = [&](SimTime start, SimTime end,
+                         std::vector<NodeId> members) {
+      Contact c;
+      c.start = start;
+      c.end = std::min(end, span);
+      c.members = std::move(members);
+      t.addContact(std::move(c));
+    };
+    const auto maxClique = static_cast<std::int64_t>(std::min(nodes, 48u));
+    const std::vector<NodeId> group = randomClique(
+        static_cast<std::size_t>(rng.uniformInt(2, std::min<std::int64_t>(
+                                                       maxClique, 8))));
+    for (std::int64_t w = 0; w * period < span; ++w) {
+      if (rng.chance(0.05)) continue;  // a near miss for the whole group
+      const SimTime start = w * period + rng.uniformInt(0, period - 1);
+      add(start, start + rng.uniformInt(1, period), group);
+    }
+    const auto contacts = rng.uniformInt(0, 40);
+    for (std::int64_t i = 0; i < contacts; ++i) {
+      const SimTime start = rng.uniformInt(0, span - 1);
+      const SimTime length = rng.uniformInt(1, 3 * period);
+      add(start, start + length,
+          randomClique(static_cast<std::size_t>(rng.uniformInt(2, maxClique))));
+    }
+    if (rng.chance(0.5)) t.sortByStart();
+    for (const Duration p : {period, period / 2 + 1, 3 * period}) {
+      const auto expected = frequentContactPairsReference(t, p);
+      ASSERT_EQ(frequentContactPairs(t, p), expected) << "period " << p;
+      frequentSeen += expected.size();
+    }
+  }
+  EXPECT_GT(frequentSeen, 0u);
+  EXPECT_TRUE(multiWordSeen);
 }
 
 }  // namespace
