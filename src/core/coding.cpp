@@ -5,12 +5,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#if defined(__x86_64__) || defined(__i386__)
-#define HDTN_CODING_X86 1
-#include <cpuid.h>
-#include <immintrin.h>
-#endif
-
 namespace hdtn::core::coding {
 
 namespace {
@@ -28,112 +22,26 @@ constexpr std::uint8_t mulBitwise(std::uint32_t a, std::uint32_t b) {
   return static_cast<std::uint8_t>(acc);
 }
 
-// The row kernels' product tables, computed at compile time.
-struct ProductTables {
-  /// nibble[c][0][x] = c * x and nibble[c][1][x] = c * (x << 4), x < 16:
-  /// since c * b = c * (b & 15) ^ c * (b & 240), two PSHUFB lookups
-  /// multiply 16 bytes.
-  alignas(16) std::uint8_t nibble[256][2][16];
-  /// row[c][b] = c * b.
-  std::uint8_t row[256][256];
+// Every product and every inverse, computed at compile time.
+struct FieldTables {
+  /// product[c][b] = c * b; the row kernel reads the row of its factor.
+  std::uint8_t product[256][256];
+  /// inverse[a] * a = 1 for a != 0; inverse[0] is unused.
+  std::uint8_t inverse[256];
 };
 
-constexpr ProductTables buildProductTables() {
-  ProductTables t{};
-  for (std::uint32_t c = 0; c < 256; ++c) {
-    for (std::uint32_t b = 0; b < 256; ++b) t.row[c][b] = mulBitwise(c, b);
-    for (std::uint32_t x = 0; x < 16; ++x) {
-      t.nibble[c][0][x] = t.row[c][x];
-      t.nibble[c][1][x] = t.row[c][x << 4];
+constexpr FieldTables buildFieldTables() {
+  FieldTables t{};
+  for (std::uint32_t a = 0; a < 256; ++a) {
+    for (std::uint32_t b = 0; b < 256; ++b) {
+      t.product[a][b] = mulBitwise(a, b);
+      if (t.product[a][b] == 1) t.inverse[a] = static_cast<std::uint8_t>(b);
     }
   }
   return t;
 }
 
-constexpr ProductTables kProducts = buildProductTables();
-
-[[gnu::always_inline]] inline void mulAddBytes(std::uint8_t* dst,
-                                               const std::uint8_t* src,
-                                               std::uint8_t c, std::size_t n) {
-  const std::uint8_t* product = kProducts.row[c];
-  for (std::size_t i = 0; i < n; ++i) dst[i] ^= product[src[i]];
-}
-
-#ifdef HDTN_CODING_X86
-
-[[gnu::target("ssse3")]] void mulAddSsse3(std::uint8_t* dst,
-                                          const std::uint8_t* src,
-                                          std::uint8_t c, std::size_t n) {
-  const __m128i lo =
-      _mm_load_si128(reinterpret_cast<const __m128i*>(kProducts.nibble[c][0]));
-  const __m128i hi =
-      _mm_load_si128(reinterpret_cast<const __m128i*>(kProducts.nibble[c][1]));
-  const __m128i lowNibbles = _mm_set1_epi8(0x0f);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i s =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    const __m128i product = _mm_xor_si128(
-        _mm_shuffle_epi8(lo, _mm_and_si128(s, lowNibbles)),
-        _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(s, 4), lowNibbles)));
-    __m128i* d = reinterpret_cast<__m128i*>(dst + i);
-    _mm_storeu_si128(d, _mm_xor_si128(_mm_loadu_si128(d), product));
-  }
-  mulAddBytes(dst + i, src + i, c, n - i);
-}
-
-std::string_view missingCpuFeature() {
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return "CPUID leaf 1";
-  if ((ecx & (1u << 9)) == 0) return "SSSE3 (CPUID leaf 1 ECX bit 9)";
-  return {};
-}
-
-#else
-
-std::string_view missingCpuFeature() { return "SSSE3 (not an x86 build)"; }
-
-#endif  // HDTN_CODING_X86
-
-using RowKernel = void (*)(std::uint8_t*, const std::uint8_t*, std::uint8_t,
-                           std::size_t);
-
-// Chosen once per process, on the first row operation.
-RowKernel rowKernel() {
-#ifdef HDTN_CODING_X86
-  static const RowKernel kernel = detail::rowKernelMissing().empty()
-                                      ? mulAddSsse3
-                                      : detail::mulAddRowPortable;
-  return kernel;
-#else
-  return detail::mulAddRowPortable;
-#endif
-}
-
-struct GfTables {
-  // exp is doubled so gfMul can add logs without a mod-255 reduction.
-  std::uint8_t exp[510];
-  std::uint8_t log[256];
-};
-
-GfTables buildTables() {
-  GfTables t{};
-  std::uint32_t v = 1;
-  for (int i = 0; i < 255; ++i) {
-    t.exp[i] = static_cast<std::uint8_t>(v);
-    t.exp[i + 255] = static_cast<std::uint8_t>(v);
-    t.log[v] = static_cast<std::uint8_t>(i);
-    v <<= 1;  // multiply by the generator alpha = 2
-    if (v & 0x100) v ^= kPoly;
-  }
-  t.log[0] = 0;  // unused; gfMul never looks up log[0]
-  return t;
-}
-
-const GfTables& tables() {
-  static const GfTables t = buildTables();
-  return t;
-}
+constexpr FieldTables kField = buildFieldTables();
 
 /// SplitMix64 — self-contained so coefficient expansion does not depend on
 /// the engine's Rng and can be reproduced from a wire-carried seed alone.
@@ -148,9 +56,7 @@ std::uint64_t splitMix64(std::uint64_t& state) {
 }  // namespace
 
 std::uint8_t gfMul(std::uint8_t a, std::uint8_t b) {
-  if (a == 0 || b == 0) return 0;
-  const GfTables& t = tables();
-  return t.exp[t.log[a] + t.log[b]];
+  return kField.product[a][b];
 }
 
 std::uint8_t gfMulSlow(std::uint8_t a, std::uint8_t b) {
@@ -159,8 +65,7 @@ std::uint8_t gfMulSlow(std::uint8_t a, std::uint8_t b) {
 
 std::uint8_t gfInv(std::uint8_t a) {
   assert(a != 0 && "gfInv(0) is undefined");
-  const GfTables& t = tables();
-  return t.exp[255 - t.log[a]];
+  return kField.inverse[a];
 }
 
 std::uint8_t gfDiv(std::uint8_t a, std::uint8_t b) {
@@ -170,29 +75,10 @@ std::uint8_t gfDiv(std::uint8_t a, std::uint8_t b) {
 
 namespace detail {
 
-void mulAddRowPortable(std::uint8_t* dst, const std::uint8_t* src,
-                       std::uint8_t c, std::size_t n) {
-  mulAddBytes(dst, src, c, n);
-}
-
-bool mulAddRowSsse3(std::uint8_t* dst, const std::uint8_t* src,
-                    std::uint8_t c, std::size_t n) {
-#ifdef HDTN_CODING_X86
-  if (!rowKernelMissing().empty()) return false;
-  mulAddSsse3(dst, src, c, n);
-  return true;
-#else
-  (void)dst;
-  (void)src;
-  (void)c;
-  (void)n;
-  return false;
-#endif
-}
-
-std::string_view rowKernelMissing() {
-  static const std::string_view missing = missingCpuFeature();
-  return missing;
+void mulAddRow(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
+               std::size_t n) {
+  const std::uint8_t* product = kField.product[c];
+  for (std::size_t i = 0; i < n; ++i) dst[i] ^= product[src[i]];
 }
 
 }  // namespace detail
@@ -225,8 +111,7 @@ GenerationDecoder::GenerationDecoder(std::uint32_t generationSize,
                                      std::uint32_t payloadBytes)
     : k_(generationSize),
       payloadBytes_(payloadBytes),
-      pivot_(generationSize, kNoPivot),
-      scratch_(static_cast<std::size_t>(generationSize) + payloadBytes) {
+      pivot_(generationSize, kNoPivot) {
   if (generationSize == 0) {
     throw std::invalid_argument("GenerationDecoder: empty generation");
   }
@@ -251,6 +136,7 @@ bool GenerationDecoder::addFrame(std::span<const std::uint8_t> coefficients,
     ++degenerateFrames_;
     return false;
   }
+  scratch_.resize(static_cast<std::size_t>(k_) + payloadBytes_);
   std::copy(coefficients.begin(), coefficients.end(), scratch_.begin());
   std::copy(payload.begin(), payload.end(), scratch_.begin() + k_);
   return fold(polluted, origin);
@@ -261,6 +147,7 @@ bool GenerationDecoder::addSourcePiece(std::uint32_t piece,
   if (piece >= k_ || payload.size() != payloadBytes_) {
     throw std::invalid_argument("GenerationDecoder: bad source piece");
   }
+  scratch_.resize(static_cast<std::size_t>(k_) + payloadBytes_);
   std::fill_n(scratch_.begin(), k_, std::uint8_t{0});
   scratch_[piece] = 1;
   std::copy(payload.begin(), payload.end(), scratch_.begin() + k_);
@@ -268,7 +155,6 @@ bool GenerationDecoder::addSourcePiece(std::uint32_t piece,
 }
 
 bool GenerationDecoder::fold(bool polluted, std::uint32_t origin) {
-  const RowKernel mulAdd = rowKernel();
   std::uint8_t* coeffs = scratch_.data();
   std::uint8_t* data = coeffs + k_;
   // A frame is tainted when it arrived polluted or when elimination mixes
@@ -280,9 +166,9 @@ bool GenerationDecoder::fold(bool polluted, std::uint32_t origin) {
     if (factor == 0 || pivot_[col] == kNoPivot) continue;
     const std::uint32_t prow = pivot_[col];
     if (flags_[prow].tainted) tainted = true;
-    mulAdd(coeffs, rowCoeffs(prow), factor, k_);
+    detail::mulAddRow(coeffs, rowCoeffs(prow), factor, k_);
     if (payloadBytes_ != 0) {
-      mulAdd(data, rowPayload(prow), factor, payloadBytes_);
+      detail::mulAddRow(data, rowPayload(prow), factor, payloadBytes_);
     }
     ++rowOps_;
   }
@@ -301,8 +187,10 @@ bool GenerationDecoder::fold(bool polluted, std::uint32_t origin) {
   std::uint8_t* newData = rowPayload(newIndex);
   const std::uint8_t inv = gfInv(*lead);
   if (inv != 1) {
-    mulAdd(newCoeffs, coeffs, inv, k_);
-    if (payloadBytes_ != 0) mulAdd(newData, data, inv, payloadBytes_);
+    detail::mulAddRow(newCoeffs, coeffs, inv, k_);
+    if (payloadBytes_ != 0) {
+      detail::mulAddRow(newData, data, inv, payloadBytes_);
+    }
     ++rowOps_;
   } else {
     std::memcpy(newCoeffs, coeffs, k_);
@@ -315,9 +203,9 @@ bool GenerationDecoder::fold(bool polluted, std::uint32_t origin) {
     const std::uint8_t factor = row[pivotCol];
     if (factor == 0) continue;
     if (tainted) flags_[r].tainted = true;
-    mulAdd(row, newCoeffs, factor, k_);
+    detail::mulAddRow(row, newCoeffs, factor, k_);
     if (payloadBytes_ != 0) {
-      mulAdd(rowPayload(r), newData, factor, payloadBytes_);
+      detail::mulAddRow(rowPayload(r), newData, factor, payloadBytes_);
     }
     ++rowOps_;
   }
@@ -360,16 +248,16 @@ std::vector<std::uint8_t> GenerationDecoder::recodeCoefficients(
   // Mix over the stored (independent) rows: any nonzero mix of independent
   // rows is itself nonzero, so the recoded frame always carries information
   // from this node's subspace.
-  const RowKernel mulAdd = rowKernel();
   const std::vector<std::uint8_t> mix =
       sparseCoefficients(rank_, seed, sparsity);
   for (std::uint32_t i = 0; i < rank_; ++i) {
     const std::uint8_t factor = mix[i];
     if (factor == 0) continue;
     if (taintedOut != nullptr && flags_[i].tainted) *taintedOut = true;
-    mulAdd(out.data(), rowCoeffs(i), factor, k_);
+    detail::mulAddRow(out.data(), rowCoeffs(i), factor, k_);
     if (payloadOut != nullptr) {
-      mulAdd(payloadOut->data(), rowPayload(i), factor, payloadBytes_);
+      detail::mulAddRow(payloadOut->data(), rowPayload(i), factor,
+                        payloadBytes_);
     }
   }
   return out;
@@ -446,7 +334,6 @@ void GenerationDecoder::loadState(Deserializer& in) {
       throw SerializeError("GenerationDecoder: pivot out of range");
     }
   }
-  loaded.scratch_.resize(static_cast<std::size_t>(k) + payloadBytes);
   *this = std::move(loaded);
 }
 
@@ -475,11 +362,11 @@ std::vector<std::uint8_t> CodedEncoder::payloadFor(
   if (coefficients.size() != pieces_.size()) {
     throw std::invalid_argument("CodedEncoder: coefficient count mismatch");
   }
-  const RowKernel mulAdd = rowKernel();
   std::vector<std::uint8_t> payload(payloadBytes(), 0);
   for (std::size_t i = 0; i < pieces_.size(); ++i) {
     if (coefficients[i] == 0) continue;
-    mulAdd(payload.data(), pieces_[i].data(), coefficients[i], payload.size());
+    detail::mulAddRow(payload.data(), pieces_[i].data(), coefficients[i],
+                      payload.size());
   }
   return payload;
 }

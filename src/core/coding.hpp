@@ -17,7 +17,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "src/util/serialize.hpp"
@@ -27,7 +26,7 @@ namespace hdtn::core::coding {
 // --- GF(2^8) field arithmetic -------------------------------------------
 // The field is GF(2)[x] / (x^8 + x^4 + x^3 + x^2 + 1), i.e. the classic
 // Reed-Solomon polynomial 0x11d, with generator alpha = 2. Multiplication
-// and inversion go through log/antilog tables built once at first use.
+// and inversion read product and inverse tables computed at compile time.
 
 /// Addition and subtraction coincide (characteristic 2).
 [[nodiscard]] constexpr std::uint8_t gfAdd(std::uint8_t a, std::uint8_t b) {
@@ -46,31 +45,15 @@ namespace hdtn::core::coding {
 /// a / b; `b` must be nonzero.
 [[nodiscard]] std::uint8_t gfDiv(std::uint8_t a, std::uint8_t b);
 
-// --- row kernels --------------------------------------------------------
-// Every row operation of elimination, recoding and encoding is one call
-// `dst[i] ^= c * src[i]` for i < n. Two kernels compute it byte for byte
-// alike: a portable one, and an SSSE3 one that multiplies 16 bytes per
-// step. The library picks the SSSE3 kernel once per process when CPUID
-// reports SSSE3, and the portable one otherwise; nothing else selects.
+// --- row kernel ---------------------------------------------------------
 
 namespace detail {
 
-/// The portable kernel: one lookup per byte in the 256-byte product row
-/// of `c`. The reference for the vector kernel, and the only kernel off
-/// x86.
-void mulAddRowPortable(std::uint8_t* dst, const std::uint8_t* src,
-                       std::uint8_t c, std::size_t n);
-
-/// The SSSE3 split-nibble kernel: two PSHUFB lookups in 16-entry product
-/// tables per 16 bytes, the portable kernel for the last n % 16. Returns
-/// false, leaving `dst` untouched, when this CPU cannot run it (see
-/// rowKernelMissing).
-bool mulAddRowSsse3(std::uint8_t* dst, const std::uint8_t* src,
-                    std::uint8_t c, std::size_t n);
-
-/// The CPUID feature the SSSE3 kernel needs and this CPU lacks, e.g.
-/// "SSSE3 (CPUID leaf 1 ECX bit 9)"; empty when the kernel runs here.
-[[nodiscard]] std::string_view rowKernelMissing();
+/// `dst[i] ^= c * src[i]` for i < n. Every row operation of elimination,
+/// recoding and encoding is one call: it reads the 256-byte product row of
+/// `c` once, then does one table load per byte.
+void mulAddRow(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,
+               std::size_t n);
 
 }  // namespace detail
 
@@ -214,6 +197,9 @@ class GenerationDecoder {
   std::vector<RowFlags> flags_;       ///< one per row
   std::vector<std::uint32_t> pivot_;  ///< column -> row index (kNoPivot)
   /// The frame being folded: k_ coefficients, then payloadBytes_ bytes.
+  /// Sized by addFrame/addSourcePiece, whose caller holds a payload of
+  /// that size, never by loadState: a checkpoint's payloadBytes is not
+  /// bounded by the bytes that carry it when the rank is 0.
   std::vector<std::uint8_t> scratch_;
   static constexpr std::uint32_t kNoPivot = 0xffffffffu;
 };
