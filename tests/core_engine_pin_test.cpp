@@ -2,7 +2,9 @@
 // broadcasts, pairwise transfers and coded frames, each under a fault mix
 // with recovery on, with and without a Byzantine adversary, with and without
 // the defense. One more broadcast run re-estimates popularity every day, so
-// holders of a file carry different snapshots of its record. A run's digest
+// holders of a file carry different snapshots of its record. Two more
+// broadcast runs schedule with tit-for-tat and with popularity-only
+// rarest-first instead of the cooperative coordinator. A run's digest
 // is the SHA-1 of its JSONL event stream, every EngineTotals word and the
 // four delivery reports, so any change to a draw, a counter or an event in
 // any delivery path changes it.
@@ -81,6 +83,10 @@ struct PinCase {
   bool observedPopularity = false;
   // Pieces per file, the generation size k of the coded cases.
   std::uint32_t piecesPerFile = 4;
+  // Discovery and broadcast download scheduling, and the push order of the
+  // broadcast download planners.
+  Scheduling scheduling = Scheduling::kCooperative;
+  PushOrder pushOrder = PushOrder::kPopularity;
 };
 
 EngineParams pinParams(const PinCase& c) {
@@ -94,6 +100,8 @@ EngineParams pinParams(const PinCase& c) {
   p.frequentContactPeriod = kDay;
   p.seed = 11;
   p.useObservedPopularity = c.observedPopularity;
+  p.protocol.scheduling = c.scheduling;
+  p.pushOrder = c.pushOrder;
   p.faults.messageLossRate = 0.25;
   p.faults.contactTruncationRate = 0.2;
   p.faults.pieceCorruptionRate = 0.15;
@@ -258,6 +266,19 @@ const PinCase kPinCases[] = {
     {"CodedMbtQmDefendedK16", DownloadMode::kCoded, ProtocolKind::kMbtQm,
      Mix::kDefended, "77951b98e49fea357d28ffb6e3cae14d476a5e52",
      169576, "67b789495dc67dc7823126a3a14675821efb52d2", false, 16},
+    // The tit-for-tat and popularity-only (rarest-first) broadcast planners;
+    // every case above plans cooperatively. Both pins were captured before
+    // the download candidates were flattened.
+    {"BroadcastMbtTitForTatFaults", DownloadMode::kBroadcast,
+     ProtocolKind::kMbt, Mix::kFaults,
+     "a4845e6e0cd62b9d8ae51929bd60b65616ecd7a5", 268585,
+     "41d7c7747288aaa0ce0ae3b7e4108df9fad08a8e", false, 4,
+     Scheduling::kTitForTat},
+    {"BroadcastMbtPopularityRarestFaults", DownloadMode::kBroadcast,
+     ProtocolKind::kMbt, Mix::kFaults,
+     "fefa1644f053d6e7e07a00975ccb6014c8487143", 268088,
+     "edf7d432f8b49842d00adb287240041bf03f2b9d", false, 4,
+     Scheduling::kPopularityOnly, PushOrder::kRarestFirst},
 };
 
 INSTANTIATE_TEST_SUITE_P(Matrix, EnginePin, testing::ValuesIn(kPinCases),
