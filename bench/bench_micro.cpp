@@ -9,6 +9,7 @@
 #include "src/core/coding.hpp"
 #include "src/core/discovery.hpp"
 #include "src/core/download.hpp"
+#include "src/core/download_planner.hpp"
 #include "src/core/engine.hpp"
 #include "src/core/file_catalog.hpp"
 #include "src/core/internet.hpp"
@@ -198,9 +199,15 @@ void BM_MetadataStoreViews(benchmark::State& state) {
 }
 BENCHMARK(BM_MetadataStoreViews);
 
-void BM_PlanDownload(benchmark::State& state) {
+// Plans one cooperative broadcast download with stores sized like day 3 of
+// the city-sharded workload: 40 live files of one piece each, every member
+// holding about a quarter of them (city-sharded ends day 3 at 9.2 piece
+// files per node) and half the members wanting one file they lack, with
+// that workload's budget of two pieces. One scratch serves every plan, as
+// in the engine. Argument: clique members.
+void BM_DownloadPlan(benchmark::State& state) {
   const auto members = static_cast<std::size_t>(state.range(0));
-  InternetServices internet = makeCatalog(150);
+  InternetServices internet = makeCatalog(40);
   Rng rng(11);
   std::vector<PieceStore> stores(members);
   std::vector<CreditLedger> ledgers(members);
@@ -209,27 +216,38 @@ void BM_PlanDownload(benchmark::State& state) {
   std::vector<DownloadPeer> peers;
   for (std::size_t i = 0; i < members; ++i) {
     for (FileId f : internet.catalog().allFiles()) {
-      if (!rng.chance(0.3)) continue;
+      if (!rng.chance(0.25)) continue;
       stores[i].registerFile(f, 1);
       stores[i].addPiece(f, 0);
+    }
+    const FileId want(static_cast<std::uint32_t>(rng.pickIndex(40)));
+    if (rng.chance(0.5) && !stores[i].hasPiece(want, 0)) {
+      wantedStorage[i] = {want};
     }
     DownloadPeer peer;
     peer.id = NodeId(static_cast<std::uint32_t>(i));
     peer.pieces = &stores[i];
-    wantedStorage[i] = {FileId(static_cast<std::uint32_t>(rng.pickIndex(150)))};
     peer.wanted = wantedStorage[i];
     peer.credits = &ledgers[i];
     peers.push_back(std::move(peer));
   }
-  const auto popularityOf = [&internet](FileId f) {
+  const PopularityFn popularityOf = [&internet](FileId f) {
     return internet.catalog().find(f)->popularity;
   };
+  DownloadScratch scratch;
+  DownloadRequest request;
+  request.peers = peers;
+  request.popularityOf = &popularityOf;
+  request.budgetPieces = 2;
+  request.scratch = &scratch;
+  const DownloadPlanner& planner =
+      *downloadModeInfo(DownloadMode::kBroadcast, Scheduling::kCooperative)
+           .planner;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        planDownload(peers, popularityOf, 10, Scheduling::kCooperative));
+    benchmark::DoNotOptimize(planner.plan(request));
   }
 }
-BENCHMARK(BM_PlanDownload)->Arg(2)->Arg(8)->Arg(20);
+BENCHMARK(BM_DownloadPlan)->Arg(2)->Arg(8)->Arg(70);
 
 void BM_CodecMetadataRoundTrip(benchmark::State& state) {
   InternetServices internet = makeCatalog(1);

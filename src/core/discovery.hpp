@@ -15,6 +15,8 @@
 //   only starved of *targeted* service.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <string>
@@ -74,13 +76,65 @@ struct MetadataBroadcast {
   int phase = 1;
 };
 
+/// Working arrays of planDiscovery, reused from contact to contact so that
+/// candidate grouping allocates nothing once they have grown. The Engine
+/// owns one and passes it with every call; the contents mean nothing
+/// between calls.
+struct DiscoveryScratch {
+  /// One record in one member's store; a clique's records merge into
+  /// (file, member) order.
+  struct Held {
+    FileId file;
+    std::uint32_t member = 0;  ///< index into the peers span
+    const Metadata* record = nullptr;
+  };
+  /// A record some contributing member holds and some member lacks.
+  struct Candidate {
+    const Metadata* metadata = nullptr;
+    /// Requesters (lackers with a matching query, in member order):
+    /// requesters[requesterBegin, +requesterCount).
+    std::uint32_t requesterBegin = 0;
+    std::uint32_t requesterCount = 0;
+  };
+  /// One tit-for-tat heap item: a sender's weight for one candidate.
+  struct Ranked {
+    double weight = 0.0;
+    FileId file;  // denormalized so tie-breaking needs no pointer chase
+    std::uint32_t candidate = 0;
+  };
+
+  std::vector<Held> held;
+  std::vector<Held> mergeBuffer;
+  std::vector<std::size_t> runs;
+  std::vector<Candidate> candidates;
+  /// Contributing-holder bitmask of candidate c: words
+  /// [c * rowWords, (c + 1) * rowWords), bit i = peers[i].
+  std::vector<std::uint64_t> holderRows;
+  std::size_t rowWords = 0;
+  std::vector<NodeId> requesters;
+  /// One record's holder and contributor rows while grouping.
+  std::vector<std::uint64_t> groupRows;
+  /// Per member, its tokenized queries and, per query, the keywordHash of
+  /// each token.
+  std::vector<const std::vector<std::vector<std::string>>*> tokens;
+  std::vector<std::vector<std::vector<std::uint64_t>>> tokenHashes;
+  std::vector<std::uint32_t> order;
+  // Tit-for-tat: per-sender heaps over one flat array.
+  std::vector<std::size_t> offset;
+  std::vector<std::size_t> cursor;
+  std::vector<Ranked> ranked;
+  std::vector<std::uint64_t> sent;
+};
+
 /// Plans up to `budget` broadcasts for one contact. Each record is broadcast
 /// at most once (after a broadcast every member holds it). Deterministic in
 /// its inputs. When an observer is attached, emits one kDiscoveryPlanned
 /// event per invocation timestamped at `now` (extra = planned broadcasts,
-/// value = budget), exposing budget- vs supply-limited contacts.
+/// value = budget), exposing budget- vs supply-limited contacts. `scratch`,
+/// when given, supplies the working arrays.
 [[nodiscard]] std::vector<MetadataBroadcast> planDiscovery(
     std::span<const DiscoveryPeer> peers, int budget, Scheduling scheduling,
-    obs::EngineObserver* observer = nullptr, SimTime now = 0);
+    obs::EngineObserver* observer = nullptr, SimTime now = 0,
+    DiscoveryScratch* scratch = nullptr);
 
 }  // namespace hdtn::core

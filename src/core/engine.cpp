@@ -873,8 +873,9 @@ void Engine::runDiscoveryPhase(const std::vector<Node*>& members, SimTime now,
     peers.push_back(std::move(peer));
   }
 
-  const auto plan = planDiscovery(peers, metadataBudget,
-                                  params_.protocol.scheduling, observer_, now);
+  const auto plan =
+      planDiscovery(peers, metadataBudget, params_.protocol.scheduling,
+                    observer_, now, &discoveryScratch_);
   totals_.metadataBroadcasts += plan.size();
 
   // Each broadcast hands receivers the planned record's object. That is the
@@ -1415,6 +1416,7 @@ void Engine::runDownloadPhase(const std::vector<Node*>& members, SimTime now,
   request.coded = params_.coded;
   request.observer = observer_;
   request.now = now;
+  request.scratch = &downloadScratch_;
   DownloadPlan plan = planner_->plan(request);
 
   // Coordinator abuse: the broadcast schedulings with a coordinator (the
@@ -1699,14 +1701,9 @@ void Engine::runRepairPhase(const std::vector<Node*>& members, SimTime now,
       for (const Metadata* md : receiver.metadata().all()) {
         summary.insert(SummaryVector::metadataKey(md->file));
       }
-      for (FileId file : receiver.pieces().files()) {
-        const std::uint32_t count = receiver.pieces().pieceCount(file);
-        for (std::uint32_t p = 0; p < count; ++p) {
-          if (receiver.pieces().hasPiece(file, p)) {
-            summary.insert(SummaryVector::pieceKey(file, p));
-          }
-        }
-      }
+      receiver.pieces().forEachHeldPiece([&](FileId file, std::uint32_t p) {
+        summary.insert(SummaryVector::pieceKey(file, p));
+      });
     }
     for (Node* senderPtr : members) {
       if (budget <= 0) break;

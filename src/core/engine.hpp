@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/core/download.hpp"
+#include "src/core/download_planner.hpp"
 #include "src/core/internet.hpp"
 #include "src/faults/adversary.hpp"
 #include "src/faults/faults.hpp"
@@ -42,7 +43,6 @@ namespace hdtn::core {
 
 struct EngineCaches;     // internal per-run caches (engine.cpp)
 struct CodedEngineState;  // RLNC decoders + coded RNG stream (engine.cpp)
-class DownloadPlanner;    // src/core/download_planner.hpp
 
 struct EngineParams {
   ProtocolConfig protocol;
@@ -574,6 +574,10 @@ class Engine {
   /// Per-contact scratch: the member views one contact (or one access
   /// sync) asks for repeatedly. Owned by this engine alone.
   ContactViews views_;
+  /// The discovery and download planners' working arrays, reused from
+  /// contact to contact. Owned by this engine alone, like views_.
+  DiscoveryScratch discoveryScratch_;
+  DownloadScratch downloadScratch_;
   sim::Simulator sim_;
   obs::EngineObserver* observer_ = nullptr;
   /// Files whose expiry was already evented (advanced at publish instants).

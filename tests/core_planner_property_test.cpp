@@ -4,12 +4,15 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
+#include <ranges>
 #include <set>
 #include <unordered_set>
 #include <utility>
 
 #include "src/core/discovery.hpp"
 #include "src/core/download.hpp"
+#include "src/core/download_planner.hpp"
 #include "src/core/internet.hpp"
 #include "src/net/codec.hpp"
 #include "src/util/random.hpp"
@@ -211,14 +214,23 @@ class PlannerEquivalenceSweep : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(PlannerEquivalenceSweep, OptimizedMatchesReferenceAllSchedulings) {
   const std::uint64_t seed = GetParam();
-  for (const Scheduling scheduling :
-       {Scheduling::kCooperative, Scheduling::kTitForTat,
-        Scheduling::kPopularityOnly}) {
-    RandomFixture fx(seed, 10, 50);
-    for (const int budget : {1, 5, 12, 1000}) {
-      expectPlansIdentical(
-          planDiscovery(fx.discoveryPeers, budget, scheduling),
-          planDiscoveryReference(fx.discoveryPeers, budget, scheduling));
+  // Past 64 members a holder row spans several words.
+  for (const std::size_t members : {10, 63, 64, 65, 130}) {
+    // One scratch across every call, as the engine reuses its own.
+    DiscoveryScratch scratch;
+    for (const Scheduling scheduling :
+         {Scheduling::kCooperative, Scheduling::kTitForTat,
+          Scheduling::kPopularityOnly}) {
+      RandomFixture fx(seed, members, 50);
+      for (const int budget : {1, 5, 12, 1000}) {
+        const auto reference =
+            planDiscoveryReference(fx.discoveryPeers, budget, scheduling);
+        expectPlansIdentical(
+            planDiscovery(fx.discoveryPeers, budget, scheduling), reference);
+        expectPlansIdentical(planDiscovery(fx.discoveryPeers, budget,
+                                           scheduling, nullptr, 0, &scratch),
+                             reference);
+      }
     }
   }
 }
@@ -254,6 +266,159 @@ TEST_P(PlannerEquivalenceSweep, OptimizedMatchesReferenceWithRefusals) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlannerEquivalenceSweep,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+// A download-planner fixture for the equivalence sweep: distinct member ids
+// in no particular order, members without a store, free riders, empty and
+// unsorted want lists with repeats, popularity ties and 1..maxPieces pieces
+// per file.
+struct DownloadFixture {
+  std::vector<PieceStore> stores;
+  std::vector<CreditLedger> ledgers;
+  std::vector<std::vector<FileId>> wanted;
+  std::vector<DownloadPeer> peers;
+  std::vector<double> popularity;
+
+  DownloadFixture(std::uint64_t seed, std::size_t members, int files,
+                  std::uint32_t maxPieces) {
+    Rng rng(seed);
+    std::vector<std::uint32_t> pieceCounts;
+    for (int f = 0; f < files; ++f) {
+      pieceCounts.push_back(
+          1 + static_cast<std::uint32_t>(rng.pickIndex(maxPieces)));
+      popularity.push_back(rng.chance(0.5)
+                               ? static_cast<double>(rng.pickIndex(3)) / 4.0
+                               : rng.uniform());
+    }
+    std::vector<std::uint32_t> ids(members);
+    for (std::size_t i = 0; i < members; ++i) {
+      ids[i] = static_cast<std::uint32_t>(7 * i + 3);
+    }
+    rng.shuffle(ids);
+    stores.resize(members);
+    ledgers.resize(members);
+    wanted.resize(members);
+    const double holdRate = rng.uniform(0.1, 0.9);
+    for (std::size_t i = 0; i < members; ++i) {
+      for (int f = 0; f < files; ++f) {
+        if (!rng.chance(0.5)) continue;
+        const FileId file(static_cast<std::uint32_t>(f));
+        stores[i].registerFile(file, pieceCounts[f]);
+        for (std::uint32_t p = 0; p < pieceCounts[f]; ++p) {
+          if (rng.chance(holdRate)) stores[i].addPiece(file, p);
+        }
+      }
+      if (rng.chance(0.75)) {
+        for (int f = 0; f < files; ++f) {
+          if (rng.chance(0.2)) {
+            wanted[i].push_back(FileId(static_cast<std::uint32_t>(f)));
+          }
+        }
+        if (!wanted[i].empty() && rng.chance(0.3)) {
+          wanted[i].push_back(wanted[i].front());
+          rng.shuffle(wanted[i]);
+        }
+      }
+      for (std::size_t p = 0; p < members; ++p) {
+        ledgers[i].addCredit(NodeId(ids[p]), rng.uniform(0.0, 5.0));
+      }
+    }
+    for (std::size_t i = 0; i < members; ++i) {
+      DownloadPeer peer;
+      peer.id = NodeId(ids[i]);
+      peer.pieces = rng.chance(0.1) ? nullptr : &stores[i];
+      peer.wanted = wanted[i];
+      peer.credits = rng.chance(0.9) ? &ledgers[i] : nullptr;
+      peer.contributes = rng.chance(0.8);
+      peers.push_back(std::move(peer));
+    }
+  }
+
+  [[nodiscard]] PopularityFn popularityFn() const {
+    return [this](FileId f) {
+      return f.value < popularity.size() ? popularity[f.value] : 0.0;
+    };
+  }
+};
+
+void expectDownloadPlansIdentical(const DownloadPlan& optimized,
+                                  const DownloadPlan& reference) {
+  ASSERT_EQ(optimized.size(), reference.size());
+  for (std::size_t i = 0; i < optimized.size(); ++i) {
+    EXPECT_EQ(optimized[i].sender, reference[i].sender) << "broadcast " << i;
+    EXPECT_EQ(optimized[i].file, reference[i].file) << "broadcast " << i;
+    EXPECT_EQ(optimized[i].piece, reference[i].piece) << "broadcast " << i;
+    EXPECT_EQ(optimized[i].phase, reference[i].phase) << "broadcast " << i;
+    EXPECT_TRUE(std::ranges::equal(optimized[i].requesters,
+                                   reference[i].requesters))
+        << "broadcast " << i;
+  }
+}
+
+struct DownloadEquivalenceCase {
+  std::size_t members;
+  int files;
+  std::uint32_t maxPieces;
+};
+
+void PrintTo(const DownloadEquivalenceCase& c, std::ostream* os) {
+  *os << c.members << " members, " << c.files << " files, up to "
+      << c.maxPieces << " pieces";
+}
+
+class DownloadPlannerEquivalence
+    : public ::testing::TestWithParam<DownloadEquivalenceCase> {};
+
+TEST_P(DownloadPlannerEquivalence, BroadcastPlannersMatchReference) {
+  const DownloadEquivalenceCase c = GetParam();
+  // One scratch across every call, as the engine reuses its own.
+  DownloadScratch scratch;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const DownloadFixture fx(seed * 131 + c.members, c.members, c.files,
+                             c.maxPieces);
+    const PopularityFn popularityOf = fx.popularityFn();
+    for (const Scheduling scheduling :
+         {Scheduling::kCooperative, Scheduling::kPopularityOnly,
+          Scheduling::kTitForTat}) {
+      for (const PushOrder pushOrder :
+           {PushOrder::kPopularity, PushOrder::kRarestFirst}) {
+        for (const int budget : {0, 1, 5, 1000}) {
+          SCOPED_TRACE(testing::Message()
+                       << "seed " << seed << " scheduling "
+                       << static_cast<int>(scheduling) << " push "
+                       << static_cast<int>(pushOrder) << " budget " << budget);
+          const DownloadPlan reference = planDownloadReference(
+              fx.peers, popularityOf, budget, scheduling, pushOrder);
+          expectDownloadPlansIdentical(
+              planDownload(fx.peers, popularityOf, budget, scheduling,
+                           pushOrder),
+              reference);
+          DownloadRequest request;
+          request.peers = fx.peers;
+          request.popularityOf = &popularityOf;
+          request.budgetPieces = budget;
+          request.pushOrder = pushOrder;
+          request.scratch = &scratch;
+          expectDownloadPlansIdentical(
+              downloadModeInfo(DownloadMode::kBroadcast, scheduling)
+                  .planner->plan(request),
+              reference);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Members, DownloadPlannerEquivalence,
+    ::testing::Values(DownloadEquivalenceCase{2, 12, 1},
+                      DownloadEquivalenceCase{3, 10, 70},
+                      DownloadEquivalenceCase{5, 20, 4},
+                      DownloadEquivalenceCase{8, 16, 9},
+                      DownloadEquivalenceCase{20, 12, 70},
+                      DownloadEquivalenceCase{63, 8, 5},
+                      DownloadEquivalenceCase{64, 6, 70},
+                      DownloadEquivalenceCase{65, 10, 3},
+                      DownloadEquivalenceCase{130, 5, 40}));
 
 // Codec round-trip over randomized hello messages.
 class CodecRoundTripSweep : public ::testing::TestWithParam<std::uint64_t> {};

@@ -10,6 +10,7 @@
 
 #include "src/core/query.hpp"
 #include "src/util/random.hpp"
+#include "src/util/string_util.hpp"
 
 namespace hdtn {
 namespace {
@@ -131,16 +132,97 @@ std::vector<std::vector<NodeId>> partitionIntoCliquesReference(
 
 namespace core {
 
+namespace {
+
+std::vector<MetadataBroadcast> planCooperativeDiscoveryReference(
+    std::span<const DiscoveryPeer> peers, int budget, bool useRequestPhase) {
+  // Member by member: the copy of the highest-index holder wins.
+  std::map<FileId, const Metadata*> records;
+  std::map<FileId, std::vector<std::size_t>> contributingHolders;
+  for (std::size_t i = 0; i < peers.size(); ++i) {
+    if (peers[i].store == nullptr) continue;
+    for (const Metadata* md : peers[i].store->all()) {
+      records[md->file] = md;
+      if (peers[i].contributes) contributingHolders[md->file].push_back(i);
+    }
+  }
+  struct Candidate {
+    const Metadata* md;
+    NodeId sender;
+    std::vector<NodeId> requesters;
+  };
+  std::vector<Candidate> candidates;
+  for (const auto& [file, md] : records) {
+    const std::vector<std::size_t>& holders = contributingHolders[file];
+    if (holders.empty()) continue;
+    Candidate cand{md, peers[holders.front()].id, {}};
+    for (std::size_t h : holders) cand.sender = std::min(cand.sender, peers[h].id);
+    bool anyLacker = false;
+    for (const DiscoveryPeer& peer : peers) {
+      if (peer.store != nullptr && peer.store->has(file)) continue;
+      if (peer.rejected != nullptr && peer.rejected->contains(file)) continue;
+      if (peer.distrustedSenders != nullptr &&
+          std::none_of(holders.begin(), holders.end(), [&](std::size_t h) {
+            return !peer.distrustedSenders->contains(peers[h].id);
+          })) {
+        continue;
+      }
+      anyLacker = true;
+      std::vector<std::vector<std::string>> tokens;
+      if (peer.tokenizedQueries != nullptr) {
+        tokens = *peer.tokenizedQueries;
+      } else {
+        for (const std::string& q : peer.queries) {
+          tokens.push_back(keywordTokens(q));
+        }
+      }
+      if (std::any_of(tokens.begin(), tokens.end(),
+                      [&](const std::vector<std::string>& queryTokens) {
+                        return queryTokensMatch(queryTokens, *md);
+                      })) {
+        cand.requesters.push_back(peer.id);
+      }
+    }
+    if (anyLacker) candidates.push_back(std::move(cand));
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [useRequestPhase](const Candidate& a, const Candidate& b) {
+              if (useRequestPhase &&
+                  a.requesters.size() != b.requesters.size()) {
+                return a.requesters.size() > b.requesters.size();
+              }
+              if (a.md->popularity != b.md->popularity) {
+                return a.md->popularity > b.md->popularity;
+              }
+              return a.md->file < b.md->file;
+            });
+  std::vector<MetadataBroadcast> plan;
+  for (const Candidate& cand : candidates) {
+    if (static_cast<int>(plan.size()) >= budget) break;
+    MetadataBroadcast b;
+    b.sender = cand.sender;
+    b.metadata = cand.md;
+    b.requesters = cand.requesters;
+    b.phase = cand.requesters.empty() ? 2 : 1;
+    plan.push_back(std::move(b));
+  }
+  return plan;
+}
+
+}  // namespace
+
 std::vector<MetadataBroadcast> planDiscoveryReference(
     std::span<const DiscoveryPeer> peers, int budget, Scheduling scheduling) {
-  if (scheduling != Scheduling::kTitForTat) {
-    return planDiscovery(peers, budget, scheduling);
-  }
   if (budget <= 0 || peers.size() < 2) return {};
+  if (scheduling != Scheduling::kTitForTat) {
+    return planCooperativeDiscoveryReference(
+        peers, budget, scheduling == Scheduling::kCooperative);
+  }
   // Every candidate record exactly once, with its requesters: an unbounded
   // cooperative plan.
-  const std::vector<MetadataBroadcast> candidates = planDiscovery(
-      peers, std::numeric_limits<int>::max(), Scheduling::kCooperative);
+  const std::vector<MetadataBroadcast> candidates =
+      planCooperativeDiscoveryReference(
+          peers, std::numeric_limits<int>::max(), /*useRequestPhase=*/true);
   // Senders take turns in the agreed cyclic order over the contributors.
   std::vector<NodeId> contributors;
   for (const DiscoveryPeer& peer : peers) {
@@ -191,6 +273,330 @@ std::vector<MetadataBroadcast> planDiscoveryReference(
     plan.push_back(std::move(broadcast));
   }
   return plan;
+}
+
+namespace {
+
+struct PieceKey {
+  FileId file;
+  std::uint32_t piece = 0;
+  friend auto operator<=>(const PieceKey&, const PieceKey&) = default;
+};
+
+struct DownloadCandidate {
+  PieceKey key;
+  Popularity popularity = 0.0;
+  std::vector<NodeId> holders;
+  std::vector<NodeId> lackers;
+  std::vector<NodeId> requesters;
+};
+
+std::vector<DownloadCandidate> collectDownloadCandidates(
+    std::span<const DownloadPeer> peers, const PopularityFn& popularityOf) {
+  // Union of every piece held by a contributing member.
+  std::map<PieceKey, DownloadCandidate> byKey;
+  for (const DownloadPeer& peer : peers) {
+    if (peer.pieces == nullptr || !peer.contributes) continue;
+    for (FileId file : peer.pieces->files()) {
+      const std::uint32_t count = peer.pieces->pieceCount(file);
+      for (std::uint32_t p = 0; p < count; ++p) {
+        if (!peer.pieces->hasPiece(file, p)) continue;
+        auto& cand = byKey[PieceKey{file, p}];
+        cand.key = PieceKey{file, p};
+        cand.holders.push_back(peer.id);
+      }
+    }
+  }
+  std::vector<DownloadCandidate> out;
+  out.reserve(byKey.size());
+  for (auto& [key, cand] : byKey) {
+    cand.popularity = popularityOf(key.file);
+    for (const DownloadPeer& peer : peers) {
+      if (peer.pieces != nullptr &&
+          peer.pieces->hasPiece(key.file, key.piece)) {
+        continue;
+      }
+      cand.lackers.push_back(peer.id);
+      const bool wants = std::find(peer.wanted.begin(), peer.wanted.end(),
+                                   key.file) != peer.wanted.end();
+      if (wants) cand.requesters.push_back(peer.id);
+    }
+    if (cand.lackers.empty()) continue;
+    out.push_back(std::move(cand));
+  }
+  return out;
+}
+
+DownloadPlan publishDownloadBroadcasts(
+    std::span<const std::pair<NodeId, const DownloadCandidate*>> selected) {
+  DownloadPlan plan;
+  for (const auto& [sender, cand] : selected) {
+    plan.requesterPool.insert(plan.requesterPool.end(),
+                              cand->requesters.begin(),
+                              cand->requesters.end());
+  }
+  std::size_t offset = 0;
+  for (const auto& [sender, cand] : selected) {
+    PieceBroadcast b;
+    b.sender = sender;
+    b.file = cand->key.file;
+    b.piece = cand->key.piece;
+    b.requesters = std::span<const NodeId>(plan.requesterPool)
+                       .subspan(offset, cand->requesters.size());
+    b.phase = cand->requesters.empty() ? 2 : 1;
+    plan.broadcasts.push_back(b);
+    offset += cand->requesters.size();
+  }
+  return plan;
+}
+
+}  // namespace
+
+DownloadPlan planDownloadReference(std::span<const DownloadPeer> peers,
+                                   const PopularityFn& popularityOf,
+                                   int budgetPieces, Scheduling scheduling,
+                                   PushOrder pushOrder) {
+  if (budgetPieces <= 0 || peers.size() < 2) return {};
+  std::vector<DownloadCandidate> candidates =
+      collectDownloadCandidates(peers, popularityOf);
+  std::vector<std::pair<NodeId, const DownloadCandidate*>> selected;
+  if (scheduling != Scheduling::kTitForTat) {
+    const bool useRequestPhase = scheduling == Scheduling::kCooperative;
+    std::sort(candidates.begin(), candidates.end(),
+              [useRequestPhase, pushOrder](const DownloadCandidate& a,
+                                           const DownloadCandidate& b) {
+                if (useRequestPhase &&
+                    a.requesters.size() != b.requesters.size()) {
+                  return a.requesters.size() > b.requesters.size();
+                }
+                if (pushOrder == PushOrder::kRarestFirst &&
+                    a.holders.size() != b.holders.size()) {
+                  return a.holders.size() < b.holders.size();
+                }
+                if (a.popularity != b.popularity) {
+                  return a.popularity > b.popularity;
+                }
+                return a.key < b.key;
+              });
+    for (const DownloadCandidate& cand : candidates) {
+      if (static_cast<int>(selected.size()) >= budgetPieces) break;
+      selected.emplace_back(
+          *std::min_element(cand.holders.begin(), cand.holders.end()),
+          &cand);
+    }
+    return publishDownloadBroadcasts(selected);
+  }
+  std::unordered_map<NodeId, const DownloadPeer*> peerById;
+  std::vector<NodeId> contributorIds;
+  for (const DownloadPeer& peer : peers) {
+    peerById[peer.id] = &peer;
+    if (peer.contributes) contributorIds.push_back(peer.id);
+  }
+  if (contributorIds.empty()) return {};
+  const std::vector<NodeId> order(
+      cyclicOrder(std::span<const NodeId>(contributorIds)));
+  std::set<PieceKey> sent;
+  std::size_t turn = 0;
+  int idleTurns = 0;
+  while (static_cast<int>(selected.size()) < budgetPieces &&
+         idleTurns < static_cast<int>(order.size())) {
+    const NodeId sender = order[turn % order.size()];
+    ++turn;
+    const DownloadPeer& senderPeer = *peerById.at(sender);
+    const DownloadCandidate* best = nullptr;
+    double bestWeight = -1.0;
+    for (const DownloadCandidate& cand : candidates) {
+      if (sent.contains(cand.key)) continue;
+      if (std::find(cand.holders.begin(), cand.holders.end(), sender) ==
+          cand.holders.end()) {
+        continue;
+      }
+      double weight = cand.popularity;
+      for (NodeId requester : cand.requesters) {
+        weight += 1.0;
+        weight += senderPeer.credits != nullptr
+                      ? senderPeer.credits->credit(requester)
+                      : 0.0;
+      }
+      if (best == nullptr || weight > bestWeight ||
+          (weight == bestWeight && cand.key < best->key)) {
+        best = &cand;
+        bestWeight = weight;
+      }
+    }
+    if (best == nullptr) {
+      ++idleTurns;
+      continue;
+    }
+    idleTurns = 0;
+    sent.insert(best->key);
+    selected.emplace_back(sender, best);
+  }
+  return publishDownloadBroadcasts(selected);
+}
+
+std::uint32_t PieceStoreReference::allocWords(std::uint32_t words) {
+  auto freeIt = freeBlocks_.find(words);
+  if (freeIt != freeBlocks_.end() && !freeIt->second.empty()) {
+    const std::uint32_t offset = freeIt->second.back();
+    freeIt->second.pop_back();
+    std::fill_n(arena_.begin() + offset, words, 0);
+    return offset;
+  }
+  const auto offset = static_cast<std::uint32_t>(arena_.size());
+  arena_.resize(arena_.size() + words, 0);
+  return offset;
+}
+
+bool PieceStoreReference::registerFile(FileId file,
+                                       std::uint32_t pieceCount) {
+  auto [it, inserted] = entries_.try_emplace(file);
+  if (inserted) {
+    it->second.word = allocWords(wordsFor(pieceCount));
+    it->second.pieces = pieceCount;
+    it->second.seq = nextSeq_++;
+    filesViewStale_ = true;
+    return true;
+  }
+  return it->second.pieces == pieceCount;
+}
+
+bool PieceStoreReference::addPiece(FileId file, std::uint32_t piece) {
+  Entry& e = entries_.at(file);
+  if (bit(e, piece)) return false;
+  if (capacity_ && totalHeld_ >= *capacity_) evictOnePiece();
+  arena_[e.word + piece / 64] |= std::uint64_t{1} << (piece % 64);
+  ++e.held;
+  ++totalHeld_;
+  return true;
+}
+
+std::uint32_t PieceStoreReference::addWholeFile(FileId file) {
+  std::uint32_t added = 0;
+  for (std::uint32_t p = 0; p < entries_.at(file).pieces; ++p) {
+    if (addPiece(file, p)) ++added;
+  }
+  return added;
+}
+
+void PieceStoreReference::removeFile(FileId file) {
+  auto it = entries_.find(file);
+  if (it == entries_.end()) return;
+  totalHeld_ -= it->second.held;
+  freeBlocks_[wordsFor(it->second.pieces)].push_back(it->second.word);
+  entries_.erase(it);
+  filesViewStale_ = true;
+}
+
+bool PieceStoreReference::isRegistered(FileId file) const {
+  return entries_.contains(file);
+}
+
+bool PieceStoreReference::hasPiece(FileId file, std::uint32_t piece) const {
+  auto it = entries_.find(file);
+  if (it == entries_.end()) return false;
+  return piece < it->second.pieces && bit(it->second, piece);
+}
+
+bool PieceStoreReference::isComplete(FileId file) const {
+  auto it = entries_.find(file);
+  return it != entries_.end() && it->second.held == it->second.pieces;
+}
+
+std::uint32_t PieceStoreReference::piecesHeld(FileId file) const {
+  auto it = entries_.find(file);
+  return it == entries_.end() ? 0 : it->second.held;
+}
+
+std::uint32_t PieceStoreReference::pieceCount(FileId file) const {
+  auto it = entries_.find(file);
+  return it == entries_.end() ? 0 : it->second.pieces;
+}
+
+std::vector<std::uint32_t> PieceStoreReference::missingPieces(
+    FileId file) const {
+  std::vector<std::uint32_t> out;
+  auto it = entries_.find(file);
+  if (it == entries_.end()) return out;
+  for (std::uint32_t p = 0; p < it->second.pieces; ++p) {
+    if (!bit(it->second, p)) out.push_back(p);
+  }
+  return out;
+}
+
+const std::vector<FileId>& PieceStoreReference::files() const {
+  if (filesViewStale_) {
+    filesView_.clear();
+    for (const auto& [file, _] : entries_) filesView_.push_back(file);
+    std::sort(filesView_.begin(), filesView_.end());
+    filesViewStale_ = false;
+  }
+  return filesView_;
+}
+
+std::vector<FileId> PieceStoreReference::completeFiles() const {
+  std::vector<FileId> out;
+  for (const auto& [file, e] : entries_) {
+    if (e.held == e.pieces) out.push_back(file);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void PieceStoreReference::setPriority(FileId file, double priority) {
+  auto it = entries_.find(file);
+  if (it != entries_.end()) it->second.priority = priority;
+}
+
+void PieceStoreReference::evictOnePiece() {
+  const Entry* victimEntry = nullptr;
+  FileId victim;
+  auto better = [](const Entry& candidate, const Entry* incumbent) {
+    if (incumbent == nullptr) return true;
+    if (candidate.priority != incumbent->priority) {
+      return candidate.priority < incumbent->priority;
+    }
+    return candidate.seq < incumbent->seq;
+  };
+  for (const auto& [file, e] : entries_) {
+    if (e.held == 0 || e.held == e.pieces) continue;
+    if (better(e, victimEntry)) {
+      victimEntry = &e;
+      victim = file;
+    }
+  }
+  if (victimEntry == nullptr) {
+    for (const auto& [file, e] : entries_) {
+      if (e.held == 0) continue;
+      if (better(e, victimEntry)) {
+        victimEntry = &e;
+        victim = file;
+      }
+    }
+  }
+  if (victimEntry == nullptr) return;
+  Entry& e = entries_[victim];
+  for (std::uint32_t p = e.pieces; p > 0; --p) {
+    if (bit(e, p - 1)) {
+      arena_[e.word + (p - 1) / 64] &= ~(std::uint64_t{1} << ((p - 1) % 64));
+      --e.held;
+      --totalHeld_;
+      return;
+    }
+  }
+}
+
+void PieceStoreReference::saveState(Serializer& out) const {
+  out.u64(files().size());
+  for (const FileId file : files()) {
+    const Entry& e = entries_.at(file);
+    out.u32(file.value);
+    out.u64(e.pieces);
+    for (std::uint32_t p = 0; p < e.pieces; ++p) out.boolean(bit(e, p));
+    out.f64(e.priority);
+    out.u64(e.seq);
+  }
+  out.u64(nextSeq_);
 }
 
 std::vector<std::string> activeQueryTextsReference(const Node& node,

@@ -4,11 +4,14 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/coding.hpp"
 #include "src/core/discovery.hpp"
+#include "src/core/download.hpp"
 #include "src/core/node.hpp"
 #include "src/graph/adjacency.hpp"
 #include "src/trace/trace_stats.hpp"
@@ -31,12 +34,79 @@ namespace hdtn {
 
 namespace core {
 
-/// Reference discovery planner: tit-for-tat rescans every candidate on
-/// every turn instead of keeping per-sender heaps. The cooperative and
-/// popularity-only rules have no optimized variant and defer to
-/// planDiscovery. See core_planner_property_test.cpp.
+/// Reference discovery planner: candidates are collected member by member
+/// into an ordered map and matched with queryTokensMatch, the cooperative
+/// rules fully sort them, and tit-for-tat rescans every candidate on every
+/// turn instead of keeping per-sender heaps. See
+/// core_planner_property_test.cpp.
 [[nodiscard]] std::vector<MetadataBroadcast> planDiscoveryReference(
     std::span<const DiscoveryPeer> peers, int budget, Scheduling scheduling);
+
+/// Reference broadcast download planner (cooperative, popularity-only and
+/// tit-for-tat): an ordered map from (file, piece) to a candidate with
+/// holder, lacker and requester vectors, built by probing every member's
+/// store once per piece; the cooperative rules fully sort the candidates
+/// and tit-for-tat marks sent pieces in an ordered set. The registry's
+/// planners merge the stores' sorted runs into flat arrays instead. See
+/// core_planner_property_test.cpp.
+[[nodiscard]] DownloadPlan planDownloadReference(
+    std::span<const DownloadPeer> peers, const PopularityFn& popularityOf,
+    int budgetPieces, Scheduling scheduling, PushOrder pushOrder);
+
+/// Reference piece store: one hash-map entry per file and a sorted files()
+/// copy rebuilt after a registration or removal. PieceStore keeps one
+/// vector of entries sorted by file id; the two must agree on every query
+/// and on the saveState bytes after any sequence of operations. See
+/// core_piece_store_test.cpp.
+class PieceStoreReference {
+ public:
+  PieceStoreReference() = default;
+  explicit PieceStoreReference(std::size_t capacityPieces)
+      : capacity_(capacityPieces) {}
+
+  bool registerFile(FileId file, std::uint32_t pieceCount);
+  bool addPiece(FileId file, std::uint32_t piece);
+  std::uint32_t addWholeFile(FileId file);
+  void removeFile(FileId file);
+  [[nodiscard]] bool isRegistered(FileId file) const;
+  [[nodiscard]] bool hasPiece(FileId file, std::uint32_t piece) const;
+  [[nodiscard]] bool isComplete(FileId file) const;
+  [[nodiscard]] std::uint32_t piecesHeld(FileId file) const;
+  [[nodiscard]] std::uint32_t pieceCount(FileId file) const;
+  [[nodiscard]] std::vector<std::uint32_t> missingPieces(FileId file) const;
+  [[nodiscard]] const std::vector<FileId>& files() const;
+  [[nodiscard]] std::vector<FileId> completeFiles() const;
+  [[nodiscard]] std::size_t totalPiecesHeld() const { return totalHeld_; }
+  [[nodiscard]] std::size_t arenaWords() const { return arena_.size(); }
+  void setPriority(FileId file, double priority);
+  void saveState(Serializer& out) const;
+
+ private:
+  struct Entry {
+    std::uint32_t word = 0;
+    std::uint32_t pieces = 0;
+    std::uint32_t held = 0;
+    double priority = 0.0;
+    std::uint64_t seq = 0;
+  };
+  static std::uint32_t wordsFor(std::uint32_t pieces) {
+    return (pieces + 63) / 64;
+  }
+  [[nodiscard]] bool bit(const Entry& e, std::uint32_t piece) const {
+    return (arena_[e.word + piece / 64] >> (piece % 64)) & 1u;
+  }
+  std::uint32_t allocWords(std::uint32_t words);
+  void evictOnePiece();
+
+  std::unordered_map<FileId, Entry> entries_;
+  std::vector<std::uint64_t> arena_;
+  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> freeBlocks_;
+  std::size_t totalHeld_ = 0;
+  std::uint64_t nextSeq_ = 1;
+  std::optional<std::size_t> capacity_;
+  mutable std::vector<FileId> filesView_;
+  mutable bool filesViewStale_ = false;
+};
 
 // Full-scan references for the Node query scans, which skip the expired
 // prefix of the node's queries behind a watermark: each visits every
