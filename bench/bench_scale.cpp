@@ -7,8 +7,10 @@
 //     byte-identical to the shards=1 reference (the determinism contract);
 //   * headline run — a day-long city at full scale (default 10^6 nodes)
 //     streamed end to end, reporting wall seconds, contacts/sec, nodes/sec,
-//     and peak RSS bytes per node. The trace never materializes: peak memory
-//     is engine state plus one stream window.
+//     and peak RSS bytes per node. The city is generated lazily, but
+//     ShardedEngine::run() pulls every contact into the components' feed
+//     buckets before they run, so peak memory is engine state plus every
+//     contact of the run.
 //
 // The binary doubles as the CI scale smoke: --smoke runs only the curve
 // population once and enforces --max-wall-seconds / --max-kib-per-node,

@@ -22,10 +22,12 @@
 //     its own remapped sub-trace and runs the normal schedule (churn,
 //     frequent-contact relation, everything).
 //   * streaming — constructed from a trace::ContactStream; contacts are
-//     pulled lazily in global start order and fed to their component
-//     (Engine feed mode), so a city-scale trace never materializes. Feed
-//     mode limitations (see Engine::beginFeed): empty frequent-contact
-//     relation and empty churn intervals.
+//     pulled in global start order up to each runUntil horizon and fed to
+//     their component (Engine feed mode). run() and finish() pull the whole
+//     remaining stream before any component steps, so they hold every
+//     remaining contact at once; runUntil slices bound that. Feed mode
+//     limitations (see Engine::beginFeed): empty frequent-contact relation
+//     and empty churn intervals.
 //
 // Checkpoints: saveCheckpoint writes one envelope holding every component's
 // state; restoreCheckpoint replays each component's schedule position —
