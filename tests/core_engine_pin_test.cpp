@@ -87,6 +87,11 @@ struct PinCase {
   // broadcast download planners.
   Scheduling scheduling = Scheduling::kCooperative;
   PushOrder pushOrder = PushOrder::kPopularity;
+  // Bounded node stores (0 = unbounded) and forgers whose records honest
+  // nodes verify and reject.
+  std::size_t pieceCapacity = 0;
+  std::size_t metadataCapacity = 0;
+  double forgerFraction = 0.0;
 };
 
 EngineParams pinParams(const PinCase& c) {
@@ -102,6 +107,10 @@ EngineParams pinParams(const PinCase& c) {
   p.useObservedPopularity = c.observedPopularity;
   p.protocol.scheduling = c.scheduling;
   p.pushOrder = c.pushOrder;
+  p.nodePieceCapacity = c.pieceCapacity;
+  p.nodeMetadataCapacity = c.metadataCapacity;
+  p.forgerFraction = c.forgerFraction;
+  p.verifyMetadata = c.forgerFraction > 0.0;
   p.faults.messageLossRate = 0.25;
   p.faults.contactTruncationRate = 0.2;
   p.faults.pieceCorruptionRate = 0.15;
@@ -210,6 +219,12 @@ TEST_P(EnginePin, OutputMatchesPinnedDigestAndLinkIdentities) {
   } else if (c.mix != Mix::kFaults) {
     EXPECT_GT(t.piecesLied, 0u);
   }
+  if (c.metadataCapacity > 0) {
+    EXPECT_GT(t.metadataEvictions, 0u);
+  }
+  if (c.forgerFraction > 0.0) {
+    EXPECT_GT(t.forgeriesRejected, 0u);
+  }
 }
 
 TEST_P(EnginePin, CheckpointBytesMatchPin) {
@@ -279,6 +294,19 @@ const PinCase kPinCases[] = {
      "fefa1644f053d6e7e07a00975ccb6014c8487143", 268088,
      "edf7d432f8b49842d00adb287240041bf03f2b9d", false, 4,
      Scheduling::kPopularityOnly, PushOrder::kRarestFirst},
+    // MBT-Q: peer wants ride on hellos, but no query is proxied. Both pins
+    // were captured before peer wants were kept as file ids.
+    {"BroadcastMbtQFaults", DownloadMode::kBroadcast, ProtocolKind::kMbtQ,
+     Mix::kFaults, "ed4dd22c27032a8c1db8a9cc46340e29b6ca0b94", 267820,
+     "63a64b5c67518f78c7391652cd6aed5f7ecb59ed"},
+    // Bounded piece and metadata stores, forgers whose records honest nodes
+    // verify and reject, and observed popularity. Both pins were captured
+    // before the access sync visited each file once per publish epoch.
+    {"BroadcastMbtBoundedForgers", DownloadMode::kBroadcast,
+     ProtocolKind::kMbt, Mix::kFaults,
+     "581d37e063201525478a5b57f72e38b4d1d152a2", 250281,
+     "123e8b04fbbea24fbfc433447aabae7b2c6c8fa0", true, 4,
+     Scheduling::kCooperative, PushOrder::kPopularity, 24, 10, 0.1},
 };
 
 INSTANTIATE_TEST_SUITE_P(Matrix, EnginePin, testing::ValuesIn(kPinCases),
