@@ -8,7 +8,6 @@
 #include "src/core/query.hpp"
 #include "src/obs/events.hpp"
 #include "src/util/random.hpp"
-#include "src/util/string_util.hpp"
 
 namespace hdtn::core {
 namespace {
@@ -68,36 +67,31 @@ void collectCandidates(std::span<const DiscoveryPeer> peers,
                     if (a.file != b.file) return a.file < b.file;
                     return a.member < b.member;
                   });
-  // Tokenized queries: prefer the caller's precomputed lists (the engine
-  // caches them per node), tokenizing locally only for peers built by hand.
-  std::vector<std::vector<std::vector<std::string>>> localTokens;
-  auto& tokens = s.tokens;
-  tokens.resize(peers.size());
-  for (std::size_t i = 0; i < peers.size(); ++i) {
-    if (peers[i].tokenizedQueries != nullptr) {
-      tokens[i] = peers[i].tokenizedQueries;
-      continue;
-    }
-    // Reserved once, so the pointers taken below stay valid.
-    if (localTokens.empty()) localTokens.reserve(peers.size());
-    auto& mine = localTokens.emplace_back();
-    for (const std::string& q : peers[i].queries) {
-      mine.push_back(keywordTokens(q));
-    }
-    tokens[i] = &mine;
-  }
-  // Hash every query token once per contact; the per-candidate matching
-  // below then probes the records' keyword-hash index.
-  if (s.tokenHashes.size() < peers.size()) s.tokenHashes.resize(peers.size());
-  for (std::size_t i = 0; i < peers.size(); ++i) {
-    s.tokenHashes[i].resize(tokens[i]->size());
-    for (std::size_t q = 0; q < tokens[i]->size(); ++q) {
-      std::vector<std::uint64_t>& hashes = s.tokenHashes[i][q];
-      hashes.clear();
-      for (const std::string& t : (*tokens[i])[q]) {
-        hashes.push_back(keywordHash(t));
+  // Query tokens and their hashes: the caller's query objects carry both;
+  // peers built by hand (strings only) are tokenized and hashed here.
+  std::vector<FileQuery> local;
+  for (const DiscoveryPeer& peer : peers) {
+    if (peer.queryObjects == nullptr) {
+      for (const std::string& q : peer.queries) {
+        local.emplace_back(q, FileId{}, SimTime{0}, 0);
       }
     }
+  }
+  s.queryTokens.clear();
+  s.queryBegin.assign(1, 0);
+  std::size_t nextLocal = 0;
+  for (const DiscoveryPeer& peer : peers) {
+    const auto add = [&s](const FileQuery& q) {
+      s.queryTokens.push_back({&q.tokens, &q.tokenHashes});
+    };
+    if (peer.queryObjects != nullptr) {
+      for (const FileQuery* q : *peer.queryObjects) add(*q);
+    } else {
+      for (std::size_t q = 0; q < peer.queries.size(); ++q) {
+        add(local[nextLocal++]);
+      }
+    }
+    s.queryBegin.push_back(s.queryTokens.size());
   }
   s.candidates.clear();
   s.holderRows.clear();
@@ -147,9 +141,10 @@ void collectCandidates(std::span<const DiscoveryPeer> peers,
       }
       anyLacker = true;
       bool wants = false;
-      for (std::size_t q = 0; q < tokens[i]->size() && !wants; ++q) {
-        wants = queryTokensMatchPrehashed((*tokens[i])[q],
-                                          s.tokenHashes[i][q], *record);
+      for (std::size_t q = s.queryBegin[i]; q < s.queryBegin[i + 1] && !wants;
+           ++q) {
+        wants = queryTokensMatchPrehashed(*s.queryTokens[q].tokens,
+                                          *s.queryTokens[q].hashes, *record);
       }
       if (wants) s.requesters.push_back(peer.id);
     }

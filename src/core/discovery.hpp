@@ -33,6 +33,8 @@ class EngineObserver;  // src/obs/events.hpp
 
 namespace hdtn::core {
 
+struct FileQuery;  // src/core/query.hpp
+
 /// Scheduling discipline for a contact.
 enum class Scheduling {
   kCooperative,     ///< altruistic: coordinator orders by request count
@@ -54,12 +56,12 @@ struct DiscoveryPeer {
   /// Query strings this member wants served: its own plus, under MBT, the
   /// stored queries of its frequent contacts.
   std::vector<std::string> queries;
-  /// Optional pre-tokenized form of `queries` (one token list per query).
-  /// When set, the planner matches against these and never tokenizes (or
-  /// reads) `queries` — the engine points this at
-  /// ContactViews::contactQueryTokens so tokenization happens once per
-  /// query, not once per contact.
-  const std::vector<std::vector<std::string>>* tokenizedQueries = nullptr;
+  /// Optional query objects standing for `queries`, each tokenized and
+  /// hashed when it was built. When set, the planner matches against their
+  /// tokens and token hashes and never reads `queries`: the engine points
+  /// this at ContactViews::contactQueries, so a query is tokenized and
+  /// hashed once per file, not once per contact.
+  const std::vector<const FileQuery*>* queryObjects = nullptr;
   /// The member's credit ledger (used when it is the sender under TFT).
   const CreditLedger* credits = nullptr;
   /// Free-riders set this false: they receive but never send.
@@ -114,10 +116,13 @@ struct DiscoveryScratch {
   std::vector<NodeId> requesters;
   /// One record's holder and contributor rows while grouping.
   std::vector<std::uint64_t> groupRows;
-  /// Per member, its tokenized queries and, per query, the keywordHash of
-  /// each token.
-  std::vector<const std::vector<std::vector<std::string>>*> tokens;
-  std::vector<std::vector<std::vector<std::uint64_t>>> tokenHashes;
+  /// Per member, its queries' token lists and their keywordHash lists.
+  struct QueryTokens {
+    const std::vector<std::string>* tokens = nullptr;
+    const std::vector<std::uint64_t>* hashes = nullptr;
+  };
+  std::vector<QueryTokens> queryTokens;
+  std::vector<std::size_t> queryBegin;  ///< member i: [begin[i], begin[i+1])
   std::vector<std::uint32_t> order;
   // Tit-for-tat: per-sender heaps over one flat array.
   std::vector<std::size_t> offset;

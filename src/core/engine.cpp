@@ -18,16 +18,6 @@
 
 namespace hdtn::core {
 
-// Private per-engine caches keyed by publish epoch (the alive-metadata set
-// only changes at publish instants, since TTLs are whole days anchored at
-// the 2 PM publish time).
-struct EngineCaches {
-  SimTime lastPublishAt = -1;
-  std::vector<SharedMetadata> topPopular;
-  /// Per node: query text -> publish time at which it was last searched.
-  std::vector<std::unordered_map<std::string, SimTime>> searchCache;
-};
-
 // Coded-mode engine state: the dedicated coefficient-seed stream plus one
 // incremental decoder per (member, in-flight generation).
 struct CodedEngineState {
@@ -49,14 +39,6 @@ namespace {
 // never collide; catalog lookups on forged ids simply miss.
 constexpr std::uint32_t kForgedIdBase = 1u << 24;
 
-EngineCaches& caches(std::unique_ptr<EngineCaches>& holder,
-                     std::size_t nodeCount) {
-  if (!holder) {
-    holder = std::make_unique<EngineCaches>();
-    holder->searchCache.resize(nodeCount);
-  }
-  return *holder;
-}
 }  // namespace
 
 std::vector<std::string> EngineParams::validate() const {
@@ -273,6 +255,7 @@ void Engine::setupNodes() {
     }
     node.setCooperativeStateTtl(
         static_cast<Duration>(params_.fileTtlDays) * kDay);
+    node.setCatalog(&internet_.catalog());
   }
 }
 
@@ -501,9 +484,8 @@ void Engine::publishDay(SimTime now) {
     }
   }
 
-  // The popularity/alive set changed: invalidate epoch caches.
-  caches(caches_, nodes_.size()).lastPublishAt = now;
-  refreshPublishEpochCaches();
+  // The popularity/alive set changed: a new sync epoch.
+  accessSync().beginEpoch(now);
 
   // Access nodes are online: they discover and download instantly. A
   // churned-off access node is not: it catches up at its next contact (or
@@ -512,7 +494,7 @@ void Engine::publishDay(SimTime now) {
   for (NodeId id : nodes_.accessIds()) {
     if (faults_ != nullptr && faults_->isDown(id, now)) continue;
     views_.clear();
-    syncAccessNode(nodes_[id], now);
+    accessSync().sync(nodes_[id], now, views_, *this);
   }
 
   // Forgers craft fakes of the day's hottest titles: same searchable name,
@@ -549,20 +531,21 @@ void Engine::publishDay(SimTime now) {
   }
 }
 
-void Engine::refreshPublishEpochCaches() {
-  // The carry stock scales with the alive population so a longer TTL does
-  // not dilute the coverage access nodes provide. Also recomputed on
-  // checkpoint restore: popularity only changes at publish instants, so the
-  // stock at lastPublishAt is reproducible from the restored catalog.
-  EngineCaches& cache = caches(caches_, nodes_.size());
-  const SimTime now = cache.lastPublishAt;
-  const std::size_t alive = internet_.catalog().aliveFiles(now).size();
-  const auto stock = std::min(
-      params_.accessMetadataSyncLimit,
-      std::max<std::size_t>(
-          10, static_cast<std::size_t>(params_.accessMetadataSyncFraction *
-                                       static_cast<double>(alive))));
-  cache.topPopular = internet_.topPopular(now, stock);
+AccessSync& Engine::accessSync() {
+  if (!access_) {
+    AccessSync::Config config;
+    config.searchProxiedQueries = params_.protocol.distributesQueries();
+    config.takeCarryStock = params_.protocol.distributesMetadata();
+    config.fetchPeerWants = params_.accessFetchesPeerRequests;
+    config.stockFraction = params_.accessMetadataSyncFraction;
+    config.stockLimit = params_.accessMetadataSyncLimit;
+    access_ = std::make_unique<AccessSync>(internet_, config);
+  }
+  return *access_;
+}
+
+void Engine::gotMetadata(const Node& node, FileId file, SimTime now) {
+  metrics_.onNodeGotMetadata(node.id(), file, now);
 }
 
 void Engine::deliverWholeFile(Node& node, FileId file, SimTime now) {
@@ -574,67 +557,6 @@ void Engine::deliverWholeFile(Node& node, FileId file, SimTime now) {
     node.acceptPiece(file, p, info->pieceCount(), now);
   }
   metrics_.onNodeCompletedFile(node.id(), file, now);
-}
-
-void Engine::syncAccessNode(Node& node, SimTime now) {
-  EngineCaches& cache = caches(caches_, nodes_.size());
-  if (cache.lastPublishAt < 0) return;  // nothing published yet
-
-  // The node's store shares the catalog's record object.
-  auto acceptFromServer = [&](const SharedMetadata& md) {
-    if (md->expired(now)) return;
-    const bool isNew = !node.metadata().has(md->file);
-    storeMetadata(node, md, now);
-    // Re-check has(): a bounded store may have shed the record on admission.
-    if (isNew && node.metadata().has(md->file)) {
-      metrics_.onNodeGotMetadata(node.id(), md->file, now);
-    }
-  };
-
-  // 1. Search the server for this node's queries (its own, plus the stored
-  //    queries of its frequent contacts under MBT). Cached per publish
-  //    epoch: re-searching between publications cannot find anything new.
-  std::vector<std::string> texts = views_.activeQueryTexts(node, now);
-  if (params_.protocol.distributesQueries()) {
-    for (const auto& text : views_.proxiedQueryTexts(node, now)) {
-      texts.push_back(text);
-    }
-  }
-  auto& searched = cache.searchCache[node.id().value];
-  for (const std::string& text : texts) {
-    auto it = searched.find(text);
-    if (it != searched.end() && it->second >= cache.lastPublishAt) continue;
-    searched[text] = now;
-    const auto matches = internet_.search(text, now);
-    // The user (or the proxy on a peer's behalf) keeps the top matches.
-    const std::size_t take = std::min<std::size_t>(3, matches.size());
-    for (std::size_t i = 0; i < take; ++i) {
-      acceptFromServer(
-          internet_.catalog().sharedMetadataFor(matches[i].metadata->file));
-    }
-  }
-
-  // 2. Refresh the popularity-ordered carry stock (pointless under MBT-QM,
-  //    where metadata never leaves the node).
-  if (params_.protocol.distributesMetadata()) {
-    for (const SharedMetadata& md : cache.topPopular) acceptFromServer(md);
-  }
-
-  // 3. Download files this node selected ("enough bandwidth to download the
-  //    files they need").
-  for (FileId file : views_.wantedFiles(node, now)) {
-    deliverWholeFile(node, file, now);
-  }
-
-  // 4. Fetch files peers advertised as wanted, to carry into the DTN.
-  if (params_.accessFetchesPeerRequests) {
-    for (const Uri& uri : node.peerWantedUris(now)) {
-      const SharedMetadata md = internet_.metadataForUri(uri);
-      if (md == nullptr || md->expired(now)) continue;
-      acceptFromServer(md);
-      deliverWholeFile(node, md->file, now);
-    }
-  }
 }
 
 void Engine::expireNodeData(Node& node, SimTime now) {
@@ -682,7 +604,9 @@ void Engine::processContact(const trace::Contact& contact) {
   for (Node* m : members) expireNodeData(*m, now);
   // Access members are online; they arrive at the contact synced.
   for (Node* m : members) {
-    if (m->options().internetAccess) syncAccessNode(*m, now);
+    if (m->options().internetAccess) {
+      accessSync().sync(*m, now, views_, *this);
+    }
   }
 
   // --- hello exchange ----------------------------------------------------
@@ -863,9 +787,9 @@ void Engine::runDiscoveryPhase(const std::vector<Node*>& members, SimTime now,
     peer.store = &m->metadata();
     peer.rejected = &m->rejectedMetadata();
     peer.distrustedSenders = &m->distrustedPeers();
-    // Pre-tokenized own (plus, under MBT, proxied) queries straight from the
-    // per-contact views — no re-tokenization of the node's own queries.
-    peer.tokenizedQueries = &views_.contactQueryTokens(
+    // Own (plus, under MBT, proxied) query objects straight from the
+    // per-contact views, tokenized and hashed when they were built.
+    peer.queryObjects = &views_.contactQueries(
         *m, now, params_.protocol.distributesQueries());
     peer.credits = &m->credits();
     // Quarantined peers receive but are excluded from sender selection.
@@ -1009,6 +933,7 @@ void Engine::storeMetadata(Node& node, const SharedMetadata& md,
       !internet_.registry().verify(*md)) {
     ++totals_.forgeriesRejected;
     node.rejectMetadata(md->file);
+    if (access_) access_->forget(node.id(), md->file);
     return;
   }
   SharedMetadata shed;
@@ -1018,6 +943,7 @@ void Engine::storeMetadata(Node& node, const SharedMetadata& md,
 
 void Engine::noteMetadataEvicted(const Node& node, const Metadata& md) {
   ++totals_.metadataEvictions;
+  if (access_) access_->forget(node.id(), md.file);
   if (observer_ != nullptr) {
     obs::SimEvent event;
     event.type = obs::SimEventType::kMetadataEvicted;
@@ -1856,23 +1782,8 @@ void Engine::saveComponentState(Serializer& out) const {
   out.u64(nodes_.size());
   for (const Node& member : nodes_) member.saveState(out);
 
-  out.boolean(caches_ != nullptr);
-  if (caches_ != nullptr) {
-    out.i64(caches_->lastPublishAt);
-    out.u64(caches_->searchCache.size());
-    for (const auto& searched : caches_->searchCache) {
-      std::vector<std::pair<std::string, SimTime>> sorted(searched.begin(),
-                                                          searched.end());
-      std::sort(sorted.begin(), sorted.end());
-      out.u64(sorted.size());
-      for (const auto& [text, at] : sorted) {
-        out.str(text);
-        out.i64(at);
-      }
-    }
-    // topPopular holds the catalog's record objects; restore recomputes it
-    // via refreshPublishEpochCaches().
-  }
+  out.boolean(access_ != nullptr);
+  if (access_ != nullptr) access_->saveState(out, nodes_.size());
 }
 
 void Engine::loadComponentState(Deserializer& in) {
@@ -1972,32 +1883,22 @@ void Engine::loadComponentState(Deserializer& in) {
   }
   // The catalog is loaded first, so node records equal to its own (and to
   // each other) are re-shared, as they were before the save. Query objects
-  // are re-shared the same way: one per file again.
+  // are re-shared the same way: one per file again. Every file's query is
+  // seeded first, so a stored proxied query finds its object even when the
+  // node that owns the query loads after the node that stored it.
+  const FileCatalog& catalog = internet_.catalog();
   MetadataInterner records;
-  for (const FileId id : internet_.catalog().allFiles()) {
-    records.seed(internet_.catalog().sharedMetadataFor(id));
-  }
   QueryInterner queries;
+  for (const FileId id : catalog.allFiles()) {
+    records.seed(catalog.sharedMetadataFor(id));
+    const FileInfo& info = *catalog.find(id);
+    queries.seed(std::make_shared<const FileQuery>(
+        canonicalQueryText(info), id, info.publishedAt, info.ttl));
+  }
   for (Node& member : nodes_) member.loadState(in, records, queries);
 
-  caches_.reset();
-  if (in.boolean()) {
-    EngineCaches& cache = caches(caches_, nodes_.size());
-    cache.lastPublishAt = in.i64();
-    const std::size_t cacheNodes = in.length();
-    if (cacheNodes != cache.searchCache.size()) {
-      throw SerializeError("corrupt payload: search-cache size mismatch");
-    }
-    for (auto& searched : cache.searchCache) {
-      searched.clear();
-      const std::size_t entries = in.length();
-      for (std::size_t i = 0; i < entries; ++i) {
-        std::string text = in.str();
-        searched[std::move(text)] = in.i64();
-      }
-    }
-    if (cache.lastPublishAt >= 0) refreshPublishEpochCaches();
-  }
+  access_.reset();
+  if (in.boolean()) accessSync().loadState(in, nodes_.size());
 }
 
 EngineResult runSimulation(const trace::ContactTrace& trace,

@@ -16,6 +16,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "src/core/access_sync.hpp"
 #include "src/core/download.hpp"
 #include "src/core/download_planner.hpp"
 #include "src/core/internet.hpp"
@@ -41,7 +42,6 @@ struct SimEvent;
 
 namespace hdtn::core {
 
-struct EngineCaches;     // internal per-run caches (engine.cpp)
 struct CodedEngineState;  // RLNC decoders + coded RNG stream (engine.cpp)
 
 struct EngineParams {
@@ -277,11 +277,11 @@ struct EngineResult {
 /// throws std::logic_error. An optional obs::EngineObserver receives typed
 /// events (see src/obs/events.hpp); with none attached the event hooks cost
 /// one branch.
-class Engine {
+class Engine : private AccessSync::Host {
  public:
   /// Throws std::invalid_argument when params.validate() reports errors.
   Engine(const trace::ContactTrace& trace, EngineParams params);
-  ~Engine();
+  ~Engine() override;
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -432,8 +432,12 @@ class Engine {
   void emit(const obs::SimEvent& event);
   void publishDay(SimTime now);
   void processContact(const trace::Contact& contact);
-  void syncAccessNode(Node& node, SimTime now);
-  void deliverWholeFile(Node& node, FileId file, SimTime now);
+  /// The access sync, created on first use (a checkpoint records whether
+  /// it exists).
+  AccessSync& accessSync();
+  // AccessSync::Host.
+  void gotMetadata(const Node& node, FileId file, SimTime now) override;
+  void deliverWholeFile(Node& node, FileId file, SimTime now) override;
   void expireNodeData(Node& node, SimTime now);
   void runDiscoveryPhase(const std::vector<Node*>& members, SimTime now,
                          int metadataBudget, RecoverySession* session);
@@ -499,7 +503,8 @@ class Engine {
   /// the publisher registry, paper Section III-B field (f)): a forgery is
   /// counted and remembered as rejected instead. A record the node's
   /// bounded store sheds to make room is counted and evented.
-  void storeMetadata(Node& node, const SharedMetadata& md, SimTime now);
+  void storeMetadata(Node& node, const SharedMetadata& md,
+                     SimTime now) override;
   /// Counts and events one record `node`'s bounded store shed.
   void noteMetadataEvicted(const Node& node, const Metadata& md);
   /// Stores one metadata record at `receiver` with full accounting
@@ -535,14 +540,10 @@ class Engine {
   /// counts/events releases.
   bool isQuarantined(NodeId node, SimTime now);
   // Checkpoint internals. Component (de)serialization lives in engine.cpp
-  // (it touches the file-local EngineCaches); the file format, checksum,
-  // fingerprint, and schedule-replay logic live in checkpoint.cpp.
+  // (it touches the file-local CodedEngineState); the file format,
+  // checksum, fingerprint, and schedule-replay logic live in checkpoint.cpp.
   void saveComponentState(Serializer& out) const;
   void loadComponentState(Deserializer& in);
-  /// Recomputes the popularity-ordered carry stock for the current publish
-  /// epoch (caches_->topPopular holds the catalog's record objects, so
-  /// restore recomputes it instead of serializing it).
-  void refreshPublishEpochCaches();
   /// SHA-1 over the engine configuration (params + trace identity); stored
   /// in checkpoints so a restore into a different run fails loudly.
   [[nodiscard]] Sha1Digest configFingerprint() const;
@@ -570,7 +571,7 @@ class Engine {
   /// construction.
   const DownloadPlanner* planner_ = nullptr;
   EngineTotals totals_;
-  std::unique_ptr<EngineCaches> caches_;
+  std::unique_ptr<AccessSync> access_;
   /// Per-contact scratch: the member views one contact (or one access
   /// sync) asks for repeatedly. Owned by this engine alone.
   ContactViews views_;

@@ -1,5 +1,6 @@
 #include "src/core/file_catalog.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace hdtn::core {
@@ -92,6 +93,15 @@ FileId FileCatalog::publish(const PublishRequest& request) {
   }
 
   byUri_.emplace(info.uri, info.id);
+  const auto slot = std::lower_bound(
+      uriOrder_.begin(), uriOrder_.end(), info.uri,
+      [this](FileId id, const Uri& uri) { return files_[id.value].uri < uri; });
+  const auto rank = static_cast<std::size_t>(slot - uriOrder_.begin());
+  uriOrder_.insert(slot, info.id);
+  uriRanks_.push_back(0);
+  for (std::size_t r = rank; r < uriOrder_.size(); ++r) {
+    uriRanks_[uriOrder_[r].value] = static_cast<std::uint32_t>(r);
+  }
   files_.push_back(std::move(info));
   metadata_.push_back(std::make_shared<const Metadata>(std::move(md)));
   return metadata_.back()->file;

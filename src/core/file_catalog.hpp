@@ -76,6 +76,13 @@ class FileCatalog {
   [[nodiscard]] const FileInfo* find(FileId id) const;
   [[nodiscard]] const FileInfo* findByUri(const Uri& uri) const;
 
+  /// Position of file `id`'s URI among all catalog URIs in ascending string
+  /// order: sorting file ids by rank sorts their URIs without reading them.
+  /// Kept current by publish. `id` must be a catalog file.
+  [[nodiscard]] std::uint32_t uriRank(FileId id) const {
+    return uriRanks_[id.value];
+  }
+
   /// The signed metadata record for a published file. Valid until the next
   /// setPopularity of `id` (which publishes a new record object).
   [[nodiscard]] const Metadata& metadataFor(FileId id) const {
@@ -112,6 +119,9 @@ class FileCatalog {
   std::vector<FileInfo> files_;
   std::vector<SharedMetadata> metadata_;
   std::unordered_map<Uri, FileId> byUri_;
+  /// File ids in URI order, and each file's index in it (its uriRank).
+  std::vector<FileId> uriOrder_;
+  std::vector<std::uint32_t> uriRanks_;
 };
 
 }  // namespace hdtn::core

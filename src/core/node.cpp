@@ -1,11 +1,9 @@
 #include "src/core/node.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "src/core/file_catalog.hpp"
 #include "src/core/protocol.hpp"
-#include "src/util/string_util.hpp"
 
 namespace hdtn::core {
 
@@ -52,14 +50,13 @@ std::vector<std::string> Node::activeQueryTexts(SimTime now) const {
   return texts;
 }
 
-std::vector<std::vector<std::string>> Node::activeQueryTokens(
-    SimTime now) const {
-  std::vector<std::vector<std::string>> tokens;
+std::vector<SharedQuery> Node::activeQueries(SimTime now) const {
+  std::vector<SharedQuery> queries;
   for (const QueryState& qs : liveQueries(now)) {
     if (qs.metadataFound || qs.query->expired(now)) continue;
-    tokens.push_back(qs.query->tokens);
+    queries.push_back(qs.query);
   }
-  return tokens;
+  return queries;
 }
 
 std::vector<FileId> Node::wantedFilesView(SimTime now) const {
@@ -162,10 +159,10 @@ void Node::expire(SimTime now) {
   }
   if (oldestWantStamp_ < horizon) {
     std::erase_if(peerWants_,
-                  [&](const auto& kv) { return kv.second < horizon; });
+                  [&](const PeerWant& want) { return want.stamp < horizon; });
     oldestWantStamp_ = kNoStamp;
-    for (const auto& [uri, when] : peerWants_) {
-      oldestWantStamp_ = std::min(oldestWantStamp_, when);
+    for (const PeerWant& want : peerWants_) {
+      oldestWantStamp_ = std::min(oldestWantStamp_, want.stamp);
     }
   }
 }
@@ -182,44 +179,121 @@ bool Node::isFrequentContact(NodeId peer) const {
                             proxy_->frequentContacts.end(), peer);
 }
 
-void Node::storePeerQueries(NodeId peer, const std::vector<std::string>& texts,
+void Node::storePeerQueries(NodeId peer, std::span<const SharedQuery> queries,
                             SimTime now) {
   if (!isFrequentContact(peer)) return;
   ProxyState::StoredQueries& stored = proxy_->peerQueries[peer];
-  stored.texts = texts;
+  // A peer's queries rarely change between contacts: when the objects are
+  // the ones already stored, only the stamp moves.
+  if (!std::ranges::equal(stored.queries, queries)) {
+    stored.queries.assign(queries.begin(), queries.end());
+  }
   stored.storedAt = now;
   proxy_->oldestStamp = std::min(proxy_->oldestStamp, now);
   touch();
 }
 
-std::vector<std::string> Node::proxiedQueryTexts(SimTime now) const {
-  if (!proxy_) return {};
-  std::set<std::string> texts;
+void Node::storePeerQueries(NodeId peer, const std::vector<std::string>& texts,
+                            SimTime now) {
+  if (!isFrequentContact(peer)) return;
+  std::vector<SharedQuery> queries;
+  queries.reserve(texts.size());
+  for (const std::string& text : texts) {
+    queries.push_back(std::make_shared<const FileQuery>(text, FileId{},
+                                                        SimTime{0}, 0));
+  }
+  storePeerQueries(peer, queries, now);
+}
+
+std::vector<const FileQuery*> Node::proxiedQueries(SimTime now) const {
+  std::vector<const FileQuery*> out;
+  if (!proxy_) return out;
   for (const auto& [peer, stored] : proxy_->peerQueries) {
     if (now - stored.storedAt > cooperativeTtl_) continue;
-    texts.insert(stored.texts.begin(), stored.texts.end());
+    for (const SharedQuery& query : stored.queries) out.push_back(query.get());
   }
-  return {texts.begin(), texts.end()};
+  // Peers asking for one file share its object: drop repeated objects
+  // first, then repeated texts.
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  const auto byText = [](const FileQuery* a, const FileQuery* b) {
+    return a->text < b->text;
+  };
+  std::sort(out.begin(), out.end(), byText);
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const FileQuery* a, const FileQuery* b) {
+                          return a->text == b->text;
+                        }),
+            out.end());
+  return out;
+}
+
+std::vector<std::string> Node::proxiedQueryTexts(SimTime now) const {
+  std::vector<std::string> texts;
+  for (const FileQuery* query : proxiedQueries(now)) {
+    texts.push_back(query->text);
+  }
+  return texts;
 }
 
 void Node::storePeerWants(const std::vector<Uri>& uris, SimTime now) {
-  for (const Uri& uri : uris) storePeerWant(uri, now);
+  if (catalog_ == nullptr) return;
+  std::vector<FileId> files;
+  for (const Uri& uri : uris) {
+    if (const FileInfo* info = catalog_->findByUri(uri)) {
+      files.push_back(info->id);
+    }
+  }
+  std::sort(files.begin(), files.end());
+  files.erase(std::unique(files.begin(), files.end()), files.end());
+  stampPeerWants(files, now);
 }
 
-void Node::storePeerWant(std::string_view uri, SimTime now) {
-  if (auto it = peerWants_.find(uri); it != peerWants_.end()) {
-    it->second = now;
-  } else {
-    peerWants_.emplace(uri, now);
+void Node::stampPeerWants(std::span<const FileId> files, SimTime now) {
+  if (files.empty()) return;
+  // Restamp the files already held and count the rest...
+  std::size_t missing = 0;
+  auto held = peerWants_.begin();
+  for (const FileId file : files) {
+    while (held != peerWants_.end() && held->file < file) ++held;
+    if (held != peerWants_.end() && held->file == file) {
+      held->stamp = now;
+    } else {
+      ++missing;
+    }
+  }
+  // ...then merge them in from the back, moving each held entry once.
+  if (missing > 0) {
+    std::size_t from = peerWants_.size();
+    std::size_t to = from + missing;
+    std::size_t next = files.size();
+    peerWants_.resize(to);
+    while (next > 0) {
+      const FileId file = files[next - 1];
+      if (from > 0 && !(peerWants_[from - 1].file < file)) {
+        if (peerWants_[from - 1].file == file) --next;
+        peerWants_[--to] = peerWants_[--from];
+      } else {
+        peerWants_[--to] = PeerWant{file, now};
+        --next;
+      }
+    }
   }
   oldestWantStamp_ = std::min(oldestWantStamp_, now);
 }
 
+std::vector<FileId> Node::peerWantedFiles(SimTime now) const {
+  std::vector<FileId> out;
+  for (const PeerWant& want : peerWants_) {
+    if (now - want.stamp <= cooperativeTtl_) out.push_back(want.file);
+  }
+  return out;
+}
+
 std::vector<Uri> Node::peerWantedUris(SimTime now) const {
   std::vector<Uri> out;
-  for (const auto& [uri, when] : peerWants_) {
-    if (now - when > cooperativeTtl_) continue;
-    out.push_back(uri);
+  for (const FileId file : peerWantedFiles(now)) {
+    out.push_back(catalog_->find(file)->uri);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -283,19 +357,21 @@ void Node::saveState(Serializer& out) const {
   out.u64(stored.size());
   for (const auto& [peer, sq] : stored) {
     out.u32(peer.value);
-    out.u64(sq->texts.size());
-    for (const std::string& text : sq->texts) out.str(text);
+    out.u64(sq->queries.size());
+    for (const SharedQuery& query : sq->queries) out.str(query->text);
     out.i64(sq->storedAt);
   }
 
-  // Views, not copies: the URIs stay in the map while they are sorted.
-  std::vector<std::pair<std::string_view, SimTime>> wants(peerWants_.begin(),
-                                                          peerWants_.end());
-  std::sort(wants.begin(), wants.end());
+  // Wants are written in URI order, as when they were keyed by URI.
+  std::vector<PeerWant> wants = peerWants_;
+  std::sort(wants.begin(), wants.end(),
+            [this](const PeerWant& a, const PeerWant& b) {
+              return catalog_->uriRank(a.file) < catalog_->uriRank(b.file);
+            });
   out.u64(wants.size());
-  for (const auto& [uri, when] : wants) {
-    out.str(uri);
-    out.i64(when);
+  for (const PeerWant& want : wants) {
+    out.str(catalog_->find(want.file)->uri);
+    out.i64(want.stamp);
   }
 }
 
@@ -348,8 +424,8 @@ void Node::loadState(Deserializer& in, MetadataInterner& records,
   for (std::size_t i = 0; i < storedCount; ++i) {
     const NodeId peer{in.u32()};
     ProxyState::StoredQueries sq;
-    sq.texts.resize(in.length());
-    for (std::string& text : sq.texts) text = in.str();
+    sq.queries.resize(in.length());
+    for (SharedQuery& query : sq.queries) query = queries.internText(in.str());
     sq.storedAt = in.i64();
     ProxyState& proxyState = proxy_.getOrCreate();
     proxyState.oldestStamp = std::min(proxyState.oldestStamp, sq.storedAt);
@@ -360,11 +436,31 @@ void Node::loadState(Deserializer& in, MetadataInterner& records,
   oldestWantStamp_ = kNoStamp;
   const std::size_t wantCount = in.length();
   for (std::size_t i = 0; i < wantCount; ++i) {
-    Uri uri = in.str();
+    const Uri uri = in.str();
+    const FileInfo* info =
+        catalog_ == nullptr ? nullptr : catalog_->findByUri(uri);
+    if (info == nullptr) {
+      throw SerializeError("Node: peer want names a URI the catalog lacks: " +
+                           uri);
+    }
     const SimTime when = in.i64();
     oldestWantStamp_ = std::min(oldestWantStamp_, when);
-    peerWants_[std::move(uri)] = when;
+    peerWants_.push_back(PeerWant{info->id, when});
   }
+  // saveState writes URI order. A URI listed twice (only a hand-made
+  // checkpoint has one) keeps its last stamp, as a keyed store would.
+  std::stable_sort(
+      peerWants_.begin(), peerWants_.end(),
+      [](const PeerWant& a, const PeerWant& b) { return a.file < b.file; });
+  std::vector<PeerWant> lastOfEach;
+  for (const PeerWant& want : peerWants_) {
+    if (!lastOfEach.empty() && lastOfEach.back().file == want.file) {
+      lastOfEach.back() = want;
+    } else {
+      lastOfEach.push_back(want);
+    }
+  }
+  peerWants_ = std::move(lastOfEach);
 
   touch();
 }
@@ -373,54 +469,62 @@ void exchangeHellos(std::span<Node* const> members,
                     const ProtocolConfig& protocol, const FileCatalog& catalog,
                     SimTime now, ContactViews& views) {
   if (protocol.distributesQueries()) {
-    // `texts` views the peer's cached slot; storePeerQueries never
+    // `queries` views the peer's cached slot; storePeerQueries never
     // recomputes it.
     for (std::size_t j = 0; j < members.size(); ++j) {
       const Node& peer = *members[j];
       if (!peer.contributes()) continue;
-      const std::vector<std::string>& texts =
-          views.activeQueryTexts(peer, now);
+      const std::vector<SharedQuery>& queries = views.activeQueries(peer, now);
       for (std::size_t i = 0; i < members.size(); ++i) {
-        if (i != j) members[i]->storePeerQueries(peer.id(), texts, now);
+        if (i != j) members[i]->storePeerQueries(peer.id(), queries, now);
       }
     }
   }
   // Wanted URIs exist only when metadata circulates; they ride on hellos.
   if (!protocol.distributesMetadata()) return;
 
-  // Every advertised URI once, with its first advertiser and whether another
-  // member advertised it too. Views point at catalog URIs and at members'
-  // peerWants_ keys; both outlive the exchange, and the keys stay put while
-  // the stores below insert (the map is node-based and nothing is erased).
-  struct Advert {
-    std::size_t first;
-    bool shared;
+  // Every advertised file once, with its first advertiser and whether
+  // another member advertised it too, in per-file slots stamped with this
+  // exchange's serial (so no slot is ever cleared).
+  const std::uint64_t serial = ++views.helloSerial_;
+  if (views.advertSeen_.size() < catalog.size()) {
+    views.advertSeen_.resize(catalog.size(), 0);
+    views.adverts_.resize(catalog.size());
+  }
+  std::vector<FileId>& advertised = views.advertised_;
+  advertised.clear();
+  auto advertise = [&](FileId file, std::uint32_t member) {
+    ContactViews::Advert& advert = views.adverts_[file.value];
+    if (views.advertSeen_[file.value] != serial) {
+      views.advertSeen_[file.value] = serial;
+      advert = {member, false};
+      advertised.push_back(file);
+    } else if (advert.first != member) {
+      advert.shared = true;
+    }
   };
-  std::unordered_map<std::string_view, Advert> adverts;
-  auto advertise = [&](std::string_view uri, std::size_t member) {
-    auto [it, inserted] = adverts.try_emplace(uri, Advert{member, false});
-    if (!inserted && it->second.first != member) it->second.shared = true;
-  };
-  for (std::size_t i = 0; i < members.size(); ++i) {
+  for (std::uint32_t i = 0; i < members.size(); ++i) {
     const Node& node = *members[i];
     for (FileId file : views.wantedFiles(node, now)) {
-      const FileInfo* info = catalog.find(file);
-      if (info != nullptr) advertise(info->uri, i);
+      if (catalog.find(file) != nullptr) advertise(file, i);
     }
     // Under MBT, stored "requesting URIs" of peers are re-advertised, so a
     // request can travel multiple hops toward an access node.
     if (protocol.distributesQueries()) {
-      for (const auto& [uri, when] : node.peerWants_) {
-        if (now - when <= node.cooperativeTtl_) advertise(uri, i);
+      for (const Node::PeerWant& want : node.peerWants_) {
+        if (now - want.stamp <= node.cooperativeTtl_) advertise(want.file, i);
       }
     }
   }
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    for (const auto& [uri, advert] : adverts) {
-      if (advert.shared || advert.first != i) {
-        members[i]->storePeerWant(uri, now);
-      }
+  std::sort(advertised.begin(), advertised.end());
+  std::vector<FileId>& share = views.memberShare_;
+  for (std::uint32_t i = 0; i < members.size(); ++i) {
+    share.clear();
+    for (const FileId file : advertised) {
+      const ContactViews::Advert& advert = views.adverts_[file.value];
+      if (advert.shared || advert.first != i) share.push_back(file);
     }
+    members[i]->stampPeerWants(share, now);
   }
 }
 
@@ -440,10 +544,10 @@ ContactViews::Slot& ContactViews::slot(const Node& node) {
   index = static_cast<std::uint32_t>(used_++);
   Slot& fresh = slots_[index];
   fresh.node = &node;
-  fresh.activeTexts.generation = 0;
-  fresh.proxiedTexts.generation = 0;
-  fresh.ownTokens.generation = 0;
-  fresh.combinedTokens.generation = 0;
+  fresh.active.generation = 0;
+  fresh.proxied.generation = 0;
+  fresh.own.generation = 0;
+  fresh.combined.generation = 0;
   fresh.wanted.generation = 0;
   return fresh;
 }
@@ -464,30 +568,34 @@ const auto& refreshed(Cache& cache, const Node& node, SimTime now,
 
 }  // namespace
 
-const std::vector<std::string>& ContactViews::activeQueryTexts(
-    const Node& node, SimTime now) {
-  return refreshed(slot(node).activeTexts, node, now,
-                   [&] { return node.activeQueryTexts(now); });
+const std::vector<SharedQuery>& ContactViews::activeQueries(const Node& node,
+                                                          SimTime now) {
+  return refreshed(slot(node).active, node, now,
+                   [&] { return node.activeQueries(now); });
 }
 
-const std::vector<std::string>& ContactViews::proxiedQueryTexts(
+const std::vector<const FileQuery*>& ContactViews::proxiedQueries(
     const Node& node, SimTime now) {
-  return refreshed(slot(node).proxiedTexts, node, now,
-                   [&] { return node.proxiedQueryTexts(now); });
+  return refreshed(slot(node).proxied, node, now,
+                   [&] { return node.proxiedQueries(now); });
 }
 
-const std::vector<std::vector<std::string>>& ContactViews::contactQueryTokens(
+const std::vector<const FileQuery*>& ContactViews::contactQueries(
     const Node& node, SimTime now, bool includeProxied) {
   Slot& s = slot(node);
-  const auto& own = refreshed(s.ownTokens, node, now,
-                              [&] { return node.activeQueryTokens(now); });
-  if (!includeProxied) return own;
-  return refreshed(s.combinedTokens, node, now, [&] {
-    std::vector<std::vector<std::string>> tokens = own;
-    for (const std::string& text : proxiedQueryTexts(node, now)) {
-      tokens.push_back(keywordTokens(text));
+  const auto& own = refreshed(s.own, node, now, [&] {
+    std::vector<const FileQuery*> queries;
+    for (const SharedQuery& query : activeQueries(node, now)) {
+      queries.push_back(query.get());
     }
-    return tokens;
+    return queries;
+  });
+  if (!includeProxied) return own;
+  return refreshed(s.combined, node, now, [&] {
+    std::vector<const FileQuery*> queries = own;
+    const auto& proxied = proxiedQueries(node, now);
+    queries.insert(queries.end(), proxied.begin(), proxied.end());
+    return queries;
   });
 }
 

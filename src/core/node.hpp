@@ -3,9 +3,11 @@
 // Each node runs a file discovery process and a file download process
 // (Section III-B). This class owns the node's stores (metadata, pieces),
 // its credit ledger, its own user queries, and the cooperative state the
-// protocols need: stored query strings of frequent contacts (MBT query
-// proxying, Section IV) and stored "requesting URIs" heard in hellos (so an
-// Internet-access node can fetch files on behalf of peers).
+// protocols need: stored queries of frequent contacts (MBT query proxying,
+// Section IV) and stored "requesting URIs" heard in hellos (so an
+// Internet-access node can fetch files on behalf of peers). Both refer to
+// shared state rather than copy strings: a stored query is the peer's own
+// query object, and a requesting URI is kept as the catalog file it names.
 //
 // Query lifecycle: a query is *advertised* until a matching metadata record
 // is stored (the simulated user then "selects" the best match); from then on
@@ -38,17 +40,18 @@ class Node;
 struct ProtocolConfig;
 
 /// One contact's hello exchange among `members` (paper Section IV). Each
-/// member advertises its active query texts and its wanted URIs: the files
-/// it is downloading and, under MBT, the fresh "requesting URIs" it stored
+/// member advertises its active queries and its wanted URIs: the files it
+/// is downloading and, under MBT, the fresh "requesting URIs" it stored
 /// from earlier hellos, so a request travels multiple hops toward an access
-/// node. Under MBT every member stores each contributing peer's query texts
-/// (kept for frequent contacts only); under MBT and MBT-Q every member
-/// stores every URI some *other* member advertised. `views` is the caller's
-/// per-contact scratch (ContactViews).
+/// node. Under MBT every member stores each contributing peer's query
+/// objects (kept for frequent contacts only); under MBT and MBT-Q every
+/// member stores every file some *other* member advertised. URIs travel as
+/// catalog file ids; a wanted file the catalog does not know is not
+/// advertised. `views` is the caller's per-contact scratch (ContactViews).
 ///
 /// Equivalent to every member storing every other member's hello in turn,
 /// but linear in the clique: all stores stamp the same `now`, so repeated
-/// writes of one URI are idempotent and each member stores each URI once.
+/// writes of one file are idempotent and each member stores each file once.
 void exchangeHellos(std::span<Node* const> members,
                     const ProtocolConfig& protocol, const FileCatalog& catalog,
                     SimTime now, ContactViews& views);
@@ -106,13 +109,12 @@ class Node {
   void addQuery(const Query& query);
 
   /// Texts of queries still searching for metadata at `now` (advertised in
-  /// hellos), in issue order. ContactViews caches this per contact.
+  /// hellos), in issue order.
   [[nodiscard]] std::vector<std::string> activeQueryTexts(SimTime now) const;
 
-  /// Token lists of the same queries, in the same order (the own half of
-  /// ContactViews::contactQueryTokens).
-  [[nodiscard]] std::vector<std::vector<std::string>> activeQueryTokens(
-      SimTime now) const;
+  /// The query objects of the same queries, in the same order (what a hello
+  /// hands to peers). ContactViews caches this per contact.
+  [[nodiscard]] std::vector<SharedQuery> activeQueries(SimTime now) const;
 
   /// Files the node is currently downloading, ascending: a metadata was
   /// selected for an unexpired query and the file is not yet complete. A
@@ -195,19 +197,37 @@ class Node {
   void setFrequentContacts(std::vector<NodeId> contacts);
   [[nodiscard]] bool isFrequentContact(NodeId peer) const;
 
-  /// Replaces the stored query strings of a frequent contact (MBT). Calls
-  /// for non-frequent peers are ignored (and copy nothing).
+  /// Replaces the stored queries of a frequent contact (MBT) with the
+  /// peer's own query objects. Calls for non-frequent peers are ignored.
+  void storePeerQueries(NodeId peer, std::span<const SharedQuery> queries,
+                        SimTime now);
+  /// Same, for query texts heard on the wire (the Device and tests): each
+  /// text gets a query object of its own.
   void storePeerQueries(NodeId peer, const std::vector<std::string>& texts,
                         SimTime now);
 
-  /// Stored frequent-contact query texts still fresh at `now` (deduplicated,
-  /// sorted). ContactViews caches this per contact.
+  /// Stored frequent-contact queries still fresh at `now`, one per distinct
+  /// text, in text order. ContactViews caches this per contact.
+  [[nodiscard]] std::vector<const FileQuery*> proxiedQueries(
+      SimTime now) const;
+
+  /// The texts of proxiedQueries(now).
   [[nodiscard]] std::vector<std::string> proxiedQueryTexts(SimTime now) const;
 
+  /// The catalog that peer wants resolve against: a want is stored as the
+  /// file its URI names, and saved as that URI again. The engine sets its
+  /// own catalog on every node; without one a node stores no peer wants.
+  void setCatalog(const FileCatalog* catalog) { catalog_ = catalog; }
+
   /// Remembers URIs that peers advertised as wanted ("requesting URIs").
+  /// A URI the catalog does not know is dropped: no access node could
+  /// fetch it.
   void storePeerWants(const std::vector<Uri>& uris, SimTime now);
 
-  /// Peer-wanted URIs still fresh at `now`, sorted.
+  /// Files peers want that are still fresh at `now`, ascending id.
+  [[nodiscard]] std::vector<FileId> peerWantedFiles(SimTime now) const;
+
+  /// The URIs of peerWantedFiles(now), sorted.
   [[nodiscard]] std::vector<Uri> peerWantedUris(SimTime now) const;
 
   /// Freshness horizon for proxied queries and peer wants.
@@ -215,10 +235,11 @@ class Node {
 
   /// Checkpoints the node's mutable protocol state: stores, credits, query
   /// lifecycle, distrust bookkeeping, and cooperative state. Construction
-  /// state (id, options, frequent contacts, cooperative TTL) is
+  /// state (id, options, frequent contacts, cooperative TTL, catalog) is
   /// reconstructed deterministically by Engine setup and not serialized.
   /// loadState re-shares metadata records through `records` and query
-  /// objects through `queries`.
+  /// objects, stored peer queries included, through `queries`. A saved
+  /// peer want whose URI the node's catalog lacks is a SerializeError.
   void saveState(Serializer& out) const;
   void loadState(Deserializer& in, MetadataInterner& records,
                  QueryInterner& queries);
@@ -241,19 +262,16 @@ class Node {
     return std::span<QueryState>(queries_).subspan(firstLiveQuery(now));
   }
 
-  /// Stamps one peer-wanted URI at `now`; refreshing a known URI builds no
-  /// string.
-  void storePeerWant(std::string_view uri, SimTime now);
+  /// Stamps `files` (ascending, distinct) as peer-wanted at `now`: one
+  /// merge into peerWants_.
+  void stampPeerWants(std::span<const FileId> files, SimTime now);
 
   void touch() { ++stateGen_; }
 
-  /// Hashes std::string and std::string_view alike, so peerWants_ lookups
-  /// by view need no temporary string.
-  struct UriHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view uri) const {
-      return std::hash<std::string_view>{}(uri);
-    }
+  /// One peer-wanted file and when it was last advertised.
+  struct PeerWant {
+    FileId file;
+    SimTime stamp = 0;
   };
 
   /// Verification bookkeeping. Only runs with forgers ever reject a record,
@@ -272,7 +290,7 @@ class Node {
   struct ProxyState {
     std::vector<NodeId> frequentContacts;  ///< sorted
     struct StoredQueries {
-      std::vector<std::string> texts;
+      std::vector<SharedQuery> queries;
       SimTime storedAt = 0;
     };
     std::unordered_map<NodeId, StoredQueries> peerQueries;
@@ -290,7 +308,8 @@ class Node {
   PieceStore pieces_;
   CreditLedger credits_;
   std::vector<QueryState> queries_;
-  std::unordered_map<Uri, SimTime, UriHash, std::equal_to<>> peerWants_;
+  std::vector<PeerWant> peerWants_;  ///< ascending file id
+  const FileCatalog* catalog_ = nullptr;
   // Expiry watermark: a lower bound on the oldest peerWants_ stamp
   // (kNoStamp when the map is empty). expire() scans the map only when the
   // bound is older than `now - cooperativeTtl_`; a scan, and loadState,
@@ -322,15 +341,16 @@ class ContactViews {
   /// calls this before each contact and each publish-time access sync.
   void clear() { used_ = 0; }
 
-  [[nodiscard]] const std::vector<std::string>& activeQueryTexts(
+  [[nodiscard]] const std::vector<SharedQuery>& activeQueries(
       const Node& node, SimTime now);
-  [[nodiscard]] const std::vector<std::string>& proxiedQueryTexts(
+  [[nodiscard]] const std::vector<const FileQuery*>& proxiedQueries(
       const Node& node, SimTime now);
-  /// Tokenized forms of the queries `node` wants served during a contact:
-  /// its own active queries plus, when `includeProxied`, the stored queries
-  /// of its frequent contacts (MBT). Feed to DiscoveryPeer::tokenizedQueries.
-  [[nodiscard]] const std::vector<std::vector<std::string>>&
-  contactQueryTokens(const Node& node, SimTime now, bool includeProxied);
+  /// The queries `node` wants served during a contact: its own active
+  /// queries plus, when `includeProxied`, the stored queries of its
+  /// frequent contacts (MBT). Feed to DiscoveryPeer::queryObjects; the
+  /// access sync searches the server for the same list.
+  [[nodiscard]] const std::vector<const FileQuery*>& contactQueries(
+      const Node& node, SimTime now, bool includeProxied);
   /// Node::wantedFilesView, cached; DownloadPeer::wanted views this
   /// storage.
   [[nodiscard]] const std::vector<FileId>& wantedFiles(const Node& node,
@@ -345,14 +365,30 @@ class ContactViews {
   };
   struct Slot {
     const Node* node = nullptr;
-    Cached<std::vector<std::string>> activeTexts;
-    Cached<std::vector<std::string>> proxiedTexts;
-    Cached<std::vector<std::vector<std::string>>> ownTokens;
-    Cached<std::vector<std::vector<std::string>>> combinedTokens;
+    Cached<std::vector<SharedQuery>> active;
+    Cached<std::vector<const FileQuery*>> proxied;
+    Cached<std::vector<const FileQuery*>> own;
+    Cached<std::vector<const FileQuery*>> combined;
     Cached<std::vector<FileId>> wanted;
   };
   /// The slot of `node` in this contact, claiming a fresh one on first ask.
   Slot& slot(const Node& node);
+
+  friend void exchangeHellos(std::span<Node* const>, const ProtocolConfig&,
+                             const FileCatalog&, SimTime, ContactViews&);
+  /// exchangeHellos scratch: per catalog file, the contact that last saw it
+  /// advertised (`advertSeen`), its first advertiser and whether another
+  /// member advertised it too; the files advertised this contact; one
+  /// member's share of them.
+  struct Advert {
+    std::uint32_t first = 0;
+    bool shared = false;
+  };
+  std::uint64_t helloSerial_ = 0;
+  std::vector<std::uint64_t> advertSeen_;
+  std::vector<Advert> adverts_;
+  std::vector<FileId> advertised_;
+  std::vector<FileId> memberShare_;
 
   /// A deque, so claiming a slot never moves the ones already handed out.
   std::deque<Slot> slots_;

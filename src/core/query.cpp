@@ -54,7 +54,17 @@ FileQuery::FileQuery(std::string text, FileId target, SimTime issuedAt,
       tokens(keywordTokens(this->text)),
       target(target),
       issuedAt(issuedAt),
-      ttl(ttl) {}
+      ttl(ttl) {
+  tokenHashes.reserve(tokens.size());
+  for (const std::string& token : tokens) {
+    tokenHashes.push_back(keywordHash(token));
+  }
+}
+
+void QueryInterner::seed(SharedQuery query) {
+  byText_.try_emplace(query->text, query);
+  known_.try_emplace(query->target, std::move(query));
+}
 
 SharedQuery QueryInterner::intern(std::string text, FileId target,
                                   SimTime issuedAt, Duration ttl) {
@@ -66,6 +76,16 @@ SharedQuery QueryInterner::intern(std::string text, FileId target,
   auto fresh = std::make_shared<const FileQuery>(std::move(text), target,
                                                  issuedAt, ttl);
   if (inserted) it->second = fresh;
+  byText_.try_emplace(fresh->text, fresh);
+  return fresh;
+}
+
+SharedQuery QueryInterner::internText(std::string text) {
+  const auto it = byText_.find(text);
+  if (it != byText_.end()) return it->second;
+  auto fresh = std::make_shared<const FileQuery>(std::move(text), FileId{},
+                                                 SimTime{0}, Duration{0});
+  byText_.emplace(fresh->text, fresh);
   return fresh;
 }
 

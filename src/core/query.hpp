@@ -49,6 +49,9 @@ struct FileQuery {
   /// `text` tokenized once (hot paths match against tokens; the text itself
   /// is only sent in hellos).
   std::vector<std::string> tokens;
+  /// keywordHash of each token, parallel to `tokens`: the discovery planner
+  /// probes the records' keyword-hash indexes with them.
+  std::vector<std::uint64_t> tokenHashes;
   FileId target;
   SimTime issuedAt = 0;
   Duration ttl = 0;
@@ -61,17 +64,29 @@ using SharedQuery = std::shared_ptr<const FileQuery>;
 /// Re-shares query objects on checkpoint restore, as MetadataInterner does
 /// for records: every saved query equal to a known one (same target, text,
 /// issue time and TTL) reuses that object, so a resumed run holds one query
-/// object per file like the run it resumes.
+/// object per file like the run it resumes. Stored proxied queries are
+/// saved as texts alone; internText gives each the known object with that
+/// text. Engine restore seeds every catalog file's query first, so a text
+/// finds its object even when the node that owns the query loads later.
 class QueryInterner {
  public:
+  /// Makes `query` known under its target and its text.
+  void seed(SharedQuery query);
+
   [[nodiscard]] SharedQuery intern(std::string text, FileId target,
                                    SimTime issuedAt, Duration ttl);
+
+  /// A known object with `text`, else a new one with no target that later
+  /// texts equal to it reuse.
+  [[nodiscard]] SharedQuery internText(std::string text);
 
  private:
   /// Engine queries of one file are all equal, so the target names one
   /// object; a query unlike the known one (only a hand-made checkpoint has
   /// those) keeps its own object.
   std::unordered_map<FileId, SharedQuery> known_;
+  /// The first known object of each text.
+  std::unordered_map<std::string, SharedQuery> byText_;
 };
 
 /// True when every keyword of `queryText` occurs in the metadata keywords.

@@ -69,6 +69,8 @@ RxOutcome Device::receive(std::span<const std::uint8_t> frame, SimTime now) {
       if (!hello) return malformed(hello.error);
       heard_[hello->sender] = now;
       node_.storePeerQueries(hello->sender, hello->queries, now);
+      // Wanted URIs resolve against the node's catalog (Node::setCatalog);
+      // a URI it does not know names nothing an access node could fetch.
       node_.storePeerWants(hello->wantedUris, now);
       return record(RxOutcome::kHello);
     }

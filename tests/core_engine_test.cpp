@@ -524,7 +524,8 @@ TEST(Engine, RestoredHoldersShareOneRecordObjectPerFile) {
 }
 
 // Every node's query for a file shares one object, holding the file's
-// canonical query. Returns the objects by target file.
+// canonical query, and every stored proxied query is that object too.
+// Returns the objects by target file.
 std::map<FileId, const FileQuery*> expectOneQueryObjectPerFile(
     const Engine& engine) {
   std::map<FileId, const FileQuery*> objects;
@@ -551,6 +552,18 @@ std::map<FileId, const FileQuery*> expectOneQueryObjectPerFile(
   }
   // Sharing is exercised: files have many askers.
   EXPECT_GT(states, 2 * objects.size());
+  std::size_t proxied = 0;
+  for (std::uint32_t i = 0; i < engine.nodeCount(); ++i) {
+    for (const FileQuery* query :
+         engine.node(NodeId(i)).proxiedQueries(engine.now())) {
+      ++proxied;
+      const auto it = objects.find(query->target);
+      EXPECT_TRUE(it != objects.end() && it->second == query)
+          << "node " << i << " stores its own copy of proxied query \""
+          << query->text << "\"";
+    }
+  }
+  EXPECT_GT(proxied, 0u);
   return objects;
 }
 

@@ -75,6 +75,7 @@ std::vector<Node> randomClique(Rng& rng, const InternetServices& internet,
     Node node(NodeId(static_cast<std::uint32_t>(i)),
               {.freeRider = rng.chance(0.2)});
     node.setCooperativeStateTtl(kTtl);
+    node.setCatalog(&internet.catalog());
     std::vector<NodeId> frequent;
     for (std::size_t j = 0; j < size; ++j) {
       if (j != i && rng.chance(0.5)) {
@@ -103,7 +104,8 @@ std::vector<Node> randomClique(Rng& rng, const InternetServices& internet,
       }
     }
     // Requesting URIs heard earlier: fresh or stale, catalog URIs (possibly
-    // the node's own wanted files) or URIs the catalog does not know.
+    // the node's own wanted files) or URIs the catalog does not know, which
+    // the node drops.
     const auto wants = rng.uniformInt(0, 12);
     for (std::int64_t w = 0; w < wants; ++w) {
       const SimTime stamp = now - rng.uniformInt(0, 2 * kTtl);
@@ -197,7 +199,10 @@ TEST(HelloExchange, MemberDoesNotStoreWhatOnlyItAdvertised) {
   Node a(NodeId(0), {});
   Node b(NodeId(1), {});
   Node c(NodeId(2), {});
-  for (Node* node : {&a, &b, &c}) node->setCooperativeStateTtl(kTtl);
+  for (Node* node : {&a, &b, &c}) {
+    node->setCooperativeStateTtl(kTtl);
+    node->setCatalog(&internet.catalog());
+  }
   a.storePeerWants({mine, shared}, 10);
   c.storePeerWants({shared}, 10);
   std::vector<Node*> members{&a, &b, &c};

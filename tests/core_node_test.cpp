@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/file_catalog.hpp"
 #include "src/util/random.hpp"
 #include "tests/reference_oracles.hpp"
 
@@ -24,6 +25,33 @@ Metadata makeMetadata(std::uint32_t id, const std::string& name,
   md.pieceChecksums.assign(pieces, Sha1Digest{});
   md.rebuildKeywords();
   return md;
+}
+
+// A catalog holding dtn://a/f0 ... dtn://a/f9: the URIs the peer-want
+// tests advertise. A node keeps a peer want as the catalog file it names.
+const FileCatalog* peerWantCatalog() {
+  static const FileCatalog catalog = [] {
+    FileCatalog built;
+    for (int i = 0; i < 10; ++i) {
+      FileCatalog::PublishRequest request;
+      request.name = "file " + std::to_string(i);
+      request.publisher = "a";
+      request.sizeBytes = 1;
+      request.pieceSizeBytes = 1;
+      request.ttl = 10 * kDay;
+      built.publish(request);
+    }
+    return built;
+  }();
+  return &catalog;
+}
+
+// The token lists of `queries`, in order.
+template <typename Queries>
+std::vector<std::vector<std::string>> tokensOf(const Queries& queries) {
+  std::vector<std::vector<std::string>> tokens;
+  for (const auto& query : queries) tokens.push_back(query->tokens);
+  return tokens;
 }
 
 Query makeQuery(std::uint32_t id, std::uint32_t owner,
@@ -146,6 +174,7 @@ TEST(Node, ReplacingPeerQueriesKeepsLatest) {
 TEST(Node, PeerWantsStoredAndExpire) {
   Node node(NodeId(1), {});
   node.setCooperativeStateTtl(kDay);
+  node.setCatalog(peerWantCatalog());
   node.storePeerWants({"dtn://a/f1", "dtn://a/f2"}, 0);
   node.storePeerWants({"dtn://a/f1"}, kHour);  // refresh f1
   EXPECT_EQ(node.peerWantedUris(0).size(), 2u);
@@ -159,6 +188,7 @@ TEST(Node, ExpirePurgesMetadataAndCooperativeState) {
   Node node(NodeId(1), {});
   node.setFrequentContacts({NodeId(2)});
   node.setCooperativeStateTtl(kDay);
+  node.setCatalog(peerWantCatalog());
   Metadata md = makeMetadata(10, "short lived", 1, 0.5);
   md.ttl = kHour;
   node.acceptMetadata(md, 0);
@@ -174,6 +204,7 @@ TEST(Node, ExpireKeepsStateExactlyOneTtlOld) {
   Node node(NodeId(1), {});
   node.setFrequentContacts({NodeId(2)});
   node.setCooperativeStateTtl(kDay);
+  node.setCatalog(peerWantCatalog());
   node.storePeerQueries(NodeId(2), {"q"}, 0);
   node.storePeerWants({"dtn://a/f1"}, 0);
   node.expire(kDay);  // now - stamp == ttl: kept
@@ -192,6 +223,7 @@ TEST(Node, ExpireFollowsRefreshedStamps) {
   Node node(NodeId(1), {});
   node.setFrequentContacts({NodeId(2)});
   node.setCooperativeStateTtl(kDay);
+  node.setCatalog(peerWantCatalog());
   node.storePeerQueries(NodeId(2), {"q"}, 0);
   node.storePeerWants({"dtn://a/f1", "dtn://a/f2"}, 0);
   node.storePeerQueries(NodeId(2), {"q"}, 10);  // refresh
@@ -215,12 +247,14 @@ TEST(Node, ExpireFollowsRefreshedStamps) {
 TEST(Node, ExpireAfterLoadStateSeesRestoredStamps) {
   Node source(NodeId(1), {});
   source.setCooperativeStateTtl(kDay);
+  source.setCatalog(peerWantCatalog());
   source.storePeerWants({"dtn://a/f1"}, 0);
   Serializer out;
   source.saveState(out);
 
   Node restored(NodeId(1), {});
   restored.setCooperativeStateTtl(kDay);
+  restored.setCatalog(peerWantCatalog());
   restored.storePeerWants({"dtn://a/f9"}, 2 * kDay);
   restored.expire(2 * kDay);  // watermark now 2 days
   Deserializer in(out.bytes());
@@ -336,10 +370,10 @@ TEST(Node, WatermarkScansMatchFullScans) {
         EXPECT_EQ(node.activeQueryTexts(at),
                   activeQueryTextsReference(node, at))
             << where << " at " << at;
-        EXPECT_EQ(node.activeQueryTokens(at),
+        EXPECT_EQ(tokensOf(node.activeQueries(at)),
                   activeQueryTokensReference(node, at))
             << where << " at " << at;
-        EXPECT_EQ(views.contactQueryTokens(node, at, false),
+        EXPECT_EQ(tokensOf(views.contactQueries(node, at, false)),
                   activeQueryTokensReference(node, at))
             << where << " at " << at;
         EXPECT_EQ(node.wantedFilesView(at), wantedFilesReference(node, at))

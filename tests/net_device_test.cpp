@@ -60,6 +60,22 @@ TEST(Device, HelloFrameCarriesStateAndTracksNeighbors) {
   EXPECT_EQ(decoded->heardNeighbors, (std::vector<NodeId>{NodeId(1)}));
 }
 
+TEST(Device, HelloWantedUrisResolveThroughTheCatalog) {
+  Fixture fx;
+  Device alice(NodeId(1), {});
+  Device bob(NodeId(2), {});
+  bob.node().setCatalog(&fx.internet.catalog());
+  alice.node().addQuery(makeQuery(1, "news ep0"));
+  alice.node().acceptMetadata(fx.metadata(), 0);  // selects it: wanted
+  HelloMessage hello = *decodeHello(alice.makeHelloFrame(100));
+  hello.wantedUris.push_back("dtn://nowhere/f9");
+  EXPECT_EQ(bob.receive(encodeHello(hello), 100), RxOutcome::kHello);
+  // The catalog URI is stored as its file; the unknown one is dropped.
+  EXPECT_EQ(bob.node().peerWantedFiles(100), std::vector<FileId>{fx.file});
+  EXPECT_EQ(bob.node().peerWantedUris(100),
+            std::vector<Uri>{fx.metadata().uri});
+}
+
 TEST(Device, MetadataFrameStoredOnce) {
   Fixture fx;
   Device alice(NodeId(1), {});

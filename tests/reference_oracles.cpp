@@ -169,8 +169,10 @@ std::vector<MetadataBroadcast> planCooperativeDiscoveryReference(
       }
       anyLacker = true;
       std::vector<std::vector<std::string>> tokens;
-      if (peer.tokenizedQueries != nullptr) {
-        tokens = *peer.tokenizedQueries;
+      if (peer.queryObjects != nullptr) {
+        for (const FileQuery* q : *peer.queryObjects) {
+          tokens.push_back(q->tokens);
+        }
       } else {
         for (const std::string& q : peer.queries) {
           tokens.push_back(keywordTokens(q));

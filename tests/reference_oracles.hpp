@@ -116,7 +116,8 @@ class PieceStoreReference {
 [[nodiscard]] std::vector<std::string> activeQueryTextsReference(
     const Node& node, SimTime now);
 
-/// Node::activeQueryTokens (the own half of contactQueryTokens).
+/// The token lists of Node::activeQueries (the own half of
+/// ContactViews::contactQueries).
 [[nodiscard]] std::vector<std::vector<std::string>> activeQueryTokensReference(
     const Node& node, SimTime now);
 
