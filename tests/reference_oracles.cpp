@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "src/core/internet.hpp"
 #include "src/core/query.hpp"
 #include "src/util/random.hpp"
 #include "src/util/string_util.hpp"
@@ -668,6 +669,223 @@ std::vector<QueryId> fileCompletionReference(const Node& node, FileId file,
     }
   }
   return satisfied;
+}
+
+void ReferenceNode::storePeerQueries(NodeId peer,
+                                     const std::vector<std::string>& texts,
+                                     SimTime now) {
+  if (!node.isFrequentContact(peer)) return;
+  StoredQueries& stored = peerQueries[peer];
+  stored.texts = texts;
+  stored.storedAt = now;
+}
+
+std::vector<std::string> ReferenceNode::proxiedQueryTexts(SimTime now) const {
+  std::set<std::string> texts;
+  for (const auto& [peer, stored] : peerQueries) {
+    if (now - stored.storedAt > ttl) continue;
+    texts.insert(stored.texts.begin(), stored.texts.end());
+  }
+  return {texts.begin(), texts.end()};
+}
+
+void ReferenceNode::storePeerWants(const std::vector<Uri>& uris,
+                                   SimTime now) {
+  for (const Uri& uri : uris) peerWants[uri] = now;
+}
+
+std::vector<Uri> ReferenceNode::peerWantedUris(SimTime now) const {
+  std::vector<Uri> out;
+  for (const auto& [uri, when] : peerWants) {
+    if (now - when <= ttl) out.push_back(uri);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<std::vector<std::string>> ReferenceNode::contactQueryTokens(
+    SimTime now, bool includeProxied) const {
+  std::vector<std::vector<std::string>> tokens =
+      activeQueryTokensReference(node, now);
+  if (includeProxied) {
+    for (const std::string& text : proxiedQueryTexts(now)) {
+      tokens.push_back(keywordTokens(text));
+    }
+  }
+  return tokens;
+}
+
+void ReferenceNode::expire(SimTime now) {
+  node.expire(now);
+  const SimTime horizon = now - ttl;
+  std::erase_if(peerQueries, [&](const auto& kv) {
+    return kv.second.storedAt < horizon;
+  });
+  std::erase_if(peerWants,
+                [&](const auto& kv) { return kv.second < horizon; });
+}
+
+std::string ReferenceNode::saveState() const {
+  Serializer out;
+  node.saveState(out);
+  std::string bytes = out.bytes();
+  // The node's own cooperative sections are empty: two zero counts.
+  const std::string empty(16, '\0');
+  if (bytes.size() < empty.size() ||
+      bytes.compare(bytes.size() - empty.size(), empty.size(), empty) != 0) {
+    throw std::logic_error("ReferenceNode: the node stored cooperative state");
+  }
+  bytes.resize(bytes.size() - empty.size());
+
+  Serializer coop;
+  std::vector<std::pair<NodeId, const StoredQueries*>> stored;
+  for (const auto& [peer, sq] : peerQueries) stored.emplace_back(peer, &sq);
+  std::sort(stored.begin(), stored.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  coop.u64(stored.size());
+  for (const auto& [peer, sq] : stored) {
+    coop.u32(peer.value);
+    coop.u64(sq->texts.size());
+    for (const std::string& text : sq->texts) coop.str(text);
+    coop.i64(sq->storedAt);
+  }
+  std::vector<std::pair<Uri, SimTime>> wants(peerWants.begin(),
+                                             peerWants.end());
+  std::sort(wants.begin(), wants.end());
+  coop.u64(wants.size());
+  for (const auto& [uri, when] : wants) {
+    coop.str(uri);
+    coop.i64(when);
+  }
+  return bytes + coop.bytes();
+}
+
+void exchangeHellosReference(std::span<ReferenceNode* const> members,
+                             const ProtocolConfig& protocol,
+                             const FileCatalog& catalog, SimTime now) {
+  if (protocol.distributesQueries()) {
+    for (std::size_t j = 0; j < members.size(); ++j) {
+      const Node& peer = members[j]->node;
+      if (!peer.contributes()) continue;
+      const std::vector<std::string> texts = peer.activeQueryTexts(now);
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        if (i != j) members[i]->storePeerQueries(peer.id(), texts, now);
+      }
+    }
+  }
+  if (!protocol.distributesMetadata()) return;
+  struct Advert {
+    std::size_t first;
+    bool shared;
+  };
+  std::unordered_map<std::string_view, Advert> adverts;
+  auto advertise = [&](std::string_view uri, std::size_t member) {
+    auto [it, inserted] = adverts.try_emplace(uri, Advert{member, false});
+    if (!inserted && it->second.first != member) it->second.shared = true;
+  };
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const ReferenceNode& member = *members[i];
+    for (FileId file : member.node.wantedFilesView(now)) {
+      const FileInfo* info = catalog.find(file);
+      if (info != nullptr) advertise(info->uri, i);
+    }
+    if (protocol.distributesQueries()) {
+      for (const auto& [uri, when] : member.peerWants) {
+        if (now - when <= member.ttl) advertise(uri, i);
+      }
+    }
+  }
+  // Copies: the stores below rehash the maps the views point into.
+  std::vector<std::pair<Uri, Advert>> all(adverts.begin(), adverts.end());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    for (const auto& [uri, advert] : all) {
+      if (advert.shared || advert.first != i) {
+        members[i]->storePeerWants({uri}, now);
+      }
+    }
+  }
+}
+
+void AccessSyncReference::beginEpoch(SimTime publishAt) {
+  lastPublishAt_ = publishAt;
+  const std::size_t alive = internet_.catalog().aliveFiles(publishAt).size();
+  const auto stock = std::min(
+      config_.stockLimit,
+      std::max<std::size_t>(
+          10, static_cast<std::size_t>(config_.stockFraction *
+                                       static_cast<double>(alive))));
+  topPopular_ = internet_.topPopular(publishAt, stock);
+}
+
+void AccessSyncReference::sync(ReferenceNode& member, SimTime now,
+                               AccessSync::Host& host) {
+  if (lastPublishAt_ < 0) return;
+  Node& node = member.node;
+  auto acceptFromServer = [&](const SharedMetadata& md) {
+    if (md->expired(now)) return;
+    const bool isNew = !node.metadata().has(md->file);
+    host.storeMetadata(node, md, now);
+    if (isNew && node.metadata().has(md->file)) {
+      host.gotMetadata(node, md->file, now);
+    }
+  };
+
+  std::vector<std::string> texts = node.activeQueryTexts(now);
+  if (config_.searchProxiedQueries) {
+    for (const std::string& text : member.proxiedQueryTexts(now)) {
+      texts.push_back(text);
+    }
+  }
+  if (searchCache_.size() <= node.id().value) {
+    searchCache_.resize(node.id().value + 1);
+  }
+  auto& searched = searchCache_[node.id().value];
+  for (const std::string& text : texts) {
+    auto it = searched.find(text);
+    if (it != searched.end() && it->second >= lastPublishAt_) continue;
+    searched[text] = now;
+    const auto matches = internet_.search(text, now);
+    const std::size_t take = std::min<std::size_t>(3, matches.size());
+    for (std::size_t i = 0; i < take; ++i) {
+      acceptFromServer(
+          internet_.catalog().sharedMetadataFor(matches[i].metadata->file));
+    }
+  }
+
+  if (config_.takeCarryStock) {
+    for (const SharedMetadata& md : topPopular_) acceptFromServer(md);
+  }
+
+  for (FileId file : node.wantedFilesView(now)) {
+    host.deliverWholeFile(node, file, now);
+  }
+
+  if (config_.fetchPeerWants) {
+    for (const Uri& uri : member.peerWantedUris(now)) {
+      const SharedMetadata md = internet_.metadataForUri(uri);
+      if (md == nullptr || md->expired(now)) continue;
+      acceptFromServer(md);
+      host.deliverWholeFile(node, md->file, now);
+    }
+  }
+}
+
+void AccessSyncReference::saveState(Serializer& out,
+                                    std::size_t nodeCount) const {
+  out.i64(lastPublishAt_);
+  out.u64(nodeCount);
+  for (std::size_t id = 0; id < nodeCount; ++id) {
+    std::vector<std::pair<std::string, SimTime>> sorted;
+    if (id < searchCache_.size()) {
+      sorted.assign(searchCache_[id].begin(), searchCache_[id].end());
+    }
+    std::sort(sorted.begin(), sorted.end());
+    out.u64(sorted.size());
+    for (const auto& [text, at] : sorted) {
+      out.str(text);
+      out.i64(at);
+    }
+  }
 }
 
 namespace coding {

@@ -6,13 +6,16 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/core/access_sync.hpp"
 #include "src/core/coding.hpp"
 #include "src/core/discovery.hpp"
 #include "src/core/download.hpp"
 #include "src/core/node.hpp"
+#include "src/core/protocol.hpp"
 #include "src/graph/adjacency.hpp"
 #include "src/trace/trace_stats.hpp"
 #include "src/util/serialize.hpp"
@@ -139,6 +142,74 @@ class PieceStoreReference {
 [[nodiscard]] std::vector<QueryId> fileCompletionReference(const Node& node,
                                                            FileId file,
                                                            SimTime now);
+
+// The string-based cooperative state Node kept before it stored peer
+// wants as catalog file ids and stored peer queries as shared query
+// objects, with the hello exchange, the proxied-query view and the access
+// sync that read it. See core_cooperative_state_test.cpp.
+
+/// A Node whose cooperative state lives beside it as strings: peer wants in
+/// a URI-keyed map, stored peer queries as copied texts. The Node holds
+/// everything else (its own cooperative state stays empty); saveState
+/// writes the bytes Node::saveState wrote for the two together.
+struct ReferenceNode {
+  ReferenceNode(Node node, Duration cooperativeTtl)
+      : node(std::move(node)), ttl(cooperativeTtl) {}
+
+  /// Node::storePeerQueries: kept for frequent contacts only.
+  void storePeerQueries(NodeId peer, const std::vector<std::string>& texts,
+                        SimTime now);
+  /// Fresh stored texts, deduplicated through a std::set.
+  [[nodiscard]] std::vector<std::string> proxiedQueryTexts(SimTime now) const;
+  void storePeerWants(const std::vector<Uri>& uris, SimTime now);
+  /// Fresh peer-wanted URIs, sorted.
+  [[nodiscard]] std::vector<Uri> peerWantedUris(SimTime now) const;
+  /// ContactViews::contactQueries as token lists: the own active queries'
+  /// tokens, then each proxied text re-tokenized.
+  [[nodiscard]] std::vector<std::vector<std::string>> contactQueryTokens(
+      SimTime now, bool includeProxied) const;
+  /// Node::expire, scanning every stamp.
+  void expire(SimTime now);
+  [[nodiscard]] std::string saveState() const;
+
+  Node node;
+  Duration ttl;
+  struct StoredQueries {
+    std::vector<std::string> texts;
+    SimTime storedAt = 0;
+  };
+  std::unordered_map<NodeId, StoredQueries> peerQueries;
+  std::unordered_map<Uri, SimTime> peerWants;
+};
+
+/// exchangeHellos over ReferenceNodes: every advertised URI goes through a
+/// string_view-keyed hash map, and every member stores each URI some other
+/// member advertised.
+void exchangeHellosReference(std::span<ReferenceNode* const> members,
+                             const ProtocolConfig& protocol,
+                             const FileCatalog& catalog, SimTime now);
+
+/// AccessSync over ReferenceNodes: a per-node search cache for every node,
+/// the carry stock and the peer wants visited at every sync, the wants in
+/// the order of a sorted copy of their URIs, each re-resolved through the
+/// catalog.
+class AccessSyncReference {
+ public:
+  AccessSyncReference(const InternetServices& internet,
+                      AccessSync::Config config)
+      : internet_(internet), config_(config) {}
+
+  void beginEpoch(SimTime publishAt);
+  void sync(ReferenceNode& node, SimTime now, AccessSync::Host& host);
+  void saveState(Serializer& out, std::size_t nodeCount) const;
+
+ private:
+  const InternetServices& internet_;
+  AccessSync::Config config_;
+  SimTime lastPublishAt_ = -1;
+  std::vector<SharedMetadata> topPopular_;
+  std::vector<std::unordered_map<std::string, SimTime>> searchCache_;
+};
 
 namespace coding {
 
