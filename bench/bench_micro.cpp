@@ -1,11 +1,13 @@
 // Microbenchmarks of the library's hot paths (google-benchmark): SHA-1
-// hashing, RLNC decoding, maximal-clique enumeration, query matching, and
-// the discovery / download planners at contact-window scale.
+// hashing, RLNC decoding, maximal-clique enumeration, query matching, the
+// discovery / download planners at contact-window scale, and MBT's hello
+// exchange and access sync at class-clique scale.
 #include <benchmark/benchmark.h>
 
 #include <string>
 #include <vector>
 
+#include "src/core/access_sync.hpp"
 #include "src/core/coding.hpp"
 #include "src/core/discovery.hpp"
 #include "src/core/download.hpp"
@@ -13,6 +15,8 @@
 #include "src/core/engine.hpp"
 #include "src/core/file_catalog.hpp"
 #include "src/core/internet.hpp"
+#include "src/core/node.hpp"
+#include "src/core/protocol.hpp"
 #include "src/core/query.hpp"
 #include "src/graph/clique.hpp"
 #include "src/net/codec.hpp"
@@ -248,6 +252,115 @@ void BM_DownloadPlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DownloadPlan)->Arg(2)->Arg(8)->Arg(70);
+
+// A nus-mbt class clique on day 3: 50 members over 100 alive files. Each
+// member has three frequent contacts and three queries of its own still
+// searching, and wants 80 of the files on behalf of peers; one MBT hello
+// exchange in set-up stores its frequent contacts' queries (about 7
+// distinct proxied texts) and spreads the wants (100 fresh ones each).
+// Member 0 has Internet access.
+struct CliqueFixture {
+  static constexpr std::uint32_t kMembers = 50;
+  static constexpr SimTime kPublishAt = 2 * kDay + kDailyPublishHour;
+  static constexpr SimTime kNow = kPublishAt + 3 * kHour;
+
+  InternetServices internet = makeCatalog(100);
+  std::vector<Node> nodes;
+  std::vector<Node*> members;
+
+  CliqueFixture() {
+    Rng rng(11);
+    const FileCatalog& catalog = internet.catalog();
+    std::vector<SharedQuery> queries;
+    std::vector<Uri> uris;
+    for (const FileId file : catalog.allFiles()) {
+      const FileInfo& info = *catalog.find(file);
+      queries.push_back(std::make_shared<const FileQuery>(
+          canonicalQueryText(info), file, info.publishedAt, info.ttl));
+      uris.push_back(info.uri);
+    }
+    nodes.reserve(kMembers);
+    for (std::uint32_t i = 0; i < kMembers; ++i) {
+      Node& node = nodes.emplace_back(
+          NodeId(i), NodeOptions{.internetAccess = i == 0});
+      node.setCatalog(&catalog);
+      node.setCooperativeStateTtl(3 * kDay);
+      node.setFrequentContacts({NodeId((i + 1) % kMembers),
+                                NodeId((i + 2) % kMembers),
+                                NodeId((i + 3) % kMembers)});
+      for (std::uint32_t q = 0; q < 3; ++q) {
+        node.addQuery(QueryId(3 * i + q), queries[rng.pickIndex(100)]);
+      }
+      rng.shuffle(uris);
+      node.storePeerWants({uris.begin(), uris.begin() + 80},
+                          kNow - rng.uniformInt(0, kDay));
+      members.push_back(&node);
+    }
+    ContactViews views;
+    exchangeHellos(members, ProtocolConfig{.kind = ProtocolKind::kMbt},
+                   catalog, kNow, views);
+  }
+};
+
+// One MBT hello exchange over the clique, as at every contact. Items are
+// members.
+void BM_HelloExchange(benchmark::State& state) {
+  CliqueFixture fx;
+  ContactViews views;
+  const ProtocolConfig mbt{.kind = ProtocolKind::kMbt};
+  for (auto _ : state) {
+    views.clear();
+    exchangeHellos(fx.members, mbt, fx.internet.catalog(),
+                   CliqueFixture::kNow, views);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          CliqueFixture::kMembers);
+}
+BENCHMARK(BM_HelloExchange);
+
+// Stores server records and whole files at the node, as the engine does
+// without its verification and metrics.
+class BenchSyncHost final : public AccessSync::Host {
+ public:
+  explicit BenchSyncHost(const FileCatalog& catalog) : catalog_(catalog) {}
+  void storeMetadata(Node& node, const SharedMetadata& md,
+                     SimTime now) override {
+    node.acceptMetadata(md, now);
+  }
+  void gotMetadata(const Node&, FileId, SimTime) override {}
+  void deliverWholeFile(Node& node, FileId file, SimTime now) override {
+    const FileInfo* info = catalog_.find(file);
+    if (info == nullptr || !info->alive(now)) return;
+    node.pieces().registerFile(file, info->pieceCount());
+    node.pieces().setPriority(file, info->popularity);
+    for (std::uint32_t p = 0; p < info->pieceCount(); ++p) {
+      node.acceptPiece(file, p, info->pieceCount(), now);
+    }
+  }
+
+ private:
+  const FileCatalog& catalog_;
+};
+
+// The access member syncs as it joins a contact, after the epoch's first
+// sync at the publish instant: its searches, carry stock and peer wants
+// were all visited already.
+void BM_AccessSync(benchmark::State& state) {
+  CliqueFixture fx;
+  AccessSync sync(fx.internet, {.searchProxiedQueries = true,
+                                .takeCarryStock = true,
+                                .fetchPeerWants = true});
+  sync.beginEpoch(CliqueFixture::kPublishAt);
+  BenchSyncHost host(fx.internet.catalog());
+  ContactViews views;
+  for (auto _ : state) {
+    views.clear();
+    sync.sync(fx.nodes[0], CliqueFixture::kNow, views, host);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AccessSync);
 
 void BM_CodecMetadataRoundTrip(benchmark::State& state) {
   InternetServices internet = makeCatalog(1);
