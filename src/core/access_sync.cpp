@@ -9,22 +9,23 @@ void AccessSync::beginEpoch(SimTime publishAt) {
   // not dilute the coverage access nodes provide. Popularity only changes
   // at publish instants, so a restore rebuilds the same stock.
   epoch_ = publishAt;
-  const std::size_t alive = internet_.catalog().aliveFiles(publishAt).size();
+  const std::vector<FileId> alive = internet_.catalog().aliveFiles(publishAt);
+  visitBase_ = alive.empty()
+                   ? static_cast<std::uint32_t>(internet_.catalog().size())
+                   : alive.front().value;
   const auto stock = std::min(
       config_.stockLimit,
       std::max<std::size_t>(
           10, static_cast<std::size_t>(config_.stockFraction *
-                                       static_cast<double>(alive))));
+                                       static_cast<double>(alive.size()))));
   carryStock_ = internet_.topPopular(publishAt, stock);
 }
 
 bool AccessSync::beginVisit(NodeState& state, FileId file, std::uint8_t bit) {
-  if (file.value >= state.visits.size()) {
-    state.visits.resize(std::max<std::size_t>(internet_.catalog().size(),
-                                              file.value + 1),
-                        0);
-  }
-  std::uint8_t& visited = state.visits[file.value];
+  if (file.value < visitBase_) return true;  // not alive this epoch
+  const std::size_t slot = file.value - visitBase_;
+  if (slot >= state.visits.size()) state.visits.resize(slot + 1, 0);
+  std::uint8_t& visited = state.visits[slot];
   if ((visited & bit) != 0) return false;
   visited |= bit;
   return true;
@@ -34,7 +35,9 @@ void AccessSync::forget(NodeId node, FileId file) {
   const auto it = nodes_.find(node.value);
   if (it == nodes_.end()) return;
   std::vector<std::uint8_t>& visits = it->second.visits;
-  if (file.value < visits.size()) visits[file.value] = 0;
+  if (file.value >= visitBase_ && file.value - visitBase_ < visits.size()) {
+    visits[file.value - visitBase_] = 0;
+  }
 }
 
 void AccessSync::sync(Node& node, SimTime now, ContactViews& views,
@@ -44,7 +47,7 @@ void AccessSync::sync(Node& node, SimTime now, ContactViews& views,
   if (state.visitsEpoch != epoch_ ||
       state.visitsQueryCount != node.queryStates().size()) {
     // A new epoch or a new query: every file's outcome may differ.
-    state.visits.assign(internet_.catalog().size(), 0);
+    state.visits.assign(internet_.catalog().size() - visitBase_, 0);
     state.visitsEpoch = epoch_;
     state.visitsQueryCount = node.queryStates().size();
   }

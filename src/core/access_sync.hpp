@@ -37,10 +37,9 @@ namespace hdtn::core {
 
 class AccessSync {
  public:
-  /// The engine side of a sync.
+  /// The engine side of a sync (tests substitute their own).
   class Host {
    public:
-    virtual ~Host() = default;
     /// Stores a server record at `node`, with the engine's verification
     /// and bounded-store accounting.
     virtual void storeMetadata(Node& node, const SharedMetadata& md,
@@ -49,6 +48,9 @@ class AccessSync {
     virtual void gotMetadata(const Node& node, FileId file, SimTime now) = 0;
     /// Downloads every piece of `file` to `node` when the file is alive.
     virtual void deliverWholeFile(Node& node, FileId file, SimTime now) = 0;
+
+   protected:
+    ~Host() = default;  // never deleted through this interface
   };
 
   struct Config {
@@ -101,7 +103,7 @@ class AccessSync {
     /// clears them.
     SimTime visitsEpoch = -1;
     std::size_t visitsQueryCount = 0;
-    /// Visit bits per catalog file id.
+    /// Visit bits per catalog file id, from visitBase_ on.
     std::vector<std::uint8_t> visits;
   };
 
@@ -112,6 +114,10 @@ class AccessSync {
   Config config_;
   /// The last publish instant; -1 before the first.
   SimTime epoch_ = -1;
+  /// The lowest file id alive at the epoch's start. Only alive files are
+  /// visited, so a node's visits cover ids from here on: their size is
+  /// the alive window, however long the catalog grows.
+  std::uint32_t visitBase_ = 0;
   std::vector<SharedMetadata> carryStock_;
   std::unordered_map<std::uint32_t, NodeState> nodes_;
 };

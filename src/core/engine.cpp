@@ -5,7 +5,6 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "src/core/coding.hpp"
 #include "src/core/discovery.hpp"

@@ -281,7 +281,7 @@ class Engine : private AccessSync::Host {
  public:
   /// Throws std::invalid_argument when params.validate() reports errors.
   Engine(const trace::ContactTrace& trace, EngineParams params);
-  ~Engine() override;
+  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;

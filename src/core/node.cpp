@@ -362,7 +362,7 @@ void Node::saveState(Serializer& out) const {
     out.i64(sq->storedAt);
   }
 
-  // Wants are written in URI order, as when they were keyed by URI.
+  // The format lists wants in URI order.
   std::vector<PeerWant> wants = peerWants_;
   std::sort(wants.begin(), wants.end(),
             [this](const PeerWant& a, const PeerWant& b) {

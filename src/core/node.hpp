@@ -20,7 +20,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
