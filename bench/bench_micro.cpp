@@ -256,8 +256,8 @@ BENCHMARK(BM_DownloadPlan)->Arg(2)->Arg(8)->Arg(70);
 // A nus-mbt class clique on day 3: 50 members over 100 alive files. Each
 // member has three frequent contacts and three queries of its own still
 // searching, and wants 80 of the files on behalf of peers; one MBT hello
-// exchange in set-up stores its frequent contacts' queries (about 7
-// distinct proxied texts) and spreads the wants (100 fresh ones each).
+// exchange in set-up stores its frequent contacts' queries (member 0 holds
+// 9 distinct proxied texts) and spreads the wants (100 fresh ones each).
 // Member 0 has Internet access.
 struct CliqueFixture {
   static constexpr std::uint32_t kMembers = 50;

@@ -72,9 +72,7 @@ void collectCandidates(std::span<const DiscoveryPeer> peers,
   std::vector<FileQuery> local;
   for (const DiscoveryPeer& peer : peers) {
     if (peer.queryObjects == nullptr) {
-      for (const std::string& q : peer.queries) {
-        local.emplace_back(q, FileId{}, SimTime{0}, 0);
-      }
+      for (const std::string& q : peer.queries) local.emplace_back(q);
     }
   }
   s.queryTokens.clear();

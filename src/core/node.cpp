@@ -199,8 +199,7 @@ void Node::storePeerQueries(NodeId peer, const std::vector<std::string>& texts,
   std::vector<SharedQuery> queries;
   queries.reserve(texts.size());
   for (const std::string& text : texts) {
-    queries.push_back(std::make_shared<const FileQuery>(text, FileId{},
-                                                        SimTime{0}, 0));
+    queries.push_back(std::make_shared<const FileQuery>(text));
   }
   storePeerQueries(peer, queries, now);
 }
@@ -452,15 +451,12 @@ void Node::loadState(Deserializer& in, MetadataInterner& records,
   std::stable_sort(
       peerWants_.begin(), peerWants_.end(),
       [](const PeerWant& a, const PeerWant& b) { return a.file < b.file; });
-  std::vector<PeerWant> lastOfEach;
+  std::size_t kept = 0;
   for (const PeerWant& want : peerWants_) {
-    if (!lastOfEach.empty() && lastOfEach.back().file == want.file) {
-      lastOfEach.back() = want;
-    } else {
-      lastOfEach.push_back(want);
-    }
+    if (kept > 0 && peerWants_[kept - 1].file == want.file) --kept;
+    peerWants_[kept++] = want;
   }
-  peerWants_ = std::move(lastOfEach);
+  peerWants_.resize(kept);
 
   touch();
 }
@@ -545,7 +541,6 @@ ContactViews::Slot& ContactViews::slot(const Node& node) {
   Slot& fresh = slots_[index];
   fresh.node = &node;
   fresh.active.generation = 0;
-  fresh.proxied.generation = 0;
   fresh.own.generation = 0;
   fresh.combined.generation = 0;
   fresh.wanted.generation = 0;
@@ -574,12 +569,6 @@ const std::vector<SharedQuery>& ContactViews::activeQueries(const Node& node,
                    [&] { return node.activeQueries(now); });
 }
 
-const std::vector<const FileQuery*>& ContactViews::proxiedQueries(
-    const Node& node, SimTime now) {
-  return refreshed(slot(node).proxied, node, now,
-                   [&] { return node.proxiedQueries(now); });
-}
-
 const std::vector<const FileQuery*>& ContactViews::contactQueries(
     const Node& node, SimTime now, bool includeProxied) {
   Slot& s = slot(node);
@@ -593,7 +582,7 @@ const std::vector<const FileQuery*>& ContactViews::contactQueries(
   if (!includeProxied) return own;
   return refreshed(s.combined, node, now, [&] {
     std::vector<const FileQuery*> queries = own;
-    const auto& proxied = proxiedQueries(node, now);
+    const std::vector<const FileQuery*> proxied = node.proxiedQueries(now);
     queries.insert(queries.end(), proxied.begin(), proxied.end());
     return queries;
   });

@@ -206,7 +206,8 @@ class Node {
                         SimTime now);
 
   /// Stored frequent-contact queries still fresh at `now`, one per distinct
-  /// text, in text order. ContactViews caches this per contact.
+  /// text, in text order. ContactViews::contactQueries caches them per
+  /// contact, after the node's own.
   [[nodiscard]] std::vector<const FileQuery*> proxiedQueries(
       SimTime now) const;
 
@@ -342,8 +343,6 @@ class ContactViews {
 
   [[nodiscard]] const std::vector<SharedQuery>& activeQueries(
       const Node& node, SimTime now);
-  [[nodiscard]] const std::vector<const FileQuery*>& proxiedQueries(
-      const Node& node, SimTime now);
   /// The queries `node` wants served during a contact: its own active
   /// queries plus, when `includeProxied`, the stored queries of its
   /// frequent contacts (MBT). Feed to DiscoveryPeer::queryObjects; the
@@ -365,7 +364,6 @@ class ContactViews {
   struct Slot {
     const Node* node = nullptr;
     Cached<std::vector<SharedQuery>> active;
-    Cached<std::vector<const FileQuery*>> proxied;
     Cached<std::vector<const FileQuery*>> own;
     Cached<std::vector<const FileQuery*>> combined;
     Cached<std::vector<FileId>> wanted;

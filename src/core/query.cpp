@@ -83,8 +83,7 @@ SharedQuery QueryInterner::intern(std::string text, FileId target,
 SharedQuery QueryInterner::internText(std::string text) {
   const auto it = byText_.find(text);
   if (it != byText_.end()) return it->second;
-  auto fresh = std::make_shared<const FileQuery>(std::move(text), FileId{},
-                                                 SimTime{0}, Duration{0});
+  auto fresh = std::make_shared<const FileQuery>(std::move(text));
   byText_.emplace(fresh->text, fresh);
   return fresh;
 }

@@ -44,6 +44,10 @@ struct Query {
 /// however many consumers ask for it).
 struct FileQuery {
   FileQuery(std::string text, FileId target, SimTime issuedAt, Duration ttl);
+  /// A query known by its text alone (heard on the wire, or hand-built):
+  /// no target, issue time or TTL.
+  explicit FileQuery(std::string text)
+      : FileQuery(std::move(text), FileId{}, 0, 0) {}
 
   std::string text;
   /// `text` tokenized once (hot paths match against tokens; the text itself
