@@ -77,11 +77,11 @@ void collectCandidates(std::span<const DiscoveryPeer> peers,
   }
   s.queryTokens.clear();
   s.queryBegin.assign(1, 0);
+  const auto add = [&s](const FileQuery& q) {
+    s.queryTokens.push_back({&q.tokens, &q.tokenHashes});
+  };
   std::size_t nextLocal = 0;
   for (const DiscoveryPeer& peer : peers) {
-    const auto add = [&s](const FileQuery& q) {
-      s.queryTokens.push_back({&q.tokens, &q.tokenHashes});
-    };
     if (peer.queryObjects != nullptr) {
       for (const FileQuery* q : *peer.queryObjects) add(*q);
     } else {
