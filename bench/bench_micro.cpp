@@ -142,26 +142,39 @@ void BM_QueryMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryMatch);
 
-// Shared fixture for the discovery-planning benchmarks.
+// Shared fixture for the discovery-planning benchmarks: each member holds
+// the catalog's own record objects and asks one catalog query object, as
+// engine members do, and one scratch serves every plan.
 struct DiscoveryFixture {
   InternetServices internet;
+  std::vector<SharedQuery> fileQueries;  ///< one per file, as the engine
   std::vector<MetadataStore> stores;
   std::vector<CreditLedger> ledgers;
+  std::vector<std::vector<const FileQuery*>> queryLists;
   std::vector<DiscoveryPeer> peers;
+  DiscoveryScratch scratch;
 
   explicit DiscoveryFixture(std::size_t members)
-      : internet(makeCatalog(150)), stores(members), ledgers(members) {
+      : internet(makeCatalog(150)),
+        stores(members),
+        ledgers(members),
+        queryLists(members) {
+    const FileCatalog& catalog = internet.catalog();
+    for (const FileId f : catalog.allFiles()) {
+      const FileInfo& info = *catalog.find(f);
+      fileQueries.push_back(std::make_shared<const FileQuery>(
+          canonicalQueryText(info), f, info.publishedAt, info.ttl));
+    }
     Rng rng(9);
     for (std::size_t i = 0; i < members; ++i) {
-      for (FileId f : internet.catalog().allFiles()) {
-        if (rng.chance(0.4)) stores[i].add(internet.catalog().metadataFor(f));
+      for (FileId f : catalog.allFiles()) {
+        if (rng.chance(0.4)) stores[i].add(catalog.sharedMetadataFor(f));
       }
       DiscoveryPeer peer;
       peer.id = NodeId(static_cast<std::uint32_t>(i));
       peer.store = &stores[i];
-      const FileId wanted(static_cast<std::uint32_t>(rng.pickIndex(150)));
-      peer.queries = {
-          canonicalQueryText(*internet.catalog().find(wanted))};
+      queryLists[i] = {fileQueries[rng.pickIndex(150)].get()};
+      peer.queryObjects = &queryLists[i];
       peer.credits = &ledgers[i];
       for (std::size_t p = 0; p < members; ++p) {
         ledgers[i].addCredit(NodeId(static_cast<std::uint32_t>(p)),
@@ -170,13 +183,17 @@ struct DiscoveryFixture {
       peers.push_back(std::move(peer));
     }
   }
+
+  [[nodiscard]] std::vector<MetadataBroadcast> plan(Scheduling scheduling) {
+    return planDiscovery(peers, 10, scheduling, nullptr, 0, &scratch,
+                         &internet.catalog());
+  }
 };
 
 void BM_PlanDiscovery(benchmark::State& state) {
   DiscoveryFixture fx(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(planDiscovery(fx.peers, 10,
-                                           Scheduling::kCooperative));
+    benchmark::DoNotOptimize(fx.plan(Scheduling::kCooperative));
   }
 }
 BENCHMARK(BM_PlanDiscovery)->Arg(2)->Arg(8)->Arg(20);
@@ -184,11 +201,46 @@ BENCHMARK(BM_PlanDiscovery)->Arg(2)->Arg(8)->Arg(20);
 void BM_PlanDiscoveryTft(benchmark::State& state) {
   DiscoveryFixture fx(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(planDiscovery(fx.peers, 10,
-                                           Scheduling::kTitForTat));
+    benchmark::DoNotOptimize(fx.plan(Scheduling::kTitForTat));
   }
 }
 BENCHMARK(BM_PlanDiscoveryTft)->Arg(2)->Arg(8)->Arg(20);
+
+// One access node's server searches at a publish instant: 40 files a day
+// with a 3-day TTL over five days, so 120 of the 200 files are alive, and
+// 12 query objects of alive files (3 of its own and 9 proxied, the MBT
+// access member's share in the clique benchmarks below). Items are
+// searches.
+void BM_ServerSearch(benchmark::State& state) {
+  InternetServices internet;
+  Rng rng(5);
+  SyntheticBatchParams batch;
+  batch.count = 40;
+  batch.ttl = 3 * kDay;
+  batch.lambda = 20.0;
+  for (int day = 0; day < 5; ++day) {
+    batch.publishedAt = day * kDay + kDailyPublishHour;
+    publishSyntheticBatch(internet, batch, rng);
+  }
+  const SimTime now = 4 * kDay + kDailyPublishHour;
+  const FileCatalog& catalog = internet.catalog();
+  const std::vector<FileId> alive = catalog.aliveFiles(now);
+  std::vector<SharedQuery> queries;
+  for (int q = 0; q < 12; ++q) {
+    const FileInfo& info = *catalog.find(alive[rng.pickIndex(alive.size())]);
+    queries.push_back(std::make_shared<const FileQuery>(
+        canonicalQueryText(info), info.id, info.publishedAt, info.ttl));
+  }
+  for (auto _ : state) {
+    for (const SharedQuery& query : queries) {
+      benchmark::DoNotOptimize(internet.search(*query, now));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(queries.size()));
+  state.counters["alive"] = static_cast<double>(alive.size());
+}
+BENCHMARK(BM_ServerSearch);
 
 void BM_MetadataStoreViews(benchmark::State& state) {
   InternetServices internet = makeCatalog(200);

@@ -73,12 +73,12 @@ void AccessSync::sync(Node& node, SimTime now, ContactViews& views,
       if (it->second >= epoch_) continue;
       it->second = now;
     }
-    const auto matches = internet_.search(query->text, now);
+    const auto ranked = internet_.search(*query, now);
     // The user (or the proxy on a peer's behalf) keeps the top matches.
-    const std::size_t take = std::min<std::size_t>(3, matches.size());
+    const std::size_t take = std::min<std::size_t>(3, ranked.size());
     for (std::size_t i = 0; i < take; ++i) {
       acceptFromServer(
-          internet_.catalog().sharedMetadataFor(matches[i].metadata->file));
+          internet_.catalog().sharedMetadataFor(ranked[i].metadata->file));
     }
   }
 

@@ -50,7 +50,7 @@ NodeId minHolderId(const DiscoveryScratch& s, std::size_t c,
 // runs into (file, member) order; the lackers pass then works off
 // per-candidate holder bitmasks and never touches the stores again.
 void collectCandidates(std::span<const DiscoveryPeer> peers,
-                       DiscoveryScratch& s) {
+                       const FileCatalog* catalog, DiscoveryScratch& s) {
   const std::size_t words = (peers.size() + 63) / 64;
   s.rowWords = words;
   s.held.clear();
@@ -67,29 +67,27 @@ void collectCandidates(std::span<const DiscoveryPeer> peers,
                     if (a.file != b.file) return a.file < b.file;
                     return a.member < b.member;
                   });
-  // Query tokens and their hashes: the caller's query objects carry both;
-  // peers built by hand (strings only) are tokenized and hashed here.
+  // The caller's query objects; peers built by hand (strings only) get
+  // objects of their own here.
   std::vector<FileQuery> local;
   for (const DiscoveryPeer& peer : peers) {
     if (peer.queryObjects == nullptr) {
       for (const std::string& q : peer.queries) local.emplace_back(q);
     }
   }
-  s.queryTokens.clear();
+  s.queries.clear();
   s.queryBegin.assign(1, 0);
-  const auto add = [&s](const FileQuery& q) {
-    s.queryTokens.push_back({&q.tokens, &q.tokenHashes});
-  };
   std::size_t nextLocal = 0;
   for (const DiscoveryPeer& peer : peers) {
     if (peer.queryObjects != nullptr) {
-      for (const FileQuery* q : *peer.queryObjects) add(*q);
+      s.queries.insert(s.queries.end(), peer.queryObjects->begin(),
+                       peer.queryObjects->end());
     } else {
       for (std::size_t q = 0; q < peer.queries.size(); ++q) {
-        add(local[nextLocal++]);
+        s.queries.push_back(&local[nextLocal++]);
       }
     }
-    s.queryBegin.push_back(s.queryTokens.size());
+    s.queryBegin.push_back(s.queries.size());
   }
   s.candidates.clear();
   s.holderRows.clear();
@@ -141,8 +139,7 @@ void collectCandidates(std::span<const DiscoveryPeer> peers,
       bool wants = false;
       for (std::size_t q = s.queryBegin[i]; q < s.queryBegin[i + 1] && !wants;
            ++q) {
-        wants = queryTokensMatchPrehashed(*s.queryTokens[q].tokens,
-                                          *s.queryTokens[q].hashes, *record);
+        wants = matches(*s.queries[q], *record, catalog);
       }
       if (wants) s.requesters.push_back(peer.id);
     }
@@ -167,8 +164,8 @@ MetadataBroadcast broadcastFor(NodeId sender, const DiscoveryScratch& s,
 
 std::vector<MetadataBroadcast> planCooperative(
     std::span<const DiscoveryPeer> peers, int budget, bool useRequestPhase,
-    DiscoveryScratch& s) {
-  collectCandidates(peers, s);
+    const FileCatalog* catalog, DiscoveryScratch& s) {
+  collectCandidates(peers, catalog, s);
   // Two-phase order: requested records by (requester count desc, popularity
   // desc), then unrequested by popularity desc. File id breaks exact ties
   // deterministically. The popularity-only ablation skips the request phase.
@@ -229,8 +226,9 @@ double demandWeight(const DiscoveryPeer& sender, const DiscoveryScratch& s,
 // construction for downloads; discovery reuses it so no selfish coordinator
 // exists).
 std::vector<MetadataBroadcast> planTitForTat(
-    std::span<const DiscoveryPeer> peers, int budget, DiscoveryScratch& s) {
-  collectCandidates(peers, s);
+    std::span<const DiscoveryPeer> peers, int budget,
+    const FileCatalog* catalog, DiscoveryScratch& s) {
+  collectCandidates(peers, catalog, s);
   std::vector<NodeId> contributorIds;
   s.order.clear();  // contributor member indices by (id, index)
   for (std::uint32_t i = 0; i < peers.size(); ++i) {
@@ -323,20 +321,23 @@ std::vector<MetadataBroadcast> planTitForTat(
 
 std::vector<MetadataBroadcast> planDiscovery(
     std::span<const DiscoveryPeer> peers, int budget, Scheduling scheduling,
-    obs::EngineObserver* observer, SimTime now, DiscoveryScratch* scratch) {
+    obs::EngineObserver* observer, SimTime now, DiscoveryScratch* scratch,
+    const FileCatalog* catalog) {
   if (budget <= 0 || peers.size() < 2) return {};
   DiscoveryScratch local;
   DiscoveryScratch& s = scratch != nullptr ? *scratch : local;
   std::vector<MetadataBroadcast> plan;
   switch (scheduling) {
     case Scheduling::kCooperative:
-      plan = planCooperative(peers, budget, /*useRequestPhase=*/true, s);
+      plan = planCooperative(peers, budget, /*useRequestPhase=*/true, catalog,
+                             s);
       break;
     case Scheduling::kTitForTat:
-      plan = planTitForTat(peers, budget, s);
+      plan = planTitForTat(peers, budget, catalog, s);
       break;
     case Scheduling::kPopularityOnly:
-      plan = planCooperative(peers, budget, /*useRequestPhase=*/false, s);
+      plan = planCooperative(peers, budget, /*useRequestPhase=*/false,
+                             catalog, s);
       break;
   }
   if (observer != nullptr) {

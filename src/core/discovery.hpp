@@ -33,7 +33,8 @@ class EngineObserver;  // src/obs/events.hpp
 
 namespace hdtn::core {
 
-struct FileQuery;  // src/core/query.hpp
+class FileCatalog;  // src/core/file_catalog.hpp
+struct FileQuery;   // src/core/query.hpp
 
 /// Scheduling discipline for a contact.
 enum class Scheduling {
@@ -57,10 +58,11 @@ struct DiscoveryPeer {
   /// stored queries of its frequent contacts.
   std::vector<std::string> queries;
   /// Optional query objects standing for `queries`, each tokenized and
-  /// hashed when it was built. When set, the planner matches against their
-  /// tokens and token hashes and never reads `queries`: the engine points
-  /// this at ContactViews::contactQueries, so a query is tokenized and
-  /// hashed once per file, not once per contact.
+  /// hashed when it was built. When set, the planner matches them through
+  /// matches() against the catalog planDiscovery is given, and never reads
+  /// `queries`: the engine points this at ContactViews::contactQueries, so
+  /// a query is matched against a catalog record once per file, not once
+  /// per contact.
   const std::vector<const FileQuery*>* queryObjects = nullptr;
   /// The member's credit ledger (used when it is the sender under TFT).
   const CreditLedger* credits = nullptr;
@@ -116,13 +118,9 @@ struct DiscoveryScratch {
   std::vector<NodeId> requesters;
   /// One record's holder and contributor rows while grouping.
   std::vector<std::uint64_t> groupRows;
-  /// Per member, its queries' token lists and their keywordHash lists.
-  struct QueryTokens {
-    const std::vector<std::string>* tokens = nullptr;
-    const std::vector<std::uint64_t>* hashes = nullptr;
-  };
-  std::vector<QueryTokens> queryTokens;
-  std::vector<std::size_t> queryBegin;  ///< member i: [begin[i], begin[i+1])
+  /// Every member's query objects, member i's at [begin[i], begin[i+1]).
+  std::vector<const FileQuery*> queries;
+  std::vector<std::size_t> queryBegin;
   std::vector<std::uint32_t> order;
   // Tit-for-tat: per-sender heaps over one flat array.
   std::vector<std::size_t> offset;
@@ -136,10 +134,11 @@ struct DiscoveryScratch {
 /// its inputs. When an observer is attached, emits one kDiscoveryPlanned
 /// event per invocation timestamped at `now` (extra = planned broadcasts,
 /// value = budget), exposing budget- vs supply-limited contacts. `scratch`,
-/// when given, supplies the working arrays.
+/// when given, supplies the working arrays. `catalog`, when given, is the
+/// catalog whose record objects the queries match through their rows.
 [[nodiscard]] std::vector<MetadataBroadcast> planDiscovery(
     std::span<const DiscoveryPeer> peers, int budget, Scheduling scheduling,
     obs::EngineObserver* observer = nullptr, SimTime now = 0,
-    DiscoveryScratch* scratch = nullptr);
+    DiscoveryScratch* scratch = nullptr, const FileCatalog* catalog = nullptr);
 
 }  // namespace hdtn::core

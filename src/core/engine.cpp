@@ -787,7 +787,7 @@ void Engine::runDiscoveryPhase(const std::vector<Node*>& members, SimTime now,
     peer.rejected = &m->rejectedMetadata();
     peer.distrustedSenders = &m->distrustedPeers();
     // Own (plus, under MBT, proxied) query objects straight from the
-    // per-contact views, tokenized and hashed when they were built.
+    // per-contact views, which match the catalog's records by their rows.
     peer.queryObjects = &views_.contactQueries(
         *m, now, params_.protocol.distributesQueries());
     peer.credits = &m->credits();
@@ -798,7 +798,7 @@ void Engine::runDiscoveryPhase(const std::vector<Node*>& members, SimTime now,
 
   const auto plan =
       planDiscovery(peers, metadataBudget, params_.protocol.scheduling,
-                    observer_, now, &discoveryScratch_);
+                    observer_, now, &discoveryScratch_, &internet_.catalog());
   totals_.metadataBroadcasts += plan.size();
 
   // Each broadcast hands receivers the planned record's object. That is the

@@ -1,6 +1,7 @@
 #include "src/core/file_catalog.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 
 namespace hdtn::core {
@@ -54,6 +55,11 @@ std::vector<std::uint8_t> makePieceBytes(const FileInfo& info,
   return out;
 }
 
+std::uint64_t FileCatalog::Identity::next() {
+  static std::atomic<std::uint64_t> last{0};
+  return last.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
 FileId FileCatalog::publish(const PublishRequest& request) {
   assert(request.sizeBytes > 0);
   assert(request.pieceSizeBytes > 0);
@@ -102,6 +108,10 @@ FileId FileCatalog::publish(const PublishRequest& request) {
   for (std::size_t r = rank; r < uriOrder_.size(); ++r) {
     uriRanks_[uriOrder_[r].value] = static_cast<std::uint32_t>(r);
   }
+  expiryPrefixMax_.push_back(
+      expiryPrefixMax_.empty()
+          ? info.expiresAt()
+          : std::max(expiryPrefixMax_.back(), info.expiresAt()));
   files_.push_back(std::move(info));
   metadata_.push_back(std::make_shared<const Metadata>(std::move(md)));
   return metadata_.back()->file;
@@ -146,10 +156,19 @@ void FileCatalog::setPopularity(FileId id, Popularity popularity) {
 
 std::vector<FileId> FileCatalog::aliveFiles(SimTime now) const {
   std::vector<FileId> out;
-  for (const FileInfo& f : files_) {
-    if (f.alive(now)) out.push_back(f.id);
+  for (std::size_t i = firstUnexpired(now); i < files_.size(); ++i) {
+    if (files_[i].alive(now)) out.push_back(files_[i].id);
   }
   return out;
+}
+
+std::uint32_t FileCatalog::firstUnexpired(SimTime now) const {
+  // The running maximum rises with the id, so the files below the first
+  // entry past `now` all expired by then, and that entry's file did not.
+  return static_cast<std::uint32_t>(
+      std::upper_bound(expiryPrefixMax_.begin(), expiryPrefixMax_.end(),
+                       now) -
+      expiryPrefixMax_.begin());
 }
 
 std::vector<FileId> FileCatalog::allFiles() const {

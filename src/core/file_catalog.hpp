@@ -20,6 +20,8 @@
 
 namespace hdtn::core {
 
+struct FileQuery;  // src/core/query.hpp
+
 /// BitTorrent-style default piece size (paper Section III-B). Simulations
 /// usually configure a smaller piece size; the paper itself notes the size
 /// is tunable to trade metadata size against piece count.
@@ -43,6 +45,19 @@ struct FileInfo {
   [[nodiscard]] bool alive(SimTime now) const {
     return now >= publishedAt && now < expiresAt();
   }
+};
+
+/// How matches() (src/core/query.hpp) answered against one catalog's
+/// records. Tests read them to see that the match rows do the work; no run
+/// output and no checkpoint holds them.
+struct MatchCounts {
+  /// Answered from a query's match row.
+  std::uint64_t rowHits = 0;
+  /// Matched once and stored in the row.
+  std::uint64_t rowFills = 0;
+  /// Matched without a row: the record is not the catalog's own object
+  /// of its file, or its file lies below the row's window.
+  std::uint64_t direct = 0;
 };
 
 /// Deterministic synthetic piece payload: the byte stream of a file is a
@@ -73,6 +88,11 @@ class FileCatalog {
   FileId publish(const PublishRequest& request);
 
   [[nodiscard]] std::size_t size() const { return files_.size(); }
+
+  /// This catalog object's identity: no other catalog object, a copy of
+  /// this one included, has it. Query match rows are tagged with it.
+  [[nodiscard]] std::uint64_t identity() const { return identity_.value; }
+
   [[nodiscard]] const FileInfo* find(FileId id) const;
   [[nodiscard]] const FileInfo* findByUri(const Uri& uri) const;
 
@@ -93,6 +113,13 @@ class FileCatalog {
   /// catalog reaches shares this one object instead of a copy.
   [[nodiscard]] const SharedMetadata& sharedMetadataFor(FileId id) const;
 
+  /// True when `md` is the catalog's current record object of its file
+  /// (not a copy, an older snapshot or a record naming another file).
+  [[nodiscard]] bool holds(const Metadata& md) const {
+    return md.file.value < metadata_.size() &&
+           metadata_[md.file.value].get() == &md;
+  }
+
   /// Checksum of one piece, from the stored metadata.
   [[nodiscard]] const Sha1Digest& pieceDigest(FileId id,
                                               std::uint32_t piece) const;
@@ -108,20 +135,54 @@ class FileCatalog {
   /// of the old one keep it, popularity included.
   void setPopularity(FileId id, Popularity popularity);
 
-  /// Ids of all files alive at `now`.
+  /// Ids of all files alive at `now`, ascending. Scans from
+  /// firstUnexpired(now) on.
   [[nodiscard]] std::vector<FileId> aliveFiles(SimTime now) const;
+
+  /// The lowest file id not expired at `now` (size() when every file has):
+  /// every lower file expired by `now`, whatever the publish times and
+  /// TTLs.
+  [[nodiscard]] std::uint32_t firstUnexpired(SimTime now) const;
+
+  /// How matches() answered against this catalog's records.
+  [[nodiscard]] const MatchCounts& matchCounts() const {
+    return matchCounts_;
+  }
 
   /// All file ids in publication order.
   [[nodiscard]] std::vector<FileId> allFiles() const;
 
  private:
+  // matches() and the query rows count their answers in matchCounts_.
+  friend bool matches(const FileQuery&, const Metadata&, const FileCatalog*);
+  friend struct FileQuery;
+
+  /// A value no other catalog object has had: a new one on construction,
+  /// copy and assignment, from a process-wide counter (never an address,
+  /// which a later object can reuse). Never zero.
+  struct Identity {
+    Identity() : value(next()) {}
+    Identity(const Identity& /*other*/) : Identity() {}
+    Identity& operator=(const Identity& /*other*/) {
+      value = next();
+      return *this;
+    }
+    static std::uint64_t next();
+    std::uint64_t value;
+  };
+
   PublisherRegistry* registry_;
+  Identity identity_;
   std::vector<FileInfo> files_;
+  /// Running maximum of the files' expiry times by file id:
+  /// expiryPrefixMax_[i] = max over files 0..i of expiresAt().
+  std::vector<SimTime> expiryPrefixMax_;
   std::vector<SharedMetadata> metadata_;
   std::unordered_map<Uri, FileId> byUri_;
   /// File ids in URI order, and each file's index in it (its uriRank).
   std::vector<FileId> uriOrder_;
   std::vector<std::uint32_t> uriRanks_;
+  mutable MatchCounts matchCounts_;
 };
 
 }  // namespace hdtn::core

@@ -130,13 +130,13 @@ FileId InternetServices::publish(const FileCatalog::PublishRequest& request) {
   return id;
 }
 
-std::vector<RankedMatch> InternetServices::search(
-    const std::string& queryText, SimTime now) const {
+std::vector<RankedMatch> InternetServices::search(const FileQuery& query,
+                                                  SimTime now) const {
   std::vector<const Metadata*> candidates;
   for (FileId id : catalog_.aliveFiles(now)) {
     candidates.push_back(&catalog_.metadataFor(id));
   }
-  return rankMatches(queryText, candidates);
+  return rankMatches(query, candidates, &catalog_);
 }
 
 std::vector<SharedMetadata> InternetServices::topPopular(

@@ -79,9 +79,10 @@ class InternetServices {
   /// detaches. The engine forwards its own observer here.
   void setObserver(obs::EngineObserver* observer) { observer_ = observer; }
 
-  /// Server-side keyword search over metadata of files alive at `now`,
-  /// ranked like the node-local search (popularity first).
-  [[nodiscard]] std::vector<RankedMatch> search(const std::string& queryText,
+  /// Server-side keyword search over the catalog's records of the files
+  /// alive at `now`, ranked by rankMatches. The catalog's records answer
+  /// from the query's match row (see matches()).
+  [[nodiscard]] std::vector<RankedMatch> search(const FileQuery& query,
                                                 SimTime now) const;
 
   /// Metadata of alive files in decreasing popularity, at most `limit`:

@@ -76,7 +76,7 @@ std::vector<FileId> Node::wantedFilesView(SimTime now) const {
 bool Node::anyQueryMatches(const Metadata& md, SimTime now) const {
   return std::ranges::any_of(liveQueries(now), [&](const QueryState& qs) {
     return !qs.metadataFound && !qs.query->expired(now) &&
-           queryTokensMatch(qs.query->tokens, md);
+           matches(*qs.query, md, catalog_);
   });
 }
 
@@ -92,7 +92,7 @@ std::vector<QueryId> Node::acceptMetadata(const SharedMetadata& shared,
   if (!metadata_.has(md.file)) return selected;
   for (QueryState& qs : liveQueries(now)) {
     if (qs.metadataFound || qs.query->expired(now)) continue;
-    if (!queryTokensMatch(qs.query->tokens, md)) continue;
+    if (!matches(*qs.query, md, catalog_)) continue;
     // The simulated user examines the match and selects it for download.
     qs.metadataFound = true;
     qs.chosenFile = md.file;

@@ -214,9 +214,11 @@ class Node {
   /// The texts of proxiedQueries(now).
   [[nodiscard]] std::vector<std::string> proxiedQueryTexts(SimTime now) const;
 
-  /// The catalog that peer wants resolve against: a want is stored as the
-  /// file its URI names, and saved as that URI again. The engine sets its
-  /// own catalog on every node; without one a node stores no peer wants.
+  /// The catalog that peer wants resolve against (a want is stored as the
+  /// file its URI names, and saved as that URI again) and whose record
+  /// objects the node's queries match through their match rows
+  /// (matches()). The engine sets its own catalog on every node; without
+  /// one a node stores no peer wants and matches every record directly.
   void setCatalog(const FileCatalog* catalog) { catalog_ = catalog; }
 
   /// Remembers URIs that peers advertised as wanted ("requesting URIs").

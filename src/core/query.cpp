@@ -122,13 +122,42 @@ bool queryTokensMatchPrehashed(const std::vector<std::string>& queryTokens,
   return true;
 }
 
+bool FileQuery::matchAndStore(const Metadata& md,
+                              const FileCatalog* catalog) const {
+  const bool hit = queryTokensMatchPrehashed(tokens, tokenHashes, md);
+  if (catalog == nullptr) return hit;
+  MatchCounts& counts = catalog->matchCounts_;
+  if (!catalog->holds(md)) {
+    ++counts.direct;
+    return hit;
+  }
+  if (rowCatalog_ != catalog->identity()) {
+    rowCatalog_ = catalog->identity();
+    rowBase_ = catalog->firstUnexpired(issuedAt);
+    row_.clear();
+  }
+  if (md.file.value < rowBase_) {
+    ++counts.direct;
+    return hit;
+  }
+  const std::size_t slot = md.file.value - rowBase_;
+  if (slot / kEntriesPerWord >= row_.size()) {
+    // Cover every file published so far; a later file grows it again.
+    row_.resize((catalog->size() - rowBase_ + kEntriesPerWord - 1) /
+                kEntriesPerWord);
+  }
+  row_[slot / kEntriesPerWord] |= (hit ? kMatch : kMiss)
+                                  << (2 * (slot % kEntriesPerWord));
+  ++counts.rowFills;
+  return hit;
+}
+
 std::vector<RankedMatch> rankMatches(
-    const std::string& queryText,
-    std::span<const Metadata* const> candidates) {
+    const FileQuery& query, std::span<const Metadata* const> candidates,
+    const FileCatalog* catalog) {
   std::vector<RankedMatch> out;
-  const auto queryTokens = keywordTokens(queryText);
   for (const Metadata* md : candidates) {
-    if (md == nullptr || !containsAllTokens(queryTokens, *md)) continue;
+    if (md == nullptr || !matches(query, *md, catalog)) continue;
     const double keywordCount = static_cast<double>(keywordCountOf(*md));
     // Popularity dominates; the specificity bonus only breaks near-ties in
     // favour of records the query describes more completely.
@@ -141,14 +170,6 @@ std::vector<RankedMatch> rankMatches(
     return a.metadata->file < b.metadata->file;
   });
   return out;
-}
-
-const Metadata* bestMatch(const std::string& queryText,
-                          const MetadataStore& store) {
-  const auto all = store.all();
-  const std::vector<const Metadata*> records(all.begin(), all.end());
-  const auto ranked = rankMatches(queryText, records);
-  return ranked.empty() ? nullptr : ranked.front().metadata;
 }
 
 }  // namespace hdtn::core

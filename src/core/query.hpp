@@ -15,8 +15,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/core/file_catalog.hpp"
 #include "src/core/metadata.hpp"
-#include "src/core/metadata_store.hpp"
 #include "src/util/types.hpp"
 
 namespace hdtn::core {
@@ -62,6 +62,33 @@ struct FileQuery {
 
   [[nodiscard]] SimTime expiresAt() const { return issuedAt + ttl; }
   [[nodiscard]] bool expired(SimTime now) const { return now >= expiresAt(); }
+
+ private:
+  friend bool matches(const FileQuery&, const Metadata&, const FileCatalog*);
+
+  static constexpr std::size_t kEntriesPerWord = 32;
+  static constexpr std::uint64_t kMatch = 1;
+  static constexpr std::uint64_t kMiss = 2;
+
+  /// The row's entry for `md`: kMatch, kMiss, or 0 when the row holds none
+  /// (it belongs to another catalog, `md` is not `catalog`'s record object
+  /// or lies below the row, or was never matched).
+  [[nodiscard]] std::uint64_t storedEntry(const Metadata& md,
+                                          const FileCatalog& catalog) const;
+  /// matches() when the row holds no entry for `md`: matches directly, and
+  /// stores the answer when the row answers for `md`.
+  [[nodiscard]] bool matchAndStore(const Metadata& md,
+                                   const FileCatalog* catalog) const;
+
+  /// matches()'s memo over one catalog's record objects: a 2-bit entry
+  /// (0 unknown, kMatch, kMiss) per file id from rowBase_ on, filled on
+  /// first use. rowCatalog_ is the catalog's identity (0 before the first
+  /// use); another catalog starts the row afresh. A const query fills it,
+  /// so a query object must stay with one thread: each engine builds its
+  /// own.
+  mutable std::uint64_t rowCatalog_ = 0;
+  mutable std::uint32_t rowBase_ = 0;
+  mutable std::vector<std::uint64_t> row_;
 };
 using SharedQuery = std::shared_ptr<const FileQuery>;
 
@@ -111,31 +138,50 @@ class QueryInterner {
     const std::vector<std::string>& queryTokens,
     const std::vector<std::uint64_t>& queryTokenHashes, const Metadata& md);
 
+/// Whether `query` matches `md`: queryTokensMatchPrehashed over the
+/// query's tokens. When `md` is `catalog`'s own record object of its file
+/// (FileCatalog::holds) and its file id is at least the lowest one
+/// unexpired at the query's issue time (FileCatalog::firstUnexpired), the
+/// answer comes from the query's match row, where the first such match
+/// stored it. The keywords of a catalog's records of one file never change
+/// (setPopularity copies them), so an entry stays true. Every other record,
+/// and every record when `catalog` is null, is matched directly. The
+/// query's tokens must not change once it is matched.
+[[nodiscard]] inline bool matches(const FileQuery& query, const Metadata& md,
+                                  const FileCatalog* catalog) {
+  if (catalog != nullptr) {
+    if (const std::uint64_t entry = query.storedEntry(md, *catalog)) {
+      ++catalog->matchCounts_.rowHits;
+      return entry == FileQuery::kMatch;
+    }
+  }
+  return query.matchAndStore(md, catalog);
+}
+
+inline std::uint64_t FileQuery::storedEntry(const Metadata& md,
+                                            const FileCatalog& catalog) const {
+  if (rowCatalog_ != catalog.identity() || !catalog.holds(md) ||
+      md.file.value < rowBase_) {
+    return 0;
+  }
+  const std::size_t slot = md.file.value - rowBase_;
+  if (slot / kEntriesPerWord >= row_.size()) return 0;
+  return (row_[slot / kEntriesPerWord] >> (2 * (slot % kEntriesPerWord))) & 3;
+}
+
 /// A match with its rank score.
 struct RankedMatch {
   const Metadata* metadata = nullptr;
   double score = 0.0;
 };
 
-/// Filters `candidates` by queryMatches and sorts by (score desc, file id
-/// asc). Score is the popularity plus a specificity bonus: records whose
-/// keyword set is smaller (more precisely described by the query) score
-/// slightly higher among equal popularity.
+/// Filters `candidates` by matches(query, *candidate, catalog) and sorts
+/// by (score desc, file id asc). Score is the popularity plus a specificity
+/// bonus: records whose keyword set is smaller (more precisely described by
+/// the query) score slightly higher among equal popularity. Null
+/// candidates are skipped.
 [[nodiscard]] std::vector<RankedMatch> rankMatches(
-    const std::string& queryText,
-    std::span<const Metadata* const> candidates);
-
-/// Overload so call sites can pass a braced list of records.
-[[nodiscard]] inline std::vector<RankedMatch> rankMatches(
-    const std::string& queryText,
-    std::initializer_list<const Metadata*> candidates) {
-  return rankMatches(queryText,
-                     std::span<const Metadata* const>(candidates.begin(),
-                                                      candidates.size()));
-}
-
-/// Convenience: the best match in a store, or nullptr.
-[[nodiscard]] const Metadata* bestMatch(const std::string& queryText,
-                                        const MetadataStore& store);
+    const FileQuery& query, std::span<const Metadata* const> candidates,
+    const FileCatalog* catalog = nullptr);
 
 }  // namespace hdtn::core

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/util/random.hpp"
+
 namespace hdtn::core {
 namespace {
 
@@ -128,6 +132,40 @@ TEST(FileCatalog, AliveFilesFiltersByTime) {
   EXPECT_EQ(catalog.aliveFiles(1050), (std::vector<FileId>{late}));
   EXPECT_TRUE(catalog.aliveFiles(500).empty());
   EXPECT_EQ(catalog.allFiles().size(), 2u);
+}
+
+// aliveFiles starts its scan at firstUnexpired: with publish times out of
+// id order and TTLs from an hour to four days, both must agree with a scan
+// of every file at every instant where some file starts or stops being
+// alive, one second either side, and at random instants.
+TEST(FileCatalog, AliveFilesMatchAFullScan) {
+  FileCatalog catalog;
+  Rng rng(21);
+  std::vector<SimTime> instants = {0, 20 * kDay};
+  for (int i = 0; i < 200; ++i) {
+    auto req = sampleRequest();
+    req.sizeBytes = 10;
+    req.publishedAt = rng.uniformInt(0, 10 * kDay);
+    req.ttl = rng.uniformInt(kHour, 4 * kDay);
+    catalog.publish(req);
+    for (const SimTime t : {req.publishedAt, req.publishedAt + req.ttl}) {
+      instants.insert(instants.end(), {t - 1, t, t + 1});
+    }
+    instants.push_back(rng.uniformInt(0, 15 * kDay));
+  }
+  for (const SimTime now : instants) {
+    std::vector<FileId> alive;
+    std::uint32_t firstUnexpired = static_cast<std::uint32_t>(catalog.size());
+    for (const FileId id : catalog.allFiles()) {
+      const FileInfo& info = *catalog.find(id);
+      if (info.alive(now)) alive.push_back(id);
+      if (info.expiresAt() > now) {
+        firstUnexpired = std::min(firstUnexpired, id.value);
+      }
+    }
+    EXPECT_EQ(catalog.aliveFiles(now), alive) << "at " << now;
+    EXPECT_EQ(catalog.firstUnexpired(now), firstUnexpired) << "at " << now;
+  }
 }
 
 TEST(FileCatalog, SetPopularityPublishesNewSnapshot) {

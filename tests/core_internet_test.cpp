@@ -56,7 +56,7 @@ TEST(InternetServices, SearchFindsAliveRankedByPopularity) {
   internet.publish(request("fox news ep0", "fox", 0.2, 0, kDay));
   internet.publish(request("fox news ep1", "fox", 0.8, 0, kDay));
   internet.publish(request("abc drama ep2", "abc", 0.9, 0, kDay));
-  const auto matches = internet.search("fox news", 100);
+  const auto matches = internet.search(FileQuery("fox news"), 100);
   ASSERT_EQ(matches.size(), 2u);
   EXPECT_EQ(matches[0].metadata->file, FileId(1));
   EXPECT_EQ(matches[1].metadata->file, FileId(0));
@@ -65,8 +65,8 @@ TEST(InternetServices, SearchFindsAliveRankedByPopularity) {
 TEST(InternetServices, SearchExcludesExpired) {
   InternetServices internet;
   internet.publish(request("fox news ep0", "fox", 0.5, 0, 100));
-  EXPECT_EQ(internet.search("fox news", 50).size(), 1u);
-  EXPECT_TRUE(internet.search("fox news", 100).empty());
+  EXPECT_EQ(internet.search(FileQuery("fox news"), 50).size(), 1u);
+  EXPECT_TRUE(internet.search(FileQuery("fox news"), 100).empty());
 }
 
 TEST(InternetServices, TopPopularLimited) {
@@ -124,7 +124,7 @@ TEST(SyntheticBatch, CanonicalQueryUniquelyIdentifiesFile) {
   const auto files = publishSyntheticBatch(internet, params, rng);
   for (FileId id : files) {
     const FileInfo& info = *internet.catalog().find(id);
-    const auto matches = internet.search(canonicalQueryText(info), 10);
+    const auto matches = internet.search(FileQuery(canonicalQueryText(info)), 10);
     ASSERT_EQ(matches.size(), 1u) << "query: " << canonicalQueryText(info);
     EXPECT_EQ(matches[0].metadata->file, id);
   }

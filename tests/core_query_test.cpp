@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/metadata_store.hpp"
+
 namespace hdtn::core {
 namespace {
 
@@ -18,6 +20,21 @@ Metadata makeMetadata(std::uint32_t id, const std::string& name,
   md.ttl = 1000;
   md.rebuildKeywords();
   return md;
+}
+
+// The object path for a query known by its text alone.
+std::vector<RankedMatch> rankByText(
+    const std::string& text, std::initializer_list<const Metadata*> records) {
+  return rankMatches(FileQuery(text), std::span<const Metadata* const>(
+                                          records.begin(), records.size()));
+}
+
+const Metadata* bestMatchByText(const std::string& text,
+                                const MetadataStore& store) {
+  const auto all = store.all();
+  const std::vector<const Metadata*> records(all.begin(), all.end());
+  const auto ranked = rankMatches(FileQuery(text), records);
+  return ranked.empty() ? nullptr : ranked.front().metadata;
 }
 
 TEST(QueryMatches, AllKeywordsMustAppear) {
@@ -60,7 +77,7 @@ TEST(RankMatches, FiltersAndSortsByPopularity) {
   const Metadata a = makeMetadata(1, "fox news ep1", "fox", "", 0.2);
   const Metadata b = makeMetadata(2, "fox news ep2", "fox", "", 0.9);
   const Metadata c = makeMetadata(3, "abc drama ep3", "abc", "", 0.99);
-  const auto ranked = rankMatches("fox news", {&a, &b, &c});
+  const auto ranked = rankByText("fox news", {&a, &b, &c});
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked[0].metadata->file, FileId(2));  // more popular first
   EXPECT_EQ(ranked[1].metadata->file, FileId(1));
@@ -72,14 +89,14 @@ TEST(RankMatches, SpecificityBreaksPopularityTies) {
   const Metadata precise = makeMetadata(1, "fox news", "fox", "", 0.5);
   const Metadata vague = makeMetadata(
       2, "fox news extra bonus content special edition", "fox", "", 0.5);
-  const auto ranked = rankMatches("fox news", {&vague, &precise});
+  const auto ranked = rankByText("fox news", {&vague, &precise});
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked[0].metadata->file, FileId(1));
 }
 
 TEST(RankMatches, IgnoresNullCandidates) {
   const Metadata a = makeMetadata(1, "fox news", "fox", "", 0.5);
-  const auto ranked = rankMatches("news", {nullptr, &a});
+  const auto ranked = rankByText("news", {nullptr, &a});
   ASSERT_EQ(ranked.size(), 1u);
 }
 
@@ -87,10 +104,10 @@ TEST(BestMatch, FromStore) {
   MetadataStore store;
   store.add(makeMetadata(1, "fox news ep1", "fox", "", 0.2));
   store.add(makeMetadata(2, "fox news ep2", "fox", "", 0.8));
-  const Metadata* best = bestMatch("fox news", store);
+  const Metadata* best = bestMatchByText("fox news", store);
   ASSERT_NE(best, nullptr);
   EXPECT_EQ(best->file, FileId(2));
-  EXPECT_EQ(bestMatch("nonexistent", store), nullptr);
+  EXPECT_EQ(bestMatchByText("nonexistent", store), nullptr);
 }
 
 TEST(Query, ExpiryBoundaries) {
@@ -110,7 +127,7 @@ TEST(Query, ExpiryBoundaries) {
 TEST(RankMatches, FakeFilesRankBelowPopularOriginals) {
   const Metadata real = makeMetadata(1, "fox news ep7", "fox", "", 0.7);
   const Metadata fake = makeMetadata(2, "fox news ep7", "faux", "", 0.01);
-  const auto ranked = rankMatches("fox news ep7", {&fake, &real});
+  const auto ranked = rankByText("fox news ep7", {&fake, &real});
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked[0].metadata->file, FileId(1));
 }

@@ -602,6 +602,49 @@ void PieceStoreReference::saveState(Serializer& out) const {
   out.u64(nextSeq_);
 }
 
+std::vector<RankedMatch> rankMatchesReference(
+    const std::string& queryText,
+    std::span<const Metadata* const> candidates) {
+  std::vector<RankedMatch> out;
+  for (const Metadata* md : candidates) {
+    if (md == nullptr || !queryMatches(queryText, *md)) continue;
+    std::size_t keywordCount = md->keywords.size();
+    if (keywordCount == 0) {
+      Metadata rebuilt = *md;
+      rebuilt.rebuildKeywords();
+      keywordCount = rebuilt.keywords.size();
+    }
+    const double score =
+        md->popularity + 0.001 / (1.0 + static_cast<double>(keywordCount));
+    out.push_back(RankedMatch{md, score});
+  }
+  std::sort(out.begin(), out.end(),
+            [](const RankedMatch& a, const RankedMatch& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.metadata->file < b.metadata->file;
+            });
+  return out;
+}
+
+std::vector<RankedMatch> searchReference(const InternetServices& internet,
+                                         const std::string& queryText,
+                                         SimTime now) {
+  const FileCatalog& catalog = internet.catalog();
+  std::vector<const Metadata*> alive;
+  for (const FileId id : catalog.allFiles()) {
+    if (catalog.find(id)->alive(now)) alive.push_back(&catalog.metadataFor(id));
+  }
+  return rankMatchesReference(queryText, alive);
+}
+
+const Metadata* bestMatchReference(const std::string& queryText,
+                                   const MetadataStore& store) {
+  const auto all = store.all();
+  const std::vector<const Metadata*> records(all.begin(), all.end());
+  const auto ranked = rankMatchesReference(queryText, records);
+  return ranked.empty() ? nullptr : ranked.front().metadata;
+}
+
 std::vector<std::string> activeQueryTextsReference(const Node& node,
                                                    SimTime now) {
   std::vector<std::string> texts;
@@ -844,11 +887,11 @@ void AccessSyncReference::sync(ReferenceNode& member, SimTime now,
     auto it = searched.find(text);
     if (it != searched.end() && it->second >= lastPublishAt_) continue;
     searched[text] = now;
-    const auto matches = internet_.search(text, now);
-    const std::size_t take = std::min<std::size_t>(3, matches.size());
+    const auto ranked = searchReference(internet_, text, now);
+    const std::size_t take = std::min<std::size_t>(3, ranked.size());
     for (std::size_t i = 0; i < take; ++i) {
       acceptFromServer(
-          internet_.catalog().sharedMetadataFor(matches[i].metadata->file));
+          internet_.catalog().sharedMetadataFor(ranked[i].metadata->file));
     }
   }
 

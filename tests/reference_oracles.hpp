@@ -14,6 +14,7 @@
 #include "src/core/coding.hpp"
 #include "src/core/discovery.hpp"
 #include "src/core/download.hpp"
+#include "src/core/internet.hpp"
 #include "src/core/node.hpp"
 #include "src/core/protocol.hpp"
 #include "src/graph/adjacency.hpp"
@@ -110,6 +111,25 @@ class PieceStoreReference {
   mutable std::vector<FileId> filesView_;
   mutable bool filesViewStale_ = false;
 };
+
+// The text-keyed search the library ran before queries were matched as
+// objects: each text is tokenized again and matched against every
+// candidate's keywords with queryMatches. See core_query_match_test.cpp.
+
+/// rankMatches over a query text: filters `candidates` by queryMatches and
+/// sorts by (score desc, file id asc), the score being the popularity plus
+/// 0.001 / (1 + keyword count).
+[[nodiscard]] std::vector<RankedMatch> rankMatchesReference(
+    const std::string& queryText, std::span<const Metadata* const> candidates);
+/// InternetServices::search over a query text: rankMatchesReference over
+/// the catalog's records of every file alive at `now`, found by a scan of
+/// the whole catalog.
+[[nodiscard]] std::vector<RankedMatch> searchReference(
+    const InternetServices& internet, const std::string& queryText,
+    SimTime now);
+/// The best match for `queryText` in `store`, or nullptr.
+[[nodiscard]] const Metadata* bestMatchReference(const std::string& queryText,
+                                                 const MetadataStore& store);
 
 // Full-scan references for the Node query scans, which skip the expired
 // prefix of the node's queries behind a watermark: each visits every
