@@ -36,10 +36,8 @@
 // and a completed-point journal (see docs/CHECKPOINT.md).
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -96,28 +94,14 @@ core::EngineParams paramsForPoint(const core::EngineParams& base,
 int runPoint(const bench::CommonArgs& common, const core::EngineParams& base,
              const core::TraceSpec& traceSpec,
              const std::vector<double>& lossRates) {
-  std::size_t xi = 0, pi = 0, mi = 0;
-  int seed = 0;
-  {
-    std::istringstream in(common.pointKey);
-    std::string figure, xiText, piText, miText, seedText;
-    if (!std::getline(in, figure, ':') || !std::getline(in, xiText, ':') ||
-        !std::getline(in, piText, ':') || !std::getline(in, miText, ':') ||
-        !std::getline(in, seedText) || figure != "robustness") {
-      std::cerr << "bad --point key '" << common.pointKey
-                << "' (expected robustness:<xi>:<pi>:<mi>:<seed>)\n";
-      return 2;
-    }
-    xi = static_cast<std::size_t>(std::atoll(xiText.c_str()));
-    pi = static_cast<std::size_t>(std::atoll(piText.c_str()));
-    mi = static_cast<std::size_t>(std::atoll(miText.c_str()));
-    seed = std::atoi(seedText.c_str());
-    if (xi >= lossRates.size() || pi >= 3 || mi >= kModes || seed < 1) {
-      std::cerr << "--point key '" << common.pointKey
-                << "' is out of range\n";
-      return 2;
-    }
-  }
+  const auto point = bench::parsePointKey(
+      common.pointKey, "robustness",
+      {{"xi", lossRates.size()}, {"pi", 3}, {"mi", kModes}});
+  if (!point) return 2;
+  const std::size_t xi = (*point)[0];
+  const std::size_t pi = (*point)[1];
+  const std::size_t mi = (*point)[2];
+  const auto seed = static_cast<int>((*point)[3]);
   core::TraceSpec spec = traceSpec;
   spec.seed = static_cast<std::uint64_t>(seed);
   std::string traceError;
@@ -135,85 +119,6 @@ int runPoint(const bench::CommonArgs& common, const core::EngineParams& base,
        result.delivery.meanFileDelaySeconds / 3600.0,
        static_cast<double>(result.totals.codedDecodeRowOps)});
   return 0;
-}
-
-/// Parent mode (--supervise): one crash-isolated child per point, with
-/// retry-with-resume and journal skip. Fills the same per-task arrays the
-/// in-process loop produces.
-bool runSupervised(const bench::CommonArgs& common, const char* selfPath,
-                   int seeds, std::size_t points,
-                   std::vector<double>& fileRatio,
-                   std::vector<double>& mdRatio,
-                   std::vector<double>& fileDelayH,
-                   std::vector<double>& decodeRowOps) {
-  bench::SupervisorOptions options;
-  options.journalPath = common.superviseJournal;
-  options.pointTimeoutSeconds = common.pointTimeoutSeconds;
-  options.maxAttempts = common.maxAttempts;
-  bench::SweepJournal journal(options.journalPath);
-  journal.load();
-  for (const std::string& issue : journal.issues()) {
-    std::cerr << "journal replay: " << issue << "\n";
-  }
-  std::cout << "supervised sweep: journal " << journal.path() << " ("
-            << journal.size() << " point(s) already done), timeout "
-            << options.pointTimeoutSeconds << " s, " << options.maxAttempts
-            << " attempt(s) per point\n";
-  const std::size_t total =
-      points * 3 * kModes * static_cast<std::size_t>(seeds);
-  std::size_t done = 0;
-  for (std::size_t xi = 0; xi < points; ++xi) {
-    for (std::size_t pi = 0; pi < 3; ++pi) {
-      for (std::size_t mi = 0; mi < kModes; ++mi) {
-        for (int seed = 1; seed <= seeds; ++seed) {
-          const std::string key = "robustness:" + std::to_string(xi) + ":" +
-                                  std::to_string(pi) + ":" +
-                                  std::to_string(mi) + ":" +
-                                  std::to_string(seed);
-          const bool journaled = journal.contains(key);
-          std::string checkpoint =
-              common.superviseJournal + "." + key + ".ckpt";
-          for (char& c : checkpoint) {
-            if (c == ':') c = '_';
-          }
-          std::vector<std::string> childArgv = {
-              selfPath, "--point=" + key, "--point-checkpoint=" + checkpoint,
-              "--checkpoint-every=" + std::to_string(common.checkpointEvery)};
-          if (!common.scenarioPath.empty()) {
-            childArgv.push_back("--scenario=" + common.scenarioPath);
-          }
-          std::string error;
-          const auto values = bench::superviseOnePoint(
-              options, journal, key, childArgv, checkpoint, &error);
-          if (!values) {
-            std::cerr << "supervise: " << error << "\n";
-            return false;
-          }
-          if (values->size() < 3) {
-            std::cerr << "supervise: point " << key
-                      << " returned a malformed RESULT line\n";
-            return false;
-          }
-          const std::size_t task =
-              ((xi * 3 + pi) * kModes + mi) *
-                  static_cast<std::size_t>(seeds) +
-              static_cast<std::size_t>(seed - 1);
-          fileRatio[task] = (*values)[0];
-          mdRatio[task] = (*values)[1];
-          fileDelayH[task] = (*values)[2];
-          // Journals written before the coded axis carry 3-value lines;
-          // treat the missing column as zero row ops.
-          decodeRowOps[task] = values->size() >= 4 ? (*values)[3] : 0.0;
-          ++done;
-          std::cout << "  [" << done << "/" << total << "] " << key
-                    << (journaled ? " (journaled)" : " ok") << "\n";
-          std::error_code ec;
-          std::filesystem::remove(checkpoint, ec);
-        }
-      }
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -269,10 +174,20 @@ int main(int argc, char** argv) {
   std::vector<double> fileDelayH(fileRatio.size());
   std::vector<double> decodeRowOps(fileRatio.size());
   if (supervised) {
-    if (!runSupervised(common, argv[0], seeds, points, fileRatio, mdRatio,
-                       fileDelayH, decodeRowOps)) {
-      return 1;
-    }
+    // One crash-isolated child per point, with retry-with-resume and
+    // journal skip.
+    const bool ok = bench::runSupervisedSweep(
+        common, argv[0], "robustness",
+        {{"xi", points}, {"pi", 3}, {"mi", kModes}}, seeds, 3,
+        [&](std::size_t task, const std::vector<double>& values) {
+          fileRatio[task] = values[0];
+          mdRatio[task] = values[1];
+          fileDelayH[task] = values[2];
+          // Journals written before the coded axis carry 3-value lines;
+          // treat the missing column as zero row ops.
+          decodeRowOps[task] = values.size() >= 4 ? values[3] : 0.0;
+        });
+    if (!ok) return 1;
   } else {
     // Traces first (read-only, shared across the sweep), one per seed.
     std::vector<trace::ContactTrace> traces(

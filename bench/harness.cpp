@@ -7,7 +7,6 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <sstream>
 #include <string_view>
 
 #include "bench/supervisor.hpp"
@@ -40,13 +39,6 @@ std::string formatX(double x) {
   return buf;
 }
 
-/// Supervised-sweep point key: "<figure>:<xi>:<pi>:<seed>".
-std::string pointKeyFor(const std::string& figureId, std::size_t xi,
-                        std::size_t pi, int seed) {
-  return figureId + ":" + std::to_string(xi) + ":" + std::to_string(pi) +
-         ":" + std::to_string(seed);
-}
-
 /// Engine parameters for one sweep point, exactly as the in-process task
 /// loop builds them — the supervised child must reproduce them bit for bit.
 EngineParams paramsForPoint(const FigureSpec& spec, std::size_t xi,
@@ -62,27 +54,12 @@ EngineParams paramsForPoint(const FigureSpec& spec, std::size_t xi,
 /// with periodic checkpoints when --point-checkpoint was given — and prints
 /// its RESULT line for the supervising parent.
 int runFigurePoint(const FigureSpec& spec, const CommonArgs& common) {
-  std::size_t xi = 0, pi = 0;
-  int seed = 0;
-  {
-    std::istringstream in(common.pointKey);
-    std::string figure, xiText, piText, seedText;
-    if (!std::getline(in, figure, ':') || !std::getline(in, xiText, ':') ||
-        !std::getline(in, piText, ':') || !std::getline(in, seedText) ||
-        figure != spec.id) {
-      std::cerr << "bad --point key '" << common.pointKey << "' (expected "
-                << spec.id << ":<xi>:<pi>:<seed>)\n";
-      return 2;
-    }
-    xi = static_cast<std::size_t>(std::atoll(xiText.c_str()));
-    pi = static_cast<std::size_t>(std::atoll(piText.c_str()));
-    seed = std::atoi(seedText.c_str());
-    if (xi >= spec.xs.size() || pi >= 3 || seed < 1) {
-      std::cerr << "--point key '" << common.pointKey
-                << "' is out of range\n";
-      return 2;
-    }
-  }
+  const auto point = parsePointKey(common.pointKey, spec.id,
+                                   {{"xi", spec.xs.size()}, {"pi", 3}});
+  if (!point) return 2;
+  const std::size_t xi = (*point)[0];
+  const std::size_t pi = (*point)[1];
+  const auto seed = static_cast<int>((*point)[2]);
   const trace::ContactTrace trace =
       spec.makeTrace(spec.xs[xi], static_cast<std::uint64_t>(seed));
   const EngineResult result =
@@ -92,75 +69,6 @@ int runFigurePoint(const FigureSpec& spec, const CommonArgs& common) {
       common.pointKey,
       {result.delivery.metadataRatio, result.delivery.fileRatio});
   return 0;
-}
-
-/// Parent mode (--supervise): every point runs in a child process under a
-/// timeout with retry-with-resume; completed points land in the journal and
-/// are skipped on re-invocation. Fills the same per-task ratio arrays the
-/// in-process loop produces. Returns false when a point exhausted its
-/// attempt budget.
-bool runSupervised(const FigureSpec& spec, const CommonArgs& common,
-                   const char* selfPath, int seeds,
-                   std::vector<double>& mdRatio,
-                   std::vector<double>& fileRatio) {
-  SupervisorOptions options;
-  options.journalPath = common.superviseJournal;
-  options.pointTimeoutSeconds = common.pointTimeoutSeconds;
-  options.maxAttempts = common.maxAttempts;
-  SweepJournal journal(options.journalPath);
-  journal.load();
-  for (const std::string& issue : journal.issues()) {
-    std::cerr << "journal replay: " << issue << "\n";
-  }
-  std::cout << "supervised sweep: journal " << journal.path() << " ("
-            << journal.size() << " point(s) already done), timeout "
-            << options.pointTimeoutSeconds << " s, " << options.maxAttempts
-            << " attempt(s) per point\n";
-  const std::size_t total = spec.xs.size() * 3 * static_cast<std::size_t>(seeds);
-  std::size_t done = 0;
-  for (std::size_t xi = 0; xi < spec.xs.size(); ++xi) {
-    for (std::size_t pi = 0; pi < 3; ++pi) {
-      for (int seed = 1; seed <= seeds; ++seed) {
-        const std::string key = pointKeyFor(spec.id, xi, pi, seed);
-        const bool journaled = journal.contains(key);
-        std::string checkpoint = common.superviseJournal + "." + key +
-                                 ".ckpt";
-        for (char& c : checkpoint) {
-          if (c == ':') c = '_';
-        }
-        std::vector<std::string> childArgv = {
-            selfPath, "--point=" + key, "--point-checkpoint=" + checkpoint,
-            "--checkpoint-every=" + std::to_string(common.checkpointEvery)};
-        if (!common.scenarioPath.empty()) {
-          childArgv.push_back("--scenario=" + common.scenarioPath);
-        }
-        std::string error;
-        const auto values = superviseOnePoint(options, journal, key,
-                                              childArgv, checkpoint, &error);
-        if (!values) {
-          std::cerr << "supervise: " << error << "\n";
-          return false;
-        }
-        if (values->size() < 2) {
-          std::cerr << "supervise: point " << key
-                    << " returned a malformed RESULT line\n";
-          return false;
-        }
-        const std::size_t task =
-            (xi * 3 + pi) * static_cast<std::size_t>(seeds) +
-            static_cast<std::size_t>(seed - 1);
-        mdRatio[task] = (*values)[0];
-        fileRatio[task] = (*values)[1];
-        ++done;
-        std::cout << "  [" << done << "/" << total << "] " << key
-                  << (journaled ? " (journaled)" : " ok") << "\n";
-        // The point finished; its resume checkpoint has no further use.
-        std::error_code ec;
-        std::filesystem::remove(checkpoint, ec);
-      }
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -296,9 +204,16 @@ int runFigure(FigureSpec spec, int argc, char** argv) {
       std::cout << "--timeseries is not supported under --supervise; "
                    "skipping time-series output\n";
     }
-    if (!runSupervised(spec, common, argv[0], seeds, mdRatio, fileRatio)) {
-      return 1;
-    }
+    // Every point runs in a child process under a timeout with
+    // retry-with-resume; completed points land in the journal and are
+    // skipped on re-invocation.
+    const bool ok = runSupervisedSweep(
+        common, argv[0], spec.id, {{"xi", points}, {"pi", 3}}, seeds, 2,
+        [&](std::size_t task, const std::vector<double>& values) {
+          mdRatio[task] = values[0];
+          fileRatio[task] = values[1];
+        });
+    if (!ok) return 1;
   } else {
   // Traces are shared read-only across simulation tasks, so they are
   // materialized first (in parallel — generation is itself a measurable

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <thread>
 
@@ -226,6 +227,103 @@ std::optional<std::vector<double>> superviseOnePoint(
              " attempt(s); last failure: " + lastFailure;
   }
   return std::nullopt;
+}
+
+std::optional<std::vector<std::size_t>> parsePointKey(
+    const std::string& key, const std::string& figure,
+    const std::vector<SweepAxis>& axes) {
+  std::string expected = figure;
+  for (const SweepAxis& axis : axes) {
+    expected += ":<" + std::string(axis.name) + ">";
+  }
+  expected += ":<seed>";
+  std::istringstream in(key);
+  std::string part;
+  bool ok = std::getline(in, part, ':') && part == figure;
+  std::vector<std::size_t> indices;
+  for (std::size_t a = 0; ok && a < axes.size(); ++a) {
+    ok = static_cast<bool>(std::getline(in, part, ':'));
+    indices.push_back(static_cast<std::size_t>(std::atoll(part.c_str())));
+  }
+  if (!ok || !std::getline(in, part)) {
+    std::cerr << "bad --point key '" << key << "' (expected " << expected
+              << ")\n";
+    return std::nullopt;
+  }
+  const int seed = std::atoi(part.c_str());
+  bool inRange = seed >= 1;
+  for (std::size_t a = 0; a < axes.size(); ++a) {
+    inRange = inRange && indices[a] < axes[a].size;
+  }
+  if (!inRange) {
+    std::cerr << "--point key '" << key << "' is out of range\n";
+    return std::nullopt;
+  }
+  indices.push_back(static_cast<std::size_t>(seed));
+  return indices;
+}
+
+bool runSupervisedSweep(
+    const CommonArgs& common, const char* selfPath, const std::string& figure,
+    const std::vector<SweepAxis>& axes, int seeds, std::size_t minValues,
+    const std::function<void(std::size_t task,
+                             const std::vector<double>& values)>& store) {
+  SupervisorOptions options;
+  options.journalPath = common.superviseJournal;
+  options.pointTimeoutSeconds = common.pointTimeoutSeconds;
+  options.maxAttempts = common.maxAttempts;
+  SweepJournal journal(options.journalPath);
+  journal.load();
+  for (const std::string& issue : journal.issues()) {
+    std::cerr << "journal replay: " << issue << "\n";
+  }
+  std::cout << "supervised sweep: journal " << journal.path() << " ("
+            << journal.size() << " point(s) already done), timeout "
+            << options.pointTimeoutSeconds << " s, " << options.maxAttempts
+            << " attempt(s) per point\n";
+  const auto seedCount = static_cast<std::size_t>(seeds);
+  std::size_t total = seedCount;
+  for (const SweepAxis& axis : axes) total *= axis.size;
+  for (std::size_t task = 0; task < total; ++task) {
+    // Task index -> "<figure>:<i1>:...:<iN>:<seed>", seed varying fastest.
+    std::string key = ":" + std::to_string(task % seedCount + 1);
+    std::size_t rest = task / seedCount;
+    for (std::size_t a = axes.size(); a-- > 0;) {
+      key = ":" + std::to_string(rest % axes[a].size) + key;
+      rest /= axes[a].size;
+    }
+    key = figure + key;
+    const bool journaled = journal.contains(key);
+    std::string checkpoint = common.superviseJournal + "." + key + ".ckpt";
+    for (char& c : checkpoint) {
+      if (c == ':') c = '_';
+    }
+    std::vector<std::string> childArgv = {
+        selfPath, "--point=" + key, "--point-checkpoint=" + checkpoint,
+        "--checkpoint-every=" + std::to_string(common.checkpointEvery)};
+    if (!common.scenarioPath.empty()) {
+      childArgv.push_back("--scenario=" + common.scenarioPath);
+    }
+    std::string error;
+    const auto values = superviseOnePoint(options, journal, key, childArgv,
+                                          checkpoint, &error);
+    if (!values) {
+      std::cerr << "supervise: " << error << "\n";
+      return false;
+    }
+    if (values->size() < minValues) {
+      std::cerr << "supervise: point " << key
+                << " returned a malformed RESULT line\n";
+      return false;
+    }
+    store(task, *values);
+    std::cout << "  [" << task + 1 << "/" << total << "] " << key
+              << (journaled ? " (journaled)" : " ok") << "\n";
+    // The point finished; its resume checkpoint has no further use.
+    std::error_code ec;
+    std::filesystem::remove(checkpoint, ec);
+  }
+  return true;
 }
 
 core::EngineResult runWithCheckpoints(const trace::ContactTrace& trace,

@@ -12,11 +12,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bench/harness.hpp"
 #include "src/core/engine.hpp"
 #include "src/trace/contact_trace.hpp"
 #include "src/util/types.hpp"
@@ -114,6 +116,34 @@ class SweepJournal {
     const SupervisorOptions& options, SweepJournal& journal,
     const std::string& key, const std::vector<std::string>& childArgv,
     const std::string& checkpointPath, std::string* error);
+
+/// One axis of a supervised sweep's point space ("xi" over the x values,
+/// "pi" over the protocols, ...).
+struct SweepAxis {
+  const char* name;
+  std::size_t size;
+};
+
+/// Parses a --point key "<figure>:<i1>:...:<iN>:<seed>" with one index per
+/// axis. Returns the indices followed by the (1-based) seed; on a malformed
+/// or out-of-range key prints why to stderr and returns nullopt.
+[[nodiscard]] std::optional<std::vector<std::size_t>> parsePointKey(
+    const std::string& key, const std::string& figure,
+    const std::vector<SweepAxis>& axes);
+
+/// Parent mode of a supervised sweep (--supervise): loads the journal named
+/// by common.superviseJournal, then runs every point (axes in order, seeds
+/// 1..seeds last) in a child process under superviseOnePoint — the child is
+/// `selfPath --point=KEY` with its own checkpoint file — and prints one
+/// progress line per point, "(journaled)" for points the journal already
+/// held. Each point's values go to `store` with the point's task index
+/// (row-major, seed last). Returns false when a point fails or returns
+/// fewer than `minValues` values.
+[[nodiscard]] bool runSupervisedSweep(
+    const CommonArgs& common, const char* selfPath, const std::string& figure,
+    const std::vector<SweepAxis>& axes, int seeds, std::size_t minValues,
+    const std::function<void(std::size_t task,
+                             const std::vector<double>& values)>& store);
 
 /// Runs one engine to completion, checkpointing to `path` every `every`
 /// simulation seconds and resuming from `path` when it holds a loadable

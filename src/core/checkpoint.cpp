@@ -170,79 +170,7 @@ CheckpointInfo readCheckpointInfo(const std::string& path) {
 
 Sha1Digest Engine::configFingerprint() const {
   Serializer s;
-  s.u32(static_cast<std::uint32_t>(params_.protocol.kind));
-  s.u32(static_cast<std::uint32_t>(params_.protocol.scheduling));
-  s.u32(static_cast<std::uint32_t>(params_.downloadMode));
-  s.f64(params_.internetAccessFraction);
-  s.i64(params_.newFilesPerDay);
-  s.i64(params_.fileTtlDays);
-  s.i64(params_.metadataPerContact);
-  s.i64(params_.filesPerContact);
-  s.boolean(params_.scaleBudgetsWithDuration);
-  s.i64(params_.referenceContactDuration);
-  s.u32(static_cast<std::uint32_t>(params_.pushOrder));
-  s.u32(params_.piecesPerFile);
-  s.u32(params_.pieceSizeBytes);
-  s.i64(params_.frequentContactPeriod);
-  s.f64(params_.freeRiderFraction);
-  s.boolean(params_.accessFetchesPeerRequests);
-  s.u64(params_.nodePieceCapacity);
-  s.f64(params_.forgerFraction);
-  s.i64(params_.forgeriesPerForgerPerDay);
-  s.boolean(params_.verifyMetadata);
-  s.boolean(params_.useObservedPopularity);
-  s.u64(params_.explicitAccessNodes.size());
-  for (const NodeId id : params_.explicitAccessNodes) s.u32(id.value);
-  s.u64(params_.explicitFreeRiders.size());
-  for (const NodeId id : params_.explicitFreeRiders) s.u32(id.value);
-  s.f64(params_.accessMetadataSyncFraction);
-  s.u64(params_.accessMetadataSyncLimit);
-  s.f64(params_.faults.messageLossRate);
-  s.f64(params_.faults.contactTruncationRate);
-  s.f64(params_.faults.truncationKeepMin);
-  s.f64(params_.faults.truncationKeepMax);
-  s.f64(params_.faults.pieceCorruptionRate);
-  s.f64(params_.faults.churnDownFraction);
-  s.i64(params_.faults.churnMeanDowntime);
-  s.u64(params_.nodeMetadataCapacity);
-  s.i64(params_.recovery.maxRetries);
-  s.i64(params_.recovery.retransmitBudget);
-  s.i64(params_.recovery.repairPerContact);
-  s.u64(params_.recovery.repairQueueLimit);
-  s.boolean(params_.recovery.coordinatorFailover);
-  s.f64(params_.coded.redundancy);
-  s.f64(params_.coded.sparsity);
-  s.f64(params_.adversary.byzantineFraction);
-  s.u32(params_.adversary.attacks);
-  s.boolean(params_.reputation.defense);
-  s.f64(params_.reputation.quarantineThreshold);
-  s.f64(params_.reputation.decayPerDay);
-  // The evidence weights joined the fingerprint after v5. Each is hashed,
-  // tagged with its EvidenceKind, only when it differs from its default, so
-  // every v5 file saved with the defaults still matches.
-  const ReputationParams defaults;
-  const struct {
-    EvidenceKind kind;
-    double weight;
-    double byDefault;
-  } weights[] = {
-      {EvidenceKind::kFailedVerification,
-       params_.reputation.failedVerificationWeight,
-       defaults.failedVerificationWeight},
-      {EvidenceKind::kSummaryMismatch, params_.reputation.summaryMismatchWeight,
-       defaults.summaryMismatchWeight},
-      {EvidenceKind::kAckAnomaly, params_.reputation.ackAnomalyWeight,
-       defaults.ackAnomalyWeight},
-      {EvidenceKind::kBroadcastSuppressed,
-       params_.reputation.broadcastSuppressedWeight,
-       defaults.broadcastSuppressedWeight},
-  };
-  for (const auto& w : weights) {
-    if (w.weight == w.byDefault) continue;
-    s.u32(static_cast<std::uint32_t>(w.kind));
-    s.f64(w.weight);
-  }
-  s.u64(params_.seed);
+  hashParams(s, params_);
   // Trace identity: the schedule replay is only valid against the exact
   // same contact sequence.
   s.str(trace_.name());

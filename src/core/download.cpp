@@ -9,19 +9,6 @@
 
 namespace hdtn::core {
 
-std::vector<std::string> CodedParams::validate() const {
-  std::vector<std::string> errors;
-  if (!(redundancy >= 0.0 && redundancy <= 4.0)) {
-    errors.push_back("redundancy must be in [0, 4], got " +
-                     std::to_string(redundancy));
-  }
-  if (!(sparsity > 0.0 && sparsity <= 1.0)) {
-    errors.push_back("sparsity must be in (0, 1], got " +
-                     std::to_string(sparsity));
-  }
-  return errors;
-}
-
 DownloadPlan planDownload(std::span<const DownloadPeer> peers,
                           const PopularityFn& popularityOf, int budgetPieces,
                           Scheduling scheduling, PushOrder pushOrder,

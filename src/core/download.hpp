@@ -56,7 +56,7 @@ struct CodedParams {
   double sparsity = 0.5;
 
   /// One descriptive message per violation (empty when valid): redundancy
-  /// in [0, 4], sparsity in (0, 1].
+  /// in [0, 4], sparsity in (0, 1] (src/core/params.cpp).
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 

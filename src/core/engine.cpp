@@ -40,88 +40,6 @@ constexpr std::uint32_t kForgedIdBase = 1u << 24;
 
 }  // namespace
 
-std::vector<std::string> EngineParams::validate() const {
-  std::vector<std::string> errors;
-  const auto fraction = [&errors](const char* name, double v) {
-    if (!(v >= 0.0 && v <= 1.0)) {
-      errors.push_back(std::string(name) + " must be in [0, 1], got " +
-                       std::to_string(v));
-    }
-  };
-  fraction("internetAccessFraction", internetAccessFraction);
-  fraction("freeRiderFraction", freeRiderFraction);
-  fraction("forgerFraction", forgerFraction);
-  fraction("accessMetadataSyncFraction", accessMetadataSyncFraction);
-  // Free-riders and forgers are both carved out of the *non-access*
-  // population (a forger must transmit, so it cannot also free-ride):
-  // their fractions must jointly fit into that population, independent of
-  // internetAccessFraction. Checked only when each is individually valid so
-  // out-of-range values keep their own message.
-  if (freeRiderFraction >= 0.0 && freeRiderFraction <= 1.0 &&
-      forgerFraction >= 0.0 && forgerFraction <= 1.0 &&
-      freeRiderFraction + forgerFraction > 1.0) {
-    errors.push_back(
-        "freeRiderFraction + forgerFraction must not exceed 1 (both are "
-        "fractions of the non-access population), got " +
-        std::to_string(freeRiderFraction) + " + " +
-        std::to_string(forgerFraction));
-  }
-  if (newFilesPerDay < 1) {
-    errors.push_back("newFilesPerDay must be >= 1, got " +
-                     std::to_string(newFilesPerDay));
-  }
-  if (fileTtlDays < 1) {
-    errors.push_back("fileTtlDays must be >= 1, got " +
-                     std::to_string(fileTtlDays));
-  }
-  if (metadataPerContact < 1) {
-    errors.push_back("metadataPerContact must be a positive budget, got " +
-                     std::to_string(metadataPerContact));
-  }
-  if (filesPerContact < 1) {
-    errors.push_back("filesPerContact must be a positive budget, got " +
-                     std::to_string(filesPerContact));
-  }
-  if (piecesPerFile < 1) {
-    errors.push_back("piecesPerFile must be >= 1, got " +
-                     std::to_string(piecesPerFile));
-  }
-  if (pieceSizeBytes < 1) {
-    errors.push_back("pieceSizeBytes must be >= 1, got " +
-                     std::to_string(pieceSizeBytes));
-  }
-  if (forgeriesPerForgerPerDay < 0) {
-    errors.push_back("forgeriesPerForgerPerDay must be >= 0, got " +
-                     std::to_string(forgeriesPerForgerPerDay));
-  }
-  if (frequentContactPeriod <= 0) {
-    errors.push_back("frequentContactPeriod must be positive seconds, got " +
-                     std::to_string(frequentContactPeriod));
-  }
-  if (scaleBudgetsWithDuration && referenceContactDuration <= 0) {
-    errors.push_back(
-        "referenceContactDuration must be positive when "
-        "scaleBudgetsWithDuration is set, got " +
-        std::to_string(referenceContactDuration));
-  }
-  for (std::string& error : faults.validate()) {
-    errors.push_back("faults." + std::move(error));
-  }
-  for (std::string& error : recovery.validate()) {
-    errors.push_back("recovery." + std::move(error));
-  }
-  for (std::string& error : coded.validate()) {
-    errors.push_back("coded." + std::move(error));
-  }
-  for (std::string& error : adversary.validate()) {
-    errors.push_back("adversary." + std::move(error));
-  }
-  for (std::string& error : reputation.validate()) {
-    errors.push_back("reputation." + std::move(error));
-  }
-  return errors;
-}
-
 Engine::Engine(const trace::ContactTrace& trace, EngineParams params)
     : trace_(trace), params_(params), rng_(params.seed) {
   const std::vector<std::string> errors = params_.validate();

@@ -150,9 +150,15 @@ struct EngineParams {
   /// lie in [0, 1], per-contact budgets and daily publication count must be
   /// positive, piecesPerFile >= 1, TTL >= 1 day. Engine's constructor calls
   /// this and throws std::invalid_argument listing every problem, so a bad
-  /// sweep fails loudly instead of silently misbehaving.
+  /// sweep fails loudly instead of silently misbehaving. The rules are rows
+  /// of the parameter table (src/core/params.cpp).
   [[nodiscard]] std::vector<std::string> validate() const;
 };
+
+/// Appends every EngineParams field to `out` in the order of its parameter
+/// table (src/core/params.cpp): the configuration half of a checkpoint's
+/// fingerprint.
+void hashParams(Serializer& out, const EngineParams& params);
 
 struct EngineTotals {
   std::uint64_t contactsProcessed = 0;
@@ -375,6 +381,10 @@ class Engine : private AccessSync::Host {
   /// payload checksum and the configuration fingerprint both verify.
   void restoreCheckpoint(const std::string& path);
 
+  /// SHA-1 over the engine configuration (params + trace identity); stored
+  /// in checkpoints so a restore into a different run fails loudly.
+  [[nodiscard]] Sha1Digest configFingerprint() const;
+
   // --- sharded / streaming support (see core/sharded_engine.hpp) ----------
   //
   // A sharded run decomposes the trace into contact-connected components
@@ -544,9 +554,6 @@ class Engine : private AccessSync::Host {
   // checksum, fingerprint, and schedule-replay logic live in checkpoint.cpp.
   void saveComponentState(Serializer& out) const;
   void loadComponentState(Deserializer& in);
-  /// SHA-1 over the engine configuration (params + trace identity); stored
-  /// in checkpoints so a restore into a different run fails loudly.
-  [[nodiscard]] Sha1Digest configFingerprint() const;
 
   const trace::ContactTrace& trace_;
   EngineParams params_;

@@ -46,28 +46,6 @@ bool RecoveryParams::enabled() const {
   return maxRetries > 0 || repairPerContact > 0 || coordinatorFailover;
 }
 
-std::vector<std::string> RecoveryParams::validate() const {
-  std::vector<std::string> errors;
-  if (maxRetries < 0) {
-    errors.push_back("maxRetries must be >= 0, got " +
-                     std::to_string(maxRetries));
-  }
-  if (maxRetries > 0 && retransmitBudget < 1) {
-    errors.push_back(
-        "retransmitBudget must be >= 1 when maxRetries is set, got " +
-        std::to_string(retransmitBudget));
-  }
-  if (repairPerContact < 0) {
-    errors.push_back("repairPerContact must be >= 0, got " +
-                     std::to_string(repairPerContact));
-  }
-  if (repairQueueLimit < 1) {
-    errors.push_back("repairQueueLimit must be >= 1, got " +
-                     std::to_string(repairQueueLimit));
-  }
-  return errors;
-}
-
 int RecoverySession::attemptCost(int attempts) {
   return 1 << std::min(attempts, 3);
 }

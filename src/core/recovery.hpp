@@ -72,7 +72,8 @@ struct RecoveryParams {
   /// byte-identical to a run without recovery support.
   [[nodiscard]] bool enabled() const;
 
-  /// One descriptive message per violation (empty when valid).
+  /// One descriptive message per violation (empty when valid); the rules
+  /// are in src/core/params.cpp.
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 

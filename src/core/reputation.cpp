@@ -4,26 +4,6 @@
 
 namespace hdtn::core {
 
-std::vector<std::string> ReputationParams::validate() const {
-  std::vector<std::string> errors;
-  if (!(quarantineThreshold > 0.0)) {
-    errors.push_back("quarantineThreshold must be positive, got " +
-                     std::to_string(quarantineThreshold));
-  }
-  const auto weight = [&errors](const char* name, double v) {
-    if (!(v >= 0.0)) {
-      errors.push_back(std::string(name) + " must be non-negative, got " +
-                       std::to_string(v));
-    }
-  };
-  weight("failedVerificationWeight", failedVerificationWeight);
-  weight("summaryMismatchWeight", summaryMismatchWeight);
-  weight("ackAnomalyWeight", ackAnomalyWeight);
-  weight("broadcastSuppressedWeight", broadcastSuppressedWeight);
-  weight("decayPerDay", decayPerDay);
-  return errors;
-}
-
 void ReputationTracker::decay(Entry& entry, SimTime now) const {
   if (now <= entry.lastUpdate) return;
   const double elapsedDays =

@@ -66,7 +66,7 @@ struct ReputationParams {
   [[nodiscard]] bool enabled() const { return defense; }
 
   /// One descriptive message per violation (empty when valid): positive
-  /// threshold, non-negative weights and decay.
+  /// threshold, non-negative weights and decay (src/core/params.cpp).
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 

@@ -1,15 +1,13 @@
 #include "src/core/scenario.hpp"
 
-#include <charconv>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 
 #include "src/core/checkpoint.hpp"
-#include "src/core/download_planner.hpp"
 #include "src/obs/event_log.hpp"
 #include "src/obs/timeseries.hpp"
 #include "src/trace/dieselnet.hpp"
@@ -20,67 +18,7 @@
 
 namespace hdtn::core {
 
-namespace {
-
-bool parseIntValue(const std::string& text, std::int64_t* out) {
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
-bool parseDoubleValue(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size();
-}
-
-/// Bare switches ("--observed-popularity") arrive with an empty value.
-bool parseBoolValue(const std::string& text, bool* out) {
-  if (text.empty() || text == "true" || text == "1" || text == "on" ||
-      text == "yes") {
-    *out = true;
-    return true;
-  }
-  if (text == "false" || text == "0" || text == "off" || text == "no") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
-std::string badValue(const std::string& key, const std::string& value,
-                     const char* expected) {
-  return "key '" + key + "': expected " + expected + ", got '" + value + "'";
-}
-
-}  // namespace
-
 // --- TraceSpec --------------------------------------------------------------
-
-std::vector<std::string> TraceSpec::validate() const {
-  std::vector<std::string> errors;
-  if (family != "file" && family != "nus" && family != "dieselnet" &&
-      family != "rwp") {
-    errors.push_back("trace-family must be file|nus|dieselnet|rwp, got '" +
-                     family + "'");
-  }
-  if (family == "file" && path.empty()) {
-    errors.push_back("trace family 'file' requires a trace path (key 'trace')");
-  }
-  if (days < 0) errors.push_back("trace-days must be >= 0 (0 = default)");
-  if (family == "nus" && (students < 2 || courses < 1)) {
-    errors.push_back("nus trace needs >= 2 students and >= 1 course");
-  }
-  if (family == "dieselnet" && (buses < 2 || routes < 1)) {
-    errors.push_back("dieselnet trace needs >= 2 buses and >= 1 route");
-  }
-  if (family == "rwp" && (nodes < 2 || hours <= 0.0)) {
-    errors.push_back("rwp trace needs >= 2 nodes and positive hours");
-  }
-  return errors;
-}
 
 std::optional<trace::ContactTrace> TraceSpec::build(std::string* error) const {
   for (const std::string& problem : validate()) {
@@ -116,253 +54,6 @@ std::optional<trace::ContactTrace> TraceSpec::build(std::string* error) const {
 }
 
 // --- Scenario ---------------------------------------------------------------
-
-const std::vector<std::string>& Scenario::knownKeys() {
-  static const std::vector<std::string> kKeys = {
-      // identity + trace source
-      "name", "trace", "trace-family", "trace-seed", "trace-days",
-      "trace-students", "trace-courses", "trace-courses-per-student",
-      "trace-attendance", "trace-buses", "trace-routes", "trace-nodes",
-      "trace-hours", "trace-range", "trace-field",
-      // engine parameters (same names as the hdtn_sim flags)
-      "protocol", "scheduling", "download-mode", "coded-redundancy",
-      "coded-sparsity", "access", "files-per-day", "ttl-days",
-      "md-per-contact", "files-per-contact", "pieces-per-file", "free-riders",
-      "frequent-days", "observed-popularity", "seed",
-      // fault injection
-      "loss-rate", "truncation-rate", "truncation-keep-min",
-      "truncation-keep-max", "corruption-rate", "churn-fraction",
-      "churn-downtime-hours",
-      // recovery layer (docs/RECOVERY.md)
-      "recovery-retries", "recovery-retransmit-budget", "recovery-repair",
-      "recovery-queue-limit", "recovery-failover", "md-capacity",
-      // Byzantine adversary + defense (docs/ADVERSARY.md)
-      "adversary-fraction", "adversary-attacks", "defense",
-      "quarantine-threshold",
-      // outputs
-      "events-out", "timeseries-out", "sample-every",
-      // checkpoint/resume (docs/CHECKPOINT.md)
-      "checkpoint-out", "checkpoint-every", "resume"};
-  return kKeys;
-}
-
-std::string Scenario::apply(const std::string& key, const std::string& value) {
-  auto asInt = [&](std::int64_t* out) -> std::string {
-    std::int64_t parsed = 0;
-    if (!parseIntValue(value, &parsed)) {
-      return badValue(key, value, "an integer");
-    }
-    *out = parsed;
-    return "";
-  };
-  auto asDouble = [&](double* out) -> std::string {
-    double parsed = 0.0;
-    if (!parseDoubleValue(value, &parsed)) {
-      return badValue(key, value, "a number");
-    }
-    *out = parsed;
-    return "";
-  };
-  auto asBool = [&](bool* out) -> std::string {
-    bool parsed = false;
-    if (!parseBoolValue(value, &parsed)) {
-      return badValue(key, value, "a boolean");
-    }
-    *out = parsed;
-    return "";
-  };
-
-  std::int64_t i = 0;
-  double d = 0.0;
-  bool b = false;
-  std::string err;
-
-  if (key == "name") {
-    name = value;
-  } else if (key == "trace") {
-    trace.family = "file";
-    trace.path = value;
-  } else if (key == "trace-family") {
-    trace.family = value;
-  } else if (key == "trace-seed") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.seed = static_cast<std::uint64_t>(i);
-  } else if (key == "trace-days") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.days = static_cast<int>(i);
-  } else if (key == "trace-students") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.students = static_cast<int>(i);
-  } else if (key == "trace-courses") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.courses = static_cast<int>(i);
-  } else if (key == "trace-courses-per-student") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.coursesPerStudent = static_cast<int>(i);
-  } else if (key == "trace-attendance") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    trace.attendance = d;
-  } else if (key == "trace-buses") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.buses = static_cast<int>(i);
-  } else if (key == "trace-routes") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.routes = static_cast<int>(i);
-  } else if (key == "trace-nodes") {
-    if (!(err = asInt(&i)).empty()) return err;
-    trace.nodes = static_cast<int>(i);
-  } else if (key == "trace-hours") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    trace.hours = d;
-  } else if (key == "trace-range") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    trace.radioRange = d;
-  } else if (key == "trace-field") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    trace.fieldSize = d;
-  } else if (key == "protocol") {
-    if (value == "mbt") {
-      params.protocol.kind = ProtocolKind::kMbt;
-    } else if (value == "mbt-q") {
-      params.protocol.kind = ProtocolKind::kMbtQ;
-    } else if (value == "mbt-qm") {
-      params.protocol.kind = ProtocolKind::kMbtQm;
-    } else {
-      return badValue(key, value, "mbt|mbt-q|mbt-qm");
-    }
-  } else if (key == "scheduling") {
-    if (value == "coop") {
-      params.protocol.scheduling = Scheduling::kCooperative;
-    } else if (value == "tft") {
-      params.protocol.scheduling = Scheduling::kTitForTat;
-    } else {
-      return badValue(key, value, "coop|tft");
-    }
-  } else if (key == "download-mode") {
-    const DownloadModeInfo* info = findDownloadMode(value);
-    if (info == nullptr) {
-      return badValue(key, value, "coop|tft|popularity|pairwise|coded");
-    }
-    params.downloadMode = info->mode;
-    params.protocol.scheduling = info->scheduling;
-  } else if (key == "coded-redundancy") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.coded.redundancy = d;
-  } else if (key == "coded-sparsity") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.coded.sparsity = d;
-  } else if (key == "access") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.internetAccessFraction = d;
-  } else if (key == "files-per-day") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.newFilesPerDay = static_cast<int>(i);
-  } else if (key == "ttl-days") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.fileTtlDays = static_cast<int>(i);
-  } else if (key == "md-per-contact") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.metadataPerContact = static_cast<int>(i);
-  } else if (key == "files-per-contact") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.filesPerContact = static_cast<int>(i);
-  } else if (key == "pieces-per-file") {
-    if (!(err = asInt(&i)).empty()) return err;
-    if (i < 0) return badValue(key, value, "a non-negative integer");
-    params.piecesPerFile = static_cast<std::uint32_t>(i);
-  } else if (key == "free-riders") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.freeRiderFraction = d;
-  } else if (key == "frequent-days") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.frequentContactPeriod = static_cast<Duration>(i) * kDay;
-  } else if (key == "observed-popularity") {
-    if (!(err = asBool(&b)).empty()) return err;
-    params.useObservedPopularity = b;
-  } else if (key == "seed") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.seed = static_cast<std::uint64_t>(i);
-  } else if (key == "loss-rate") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.faults.messageLossRate = d;
-  } else if (key == "truncation-rate") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.faults.contactTruncationRate = d;
-  } else if (key == "truncation-keep-min") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.faults.truncationKeepMin = d;
-  } else if (key == "truncation-keep-max") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.faults.truncationKeepMax = d;
-  } else if (key == "corruption-rate") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.faults.pieceCorruptionRate = d;
-  } else if (key == "churn-fraction") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.faults.churnDownFraction = d;
-  } else if (key == "churn-downtime-hours") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    if (d <= 0.0) return badValue(key, value, "a positive number of hours");
-    params.faults.churnMeanDowntime = static_cast<Duration>(d * kHour);
-  } else if (key == "recovery-retries") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.recovery.maxRetries = static_cast<int>(i);
-  } else if (key == "recovery-retransmit-budget") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.recovery.retransmitBudget = static_cast<int>(i);
-  } else if (key == "recovery-repair") {
-    if (!(err = asInt(&i)).empty()) return err;
-    params.recovery.repairPerContact = static_cast<int>(i);
-  } else if (key == "recovery-queue-limit") {
-    if (!(err = asInt(&i)).empty()) return err;
-    if (i < 1) return badValue(key, value, "a positive integer");
-    params.recovery.repairQueueLimit = static_cast<std::size_t>(i);
-  } else if (key == "recovery-failover") {
-    if (!(err = asBool(&b)).empty()) return err;
-    params.recovery.coordinatorFailover = b;
-  } else if (key == "adversary-fraction") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.adversary.byzantineFraction = d;
-  } else if (key == "adversary-attacks") {
-    std::uint32_t mask = 0;
-    std::string offender;
-    if (!faults::parseAttackMask(value, &mask, &offender)) {
-      return badValue(key, offender.empty() ? value : offender,
-                      "a comma-separated attack list "
-                      "(pollution|piece-lie|false-summary|ack-spoof|"
-                      "coordinator), 'all', or 'none'");
-    }
-    params.adversary.attacks = mask;
-  } else if (key == "defense") {
-    if (!(err = asBool(&b)).empty()) return err;
-    params.reputation.defense = b;
-  } else if (key == "quarantine-threshold") {
-    if (!(err = asDouble(&d)).empty()) return err;
-    params.reputation.quarantineThreshold = d;
-  } else if (key == "md-capacity") {
-    if (!(err = asInt(&i)).empty()) return err;
-    if (i < 0) return badValue(key, value, "a non-negative integer");
-    params.nodeMetadataCapacity = static_cast<std::size_t>(i);
-  } else if (key == "events-out") {
-    eventsOut = value;
-  } else if (key == "timeseries-out") {
-    timeseriesOut = value;
-  } else if (key == "sample-every") {
-    if (!(err = asInt(&i)).empty()) return err;
-    sampleEvery = static_cast<Duration>(i);
-  } else if (key == "checkpoint-out") {
-    checkpointOut = value;
-  } else if (key == "checkpoint-every") {
-    if (!(err = asInt(&i)).empty()) return err;
-    checkpointEvery = static_cast<Duration>(i);
-  } else if (key == "resume") {
-    if (!(err = asBool(&b)).empty()) return err;
-    resume = b;
-  } else {
-    return "unknown key '" + key + "'";
-  }
-  return "";
-}
 
 std::optional<Scenario> Scenario::parse(std::istream& in,
                                         std::vector<std::string>* errors) {
@@ -417,177 +108,6 @@ std::optional<Scenario> Scenario::fromFile(const std::string& path,
     return std::nullopt;
   }
   return parse(in, errors);
-}
-
-std::vector<std::string> Scenario::validate() const {
-  std::vector<std::string> errors = trace.validate();
-  for (std::string& error : params.validate()) {
-    errors.push_back(std::move(error));
-  }
-  if (sampleEvery <= 0) errors.push_back("sample-every must be positive");
-  if (checkpointEvery <= 0) {
-    errors.push_back("checkpoint-every must be positive");
-  }
-  if (resume && checkpointOut.empty()) {
-    errors.push_back("resume requires checkpoint-out");
-  }
-  return errors;
-}
-
-// --- ScenarioBuilder --------------------------------------------------------
-
-ScenarioBuilder& ScenarioBuilder::name(std::string value) {
-  scenario_.name = std::move(value);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::traceFile(std::string path) {
-  scenario_.trace.family = "file";
-  scenario_.trace.path = std::move(path);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::nusTrace(int students, int courses,
-                                           int days) {
-  scenario_.trace.family = "nus";
-  scenario_.trace.students = students;
-  scenario_.trace.courses = courses;
-  scenario_.trace.days = days;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::dieselNetTrace(int buses, int routes,
-                                                 int days) {
-  scenario_.trace.family = "dieselnet";
-  scenario_.trace.buses = buses;
-  scenario_.trace.routes = routes;
-  scenario_.trace.days = days;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::rwpTrace(int nodes, double hours) {
-  scenario_.trace.family = "rwp";
-  scenario_.trace.nodes = nodes;
-  scenario_.trace.hours = hours;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::traceSeed(std::uint64_t seed) {
-  scenario_.trace.seed = seed;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::protocol(ProtocolKind kind) {
-  scenario_.params.protocol.kind = kind;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::scheduling(Scheduling scheduling) {
-  scenario_.params.protocol.scheduling = scheduling;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::downloadMode(const std::string& name) {
-  return set("download-mode", name);
-}
-ScenarioBuilder& ScenarioBuilder::codedRedundancy(double redundancy) {
-  scenario_.params.coded.redundancy = redundancy;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::codedSparsity(double sparsity) {
-  scenario_.params.coded.sparsity = sparsity;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::accessFraction(double fraction) {
-  scenario_.params.internetAccessFraction = fraction;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::filesPerDay(int files) {
-  scenario_.params.newFilesPerDay = files;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::ttlDays(int days) {
-  scenario_.params.fileTtlDays = days;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::piecesPerFile(std::uint32_t pieces) {
-  scenario_.params.piecesPerFile = pieces;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::freeRiderFraction(double fraction) {
-  scenario_.params.freeRiderFraction = fraction;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::frequentContactDays(int days) {
-  scenario_.params.frequentContactPeriod = static_cast<Duration>(days) * kDay;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::seed(std::uint64_t value) {
-  scenario_.params.seed = value;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::faults(faults::FaultParams params) {
-  scenario_.params.faults = params;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::messageLossRate(double rate) {
-  scenario_.params.faults.messageLossRate = rate;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::contactTruncationRate(double rate) {
-  scenario_.params.faults.contactTruncationRate = rate;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::pieceCorruptionRate(double rate) {
-  scenario_.params.faults.pieceCorruptionRate = rate;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::churn(double downFraction,
-                                        Duration meanDowntime) {
-  scenario_.params.faults.churnDownFraction = downFraction;
-  scenario_.params.faults.churnMeanDowntime = meanDowntime;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::recovery(RecoveryParams params) {
-  scenario_.params.recovery = params;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::recoveryRetries(int maxRetries) {
-  scenario_.params.recovery.maxRetries = maxRetries;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::recoveryRepair(int perContact) {
-  scenario_.params.recovery.repairPerContact = perContact;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::recoveryFailover(bool enabled) {
-  scenario_.params.recovery.coordinatorFailover = enabled;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::metadataCapacity(std::size_t records) {
-  scenario_.params.nodeMetadataCapacity = records;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::eventsOut(std::string path) {
-  scenario_.eventsOut = std::move(path);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::timeseriesOut(std::string path,
-                                                Duration sampleEvery) {
-  scenario_.timeseriesOut = std::move(path);
-  scenario_.sampleEvery = sampleEvery;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::set(const std::string& key,
-                                      const std::string& value) {
-  const std::string error = scenario_.apply(key, value);
-  if (!error.empty()) errors_.push_back(error);
-  return *this;
-}
-
-Scenario ScenarioBuilder::build() const {
-  std::vector<std::string> errors = errors_;
-  for (std::string& error : scenario_.validate()) {
-    errors.push_back(std::move(error));
-  }
-  if (!errors.empty()) {
-    std::string message = "invalid scenario '" + scenario_.name + "':";
-    for (const std::string& error : errors) message += "\n  " + error;
-    throw std::invalid_argument(message);
-  }
-  return scenario_;
 }
 
 // --- runScenario ------------------------------------------------------------
@@ -712,15 +232,23 @@ bool reopenForResume(const std::string& path, std::uint64_t offset,
   return true;
 }
 
-/// The checkpointing/resuming driver: advances the engine boundary by
-/// boundary (sample boundaries and checkpoint boundaries, in time order),
-/// writing the time series incrementally so every checkpoint can record the
-/// exact on-disk offsets of both outputs. Event execution is identical to
-/// obs::runSampled — only the bookkeeping between events differs.
-std::optional<ScenarioOutcome> runCheckpointed(
-    const Scenario& scenario, const trace::ContactTrace& trace,
-    std::string* error) {
+}  // namespace
+
+/// The one driver: advances the engine boundary by boundary (sample and
+/// checkpoint boundaries, in time order), writing the time series
+/// incrementally so every checkpoint can record the exact on-disk offsets
+/// of both outputs. Event execution is identical to obs::runSampled; only
+/// the bookkeeping between events differs. Without checkpoint-out the run
+/// takes no checkpoint and ignores preemption requests.
+std::optional<ScenarioOutcome> runScenario(const Scenario& scenario,
+                                           const trace::ContactTrace& trace,
+                                           std::string* error) {
   namespace fs = std::filesystem;
+  for (const std::string& problem : scenario.validate()) {
+    if (error != nullptr) *error = problem;
+    return std::nullopt;
+  }
+  const bool checkpointing = !scenario.checkpointOut.empty();
   ScenarioOutcome outcome;
   Engine engine(trace, scenario.params);
   const bool wantEvents = !scenario.eventsOut.empty();
@@ -729,7 +257,9 @@ std::optional<ScenarioOutcome> runCheckpointed(
   cursor.hasEvents = wantEvents;
   cursor.hasTimeseries = wantTimeseries;
   cursor.nextSample = scenario.sampleEvery;
-  cursor.nextCheckpoint = scenario.checkpointEvery;
+  cursor.nextCheckpoint = checkpointing
+                              ? scenario.checkpointEvery
+                              : std::numeric_limits<SimTime>::max();
   std::uint64_t eventsWrittenBefore = 0;
   if (scenario.resume && fs::exists(scenario.checkpointOut)) {
     try {
@@ -807,7 +337,7 @@ std::optional<ScenarioOutcome> runCheckpointed(
       // A preemption request checkpoints at whatever boundary comes next
       // (sample or checkpoint), so the stop latency is bounded by the
       // tighter of the two cadences.
-      const bool preempt = stopRequested();
+      const bool preempt = checkpointing && stopRequested();
       if (boundary == cursor.nextCheckpoint || preempt) {
         if (boundary == cursor.nextCheckpoint) {
           cursor.nextCheckpoint += scenario.checkpointEvery;
@@ -857,59 +387,6 @@ std::optional<ScenarioOutcome> runCheckpointed(
   if (sink) {
     outcome.eventsWritten = eventsWrittenBefore + sink->eventsWritten();
   }
-  return outcome;
-}
-
-}  // namespace
-
-std::optional<ScenarioOutcome> runScenario(const Scenario& scenario,
-                                           const trace::ContactTrace& trace,
-                                           std::string* error) {
-  for (const std::string& problem : scenario.validate()) {
-    if (error != nullptr) *error = problem;
-    return std::nullopt;
-  }
-  if (!scenario.checkpointOut.empty()) {
-    return runCheckpointed(scenario, trace, error);
-  }
-  ScenarioOutcome outcome;
-  if (scenario.eventsOut.empty() && scenario.timeseriesOut.empty()) {
-    outcome.result = runSimulation(trace, scenario.params);
-    return outcome;
-  }
-  Engine engine(trace, scenario.params);
-  std::ofstream eventsFile;
-  std::optional<obs::JsonlEventSink> sink;
-  if (!scenario.eventsOut.empty()) {
-    eventsFile.open(scenario.eventsOut);
-    if (!eventsFile) {
-      if (error != nullptr) *error = "cannot write " + scenario.eventsOut;
-      return std::nullopt;
-    }
-    sink.emplace(eventsFile);
-    engine.setObserver(&*sink);
-  }
-  try {
-    if (!scenario.timeseriesOut.empty()) {
-      obs::TimeSeries series;
-      outcome.result = obs::runSampled(engine, scenario.sampleEvery, series);
-      std::ofstream tsFile(scenario.timeseriesOut);
-      if (!tsFile) {
-        if (error != nullptr) {
-          *error = "cannot write " + scenario.timeseriesOut;
-        }
-        return std::nullopt;
-      }
-      series.writeCsv(tsFile);
-    } else {
-      outcome.result = engine.run();
-    }
-    if (sink) sink->finish();
-  } catch (const std::runtime_error& e) {
-    if (error != nullptr) *error = e.what();
-    return std::nullopt;
-  }
-  if (sink) outcome.eventsWritten = sink->eventsWritten();
   return outcome;
 }
 

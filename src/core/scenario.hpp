@@ -1,14 +1,16 @@
 // Declarative run configuration: one value type that owns everything a
 // simulation run needs — the trace source, the EngineParams (including
-// fault injection), and the output choices — plus a fluent builder and a
-// `key = value` file format.
+// fault injection), and the output choices — plus a `key = value` file
+// format.
 //
 // The Scenario is the preferred entry point for tools, benches, and tests:
 // instead of each binary re-implementing flag parsing, trace loading, and
-// sink plumbing, it configures a Scenario (from a file, from CLI overrides,
-// or through ScenarioBuilder) and calls runScenario(). All three paths
-// funnel through Scenario::apply(key, value), so a scenario-file key and
-// the matching hdtn_sim flag always have identical semantics.
+// sink plumbing, it configures a Scenario (from a file or from CLI
+// overrides) and calls runScenario(). Both paths funnel through
+// Scenario::apply(key, value), so a scenario-file key and the matching
+// hdtn_sim flag always have identical semantics. Every key, its help line
+// and its field's rules are rows of one parameter table
+// (src/core/params.cpp).
 //
 // File format (see examples/*.scenario):
 //
@@ -31,6 +33,7 @@
 
 #include "src/core/engine.hpp"
 #include "src/trace/contact_trace.hpp"
+#include "src/util/args.hpp"
 #include "src/util/types.hpp"
 
 namespace hdtn::core {
@@ -99,8 +102,15 @@ struct Scenario {
   [[nodiscard]] std::string apply(const std::string& key,
                                   const std::string& value);
 
-  /// Every key apply() accepts, in a stable order (CLI override loops).
+  /// Every key apply() accepts, in table order (CLI override loops): where
+  /// two keys set one field, `trace` precedes `trace-family` and
+  /// `scheduling` precedes `download-mode`.
   [[nodiscard]] static const std::vector<std::string>& knownKeys();
+
+  /// One help line per key, in knownKeys() order, showing the default of a
+  /// default-constructed Scenario ("access=0.3"; a bare switch for
+  /// booleans).
+  [[nodiscard]] static const std::vector<FlagHelp>& keyHelp();
 
   /// Parses a `key = value` stream; collects line-numbered errors. Returns
   /// nullopt when any line fails.
@@ -114,61 +124,6 @@ struct Scenario {
   /// Trace-spec problems + EngineParams::validate() + output sanity, one
   /// message per violation; empty when the scenario can run.
   [[nodiscard]] std::vector<std::string> validate() const;
-};
-
-/// Fluent scenario construction for tests and embedders:
-///
-///   auto s = ScenarioBuilder()
-///                .name("lossy-nus")
-///                .nusTrace(160, 32, 12)
-///                .protocol(ProtocolKind::kMbtQm)
-///                .messageLossRate(0.1)
-///                .build();  // throws std::invalid_argument when invalid
-class ScenarioBuilder {
- public:
-  ScenarioBuilder& name(std::string value);
-  ScenarioBuilder& traceFile(std::string path);
-  ScenarioBuilder& nusTrace(int students, int courses, int days);
-  ScenarioBuilder& dieselNetTrace(int buses, int routes, int days);
-  ScenarioBuilder& rwpTrace(int nodes, double hours);
-  ScenarioBuilder& traceSeed(std::uint64_t seed);
-  ScenarioBuilder& protocol(ProtocolKind kind);
-  ScenarioBuilder& scheduling(Scheduling scheduling);
-  /// Resolves a canonical registry name (coop, tft, popularity, pairwise,
-  /// coded) into downloadMode + scheduling; unknown names surface in
-  /// build().
-  ScenarioBuilder& downloadMode(const std::string& name);
-  ScenarioBuilder& codedRedundancy(double redundancy);
-  ScenarioBuilder& codedSparsity(double sparsity);
-  ScenarioBuilder& accessFraction(double fraction);
-  ScenarioBuilder& filesPerDay(int files);
-  ScenarioBuilder& ttlDays(int days);
-  ScenarioBuilder& piecesPerFile(std::uint32_t pieces);
-  ScenarioBuilder& freeRiderFraction(double fraction);
-  ScenarioBuilder& frequentContactDays(int days);
-  ScenarioBuilder& seed(std::uint64_t value);
-  ScenarioBuilder& faults(faults::FaultParams params);
-  ScenarioBuilder& messageLossRate(double rate);
-  ScenarioBuilder& contactTruncationRate(double rate);
-  ScenarioBuilder& pieceCorruptionRate(double rate);
-  ScenarioBuilder& churn(double downFraction, Duration meanDowntime);
-  ScenarioBuilder& recovery(RecoveryParams params);
-  ScenarioBuilder& recoveryRetries(int maxRetries);
-  ScenarioBuilder& recoveryRepair(int perContact);
-  ScenarioBuilder& recoveryFailover(bool enabled);
-  ScenarioBuilder& metadataCapacity(std::size_t records);
-  ScenarioBuilder& eventsOut(std::string path);
-  ScenarioBuilder& timeseriesOut(std::string path, Duration sampleEvery);
-  /// Generic escape hatch onto Scenario::apply(); errors surface in build().
-  ScenarioBuilder& set(const std::string& key, const std::string& value);
-
-  /// Validates and returns the scenario; throws std::invalid_argument
-  /// listing every problem (set() errors first, then Scenario::validate()).
-  [[nodiscard]] Scenario build() const;
-
- private:
-  Scenario scenario_;
-  std::vector<std::string> errors_;
 };
 
 /// What one scenario run produced beyond the engine result.

@@ -97,19 +97,6 @@ std::string attackMaskName(std::uint32_t mask) {
   return out;
 }
 
-std::vector<std::string> AdversaryParams::validate() const {
-  std::vector<std::string> errors;
-  if (!(byzantineFraction >= 0.0 && byzantineFraction <= 1.0)) {
-    errors.push_back("byzantineFraction must be in [0, 1], got " +
-                     std::to_string(byzantineFraction));
-  }
-  if ((attacks & ~kAllAttacks) != 0) {
-    errors.push_back("attacks mask has unknown bits set: " +
-                     std::to_string(attacks & ~kAllAttacks));
-  }
-  return errors;
-}
-
 AdversaryPlan::AdversaryPlan(const AdversaryParams& params, Rng rng)
     : params_(params),
       pollutionRng_(rng.fork(kPollutionSalt)),

@@ -91,7 +91,8 @@ struct AdversaryParams {
   }
 
   /// One descriptive message per violation (empty when valid):
-  /// byzantineFraction in [0, 1], attacks within the known mask.
+  /// byzantineFraction in [0, 1], attacks within the known mask
+  /// (src/core/params.cpp).
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 

@@ -15,8 +15,6 @@ constexpr std::uint64_t kLossSalt = 2;
 constexpr std::uint64_t kCorruptionSalt = 3;
 constexpr std::uint64_t kChurnSalt = 4;
 
-bool isFraction(double v) { return v >= 0.0 && v <= 1.0; }
-
 }  // namespace
 
 const char* faultKindName(FaultKind kind) {
@@ -36,38 +34,6 @@ const char* faultKindName(FaultKind kind) {
 bool FaultParams::enabled() const {
   return messageLossRate > 0.0 || contactTruncationRate > 0.0 ||
          pieceCorruptionRate > 0.0 || churnDownFraction > 0.0;
-}
-
-std::vector<std::string> FaultParams::validate() const {
-  std::vector<std::string> errors;
-  const auto fraction = [&errors](const char* name, double v) {
-    if (!isFraction(v)) {
-      errors.push_back(std::string(name) + " must be in [0, 1], got " +
-                       std::to_string(v));
-    }
-  };
-  fraction("messageLossRate", messageLossRate);
-  fraction("contactTruncationRate", contactTruncationRate);
-  fraction("pieceCorruptionRate", pieceCorruptionRate);
-  if (!(churnDownFraction >= 0.0 && churnDownFraction < 1.0)) {
-    errors.push_back("churnDownFraction must be in [0, 1), got " +
-                     std::to_string(churnDownFraction));
-  }
-  if (!isFraction(truncationKeepMin) || !isFraction(truncationKeepMax) ||
-      truncationKeepMin > truncationKeepMax) {
-    errors.push_back(
-        "truncationKeepMin/truncationKeepMax must satisfy 0 <= min <= max "
-        "<= 1, got [" +
-        std::to_string(truncationKeepMin) + ", " +
-        std::to_string(truncationKeepMax) + "]");
-  }
-  if (churnDownFraction > 0.0 && churnMeanDowntime <= 0) {
-    errors.push_back(
-        "churnMeanDowntime must be positive seconds when churnDownFraction "
-        "is set, got " +
-        std::to_string(churnMeanDowntime));
-  }
-  return errors;
 }
 
 FaultPlan::FaultPlan(const FaultParams& params, Rng rng,

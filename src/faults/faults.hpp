@@ -74,7 +74,8 @@ struct FaultParams {
 
   /// One descriptive message per violation (empty when valid): rates in
   /// [0, 1], churnDownFraction in [0, 1), keep bounds ordered inside
-  /// [0, 1], positive mean downtime when churn is on.
+  /// [0, 1], positive mean downtime when churn is on. The rules are rows
+  /// of the parameter table (src/core/params.cpp).
   [[nodiscard]] std::vector<std::string> validate() const;
 };
 

@@ -1,15 +1,15 @@
 // Scenario: the declarative run configuration. Covers key application
 // (file keys == CLI flags, one semantics), the `key = value` parser with
-// line-numbered errors, the fluent builder, trace building for every
-// family, and runScenario() matching a hand-wired engine run.
+// line-numbered errors, trace building for every family, and runScenario()
+// matching a hand-wired engine run.
 #include "src/core/scenario.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
-#include <stdexcept>
 
 #include "src/core/checkpoint.hpp"
 #include "src/core/download_planner.hpp"
@@ -78,23 +78,6 @@ TEST(ScenarioApply, AdversaryKnobsRejectBadValues) {
   EXPECT_NE(maskError.find("pollution"), std::string::npos);
   EXPECT_NE(s.apply("defense", "maybe"), "");
   EXPECT_NE(s.apply("quarantine-threshold", "steep"), "");
-}
-
-TEST(ScenarioBuilder, DownloadModeMethodsWork) {
-  const Scenario s = ScenarioBuilder()
-                         .nusTrace(30, 6, 3)
-                         .protocol(ProtocolKind::kMbt)
-                         .downloadMode("coded")
-                         .codedRedundancy(0.75)
-                         .codedSparsity(0.5)
-                         .build();
-  EXPECT_EQ(s.params.downloadMode, DownloadMode::kCoded);
-  EXPECT_EQ(s.params.coded.redundancy, 0.75);
-  EXPECT_THROW((void)ScenarioBuilder()
-                   .nusTrace(30, 6, 3)
-                   .downloadMode("bogus")
-                   .build(),
-               std::invalid_argument);
 }
 
 TEST(ScenarioApply, SetsEngineAndFaultAndTraceFields) {
@@ -241,48 +224,28 @@ TEST(TraceSpec, RejectsUnknownFamilyAndMissingPath) {
   EXPECT_FALSE(spec.build(&error).has_value());
 }
 
-TEST(ScenarioBuilder, FluentConstructionRoundTrips) {
-  const Scenario s = ScenarioBuilder()
-                         .name("builder-run")
-                         .nusTrace(24, 6, 3)
-                         .traceSeed(9)
-                         .protocol(ProtocolKind::kMbtQ)
-                         .accessFraction(0.4)
-                         .filesPerDay(8)
-                         .ttlDays(2)
-                         .frequentContactDays(1)
-                         .seed(11)
-                         .messageLossRate(0.1)
-                         .churn(0.2, 3 * kHour)
-                         .build();
-  EXPECT_EQ(s.name, "builder-run");
-  EXPECT_EQ(s.trace.family, "nus");
-  EXPECT_EQ(s.trace.students, 24);
-  EXPECT_EQ(s.params.faults.messageLossRate, 0.1);
-  EXPECT_EQ(s.params.faults.churnDownFraction, 0.2);
-}
-
-TEST(ScenarioBuilder, BuildThrowsListingEveryProblem) {
-  ScenarioBuilder builder;
-  builder.nusTrace(24, 6, 3).filesPerDay(0).set("no-such-key", "1");
-  try {
-    (void)builder.build();
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("no-such-key"), std::string::npos);
-    EXPECT_NE(what.find("newFilesPerDay"), std::string::npos);
-  }
+/// The scenario `text` describes; fails the test unless it parses and
+/// validates.
+Scenario scenarioFrom(const std::string& text) {
+  std::istringstream in(text);
+  std::vector<std::string> errors;
+  std::optional<Scenario> s = Scenario::parse(in, &errors);
+  EXPECT_TRUE(s.has_value()) << (errors.empty() ? "" : errors.front());
+  if (!s) return Scenario{};
+  EXPECT_EQ(s->validate(), std::vector<std::string>{});
+  return *s;
 }
 
 TEST(RunScenario, MatchesHandWiredEngineRun) {
-  const Scenario s = ScenarioBuilder()
-                         .name("equivalence")
-                         .nusTrace(24, 6, 3)
-                         .protocol(ProtocolKind::kMbtQm)
-                         .frequentContactDays(1)
-                         .messageLossRate(0.2)
-                         .build();
+  const Scenario s = scenarioFrom(
+      "name = equivalence\n"
+      "trace-family = nus\n"
+      "trace-students = 24\n"
+      "trace-courses = 6\n"
+      "trace-days = 3\n"
+      "protocol = mbt-qm\n"
+      "frequent-days = 1\n"
+      "loss-rate = 0.2\n");
   std::string error;
   const auto trace = s.trace.build(&error);
   ASSERT_TRUE(trace.has_value()) << error;
@@ -296,11 +259,13 @@ TEST(RunScenario, MatchesHandWiredEngineRun) {
 }
 
 TEST(RunScenario, ConvenienceOverloadBuildsTheTrace) {
-  const Scenario s = ScenarioBuilder()
-                         .name("one-call")
-                         .nusTrace(20, 4, 2)
-                         .frequentContactDays(1)
-                         .build();
+  const Scenario s = scenarioFrom(
+      "name = one-call\n"
+      "trace-family = nus\n"
+      "trace-students = 20\n"
+      "trace-courses = 4\n"
+      "trace-days = 2\n"
+      "frequent-days = 1\n");
   std::string error;
   const auto outcome = runScenario(s, &error);
   ASSERT_TRUE(outcome.has_value()) << error;
@@ -328,16 +293,19 @@ std::string readAll(const std::string& path) {
 /// deliberately misaligned (6 h vs 8 h), so boundaries of all three kinds
 /// (sample-only, checkpoint-only, shared at 24 h) occur.
 Scenario resumableScenario(const std::string& dir, bool resume) {
-  Scenario s = ScenarioBuilder()
-                   .name("resumable")
-                   .nusTrace(30, 6, 3)
-                   .protocol(ProtocolKind::kMbtQm)
-                   .filesPerDay(10)
-                   .frequentContactDays(1)
-                   .messageLossRate(0.1)
-                   .eventsOut(dir + "/events.jsonl")
-                   .timeseriesOut(dir + "/series.csv", 6 * kHour)
-                   .build();
+  Scenario s = scenarioFrom(
+      "name = resumable\n"
+      "trace-family = nus\n"
+      "trace-students = 30\n"
+      "trace-courses = 6\n"
+      "trace-days = 3\n"
+      "protocol = mbt-qm\n"
+      "files-per-day = 10\n"
+      "frequent-days = 1\n"
+      "loss-rate = 0.1\n"
+      "events-out = " + dir + "/events.jsonl\n"
+      "timeseries-out = " + dir + "/series.csv\n"
+      "sample-every = 21600\n");
   s.checkpointOut = dir + "/run.ckpt";
   s.checkpointEvery = 8 * kHour;
   s.resume = resume;

@@ -5,9 +5,7 @@
 #include <utility>
 
 #include "src/core/engine.hpp"
-#include "src/graph/clique.hpp"
 #include "src/graph/space_time.hpp"
-#include "src/net/hello.hpp"
 #include "src/trace/dieselnet.hpp"
 #include "src/trace/nus.hpp"
 
@@ -240,40 +238,6 @@ TEST(Integration, BoundedStorageDegradesGracefully) {
   EXPECT_LE(bounded.delivery.fileRatio,
             unbounded.delivery.fileRatio + 1e-9);
   EXPECT_DOUBLE_EQ(bounded.accessDelivery.metadataRatio, 1.0);
-}
-
-TEST(Integration, HelloExchangeYieldsBroadcastCliques) {
-  // The Section-V pipeline outside the engine's shortcut: nodes beacon
-  // hellos, each derives its neighbor set, the union graph is partitioned
-  // into broadcast cliques. Two radio groups {0,1,2} and {3,4} that cannot
-  // hear each other must come out as exactly those cliques.
-  const std::vector<std::vector<std::uint32_t>> radioGroups{{0, 1, 2},
-                                                            {3, 4}};
-  std::vector<net::HelloState> states;
-  for (std::uint32_t i = 0; i < 5; ++i) states.emplace_back(NodeId(i));
-
-  const SimTime now = 1000;
-  for (const auto& group : radioGroups) {
-    for (std::uint32_t sender : group) {
-      const net::HelloMessage hello =
-          states[sender].makeHello(now, {}, {});
-      for (std::uint32_t receiver : group) {
-        if (receiver != sender) states[receiver].onHello(now, hello);
-      }
-    }
-  }
-  AdjacencyGraph graph;
-  for (auto& state : states) {
-    graph.addNode(state.self());
-    for (NodeId neighbor : state.activeNeighbors(now + 1)) {
-      graph.addEdge(state.self(), neighbor);
-    }
-  }
-  const auto cliques = partitionIntoCliques(graph);
-  ASSERT_EQ(cliques.size(), 2u);
-  EXPECT_EQ(cliques[0],
-            (std::vector<NodeId>{NodeId(0), NodeId(1), NodeId(2)}));
-  EXPECT_EQ(cliques[1], (std::vector<NodeId>{NodeId(3), NodeId(4)}));
 }
 
 TEST(Integration, DelaysPositiveAndBounded) {

@@ -40,48 +40,16 @@ using namespace hdtn;
 namespace {
 
 int usage() {
-  const std::vector<FlagHelp> flags = {
-      {"scenario=PATH", "load a key = value scenario file first"},
-      {"trace=PATH", "contact trace file (or trace-family=nus|dieselnet|rwp)"},
-      {"protocol=mbt|mbt-q|mbt-qm", "protocol variant (default mbt)"},
-      {"scheduling=coop|tft", "download scheduling (default coop)"},
-      {"download-mode=coop|tft|popularity|pairwise|coded",
-       "download mode (registry name; docs/CODING.md)"},
-      {"coded-redundancy=0.5", "coded: extra frames per deficit fraction"},
-      {"coded-sparsity=0.5", "coded: coefficient-vector density"},
-      {"access=0.3", "Internet-access fraction"},
-      {"files-per-day=40", "files published per day"},
-      {"ttl-days=3", "file/query time-to-live"},
-      {"md-per-contact=5", "metadata budget per contact"},
-      {"files-per-contact=2", "file budget per contact"},
-      {"pieces-per-file=1", "pieces per published file"},
-      {"free-riders=0.0", "free-riding fraction"},
-      {"frequent-days=3", "frequent-contact window, days"},
-      {"seed=42", "simulation seed"},
-      {"observed-popularity", "rank by server-observed popularity"},
-      {"loss-rate=0.0", "fault: per-message loss probability"},
-      {"truncation-rate=0.0", "fault: contact truncation probability"},
-      {"corruption-rate=0.0", "fault: piece corruption probability"},
-      {"churn-fraction=0.0", "fault: long-run down-time fraction"},
-      {"recovery-retries=0", "recovery: retransmission attempts per frame"},
-      {"recovery-retransmit-budget=16", "recovery: resend slots per contact"},
-      {"recovery-repair=0", "recovery: anti-entropy requests per contact"},
-      {"recovery-failover", "recovery: elect a new clique coordinator"},
-      {"md-capacity=0", "metadata records per node (0 = unbounded)"},
-      {"adversary-fraction=0.0", "Byzantine fraction (docs/ADVERSARY.md)"},
-      {"adversary-attacks=all",
-       "attack mask: pollution,piece-lie,false-summary,ack-spoof,coordinator"},
-      {"defense", "enable verification + quarantine defenses"},
-      {"quarantine-threshold=3.0", "suspicion level that quarantines a node"},
+  // Every scenario key is a flag; its help line comes from the parameter
+  // table. The flags around it belong to this tool alone.
+  std::vector<FlagHelp> flags = {
+      {"scenario=PATH", "load a key = value scenario file first"}};
+  const std::vector<FlagHelp>& keys = core::Scenario::keyHelp();
+  flags.insert(flags.end(), keys.begin(), keys.end());
+  flags.insert(flags.end(), {
       {"shards=0", "run sharded: component scheduling groups (0 = classic)"},
       {"threads=1", "sharded: worker threads (0 = hardware concurrency)"},
       {"csv", "one CSV row instead of the report"},
-      {"events-out=PATH", "JSONL event trace (docs/OBSERVABILITY.md)"},
-      {"timeseries-out=PATH", "sampled delivery/totals CSV"},
-      {"sample-every=21600", "time-series cadence, sim seconds"},
-      {"checkpoint-out=PATH", "periodic checkpoint (docs/CHECKPOINT.md)"},
-      {"checkpoint-every=21600", "checkpoint cadence, sim seconds"},
-      {"resume", "restore from checkpoint-out if it exists"},
       {"serve", "run the sweep service instead (docs/SERVICE.md)"},
       {"state-dir=DIR", "serve: queue + job state directory (required)"},
       {"socket=PATH", "serve: control socket (default DIR/daemon.sock)"},
@@ -93,7 +61,7 @@ int usage() {
       {"wal-max-bytes=1048576", "serve: queue WAL size before compaction"},
       {"job-checkpoint-every=21600",
        "serve: checkpoint cadence injected into jobs, sim seconds"},
-  };
+  });
   std::fputs(formatUsage("hdtn_sim --trace=PATH|--scenario=PATH [options]",
                          flags)
                  .c_str(),
