@@ -22,8 +22,8 @@
 // decode at full rank, so losses cost redundancy instead of replay.
 //
 // The planners behind these modes implement the DownloadPlanner interface
-// (download_planner.hpp) and are resolved from a single mode registry; the
-// free functions below are thin legacy wrappers over that registry.
+// (download_planner.hpp) and are resolved from a single mode registry:
+// downloadModeInfo(mode, scheduling).planner->plan(request).
 #pragma once
 
 #include <cstdint>
@@ -144,27 +144,5 @@ class DownloadPlan {
   [[nodiscard]] auto begin() const { return broadcasts.begin(); }
   [[nodiscard]] auto end() const { return broadcasts.end(); }
 };
-
-/// Plans up to `budgetPieces` broadcasts for one contact. Each (file, piece)
-/// is broadcast at most once. Deterministic in its inputs. When an observer
-/// is attached, emits one kDownloadPlanned event per invocation timestamped
-/// at `now` (extra = planned broadcasts, value = budget). Thin wrapper over
-/// the broadcast planners in the mode registry (download_planner.hpp).
-[[nodiscard]] DownloadPlan planDownload(
-    std::span<const DownloadPeer> peers, const PopularityFn& popularityOf,
-    int budgetPieces, Scheduling scheduling,
-    PushOrder pushOrder = PushOrder::kPopularity,
-    obs::EngineObserver* observer = nullptr, SimTime now = 0);
-
-/// Pairwise baseline: members are greedily matched into disjoint pairs
-/// (ascending id order); each pair plans up to `budgetPerPair` transfers,
-/// requested pieces first (then popularity). Models the "exactly one
-/// receiver per transmission" regime the paper argues against. Emits one
-/// kDownloadPlanned event per invocation when an observer is attached.
-/// Thin wrapper over the pairwise registry planner.
-[[nodiscard]] std::vector<PieceTransfer> planPairwiseDownload(
-    std::span<const DownloadPeer> peers, const PopularityFn& popularityOf,
-    int budgetPerPair, obs::EngineObserver* observer = nullptr,
-    SimTime now = 0);
 
 }  // namespace hdtn::core

@@ -1320,7 +1320,7 @@ void Engine::runDownloadPhase(const std::vector<Node*>& members, SimTime now,
     for (const PieceTransfer& t : perPair) {
       if (byPair.empty() || byPair.back().front().sender != t.sender ||
           byPair.back().front().receiver != t.receiver) {
-        // planPairwiseDownload emits transfers grouped by pair; a change of
+        // The pairwise planner emits transfers grouped by pair; a change of
         // (sender, receiver) within a pair (reverse direction) still
         // belongs to the same link.
         const bool sameLink =

@@ -132,20 +132,6 @@ const SharedMetadata& FileCatalog::sharedMetadataFor(FileId id) const {
   return metadata_[id.value];
 }
 
-const Sha1Digest& FileCatalog::pieceDigest(FileId id,
-                                           std::uint32_t piece) const {
-  const Metadata& md = metadataFor(id);
-  assert(piece < md.pieceCount());
-  return md.pieceChecksums[piece];
-}
-
-bool FileCatalog::verifyPiece(FileId id, std::uint32_t piece,
-                              std::span<const std::uint8_t> data) const {
-  const Metadata& md = metadataFor(id);
-  if (piece >= md.pieceCount()) return false;
-  return Sha1::hash(data) == md.pieceChecksums[piece];
-}
-
 void FileCatalog::setPopularity(FileId id, Popularity popularity) {
   assert(id.valid() && id.value < files_.size());
   files_[id.value].popularity = popularity;

@@ -120,14 +120,6 @@ class FileCatalog {
            metadata_[md.file.value].get() == &md;
   }
 
-  /// Checksum of one piece, from the stored metadata.
-  [[nodiscard]] const Sha1Digest& pieceDigest(FileId id,
-                                              std::uint32_t piece) const;
-
-  /// Verifies a received piece payload against the catalog checksum.
-  [[nodiscard]] bool verifyPiece(FileId id, std::uint32_t piece,
-                                 std::span<const std::uint8_t> data) const;
-
   /// Updates a file's popularity (and its metadata snapshot). Used when the
   /// metadata server replaces the publisher-assigned estimate with the
   /// observed request rate (paper Section IV: popularity "can be maintained

@@ -92,8 +92,8 @@ class MetadataStore {
   /// record refused admission) is handed to `shed` when given; at most one
   /// record is shed per call, and TTL expiry and remove() shed nothing.
   bool add(const SharedMetadata& md, SharedMetadata* shed = nullptr);
-  /// Stores a new object holding `md` (tests and the wire Device, whose
-  /// records come from no other holder).
+  /// Stores a new object holding `md` (tests, whose records come from no
+  /// other holder).
   bool add(const Metadata& md, SharedMetadata* shed = nullptr) {
     return add(std::make_shared<const Metadata>(md), shed);
   }

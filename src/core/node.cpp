@@ -41,15 +41,6 @@ std::size_t Node::firstLiveQuery(SimTime now) const {
   return firstLive_;
 }
 
-std::vector<std::string> Node::activeQueryTexts(SimTime now) const {
-  std::vector<std::string> texts;
-  for (const QueryState& qs : liveQueries(now)) {
-    if (qs.metadataFound || qs.query->expired(now)) continue;
-    texts.push_back(qs.query->text);
-  }
-  return texts;
-}
-
 std::vector<SharedQuery> Node::activeQueries(SimTime now) const {
   std::vector<SharedQuery> queries;
   for (const QueryState& qs : liveQueries(now)) {
@@ -191,17 +182,6 @@ void Node::storePeerQueries(NodeId peer, std::span<const SharedQuery> queries,
   stored.storedAt = now;
   proxy_->oldestStamp = std::min(proxy_->oldestStamp, now);
   touch();
-}
-
-void Node::storePeerQueries(NodeId peer, const std::vector<std::string>& texts,
-                            SimTime now) {
-  if (!isFrequentContact(peer)) return;
-  std::vector<SharedQuery> queries;
-  queries.reserve(texts.size());
-  for (const std::string& text : texts) {
-    queries.push_back(std::make_shared<const FileQuery>(text));
-  }
-  storePeerQueries(peer, queries, now);
 }
 
 std::vector<const FileQuery*> Node::proxiedQueries(SimTime now) const {
@@ -522,13 +502,6 @@ void exchangeHellos(std::span<Node* const> members,
     }
     members[i]->stampPeerWants(share, now);
   }
-}
-
-void exchangeHellos(std::span<Node* const> members,
-                    const ProtocolConfig& protocol, const FileCatalog& catalog,
-                    SimTime now) {
-  ContactViews views;
-  exchangeHellos(members, protocol, catalog, now, views);
 }
 
 ContactViews::Slot& ContactViews::slot(const Node& node) {

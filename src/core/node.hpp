@@ -54,10 +54,6 @@ struct ProtocolConfig;
 void exchangeHellos(std::span<Node* const> members,
                     const ProtocolConfig& protocol, const FileCatalog& catalog,
                     SimTime now, ContactViews& views);
-/// The same exchange with scratch of its own (tests, one-off cliques).
-void exchangeHellos(std::span<Node* const> members,
-                    const ProtocolConfig& protocol, const FileCatalog& catalog,
-                    SimTime now);
 
 struct NodeOptions {
   /// True for Internet-access nodes ("they can download the files they
@@ -103,16 +99,13 @@ class Node {
   /// Adds query `id`, sharing `query` (the engine passes one object per
   /// file to every node that issues it).
   void addQuery(QueryId id, SharedQuery query);
-  /// Adds `query` with a new query object of its own (tests and the wire
-  /// Device). The owner is this node.
+  /// Adds `query` with a new query object of its own (tests). The owner is
+  /// this node.
   void addQuery(const Query& query);
 
-  /// Texts of queries still searching for metadata at `now` (advertised in
-  /// hellos), in issue order.
-  [[nodiscard]] std::vector<std::string> activeQueryTexts(SimTime now) const;
-
-  /// The query objects of the same queries, in the same order (what a hello
-  /// hands to peers). ContactViews caches this per contact.
+  /// Queries still searching for metadata at `now` (advertised in hellos),
+  /// in issue order: the objects a hello hands to peers. ContactViews caches
+  /// this per contact.
   [[nodiscard]] std::vector<SharedQuery> activeQueries(SimTime now) const;
 
   /// Files the node is currently downloading, ascending: a metadata was
@@ -153,7 +146,7 @@ class Node {
   /// fails it goes to rejectMetadata() instead.
   std::vector<QueryId> acceptMetadata(const SharedMetadata& md, SimTime now,
                                       SharedMetadata* shed = nullptr);
-  /// Accepts a new object holding `md` (tests and the wire Device).
+  /// Accepts a new object holding `md` (tests).
   std::vector<QueryId> acceptMetadata(const Metadata& md, SimTime now) {
     return acceptMetadata(std::make_shared<const Metadata>(md), now);
   }
@@ -199,10 +192,6 @@ class Node {
   /// Replaces the stored queries of a frequent contact (MBT) with the
   /// peer's own query objects. Calls for non-frequent peers are ignored.
   void storePeerQueries(NodeId peer, std::span<const SharedQuery> queries,
-                        SimTime now);
-  /// Same, for query texts heard on the wire (the Device and tests): each
-  /// text gets a query object of its own.
-  void storePeerQueries(NodeId peer, const std::vector<std::string>& texts,
                         SimTime now);
 
   /// Stored frequent-contact queries still fresh at `now`, one per distinct

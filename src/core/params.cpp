@@ -12,6 +12,7 @@
 // hashParams writes the fields in row order, so moving, adding or removing
 // a row changes the checkpoint format (docs/CHECKPOINT.md).
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include <string_view>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/core/download_planner.hpp"
@@ -180,8 +182,10 @@ constexpr std::tuple kAdversaryRows{
                 "coordinator",
         .set = +[](faults::AdversaryParams& p, const std::string& key,
                    const std::string& value) -> std::string {
+          // A bare switch names no attack; "none" turns them all off.
           std::string offender;
-          if (!faults::parseAttackMask(value, &p.attacks, &offender)) {
+          if (value.empty() ||
+              !faults::parseAttackMask(value, &p.attacks, &offender)) {
             return badValue(key, offender.empty() ? value : offender,
                             "a comma-separated attack list "
                             "(pollution|piece-lie|false-summary|ack-spoof|"
@@ -528,11 +532,29 @@ bool parseInteger(const std::string& text, std::int64_t* out) {
   return ec == std::errc() && ptr == end;
 }
 
+/// A finite number: "nan" and "inf" (and "1e999", which reads as inf) name
+/// no value a field can use.
 bool parseNumber(const std::string& text, double* out) {
   if (text.empty()) return false;
   char* end = nullptr;
   *out = std::strtod(text.c_str(), &end);
-  return end == text.c_str() + text.size();
+  return end == text.c_str() + text.size() && std::isfinite(*out);
+}
+
+/// The integers a key's text may name for a field of integer type T that
+/// stores the text times `scale` (kDay for a days key): T's range, within
+/// the int64 the text parses to.
+template <class T>
+std::pair<std::int64_t, std::int64_t> integerRange(std::int64_t scale) {
+  using Wide = std::numeric_limits<std::int64_t>;
+  using Field = std::numeric_limits<T>;
+  const std::int64_t lo = std::in_range<std::int64_t>(Field::min())
+                              ? static_cast<std::int64_t>(Field::min())
+                              : Wide::min();
+  const std::int64_t hi = std::in_range<std::int64_t>(Field::max())
+                              ? static_cast<std::int64_t>(Field::max())
+                              : Wide::max();
+  return {lo / scale, hi / scale};
 }
 
 /// Bare switches ("--observed-popularity") arrive with an empty value.
@@ -588,7 +610,14 @@ std::string setFromText(const Row<S, T>& row, S& s, const std::string& key,
     if (row.form == Form::kPositiveCount && parsed < 1) {
       return badValue(key, value, "a positive integer");
     }
-    field = static_cast<T>(row.form == Form::kDays ? parsed * kDay : parsed);
+    const std::int64_t scale = row.form == Form::kDays ? kDay : 1;
+    const auto [lo, hi] = integerRange<T>(scale);
+    if (parsed < lo || parsed > hi) {
+      const std::string range = "an integer in [" + std::to_string(lo) +
+                                ", " + std::to_string(hi) + "]";
+      return badValue(key, value, range.c_str());
+    }
+    field = static_cast<T>(parsed * scale);
   }
   return "";
 }

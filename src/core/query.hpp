@@ -44,8 +44,8 @@ struct Query {
 /// however many consumers ask for it).
 struct FileQuery {
   FileQuery(std::string text, FileId target, SimTime issuedAt, Duration ttl);
-  /// A query known by its text alone (heard on the wire, or hand-built):
-  /// no target, issue time or TTL.
+  /// A query known by its text alone (a restored stored peer query no
+  /// catalog query shares, or hand-built): no target, issue time or TTL.
   explicit FileQuery(std::string text)
       : FileQuery(std::move(text), FileId{}, 0, 0) {}
 

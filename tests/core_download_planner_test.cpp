@@ -19,6 +19,7 @@
 
 #include "src/core/credit.hpp"
 #include "src/core/download.hpp"
+#include "src/core/download_planner.hpp"
 #include "src/core/piece_store.hpp"
 #include "src/util/random.hpp"
 
@@ -144,14 +145,26 @@ void compareOrUpdate(const std::string& name, const std::string& actual) {
   EXPECT_EQ(actual, expected.str()) << "plan drifted from golden " << path;
 }
 
+// The fixture's plan through the mode registry, as the engine asks for it.
+DownloadPlan planFor(const Fixture& fx, int budget, DownloadMode mode,
+                     Scheduling scheduling, PushOrder order) {
+  const PopularityFn popularityOf = fx.popularityFn();
+  DownloadRequest request;
+  request.peers = fx.peers;
+  request.popularityOf = &popularityOf;
+  request.budgetPieces = budget;
+  request.pushOrder = order;
+  return downloadModeInfo(mode, scheduling).planner->plan(request);
+}
+
 std::string broadcastGolden(Scheduling scheduling, PushOrder order) {
   std::ostringstream out;
   for (const FixtureSpec& spec : kFixtures) {
     for (int budget : kBudgets) {
       Fixture fx(spec.seed, spec.members, spec.files, spec.maxPieces);
       out << "# fixture seed=" << spec.seed << " budget=" << budget << "\n";
-      out << dumpBroadcastPlan(planDownload(fx.peers, fx.popularityFn(),
-                                            budget, scheduling, order));
+      out << dumpBroadcastPlan(planFor(fx, budget, DownloadMode::kBroadcast,
+                                       scheduling, order));
     }
   }
   return out.str();
@@ -187,8 +200,10 @@ TEST(DownloadPlanGolden, Pairwise) {
     for (int budget : kBudgets) {
       Fixture fx(spec.seed, spec.members, spec.files, spec.maxPieces);
       out << "# fixture seed=" << spec.seed << " budget=" << budget << "\n";
-      out << dumpTransferPlan(
-          planPairwiseDownload(fx.peers, fx.popularityFn(), budget));
+      out << dumpTransferPlan(planFor(fx, budget, DownloadMode::kPairwise,
+                                      Scheduling::kCooperative,
+                                      PushOrder::kPopularity)
+                                  .transfers);
     }
   }
   compareOrUpdate("download_pairwise", out.str());

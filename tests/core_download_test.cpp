@@ -5,6 +5,8 @@
 #include <map>
 #include <set>
 
+#include "src/core/download_planner.hpp"
+
 namespace hdtn::core {
 namespace {
 
@@ -46,17 +48,43 @@ struct Fixture {
   }
 };
 
+// One contact's plan through the mode registry, as the engine asks for it.
+DownloadPlan planBroadcast(std::span<const DownloadPeer> peers,
+                           const PopularityFn& popularityOf, int budget,
+                           Scheduling scheduling,
+                           PushOrder pushOrder = PushOrder::kPopularity) {
+  DownloadRequest request;
+  request.peers = peers;
+  request.popularityOf = &popularityOf;
+  request.budgetPieces = budget;
+  request.pushOrder = pushOrder;
+  return downloadModeInfo(DownloadMode::kBroadcast, scheduling)
+      .planner->plan(request);
+}
+
+std::vector<PieceTransfer> planPairwise(std::span<const DownloadPeer> peers,
+                                        const PopularityFn& popularityOf,
+                                        int budgetPerPair) {
+  DownloadRequest request;
+  request.peers = peers;
+  request.popularityOf = &popularityOf;
+  request.budgetPieces = budgetPerPair;
+  return downloadModeInfo(DownloadMode::kPairwise, Scheduling::kCooperative)
+      .planner->plan(request)
+      .transfers;
+}
+
 TEST(PlanDownload, EmptyCases) {
   Fixture f(2);
   EXPECT_TRUE(
-      planDownload(f.peers, f.popularityFn(), 0, Scheduling::kCooperative)
+      planBroadcast(f.peers, f.popularityFn(), 0, Scheduling::kCooperative)
           .empty());
   std::vector<DownloadPeer> solo{f.peers[0]};
   EXPECT_TRUE(
-      planDownload(solo, f.popularityFn(), 5, Scheduling::kCooperative)
+      planBroadcast(solo, f.popularityFn(), 5, Scheduling::kCooperative)
           .empty());
   EXPECT_TRUE(
-      planDownload(f.peers, f.popularityFn(), 5, Scheduling::kCooperative)
+      planBroadcast(f.peers, f.popularityFn(), 5, Scheduling::kCooperative)
           .empty());  // nothing held
 }
 
@@ -66,7 +94,7 @@ TEST(PlanDownload, RequestedPiecesFirst) {
   f.give(0, 2, 1, {0}, 0.95);  // unwanted but popular
   f.want(1, {1});
   const auto plan =
-      planDownload(f.peers, f.popularityFn(), 2, Scheduling::kCooperative);
+      planBroadcast(f.peers, f.popularityFn(), 2, Scheduling::kCooperative);
   ASSERT_EQ(plan.size(), 2u);
   EXPECT_EQ(plan[0].file, FileId(1));
   EXPECT_EQ(plan[0].phase, 1);
@@ -84,7 +112,7 @@ TEST(PlanDownload, MoreRequestersWinWithinPhaseOne) {
   f.want(1, {2});
   f.want(2, {2});
   const auto plan =
-      planDownload(f.peers, f.popularityFn(), 1, Scheduling::kCooperative);
+      planBroadcast(f.peers, f.popularityFn(), 1, Scheduling::kCooperative);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].file, FileId(2));
 }
@@ -94,7 +122,7 @@ TEST(PlanDownload, PiecesOfFileFlowInIndexOrder) {
   f.give(0, 1, 3, {0, 1, 2}, 0.5);
   f.want(1, {1});
   const auto plan =
-      planDownload(f.peers, f.popularityFn(), 3, Scheduling::kCooperative);
+      planBroadcast(f.peers, f.popularityFn(), 3, Scheduling::kCooperative);
   ASSERT_EQ(plan.size(), 3u);
   EXPECT_EQ(plan[0].piece, 0u);
   EXPECT_EQ(plan[1].piece, 1u);
@@ -106,7 +134,7 @@ TEST(PlanDownload, OnlyMissingPiecesBroadcast) {
   f.give(0, 1, 2, {0, 1}, 0.5);
   f.give(1, 1, 2, {0}, 0.5);  // receiver already has piece 0
   const auto plan =
-      planDownload(f.peers, f.popularityFn(), 5, Scheduling::kCooperative);
+      planBroadcast(f.peers, f.popularityFn(), 5, Scheduling::kCooperative);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].piece, 1u);
 }
@@ -116,7 +144,7 @@ TEST(PlanDownload, SenderIsLowestIdHolder) {
   f.give(1, 1, 1, {0}, 0.5);
   f.give(2, 1, 1, {0}, 0.5);
   const auto plan =
-      planDownload(f.peers, f.popularityFn(), 1, Scheduling::kCooperative);
+      planBroadcast(f.peers, f.popularityFn(), 1, Scheduling::kCooperative);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].sender, NodeId(1));
 }
@@ -126,7 +154,7 @@ TEST(PlanDownload, FreeRiderHoldingsUnavailable) {
   f.give(0, 1, 1, {0}, 0.9);
   f.peers[0].contributes = false;
   EXPECT_TRUE(
-      planDownload(f.peers, f.popularityFn(), 5, Scheduling::kCooperative)
+      planBroadcast(f.peers, f.popularityFn(), 5, Scheduling::kCooperative)
           .empty());
 }
 
@@ -138,7 +166,7 @@ TEST(PlanDownload, TitForTatWeighsRequesterCredit) {
   f.want(2, {2});
   f.ledgers[0].addCredit(NodeId(2), 100.0);
   const auto plan =
-      planDownload(f.peers, f.popularityFn(), 1, Scheduling::kTitForTat);
+      planBroadcast(f.peers, f.popularityFn(), 1, Scheduling::kTitForTat);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].file, FileId(2));  // high-credit requester served first
 }
@@ -149,7 +177,7 @@ TEST(PlanDownload, TitForTatRotatesThroughContributors) {
   f.give(1, 2, 1, {0}, 0.5);
   f.give(2, 3, 1, {0}, 0.5);
   const auto plan =
-      planDownload(f.peers, f.popularityFn(), 3, Scheduling::kTitForTat);
+      planBroadcast(f.peers, f.popularityFn(), 3, Scheduling::kTitForTat);
   ASSERT_EQ(plan.size(), 3u);
   std::set<NodeId> senders;
   for (const auto& b : plan) senders.insert(b.sender);
@@ -162,8 +190,7 @@ TEST(PlanDownload, PopularityOnlyIgnoresRequests) {
   f.give(0, 2, 1, {0}, 0.9);
   f.want(1, {1});
   const auto plan =
-      planDownload(f.peers, f.popularityFn(), 1,
-                   Scheduling::kPopularityOnly);
+      planBroadcast(f.peers, f.popularityFn(), 1, Scheduling::kPopularityOnly);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].file, FileId(2));
 }
@@ -174,12 +201,12 @@ TEST(PlanDownload, RarestFirstPushOrder) {
   f.give(0, 1, 1, {0}, 0.9);
   f.give(1, 1, 1, {0}, 0.9);
   f.give(0, 2, 1, {0}, 0.1);
-  const auto popularityPlan = planDownload(
+  const auto popularityPlan = planBroadcast(
       f.peers, f.popularityFn(), 1, Scheduling::kCooperative,
       PushOrder::kPopularity);
   ASSERT_EQ(popularityPlan.size(), 1u);
   EXPECT_EQ(popularityPlan[0].file, FileId(1));
-  const auto rarestPlan = planDownload(
+  const auto rarestPlan = planBroadcast(
       f.peers, f.popularityFn(), 1, Scheduling::kCooperative,
       PushOrder::kRarestFirst);
   ASSERT_EQ(rarestPlan.size(), 1u);
@@ -192,9 +219,9 @@ TEST(PlanDownload, RarestFirstDoesNotOverrideRequestPhase) {
   f.give(0, 2, 1, {0}, 0.5);  // rarer? same holders; unrequested
   f.give(1, 2, 1, {0}, 0.5);  // file 2 now has MORE holders
   f.want(2, {1});
-  const auto plan = planDownload(f.peers, f.popularityFn(), 1,
-                                 Scheduling::kCooperative,
-                                 PushOrder::kRarestFirst);
+  const auto plan = planBroadcast(f.peers, f.popularityFn(), 1,
+                                  Scheduling::kCooperative,
+                                  PushOrder::kRarestFirst);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].file, FileId(1));  // requests still come first
 }
@@ -205,7 +232,7 @@ TEST(PlanPairwiseDownload, PairsExchangeMutuallyMissingPieces) {
   Fixture f(2);
   f.give(0, 1, 1, {0}, 0.5);
   f.give(1, 2, 1, {0}, 0.5);
-  const auto plan = planPairwiseDownload(f.peers, f.popularityFn(), 4);
+  const auto plan = planPairwise(f.peers, f.popularityFn(), 4);
   ASSERT_EQ(plan.size(), 2u);
   std::set<NodeId> senders;
   for (const auto& t : plan) senders.insert(t.sender);
@@ -217,7 +244,7 @@ TEST(PlanPairwiseDownload, RequestedFirstPerPair) {
   f.give(0, 1, 1, {0}, 0.05);
   f.give(0, 2, 1, {0}, 0.95);
   f.want(1, {1});
-  const auto plan = planPairwiseDownload(f.peers, f.popularityFn(), 1);
+  const auto plan = planPairwise(f.peers, f.popularityFn(), 1);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].file, FileId(1));
   EXPECT_TRUE(plan[0].requested);
@@ -228,7 +255,7 @@ TEST(PlanPairwiseDownload, OddMemberIdles) {
   f.give(0, 1, 1, {0}, 0.5);
   f.give(1, 2, 1, {0}, 0.5);
   f.give(2, 3, 1, {0}, 0.5);
-  const auto plan = planPairwiseDownload(f.peers, f.popularityFn(), 10);
+  const auto plan = planPairwise(f.peers, f.popularityFn(), 10);
   // Members 0 and 1 pair up; member 2 has no link.
   for (const auto& t : plan) {
     EXPECT_NE(t.sender, NodeId(2));
@@ -239,7 +266,7 @@ TEST(PlanPairwiseDownload, OddMemberIdles) {
 TEST(PlanPairwiseDownload, BudgetPerPair) {
   Fixture f(2);
   f.give(0, 1, 5, {0, 1, 2, 3, 4}, 0.5);
-  const auto plan = planPairwiseDownload(f.peers, f.popularityFn(), 2);
+  const auto plan = planPairwise(f.peers, f.popularityFn(), 2);
   EXPECT_EQ(plan.size(), 2u);
 }
 
@@ -255,7 +282,7 @@ TEST_P(BroadcastAdvantageSweep, OneTransmissionServesAllReceivers) {
     f.want(static_cast<std::size_t>(i), {1});
   }
   const auto plan =
-      planDownload(f.peers, f.popularityFn(), 100, Scheduling::kCooperative);
+      planBroadcast(f.peers, f.popularityFn(), 100, Scheduling::kCooperative);
   ASSERT_EQ(plan.size(), 1u);
   EXPECT_EQ(plan[0].requesters.size(), static_cast<std::size_t>(receivers));
 }

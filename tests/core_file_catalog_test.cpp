@@ -98,8 +98,7 @@ TEST(FileCatalog, ChecksumsVerifyGeneratedPieces) {
   const FileInfo& info = *catalog.find(id);
   for (std::uint32_t p = 0; p < info.pieceCount(); ++p) {
     const auto bytes = makePieceBytes(info, p);
-    EXPECT_TRUE(catalog.verifyPiece(id, p, bytes));
-    EXPECT_EQ(catalog.pieceDigest(id, p), Sha1::hash(bytes));
+    EXPECT_EQ(catalog.metadataFor(id).pieceChecksums[p], Sha1::hash(bytes));
   }
 }
 
@@ -108,8 +107,7 @@ TEST(FileCatalog, VerifyRejectsCorruptPiece) {
   const FileId id = catalog.publish(sampleRequest());
   auto bytes = makePieceBytes(*catalog.find(id), 0);
   bytes[10] ^= 0xff;
-  EXPECT_FALSE(catalog.verifyPiece(id, 0, bytes));
-  EXPECT_FALSE(catalog.verifyPiece(id, 99, bytes));  // bad index
+  EXPECT_NE(catalog.metadataFor(id).pieceChecksums[0], Sha1::hash(bytes));
 }
 
 TEST(FileCatalog, SignsWhenRegistryProvided) {
@@ -188,7 +186,8 @@ TEST(FileCatalog, DistinctFilesDistinctChecksums) {
   const FileId a = catalog.publish(sampleRequest());
   const FileId b = catalog.publish(sampleRequest());
   // Same content parameters but different URIs -> different streams.
-  EXPECT_NE(catalog.pieceDigest(a, 0), catalog.pieceDigest(b, 0));
+  EXPECT_NE(catalog.metadataFor(a).pieceChecksums[0],
+            catalog.metadataFor(b).pieceChecksums[0]);
 }
 
 }  // namespace

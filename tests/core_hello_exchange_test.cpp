@@ -21,10 +21,10 @@ namespace {
 void exchangeHellosPairwise(const std::vector<Node*>& members,
                             const ProtocolConfig& protocol,
                             const FileCatalog& catalog, SimTime now) {
-  std::vector<std::vector<std::string>> texts(members.size());
+  std::vector<std::vector<SharedQuery>> queries(members.size());
   std::vector<std::vector<Uri>> wantedUris(members.size());
   for (std::size_t i = 0; i < members.size(); ++i) {
-    texts[i] = members[i]->activeQueryTexts(now);
+    queries[i] = members[i]->activeQueries(now);
     for (FileId file : members[i]->wantedFilesView(now)) {
       const FileInfo* info = catalog.find(file);
       if (info != nullptr) wantedUris[i].push_back(info->uri);
@@ -39,7 +39,7 @@ void exchangeHellosPairwise(const std::vector<Node*>& members,
     for (std::size_t i = 0; i < members.size(); ++i) {
       for (std::size_t j = 0; j < members.size(); ++j) {
         if (i == j || !members[j]->contributes()) continue;
-        members[i]->storePeerQueries(members[j]->id(), texts[j], now);
+        members[i]->storePeerQueries(members[j]->id(), queries[j], now);
       }
     }
   }
@@ -119,7 +119,8 @@ std::vector<Node> randomClique(Rng& rng, const InternetServices& internet,
       }
     }
     if (!frequent.empty() && rng.chance(0.5)) {
-      node.storePeerQueries(frequent.front(), {"old query"},
+      const SharedQuery old = std::make_shared<const FileQuery>("old query");
+      node.storePeerQueries(frequent.front(), {&old, 1},
                             now - rng.uniformInt(0, 2 * kTtl));
     }
     nodes.push_back(std::move(node));
@@ -169,8 +170,9 @@ TEST(HelloExchange, MatchesPairwiseReferenceOnRandomCliques) {
     for (int round = 0; round < 2; ++round) {
       exchangeHellosPairwise(pointers(reference, order), protocol,
                              internet.catalog(), now);
+      ContactViews views;
       exchangeHellos(pointers(fast, order), protocol, internet.catalog(),
-                     now);
+                     now, views);
       const std::string context = "trial " + std::to_string(trial) +
                                   " (" + protocolName(protocol.kind) +
                                   ", " + std::to_string(size) +
@@ -206,7 +208,8 @@ TEST(HelloExchange, MemberDoesNotStoreWhatOnlyItAdvertised) {
   a.storePeerWants({mine, shared}, 10);
   c.storePeerWants({shared}, 10);
   std::vector<Node*> members{&a, &b, &c};
-  exchangeHellos(members, ProtocolConfig{}, internet.catalog(), 20);
+  ContactViews views;
+  exchangeHellos(members, ProtocolConfig{}, internet.catalog(), 20, views);
 
   // `mine` was advertised by a alone: a keeps its old stamp, b and c store
   // it fresh. `shared` came from a and c, so every member restamps it.

@@ -54,6 +54,24 @@ std::vector<std::vector<std::string>> tokensOf(const Queries& queries) {
   return tokens;
 }
 
+// The texts of `queries`, in order.
+std::vector<std::string> textsOf(const std::vector<SharedQuery>& queries) {
+  std::vector<std::string> texts;
+  for (const SharedQuery& query : queries) texts.push_back(query->text);
+  return texts;
+}
+
+// Stores `texts` as `peer`'s queries at `node`, each text in a query object
+// of its own.
+void storePeerTexts(Node& node, NodeId peer,
+                    const std::vector<std::string>& texts, SimTime now) {
+  std::vector<SharedQuery> queries;
+  for (const std::string& text : texts) {
+    queries.push_back(std::make_shared<const FileQuery>(text));
+  }
+  node.storePeerQueries(peer, queries, now);
+}
+
 Query makeQuery(std::uint32_t id, std::uint32_t owner,
                 const std::string& text, std::uint32_t target) {
   Query q;
@@ -69,13 +87,13 @@ Query makeQuery(std::uint32_t id, std::uint32_t owner,
 TEST(Node, QueryAdvertisedUntilMetadataFound) {
   Node node(NodeId(1), {});
   node.addQuery(makeQuery(0, 1, "fox news ep1", 10));
-  EXPECT_EQ(node.activeQueryTexts(0),
+  EXPECT_EQ(textsOf(node.activeQueries(0)),
             (std::vector<std::string>{"fox news ep1"}));
   const auto selected =
       node.acceptMetadata(makeMetadata(10, "fox news ep1", 2, 0.5), 100);
   ASSERT_EQ(selected.size(), 1u);
   EXPECT_EQ(selected[0], QueryId(0));
-  EXPECT_TRUE(node.activeQueryTexts(100).empty());
+  EXPECT_TRUE(node.activeQueries(100).empty());
 }
 
 TEST(Node, WantedFilesTrackQueryLifecycle) {
@@ -94,7 +112,7 @@ TEST(Node, WantedFilesTrackQueryLifecycle) {
 TEST(Node, ExpiredQueriesNeitherAdvertisedNorWanted) {
   Node node(NodeId(1), {});
   node.addQuery(makeQuery(0, 1, "fox news ep1", 10));
-  EXPECT_TRUE(node.activeQueryTexts(4 * kDay).empty());
+  EXPECT_TRUE(node.activeQueries(4 * kDay).empty());
   node.acceptMetadata(makeMetadata(10, "fox news ep1", 1, 0.5), 10);
   EXPECT_TRUE(node.wantedFilesView(4 * kDay).empty());
 }
@@ -139,8 +157,8 @@ TEST(Node, FrequentContactQueriesStoredOnlyForFrequentPeers) {
   node.setFrequentContacts({NodeId(2), NodeId(4)});
   EXPECT_TRUE(node.isFrequentContact(NodeId(2)));
   EXPECT_FALSE(node.isFrequentContact(NodeId(3)));
-  node.storePeerQueries(NodeId(2), {"drama ep5"}, 0);
-  node.storePeerQueries(NodeId(3), {"ignored"}, 0);
+  storePeerTexts(node, NodeId(2), {"drama ep5"}, 0);
+  storePeerTexts(node, NodeId(3), {"ignored"}, 0);
   EXPECT_EQ(node.proxiedQueryTexts(0),
             (std::vector<std::string>{"drama ep5"}));
 }
@@ -148,8 +166,8 @@ TEST(Node, FrequentContactQueriesStoredOnlyForFrequentPeers) {
 TEST(Node, ProxiedQueriesDedupedAcrossPeers) {
   Node node(NodeId(1), {});
   node.setFrequentContacts({NodeId(2), NodeId(3)});
-  node.storePeerQueries(NodeId(2), {"drama ep5", "news ep1"}, 0);
-  node.storePeerQueries(NodeId(3), {"drama ep5"}, 0);
+  storePeerTexts(node, NodeId(2), {"drama ep5", "news ep1"}, 0);
+  storePeerTexts(node, NodeId(3), {"drama ep5"}, 0);
   EXPECT_EQ(node.proxiedQueryTexts(0),
             (std::vector<std::string>{"drama ep5", "news ep1"}));
 }
@@ -158,7 +176,7 @@ TEST(Node, ProxiedQueriesExpireWithCooperativeTtl) {
   Node node(NodeId(1), {});
   node.setFrequentContacts({NodeId(2)});
   node.setCooperativeStateTtl(kDay);
-  node.storePeerQueries(NodeId(2), {"drama ep5"}, 0);
+  storePeerTexts(node, NodeId(2), {"drama ep5"}, 0);
   EXPECT_FALSE(node.proxiedQueryTexts(kDay).empty());
   EXPECT_TRUE(node.proxiedQueryTexts(kDay + 1).empty());
 }
@@ -166,8 +184,8 @@ TEST(Node, ProxiedQueriesExpireWithCooperativeTtl) {
 TEST(Node, ReplacingPeerQueriesKeepsLatest) {
   Node node(NodeId(1), {});
   node.setFrequentContacts({NodeId(2)});
-  node.storePeerQueries(NodeId(2), {"old"}, 0);
-  node.storePeerQueries(NodeId(2), {"new"}, 10);
+  storePeerTexts(node, NodeId(2), {"old"}, 0);
+  storePeerTexts(node, NodeId(2), {"new"}, 10);
   EXPECT_EQ(node.proxiedQueryTexts(10), (std::vector<std::string>{"new"}));
 }
 
@@ -192,7 +210,7 @@ TEST(Node, ExpirePurgesMetadataAndCooperativeState) {
   Metadata md = makeMetadata(10, "short lived", 1, 0.5);
   md.ttl = kHour;
   node.acceptMetadata(md, 0);
-  node.storePeerQueries(NodeId(2), {"q"}, 0);
+  storePeerTexts(node, NodeId(2), {"q"}, 0);
   node.storePeerWants({"dtn://a/f1"}, 0);
   node.expire(2 * kDay);
   EXPECT_FALSE(node.metadata().has(FileId(10)));
@@ -205,7 +223,7 @@ TEST(Node, ExpireKeepsStateExactlyOneTtlOld) {
   node.setFrequentContacts({NodeId(2)});
   node.setCooperativeStateTtl(kDay);
   node.setCatalog(peerWantCatalog());
-  node.storePeerQueries(NodeId(2), {"q"}, 0);
+  storePeerTexts(node, NodeId(2), {"q"}, 0);
   node.storePeerWants({"dtn://a/f1"}, 0);
   node.expire(kDay);  // now - stamp == ttl: kept
   EXPECT_EQ(node.proxiedQueryTexts(kDay).size(), 1u);
@@ -224,9 +242,9 @@ TEST(Node, ExpireFollowsRefreshedStamps) {
   node.setFrequentContacts({NodeId(2)});
   node.setCooperativeStateTtl(kDay);
   node.setCatalog(peerWantCatalog());
-  node.storePeerQueries(NodeId(2), {"q"}, 0);
+  storePeerTexts(node, NodeId(2), {"q"}, 0);
   node.storePeerWants({"dtn://a/f1", "dtn://a/f2"}, 0);
-  node.storePeerQueries(NodeId(2), {"q"}, 10);  // refresh
+  storePeerTexts(node, NodeId(2), {"q"}, 10);  // refresh
   node.storePeerWants({"dtn://a/f1"}, 10);
   node.expire(kDay + 1);  // drops f2 only
   EXPECT_EQ(node.peerWantedUris(kDay + 1),
@@ -367,7 +385,7 @@ TEST(Node, WatermarkScansMatchFullScans) {
           break;
       }
       for (const SimTime at : {now, now - rng.uniformInt(0, kDay)}) {
-        EXPECT_EQ(node.activeQueryTexts(at),
+        EXPECT_EQ(textsOf(node.activeQueries(at)),
                   activeQueryTextsReference(node, at))
             << where << " at " << at;
         EXPECT_EQ(tokensOf(node.activeQueries(at)),

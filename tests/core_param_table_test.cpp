@@ -162,8 +162,12 @@ std::string messageGolden() {
   std::vector<std::string> keys = Scenario::knownKeys();
   std::sort(keys.begin(), keys.end());
   out << "# " << keys.size() << " keys\n";
-  // Bad values for every key: text, empty, negative, zero, fractional, NaN.
-  const char* const probes[] = {"x", "", "-1", "0", "1.5", "nan"};
+  // Bad values for every key: text, empty, negative, zero, fractional, NaN,
+  // infinity, 2^32 + 1 (past a 32-bit field) and the least day count whose
+  // seconds overflow an int64.
+  const char* const probes[] = {"x",   "",    "-1",  "0",
+                                "1.5", "nan", "inf", "4294967297",
+                                "106751991167301"};
   for (const std::string& key : keys) {
     for (const char* probe : probes) {
       Scenario s = validScenario();

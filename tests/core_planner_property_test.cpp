@@ -14,7 +14,6 @@
 #include "src/core/download.hpp"
 #include "src/core/download_planner.hpp"
 #include "src/core/internet.hpp"
-#include "src/net/codec.hpp"
 #include "src/util/random.hpp"
 #include "tests/reference_oracles.hpp"
 
@@ -142,8 +141,14 @@ TEST_P(PlannerPropertySweep, DownloadInvariants) {
   const PropertyCase param = GetParam();
   RandomFixture fx(param.seed, 8, 40);
   const int budget = 10;
-  const auto plan = planDownload(fx.downloadPeers, fx.popularityFn(), budget,
-                                 param.scheduling);
+  const PopularityFn popularityOf = fx.popularityFn();
+  DownloadRequest request;
+  request.peers = fx.downloadPeers;
+  request.popularityOf = &popularityOf;
+  request.budgetPieces = budget;
+  const DownloadPlan plan =
+      downloadModeInfo(DownloadMode::kBroadcast, param.scheduling)
+          .planner->plan(request);
 
   EXPECT_LE(plan.size(), static_cast<std::size_t>(budget));
   std::set<std::pair<FileId, std::uint32_t>> seen;
@@ -164,8 +169,15 @@ TEST_P(PlannerPropertySweep, DownloadInvariants) {
 TEST_P(PlannerPropertySweep, PairwiseInvariants) {
   const PropertyCase param = GetParam();
   RandomFixture fx(param.seed, 9, 40);  // odd member count
-  const auto plan =
-      planPairwiseDownload(fx.downloadPeers, fx.popularityFn(), 5);
+  const PopularityFn popularityOf = fx.popularityFn();
+  DownloadRequest request;
+  request.peers = fx.downloadPeers;
+  request.popularityOf = &popularityOf;
+  request.budgetPieces = 5;
+  const std::vector<PieceTransfer> plan =
+      downloadModeInfo(DownloadMode::kPairwise, Scheduling::kCooperative)
+          .planner->plan(request)
+          .transfers;
   std::map<NodeId, std::set<NodeId>> partners;
   for (const PieceTransfer& t : plan) {
     EXPECT_NE(t.sender, t.receiver);
@@ -388,20 +400,16 @@ TEST_P(DownloadPlannerEquivalence, BroadcastPlannersMatchReference) {
                        << static_cast<int>(pushOrder) << " budget " << budget);
           const DownloadPlan reference = planDownloadReference(
               fx.peers, popularityOf, budget, scheduling, pushOrder);
-          expectDownloadPlansIdentical(
-              planDownload(fx.peers, popularityOf, budget, scheduling,
-                           pushOrder),
-              reference);
+          const DownloadPlanner& planner =
+              *downloadModeInfo(DownloadMode::kBroadcast, scheduling).planner;
           DownloadRequest request;
           request.peers = fx.peers;
           request.popularityOf = &popularityOf;
           request.budgetPieces = budget;
           request.pushOrder = pushOrder;
+          expectDownloadPlansIdentical(planner.plan(request), reference);
           request.scratch = &scratch;
-          expectDownloadPlansIdentical(
-              downloadModeInfo(DownloadMode::kBroadcast, scheduling)
-                  .planner->plan(request),
-              reference);
+          expectDownloadPlansIdentical(planner.plan(request), reference);
         }
       }
     }
@@ -419,39 +427,6 @@ INSTANTIATE_TEST_SUITE_P(
                       DownloadEquivalenceCase{64, 6, 70},
                       DownloadEquivalenceCase{65, 10, 3},
                       DownloadEquivalenceCase{130, 5, 40}));
-
-// Codec round-trip over randomized hello messages.
-class CodecRoundTripSweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(CodecRoundTripSweep, RandomHellosSurvive) {
-  Rng rng(GetParam());
-  for (int trial = 0; trial < 50; ++trial) {
-    net::HelloMessage hello;
-    hello.sender = NodeId(static_cast<std::uint32_t>(rng.uniformInt(0, 1 << 20)));
-    const int neighbors = static_cast<int>(rng.uniformInt(0, 10));
-    for (int i = 0; i < neighbors; ++i) {
-      hello.heardNeighbors.emplace_back(
-          static_cast<std::uint32_t>(rng.uniformInt(0, 1 << 16)));
-    }
-    const int queries = static_cast<int>(rng.uniformInt(0, 5));
-    for (int i = 0; i < queries; ++i) {
-      std::string q;
-      const int len = static_cast<int>(rng.uniformInt(0, 40));
-      for (int c = 0; c < len; ++c) {
-        q.push_back(static_cast<char>(rng.uniformInt(32, 126)));
-      }
-      hello.queries.push_back(std::move(q));
-    }
-    const auto decoded = net::decodeHello(net::encodeHello(hello));
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(decoded->sender, hello.sender);
-    EXPECT_EQ(decoded->heardNeighbors, hello.heardNeighbors);
-    EXPECT_EQ(decoded->queries, hello.queries);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CodecRoundTripSweep,
-                         ::testing::Values(11, 22, 33, 44));
 
 }  // namespace
 }  // namespace hdtn::core

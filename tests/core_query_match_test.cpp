@@ -133,8 +133,8 @@ TEST(QueryMatchRows, AgreeWithDirectMatchOverRandomCatalogs) {
     InternetServices internet;
     FileCatalog& catalog = internet.catalog();
     Rng rng(seed);
-    // Queries known by their text alone (heard on the wire), the empty one
-    // included; engine queries are added per published file.
+    // Queries known by their text alone, the empty one included; engine
+    // queries are added per published file.
     std::vector<SharedQuery> queries = {
         std::make_shared<const FileQuery>("news"),
         std::make_shared<const FileQuery>("fox sports"),
