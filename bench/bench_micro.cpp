@@ -1,9 +1,12 @@
 // Microbenchmarks of the library's hot paths (google-benchmark): SHA-1
 // hashing, RLNC decoding, maximal-clique enumeration, query matching, the
-// discovery / download planners at contact-window scale, and MBT's hello
-// exchange and access sync at class-clique scale.
+// discovery / download planners at contact-window scale, MBT's hello
+// exchange and access sync at class-clique scale, and one checkpoint save.
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 #include "src/core/node.hpp"
 #include "src/core/protocol.hpp"
 #include "src/core/query.hpp"
+#include "src/core/scenario.hpp"
 #include "src/graph/clique.hpp"
 #include "src/obs/events.hpp"
 #include "src/trace/nus.hpp"
@@ -468,6 +472,33 @@ void BM_EngineNusRunWithObserver(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineNusRunWithObserver)->Unit(benchmark::kMillisecond);
+
+// One checkpoint save of the service-grid sweep's first job (NUS 100
+// students, 20 courses, 7 days, MBT, access 0.1, seed 1) at its last 6 h
+// boundary: encoding, SHA-1, and the temp-file write and rename. The
+// counter is the payload's bytes (the file less its 40-byte header).
+void BM_CheckpointSave(benchmark::State& state) {
+  std::istringstream text(
+      "trace-family = nus\ntrace-students = 100\ntrace-courses = 20\n"
+      "trace-days = 7\ntrace-seed = 1\nprotocol = mbt\naccess = 0.1\n"
+      "seed = 1\n");
+  std::vector<std::string> errors;
+  const std::optional<Scenario> scenario = Scenario::parse(text, &errors);
+  std::string error;
+  const std::optional<trace::ContactTrace> trace =
+      scenario->trace.build(&error);
+  Engine engine(*trace, scenario->params);
+  constexpr Duration kEvery = 6 * kHour;
+  engine.runUntil((engine.endTime() - 1) / kEvery * kEvery);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "bench_micro_save.ckpt")
+          .string();
+  for (auto _ : state) engine.saveCheckpoint(path);
+  state.counters["payload_bytes"] =
+      static_cast<double>(std::filesystem::file_size(path) - 40);
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_CheckpointSave)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

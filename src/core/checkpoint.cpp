@@ -11,7 +11,9 @@
 // Engine payload layout (written with util/serialize):
 //   u64 executed events, i64 clock, str caller extra blob,
 //   20-byte configuration fingerprint, then the component state
-//   (Engine::saveComponentState, engine.cpp).
+//   (Engine::saveComponentState, engine.cpp). Saves write version 6; v5
+//   files, whose component state writes shared records and queries in
+//   full, still restore (state_refs.hpp).
 #include "src/core/checkpoint.hpp"
 
 #include <cstring>
@@ -106,12 +108,14 @@ CheckpointFile readCheckpointFile(const std::string& path,
   }
   Deserializer header(
       bytes.substr(sizeof(spec.magic), kHeaderSize - sizeof(spec.magic)));
-  const std::uint32_t version = header.u32();
-  if (version != kCheckpointVersion) {
-    throw CheckpointError(
-        path + ": unsupported checkpoint version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kCheckpointVersion) +
-        ")");
+  file.version = header.u32();
+  if (file.version < kOldestCheckpointVersion ||
+      file.version > kCheckpointVersion) {
+    throw CheckpointError(path + ": unsupported checkpoint version " +
+                          std::to_string(file.version) +
+                          " (this build reads versions " +
+                          std::to_string(kOldestCheckpointVersion) + " and " +
+                          std::to_string(kCheckpointVersion) + ")");
   }
   const std::uint64_t payloadSize = header.u64();
   Sha1Digest stored;
@@ -147,7 +151,7 @@ ParsedCheckpoint parseCheckpointFile(const std::string& path) {
   ParsedCheckpoint parsed;
   parsed.file = detail::readCheckpointFile(path, detail::EnvelopeKind::kEngine);
   const std::string_view payload = parsed.file.payload();
-  parsed.info.version = kCheckpointVersion;
+  parsed.info.version = parsed.file.version;
   try {
     Deserializer in(payload);
     parsed.info.executedEvents = in.u64();
@@ -224,7 +228,7 @@ void Engine::restoreCheckpoint(const std::string& path) {
   }
   try {
     Deserializer state(parsed.file.payload().substr(parsed.stateOffset));
-    loadComponentState(state);
+    loadComponentState(state, parsed.file.version);
     if (!state.done()) {
       throw SerializeError("trailing bytes after the component state");
     }

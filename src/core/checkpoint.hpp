@@ -40,9 +40,15 @@ class CheckpointError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Bumped on any incompatible change to the snapshot layout. Loading a file
-/// with a different version fails with CheckpointError.
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+/// Bumped on any incompatible change to the snapshot layout. Saves write
+/// this version; loading a file with a version outside
+/// [kOldestCheckpointVersion, kCheckpointVersion] fails with
+/// CheckpointError.
+inline constexpr std::uint32_t kCheckpointVersion = 6;
+/// The oldest version restore still reads: v5, whose component state wrote
+/// every shared record and query in full and peer wants as URIs
+/// (state_refs.hpp).
+inline constexpr std::uint32_t kOldestCheckpointVersion = 5;
 
 /// Header of a checkpoint file, readable without an engine.
 struct CheckpointInfo {
@@ -82,11 +88,13 @@ void writeCheckpointFile(
 /// A checkpoint file whose envelope verified.
 struct CheckpointFile {
   std::string bytes;
+  std::uint32_t version = 0;
   [[nodiscard]] std::string_view payload() const;
 };
 
-/// Reads `path` and verifies its magic, version, payload size and payload
-/// checksum. Throws CheckpointError naming the first problem.
+/// Reads `path` and verifies its magic, version (one this build reads),
+/// payload size and payload checksum. Throws CheckpointError naming the
+/// first problem.
 [[nodiscard]] CheckpointFile readCheckpointFile(const std::string& path,
                                                 EnvelopeKind kind);
 

@@ -10,6 +10,7 @@
 #include "src/core/discovery.hpp"
 #include "src/core/download.hpp"
 #include "src/core/download_planner.hpp"
+#include "src/core/state_refs.hpp"
 #include "src/obs/events.hpp"
 #include "src/trace/trace_stats.hpp"
 #include "src/util/logging.hpp"
@@ -1696,14 +1697,17 @@ void Engine::saveComponentState(Serializer& out) const {
   internet_.saveState(out);
   metrics_.saveState(out);
 
+  // Records and query objects are written once per component state; every
+  // later holder writes a reference (state_refs.hpp).
+  StateRefWriter refs;
   out.u64(nodes_.size());
-  for (const Node& member : nodes_) member.saveState(out);
+  for (const Node& member : nodes_) member.saveState(out, refs);
 
   out.boolean(access_ != nullptr);
   if (access_ != nullptr) access_->saveState(out, nodes_.size());
 }
 
-void Engine::loadComponentState(Deserializer& in) {
+void Engine::loadComponentState(Deserializer& in, std::uint32_t version) {
   loadRngState(in, rng_);
   const bool hasPublishRng = in.boolean();
   if (hasPublishRng != hasPublishRng_) {
@@ -1801,8 +1805,9 @@ void Engine::loadComponentState(Deserializer& in) {
   // The catalog is loaded first, so node records equal to its own (and to
   // each other) are re-shared, as they were before the save. Query objects
   // are re-shared the same way: one per file again. Every file's query is
-  // seeded first, so a stored proxied query finds its object even when the
-  // node that owns the query loads after the node that stored it.
+  // seeded first, so a v5 stored proxied query, saved as its text, finds
+  // its object even when the node that owns the query loads after the node
+  // that stored it.
   const FileCatalog& catalog = internet_.catalog();
   MetadataInterner records;
   QueryInterner queries;
@@ -1812,7 +1817,8 @@ void Engine::loadComponentState(Deserializer& in) {
     queries.seed(std::make_shared<const FileQuery>(
         canonicalQueryText(info), id, info.publishedAt, info.ttl));
   }
-  for (Node& member : nodes_) member.loadState(in, records, queries);
+  StateRefReader refs(version, records, queries);
+  for (Node& member : nodes_) member.loadState(in, refs);
 
   access_.reset();
   if (in.boolean()) accessSync().loadState(in, nodes_.size());

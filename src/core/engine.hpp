@@ -552,8 +552,10 @@ class Engine : private AccessSync::Host {
   // Checkpoint internals. Component (de)serialization lives in engine.cpp
   // (it touches the file-local CodedEngineState); the file format,
   // checksum, fingerprint, and schedule-replay logic live in checkpoint.cpp.
+  // `version` is the file's format version (kOldestCheckpointVersion to
+  // kCheckpointVersion); saves write kCheckpointVersion.
   void saveComponentState(Serializer& out) const;
-  void loadComponentState(Deserializer& in);
+  void loadComponentState(Deserializer& in, std::uint32_t version);
 
   const trace::ContactTrace& trace_;
   EngineParams params_;

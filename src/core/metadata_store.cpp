@@ -4,26 +4,27 @@
 #include <bit>
 #include <stdexcept>
 
+#include "src/core/state_refs.hpp"
+
 namespace hdtn::core {
 
-std::size_t MetadataInterner::KeyHash::operator()(
-    const Key& key) const noexcept {
+std::size_t RecordKeyHash::operator()(const RecordKey& key) const noexcept {
   return std::hash<std::uint64_t>{}(
       key.popularityBits ^
       (std::uint64_t{key.file.value} * 0x9E3779B97F4A7C15ULL));
 }
 
-MetadataInterner::Key MetadataInterner::keyOf(const Metadata& md) {
-  return Key{md.file, std::bit_cast<std::uint64_t>(md.popularity)};
+RecordKey RecordKey::of(const Metadata& md) {
+  return RecordKey{md.file, std::bit_cast<std::uint64_t>(md.popularity)};
 }
 
 void MetadataInterner::seed(SharedMetadata md) {
-  const Key key = keyOf(*md);
+  const RecordKey key = RecordKey::of(*md);
   known_.try_emplace(key, std::move(md));
 }
 
 SharedMetadata MetadataInterner::intern(Metadata md) {
-  auto [it, inserted] = known_.try_emplace(keyOf(md));
+  auto [it, inserted] = known_.try_emplace(RecordKey::of(md));
   if (!inserted && *it->second == md) return it->second;
   // A record unlike the known one under its key (only a hand-made
   // checkpoint has those) keeps its own object and is not remembered.
@@ -150,16 +151,16 @@ std::span<const Metadata* const> MetadataStore::byPopularity() const {
   return view.items;
 }
 
-void MetadataStore::saveState(Serializer& out) const {
+void MetadataStore::saveState(Serializer& out, StateRefWriter& refs) const {
   out.u64(entries_.size());
   for (const Entry& entry : entries_) {
-    entry.md->saveState(out);
+    refs.record(out, *entry.md);
     out.u64(entry.seq);
   }
   out.u64(nextSeq_);
 }
 
-void MetadataStore::loadState(Deserializer& in, MetadataInterner& interner) {
+void MetadataStore::loadState(Deserializer& in, StateRefReader& refs) {
   // Raw insertion: a restore must reproduce the saved store exactly, never
   // re-run capacity eviction or shed anything.
   entries_.clear();
@@ -169,13 +170,11 @@ void MetadataStore::loadState(Deserializer& in, MetadataInterner& interner) {
   entries_.reserve(count);
   constexpr std::uint64_t kMaxSeq = std::numeric_limits<std::uint32_t>::max();
   for (std::size_t i = 0; i < count; ++i) {
-    Metadata md;
-    md.loadState(in);
+    SharedMetadata shared = refs.record(in);
     const std::uint64_t seq = in.u64();
     if (seq > kMaxSeq) {
       throw SerializeError("MetadataStore: insertion sequence out of range");
     }
-    SharedMetadata shared = interner.intern(std::move(md));
     earliestExpiry_ = std::min(earliestExpiry_, shared->expiresAt());
     entries_.push_back(
         Entry{shared->file, static_cast<std::uint32_t>(seq), std::move(shared)});

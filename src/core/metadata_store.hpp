@@ -35,11 +35,28 @@
 
 namespace hdtn::core {
 
+/// On every engine path, records of one file differ only in their
+/// popularity snapshot, so (file, popularity bits) names one record: a
+/// lookup is one hash probe and one operator== check, however many
+/// snapshots a file has. The interner below and the checkpoint's record
+/// references (state_refs.hpp) key records by it.
+struct RecordKey {
+  FileId file;
+  std::uint64_t popularityBits = 0;
+
+  [[nodiscard]] static RecordKey of(const Metadata& md);
+  bool operator==(const RecordKey&) const = default;
+};
+
+struct RecordKeyHash {
+  std::size_t operator()(const RecordKey& key) const noexcept;
+};
+
 /// Re-shares records on checkpoint restore. MetadataStore::loadState hands
-/// every record it reads to intern(), which returns an already-known object
-/// equal in every field (Metadata::operator==) or keeps the new one. Engine
-/// restore seeds it with the catalog's records, so a resumed run holds no
-/// more record objects than the run it resumes.
+/// every record it reads in full to intern(), which returns an
+/// already-known object equal in every field (Metadata::operator==) or
+/// keeps the new one. Engine restore seeds it with the catalog's records,
+/// so a resumed run holds no more record objects than the run it resumes.
 class MetadataInterner {
  public:
   /// Makes `md` known, so later equal records reuse it.
@@ -49,22 +66,11 @@ class MetadataInterner {
   [[nodiscard]] SharedMetadata intern(Metadata md);
 
  private:
-  /// On every engine path, records of one file differ only in their
-  /// popularity snapshot, so (file, popularity bits) names one record: a
-  /// lookup is one hash probe and one operator== check, however many
-  /// snapshots a file has.
-  struct Key {
-    FileId file;
-    std::uint64_t popularityBits = 0;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const noexcept;
-  };
-  static Key keyOf(const Metadata& md);
-
-  std::unordered_map<Key, SharedMetadata, KeyHash> known_;
+  std::unordered_map<RecordKey, SharedMetadata, RecordKeyHash> known_;
 };
+
+class StateRefReader;  // src/core/state_refs.hpp
+class StateRefWriter;
 
 class MetadataStore {
  public:
@@ -123,11 +129,12 @@ class MetadataStore {
   /// until the next mutation.
   [[nodiscard]] std::span<const Metadata* const> byPopularity() const;
 
-  /// Checkpoints all records (file-id ascending for deterministic bytes).
-  void saveState(Serializer& out) const;
-  /// Restores the saved records; each record equal to one `interner`
-  /// already knows reuses that object.
-  void loadState(Deserializer& in, MetadataInterner& interner);
+  /// Checkpoints all records (file-id ascending for deterministic bytes),
+  /// each as a reference into `refs`' record table.
+  void saveState(Serializer& out, StateRefWriter& refs) const;
+  /// Restores the saved records; each record equal to one already read
+  /// reuses that object.
+  void loadState(Deserializer& in, StateRefReader& refs);
 
  private:
   /// One stored record: 24 bytes. `seq` is the insertion order (the

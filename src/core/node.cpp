@@ -4,6 +4,7 @@
 
 #include "src/core/file_catalog.hpp"
 #include "src/core/protocol.hpp"
+#include "src/core/state_refs.hpp"
 
 namespace hdtn::core {
 
@@ -278,21 +279,17 @@ std::vector<Uri> Node::peerWantedUris(SimTime now) const {
   return out;
 }
 
-void Node::saveState(Serializer& out) const {
-  metadata_.saveState(out);
+void Node::saveState(Serializer& out, StateRefWriter& refs) const {
+  metadata_.saveState(out, refs);
   pieces_.saveState(out);
   credits_.saveState(out);
 
-  // Each query's fields come from its shared object; the owner is always
-  // this node.
+  // The owner is always this node.
   out.u64(queries_.size());
   for (const QueryState& qs : queries_) {
     out.u32(qs.id.value);
     out.u32(id_.value);
-    out.str(qs.query->text);
-    out.u32(qs.query->target.value);
-    out.i64(qs.query->issuedAt);
-    out.i64(qs.query->ttl);
+    refs.query(out, *qs.query);
     out.boolean(qs.metadataFound);
     out.u32(qs.chosenFile.value);
     out.boolean(qs.fileFound);
@@ -324,11 +321,13 @@ void Node::saveState(Serializer& out) const {
   out.u64(distrusted.size());
   for (const NodeId peer : distrusted) out.u32(peer.value);
 
+  // A peer whose stored list is empty proxies nothing, stored or not, so
+  // its entry is left out.
   std::vector<std::pair<NodeId, const ProxyState::StoredQueries*>> stored;
   if (proxy_) {
     stored.reserve(proxy_->peerQueries.size());
     for (const auto& [peer, sq] : proxy_->peerQueries) {
-      stored.emplace_back(peer, &sq);
+      if (!sq.queries.empty()) stored.emplace_back(peer, &sq);
     }
   }
   std::sort(stored.begin(), stored.end(),
@@ -337,26 +336,19 @@ void Node::saveState(Serializer& out) const {
   for (const auto& [peer, sq] : stored) {
     out.u32(peer.value);
     out.u64(sq->queries.size());
-    for (const SharedQuery& query : sq->queries) out.str(query->text);
+    for (const SharedQuery& query : sq->queries) refs.query(out, *query);
     out.i64(sq->storedAt);
   }
 
-  // The format lists wants in URI order.
-  std::vector<PeerWant> wants = peerWants_;
-  std::sort(wants.begin(), wants.end(),
-            [this](const PeerWant& a, const PeerWant& b) {
-              return catalog_->uriRank(a.file) < catalog_->uriRank(b.file);
-            });
-  out.u64(wants.size());
-  for (const PeerWant& want : wants) {
-    out.str(catalog_->find(want.file)->uri);
+  out.u64(peerWants_.size());
+  for (const PeerWant& want : peerWants_) {
+    out.u32(want.file.value);
     out.i64(want.stamp);
   }
 }
 
-void Node::loadState(Deserializer& in, MetadataInterner& records,
-                     QueryInterner& queries) {
-  metadata_.loadState(in, records);
+void Node::loadState(Deserializer& in, StateRefReader& refs) {
+  metadata_.loadState(in, refs);
   pieces_.loadState(in);
   credits_.loadState(in);
 
@@ -369,11 +361,7 @@ void Node::loadState(Deserializer& in, MetadataInterner& records,
     QueryState qs;
     qs.id = QueryId{in.u32()};
     in.u32();  // owner: this node
-    std::string text = in.str();
-    const FileId target{in.u32()};
-    const SimTime issuedAt = in.i64();
-    const Duration ttl = in.i64();
-    qs.query = queries.intern(std::move(text), target, issuedAt, ttl);
+    qs.query = refs.query(in);
     qs.metadataFound = in.boolean();
     qs.chosenFile = FileId{in.u32()};
     qs.fileFound = in.boolean();
@@ -404,7 +392,7 @@ void Node::loadState(Deserializer& in, MetadataInterner& records,
     const NodeId peer{in.u32()};
     ProxyState::StoredQueries sq;
     sq.queries.resize(in.length());
-    for (SharedQuery& query : sq.queries) query = queries.internText(in.str());
+    for (SharedQuery& query : sq.queries) query = refs.storedQuery(in);
     sq.storedAt = in.i64();
     ProxyState& proxyState = proxy_.getOrCreate();
     proxyState.oldestStamp = std::min(proxyState.oldestStamp, sq.storedAt);
@@ -415,28 +403,43 @@ void Node::loadState(Deserializer& in, MetadataInterner& records,
   oldestWantStamp_ = kNoStamp;
   const std::size_t wantCount = in.length();
   for (std::size_t i = 0; i < wantCount; ++i) {
-    const Uri uri = in.str();
-    const FileInfo* info =
-        catalog_ == nullptr ? nullptr : catalog_->findByUri(uri);
-    if (info == nullptr) {
-      throw SerializeError("Node: peer want names a URI the catalog lacks: " +
-                           uri);
+    const FileInfo* info = nullptr;
+    if (refs.v5()) {
+      const Uri uri = in.str();
+      info = catalog_ == nullptr ? nullptr : catalog_->findByUri(uri);
+      if (info == nullptr) {
+        throw SerializeError(
+            "Node: peer want names a URI the catalog lacks: " + uri);
+      }
+    } else {
+      const FileId file{in.u32()};
+      info = catalog_ == nullptr ? nullptr : catalog_->find(file);
+      if (info == nullptr) {
+        throw SerializeError("Node: peer want names file " +
+                             std::to_string(file.value) +
+                             ", which the catalog lacks");
+      }
+      if (!peerWants_.empty() && !(peerWants_.back().file < file)) {
+        throw SerializeError("Node: peer wants not in ascending file-id order");
+      }
     }
     const SimTime when = in.i64();
     oldestWantStamp_ = std::min(oldestWantStamp_, when);
     peerWants_.push_back(PeerWant{info->id, when});
   }
-  // saveState writes URI order. A URI listed twice (only a hand-made
-  // checkpoint has one) keeps its last stamp, as a keyed store would.
-  std::stable_sort(
-      peerWants_.begin(), peerWants_.end(),
-      [](const PeerWant& a, const PeerWant& b) { return a.file < b.file; });
-  std::size_t kept = 0;
-  for (const PeerWant& want : peerWants_) {
-    if (kept > 0 && peerWants_[kept - 1].file == want.file) --kept;
-    peerWants_[kept++] = want;
+  if (refs.v5()) {
+    // v5 wrote URI order. A URI listed twice (only a hand-made checkpoint
+    // has one) keeps its last stamp, as a keyed store would.
+    std::stable_sort(
+        peerWants_.begin(), peerWants_.end(),
+        [](const PeerWant& a, const PeerWant& b) { return a.file < b.file; });
+    std::size_t kept = 0;
+    for (const PeerWant& want : peerWants_) {
+      if (kept > 0 && peerWants_[kept - 1].file == want.file) --kept;
+      peerWants_[kept++] = want;
+    }
+    peerWants_.resize(kept);
   }
-  peerWants_.resize(kept);
 
   touch();
 }

@@ -204,7 +204,7 @@ class Node {
   [[nodiscard]] std::vector<std::string> proxiedQueryTexts(SimTime now) const;
 
   /// The catalog that peer wants resolve against (a want is stored as the
-  /// file its URI names, and saved as that URI again) and whose record
+  /// file its URI names) and whose record
   /// objects the node's queries match through their match rows
   /// (matches()). The engine sets its own catalog on every node; without
   /// one a node stores no peer wants and matches every record directly.
@@ -228,12 +228,13 @@ class Node {
   /// lifecycle, distrust bookkeeping, and cooperative state. Construction
   /// state (id, options, frequent contacts, cooperative TTL, catalog) is
   /// reconstructed deterministically by Engine setup and not serialized.
-  /// loadState re-shares metadata records through `records` and query
-  /// objects, stored peer queries included, through `queries`. A saved
-  /// peer want whose URI the node's catalog lacks is a SerializeError.
-  void saveState(Serializer& out) const;
-  void loadState(Deserializer& in, MetadataInterner& records,
-                 QueryInterner& queries);
+  /// Records and query objects, stored peer queries included, are written
+  /// as references into `refs`' tables; peer wants as (file id, stamp) in
+  /// id order. loadState re-shares them through `refs`. A saved peer want
+  /// the node's catalog lacks, or wants out of id order, is a
+  /// SerializeError.
+  void saveState(Serializer& out, StateRefWriter& refs) const;
+  void loadState(Deserializer& in, StateRefReader& refs);
 
  private:
   friend void exchangeHellos(std::span<Node* const>, const ProtocolConfig&,

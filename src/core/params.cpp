@@ -51,6 +51,11 @@ struct Range {
   std::uint32_t mask = 0;
 };
 
+/// The most hours whose seconds fit an int64: for any double up to it,
+/// hours * kHour rounds below 2^63, so its cast to a duration is defined.
+constexpr double kMaxHours = 2562047788015215.0;
+static_assert(kMaxHours * kHour < 0x1p63 && (kMaxHours + 1) * kHour > 0x1p63);
+
 constexpr Range kFraction{"in [0, 1]", 0.0, 1.0};
 constexpr Range kAtLeastOne{">= 1", 1.0};
 constexpr Range kAtLeastZero{">= 0", 0.0};
@@ -338,7 +343,7 @@ constexpr std::tuple kTraceRows{
         .field = &TraceSpec::coursesPerStudent,
         .help = "nus: courses each student takes"},
     Row{.name = "trace-attendance", .key = "trace-attendance",
-        .field = &TraceSpec::attendance,
+        .field = &TraceSpec::attendance, .rule = kFraction,
         .help = "nus: probability a student attends a session"},
     Row{.name = "trace-buses", .key = "trace-buses",
         .field = &TraceSpec::buses, .help = "dieselnet: buses"},
@@ -347,11 +352,16 @@ constexpr std::tuple kTraceRows{
     Row{.name = "trace-nodes", .key = "trace-nodes",
         .field = &TraceSpec::nodes, .help = "rwp: nodes"},
     Row{.name = "trace-hours", .key = "trace-hours",
-        .field = &TraceSpec::hours, .help = "rwp: simulated hours"},
+        .field = &TraceSpec::hours,
+        .rule = {"at most 2562047788015215", -kInf, kMaxHours, false, false,
+                 false},
+        .help = "rwp: simulated hours"},
     Row{.name = "trace-range", .key = "trace-range",
-        .field = &TraceSpec::radioRange, .help = "rwp: radio range, m"},
+        .field = &TraceSpec::radioRange, .rule = kPositive,
+        .help = "rwp: radio range, m"},
     Row{.name = "trace-field", .key = "trace-field",
-        .field = &TraceSpec::fieldSize, .help = "rwp: square field side, m"},
+        .field = &TraceSpec::fieldSize, .rule = kPositive,
+        .help = "rwp: square field side, m"},
 };
 
 constexpr std::tuple kScenarioRows{
@@ -597,6 +607,9 @@ std::string setFromText(const Row<S, T>& row, S& s, const std::string& key,
     if (!parseNumber(value, &hours)) return badValue(key, value, "a number");
     if (hours <= 0.0) {
       return badValue(key, value, "a positive number of hours");
+    }
+    if (hours > kMaxHours) {
+      return badValue(key, value, "at most 2562047788015215 hours");
     }
     field = static_cast<T>(hours * kHour);
   } else {

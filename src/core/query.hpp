@@ -95,10 +95,11 @@ using SharedQuery = std::shared_ptr<const FileQuery>;
 /// Re-shares query objects on checkpoint restore, as MetadataInterner does
 /// for records: every saved query equal to a known one (same target, text,
 /// issue time and TTL) reuses that object, so a resumed run holds one query
-/// object per file like the run it resumes. Stored proxied queries are
-/// saved as texts alone; internText gives each the known object with that
-/// text. Engine restore seeds every catalog file's query first, so a text
-/// finds its object even when the node that owns the query loads later.
+/// object per file like the run it resumes. Format v5 saved stored proxied
+/// queries as texts alone; internText gives each the known object with
+/// that text. Engine restore seeds every catalog file's query first, so a
+/// text finds its object even when the node that owns the query loads
+/// later.
 class QueryInterner {
  public:
   /// Makes `query` known under its target and its text.

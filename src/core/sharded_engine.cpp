@@ -502,7 +502,7 @@ void ShardedEngine::restoreCheckpoint(const std::string& path) {
       executed[i] = in.u64();
       clocks[i] = in.i64();
       fed[i] = in.u64();
-      components_[i].engine->loadComponentState(in);
+      components_[i].engine->loadComponentState(in, file.version);
     }
     if (!in.done()) {
       throw SerializeError("trailing bytes after the component states");

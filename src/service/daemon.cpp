@@ -165,7 +165,7 @@ void Daemon::finishShutdown() {
 
 void Daemon::pollSockets(double waitSeconds) {
   std::vector<pollfd> fds;
-  fds.reserve(clients_.size() + 1);
+  fds.reserve(clients_.size() + 1 + workers_.size());
   if (listenFd_ >= 0) {
     fds.push_back({listenFd_, POLLIN, 0});
   }
@@ -173,6 +173,14 @@ void Daemon::pollSockets(double waitSeconds) {
     short events = POLLIN;
     if (!client.outbuf.empty()) events |= POLLOUT;
     fds.push_back({client.fd, events, 0});
+  }
+  // A worker's exit ends the wait, so reapWorkers hands its slot on at
+  // once. The entries go last: the loops below read only the sockets'.
+  const std::size_t polledClients = clients_.size();
+  for (const WorkerSlot& slot : workers_) {
+    if (slot.child->exitFd() >= 0) {
+      fds.push_back({slot.child->exitFd(), POLLIN, 0});
+    }
   }
   const int timeoutMs =
       std::max(0, static_cast<int>(waitSeconds * 1000.0));
@@ -192,8 +200,8 @@ void Daemon::pollSockets(double waitSeconds) {
     }
     ++index;
   }
-  for (std::size_t i = 0; i < clients_.size() && index + i < fds.size();
-       ++i) {
+  // Clients accepted above are polled from the next step on.
+  for (std::size_t i = 0; i < polledClients; ++i) {
     Client& client = clients_[i];
     const short revents = fds[index + i].revents;
     if ((revents & POLLIN) != 0) {

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -49,6 +50,12 @@ ChildProcess::~ChildProcess() {
     waitpid(pid_, &status_, 0);
   }
   if (stdoutFd_ >= 0) close(stdoutFd_);
+  closeExitFd();
+}
+
+void ChildProcess::closeExitFd() {
+  if (pidFd_ >= 0) close(pidFd_);
+  pidFd_ = -1;
 }
 
 bool ChildProcess::start(const std::vector<std::string>& argv,
@@ -108,6 +115,9 @@ bool ChildProcess::start(const std::vector<std::string>& argv,
     stdoutFd_ = pipeFds[0];
   }
   pid_ = pid;
+#ifdef SYS_pidfd_open
+  pidFd_ = static_cast<int>(syscall(SYS_pidfd_open, pid, 0));
+#endif
   reaped_ = false;
   timedOut_ = false;
   captured_.clear();
@@ -130,6 +140,9 @@ bool ChildProcess::poll() {
   const pid_t waited = waitpid(pid_, &status_, WNOHANG);
   if (waited == pid_) {
     reaped_ = true;
+    // A reaped child's pidfd stays readable: close it so no poll loop
+    // spins on it.
+    closeExitFd();
     drainPipe();
     return false;
   }
@@ -155,6 +168,7 @@ ChildOutcome ChildProcess::wait() {
     waitpid(pid_, &status_, 0);
     reaped_ = true;
   }
+  closeExitFd();
   drainPipe();
   if (stdoutFd_ >= 0) {
     close(stdoutFd_);

@@ -76,15 +76,21 @@ class ChildProcess {
   [[nodiscard]] ChildOutcome wait();
 
   [[nodiscard]] pid_t pid() const { return pid_; }
+  /// A pidfd that polls readable once the child exits, so a poll loop
+  /// wakes at the exit instead of at its next tick; -1 where the kernel
+  /// offers none, and once the child is reaped.
+  [[nodiscard]] int exitFd() const { return pidFd_; }
   [[nodiscard]] bool started() const { return pid_ > 0; }
   /// Wall-clock seconds since start().
   [[nodiscard]] double elapsedSeconds() const;
 
  private:
   void drainPipe();
+  void closeExitFd();
 
   pid_t pid_ = -1;
   int stdoutFd_ = -1;
+  int pidFd_ = -1;
   bool reaped_ = false;
   bool timedOut_ = false;
   int status_ = 0;

@@ -24,6 +24,7 @@
 #include "src/util/random.hpp"
 #include "src/util/serialize.hpp"
 #include "src/util/sha1.hpp"
+#include "tests/checkpoint_walk.hpp"
 #include "tests/reference_oracles.hpp"
 
 namespace hdtn::core {
@@ -227,11 +228,8 @@ class CooperativeRun {
           canonicalQueryText(info), file, info.publishedAt, info.ttl));
     }
     for (std::uint32_t i = 0; i < kNodes; ++i) {
-      Serializer out;
-      fast_[i].saveState(out);
       Node restored = makeNode(i);
-      Deserializer in(out.bytes());
-      restored.loadState(in, records, queries);
+      loadNodeState(restored, nodeStateBytes(fast_[i]), records, queries);
       fast_[i] = std::move(restored);
     }
     Serializer out;
@@ -246,9 +244,7 @@ class CooperativeRun {
 
   void expectIdentical(const std::string& where) const {
     for (std::uint32_t i = 0; i < kNodes; ++i) {
-      Serializer out;
-      fast_[i].saveState(out);
-      ASSERT_EQ(out.bytes(), reference_[i].saveState())
+      ASSERT_EQ(nodeStateBytes(fast_[i]), reference_[i].saveState(catalog()))
           << where << ", node " << i;
     }
     Serializer fast;
@@ -340,7 +336,7 @@ TEST(CooperativeState, MatchesStringReferenceOnRandomRuns) {
 }
 
 // Node restore resolves every saved peer want through the node's catalog;
-// a URI the catalog lacks cannot be represented, so the load fails.
+// a file the catalog lacks cannot be represented, so the load fails.
 TEST(CooperativeState, NodeRestoreRejectsPeerWantOutsideCatalog) {
   InternetServices internet;
   Rng rng(3);
@@ -350,19 +346,18 @@ TEST(CooperativeState, NodeRestoreRejectsPeerWantOutsideCatalog) {
   Node source(NodeId(1), {});
   source.setCatalog(&internet.catalog());
   source.storePeerWants({internet.catalog().find(files[0])->uri}, 5);
-  Serializer out;
-  source.saveState(out);
+  const std::string bytes = nodeStateBytes(source);
 
   InternetServices other;  // publishes nothing
   Node restored(NodeId(1), {});
   restored.setCatalog(&other.catalog());
-  Deserializer in(out.bytes());
   MetadataInterner records;
   QueryInterner queries;
-  EXPECT_THROW(restored.loadState(in, records, queries), SerializeError);
+  EXPECT_THROW(loadNodeState(restored, bytes, records, queries),
+               SerializeError);
 }
 
-// An engine checkpoint hand-edited so that its peer wants name URIs the
+// An engine checkpoint hand-edited so that a peer want names a file the
 // restored catalog lacks fails to restore with CheckpointError. No engine
 // run writes one: every stored want names a catalog file.
 TEST(CooperativeState, EngineRestoreRejectsPeerWantOutsideCatalog) {
@@ -381,19 +376,10 @@ TEST(CooperativeState, EngineRestoreRejectsPeerWantOutsideCatalog) {
   params.seed = 5;
   Engine engine(trace, params);
   engine.runUntil(trace.endTime() / 2);
-  std::size_t wants = 0;
-  for (std::uint32_t i = 0; i < engine.nodeCount(); ++i) {
-    wants += engine.node(NodeId(i)).peerWantedFiles(engine.now()).size();
-  }
-  ASSERT_GT(wants, 0u);
   const std::string path =
       testing::TempDir() + "/cooperative_state_unknown_want.ckpt";
   engine.saveCheckpoint(path);
 
-  // Catalog URIs appear only in metadata records and peer wants (the
-  // catalog saves publish requests). Renaming the scheme of each keeps
-  // every length, so the records load as records of unknown URIs and the
-  // first peer want names nothing. Re-seal the payload digest.
   std::FILE* file = std::fopen(path.c_str(), "rb");
   ASSERT_NE(file, nullptr);
   std::string bytes;
@@ -402,20 +388,17 @@ TEST(CooperativeState, EngineRestoreRejectsPeerWantOutsideCatalog) {
     bytes.append(buffer, n);
   }
   std::fclose(file);
-  constexpr std::size_t kDigestAt = 8 + 4 + 8;
-  constexpr std::size_t kHeaderBytes = kDigestAt + 20;
-  std::size_t renamed = 0;
-  for (std::size_t at = bytes.find("dtn://", kHeaderBytes);
-       at != std::string::npos; at = bytes.find("dtn://", at + 1)) {
-    bytes[at + 2] = 'x';
-    ++renamed;
-  }
-  ASSERT_GT(renamed, wants);
-  const Sha1Digest digest =
-      Sha1::hash(std::string_view(bytes).substr(kHeaderBytes));
-  bytes.replace(kDigestAt, digest.bytes.size(),
-                reinterpret_cast<const char*>(digest.bytes.data()),
-                digest.bytes.size());
+  const testutil::PayloadLayout layout = testutil::walkV6Payload(
+      std::string_view(bytes).substr(testutil::kCheckpointHeaderBytes));
+  const auto holder =
+      std::find_if(layout.wantAt.begin(), layout.wantAt.end(),
+                   [](const auto& wants) { return !wants.empty(); });
+  ASSERT_NE(holder, layout.wantAt.end());
+  // The node's first want names a file past every catalog id.
+  testutil::writeU32At(bytes, testutil::kCheckpointHeaderBytes + holder->front(),
+                       static_cast<std::uint32_t>(
+                           engine.internet().catalog().size() + 1000));
+  testutil::resealCheckpoint(bytes);
   file = std::fopen(path.c_str(), "wb");
   ASSERT_NE(file, nullptr);
   ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
@@ -426,7 +409,8 @@ TEST(CooperativeState, EngineRestoreRejectsPeerWantOutsideCatalog) {
     restored.restoreCheckpoint(path);
     FAIL() << "restoreCheckpoint did not throw";
   } catch (const CheckpointError& e) {
-    EXPECT_NE(std::string(e.what()).find("peer want"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("peer want names file"),
+              std::string::npos)
         << e.what();
   }
 }

@@ -75,7 +75,7 @@ struct PinCase {
   Mix mix;
   const char* digest;  // captured before the link-model refactor
   // Checkpoint saved at half the trace's end time: file size and SHA-1,
-  // captured before the one-buffer checkpoint envelope.
+  // captured when the format became v6 (value references).
   std::size_t checkpointBytes;
   const char* checkpointDigest;
   // Popularity re-estimated from access-node requests every day, so
@@ -245,67 +245,67 @@ TEST_P(EnginePin, CheckpointBytesMatchPin) {
 const PinCase kPinCases[] = {
     {"BroadcastMbtFaults", DownloadMode::kBroadcast, ProtocolKind::kMbt,
      Mix::kFaults, "b030b14420f0cfb50954f4330a747e1e17ab6ff3",
-     300686, "7c5f4cf63f06bb6b6b41fc6f416997dec4f63fec"},
+     89989, "21d8a1a58b5323841f2710aa1b7016e6362d662b"},
     {"BroadcastMbtDefended", DownloadMode::kBroadcast, ProtocolKind::kMbt,
      Mix::kDefended, "1ea4339a11eb3fd0caf559df8f3130afa3b41c7c",
-     279548, "004e6a1e059791f699cfb4784a6b5495be5865c2"},
+     87753, "190bff6e6a3bbb42d5dbc9261c7b402b4be198c0"},
     {"BroadcastMbtUndefended", DownloadMode::kBroadcast, ProtocolKind::kMbt,
      Mix::kUndefended, "7b263ebc0c7b10950f35c29a3f6d102a54830f87",
-     280182, "8749b3488b0267b27e4042db1001aa7942744d8f"},
+     87281, "1ee09e6039a45bddd5ac11379bfd53469e9e129a"},
     {"PairwiseMbtFaults", DownloadMode::kPairwise, ProtocolKind::kMbt,
      Mix::kFaults, "7236bab7e0040354cfd84ba0d61c5fbeb87944bf",
-     296191, "89789f16dbc3c551f35a5f625733fa4aa1e5894e"},
+     84383, "b119f236f9080bc1e75fa298fa96963b4ae1567b"},
     {"PairwiseMbtDefended", DownloadMode::kPairwise, ProtocolKind::kMbt,
      Mix::kDefended, "7a8275b0d7bc9acda1c89587869d0758d30cdedc",
-     277054, "d508a9e88eddb6fb448253788a346382073b7a71"},
+     81889, "79d5da7b53af5dde8144e4ed60f8965cab376157"},
     {"PairwiseMbtUndefended", DownloadMode::kPairwise, ProtocolKind::kMbt,
      Mix::kUndefended, "83934ee6838d4a393a0d6f406a3827a22629af60",
-     276752, "84817d44798330f1e2c2775cdf39d621a18154f6"},
+     81587, "f5a99f9f60f9ffbed5b8c6c0852771281de1a831"},
     {"CodedMbtQmFaults", DownloadMode::kCoded, ProtocolKind::kMbtQm,
      Mix::kFaults, "7ee78803fb71b1eaef4e77b00e9d9bc630f4ece3",
-     90154, "661d0dba695a7e2c301de2b614178f6b2fe91031"},
+     61726, "697e20460f5a0aa5bf8bb6750b38cd68ab61ff28"},
     {"CodedMbtQmDefended", DownloadMode::kCoded, ProtocolKind::kMbtQm,
      Mix::kDefended, "b316f6e4c676672b74ecf20050a5360861636901",
-     103802, "d81fe47b03e6f4ac45eb69f5cb59b6375aba48e8"},
+     69673, "190aeec9d4691201e7bc8bc9d0753f0e7d25313b"},
     {"CodedMbtQmUndefended", DownloadMode::kCoded, ProtocolKind::kMbtQm,
      Mix::kUndefended, "be889bd7d1bb0d59d1e3ae69afff49533ed3b720",
-     103753, "c5f91992c0f71dda22899e39ea956f982baf9aa8"},
-    // Both pins of this case were captured before metadata records were
+     69624, "8a13abe669e494ed78e48916ad782085ca40a271"},
+    // The digest of this case was captured before metadata records were
     // shared between holders.
     {"BroadcastMbtObserved", DownloadMode::kBroadcast, ProtocolKind::kMbt,
      Mix::kFaults, "fbb4484fbad06a1a83b4b57fa730a2487cea0aba",
-     322643, "b867d04dd0e9d3a642d117f41feb5311ebc06b68", true},
+     93889, "6a3676896fe9626823baa9ab543e14922aac48a4", true},
     // k = 16 reaches a whole 16-byte step of the vector row kernel; every
-    // other coded case runs at k = 4. Both pins were captured before the
+    // other coded case runs at k = 4. The digest was captured before the
     // decoder rows were flattened.
     {"CodedMbtQmDefendedK16", DownloadMode::kCoded, ProtocolKind::kMbtQm,
      Mix::kDefended, "77951b98e49fea357d28ffb6e3cae14d476a5e52",
-     169576, "67b789495dc67dc7823126a3a14675821efb52d2", false, 16},
+     118034, "20339d4b414d98bd45b880098dbb8d69a34c3866", false, 16},
     // The tit-for-tat and popularity-only (rarest-first) broadcast planners;
-    // every case above plans cooperatively. Both pins were captured before
-    // the download candidates were flattened.
+    // every case above plans cooperatively. Both digests were captured
+    // before the download candidates were flattened.
     {"BroadcastMbtTitForTatFaults", DownloadMode::kBroadcast,
      ProtocolKind::kMbt, Mix::kFaults,
-     "a4845e6e0cd62b9d8ae51929bd60b65616ecd7a5", 268585,
-     "41d7c7747288aaa0ce0ae3b7e4108df9fad08a8e", false, 4,
+     "a4845e6e0cd62b9d8ae51929bd60b65616ecd7a5", 85483,
+     "e0f6226b0471b416d540d48c8ba4c008465d923e", false, 4,
      Scheduling::kTitForTat},
     {"BroadcastMbtPopularityRarestFaults", DownloadMode::kBroadcast,
      ProtocolKind::kMbt, Mix::kFaults,
-     "fefa1644f053d6e7e07a00975ccb6014c8487143", 268088,
-     "edf7d432f8b49842d00adb287240041bf03f2b9d", false, 4,
+     "fefa1644f053d6e7e07a00975ccb6014c8487143", 89198,
+     "39df67ef28bd894f36a8f7e45b782faaa5c7cccc", false, 4,
      Scheduling::kPopularityOnly, PushOrder::kRarestFirst},
-    // MBT-Q: peer wants ride on hellos, but no query is proxied. Both pins
-    // were captured before peer wants were kept as file ids.
+    // MBT-Q: peer wants ride on hellos, but no query is proxied. The digest
+    // was captured before peer wants were kept as file ids.
     {"BroadcastMbtQFaults", DownloadMode::kBroadcast, ProtocolKind::kMbtQ,
-     Mix::kFaults, "ed4dd22c27032a8c1db8a9cc46340e29b6ca0b94", 267820,
-     "63a64b5c67518f78c7391652cd6aed5f7ecb59ed"},
+     Mix::kFaults, "ed4dd22c27032a8c1db8a9cc46340e29b6ca0b94", 76841,
+     "e9c3b042e8dad8d5d7a24bf951b5be51ab377e1b"},
     // Bounded piece and metadata stores, forgers whose records honest nodes
-    // verify and reject, and observed popularity. Both pins were captured
+    // verify and reject, and observed popularity. The digest was captured
     // before the access sync visited each file once per publish epoch.
     {"BroadcastMbtBoundedForgers", DownloadMode::kBroadcast,
      ProtocolKind::kMbt, Mix::kFaults,
-     "581d37e063201525478a5b57f72e38b4d1d152a2", 250281,
-     "123e8b04fbbea24fbfc433447aabae7b2c6c8fa0", true, 4,
+     "581d37e063201525478a5b57f72e38b4d1d152a2", 94386,
+     "17930bef1d3f0a4d4be1e8ee989c336061d90c65", true, 4,
      Scheduling::kCooperative, PushOrder::kPopularity, 24, 10, 0.1},
 };
 

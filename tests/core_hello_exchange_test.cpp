@@ -10,6 +10,7 @@
 #include "src/core/internet.hpp"
 #include "src/core/node.hpp"
 #include "src/core/protocol.hpp"
+#include "src/core/state_refs.hpp"
 #include "src/util/random.hpp"
 #include "src/util/serialize.hpp"
 
@@ -55,7 +56,8 @@ void exchangeHellosPairwise(const std::vector<Node*>& members,
 
 std::string stateBytes(const Node& node) {
   Serializer out;
-  node.saveState(out);
+  StateRefWriter refs;
+  node.saveState(out, refs);
   return out.bytes();
 }
 

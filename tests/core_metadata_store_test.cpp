@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/state_refs.hpp"
 #include "src/util/random.hpp"
 
 namespace hdtn::core {
@@ -26,6 +27,24 @@ Metadata makeMetadata(std::uint32_t id, double popularity, SimTime published,
   md.ttl = ttl;
   md.rebuildKeywords();
   return md;
+}
+
+// One store's checkpoint bytes, written with a reference table of its own.
+std::string storeBytes(const MetadataStore& store) {
+  Serializer out;
+  StateRefWriter refs;
+  store.saveState(out, refs);
+  return out.bytes();
+}
+
+// Restores `bytes` (one store's save) into `store`, re-sharing records
+// through `interner`.
+void loadStore(MetadataStore& store, const std::string& bytes,
+               MetadataInterner& interner) {
+  QueryInterner queries;
+  StateRefReader refs(kCheckpointVersion, interner, queries);
+  Deserializer in(bytes);
+  store.loadState(in, refs);
 }
 
 // Adds `md`, appending the file of any record the store sheds to `shed`.
@@ -102,15 +121,13 @@ TEST(MetadataStore, PopularityRefreshKeepsOriginalExpiry) {
 TEST(MetadataStore, ExpireAfterLoadStateSeesRestoredRecords) {
   MetadataStore source;
   source.add(makeMetadata(1, 0.5, 0, 100));
-  Serializer out;
-  source.saveState(out);
+  const std::string bytes = storeBytes(source);
 
   MetadataStore restored;
   restored.add(makeMetadata(2, 0.5, 0, 1000));
   EXPECT_EQ(restored.expire(10), 0u);  // watermark now 1000
-  Deserializer in(out.bytes());
   MetadataInterner interner;
-  restored.loadState(in, interner);
+  loadStore(restored, bytes, interner);
   EXPECT_EQ(restored.expire(99), 0u);
   EXPECT_EQ(restored.expire(100), 1u);
   EXPECT_TRUE(restored.empty());
@@ -205,12 +222,9 @@ TEST(MetadataStore, BoundedSaveLoadRoundTripKeepsEvictionOrder) {
   store.add(makeMetadata(1, 0.5, 0, 100));
   store.add(makeMetadata(2, 0.5, 0, 100));
   store.add(makeMetadata(3, 0.9, 0, 100));
-  Serializer out;
-  store.saveState(out);
   MetadataStore restored(3);
-  Deserializer in(out.bytes());
   MetadataInterner interner;
-  restored.loadState(in, interner);
+  loadStore(restored, storeBytes(store), interner);
   EXPECT_EQ(restored.size(), 3u);
   // The restored store must evict the same victim the original would:
   // insertion seq survives the round trip.
@@ -288,25 +302,20 @@ TEST(MetadataStoreSharing, InternedLoadReusesEqualRecords) {
   MetadataStore source;
   source.add(catalogRecord);
   source.add(makeShared(2, 0.5));
-  Serializer out;
-  source.saveState(out);
+  const std::string bytes = storeBytes(source);
   MetadataStore raised;
   raised.add(catalogRecord);
   raised.add(makeShared(1, 0.6));  // a private, more popular copy
-  Serializer raisedOut;
-  raised.saveState(raisedOut);
+  const std::string raisedBytes = storeBytes(raised);
 
   MetadataInterner interner;
   interner.seed(catalogRecord);
   MetadataStore first;
   MetadataStore second;
   MetadataStore third;
-  Deserializer in1(out.bytes());
-  Deserializer in2(out.bytes());
-  Deserializer in3(raisedOut.bytes());
-  first.loadState(in1, interner);
-  second.loadState(in2, interner);
-  third.loadState(in3, interner);
+  loadStore(first, bytes, interner);
+  loadStore(second, bytes, interner);
+  loadStore(third, raisedBytes, interner);
   EXPECT_EQ(first.get(FileId(1)), catalogRecord.get());
   EXPECT_EQ(second.get(FileId(1)), catalogRecord.get());
   EXPECT_EQ(first.get(FileId(2)), second.get(FileId(2)));
@@ -315,8 +324,7 @@ TEST(MetadataStoreSharing, InternedLoadReusesEqualRecords) {
   EXPECT_DOUBLE_EQ(third.get(FileId(1))->popularity, 0.6);
   // ...and later records equal to it reuse that object.
   MetadataStore fourth;
-  Deserializer in4(raisedOut.bytes());
-  fourth.loadState(in4, interner);
+  loadStore(fourth, raisedBytes, interner);
   EXPECT_EQ(fourth.get(FileId(1)), third.get(FileId(1)));
 }
 
@@ -328,18 +336,14 @@ TEST(MetadataStoreSharing, InternerKeepsEverySnapshotOfAFile) {
   for (int day = 0; day < kSnapshots; ++day) {
     MetadataStore store;
     store.add(makeMetadata(1, 0.01 * (day + 1), 0, 100));
-    Serializer out;
-    store.saveState(out);
-    saved.push_back(out.bytes());
+    saved.push_back(storeBytes(store));
   }
   MetadataInterner interner;
   std::vector<MetadataStore> first(kSnapshots);
   std::vector<MetadataStore> second(kSnapshots);
   for (int day = 0; day < kSnapshots; ++day) {
-    Deserializer in1(saved[day]);
-    Deserializer in2(saved[day]);
-    first[day].loadState(in1, interner);
-    second[day].loadState(in2, interner);
+    loadStore(first[day], saved[day], interner);
+    loadStore(second[day], saved[day], interner);
   }
   for (int day = 0; day < kSnapshots; ++day) {
     EXPECT_EQ(second[day].get(FileId(1)), first[day].get(FileId(1))) << day;
@@ -353,13 +357,10 @@ TEST(MetadataStoreSharing, InternerKeepsAnUnequalRecordApart) {
   const SharedMetadata catalogRecord = makeShared(1, 0.3);
   MetadataStore other;
   other.add(makeMetadata(1, 0.3, 50, 100));
-  Serializer out;
-  other.saveState(out);
   MetadataInterner interner;
   interner.seed(catalogRecord);
   MetadataStore restored;
-  Deserializer in(out.bytes());
-  restored.loadState(in, interner);
+  loadStore(restored, storeBytes(other), interner);
   ASSERT_NE(restored.get(FileId(1)), nullptr);
   EXPECT_NE(restored.get(FileId(1)), catalogRecord.get());
   EXPECT_EQ(restored.get(FileId(1))->publishedAt, 50);
@@ -433,7 +434,11 @@ class StoreModel {
   [[nodiscard]] std::string bytes() const {
     Serializer out;
     out.u64(held_.size());
+    // Every record of one store is of another file, so each reference is
+    // a new table entry followed by the record in full.
+    std::uint32_t reference = 0;
     for (const auto& [file, h] : held_) {
+      out.u32(reference++);
       h.md->saveState(out);
       out.u64(h.seq);
     }
@@ -455,12 +460,6 @@ class StoreModel {
   std::uint64_t nextSeq_ = 1;
   std::optional<std::size_t> capacity_;
 };
-
-std::string storeBytes(const MetadataStore& store) {
-  Serializer out;
-  store.saveState(out);
-  return out.bytes();
-}
 
 TEST(MetadataStoreProperty, MatchesMapModel) {
   constexpr std::uint32_t kFiles = 24;
@@ -509,9 +508,8 @@ TEST(MetadataStoreProperty, MatchesMapModel) {
           const std::string bytes = storeBytes(store);
           MetadataStore restored = capacity ? MetadataStore(*capacity)
                                             : MetadataStore();
-          Deserializer in(bytes);
           MetadataInterner interner;
-          restored.loadState(in, interner);
+          loadStore(restored, bytes, interner);
           EXPECT_EQ(storeBytes(restored), bytes) << where;
           store = std::move(restored);
         }

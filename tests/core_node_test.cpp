@@ -229,12 +229,7 @@ TEST(Node, ExpireKeepsStateExactlyOneTtlOld) {
   EXPECT_EQ(node.proxiedQueryTexts(kDay).size(), 1u);
   EXPECT_EQ(node.peerWantedUris(kDay).size(), 1u);
   node.expire(kDay + 1);  // ttl + 1: dropped
-  Serializer out;
-  node.saveState(out);
-  Node fresh(NodeId(1), {});
-  Serializer empty;
-  fresh.saveState(empty);
-  EXPECT_EQ(out.bytes(), empty.bytes());
+  EXPECT_EQ(nodeStateBytes(node), nodeStateBytes(Node(NodeId(1), {})));
 }
 
 TEST(Node, ExpireFollowsRefreshedStamps) {
@@ -267,18 +262,16 @@ TEST(Node, ExpireAfterLoadStateSeesRestoredStamps) {
   source.setCooperativeStateTtl(kDay);
   source.setCatalog(peerWantCatalog());
   source.storePeerWants({"dtn://a/f1"}, 0);
-  Serializer out;
-  source.saveState(out);
+  const std::string bytes = nodeStateBytes(source);
 
   Node restored(NodeId(1), {});
   restored.setCooperativeStateTtl(kDay);
   restored.setCatalog(peerWantCatalog());
   restored.storePeerWants({"dtn://a/f9"}, 2 * kDay);
   restored.expire(2 * kDay);  // watermark now 2 days
-  Deserializer in(out.bytes());
   MetadataInterner records;
   QueryInterner queries;
-  restored.loadState(in, records, queries);
+  loadNodeState(restored, bytes, records, queries);
   restored.expire(kDay + 1);
   EXPECT_TRUE(restored.peerWantedUris(0).empty());
 }

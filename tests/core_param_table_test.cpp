@@ -163,11 +163,11 @@ std::string messageGolden() {
   std::sort(keys.begin(), keys.end());
   out << "# " << keys.size() << " keys\n";
   // Bad values for every key: text, empty, negative, zero, fractional, NaN,
-  // infinity, 2^32 + 1 (past a 32-bit field) and the least day count whose
-  // seconds overflow an int64.
+  // infinity, 2^32 + 1 (past a 32-bit field), the least day count whose
+  // seconds overflow an int64, and an hour count whose seconds do.
   const char* const probes[] = {"x",   "",    "-1",  "0",
                                 "1.5", "nan", "inf", "4294967297",
-                                "106751991167301"};
+                                "106751991167301", "1e300"};
   for (const std::string& key : keys) {
     for (const char* probe : probes) {
       Scenario s = validScenario();

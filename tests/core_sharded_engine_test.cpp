@@ -310,16 +310,16 @@ void spit(const std::string& path, const std::string& bytes) {
 
 TEST(ShardedEngine, CheckpointBytesArePinned) {
   // Size and SHA-1 of one materialized and one streaming envelope, captured
-  // before the one-buffer checkpoint envelope.
+  // when the format became v6 (value references).
   const std::string materializedPath = ckptPath("pin-materialized");
   const auto diesel = smallDieselTrace();
   ShardedEngine materialized(diesel, shardedParams(ProtocolKind::kMbt, 2, 2));
   materialized.runUntil(3 * kDay);
   materialized.saveCheckpoint(materializedPath, "resume-me");
   const std::string materializedBytes = slurp(materializedPath);
-  EXPECT_EQ(materializedBytes.size(), 107697u);
+  EXPECT_EQ(materializedBytes.size(), 41458u);
   EXPECT_EQ(Sha1::hash(materializedBytes).hex(),
-            "cb58185ee9b2a934feb6cb5f73afd6002f6f3914");
+            "70ae102db87e6c7c3e3d0325339de15fb0bb8c05");
 
   const std::string streamingPath = ckptPath("pin-streaming");
   trace::CityStream stream(smallCity());
@@ -327,9 +327,9 @@ TEST(ShardedEngine, CheckpointBytesArePinned) {
   streaming.runUntil(kDay);
   streaming.saveCheckpoint(streamingPath);
   const std::string streamingBytes = slurp(streamingPath);
-  EXPECT_EQ(streamingBytes.size(), 273344u);
+  EXPECT_EQ(streamingBytes.size(), 96903u);
   EXPECT_EQ(Sha1::hash(streamingBytes).hex(),
-            "82832e53b12c80c72ebb0c904f47a4e4a3ff7896");
+            "3182793b024a2cfe1e4cb48898d01310515a3967");
 }
 
 TEST(ShardedEngine, CheckpointRestoresAcrossShardAndThreadSettings) {
@@ -511,7 +511,7 @@ TEST_F(ShardedCheckpointErrors, UnsupportedVersion) {
   mutated[8] = 99;  // u32 version lives at offset 8, little-endian
   expectRestoreThrows(
       mutated, ": unsupported checkpoint version 99 (this build reads "
-               "version 5)");
+               "versions 5 and 6)");
 }
 
 TEST_F(ShardedCheckpointErrors, MagicsDoNotCross) {

@@ -10,6 +10,7 @@
 
 #include "src/core/internet.hpp"
 #include "src/core/query.hpp"
+#include "src/core/state_refs.hpp"
 #include "src/util/random.hpp"
 #include "src/util/string_util.hpp"
 
@@ -645,6 +646,20 @@ const Metadata* bestMatchReference(const std::string& queryText,
   return ranked.empty() ? nullptr : ranked.front().metadata;
 }
 
+std::string nodeStateBytes(const Node& node) {
+  Serializer out;
+  StateRefWriter refs;
+  node.saveState(out, refs);
+  return out.bytes();
+}
+
+void loadNodeState(Node& node, const std::string& bytes,
+                   MetadataInterner& records, QueryInterner& queries) {
+  StateRefReader refs(kCheckpointVersion, records, queries);
+  Deserializer in(bytes);
+  node.loadState(in, refs);
+}
+
 std::vector<std::string> activeQueryTextsReference(const Node& node,
                                                    SimTime now) {
   std::vector<std::string> texts;
@@ -654,6 +669,17 @@ std::vector<std::string> activeQueryTextsReference(const Node& node,
     }
   }
   return texts;
+}
+
+std::vector<SharedQuery> activeQueriesReference(const Node& node,
+                                                SimTime now) {
+  std::vector<SharedQuery> queries;
+  for (const Node::QueryState& qs : node.queryStates()) {
+    if (!qs.metadataFound && !qs.query->expired(now)) {
+      queries.push_back(qs.query);
+    }
+  }
+  return queries;
 }
 
 std::vector<std::vector<std::string>> activeQueryTokensReference(
@@ -715,11 +741,11 @@ std::vector<QueryId> fileCompletionReference(const Node& node, FileId file,
 }
 
 void ReferenceNode::storePeerQueries(NodeId peer,
-                                     const std::vector<std::string>& texts,
+                                     const std::vector<SharedQuery>& queries,
                                      SimTime now) {
   if (!node.isFrequentContact(peer)) return;
   StoredQueries& stored = peerQueries[peer];
-  stored.texts = texts;
+  stored.queries = queries;
   stored.storedAt = now;
 }
 
@@ -727,7 +753,7 @@ std::vector<std::string> ReferenceNode::proxiedQueryTexts(SimTime now) const {
   std::set<std::string> texts;
   for (const auto& [peer, stored] : peerQueries) {
     if (now - stored.storedAt > ttl) continue;
-    texts.insert(stored.texts.begin(), stored.texts.end());
+    for (const SharedQuery& query : stored.queries) texts.insert(query->text);
   }
   return {texts.begin(), texts.end()};
 }
@@ -768,9 +794,10 @@ void ReferenceNode::expire(SimTime now) {
                 [&](const auto& kv) { return kv.second < horizon; });
 }
 
-std::string ReferenceNode::saveState() const {
+std::string ReferenceNode::saveState(const FileCatalog& catalog) const {
+  StateRefWriter refs;
   Serializer out;
-  node.saveState(out);
+  node.saveState(out, refs);
   std::string bytes = out.bytes();
   // The node's own cooperative sections are empty: two zero counts.
   const std::string empty(16, '\0');
@@ -780,24 +807,33 @@ std::string ReferenceNode::saveState() const {
   }
   bytes.resize(bytes.size() - empty.size());
 
+  // Stored lists follow the node's own queries in the query table; an
+  // empty list is not saved.
   Serializer coop;
   std::vector<std::pair<NodeId, const StoredQueries*>> stored;
-  for (const auto& [peer, sq] : peerQueries) stored.emplace_back(peer, &sq);
+  for (const auto& [peer, sq] : peerQueries) {
+    if (!sq.queries.empty()) stored.emplace_back(peer, &sq);
+  }
   std::sort(stored.begin(), stored.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   coop.u64(stored.size());
   for (const auto& [peer, sq] : stored) {
     coop.u32(peer.value);
-    coop.u64(sq->texts.size());
-    for (const std::string& text : sq->texts) coop.str(text);
+    coop.u64(sq->queries.size());
+    for (const SharedQuery& query : sq->queries) refs.query(coop, *query);
     coop.i64(sq->storedAt);
   }
-  std::vector<std::pair<Uri, SimTime>> wants(peerWants.begin(),
-                                             peerWants.end());
-  std::sort(wants.begin(), wants.end());
+  std::map<FileId, SimTime> wants;
+  for (const auto& [uri, when] : peerWants) {
+    const FileInfo* info = catalog.findByUri(uri);
+    if (info == nullptr) {
+      throw std::logic_error("ReferenceNode: a peer want the catalog lacks");
+    }
+    wants.emplace(info->id, when);
+  }
   coop.u64(wants.size());
-  for (const auto& [uri, when] : wants) {
-    coop.str(uri);
+  for (const auto& [file, when] : wants) {
+    coop.u32(file.value);
     coop.i64(when);
   }
   return bytes + coop.bytes();
@@ -810,10 +846,10 @@ void exchangeHellosReference(std::span<ReferenceNode* const> members,
     for (std::size_t j = 0; j < members.size(); ++j) {
       const Node& peer = members[j]->node;
       if (!peer.contributes()) continue;
-      const std::vector<std::string> texts =
-          activeQueryTextsReference(peer, now);
+      const std::vector<SharedQuery> queries =
+          activeQueriesReference(peer, now);
       for (std::size_t i = 0; i < members.size(); ++i) {
-        if (i != j) members[i]->storePeerQueries(peer.id(), texts, now);
+        if (i != j) members[i]->storePeerQueries(peer.id(), queries, now);
       }
     }
   }

@@ -139,6 +139,10 @@ class PieceStoreReference {
 [[nodiscard]] std::vector<std::string> activeQueryTextsReference(
     const Node& node, SimTime now);
 
+/// The objects of Node::activeQueries.
+[[nodiscard]] std::vector<SharedQuery> activeQueriesReference(
+    const Node& node, SimTime now);
+
 /// The token lists of Node::activeQueries (the own half of
 /// ContactViews::contactQueries).
 [[nodiscard]] std::vector<std::vector<std::string>> activeQueryTokensReference(
@@ -163,22 +167,30 @@ class PieceStoreReference {
                                                            FileId file,
                                                            SimTime now);
 
+/// A node's checkpoint bytes, written with a reference table of its own.
+[[nodiscard]] std::string nodeStateBytes(const Node& node);
+
+/// Restores `bytes` (one node's save in the current format) into `node`,
+/// re-sharing records and queries through the interners.
+void loadNodeState(Node& node, const std::string& bytes,
+                   MetadataInterner& records, QueryInterner& queries);
+
 // The string-based cooperative state Node kept before it stored peer
-// wants as catalog file ids and stored peer queries as shared query
-// objects, with the hello exchange, the proxied-query view and the access
+// wants as catalog file ids and deduplicated stored peer queries by
+// object, with the hello exchange, the proxied-query view and the access
 // sync that read it. See core_cooperative_state_test.cpp.
 
-/// A Node whose cooperative state lives beside it as strings: peer wants in
-/// a URI-keyed map, stored peer queries as copied texts. The Node holds
-/// everything else (its own cooperative state stays empty); saveState
-/// writes the bytes Node::saveState wrote for the two together.
+/// A Node whose cooperative state lives beside it: peer wants in a
+/// URI-keyed map, stored peer queries as lists whose proxied view is
+/// deduplicated by text through a std::set. The Node holds everything else
+/// (its own cooperative state stays empty); saveState writes the bytes
+/// Node::saveState writes for the two together.
 struct ReferenceNode {
   ReferenceNode(Node node, Duration cooperativeTtl)
       : node(std::move(node)), ttl(cooperativeTtl) {}
 
-  /// Node::storePeerQueries over query texts: kept for frequent contacts
-  /// only.
-  void storePeerQueries(NodeId peer, const std::vector<std::string>& texts,
+  /// Node::storePeerQueries: kept for frequent contacts only.
+  void storePeerQueries(NodeId peer, const std::vector<SharedQuery>& queries,
                         SimTime now);
   /// Fresh stored texts, deduplicated through a std::set.
   [[nodiscard]] std::vector<std::string> proxiedQueryTexts(SimTime now) const;
@@ -191,12 +203,13 @@ struct ReferenceNode {
       SimTime now, bool includeProxied) const;
   /// Node::expire, scanning every stamp.
   void expire(SimTime now);
-  [[nodiscard]] std::string saveState() const;
+  /// Wants are saved as the ids `catalog` gives their URIs.
+  [[nodiscard]] std::string saveState(const FileCatalog& catalog) const;
 
   Node node;
   Duration ttl;
   struct StoredQueries {
-    std::vector<std::string> texts;
+    std::vector<SharedQuery> queries;
     SimTime storedAt = 0;
   };
   std::unordered_map<NodeId, StoredQueries> peerQueries;

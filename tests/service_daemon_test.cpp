@@ -1,12 +1,14 @@
 // The resident sweep service end to end, against real hdtn_sim workers:
 // submit/status/cancel over the socket, invalid-scenario rejection,
 // backpressure, fail-fast on validation errors, SIGKILL-crash retry with
-// byte-identical outputs, priority preemption, and a daemon restart
-// mid-queue that loses nothing (docs/SERVICE.md).
+// byte-identical outputs, priority preemption, a worker's exit waking the
+// daemon, and a daemon restart mid-queue that loses nothing
+// (docs/SERVICE.md).
 #include <gtest/gtest.h>
 
 #include <signal.h>
 
+#include <chrono>
 #include <filesystem>
 #include <string>
 
@@ -123,7 +125,7 @@ TEST(ServiceDaemonTest, SigkilledWorkerRetriesAndProducesIdenticalOutputs) {
   DaemonHarness harness(testConfig("crash"));
   ASSERT_EQ(harness.start(), "");
   // Two identical jobs: one runs undisturbed, the other is SIGKILLed
-  // mid-run. Checkpoint v5 resume makes their outputs byte-identical.
+  // mid-run. Checkpoint resume makes their outputs byte-identical.
   const std::uint64_t reference =
       submitJob(harness.socketPath(), "reference", 0, slowScenario(9));
   ASSERT_NE(reference, 0u);
@@ -195,6 +197,46 @@ TEST(ServiceDaemonTest, HigherPriorityPreemptsTheRunningJob) {
   EXPECT_GE(getInt(lowJob, "preemptions"), 1);
   EXPECT_EQ(getString(statusJob(harness.socketPath(), high), "state"),
             "done");
+}
+
+// A worker's exit wakes the daemon: with no client traffic, one step hands
+// the slot to the next queued job as soon as the running worker exits,
+// not when the step's wait runs out.
+TEST(ServiceDaemonTest, WorkerExitWakesTheDaemon) {
+  DaemonConfig config = testConfig("wake", /*workers=*/1);
+  std::uint64_t first = 0;
+  std::uint64_t second = 0;
+  {
+    // Queue both jobs on a daemon without worker slots, so neither starts.
+    DaemonConfig queueOnly = config;
+    queueOnly.workers = 0;
+    DaemonHarness harness(queueOnly);
+    ASSERT_EQ(harness.start(), "");
+    first = submitJob(harness.socketPath(), "first", 0, quickScenario(1));
+    second = submitJob(harness.socketPath(), "second", 0, quickScenario(2));
+    ASSERT_NE(first, 0u);
+    ASSERT_NE(second, 0u);
+  }
+  Daemon daemon(config);
+  std::string error;
+  ASSERT_TRUE(daemon.start(&error)) << error;
+  ASSERT_TRUE(daemon.step(0.0));
+  ASSERT_EQ(daemon.queue()->find(first)->state, JobState::kRunning);
+
+  // Nothing but the worker's exit can end this wait before 5 s.
+  ASSERT_TRUE(daemon.step(5.0));
+  const auto returned = fs::file_time_type::clock::now();
+  EXPECT_EQ(daemon.queue()->find(first)->state, JobState::kDone);
+  EXPECT_EQ(daemon.queue()->find(second)->state, JobState::kRunning);
+  // The worker's last output came less than a second before the step
+  // returned.
+  const auto lastOutput =
+      fs::last_write_time(daemon.jobDir(first) + "/stdout.log");
+  EXPECT_LT(returned - lastOutput, std::chrono::seconds(1));
+
+  daemon.requestShutdown();
+  while (daemon.step(0.05)) {
+  }
 }
 
 TEST(ServiceDaemonTest, RestartMidQueueLosesNothing) {
