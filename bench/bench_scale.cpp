@@ -9,8 +9,8 @@
 //     streamed end to end, reporting wall seconds, contacts/sec, nodes/sec,
 //     and peak RSS bytes per node. The city is generated lazily, but
 //     ShardedEngine::run() pulls every contact into the components' feed
-//     buckets before they run, so peak memory is engine state plus every
-//     contact of the run.
+//     buckets before they run; a component releases its bucket once it has
+//     fed it, so peak memory is engine state plus the contacts not yet fed.
 //
 // The binary doubles as the CI scale smoke: --smoke runs only the curve
 // population once and enforces --max-wall-seconds / --max-kib-per-node,
@@ -18,12 +18,13 @@
 //
 //   bench_scale                        # full run, writes BENCH_scale.json
 //   bench_scale --nodes=200000         # smaller headline
-//   bench_scale --smoke --max-wall-seconds=300 --max-kib-per-node=3.3
+//   bench_scale --smoke --max-wall-seconds=300 --max-kib-per-node=2.6
 #include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
 #include <ctime>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -128,6 +129,24 @@ RunStats runCity(const trace::CityParams& city, std::uint32_t shards,
           .count();
   stats.contacts = stats.result.totals.contactsProcessed;
   return stats;
+}
+
+/// The host's CPU model, for the environment stamp ("unknown" when
+/// /proc/cpuinfo names none).
+std::string cpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t start = line.find_first_not_of(" \t:", 10);
+    if (start == std::string::npos) break;
+    std::string model;
+    for (const char c : line.substr(start)) {
+      if (c == '"' || c == '\\') model += '\\';
+      model += c;
+    }
+    return model;
+  }
+  return "unknown";
 }
 
 std::string utcDate() {
@@ -235,6 +254,7 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"name\": \"sharded streaming engine at city scale\",\n");
   std::fprintf(out, "  \"date\": \"%s\",\n", utcDate().c_str());
   std::fprintf(out, "  \"environment\": {\n");
+  std::fprintf(out, "    \"cpu\": \"%s\",\n", cpuModel().c_str());
   std::fprintf(out, "    \"threads\": %u,\n", threads);
   std::fprintf(out, "    \"usable_cores\": %u,\n", defaultThreadCount());
   std::fprintf(out,

@@ -1,8 +1,23 @@
 #include "src/core/access_sync.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace hdtn::core {
+namespace {
+
+// The first entry of the text-sorted `searched` whose text is not below
+// `text`.
+template <typename Searched>
+auto searchedSlot(Searched& searched, const std::string& text) {
+  return std::lower_bound(
+      searched.begin(), searched.end(), text,
+      [](const auto& entry, const std::string& key) {
+        return entry.query->text < key;
+      });
+}
+
+}  // namespace
 
 void AccessSync::beginEpoch(SimTime publishAt) {
   // The carry stock scales with the alive population so a longer TTL does
@@ -29,6 +44,13 @@ bool AccessSync::beginVisit(NodeState& state, FileId file, std::uint8_t bit) {
   if ((visited & bit) != 0) return false;
   visited |= bit;
   return true;
+}
+
+bool AccessSync::visited(const NodeState& state, FileId file,
+                         std::uint8_t bit) const {
+  return file.value >= visitBase_ &&
+         file.value - visitBase_ < state.visits.size() &&
+         (state.visits[file.value - visitBase_] & bit) != 0;
 }
 
 void AccessSync::forget(NodeId node, FileId file) {
@@ -68,10 +90,12 @@ void AccessSync::sync(Node& node, SimTime now, ContactViews& views,
   //    the epoch it was searched cannot find anything new.
   for (const FileQuery* query :
        views.contactQueries(node, now, config_.searchProxiedQueries)) {
-    const auto [it, inserted] = state.searched.try_emplace(query->text, now);
-    if (!inserted) {
-      if (it->second >= epoch_) continue;
-      it->second = now;
+    const auto it = searchedSlot(state.searched, query->text);
+    if (it != state.searched.end() && it->query->text == query->text) {
+      if (it->at >= epoch_) continue;
+      it->at = now;
+    } else {
+      state.searched.insert(it, {query->shared_from_this(), now});
     }
     const auto ranked = internet_.search(*query, now);
     // The user (or the proxy on a peer's behalf) keeps the top matches.
@@ -99,6 +123,15 @@ void AccessSync::sync(Node& node, SimTime now, ContactViews& views,
   //    walk keeps URI order: the stores number what they admit in order.
   if (config_.fetchPeerWants) {
     const FileCatalog& catalog = internet_.catalog();
+    // The walk stores and delivers nothing when every fresh want is expired
+    // or fetched and complete, which is most syncs after an epoch's first.
+    if (node.allPeerWantedFiles(now, [&](FileId file) {
+          return catalog.sharedMetadataFor(file)->expired(now) ||
+                 (visited(state, file, kFetched) &&
+                  node.pieces().isComplete(file));
+        })) {
+      return;
+    }
     std::vector<FileId> wanted = node.peerWantedFiles(now);
     std::sort(wanted.begin(), wanted.end(), [&catalog](FileId a, FileId b) {
       return catalog.uriRank(a) < catalog.uriRank(b);
@@ -126,18 +159,16 @@ void AccessSync::saveState(Serializer& out, std::size_t nodeCount) const {
       out.u64(0);
       continue;
     }
-    std::vector<std::pair<std::string_view, SimTime>> sorted(
-        it->second.searched.begin(), it->second.searched.end());
-    std::sort(sorted.begin(), sorted.end());
-    out.u64(sorted.size());
-    for (const auto& [text, at] : sorted) {
-      out.str(text);
-      out.i64(at);
+    out.u64(it->second.searched.size());
+    for (const Searched& entry : it->second.searched) {
+      out.str(entry.query->text);
+      out.i64(entry.at);
     }
   }
 }
 
-void AccessSync::loadState(Deserializer& in, std::size_t nodeCount) {
+void AccessSync::loadState(Deserializer& in, std::size_t nodeCount,
+                           QueryInterner& queries) {
   epoch_ = in.i64();
   if (in.length() != nodeCount) {
     throw SerializeError("corrupt payload: search-cache size mismatch");
@@ -146,10 +177,17 @@ void AccessSync::loadState(Deserializer& in, std::size_t nodeCount) {
   for (std::uint32_t id = 0; id < nodeCount; ++id) {
     const std::size_t entries = in.length();
     if (entries == 0) continue;
-    auto& searched = nodes_[id].searched;
+    std::vector<Searched>& searched = nodes_[id].searched;
     for (std::size_t i = 0; i < entries; ++i) {
-      std::string text = in.str();
-      searched[std::move(text)] = in.i64();
+      SharedQuery query = queries.internText(in.str());
+      const SimTime at = in.i64();
+      // A text listed twice keeps its last time, as a keyed cache would.
+      const auto slot = searchedSlot(searched, query->text);
+      if (slot != searched.end() && slot->query->text == query->text) {
+        slot->at = at;
+      } else {
+        searched.insert(slot, {std::move(query), at});
+      }
     }
   }
   if (epoch_ >= 0) beginEpoch(epoch_);

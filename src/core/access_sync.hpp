@@ -15,16 +15,18 @@
 //
 // The alive file set and every popularity value change only at publish
 // instants, so the sync keeps its work per publish epoch. A search text is
-// searched once per epoch. Steps 2 and 4 visit a file once per epoch: a
-// second visit stores nothing new, so it is skipped unless an event since
-// the first can change its outcome. Those events are a new query at the
-// node, the node shedding or rejecting the file's record (forget()), and
-// the node's bounded piece store dropping one of the file's pieces
-// (docs/PERFORMANCE.md, "MBT cooperative state by reference").
+// searched once per epoch; a node's search cache holds one entry per text,
+// the first shared query object that carried it, like a pending-interest
+// entry that one name keeps however many consumers ask for it. Steps 2 and
+// 4 visit a file once per epoch: a second visit stores nothing new, so it
+// is skipped unless an event since the first can change its outcome. Those
+// events are a new query at the node, the node shedding or rejecting the
+// file's record (forget()), and the node's bounded piece store dropping
+// one of the file's pieces (docs/PERFORMANCE.md, "MBT cooperative state by
+// reference").
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -83,22 +85,39 @@ class AccessSync {
 
   /// Checkpoints the epoch and every node's search cache, in node-id order
   /// over `nodeCount` nodes (a node that never searched writes an empty
-  /// cache). The carry stock and the visits are rebuilt, not saved: a
-  /// restored run visits every file once more, which stores nothing new.
+  /// cache) and (text, time) pairs in text order. The carry stock and the
+  /// visits are rebuilt, not saved: a restored run visits every file once
+  /// more, which stores nothing new.
   void saveState(Serializer& out, std::size_t nodeCount) const;
-  /// Throws SerializeError when the saved node count is not `nodeCount`.
-  void loadState(Deserializer& in, std::size_t nodeCount);
+  /// Restores the search caches, taking each text's query object from
+  /// `queries` (QueryInterner::internText), so a restored cache shares the
+  /// objects the restored nodes hold. Throws SerializeError when the saved
+  /// node count is not `nodeCount`.
+  void loadState(Deserializer& in, std::size_t nodeCount,
+                 QueryInterner& queries);
+  /// The same, interning the texts in an interner of its own.
+  void loadState(Deserializer& in, std::size_t nodeCount) {
+    QueryInterner queries;
+    loadState(in, nodeCount, queries);
+  }
 
  private:
   /// Visit bits, per file.
   static constexpr std::uint8_t kStocked = 1;  ///< step 2 stored its record
   static constexpr std::uint8_t kFetched = 2;  ///< step 4 fetched it
 
+  /// A searched text: the first query object that carried it, and the
+  /// publish time at which the text was last searched.
+  struct Searched {
+    SharedQuery query;
+    SimTime at = 0;
+  };
+
   /// One node's sync state. Only nodes that sync get one, and only access
   /// nodes sync.
   struct NodeState {
-    /// Query text -> publish time at which it was last searched.
-    std::unordered_map<std::string, SimTime> searched;
+    /// Every text the node searched, ascending text.
+    std::vector<Searched> searched;
     /// The epoch and query count `visits` belong to; either moving on
     /// clears them.
     SimTime visitsEpoch = -1;
@@ -109,6 +128,10 @@ class AccessSync {
 
   /// Sets `bit` of `file` in `state` and returns true, unless it was set.
   bool beginVisit(NodeState& state, FileId file, std::uint8_t bit);
+  /// Whether `bit` of `file` is set in `state` (beginVisit would return
+  /// false).
+  [[nodiscard]] bool visited(const NodeState& state, FileId file,
+                             std::uint8_t bit) const;
 
   const InternetServices& internet_;
   Config config_;

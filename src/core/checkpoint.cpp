@@ -254,6 +254,10 @@ void Engine::restoreCheckpoint(const std::string& path) {
         ") does not match the checkpoint clock (t=" +
         std::to_string(parsed.info.clock) + ")");
   }
+  // Every publish at or before the clock ran before the save (a publish
+  // precedes the other events of its instant), so the run being resumed
+  // had evented, or would have, every file expiry up to the last of them.
+  expiryScanFloor_ = lastPublishAtOrBefore(sim_.now());
 }
 
 }  // namespace hdtn::core

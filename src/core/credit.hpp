@@ -9,7 +9,7 @@
 // credit, so contributors get served earlier.
 #pragma once
 
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/util/serialize.hpp"
@@ -43,12 +43,18 @@ class CreditLedger {
   /// (peer, credit) pairs sorted by credit descending, peer ascending.
   [[nodiscard]] std::vector<std::pair<NodeId, double>> ranking() const;
 
-  /// Checkpoints all credits (peer-id ascending for deterministic bytes).
+  /// Checkpoints all credits, peer-id ascending.
   void saveState(Serializer& out) const;
+  /// Throws SerializeError on a peer id that repeats or descends.
   void loadState(Deserializer& in);
 
  private:
-  std::unordered_map<NodeId, double> credits_;
+  /// The credit entry of `peer`, inserted at 0 when unknown.
+  double& entry(NodeId peer);
+
+  /// (peer, credit), ascending peer: a node credits a handful of peers, so
+  /// a binary search over one small vector beats a hash map per node.
+  std::vector<std::pair<NodeId, double>> credits_;
 };
 
 }  // namespace hdtn::core

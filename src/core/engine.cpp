@@ -209,6 +209,13 @@ void Engine::schedulePublications() {
   }
 }
 
+SimTime Engine::lastPublishAtOrBefore(SimTime t) const {
+  const SimTime end = std::max(trace_.endTime(), publishHorizon_);
+  const SimTime last = std::min(t, end - 1);
+  if (last < kDailyPublishHour) return 0;
+  return kDailyPublishHour + (last - kDailyPublishHour) / kDay * kDay;
+}
+
 void Engine::scheduleChurnEvents() {
   // Churn transitions are observational events (isDown() reads the
   // precomputed interval table, not these), scheduled last so same-instant
@@ -343,11 +350,12 @@ void Engine::publishDay(SimTime now) {
   // alive set only changes at publish instants, so this scan misses
   // nothing). Skipped entirely when nobody listens.
   if (observer_ != nullptr) {
+    const SimTime scannedUpTo = std::max(expiryScanUpTo_, expiryScanFloor_);
     for (FileId id : internet_.catalog().allFiles()) {
       const FileInfo* info = internet_.catalog().find(id);
       if (info == nullptr) continue;
       const SimTime expiry = info->expiresAt();
-      if (expiry > expiryScanUpTo_ && expiry <= now) {
+      if (expiry > scannedUpTo && expiry <= now) {
         obs::SimEvent event;
         event.type = obs::SimEventType::kFileExpired;
         event.time = expiry;
@@ -1807,7 +1815,8 @@ void Engine::loadComponentState(Deserializer& in, std::uint32_t version) {
   // are re-shared the same way: one per file again. Every file's query is
   // seeded first, so a v5 stored proxied query, saved as its text, finds
   // its object even when the node that owns the query loads after the node
-  // that stored it.
+  // that stored it; the access sync's search cache finds its texts' objects
+  // the same way.
   const FileCatalog& catalog = internet_.catalog();
   MetadataInterner records;
   QueryInterner queries;
@@ -1821,7 +1830,7 @@ void Engine::loadComponentState(Deserializer& in, std::uint32_t version) {
   for (Node& member : nodes_) member.loadState(in, refs);
 
   access_.reset();
-  if (in.boolean()) accessSync().loadState(in, nodes_.size());
+  if (in.boolean()) accessSync().loadState(in, nodes_.size(), queries);
 }
 
 EngineResult runSimulation(const trace::ContactTrace& trace,

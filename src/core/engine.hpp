@@ -375,7 +375,9 @@ class Engine : private AccessSync::Host {
   /// Restores the state saved by saveCheckpoint into this engine, which
   /// must be freshly constructed (same trace and params, not yet stepped,
   /// no observer attached — attach sinks after restoring). Finishing the
-  /// restored run is byte-identical to the uninterrupted run. Throws
+  /// restored run is byte-identical to the uninterrupted run; an observer
+  /// attached after the restore sees the events an uninterrupted observed
+  /// run emits after the restored clock, file expiries included. Throws
   /// CheckpointError on a corrupt, truncated, version-mismatched, or
   /// configuration-mismatched file — the engine is only mutated after the
   /// payload checksum and the configuration fingerprint both verify.
@@ -435,6 +437,8 @@ class Engine : private AccessSync::Host {
   void ensureScheduled();
   /// Daily 2 PM publication events through max(trace end, publish horizon).
   void schedulePublications();
+  /// The last publication instant at or before `t`; 0 before the first.
+  [[nodiscard]] SimTime lastPublishAtOrBefore(SimTime t) const;
   /// Churn transition observation events (no-op without a fault plan).
   void scheduleChurnEvents();
   void throwIfFinished(const char* what) const;
@@ -590,8 +594,13 @@ class Engine : private AccessSync::Host {
   DownloadScratch downloadScratch_;
   sim::Simulator sim_;
   obs::EngineObserver* observer_ = nullptr;
-  /// Files whose expiry was already evented (advanced at publish instants).
+  /// Files whose expiry was already evented (advanced at publish instants
+  /// while an observer listens; checkpointed).
   SimTime expiryScanUpTo_ = 0;
+  /// A restore's last publish instant at or before the restored clock: the
+  /// run it resumes evented every expiry up to there. Not checkpointed, so
+  /// a save writes what the uninterrupted run would.
+  SimTime expiryScanFloor_ = 0;
   /// Independent publication stream; engaged by usePublishStream (sharded
   /// runs share one publish seed across every component engine).
   Rng publishRng_{0};

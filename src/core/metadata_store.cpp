@@ -122,7 +122,13 @@ std::size_t MetadataStore::expire(SimTime now) {
     earliestExpiry_ = std::min(earliestExpiry_, e.md->expiresAt());
     return false;
   });
-  if (dropped > 0) ++generation_;
+  if (dropped > 0) {
+    ++generation_;
+    // A store keeps its busiest day's capacity otherwise.
+    if (entries_.capacity() > 2 * entries_.size() + 8) {
+      entries_.shrink_to_fit();
+    }
+  }
   return dropped;
 }
 

@@ -111,6 +111,8 @@ class MetadataStore {
 
   /// Drops records whose TTL has elapsed at `now`. Returns number dropped.
   /// Returns without scanning while `now` is before the expiry watermark.
+  /// After a drop that leaves the capacity above twice the size plus 8,
+  /// the entries move to an exact-size vector.
   std::size_t expire(SimTime now);
 
   void remove(FileId file);

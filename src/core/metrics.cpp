@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <string>
 
 namespace hdtn::core {
 namespace {
@@ -22,23 +23,22 @@ constexpr std::uint64_t kTagMask = 0xFFFFFFFF00000000ULL;
 }  // namespace
 
 void MetricsCollector::placeInIndex(std::size_t record) {
-  const QueryRecord& r = records_[record];
-  const std::uint64_t hash = keyHash(r.owner, r.target);
+  const Stored& r = at(record);
+  const std::uint64_t hash = keyHash(NodeId(r.owner), FileId(r.target));
   std::size_t pos = hash & (index_.size() - 1);
   while (index_[pos] != 0) pos = (pos + 1) & (index_.size() - 1);
   index_[pos] = (hash & kTagMask) | (record + 1);
 }
 
 void MetricsCollector::indexLastRecord() {
-  if (records_.size() * 2 <= index_.size()) {
-    placeInIndex(records_.size() - 1);
+  if (count_ * 2 <= index_.size()) {
+    placeInIndex(count_ - 1);
     return;
   }
   // Grow to double size and re-place every record in order, so records of
   // one key keep their insertion order along the probe sequence.
-  index_.assign(std::max<std::size_t>(16, std::bit_ceil(records_.size() * 2)),
-                0);
-  for (std::size_t i = 0; i < records_.size(); ++i) placeInIndex(i);
+  index_.assign(std::max<std::size_t>(16, std::bit_ceil(count_ * 2)), 0);
+  for (std::size_t i = 0; i < count_; ++i) placeInIndex(i);
 }
 
 template <typename Fn>
@@ -48,67 +48,88 @@ void MetricsCollector::forEachRecordOf(NodeId owner, FileId target, Fn&& fn) {
   for (std::size_t pos = hash & (index_.size() - 1); index_[pos] != 0;
        pos = (pos + 1) & (index_.size() - 1)) {
     if ((index_[pos] & kTagMask) != (hash & kTagMask)) continue;
-    QueryRecord& r = records_[(index_[pos] & ~kTagMask) - 1];
-    if (r.owner == owner && r.target == target) fn(r);
+    const std::size_t record = (index_[pos] & ~kTagMask) - 1;
+    const Stored& r = at(record);
+    if (r.owner == owner.value && r.target == target.value) {
+      fn(QueryId(static_cast<std::uint32_t>(record)));
+    }
   }
+}
+
+void MetricsCollector::append(const Stored& record) {
+  if (count_ == chunks_.size() * kChunkRecords) {
+    chunks_.push_back(std::make_unique_for_overwrite<Stored[]>(kChunkRecords));
+  }
+  at(count_++) = record;
+  indexLastRecord();
 }
 
 QueryId MetricsCollector::registerQuery(NodeId owner, FileId target,
                                         SimTime issuedAt, Duration ttl,
                                         bool ownerIsAccess,
                                         bool ownerIsFreeRider) {
-  QueryRecord r;
-  r.id = QueryId(static_cast<std::uint32_t>(records_.size()));
-  r.owner = owner;
-  r.target = target;
-  r.issuedAt = issuedAt;
-  r.ttl = ttl;
-  r.ownerIsAccess = ownerIsAccess;
-  r.ownerIsFreeRider = ownerIsFreeRider;
-  records_.push_back(r);
-  indexLastRecord();
-  return records_.back().id;
+  const QueryId id(static_cast<std::uint32_t>(count_));
+  append({.owner = owner.value,
+          .target = target.value,
+          .issuedAt = issuedAt,
+          .ttl = ttl,
+          .metadataAt = kNever,
+          .fileAt = kNever,
+          .ownerIsAccess = ownerIsAccess,
+          .ownerIsFreeRider = ownerIsFreeRider});
+  return id;
 }
 
 void MetricsCollector::markMetadataDelivered(QueryId id, SimTime when) {
-  assert(id.value < records_.size());
-  QueryRecord& r = records_[id.value];
-  if (r.metadataAt || when >= r.expiresAt() || when < r.issuedAt) return;
+  assert(id.value < count_);
+  Stored& r = at(id.value);
+  if (r.metadataAt != kNever || when >= r.expiresAt() || when < r.issuedAt) {
+    return;
+  }
   r.metadataAt = when;
 }
 
 void MetricsCollector::markFileDelivered(QueryId id, SimTime when) {
-  assert(id.value < records_.size());
-  QueryRecord& r = records_[id.value];
-  if (r.fileAt || when >= r.expiresAt() || when < r.issuedAt) return;
+  assert(id.value < count_);
+  Stored& r = at(id.value);
+  if (r.fileAt != kNever || when >= r.expiresAt() || when < r.issuedAt) {
+    return;
+  }
   r.fileAt = when;
   // Holding the complete file subsumes knowing its metadata (relevant for
   // MBT-QM, where no explicit metadata circulates).
-  if (!r.metadataAt) r.metadataAt = when;
+  if (r.metadataAt == kNever) r.metadataAt = when;
 }
 
 void MetricsCollector::onNodeGotMetadata(NodeId owner, FileId target,
                                          SimTime when) {
-  forEachRecordOf(owner, target, [&](const QueryRecord& r) {
-    markMetadataDelivered(r.id, when);
-  });
+  forEachRecordOf(owner, target,
+                  [&](QueryId id) { markMetadataDelivered(id, when); });
 }
 
 void MetricsCollector::onNodeCompletedFile(NodeId owner, FileId target,
                                            SimTime when) {
-  forEachRecordOf(owner, target, [&](const QueryRecord& r) {
-    markFileDelivered(r.id, when);
-  });
+  forEachRecordOf(owner, target,
+                  [&](QueryId id) { markFileDelivered(id, when); });
 }
 
-const MetricsCollector::QueryRecord& MetricsCollector::record(
-    QueryId id) const {
-  assert(id.value < records_.size());
-  return records_[id.value];
+MetricsCollector::QueryRecord MetricsCollector::record(QueryId id) const {
+  assert(id.value < count_);
+  const Stored& r = at(id.value);
+  QueryRecord out;
+  out.id = id;
+  out.owner = NodeId(r.owner);
+  out.target = FileId(r.target);
+  out.issuedAt = r.issuedAt;
+  out.ttl = r.ttl;
+  out.ownerIsAccess = r.ownerIsAccess;
+  out.ownerIsFreeRider = r.ownerIsFreeRider;
+  if (r.metadataAt != kNever) out.metadataAt = r.metadataAt;
+  if (r.fileAt != kNever) out.fileAt = r.fileAt;
+  return out;
 }
 
-bool MetricsCollector::inScope(const QueryRecord& r,
-                               MetricScope scope) const {
+bool MetricsCollector::inScope(const Stored& r, MetricScope scope) {
   switch (scope) {
     case MetricScope::kNonAccess:
       return !r.ownerIsAccess;
@@ -128,16 +149,17 @@ DeliveryReport MetricsCollector::report(MetricScope scope) const {
   DeliveryReport report;
   double metadataDelaySum = 0.0;
   double fileDelaySum = 0.0;
-  for (const QueryRecord& r : records_) {
+  for (std::size_t i = 0; i < count_; ++i) {
+    const Stored& r = at(i);
     if (!inScope(r, scope)) continue;
     ++report.queries;
-    if (r.metadataAt) {
+    if (r.metadataAt != kNever) {
       ++report.metadataDelivered;
-      metadataDelaySum += static_cast<double>(*r.metadataAt - r.issuedAt);
+      metadataDelaySum += static_cast<double>(r.metadataAt - r.issuedAt);
     }
-    if (r.fileAt) {
+    if (r.fileAt != kNever) {
       ++report.filesDelivered;
-      fileDelaySum += static_cast<double>(*r.fileAt - r.issuedAt);
+      fileDelaySum += static_cast<double>(r.fileAt - r.issuedAt);
     }
   }
   if (report.queries > 0) {
@@ -158,44 +180,54 @@ DeliveryReport MetricsCollector::report(MetricScope scope) const {
 }
 
 void MetricsCollector::saveState(Serializer& out) const {
-  out.u64(records_.size());
-  for (const QueryRecord& r : records_) {
-    out.u32(r.id.value);
-    out.u32(r.owner.value);
-    out.u32(r.target.value);
+  out.u64(count_);
+  for (std::size_t i = 0; i < count_; ++i) {
+    const Stored& r = at(i);
+    out.u32(static_cast<std::uint32_t>(i));
+    out.u32(r.owner);
+    out.u32(r.target);
     out.i64(r.issuedAt);
     out.i64(r.ttl);
     out.boolean(r.ownerIsAccess);
     out.boolean(r.ownerIsFreeRider);
-    out.boolean(r.metadataAt.has_value());
-    out.i64(r.metadataAt.value_or(0));
-    out.boolean(r.fileAt.has_value());
-    out.i64(r.fileAt.value_or(0));
+    out.boolean(r.metadataAt != kNever);
+    out.i64(r.metadataAt != kNever ? r.metadataAt : 0);
+    out.boolean(r.fileAt != kNever);
+    out.i64(r.fileAt != kNever ? r.fileAt : 0);
   }
 }
 
 void MetricsCollector::loadState(Deserializer& in) {
-  records_.clear();
+  chunks_.clear();
+  count_ = 0;
   index_.clear();
+  // A delivery time, when present, is any value but the "never" marker.
+  const auto time = [](bool present, SimTime value) {
+    if (present && value == kNever) {
+      throw SerializeError("MetricsCollector: delivery time out of range");
+    }
+    return present ? value : kNever;
+  };
   const std::size_t count = in.length();
-  records_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    QueryRecord r;
-    r.id = QueryId{in.u32()};
-    r.owner = NodeId{in.u32()};
-    r.target = FileId{in.u32()};
+    // The id is the record's position; saveState writes nothing else.
+    const std::uint32_t id = in.u32();
+    if (id != i) {
+      throw SerializeError("MetricsCollector: record " + std::to_string(i) +
+                           " carries id " + std::to_string(id));
+    }
+    Stored r{};
+    r.owner = in.u32();
+    r.target = in.u32();
     r.issuedAt = in.i64();
     r.ttl = in.i64();
     r.ownerIsAccess = in.boolean();
     r.ownerIsFreeRider = in.boolean();
     const bool hasMetadataAt = in.boolean();
-    const SimTime metadataAt = in.i64();
-    if (hasMetadataAt) r.metadataAt = metadataAt;
+    r.metadataAt = time(hasMetadataAt, in.i64());
     const bool hasFileAt = in.boolean();
-    const SimTime fileAt = in.i64();
-    if (hasFileAt) r.fileAt = fileAt;
-    records_.push_back(r);
-    indexLastRecord();
+    r.fileAt = time(hasFileAt, in.i64());
+    append(r);
   }
 }
 

@@ -7,6 +7,9 @@
 // metadata / complete file reached the owner.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -37,6 +40,7 @@ struct DeliveryReport {
 
 class MetricsCollector {
  public:
+  /// One query's accounting, as record() reports it.
   struct QueryRecord {
     QueryId id;
     NodeId owner;
@@ -65,34 +69,66 @@ class MetricsCollector {
   void onNodeGotMetadata(NodeId owner, FileId target, SimTime when);
   void onNodeCompletedFile(NodeId owner, FileId target, SimTime when);
 
-  [[nodiscard]] std::size_t queryCount() const { return records_.size(); }
-  [[nodiscard]] const QueryRecord& record(QueryId id) const;
-  [[nodiscard]] const std::vector<QueryRecord>& records() const {
-    return records_;
-  }
+  [[nodiscard]] std::size_t queryCount() const { return count_; }
+  /// The record of query `id` (ids run from 0 to queryCount() - 1).
+  [[nodiscard]] QueryRecord record(QueryId id) const;
 
   [[nodiscard]] DeliveryReport report(MetricScope scope) const;
 
   /// Checkpoints every query record; the (owner, target) index is rebuilt
   /// on load.
   void saveState(Serializer& out) const;
+  /// Throws SerializeError on a record whose id is not its position, or
+  /// whose delivery time is the collector's "never" value.
   void loadState(Deserializer& in);
 
- private:
-  [[nodiscard]] bool inScope(const QueryRecord& r, MetricScope scope) const;
+  /// Bytes one query costs in the collector's record chunks.
+  [[nodiscard]] static constexpr std::size_t storedRecordBytes() {
+    return sizeof(Stored);
+  }
 
-  /// Appends records_.back() to the index, growing the table first when
+ private:
+  /// A query as the collector stores it: the id is its position, and an
+  /// absent delivery time is kNever. Trivial, so a new chunk is not
+  /// written until its records are.
+  struct Stored {
+    std::uint32_t owner;
+    std::uint32_t target;
+    SimTime issuedAt;
+    Duration ttl;
+    SimTime metadataAt;
+    SimTime fileAt;
+    bool ownerIsAccess;
+    bool ownerIsFreeRider;
+
+    [[nodiscard]] SimTime expiresAt() const { return issuedAt + ttl; }
+  };
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+  /// Records per chunk: growth adds a chunk, never copies one.
+  static constexpr std::size_t kChunkRecords = 4096;
+
+  [[nodiscard]] Stored& at(std::size_t i) {
+    return chunks_[i / kChunkRecords][i % kChunkRecords];
+  }
+  [[nodiscard]] const Stored& at(std::size_t i) const {
+    return chunks_[i / kChunkRecords][i % kChunkRecords];
+  }
+  /// Appends a record and indexes it.
+  void append(const Stored& record);
+  [[nodiscard]] static bool inScope(const Stored& r, MetricScope scope);
+
+  /// Appends the last record to the index, growing the table first when
   /// it would pass half full.
   void indexLastRecord();
-  /// Puts records_[record] in the first free slot of its probe sequence.
+  /// Puts record `record` in the first free slot of its probe sequence.
   void placeInIndex(std::size_t record);
-  /// Calls fn(record) for every record of (owner, target), in insertion
-  /// order.
+  /// Calls fn(id) for every record of (owner, target), in insertion order.
   template <typename Fn>
   void forEachRecordOf(NodeId owner, FileId target, Fn&& fn);
 
-  std::vector<QueryRecord> records_;
-  /// (owner, target) -> records_ index: an open-addressed table (linear
+  std::vector<std::unique_ptr<Stored[]>> chunks_;
+  std::size_t count_ = 0;
+  /// (owner, target) -> record index: an open-addressed table (linear
   /// probing, power-of-two size, at most half full) that allocates nothing
   /// per key. A slot packs the high 32 bits of the key's hash with the
   /// record index + 1 (0 = empty), so a probe rejects most other keys
@@ -100,5 +136,9 @@ class MetricsCollector {
   /// slots along the probe sequence.
   std::vector<std::uint64_t> index_;
 };
+
+static_assert(MetricsCollector::storedRecordBytes() <= 48,
+              "one record per generated query: keep it compact "
+              "(docs/PERFORMANCE.md, \"Flat node state\")");
 
 }  // namespace hdtn::core

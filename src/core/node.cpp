@@ -147,7 +147,10 @@ void Node::expire(SimTime now) {
     for (const auto& [peer, stored] : proxy_->peerQueries) {
       proxy_->oldestStamp = std::min(proxy_->oldestStamp, stored.storedAt);
     }
-    if (dropped > 0) touch();
+    if (dropped > 0) {
+      proxy_->unlist();
+      touch();
+    }
   }
   if (oldestWantStamp_ < horizon) {
     std::erase_if(peerWants_,
@@ -176,20 +179,36 @@ void Node::storePeerQueries(NodeId peer, std::span<const SharedQuery> queries,
   if (!isFrequentContact(peer)) return;
   ProxyState::StoredQueries& stored = proxy_->peerQueries[peer];
   // A peer's queries rarely change between contacts: when the objects are
-  // the ones already stored, only the stamp moves.
+  // the ones already stored, only the stamp moves, and the proxied list
+  // holds unless the old stamp had left it (or time went back).
   if (!std::ranges::equal(stored.queries, queries)) {
     stored.queries.assign(queries.begin(), queries.end());
+    proxy_->unlist();
+  } else if (!stored.queries.empty() &&
+             (now < stored.storedAt ||
+              proxy_->listedAt - stored.storedAt > cooperativeTtl_)) {
+    proxy_->unlist();
   }
   stored.storedAt = now;
   proxy_->oldestStamp = std::min(proxy_->oldestStamp, now);
   touch();
 }
 
-std::vector<const FileQuery*> Node::proxiedQueries(SimTime now) const {
-  std::vector<const FileQuery*> out;
-  if (!proxy_) return out;
-  for (const auto& [peer, stored] : proxy_->peerQueries) {
-    if (now - stored.storedAt > cooperativeTtl_) continue;
+const std::vector<const FileQuery*>& Node::proxiedQueries(SimTime now) const {
+  static const std::vector<const FileQuery*> kNone;
+  if (!proxy_) return kNone;
+  ProxyState& proxy = *proxy_;
+  if (now >= proxy.listedAt && now <= proxy.listedUntil) return proxy.list;
+  std::vector<const FileQuery*>& out = proxy.list;
+  out.clear();
+  proxy.listedAt = now;
+  proxy.listedUntil = std::numeric_limits<SimTime>::max();
+  for (const auto& [peer, stored] : proxy.peerQueries) {
+    if (now - stored.storedAt > cooperativeTtl_ || stored.queries.empty()) {
+      continue;
+    }
+    proxy.listedUntil =
+        std::min(proxy.listedUntil, stored.storedAt + cooperativeTtl_);
     for (const SharedQuery& query : stored.queries) out.push_back(query.get());
   }
   // Peers asking for one file share its object: drop repeated objects
@@ -386,6 +405,7 @@ void Node::loadState(Deserializer& in, StateRefReader& refs) {
   if (proxy_) {
     proxy_->peerQueries.clear();
     proxy_->oldestStamp = kNoStamp;
+    proxy_->unlist();
   }
   const std::size_t storedCount = in.length();
   for (std::size_t i = 0; i < storedCount; ++i) {
@@ -558,7 +578,7 @@ const std::vector<const FileQuery*>& ContactViews::contactQueries(
   if (!includeProxied) return own;
   return refreshed(s.combined, node, now, [&] {
     std::vector<const FileQuery*> queries = own;
-    const std::vector<const FileQuery*> proxied = node.proxiedQueries(now);
+    const std::vector<const FileQuery*>& proxied = node.proxiedQueries(now);
     queries.insert(queries.end(), proxied.begin(), proxied.end());
     return queries;
   });

@@ -196,8 +196,11 @@ class Node {
 
   /// Stored frequent-contact queries still fresh at `now`, one per distinct
   /// text, in text order. ContactViews::contactQueries caches them per
-  /// contact, after the node's own.
-  [[nodiscard]] std::vector<const FileQuery*> proxiedQueries(
+  /// contact, after the node's own. The node keeps the list until the set
+  /// of stored objects changes or a listed peer's stamp passes the TTL, so
+  /// restamping the same queries rebuilds nothing. Valid until the next
+  /// call on this node.
+  [[nodiscard]] const std::vector<const FileQuery*>& proxiedQueries(
       SimTime now) const;
 
   /// The texts of proxiedQueries(now).
@@ -217,6 +220,18 @@ class Node {
 
   /// Files peers want that are still fresh at `now`, ascending id.
   [[nodiscard]] std::vector<FileId> peerWantedFiles(SimTime now) const;
+
+  /// Whether pred(file) holds for every file of peerWantedFiles(now),
+  /// without building that list.
+  template <typename Pred>
+  [[nodiscard]] bool allPeerWantedFiles(SimTime now, Pred&& pred) const {
+    for (const PeerWant& want : peerWants_) {
+      if (now - want.stamp <= cooperativeTtl_ && !pred(want.file)) {
+        return false;
+      }
+    }
+    return true;
+  }
 
   /// The URIs of peerWantedFiles(now), sorted.
   [[nodiscard]] std::vector<Uri> peerWantedUris(SimTime now) const;
@@ -289,6 +304,14 @@ class Node {
     /// Lower bound on the oldest peerQueries stamp (kNoStamp when empty);
     /// see oldestWantStamp_.
     SimTime oldestStamp = kNoStamp;
+    /// proxiedQueries() as built at `listedAt`. It answers for every `now`
+    /// from then to `listedUntil`, the last instant all listed peers are
+    /// fresh, while no stored object set changes (unlist()).
+    std::vector<const FileQuery*> list;
+    SimTime listedAt = 0;
+    SimTime listedUntil = std::numeric_limits<SimTime>::min();
+
+    void unlist() { listedUntil = std::numeric_limits<SimTime>::min(); }
   };
 
   NodeId id_;

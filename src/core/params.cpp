@@ -790,6 +790,18 @@ std::vector<std::string> TraceSpec::validate() const {
   if (family == "rwp" && (nodes < 2 || hours <= 0.0)) {
     errors.push_back("rwp trace needs >= 2 nodes and positive hours");
   }
+  // The rwp generator buckets positions into grid cells one radio range
+  // wide, indexed (with the neighbouring cell) by int.
+  if (family == "rwp" && radioRange > 0.0 && fieldSize > 0.0 &&
+      fieldSize / radioRange >=
+          static_cast<double>(std::numeric_limits<int>::max())) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "got %g / %g", fieldSize, radioRange);
+    errors.push_back(
+        "rwp trace needs trace-field / trace-range below 2147483647 (the "
+        "contact grid indexes its cells by int), " +
+        std::string(buf));
+  }
   return errors;
 }
 

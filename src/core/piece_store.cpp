@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <limits>
 
 namespace hdtn::core {
 
 std::uint32_t PieceStore::allocWords(std::uint32_t words) {
-  auto freeIt = freeBlocks_.find(words);
-  if (freeIt != freeBlocks_.end() && !freeIt->second.empty()) {
-    const std::uint32_t offset = freeIt->second.back();
-    freeIt->second.pop_back();
+  // The last freed span of this size (LIFO, as per-size lists would be).
+  const auto freed = std::find_if(
+      freeBlocks_.rbegin(), freeBlocks_.rend(),
+      [words](const FreeBlock& block) { return block.words == words; });
+  if (freed != freeBlocks_.rend()) {
+    const std::uint32_t offset = freed->offset;
+    freeBlocks_.erase(std::next(freed).base());
     std::fill_n(arena_.begin() + offset, words, 0);
     return offset;
   }
@@ -86,7 +90,7 @@ void PieceStore::removeFile(FileId file) {
   const Entry* e = find(file);
   if (e == nullptr) return;
   totalHeld_ -= e->held;
-  freeBlocks_[wordsFor(e->pieces)].push_back(e->word);
+  freeBlocks_.push_back({wordsFor(e->pieces), e->word});
   entries_.erase(entries_.begin() + (e - entries_.data()));
 }
 

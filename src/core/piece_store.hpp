@@ -10,18 +10,17 @@
 // lookup is a binary search and files() is a view over the entries
 // themselves. Bitmaps live in one per-store word arena instead of a heap
 // allocation per file. Each registered file owns a span of 64-bit words;
-// removeFile returns the span to a size-keyed free list and registerFile
-// reuses it, so a store that churns files (TTL expiry every contact)
-// settles into a fixed arena with no steady-state allocation. At city scale
-// this is the difference between one contiguous block per node and millions
-// of scattered vector<bool> headers.
+// removeFile returns the span to a free list and registerFile reuses a
+// freed span of the exact size, so a store that churns files (TTL expiry
+// every contact) settles into a fixed arena with no steady-state
+// allocation. At city scale this is the difference between one contiguous
+// block per node and millions of scattered vector<bool> headers.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <optional>
 #include <ranges>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -156,8 +155,14 @@ class PieceStore {
 
   std::vector<Entry> entries_;  ///< file-id ascending
   std::vector<std::uint64_t> arena_;
-  /// word-length -> reusable arena offsets (LIFO; deterministic reuse).
-  std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> freeBlocks_;
+  /// Freed arena spans as (words, offset), in the order they were freed.
+  /// A store frees a few spans of one or two sizes, so one vector beats a
+  /// map of per-size lists.
+  struct FreeBlock {
+    std::uint32_t words = 0;
+    std::uint32_t offset = 0;
+  };
+  std::vector<FreeBlock> freeBlocks_;
   std::size_t totalHeld_ = 0;
   std::uint64_t nextSeq_ = 1;
   std::optional<std::size_t> capacity_;

@@ -41,8 +41,9 @@ struct Query {
 /// `canonicalQueryText(info)` for every query of a file at its publish
 /// instant, so it builds one immutable object per file and every node's
 /// query state shares it (like a pending-interest entry that one name keeps
-/// however many consumers ask for it).
-struct FileQuery {
+/// however many consumers ask for it). Objects are made shared
+/// (SharedQuery), so a holder of a plain pointer can share one too.
+struct FileQuery : std::enable_shared_from_this<FileQuery> {
   FileQuery(std::string text, FileId target, SimTime issuedAt, Duration ttl);
   /// A query known by its text alone (a restored stored peer query no
   /// catalog query shares, or hand-built): no target, issue time or TTL.

@@ -382,7 +382,8 @@ void ShardedEngine::runUntil(SimTime horizon) {
         c.engine->feedContact(contact);
         ++c.contactsFed;
       }
-      c.feedBucket.clear();
+      // Release the bucket: an epoch's pull can be the whole stream.
+      std::vector<trace::Contact>().swap(c.feedBucket);
       c.engine->runUntil(horizon);
     }
   });
@@ -400,7 +401,8 @@ EngineResult ShardedEngine::finish() {
         c.engine->feedContact(contact);
         ++c.contactsFed;
       }
-      c.feedBucket.clear();
+      // Release the bucket: an epoch's pull can be the whole stream.
+      std::vector<trace::Contact>().swap(c.feedBucket);
       results[ci] = c.engine->finish();
     }
   });

@@ -24,8 +24,9 @@
 //   * streaming — constructed from a trace::ContactStream; contacts are
 //     pulled in global start order up to each runUntil horizon and fed to
 //     their component (Engine feed mode). run() and finish() pull the whole
-//     remaining stream before any component steps, so they hold every
-//     remaining contact at once; runUntil slices bound that. Feed mode
+//     remaining stream before any component steps; a component releases
+//     its contacts once it has fed them, so they leave memory as node state
+//     grows (runUntil slices bound them further). Feed mode
 //     limitations (see Engine::beginFeed): empty frequent-contact relation
 //     and empty churn intervals.
 //
@@ -160,7 +161,8 @@ class ShardedEngine {
     std::unique_ptr<Engine> engine;
     /// Contacts fed so far (streaming mode; checkpoint verification).
     std::uint64_t contactsFed = 0;
-    /// Contacts pulled for the current epoch, awaiting the parallel feed.
+    /// Contacts pulled for the current epoch, awaiting the parallel feed;
+    /// its storage is released once they are fed.
     std::vector<trace::Contact> feedBucket;
   };
 

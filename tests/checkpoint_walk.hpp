@@ -1,5 +1,6 @@
 // Walks the payload of a v6 engine checkpoint and records where each
-// value reference and peer want sits, so tests can hand-edit a file at a
+// value reference, peer want, credit peer and metrics record id sits, so
+// tests can hand-edit a file at a
 // known place (docs/CHECKPOINT.md, "Value references"). The walk covers
 // engines whose fault plan, recovery, adversary, reputation and coded
 // state are all off.
@@ -13,11 +14,9 @@
 #include <string_view>
 #include <vector>
 
-#include "src/core/credit.hpp"
 #include "src/core/engine.hpp"
 #include "src/core/internet.hpp"
 #include "src/core/metadata.hpp"
-#include "src/core/metrics.hpp"
 #include "src/core/piece_store.hpp"
 #include "src/util/serialize.hpp"
 #include "src/util/sha1.hpp"
@@ -41,6 +40,10 @@ struct PayloadLayout {
   std::vector<RefAt> queries;  ///< own and stored proxied queries
   /// The file id offset of each peer want, per node.
   std::vector<std::vector<std::size_t>> wantAt;
+  /// The peer id offset of each credit ledger entry, per node.
+  std::vector<std::vector<std::size_t>> creditPeerAt;
+  /// The id offset of each metrics record.
+  std::vector<std::size_t> metricIdAt;
 };
 
 inline PayloadLayout walkV6Payload(std::string_view payload) {
@@ -68,8 +71,21 @@ inline PayloadLayout walkV6Payload(std::string_view payload) {
   }
   InternetServices internet;
   internet.loadState(in);
-  MetricsCollector metrics;
-  metrics.loadState(in);
+  const std::uint64_t metricRecords = in.u64();
+  for (std::uint64_t i = 0; i < metricRecords; ++i) {
+    layout.metricIdAt.push_back(at());
+    (void)in.u32();      // id
+    (void)in.u32();      // owner
+    (void)in.u32();      // target
+    (void)in.i64();      // issue time
+    (void)in.i64();      // TTL
+    (void)in.boolean();  // owner is access
+    (void)in.boolean();  // owner is a free rider
+    (void)in.boolean();  // metadata delivered
+    (void)in.i64();
+    (void)in.boolean();  // file delivered
+    (void)in.i64();
+  }
 
   std::size_t recordTable = 0;
   std::size_t queryTable = 0;
@@ -106,8 +122,13 @@ inline PayloadLayout walkV6Payload(std::string_view payload) {
     (void)in.u64();  // next sequence
     PieceStore pieces;
     pieces.loadState(in);
-    CreditLedger credits;
-    credits.loadState(in);
+    layout.creditPeerAt.emplace_back();
+    const std::uint64_t credits = in.u64();
+    for (std::uint64_t i = 0; i < credits; ++i) {
+      layout.creditPeerAt.back().push_back(at());
+      (void)in.u32();  // peer
+      (void)in.f64();  // credit
+    }
     const std::uint64_t own = in.u64();
     for (std::uint64_t i = 0; i < own; ++i) {
       (void)in.u32();  // query id

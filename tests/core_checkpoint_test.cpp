@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/coding.hpp"
@@ -371,6 +372,60 @@ TEST(Checkpoint, ResumesMidAttackByteIdentical) {
   EXPECT_EQ(result.totals.nodesReleased, full.result.totals.nodesReleased);
   EXPECT_EQ(result.totals.falseQuarantines,
             full.result.totals.falseQuarantines);
+}
+
+// Records the (expiry time, file) of every file_expired event.
+class ExpiryLog final : public obs::EngineObserver {
+ public:
+  void onEvent(const obs::SimEvent& event) override {
+    if (event.type == obs::SimEventType::kFileExpired) {
+      events.emplace_back(event.time, event.file.value);
+    }
+  }
+  std::vector<std::pair<SimTime, std::uint32_t>> events;
+};
+
+// A run saved without an observer and finished with one reports the file
+// expiries the uninterrupted observed run reports after the save point, and
+// none it reported before: the saved expiry watermark moves only while an
+// observer listens, so the restore starts the scan at the last publish.
+TEST(Checkpoint, ResumedRunReportsOnlyLaterFileExpiries) {
+  trace::NusParams tp;
+  tp.students = 40;
+  tp.courses = 8;
+  tp.coursesPerStudent = 2;
+  tp.days = 7;
+  tp.seed = 3;
+  const trace::ContactTrace trace = trace::generateNus(tp);
+  EngineParams params = paramsFor(ProtocolKind::kMbt, false);
+  params.fileTtlDays = 1;
+  params.seed = 3;
+  const SimTime saveAt = trace.endTime() * 2 / 3;
+
+  ExpiryLog full;
+  Engine observed(trace, params);
+  observed.setObserver(&full);
+  observed.runUntil(saveAt);
+  const std::size_t beforeSave = full.events.size();
+  observed.finish();
+  ASSERT_GT(beforeSave, 0u);
+  ASSERT_GT(full.events.size(), beforeSave);
+
+  const std::string path = ckptPath("expiry_resume");
+  {
+    Engine unobserved(trace, params);
+    unobserved.runUntil(saveAt);
+    unobserved.saveCheckpoint(path);
+  }
+  Engine restored(trace, params);
+  restored.restoreCheckpoint(path);
+  ExpiryLog resumed;
+  restored.setObserver(&resumed);
+  restored.finish();
+  const std::vector<std::pair<SimTime, std::uint32_t>> afterSave(
+      full.events.begin() + static_cast<std::ptrdiff_t>(beforeSave),
+      full.events.end());
+  EXPECT_EQ(resumed.events, afterSave);
 }
 
 TEST(Checkpoint, FileBytesAreDeterministic) {

@@ -404,6 +404,52 @@ TEST_F(CheckpointV6Edits, RejectsWantsOutOfIdOrder) {
   FAIL() << "no node holds two peer wants";
 }
 
+// Swaps the u32 values at two payload offsets.
+void swapU32(std::string& bytes, std::size_t a, std::size_t b) {
+  const std::uint32_t first =
+      testutil::readU32At(bytes, testutil::kCheckpointHeaderBytes + a);
+  const std::uint32_t second =
+      testutil::readU32At(bytes, testutil::kCheckpointHeaderBytes + b);
+  testutil::writeU32At(bytes, testutil::kCheckpointHeaderBytes + a, second);
+  testutil::writeU32At(bytes, testutil::kCheckpointHeaderBytes + b, first);
+}
+
+// The first node's ledger that credits two peers or more.
+const std::vector<std::size_t>* twoCreditPeers(
+    const testutil::PayloadLayout& layout) {
+  for (const std::vector<std::size_t>& peers : layout.creditPeerAt) {
+    if (peers.size() >= 2) return &peers;
+  }
+  ADD_FAILURE() << "no node credits two peers";
+  return nullptr;
+}
+
+TEST_F(CheckpointV6Edits, RejectsRepeatedCreditPeer) {
+  const std::vector<std::size_t>* peers = twoCreditPeers(layout_);
+  ASSERT_NE(peers, nullptr);
+  std::string bytes = bytes_;
+  testutil::writeU32At(
+      bytes, testutil::kCheckpointHeaderBytes + (*peers)[1],
+      testutil::readU32At(bytes,
+                          testutil::kCheckpointHeaderBytes + (*peers)[0]));
+  expectRestoreThrows(bytes, "peer ids not strictly ascending");
+}
+
+TEST_F(CheckpointV6Edits, RejectsDescendingCreditPeers) {
+  const std::vector<std::size_t>* peers = twoCreditPeers(layout_);
+  ASSERT_NE(peers, nullptr);
+  std::string bytes = bytes_;
+  swapU32(bytes, (*peers)[0], (*peers)[1]);
+  expectRestoreThrows(bytes, "peer ids not strictly ascending");
+}
+
+TEST_F(CheckpointV6Edits, RejectsMetricsRecordIdThatIsNotItsIndex) {
+  ASSERT_GE(layout_.metricIdAt.size(), 2u);
+  std::string bytes = bytes_;
+  swapU32(bytes, layout_.metricIdAt[0], layout_.metricIdAt[1]);
+  expectRestoreThrows(bytes, "record 0 carries id 1");
+}
+
 TEST_F(CheckpointV6Edits, RejectsTruncatedInlineRecord) {
   // The payload ends halfway through the last record written in full; the
   // header's payload size follows the cut, so the envelope verifies.

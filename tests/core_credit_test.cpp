@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/util/random.hpp"
+#include "src/util/serialize.hpp"
+#include "tests/reference_oracles.hpp"
+
 namespace hdtn::core {
 namespace {
 
@@ -67,6 +73,105 @@ TEST(CreditLedger, ContributorOutranksFreeRider) {
   ledger.onReceivedRequested(NodeId(1));           // contributor
   ledger.onReceivedUnrequested(NodeId(2), 0.05);   // barely contributes
   EXPECT_GT(ledger.credit(NodeId(1)), ledger.credit(NodeId(2)));
+}
+
+template <typename Ledger>
+std::string ledgerBytes(const Ledger& ledger) {
+  Serializer out;
+  ledger.saveState(out);
+  return out.bytes();
+}
+
+// The sorted-vector ledger against the hash-map one it replaced, over
+// random operation sequences: every query and the checkpoint bytes agree
+// after each step, and a save restores to the same bytes.
+TEST(CreditLedger, MatchesHashMapReferenceOnRandomSequences) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    CreditLedger ledger;
+    CreditLedgerReference reference;
+    const auto peers = static_cast<std::uint32_t>(rng.uniformInt(1, 60));
+    for (int step = 0; step < 400; ++step) {
+      const NodeId peer(static_cast<std::uint32_t>(rng.uniformInt(0, peers)));
+      switch (rng.uniformInt(0, 4)) {
+        case 0:
+          ledger.onReceivedRequested(peer);
+          reference.onReceivedRequested(peer);
+          break;
+        case 1: {
+          const double popularity = rng.uniform();
+          ledger.onReceivedUnrequested(peer, popularity);
+          reference.onReceivedUnrequested(peer, popularity);
+          break;
+        }
+        case 2: {
+          const double delta = rng.uniform() * 10.0 - 5.0;
+          ledger.addCredit(peer, delta);
+          reference.addCredit(peer, delta);
+          break;
+        }
+        case 3: {
+          const double factor = rng.uniform();
+          ledger.decay(factor);
+          reference.decay(factor);
+          break;
+        }
+        default: {
+          // A restore of the current state continues identically.
+          Serializer out;
+          ledger.saveState(out);
+          Deserializer in(out.bytes());
+          CreditLedger restored;
+          restored.loadState(in);
+          ledger = restored;
+          break;
+        }
+      }
+      ASSERT_EQ(ledger.credit(peer), reference.credit(peer))
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(ledger.knownPeers(), reference.knownPeers());
+      ASSERT_EQ(ledger.ranking(), reference.ranking())
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(ledgerBytes(ledger), ledgerBytes(reference))
+          << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+// A ledger section with (peer, credit) entries as given.
+std::string ledgerSection(
+    const std::vector<std::pair<std::uint32_t, double>>& entries) {
+  Serializer out;
+  out.u64(entries.size());
+  for (const auto& [peer, credit] : entries) {
+    out.u32(peer);
+    out.f64(credit);
+  }
+  return out.bytes();
+}
+
+TEST(CreditLedger, LoadStateAcceptsAscendingPeers) {
+  const std::string bytes = ledgerSection({{2, 1.5}, {7, 5.0}});
+  Deserializer in(bytes);
+  CreditLedger ledger;
+  ledger.loadState(in);
+  EXPECT_EQ(ledger.credit(NodeId(2)), 1.5);
+  EXPECT_EQ(ledger.credit(NodeId(7)), 5.0);
+  EXPECT_EQ(ledgerBytes(ledger), bytes);
+}
+
+TEST(CreditLedger, LoadStateRejectsRepeatedPeer) {
+  const std::string bytes = ledgerSection({{2, 1.5}, {2, 5.0}});
+  Deserializer in(bytes);
+  CreditLedger ledger;
+  EXPECT_THROW(ledger.loadState(in), SerializeError);
+}
+
+TEST(CreditLedger, LoadStateRejectsDescendingPeers) {
+  const std::string bytes = ledgerSection({{7, 1.5}, {2, 5.0}});
+  Deserializer in(bytes);
+  CreditLedger ledger;
+  EXPECT_THROW(ledger.loadState(in), SerializeError);
 }
 
 }  // namespace

@@ -198,7 +198,9 @@ TEST(Engine, MetadataNeverDeliveredAfterFile) {
   const auto params = baseParams(ProtocolKind::kMbt);
   Engine engine(trace, params);
   engine.run();
-  for (const auto& record : engine.metrics().records()) {
+  const MetricsCollector& metrics = engine.metrics();
+  for (std::uint32_t i = 0; i < metrics.queryCount(); ++i) {
+    const auto record = metrics.record(QueryId(i));
     if (record.fileAt.has_value()) {
       ASSERT_TRUE(record.metadataAt.has_value());
       EXPECT_LE(*record.metadataAt, *record.fileAt);

@@ -133,6 +133,52 @@ TEST(MetadataStore, ExpireAfterLoadStateSeesRestoredRecords) {
   EXPECT_TRUE(restored.empty());
 }
 
+// An expire() that drops most records moves the rest to an exact-size
+// vector. The store answers all(), byPopularity() and get() for them as it
+// did before the drop, with the same record objects, and keeps taking
+// records after it.
+TEST(MetadataStore, ShrinkOnExpireKeepsEveryAnswer) {
+  MetadataStore store;
+  Rng rng(5);
+  for (std::uint32_t id = 0; id < 200; ++id) {
+    // Every tenth record outlives the drop: 20 of 200 stay.
+    store.add(makeMetadata(id, rng.uniform(), 0, id % 10 == 0 ? 9 * kDay
+                                                              : kDay));
+  }
+  ASSERT_FALSE(store.byPopularity().empty());  // builds the cached view
+  const auto survives = [](const Metadata* md) {
+    return md->expiresAt() > kDay;
+  };
+  std::vector<const Metadata*> all;
+  for (const Metadata* md : store.all()) {
+    if (survives(md)) all.push_back(md);
+  }
+  std::vector<const Metadata*> byPopularity;
+  for (const Metadata* md : store.byPopularity()) {
+    if (survives(md)) byPopularity.push_back(md);
+  }
+  std::vector<const Metadata*> got;
+  for (std::uint32_t id = 0; id < 200; ++id) {
+    const Metadata* md = store.get(FileId(id));
+    got.push_back(survives(md) ? md : nullptr);
+  }
+
+  EXPECT_EQ(store.expire(kDay), 180u);
+  EXPECT_EQ(std::vector<const Metadata*>(store.all().begin(),
+                                         store.all().end()),
+            all);
+  const auto view = store.byPopularity();
+  EXPECT_EQ(std::vector<const Metadata*>(view.begin(), view.end()),
+            byPopularity);
+  for (std::uint32_t id = 0; id < 200; ++id) {
+    EXPECT_EQ(store.get(FileId(id)), got[id]) << id;
+  }
+
+  EXPECT_TRUE(store.add(makeMetadata(500, 0.5, kDay, kDay)));
+  EXPECT_EQ(store.size(), 21u);
+  EXPECT_EQ(store.all()[20]->file, FileId(500));
+}
+
 TEST(MetadataStore, RemoveSpecific) {
   MetadataStore store;
   store.add(makeMetadata(1, 0.5, 0, 100));

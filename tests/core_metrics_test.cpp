@@ -231,11 +231,85 @@ TEST(Metrics, OwnerTargetIndexMatchesFullScan) {
       collector->onNodeGotMetadata(visits[k].first, visits[k].second, when);
       visitedAt[visits[k]] = when;
     }
-    for (const auto& r : collector->records()) {
+    for (std::uint32_t i = 0; i < collector->queryCount(); ++i) {
+      const auto r = collector->record(QueryId(i));
       ASSERT_TRUE(r.metadataAt.has_value()) << r.id.value;
       EXPECT_EQ(*r.metadataAt, visitedAt.at({r.owner, r.target})) << r.id.value;
     }
   }
+}
+
+// One record per generated query, so a record stays small.
+static_assert(MetricsCollector::storedRecordBytes() <= 48);
+
+// Records span several chunks; every one keeps its fields, and a restore
+// writes the same bytes back.
+TEST(Metrics, RecordsAcrossChunksRoundTrip) {
+  MetricsCollector m;
+  for (std::uint32_t i = 0; i < 10000; ++i) {
+    const QueryId id = m.registerQuery(NodeId(i % 97), FileId(i % 31),
+                                       i, 1000 + i, i % 3 == 0, i % 5 == 0);
+    ASSERT_EQ(id, QueryId(i));
+    if (i % 2 == 0) m.markMetadataDelivered(id, i + 7);
+    if (i % 4 == 0) m.markFileDelivered(id, i + 9);
+  }
+  for (const std::uint32_t i : {0u, 4095u, 4096u, 8191u, 9999u}) {
+    const auto r = m.record(QueryId(i));
+    EXPECT_EQ(r.id, QueryId(i));
+    EXPECT_EQ(r.owner, NodeId(i % 97));
+    EXPECT_EQ(r.target, FileId(i % 31));
+    EXPECT_EQ(r.issuedAt, static_cast<SimTime>(i));
+    EXPECT_EQ(r.ttl, static_cast<Duration>(1000 + i));
+    EXPECT_EQ(r.ownerIsAccess, i % 3 == 0);
+    EXPECT_EQ(r.ownerIsFreeRider, i % 5 == 0);
+    EXPECT_EQ(r.metadataAt, i % 2 == 0 ? std::optional<SimTime>(i + 7)
+                                       : std::nullopt);
+    EXPECT_EQ(r.fileAt, i % 4 == 0 ? std::optional<SimTime>(i + 9)
+                                   : std::nullopt);
+  }
+  Serializer out;
+  m.saveState(out);
+  Deserializer in(out.bytes());
+  MetricsCollector restored;
+  restored.loadState(in);
+  Serializer again;
+  restored.saveState(again);
+  EXPECT_EQ(again.bytes(), out.bytes());
+}
+
+// One saved record, its id given.
+void writeRecord(Serializer& out, std::uint32_t id) {
+  out.u32(id);
+  out.u32(1);           // owner
+  out.u32(2);           // target
+  out.i64(0);           // issued at
+  out.i64(100);         // TTL
+  out.boolean(false);   // owner is access
+  out.boolean(false);   // owner is a free rider
+  out.boolean(true);    // metadata delivered
+  out.i64(10);
+  out.boolean(false);   // file not delivered
+  out.i64(0);
+}
+
+TEST(Metrics, LoadStateRejectsIdThatIsNotItsIndex) {
+  for (const std::uint32_t second : {0u, 2u}) {
+    Serializer out;
+    out.u64(2);
+    writeRecord(out, 0);
+    writeRecord(out, second);
+    Deserializer in(out.bytes());
+    MetricsCollector m;
+    EXPECT_THROW(m.loadState(in), SerializeError) << "second id " << second;
+  }
+  Serializer out;
+  out.u64(2);
+  writeRecord(out, 0);
+  writeRecord(out, 1);
+  Deserializer in(out.bytes());
+  MetricsCollector m;
+  m.loadState(in);
+  EXPECT_EQ(m.record(QueryId(1)).metadataAt, std::optional<SimTime>(10));
 }
 
 }  // namespace

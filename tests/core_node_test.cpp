@@ -181,6 +181,35 @@ TEST(Node, ProxiedQueriesExpireWithCooperativeTtl) {
   EXPECT_TRUE(node.proxiedQueryTexts(kDay + 1).empty());
 }
 
+// The node keeps its proxied list across stores of the same objects, and
+// the list still follows every stamp: a listed peer whose stamp passes the
+// TTL leaves it, a restamp brings a stale peer back, and a restamp keeps a
+// listed peer past its old horizon.
+TEST(Node, KeptProxiedListFollowsStamps) {
+  Node node(NodeId(1), {});
+  node.setFrequentContacts({NodeId(2), NodeId(3)});
+  node.setCooperativeStateTtl(kDay);
+  const std::vector<SharedQuery> drama = {
+      std::make_shared<const FileQuery>("drama ep5")};
+  const std::vector<SharedQuery> news = {
+      std::make_shared<const FileQuery>("news ep1")};
+  const std::vector<std::string> both = {"drama ep5", "news ep1"};
+  node.storePeerQueries(NodeId(2), drama, 0);
+  node.storePeerQueries(NodeId(3), news, kDay / 2);
+  EXPECT_EQ(node.proxiedQueryTexts(kDay), both);
+  EXPECT_EQ(node.proxiedQueryTexts(kDay + 1),
+            (std::vector<std::string>{"news ep1"}));
+  node.storePeerQueries(NodeId(2), drama, kDay + 2);
+  EXPECT_EQ(node.proxiedQueryTexts(kDay + 2), both);
+  node.storePeerQueries(NodeId(3), news, kDay + 3);
+  EXPECT_EQ(node.proxiedQueryTexts(kDay + kDay / 2 + 10), both);
+  EXPECT_EQ(node.proxiedQueryTexts(2 * kDay + 3),
+            (std::vector<std::string>{"news ep1"}));
+  EXPECT_TRUE(node.proxiedQueryTexts(2 * kDay + 4).empty());
+  // Asking about an earlier time rebuilds from the stamps.
+  EXPECT_EQ(node.proxiedQueryTexts(kDay + 3), both);
+}
+
 TEST(Node, ReplacingPeerQueriesKeepsLatest) {
   Node node(NodeId(1), {});
   node.setFrequentContacts({NodeId(2)});

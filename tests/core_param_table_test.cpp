@@ -193,6 +193,14 @@ std::string messageGolden() {
     out << "trace family " << family << " sized 0 -> " << describe(s, "")
         << "\n";
   }
+  // The rwp contact grid's cell index must fit an int.
+  {
+    Scenario s = validScenario();
+    s.trace.family = "rwp";
+    s.trace.fieldSize = 1e300;
+    out << "trace family rwp with trace-field 1e300 -> " << describe(s, "")
+        << "\n";
+  }
   // Fields without a key, one bad value each, and the cross-field rules.
   struct FieldProbe {
     const char* what;

@@ -75,7 +75,9 @@ TEST(Integration, MultiHopRelayDeliversToIsolatedNode) {
   // Node 2 never meets the access node, yet some of its queries must have
   // been served through node 1.
   std::size_t node2Queries = 0, node2Files = 0;
-  for (const auto& record : engine.metrics().records()) {
+  const MetricsCollector& metrics = engine.metrics();
+  for (std::uint32_t i = 0; i < metrics.queryCount(); ++i) {
+    const auto record = metrics.record(QueryId(i));
     if (record.owner != NodeId(2)) continue;
     ++node2Queries;
     if (record.fileAt) ++node2Files;
@@ -207,7 +209,9 @@ TEST(Integration, DeliveryNeverBeatsSpaceTimeOracle) {
   // Cache oracle arrivals per (access node, issue time).
   std::map<std::pair<NodeId, SimTime>, std::vector<SimTime>> cache;
   int checked = 0;
-  for (const auto& record : engine.metrics().records()) {
+  const MetricsCollector& metrics = engine.metrics();
+  for (std::uint32_t i = 0; i < metrics.queryCount(); ++i) {
+    const auto record = metrics.record(QueryId(i));
     if (!record.fileAt) continue;
     const Node& owner = engine.node(record.owner);
     if (owner.options().internetAccess) continue;
@@ -245,7 +249,9 @@ TEST(Integration, DelaysPositiveAndBounded) {
   EngineParams params = mbtParams(9);
   Engine engine(trace, params);
   engine.run();
-  for (const auto& record : engine.metrics().records()) {
+  const MetricsCollector& metrics = engine.metrics();
+  for (std::uint32_t i = 0; i < metrics.queryCount(); ++i) {
+    const auto record = metrics.record(QueryId(i));
     if (record.metadataAt) {
       EXPECT_GE(*record.metadataAt, record.issuedAt);
       EXPECT_LT(*record.metadataAt, record.expiresAt());

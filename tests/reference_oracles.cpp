@@ -603,6 +603,49 @@ void PieceStoreReference::saveState(Serializer& out) const {
   out.u64(nextSeq_);
 }
 
+double CreditLedgerReference::credit(NodeId peer) const {
+  auto it = credits_.find(peer);
+  return it == credits_.end() ? 0.0 : it->second;
+}
+
+void CreditLedgerReference::onReceivedRequested(NodeId peer) {
+  credits_[peer] += kRequestedCredit;
+}
+
+void CreditLedgerReference::onReceivedUnrequested(NodeId peer,
+                                                  Popularity popularity) {
+  credits_[peer] += popularity;
+}
+
+void CreditLedgerReference::addCredit(NodeId peer, double delta) {
+  credits_[peer] += delta;
+}
+
+void CreditLedgerReference::decay(double factor) {
+  for (auto& [_, credit] : credits_) credit *= factor;
+}
+
+std::vector<std::pair<NodeId, double>> CreditLedgerReference::ranking() const {
+  std::vector<std::pair<NodeId, double>> out(credits_.begin(),
+                                             credits_.end());
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  return out;
+}
+
+void CreditLedgerReference::saveState(Serializer& out) const {
+  std::vector<std::pair<NodeId, double>> sorted(credits_.begin(),
+                                                credits_.end());
+  std::sort(sorted.begin(), sorted.end());
+  out.u64(sorted.size());
+  for (const auto& [peer, credit] : sorted) {
+    out.u32(peer.value);
+    out.f64(credit);
+  }
+}
+
 std::vector<RankedMatch> rankMatchesReference(
     const std::string& queryText,
     std::span<const Metadata* const> candidates) {

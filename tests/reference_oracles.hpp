@@ -8,6 +8,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/core/access_sync.hpp"
@@ -110,6 +111,25 @@ class PieceStoreReference {
   std::optional<std::size_t> capacity_;
   mutable std::vector<FileId> filesView_;
   mutable bool filesViewStale_ = false;
+};
+
+/// Reference credit ledger: the hash map from peer to credit that
+/// CreditLedger kept before it became one vector sorted by peer. The two
+/// must agree on credit(), knownPeers(), ranking() and the saveState bytes
+/// after any sequence of operations. See core_credit_test.cpp.
+class CreditLedgerReference {
+ public:
+  [[nodiscard]] double credit(NodeId peer) const;
+  void onReceivedRequested(NodeId peer);
+  void onReceivedUnrequested(NodeId peer, Popularity popularity);
+  void addCredit(NodeId peer, double delta);
+  void decay(double factor);
+  [[nodiscard]] std::size_t knownPeers() const { return credits_.size(); }
+  [[nodiscard]] std::vector<std::pair<NodeId, double>> ranking() const;
+  void saveState(Serializer& out) const;
+
+ private:
+  std::unordered_map<NodeId, double> credits_;
 };
 
 // The text-keyed search the library ran before queries were matched as
