@@ -1,5 +1,5 @@
 // Microbenchmarks of the library's hot paths (google-benchmark): SHA-1
-// hashing, RLNC decoding, maximal-clique enumeration, query matching, the
+// hashing, RLNC decoding, query matching, the
 // discovery / download planners at contact-window scale, MBT's hello
 // exchange and access sync at class-clique scale, and one checkpoint save.
 #include <benchmark/benchmark.h>
@@ -22,7 +22,6 @@
 #include "src/core/protocol.hpp"
 #include "src/core/query.hpp"
 #include "src/core/scenario.hpp"
-#include "src/graph/clique.hpp"
 #include "src/obs/events.hpp"
 #include "src/trace/nus.hpp"
 #include "src/util/bloom.hpp"
@@ -81,46 +80,6 @@ BENCHMARK(BM_DecoderFold)
     ->Args({16, 1024})
     ->Args({64, 0})
     ->Args({64, 1024});
-
-AdjacencyGraph randomGraph(std::uint32_t n, double edgeChance,
-                           std::uint64_t seed) {
-  Rng rng(seed);
-  AdjacencyGraph graph;
-  for (std::uint32_t i = 0; i < n; ++i) graph.addNode(NodeId(i));
-  for (std::uint32_t i = 0; i < n; ++i) {
-    for (std::uint32_t j = i + 1; j < n; ++j) {
-      if (rng.chance(edgeChance)) graph.addEdge(NodeId(i), NodeId(j));
-    }
-  }
-  return graph;
-}
-
-void BM_MaximalCliques(benchmark::State& state) {
-  const auto graph =
-      randomGraph(static_cast<std::uint32_t>(state.range(0)), 0.5, 42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(maximalCliques(graph));
-  }
-}
-BENCHMARK(BM_MaximalCliques)->Arg(8)->Arg(16)->Arg(24);
-
-void BM_MaximalCliquesContaining(benchmark::State& state) {
-  const auto graph =
-      randomGraph(static_cast<std::uint32_t>(state.range(0)), 0.5, 42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(maximalCliquesContaining(graph, NodeId(0)));
-  }
-}
-BENCHMARK(BM_MaximalCliquesContaining)->Arg(16)->Arg(24);
-
-void BM_PartitionIntoCliques(benchmark::State& state) {
-  const auto graph =
-      randomGraph(static_cast<std::uint32_t>(state.range(0)), 0.5, 42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(partitionIntoCliques(graph));
-  }
-}
-BENCHMARK(BM_PartitionIntoCliques)->Arg(16)->Arg(24);
 
 InternetServices makeCatalog(int files) {
   InternetServices internet;

@@ -20,20 +20,20 @@
 // A fourth axis (docs/ADVERSARY.md) sweeps the Byzantine fraction instead
 // of the loss rate: coded mode + the recovery layer, every attack enabled,
 // with the verify-and-quarantine defense off vs on. It always runs
-// in-process in the parent (it is small), so supervised journals keep
+// in-process in the parent (it is small), so supervised sweeps keep
 // their 63-point layout; results land in the "adversary_series" JSON
 // section.
 //
 //   bench_robustness [--seeds=N] [--threads=N] [--json[=PATH]]
-//                    [--scenario=FILE] [--supervise[=JOURNAL]]
+//                    [--scenario=FILE] [--supervise[=DIR]]
 //                    [--point-timeout=S] [--max-attempts=N]
 //                    [--checkpoint-every=S]
 //
 // --scenario replaces the base engine parameters and the trace with the
 // scenario's (the loss-rate sweep still overrides the scenario's own
 // loss-rate); by default the run uses the shared NUS stand-in. --supervise
-// runs every point in a crash-isolated child process with retry-with-resume
-// and a completed-point journal (see docs/CHECKPOINT.md).
+// runs every point in a crash-isolated child process with retry-with-resume,
+// as a job in a durable queue kept in DIR (see docs/CHECKPOINT.md).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -175,17 +175,15 @@ int main(int argc, char** argv) {
   std::vector<double> decodeRowOps(fileRatio.size());
   if (supervised) {
     // One crash-isolated child per point, with retry-with-resume and
-    // journal skip.
+    // done points skipped.
     const bool ok = bench::runSupervisedSweep(
         common, argv[0], "robustness",
-        {{"xi", points}, {"pi", 3}, {"mi", kModes}}, seeds, 3,
+        {{"xi", points}, {"pi", 3}, {"mi", kModes}}, seeds, 4,
         [&](std::size_t task, const std::vector<double>& values) {
           fileRatio[task] = values[0];
           mdRatio[task] = values[1];
           fileDelayH[task] = values[2];
-          // Journals written before the coded axis carry 3-value lines;
-          // treat the missing column as zero row ops.
-          decodeRowOps[task] = values.size() >= 4 ? values[3] : 0.0;
+          decodeRowOps[task] = values[3];
         });
     if (!ok) return 1;
   } else {

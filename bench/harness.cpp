@@ -205,8 +205,8 @@ int runFigure(FigureSpec spec, int argc, char** argv) {
                    "skipping time-series output\n";
     }
     // Every point runs in a child process under a timeout with
-    // retry-with-resume; completed points land in the journal and are
-    // skipped on re-invocation.
+    // retry-with-resume; completed points stay done in the sweep's queue
+    // and are skipped on re-invocation.
     const bool ok = runSupervisedSweep(
         common, argv[0], spec.id, {{"xi", points}, {"pi", 3}}, seeds, 2,
         [&](std::size_t task, const std::vector<double>& values) {

@@ -41,10 +41,10 @@ struct CommonArgs {
   /// sweep applies. The figure keeps its own trace and x-axis.
   std::string scenarioPath;
   /// Non-empty when --supervise was given: run every sweep point in a
-  /// subprocess under bench::superviseOnePoint, journaling completed points
-  /// here ("--supervise" defaults to BENCH_<figure id>.journal,
-  /// "--supervise=PATH" sets it). A re-invoked sweep skips journaled
-  /// points. See docs/CHECKPOINT.md.
+  /// subprocess under bench::superviseOnePoint, keeping the points' job
+  /// queue and checkpoints in this directory ("--supervise" defaults to
+  /// BENCH_<figure id>.journal, "--supervise=DIR" sets it). A re-invoked
+  /// sweep skips the points already done. See docs/CHECKPOINT.md.
   std::string superviseJournal;
   /// Wall-clock budget per supervised point (--point-timeout=SECONDS).
   double pointTimeoutSeconds = 600.0;

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <thread>
@@ -22,141 +21,43 @@ void sleepSeconds(double seconds) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
-/// Parses one journal line into (key, values). Returns false with *why set
-/// when the line is not a well-formed entry.
-bool parseJournalLine(const std::string& line, std::string* key,
-                      std::vector<double>* values, std::string* why) {
-  // {"point":"KEY","values":[v1,v2]} — parsed structurally, not with a
-  // JSON library.
-  const std::string pointTag = "\"point\":\"";
-  const std::string valuesTag = "\"values\":[";
-  const std::size_t p = line.find(pointTag);
-  const std::size_t v = line.find(valuesTag);
-  if (p == std::string::npos || v == std::string::npos) {
-    *why = "missing point/values fields";
-    return false;
+/// "v1 v2 ..." at %.17g, so parsing gives back the same doubles.
+std::string formatValues(const std::vector<double>& values) {
+  std::string out;
+  for (const double value : values) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%s%.17g", out.empty() ? "" : " ", value);
+    out += buf;
   }
-  const std::size_t keyStart = p + pointTag.size();
-  const std::size_t keyEnd = line.find('"', keyStart);
-  if (keyEnd == std::string::npos) {
-    *why = "unterminated point key";
-    return false;
-  }
-  const std::size_t valuesStart = v + valuesTag.size();
-  const std::size_t valuesEnd = line.find(']', valuesStart);
-  if (valuesEnd == std::string::npos) {
-    *why = "unterminated values array";
-    return false;
-  }
+  return out;
+}
+
+bool parseValues(const std::string& text, std::vector<double>* values) {
+  std::istringstream nums(text);
   std::vector<double> parsed;
-  std::stringstream nums(line.substr(valuesStart, valuesEnd - valuesStart));
-  std::string item;
-  while (std::getline(nums, item, ',')) {
-    char* end = nullptr;
-    const double value = std::strtod(item.c_str(), &end);
-    if (end == item.c_str()) {
-      *why = "unparseable value '" + item + "'";
-      return false;
-    }
-    parsed.push_back(value);
-  }
-  if (parsed.empty()) {
-    *why = "empty values array";
-    return false;
-  }
-  *key = line.substr(keyStart, keyEnd - keyStart);
+  double value = 0.0;
+  while (nums >> value) parsed.push_back(value);
+  if (parsed.empty()) return false;
   *values = std::move(parsed);
   return true;
 }
 
+/// The newest job for sweep point `key`; nullptr when it was never
+/// submitted.
+service::JobRecord* newestJob(service::WorkQueue& queue,
+                              const std::string& key) {
+  const auto& jobs = queue.jobs();
+  for (auto it = jobs.rbegin(); it != jobs.rend(); ++it) {
+    if (it->second.spec.name == key) return queue.find(it->first);
+  }
+  return nullptr;
+}
+
 }  // namespace
-
-SubprocessResult runSubprocess(const std::vector<std::string>& argv,
-                               double timeoutSeconds) {
-  const service::ChildOutcome run = service::runChild(argv, timeoutSeconds);
-  SubprocessResult result;
-  result.output = run.output;
-  switch (run.cause) {
-    case service::ExitCause::kCleanExit:
-      result.exitCode = run.exitCode;
-      break;
-    case service::ExitCause::kSignaled:
-      result.signaled = true;
-      break;
-    case service::ExitCause::kTimedOut:
-      // The deadline kill is a SIGKILL, so a timed-out child is also a
-      // signaled one — callers historically check either flag.
-      result.timedOut = true;
-      result.signaled = true;
-      break;
-  }
-  return result;
-}
-
-void SweepJournal::load() {
-  done_.clear();
-  issues_.clear();
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return;
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  const bool endsWithNewline =
-      !contents.empty() && contents.back() == '\n';
-  std::istringstream lines(contents);
-  std::string line;
-  int lineNumber = 0;
-  while (std::getline(lines, line)) {
-    ++lineNumber;
-    if (line.empty()) continue;
-    std::string key;
-    std::vector<double> values;
-    std::string why;
-    if (parseJournalLine(line, &key, &values, &why)) {
-      done_[key] = std::move(values);
-      continue;
-    }
-    const bool lastLine = lines.peek() == EOF;
-    if (lastLine && !endsWithNewline) {
-      // A crash mid-append leaves exactly one torn line, always at the
-      // tail: drop it, the point simply re-runs.
-      issues_.push_back("dropped truncated final line " +
-                        std::to_string(lineNumber) +
-                        " (crash mid-append): " + why);
-    } else {
-      issues_.push_back("line " + std::to_string(lineNumber) +
-                        ": malformed entry (" + why + ")");
-    }
-  }
-}
-
-const std::vector<double>* SweepJournal::values(const std::string& key) const {
-  const auto it = done_.find(key);
-  return it == done_.end() ? nullptr : &it->second;
-}
-
-void SweepJournal::record(const std::string& key,
-                          const std::vector<double>& values) {
-  done_[key] = values;
-  std::ofstream out(path_, std::ios::app);
-  out << "{\"point\":\"" << key << "\",\"values\":[";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", values[i]);
-    out << (i == 0 ? "" : ",") << buf;
-  }
-  out << "]}\n" << std::flush;
-}
 
 std::string formatResultLine(const std::string& key,
                              const std::vector<double>& values) {
-  std::string line = "RESULT " + key;
-  for (const double value : values) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), " %.17g", value);
-    line += buf;
-  }
-  line += "\n";
-  return line;
+  return "RESULT " + key + " " + formatValues(values) + "\n";
 }
 
 bool parseResultLine(const std::string& output, const std::string& key,
@@ -165,30 +66,41 @@ bool parseResultLine(const std::string& output, const std::string& key,
   std::string line;
   const std::string prefix = "RESULT " + key + " ";
   while (std::getline(lines, line)) {
-    if (line.compare(0, prefix.size(), prefix) != 0) continue;
-    std::istringstream nums(line.substr(prefix.size()));
-    std::vector<double> parsed;
-    double value = 0.0;
-    while (nums >> value) parsed.push_back(value);
-    if (parsed.empty()) return false;
-    *values = std::move(parsed);
-    return true;
+    if (line.compare(0, prefix.size(), prefix) == 0) {
+      return parseValues(line.substr(prefix.size()), values);
+    }
   }
   return false;
 }
 
 std::optional<std::vector<double>> superviseOnePoint(
-    const SupervisorOptions& options, SweepJournal& journal,
+    const SupervisorOptions& options, service::WorkQueue& queue,
     const std::string& key, const std::vector<std::string>& childArgv,
     const std::string& checkpointPath, std::string* error) {
-  if (const std::vector<double>* recorded = journal.values(key)) {
-    return *recorded;
+  const auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = why;
+    return std::nullopt;
+  };
+  service::JobRecord* job = newestJob(queue, key);
+  if (job != nullptr && job->state == service::JobState::kDone) {
+    std::vector<double> values;
+    if (parseValues(job->result, &values)) return values;
+    return fail("point " + key + ": unreadable result '" + job->result + "'");
   }
+  if (job == nullptr || job->terminal()) {
+    std::string why;
+    const std::uint64_t id = queue.submit(key, 0, "", &why);
+    if (id == 0) return fail("point " + key + ": " + why);
+    job = queue.find(id);
+  }
+  const std::uint64_t id = job->spec.id;
   service::RetryPolicy policy;
   policy.maxAttempts = options.maxAttempts;
   policy.backoffBaseSeconds = options.backoffBaseSeconds;
-  std::string lastFailure = "never attempted";
-  for (int attempt = 1; attempt <= options.maxAttempts; ++attempt) {
+  std::string lastFailure = job->error.empty() ? "attempt interrupted"
+                                               : job->error;
+  while (job->attempts < options.maxAttempts) {
+    const int attempt = job->attempts + 1;
     if (attempt > 1) sleepSeconds(service::backoffSeconds(policy, attempt));
     if (attempt == options.maxAttempts && !checkpointPath.empty()) {
       // Last chance: if the checkpoint itself is what keeps killing the
@@ -196,6 +108,7 @@ std::optional<std::vector<double>> superviseOnePoint(
       std::error_code ec;
       std::filesystem::remove(checkpointPath, ec);
     }
+    queue.markRunning(id);
     const service::ChildOutcome run =
         service::runChild(childArgv, options.pointTimeoutSeconds);
     const service::RetryDecision decision =
@@ -203,7 +116,7 @@ std::optional<std::vector<double>> superviseOnePoint(
     std::vector<double> values;
     if (decision == service::RetryDecision::kSuccess &&
         parseResultLine(run.output, key, &values)) {
-      journal.record(key, values);
+      queue.markDone(id, formatValues(values));
       return values;
     }
     const std::string what =
@@ -211,22 +124,19 @@ std::optional<std::vector<double>> superviseOnePoint(
     if (decision == service::RetryDecision::kFailFast) {
       // Deterministic validation failure: re-running the same command
       // cannot change the answer, so don't burn the remaining attempts.
-      if (error != nullptr) {
-        *error = "point " + key + ": validation failure (" + what +
-                 "); not retried";
-      }
-      return std::nullopt;
+      queue.markFailed(id, what);
+      return fail("point " + key + ": validation failure (" + what +
+                  "); not retried");
     }
     lastFailure = decision == service::RetryDecision::kSuccess
                       ? "no RESULT line in output"
                       : what;
+    queue.markRetrying(id, lastFailure, 0.0);
   }
-  if (error != nullptr) {
-    *error = "point " + key + " failed after " +
-             std::to_string(options.maxAttempts) +
-             " attempt(s); last failure: " + lastFailure;
-  }
-  return std::nullopt;
+  queue.markFailed(id, lastFailure);
+  return fail("point " + key + " failed after " +
+              std::to_string(options.maxAttempts) +
+              " attempt(s); last failure: " + lastFailure);
 }
 
 std::optional<std::vector<std::size_t>> parsePointKey(
@@ -269,21 +179,31 @@ bool runSupervisedSweep(
     const std::function<void(std::size_t task,
                              const std::vector<double>& values)>& store) {
   SupervisorOptions options;
-  options.journalPath = common.superviseJournal;
   options.pointTimeoutSeconds = common.pointTimeoutSeconds;
   options.maxAttempts = common.maxAttempts;
-  SweepJournal journal(options.journalPath);
-  journal.load();
-  for (const std::string& issue : journal.issues()) {
-    std::cerr << "journal replay: " << issue << "\n";
-  }
-  std::cout << "supervised sweep: journal " << journal.path() << " ("
-            << journal.size() << " point(s) already done), timeout "
-            << options.pointTimeoutSeconds << " s, " << options.maxAttempts
-            << " attempt(s) per point\n";
   const auto seedCount = static_cast<std::size_t>(seeds);
   std::size_t total = seedCount;
   for (const SweepAxis& axis : axes) total *= axis.size;
+  // One job per point, and every done point kept through a compaction.
+  service::QueueLimits limits;
+  limits.maxDepth = total;
+  limits.keepTerminal = total;
+  service::WorkQueue queue(common.superviseJournal, limits);
+  std::string error;
+  std::vector<std::string> warnings;
+  const bool opened = queue.open(&error, &warnings);
+  for (const std::string& warning : warnings) {
+    std::cerr << "journal replay: " << warning << "\n";
+  }
+  if (!opened) {
+    std::cerr << "supervise: " << error << "\n";
+    return false;
+  }
+  std::cout << "supervised sweep: journal " << common.superviseJournal
+            << " (" << queue.countInState(service::JobState::kDone)
+            << " point(s) already done), timeout "
+            << options.pointTimeoutSeconds << " s, " << options.maxAttempts
+            << " attempt(s) per point\n";
   for (std::size_t task = 0; task < total; ++task) {
     // Task index -> "<figure>:<i1>:...:<iN>:<seed>", seed varying fastest.
     std::string key = ":" + std::to_string(task % seedCount + 1);
@@ -293,19 +213,21 @@ bool runSupervisedSweep(
       rest /= axes[a].size;
     }
     key = figure + key;
-    const bool journaled = journal.contains(key);
-    std::string checkpoint = common.superviseJournal + "." + key + ".ckpt";
+    const service::JobRecord* prior = newestJob(queue, key);
+    const bool journaled =
+        prior != nullptr && prior->state == service::JobState::kDone;
+    std::string checkpoint = key + ".ckpt";
     for (char& c : checkpoint) {
       if (c == ':') c = '_';
     }
+    checkpoint = common.superviseJournal + "/" + checkpoint;
     std::vector<std::string> childArgv = {
         selfPath, "--point=" + key, "--point-checkpoint=" + checkpoint,
         "--checkpoint-every=" + std::to_string(common.checkpointEvery)};
     if (!common.scenarioPath.empty()) {
       childArgv.push_back("--scenario=" + common.scenarioPath);
     }
-    std::string error;
-    const auto values = superviseOnePoint(options, journal, key, childArgv,
+    const auto values = superviseOnePoint(options, queue, key, childArgv,
                                           checkpoint, &error);
     if (!values) {
       std::cerr << "supervise: " << error << "\n";

@@ -6,86 +6,35 @@
 // point is retried with exponential backoff up to a bounded attempt budget,
 // and because each point periodically checkpoints its engine (see
 // src/core/checkpoint.hpp), a retry resumes from the last checkpoint
-// instead of recomputing the whole run. Completed points land in a JSONL
-// journal, so re-invoking the same sweep after a supervisor crash skips
-// straight past everything already done. See docs/CHECKPOINT.md.
+// instead of recomputing the whole run. Points are jobs in the sweep
+// service's durable queue (src/service/queue.hpp), kept in the --supervise
+// directory with the point checkpoints, so re-invoking the same sweep after
+// a supervisor crash skips straight past every point already done and
+// resumes the one that was running. See docs/CHECKPOINT.md.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/harness.hpp"
 #include "src/core/engine.hpp"
+#include "src/service/queue.hpp"
 #include "src/trace/contact_trace.hpp"
 #include "src/util/types.hpp"
 
 namespace hdtn::bench {
 
 struct SupervisorOptions {
-  /// JSONL journal of completed points; loaded at startup, appended after
-  /// every completed point (one line per point, flushed immediately).
-  std::string journalPath;
   /// Wall-clock budget per child attempt; the child is SIGKILLed past it.
   double pointTimeoutSeconds = 600.0;
-  /// Attempts per point (first run + retries).
+  /// Attempts per point (first run + retries), counted across supervisor
+  /// invocations: an attempt a killed supervisor interrupted stays counted.
   int maxAttempts = 3;
-  /// Sleep before retry n is backoffBaseSeconds * 2^(n-1).
+  /// Sleep before retry n is backoffBaseSeconds * 2^(n-2).
   double backoffBaseSeconds = 0.5;
-};
-
-/// What one child attempt did. Thin compatibility facade over
-/// service::ChildOutcome — the supervisor and the sweep service share one
-/// execution core (src/service/exec.hpp).
-struct SubprocessResult {
-  /// Process exit code; -1 when the child died to a signal or the timeout.
-  int exitCode = -1;
-  bool timedOut = false;
-  /// Terminated by a signal (crash or our timeout kill).
-  bool signaled = false;
-  /// Captured stdout.
-  std::string output;
-};
-
-/// Runs `argv` as a child process, captures its stdout, and SIGKILLs it
-/// when it outlives `timeoutSeconds`. Delegates to service::runChild.
-[[nodiscard]] SubprocessResult runSubprocess(
-    const std::vector<std::string>& argv, double timeoutSeconds);
-
-/// The completed-point journal: `{"point":"KEY","values":[...]}` JSONL.
-/// load() tolerates a half-written trailing line (the supervisor may have
-/// crashed mid-append); record() appends and flushes one line.
-class SweepJournal {
- public:
-  explicit SweepJournal(std::string path) : path_(std::move(path)) {}
-
-  /// Reads every well-formed line of the journal file; a missing file is an
-  /// empty journal. Replay problems land in issues(): a torn final line
-  /// (crash mid-append) is dropped with a warning, and malformed interior
-  /// entries are reported with their line numbers — neither stops replay.
-  void load();
-  [[nodiscard]] bool contains(const std::string& key) const {
-    return done_.count(key) != 0;
-  }
-  /// The recorded values for `key`; nullptr when absent.
-  [[nodiscard]] const std::vector<double>* values(
-      const std::string& key) const;
-  /// Appends one completed point and flushes.
-  void record(const std::string& key, const std::vector<double>& values);
-  [[nodiscard]] std::size_t size() const { return done_.size(); }
-  [[nodiscard]] const std::string& path() const { return path_; }
-  /// Human-readable replay problems from the last load().
-  [[nodiscard]] const std::vector<std::string>& issues() const {
-    return issues_;
-  }
-
- private:
-  std::string path_;
-  std::map<std::string, std::vector<double>> done_;
-  std::vector<std::string> issues_;
 };
 
 /// "RESULT KEY v1 v2 ...\n" — the line a --point child prints on success;
@@ -100,20 +49,22 @@ class SweepJournal {
                                    const std::string& key,
                                    std::vector<double>* values);
 
-/// Supervises one sweep point end to end: journal hit → return recorded
-/// values without running anything; otherwise attempt `childArgv` up to
-/// options.maxAttempts times under the timeout, sleeping with exponential
-/// backoff between attempts. Exit causes are classified the same way the
-/// sweep service classifies them (service::classifyOutcome): crashes and
-/// timeouts retry — resuming from the point's checkpoint — while clean
-/// validation failures (exit 2, exec failure 127) are deterministic and
-/// fail fast without burning the retry budget. Before the final attempt
-/// the point's checkpoint file is deleted, so a checkpoint the child
-/// itself cannot load (or that keeps crashing it) cannot wedge the point
-/// forever. On success the values are journaled. Returns nullopt (with
-/// *error set) on fail-fast or when the attempt budget is exhausted.
+/// Supervises one sweep point end to end as the job named `key` in `queue`.
+/// A done job returns its recorded values without running anything.
+/// Otherwise `childArgv` is attempted until the job's attempt count reaches
+/// options.maxAttempts, under the timeout, with exponential backoff between
+/// attempts. Exit causes are classified the same way the sweep service
+/// classifies them (service::classifyOutcome): crashes and timeouts retry —
+/// resuming from the point's checkpoint — while clean validation failures
+/// (exit 2, exec failure 127) are deterministic and fail fast without
+/// burning the retry budget. Before the final attempt the point's checkpoint
+/// file is deleted, so a checkpoint the child itself cannot load (or that
+/// keeps crashing it) cannot wedge the point forever. On success the values
+/// (printed %.17g) become the job's result. Returns nullopt (with *error
+/// set) on fail-fast or when the attempt budget is exhausted; the job is
+/// then failed, and the next invocation submits the point afresh.
 [[nodiscard]] std::optional<std::vector<double>> superviseOnePoint(
-    const SupervisorOptions& options, SweepJournal& journal,
+    const SupervisorOptions& options, service::WorkQueue& queue,
     const std::string& key, const std::vector<std::string>& childArgv,
     const std::string& checkpointPath, std::string* error);
 
@@ -131,14 +82,15 @@ struct SweepAxis {
     const std::string& key, const std::string& figure,
     const std::vector<SweepAxis>& axes);
 
-/// Parent mode of a supervised sweep (--supervise): loads the journal named
-/// by common.superviseJournal, then runs every point (axes in order, seeds
+/// Parent mode of a supervised sweep (--supervise): opens the queue in the
+/// directory common.superviseJournal (replay problems are printed as
+/// "journal replay:" lines), then runs every point (axes in order, seeds
 /// 1..seeds last) in a child process under superviseOnePoint — the child is
-/// `selfPath --point=KEY` with its own checkpoint file — and prints one
-/// progress line per point, "(journaled)" for points the journal already
-/// held. Each point's values go to `store` with the point's task index
-/// (row-major, seed last). Returns false when a point fails or returns
-/// fewer than `minValues` values.
+/// `selfPath --point=KEY` with its own checkpoint file in that directory —
+/// and prints one progress line per point, "(journaled)" for points the
+/// queue already held done. Each point's values go to `store` with the
+/// point's task index (row-major, seed last). Returns false when a point
+/// fails or returns fewer than `minValues` values.
 [[nodiscard]] bool runSupervisedSweep(
     const CommonArgs& common, const char* selfPath, const std::string& figure,
     const std::vector<SweepAxis>& axes, int seeds, std::size_t minValues,

@@ -13,6 +13,7 @@
 #include "src/routing/routing.hpp"
 #include "src/trace/mobility.hpp"
 #include "src/util/csv.hpp"
+#include "src/util/string_util.hpp"
 
 using namespace hdtn;
 

@@ -68,11 +68,6 @@ std::uint8_t gfInv(std::uint8_t a) {
   return kField.inverse[a];
 }
 
-std::uint8_t gfDiv(std::uint8_t a, std::uint8_t b) {
-  if (a == 0) return 0;
-  return gfMul(a, gfInv(b));
-}
-
 namespace detail {
 
 void mulAddRow(std::uint8_t* dst, const std::uint8_t* src, std::uint8_t c,

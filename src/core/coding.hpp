@@ -42,9 +42,6 @@ namespace hdtn::core::coding {
 /// Multiplicative inverse; `a` must be nonzero.
 [[nodiscard]] std::uint8_t gfInv(std::uint8_t a);
 
-/// a / b; `b` must be nonzero.
-[[nodiscard]] std::uint8_t gfDiv(std::uint8_t a, std::uint8_t b);
-
 // --- row kernel ---------------------------------------------------------
 
 namespace detail {

@@ -13,7 +13,6 @@
 #include "src/core/state_refs.hpp"
 #include "src/obs/events.hpp"
 #include "src/trace/trace_stats.hpp"
-#include "src/util/logging.hpp"
 #include "src/util/string_util.hpp"
 
 namespace hdtn::core {

@@ -36,11 +36,6 @@ double PopularityTable::observed(FileId file, SimTime now,
          static_cast<double>(population);
 }
 
-std::size_t PopularityTable::totalRequests(FileId file) const {
-  auto it = events_.find(file);
-  return it == events_.end() ? 0 : it->second.size();
-}
-
 void PopularityTable::saveState(Serializer& out) const {
   std::vector<FileId> sorted;
   sorted.reserve(events_.size());
@@ -154,11 +149,6 @@ std::vector<SharedMetadata> InternetServices::topPopular(
             });
   if (out.size() > limit) out.resize(limit);
   return out;
-}
-
-SharedMetadata InternetServices::metadataForUri(const Uri& uri) const {
-  const FileInfo* info = catalog_.findByUri(uri);
-  return info == nullptr ? nullptr : catalog_.sharedMetadataFor(info->id);
 }
 
 std::vector<FileId> publishSyntheticBatch(InternetServices& internet,

@@ -41,9 +41,6 @@ class PopularityTable {
   [[nodiscard]] double observed(FileId file, SimTime now,
                                 std::size_t population) const;
 
-  /// Total requests ever recorded for `file`.
-  [[nodiscard]] std::size_t totalRequests(FileId file) const;
-
   /// Checkpoints all request events (file-id ascending; per-file deques
   /// keep their order).
   void saveState(Serializer& out) const;
@@ -89,9 +86,6 @@ class InternetServices {
   /// the catalog's own record objects, so holders share them.
   [[nodiscard]] std::vector<SharedMetadata> topPopular(
       SimTime now, std::size_t limit) const;
-
-  /// The catalog's record object for `uri`; null when the URI is unknown.
-  [[nodiscard]] SharedMetadata metadataForUri(const Uri& uri) const;
 
   /// Checkpoints the catalog (as publish requests carrying the *current*
   /// popularity) and the popularity table. loadState re-publishes every

@@ -17,23 +17,10 @@ void writeReportCsv(std::ostream& out, const core::DeliveryReport& r) {
   out.write(buf, n);
 }
 
-void writeReportJson(std::ostream& out, const char* key,
-                     const core::DeliveryReport& r) {
-  char buf[320];
-  const int n = std::snprintf(
-      buf, sizeof(buf),
-      "\"%s\":{\"queries\":%zu,\"metadata_delivered\":%zu,"
-      "\"files_delivered\":%zu,\"metadata_ratio\":%.6f,\"file_ratio\":%.6f,"
-      "\"mean_metadata_delay_s\":%.1f,\"mean_file_delay_s\":%.1f}",
-      key, r.queries, r.metadataDelivered, r.filesDelivered, r.metadataRatio,
-      r.fileRatio, r.meanMetadataDelaySeconds, r.meanFileDelaySeconds);
-  out.write(buf, n);
-}
-
 }  // namespace
 
-const char* TimeSeries::csvHeader() {
-  return "time_s"
+void TimeSeries::writeCsvHeader(std::ostream& out) {
+  out << "time_s"
          ",queries,metadata_delivered,files_delivered,metadata_ratio"
          ",file_ratio,mean_metadata_delay_s,mean_file_delay_s"
          ",access_queries,access_metadata_delivered,access_files_delivered"
@@ -42,11 +29,7 @@ const char* TimeSeries::csvHeader() {
          ",contacts_processed,files_published,queries_generated"
          ",metadata_broadcasts,piece_broadcasts,metadata_receptions"
          ",piece_receptions,forgeries_crafted,forgeries_accepted"
-         ",forgeries_rejected";
-}
-
-void TimeSeries::writeCsvHeader(std::ostream& out) {
-  out << csvHeader() << "\n";
+         ",forgeries_rejected\n";
 }
 
 void TimeSeries::writeCsvRow(std::ostream& out, const TimeSeriesSample& s) {
@@ -93,31 +76,6 @@ void TimeSeries::writeCsv(std::ostream& out) const {
   writeCsvHeader(out);
   for (const TimeSeriesSample& s : samples_) writeCsvRow(out, s);
   throwIfFailed(out, "TimeSeries::writeCsv");
-}
-
-void TimeSeries::writeJson(std::ostream& out) const {
-  out << "{\"samples\":[";
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
-    const TimeSeriesSample& s = samples_[i];
-    if (i > 0) out << ",";
-    out << "\n  {\"time_s\":" << s.time << ",";
-    writeReportJson(out, "delivery", s.result.delivery);
-    out << ",";
-    writeReportJson(out, "access_delivery", s.result.accessDelivery);
-    const core::EngineTotals& t = s.result.totals;
-    out << ",\"totals\":{\"contacts_processed\":" << t.contactsProcessed
-        << ",\"files_published\":" << t.filesPublished
-        << ",\"queries_generated\":" << t.queriesGenerated
-        << ",\"metadata_broadcasts\":" << t.metadataBroadcasts
-        << ",\"piece_broadcasts\":" << t.pieceBroadcasts
-        << ",\"metadata_receptions\":" << t.metadataReceptions
-        << ",\"piece_receptions\":" << t.pieceReceptions
-        << ",\"forgeries_crafted\":" << t.forgeriesCrafted
-        << ",\"forgeries_accepted\":" << t.forgeriesAccepted
-        << ",\"forgeries_rejected\":" << t.forgeriesRejected << "}}";
-  }
-  out << "\n]}\n";
-  throwIfFailed(out, "TimeSeries::writeJson");
 }
 
 core::EngineResult runSampled(core::Engine& engine, Duration cadence,

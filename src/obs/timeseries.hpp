@@ -39,13 +39,6 @@ class TimeSeries {
   /// complete one.
   void writeCsv(std::ostream& out) const;
 
-  /// A single JSON object: {"samples": [...]}. Same failure contract as
-  /// writeCsv.
-  void writeJson(std::ostream& out) const;
-
-  /// The stable CSV column list (docs, schema checks).
-  [[nodiscard]] static const char* csvHeader();
-
   /// One CSV data row for `sample`, no trailing flush or check. Resume
   /// drivers use these two to emit the series incrementally (header once,
   /// one row per sample boundary) instead of buffering the whole run; the

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -64,14 +65,17 @@ bool WorkQueue::open(std::string* error, std::vector<std::string>* warnings) {
   nextId_ = 1;
   const std::string snapshotPath = dir_ + "/queue.snapshot";
   const std::string walPath = dir_ + "/queue.wal";
+  std::uint64_t wholeBytes = 0;
   if (fs::exists(snapshotPath) &&
-      !replayFile(snapshotPath, "queue.snapshot", warnings)) {
+      !replayFile(snapshotPath, "queue.snapshot", warnings, &wholeBytes)) {
     // A snapshot we cannot open at all (unlike one with bad lines, which
     // replayFile tolerates) means the directory is unusable.
     if (error != nullptr) *error = "cannot read " + snapshotPath;
     return false;
   }
-  if (fs::exists(walPath) && !replayFile(walPath, "queue.wal", warnings)) {
+  wholeBytes = 0;
+  if (fs::exists(walPath) &&
+      !replayFile(walPath, "queue.wal", warnings, &wholeBytes)) {
     if (error != nullptr) *error = "cannot read " + walPath;
     return false;
   }
@@ -91,29 +95,41 @@ bool WorkQueue::open(std::string* error, std::vector<std::string>* warnings) {
     }
     return false;
   }
-  walBytes_ = fs::exists(walPath) ? fs::file_size(walPath, ec) : 0;
-  return true;
+  // Appending after a torn tail would glue the next line onto it, and the
+  // replay after that would reject the acknowledged line as malformed.
+  const std::uint64_t size = fs::file_size(walPath, ec);
+  if (wholeBytes < size &&
+      ftruncate(walFd_, static_cast<off_t>(wholeBytes)) != 0) {
+    if (error != nullptr) {
+      *error = "cannot cut the torn tail off " + walPath + ": " +
+               std::strerror(errno);
+    }
+    return false;
+  }
+  walBytes_ = std::min(size, wholeBytes);
+  return wholeBytes <= size || append("\n", error);
 }
 
 bool WorkQueue::replayFile(const std::string& path, const std::string& source,
-                           std::vector<std::string>* warnings) {
+                           std::vector<std::string>* warnings,
+                           std::uint64_t* wholeBytes) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;
   std::string content((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
-  const bool endsWithNewline =
-      !content.empty() && content.back() == '\n';
+  *wholeBytes = content.size();
   std::size_t pos = 0;
   int lineNumber = 0;
   while (pos < content.size()) {
     ++lineNumber;
     std::size_t end = content.find('\n', pos);
-    const bool lastAndTorn = end == std::string::npos;
-    if (lastAndTorn) end = content.size();
+    const bool torn = end == std::string::npos;
+    if (torn) end = content.size();
     const std::string line = content.substr(pos, end - pos);
+    const std::size_t lineStart = pos;
     pos = end + 1;
     if (line.empty()) continue;
-    if (lastAndTorn && !endsWithNewline) {
+    if (torn) {
       // Crash mid-append: the final line never got its newline. Drop it —
       // the operation it recorded was never acknowledged.
       FlatObject probe;
@@ -125,9 +141,11 @@ bool WorkQueue::replayFile(const std::string& path, const std::string& source,
                               ": dropped truncated final line "
                               "(crash mid-write)");
         }
+        *wholeBytes = lineStart;
         break;
       }
       // It parses in full despite the missing newline; apply it.
+      *wholeBytes = content.size() + 1;
     }
     applyLine(source, lineNumber, line, warnings);
   }
@@ -205,21 +223,32 @@ std::string WorkQueue::encodeState(const JobRecord& job) const {
          jsonEscape(job.result) + "\"}\n";
 }
 
-void WorkQueue::append(const std::string& line) {
-  if (walFd_ < 0) return;
+bool WorkQueue::append(const std::string& line, std::string* error) {
+  if (walFd_ < 0) return false;
   // One full line per write, fsync'd before the caller proceeds: the
   // durability contract is that an acknowledged operation survives any
   // crash. A torn write can only be the final line, which replay drops.
-  ssize_t off = 0;
-  while (off < static_cast<ssize_t>(line.size())) {
+  std::size_t off = 0;
+  while (off < line.size()) {
     const ssize_t n = write(walFd_, line.data() + off, line.size() - off);
     if (n <= 0) break;
-    off += n;
+    off += static_cast<std::size_t>(n);
   }
-  fsync(walFd_);
+  bytesWritten_ += off;
+  if (off < line.size() || fsync(walFd_) != 0) {
+    // A full disk or a failed flush: the operation is not acknowledged, and
+    // its partial line must not prefix the next one.
+    if (error != nullptr) {
+      *error = "cannot write " + dir_ + "/queue.wal: " + std::strerror(errno);
+    }
+    if (ftruncate(walFd_, static_cast<off_t>(walBytes_)) != 0) {
+      walBytes_ += off;
+    }
+    return false;
+  }
   walBytes_ += line.size();
-  bytesWritten_ += line.size();
   if (walBytes_ > limits_.maxWalBytes) compact();
+  return true;
 }
 
 void WorkQueue::appendState(const JobRecord& job) {
@@ -241,35 +270,16 @@ std::uint64_t WorkQueue::submit(const std::string& name, int priority,
   job.spec.name = name.empty() ? "job-" + std::to_string(job.spec.id) : name;
   job.spec.priority = priority;
   job.spec.scenarioText = scenarioText;
-  append(encodeSubmit(job.spec));
+  if (!append(encodeSubmit(job.spec), error)) {
+    --nextId_;
+    return 0;
+  }
   const std::uint64_t id = job.spec.id;
   jobs_[id] = std::move(job);
   return id;
 }
 
-bool WorkQueue::cancel(std::uint64_t id, std::string* error) {
-  JobRecord* job = find(id);
-  if (job == nullptr) {
-    if (error != nullptr) *error = "no such job " + std::to_string(id);
-    return false;
-  }
-  if (job->terminal()) {
-    if (error != nullptr) {
-      *error = "job " + std::to_string(id) + " already " +
-               jobStateName(job->state);
-    }
-    return false;
-  }
-  markCancelled(id);
-  return true;
-}
-
 JobRecord* WorkQueue::find(std::uint64_t id) {
-  const auto it = jobs_.find(id);
-  return it == jobs_.end() ? nullptr : &it->second;
-}
-
-const JobRecord* WorkQueue::find(std::uint64_t id) const {
   const auto it = jobs_.find(id);
   return it == jobs_.end() ? nullptr : &it->second;
 }

@@ -1,4 +1,5 @@
-// Durable work queue for the resident sweep service (docs/SERVICE.md).
+// Durable work queue for the resident sweep service and for supervised
+// bench sweeps (docs/SERVICE.md, docs/CHECKPOINT.md).
 //
 // Accepted jobs are persisted before they are acknowledged: every submit
 // and every state transition appends one flat-JSON line to a write-ahead
@@ -7,10 +8,10 @@
 // and then the WAL; jobs that were running when the process died requeue
 // with resume=true and pick their checkpoints back up.
 //
-// Replay is hardened the same way the sweep journal is: a torn final line
-// (crash mid-append) is dropped with a warning, and genuinely malformed
-// entries are reported with line numbers — neither poisons the rest of the
-// journal. When the WAL outgrows its byte bound the queue compacts: the
+// Replay is hardened: a torn final line (crash mid-append) is dropped with a
+// warning and cut off, and genuinely malformed entries are reported with
+// line numbers — neither poisons the rest of the journal. When the WAL
+// outgrows its byte bound the queue compacts: the
 // live state is written to a snapshot (atomic tmp + rename) and the WAL is
 // truncated, so a week-long soak cannot fill the disk.
 #pragma once
@@ -93,21 +94,21 @@ class WorkQueue {
 
   /// Loads snapshot + WAL and opens the WAL for appending. Replay issues
   /// (torn tail, malformed lines) are collected into *warnings; only an
-  /// unopenable directory or WAL is a hard failure.
+  /// unopenable directory or WAL is a hard failure. The WAL is left ending
+  /// at a line boundary: a dropped torn tail is cut off and a final line
+  /// that replayed without its newline gets one, so the next append starts
+  /// a line of its own.
   [[nodiscard]] bool open(std::string* error,
                           std::vector<std::string>* warnings);
 
   /// Durably accepts a job: the WAL line is written and fsync'd before the
-  /// id is returned. Returns 0 with *error set when the queue is full.
+  /// id is returned. Returns 0 with *error set when the queue is full or the
+  /// WAL write fails.
   [[nodiscard]] std::uint64_t submit(const std::string& name, int priority,
                                      const std::string& scenarioText,
                                      std::string* error);
 
-  /// Cancels a waiting job (running jobs are stopped by the daemon first).
-  [[nodiscard]] bool cancel(std::uint64_t id, std::string* error);
-
   [[nodiscard]] JobRecord* find(std::uint64_t id);
-  [[nodiscard]] const JobRecord* find(std::uint64_t id) const;
 
   /// The highest-priority eligible waiting job (FIFO by id within a
   /// priority); nullptr when none is eligible at `nowSeconds`.
@@ -141,13 +142,20 @@ class WorkQueue {
   void compact();
 
  private:
-  void append(const std::string& line);
+  /// Writes and fsyncs one line. On a short write or a failed fsync the
+  /// WAL is cut back to its last whole line and false is returned, with
+  /// *error set when non-null.
+  bool append(const std::string& line, std::string* error = nullptr);
   void appendState(const JobRecord& job);
   void applyLine(const std::string& source, int lineNumber,
                  const std::string& line, std::vector<std::string>* warnings);
+  /// Replays one file. *wholeBytes receives the length of its whole lines:
+  /// less than the file size when a torn final line was dropped, more by
+  /// one when the final line replayed without its newline.
   [[nodiscard]] bool replayFile(const std::string& path,
                                 const std::string& source,
-                                std::vector<std::string>* warnings);
+                                std::vector<std::string>* warnings,
+                                std::uint64_t* wholeBytes);
   [[nodiscard]] std::string encodeSubmit(const JobSpec& spec) const;
   [[nodiscard]] std::string encodeState(const JobRecord& job) const;
 

@@ -5,97 +5,47 @@
 
 namespace hdtn::sim {
 
-namespace {
-constexpr std::uint64_t kGenShift = 32;
-constexpr std::uint64_t kSlotMask = 0xffffffffull;
-}  // namespace
-
 void EventQueue::reserve(std::size_t events) {
   heap_.reserve(heap_.size() + events);
-  slots_.reserve(std::max(slots_.size(), live_ + events));
+  slots_.reserve(std::max(slots_.size(), heap_.size() + events));
 }
 
-EventId EventQueue::schedule(SimTime when, EventFn fn) {
+void EventQueue::schedule(SimTime when, EventFn fn) {
   assert(when >= now_ && "cannot schedule into the past");
   assert(fn && "event handler must be callable");
   std::uint32_t slot;
   if (!freeSlots_.empty()) {
     slot = freeSlots_.back();
     freeSlots_.pop_back();
+    slots_[slot] = std::move(fn);
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    slots_.push_back(std::move(fn));
   }
-  slots_[slot].fn = std::move(fn);
-  heap_.push_back(Entry{when, nextSeq_++, slot, slots_[slot].gen});
+  heap_.push_back(Entry{when, nextSeq_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  ++live_;
-  return (static_cast<EventId>(slots_[slot].gen) << kGenShift) | slot;
 }
 
-bool EventQueue::cancel(EventId id) {
-  const auto slot = static_cast<std::uint32_t>(id & kSlotMask);
-  const auto gen = static_cast<std::uint32_t>(id >> kGenShift);
-  if (slot >= slots_.size() || slots_[slot].gen != gen || !slots_[slot].fn) {
-    return false;
-  }
-  // Recycle the slot immediately; the heap entry goes stale (its generation
-  // no longer matches) and is dropped lazily on pop.
-  slots_[slot].fn = nullptr;
-  ++slots_[slot].gen;
-  freeSlots_.push_back(slot);
-  --live_;
-  return true;
-}
-
-void EventQueue::popTop() const {
+EventFn EventQueue::popNext() {
+  const Entry entry = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
   heap_.pop_back();
-}
-
-void EventQueue::skipCancelled() const {
-  while (!heap_.empty() && !liveEntry(heap_.front())) popTop();
-}
-
-bool EventQueue::empty() const {
-  skipCancelled();
-  return heap_.empty();
-}
-
-SimTime EventQueue::nextTime() const {
-  skipCancelled();
-  return heap_.empty() ? kTimeInfinity : heap_.front().when;
-}
-
-EventFn EventQueue::takeAndRecycle(const Entry& e) {
-  Slot& slot = slots_[e.slot];
-  EventFn fn = std::move(slot.fn);
-  slot.fn = nullptr;
-  ++slot.gen;  // outstanding ids for this tenancy go stale
-  freeSlots_.push_back(e.slot);
+  now_ = entry.when;
+  EventFn fn = std::move(slots_[entry.slot]);
+  slots_[entry.slot] = nullptr;
+  freeSlots_.push_back(entry.slot);
   return fn;
 }
 
 bool EventQueue::runNext() {
-  skipCancelled();
   if (heap_.empty()) return false;
-  const Entry entry = heap_.front();
-  popTop();
-  now_ = entry.when;
-  EventFn fn = takeAndRecycle(entry);
-  --live_;
-  fn();
+  popNext()();
   return true;
 }
 
 bool EventQueue::discardNext() {
-  skipCancelled();
   if (heap_.empty()) return false;
-  const Entry entry = heap_.front();
-  popTop();
-  now_ = entry.when;
-  takeAndRecycle(entry);
-  --live_;
+  popNext();
   return true;
 }
 

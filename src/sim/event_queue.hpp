@@ -5,13 +5,12 @@
 // heap internals.
 //
 // Storage discipline (this showed up in BM_EngineNusRun profiles): handler
-// slots are pooled and reused — a popped (or cancelled) slot goes onto a
-// free list and backs the next schedule() call — so the handler table stays
-// proportional to the number of *pending* events instead of growing one
-// slot per event ever scheduled. reserve() pre-sizes both the slot pool and
-// the heap so a bulk schedule (the engine schedules every trace contact up
-// front) performs no reallocation. EventIds carry a per-slot generation so
-// a stale id can never cancel the slot's next tenant.
+// slots are pooled and reused — a popped slot goes onto a free list and
+// backs the next schedule() call — so the handler table stays proportional
+// to the number of *pending* events instead of growing one slot per event
+// ever scheduled. reserve() pre-sizes both the slot pool and the heap so a
+// bulk schedule (the engine schedules every trace contact up front)
+// performs no reallocation.
 #pragma once
 
 #include <cstdint>
@@ -23,31 +22,26 @@
 namespace hdtn::sim {
 
 using EventFn = std::function<void()>;
-using EventId = std::uint64_t;
 
 class EventQueue {
  public:
   /// Pre-sizes internal storage for `events` pending events.
   void reserve(std::size_t events);
 
-  /// Schedules `fn` at absolute time `when`; returns a handle usable with
-  /// cancel(). `when` must not precede the last popped event's time.
-  EventId schedule(SimTime when, EventFn fn);
+  /// Schedules `fn` at absolute time `when`, which must not precede the
+  /// last popped event's time.
+  void schedule(SimTime when, EventFn fn);
 
-  /// Cancels a pending event. Returns false if it already ran, was already
-  /// cancelled, or never existed (stale ids are rejected by the slot
-  /// generation, so a reused slot cannot be cancelled by its previous
-  /// tenant's id). O(1); the heap entry is dropped lazily on pop.
-  bool cancel(EventId id);
-
-  [[nodiscard]] bool empty() const;
-  [[nodiscard]] std::size_t size() const { return live_; }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// Slots currently allocated (pending + reusable); tests assert reuse.
   [[nodiscard]] std::size_t slotCapacity() const { return slots_.size(); }
 
   /// Time of the next pending event; kTimeInfinity when empty.
-  [[nodiscard]] SimTime nextTime() const;
+  [[nodiscard]] SimTime nextTime() const {
+    return heap_.empty() ? kTimeInfinity : heap_.front().when;
+  }
 
   /// Pops and runs the next event; returns false when the queue is empty.
   bool runNext();
@@ -62,38 +56,26 @@ class EventQueue {
   [[nodiscard]] SimTime now() const { return now_; }
 
  private:
-  struct Slot {
-    EventFn fn;
-    std::uint32_t gen = 0;
-  };
   struct Entry {
     SimTime when;
     std::uint64_t seq;  ///< insertion order: the FIFO tiebreak at equal when
     std::uint32_t slot;
-    std::uint32_t gen;
     bool operator>(const Entry& other) const {
       if (when != other.when) return when > other.when;
       return seq > other.seq;
     }
   };
 
-  /// True when the heap entry still addresses its live scheduled event.
-  [[nodiscard]] bool liveEntry(const Entry& e) const {
-    return slots_[e.slot].gen == e.gen && slots_[e.slot].fn != nullptr;
-  }
-  void skipCancelled() const;
-  void popTop() const;
-  /// Retires the slot behind a popped entry: clears the handler, bumps the
-  /// generation (invalidating outstanding ids), and recycles the slot.
-  EventFn takeAndRecycle(const Entry& e);
+  /// Pops the top entry, advances now() to it, and returns its handler,
+  /// recycling the slot that held it.
+  EventFn popNext();
 
   // Min-heap over Entry (std::push_heap/pop_heap with operator>); a plain
   // vector so reserve() can pre-size it, unlike std::priority_queue.
-  mutable std::vector<Entry> heap_;
-  std::vector<Slot> slots_;
+  std::vector<Entry> heap_;
+  std::vector<EventFn> slots_;
   std::vector<std::uint32_t> freeSlots_;
   std::uint64_t nextSeq_ = 0;
-  std::size_t live_ = 0;
   SimTime now_ = 0;
 };
 

@@ -1,9 +1,7 @@
-// Simulation driver: a clock over an EventQueue with run-until semantics and
-// periodic tasks. The file-sharing engine (core/engine) layers the protocol
-// logic on top of this.
+// Simulation driver: a clock over an EventQueue with run-until semantics.
+// The file-sharing engine (core/engine) layers the protocol logic on top of
+// this.
 #pragma once
-
-#include <functional>
 
 #include "src/sim/event_queue.hpp"
 #include "src/util/types.hpp"
@@ -19,17 +17,7 @@ class Simulator {
   void reserve(std::size_t events) { queue_.reserve(events); }
 
   /// Schedules at an absolute time.
-  EventId at(SimTime when, EventFn fn);
-
-  /// Schedules `delay` seconds from now.
-  EventId after(Duration delay, EventFn fn);
-
-  /// Schedules `fn(now)` every `period` seconds, starting at `first`, until
-  /// the horizon passed to run(). Returns the id of the first occurrence.
-  EventId every(SimTime first, Duration period,
-                std::function<void(SimTime)> fn);
-
-  bool cancel(EventId id) { return queue_.cancel(id); }
+  void at(SimTime when, EventFn fn) { queue_.schedule(when, std::move(fn)); }
 
   /// Runs events until the queue drains or the next event is at or after
   /// `horizon`. The clock finishes at min(horizon, time of last event run).
@@ -39,8 +27,7 @@ class Simulator {
   void run() { runUntil(kTimeInfinity); }
 
   /// Runs exactly one event. Returns false when the queue is empty (nothing
-  /// ran). Recurring tasks scheduled with every() reschedule against an
-  /// infinite horizon here, as in run().
+  /// ran).
   bool runOne();
 
   /// Discards the next event without executing it, advancing the clock to
@@ -57,7 +44,6 @@ class Simulator {
  private:
   EventQueue queue_;
   std::uint64_t executed_ = 0;
-  SimTime horizon_ = kTimeInfinity;
 };
 
 }  // namespace hdtn::sim

@@ -48,17 +48,4 @@ std::vector<NodeId> ContactTrace::allNodes() const {
   return out;
 }
 
-ContactTrace ContactTrace::slice(SimTime from, SimTime to) const {
-  ContactTrace out(name_ + "-slice", nodeCount_);
-  for (const Contact& c : contacts_) {
-    if (c.end <= from || c.start >= to) continue;
-    Contact clipped = c;
-    clipped.start = std::max(c.start, from);
-    clipped.end = std::min(c.end, to);
-    out.addContact(std::move(clipped));
-  }
-  out.sortByStart();
-  return out;
-}
-
 }  // namespace hdtn::trace

@@ -18,15 +18,6 @@
 
 namespace hdtn::trace {
 
-/// Outcome of parsing one line of a text trace log (NUS session logs,
-/// DieselNet meeting logs). Shared by the materialized readers and the
-/// streaming readers in streaming.hpp so both accept exactly the same input.
-enum class LineParse {
-  kContact,  ///< a contact record was parsed into the output
-  kBlank,    ///< blank line or comment; nothing parsed
-  kError,    ///< malformed; the reason was written to the error output
-};
-
 /// One contact: all `members` can hear each other during [start, end).
 struct Contact {
   SimTime start = 0;
@@ -68,9 +59,6 @@ class ContactTrace {
 
   /// All node ids, ascending. Derived from nodeCount: ids are [0, n).
   [[nodiscard]] std::vector<NodeId> allNodes() const;
-
-  /// Restriction of the trace to [from, to).
-  [[nodiscard]] ContactTrace slice(SimTime from, SimTime to) const;
 
  private:
   std::string name_ = "trace";

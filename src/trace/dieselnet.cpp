@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <istream>
-#include <sstream>
-
-#include "src/util/string_util.hpp"
 
 namespace hdtn::trace {
 namespace {
@@ -16,11 +12,11 @@ bool routesConnected(int a, int b, int routes) {
   return diff == 1 || diff == routes - 1;
 }
 
-}  // namespace
-
-int dieselNetRouteOf(const DieselNetParams& params, NodeId bus) {
+int routeOf(const DieselNetParams& params, NodeId bus) {
   return static_cast<int>(bus.value) % params.routes;
 }
+
+}  // namespace
 
 ContactTrace generateDieselNet(const DieselNetParams& params) {
   assert(params.buses >= 2);
@@ -38,8 +34,8 @@ ContactTrace generateDieselNet(const DieselNetParams& params) {
        ++a) {
     for (std::uint32_t b = a + 1;
          b < static_cast<std::uint32_t>(params.buses); ++b) {
-      const int routeA = dieselNetRouteOf(params, NodeId(a));
-      const int routeB = dieselNetRouteOf(params, NodeId(b));
+      const int routeA = routeOf(params, NodeId(a));
+      const int routeB = routeOf(params, NodeId(b));
       double ratePerDay = params.backgroundMeetingsPerDay;
       if (routeA == routeB) {
         ratePerDay = params.sameRouteMeetingsPerDay;
@@ -71,66 +67,6 @@ ContactTrace generateDieselNet(const DieselNetParams& params) {
   }
   out.sortByStart();
   return out;
-}
-
-LineParse parseDieselNetLine(std::string_view line, Contact* out,
-                             std::string* why) {
-  const std::string_view body = trim(line);
-  if (body.empty() || body.front() == '#') return LineParse::kBlank;
-  auto fail = [&](std::string reason) {
-    if (why != nullptr) *why = std::move(reason);
-    return LineParse::kError;
-  };
-  std::istringstream fields{std::string(body)};
-  std::uint32_t a = 0, b = 0;
-  double start = 0.0, duration = 0.0;
-  if (!(fields >> a >> b >> start >> duration)) {
-    return fail("malformed meeting record (want: <bus-a> <bus-b> "
-                "<start-seconds> <duration-seconds> [<bytes>])");
-  }
-  double bytes = 0.0;
-  fields >> bytes;  // optional trailing byte count, ignored
-  if (!fields.eof()) {
-    return fail("unexpected trailing field after the byte count");
-  }
-  if (a == b) {
-    return fail("bus " + std::to_string(a) + " cannot meet itself");
-  }
-  if (start < 0.0) return fail("negative meeting start time");
-  if (duration <= 0.0) return fail("non-positive meeting duration");
-  Contact c;
-  c.start = static_cast<SimTime>(start);
-  c.end = static_cast<SimTime>(start + duration);
-  if (c.end <= c.start) c.end = c.start + 1;
-  c.members = {NodeId(a), NodeId(b)};
-  *out = std::move(c);
-  return LineParse::kContact;
-}
-
-std::optional<ContactTrace> readDieselNetLog(std::istream& is,
-                                             std::string* error) {
-  ContactTrace trace("dieselnet-import", 0);
-  std::string line;
-  std::size_t lineNo = 0;
-  while (std::getline(is, line)) {
-    ++lineNo;
-    Contact c;
-    std::string why;
-    switch (parseDieselNetLine(line, &c, &why)) {
-      case LineParse::kBlank:
-        break;
-      case LineParse::kError:
-        if (error != nullptr) {
-          *error = "line " + std::to_string(lineNo) + ": " + why;
-        }
-        return std::nullopt;
-      case LineParse::kContact:
-        trace.addContact(std::move(c));
-        break;
-    }
-  }
-  trace.sortByStart();
-  return trace;
 }
 
 }  // namespace hdtn::trace

@@ -14,10 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <optional>
-#include <string>
-#include <string_view>
 
 #include "src/trace/contact_trace.hpp"
 #include "src/util/random.hpp"
@@ -45,25 +41,5 @@ struct DieselNetParams {
 /// Generates the synthetic trace. Bus ids are [0, buses); bus b serves route
 /// b % routes; route r connects (shares a hub) with routes r±1 (mod routes).
 [[nodiscard]] ContactTrace generateDieselNet(const DieselNetParams& params);
-
-/// Route served by a bus under the generator's assignment rule.
-[[nodiscard]] int dieselNetRouteOf(const DieselNetParams& params, NodeId bus);
-
-/// Parses a DieselNet-style meeting log, one pairwise meeting per line
-/// ('#' comments and blank lines allowed):
-///   <bus-a> <bus-b> <start-seconds> <duration-seconds> [<bytes>]
-/// The optional trailing byte count (present in the published UMass logs) is
-/// ignored. Sub-second meetings are rounded up to one second. Malformed
-/// lines — bad fields, a bus meeting itself, negative start, non-positive
-/// duration — fail with a line-numbered error and return std::nullopt.
-[[nodiscard]] std::optional<ContactTrace> readDieselNetLog(
-    std::istream& is, std::string* error);
-
-/// Parses one line of the meeting-log format into `out`. The single
-/// building block behind both readDieselNetLog and the streaming reader
-/// (trace/streaming.hpp). On kError, `why` receives the reason (without the
-/// line number).
-[[nodiscard]] LineParse parseDieselNetLine(std::string_view line, Contact* out,
-                                           std::string* why);
 
 }  // namespace hdtn::trace

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <istream>
-#include <sstream>
-
-#include "src/util/string_util.hpp"
 
 namespace hdtn::trace {
 
@@ -88,67 +84,6 @@ ContactTrace generateNus(const NusParams& params,
   }
   out.sortByStart();
   return out;
-}
-
-LineParse parseNusSessionLine(std::string_view line, Contact* out,
-                              std::string* why) {
-  const std::string_view body = trim(line);
-  if (body.empty() || body.front() == '#') return LineParse::kBlank;
-  auto fail = [&](std::string reason) {
-    if (why != nullptr) *why = std::move(reason);
-    return LineParse::kError;
-  };
-  std::istringstream fields{std::string(body)};
-  long long day = 0;
-  double offset = 0.0, duration = 0.0;
-  if (!(fields >> day >> offset >> duration)) {
-    return fail("malformed session record (want: <day> "
-                "<start-offset-seconds> <duration-seconds> <student> ...)");
-  }
-  if (day < 0) return fail("negative day index");
-  if (offset < 0.0 || offset >= static_cast<double>(kDay)) {
-    return fail("session start offset is outside the day "
-                "(0 <= offset < 86400)");
-  }
-  if (duration <= 0.0) return fail("non-positive session duration");
-  std::uint32_t id = 0;
-  Contact c;
-  while (fields >> id) c.members.emplace_back(id);
-  if (!fields.eof()) return fail("malformed student id");
-  if (c.members.empty()) return fail("session lists no attendees");
-  c.start = static_cast<SimTime>(day) * kDay + static_cast<SimTime>(offset);
-  c.end = c.start + static_cast<Duration>(duration);
-  if (c.end <= c.start) c.end = c.start + 1;
-  *out = std::move(c);
-  return LineParse::kContact;
-}
-
-std::optional<ContactTrace> readNusSessions(std::istream& is,
-                                            std::string* error) {
-  ContactTrace trace("nus-import", 0);
-  std::string line;
-  std::size_t lineNo = 0;
-  while (std::getline(is, line)) {
-    ++lineNo;
-    Contact c;
-    std::string why;
-    switch (parseNusSessionLine(line, &c, &why)) {
-      case LineParse::kBlank:
-        break;
-      case LineParse::kError:
-        if (error != nullptr) {
-          *error = "line " + std::to_string(lineNo) + ": " + why;
-        }
-        return std::nullopt;
-      case LineParse::kContact:
-        // A one-student session is well-formed input but produces no
-        // contact, matching the generator.
-        trace.addContact(std::move(c));
-        break;
-    }
-  }
-  trace.sortByStart();
-  return trace;
 }
 
 }  // namespace hdtn::trace

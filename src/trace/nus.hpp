@@ -16,10 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <optional>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/trace/contact_trace.hpp"
@@ -68,24 +64,5 @@ struct NusSchedule {
 /// params.seed. Used to sweep attendanceRate with a fixed schedule.
 [[nodiscard]] ContactTrace generateNus(const NusParams& params,
                                        const NusSchedule& schedule);
-
-/// Parses an NUS-style session log, one held class session per line
-/// ('#' comments and blank lines allowed):
-///   <day> <start-offset-seconds> <duration-seconds> <student> [<student>...]
-/// The contact starts at day * 86400 + offset and spans the attendee clique.
-/// Sessions with one attendee are kept in the input format but produce no
-/// contact (matching the generator). Malformed lines — bad fields, negative
-/// day, an offset outside [0, 86400), non-positive duration, no attendees —
-/// fail with a line-numbered error and return std::nullopt.
-[[nodiscard]] std::optional<ContactTrace> readNusSessions(std::istream& is,
-                                                          std::string* error);
-
-/// Parses one line of the session-log format into `out` (members in input
-/// order, not yet normalized). The single building block behind both
-/// readNusSessions and the streaming reader (trace/streaming.hpp), so the
-/// two accept byte-identical input. On kError, `why` receives the reason
-/// (without the line number).
-[[nodiscard]] LineParse parseNusSessionLine(std::string_view line,
-                                            Contact* out, std::string* why);
 
 }  // namespace hdtn::trace

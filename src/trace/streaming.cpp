@@ -1,182 +1,6 @@
 #include "src/trace/streaming.hpp"
 
-#include <algorithm>
-#include <cassert>
-#include <istream>
-
-#include "src/trace/dieselnet.hpp"
-#include "src/trace/nus.hpp"
-
 namespace hdtn::trace {
-
-const std::vector<std::uint32_t>& ContactStream::partitionHint() const {
-  static const std::vector<std::uint32_t> kNone;
-  return kNone;
-}
-
-std::optional<Contact> MaterializedStream::next() {
-  const auto contacts = trace_->contacts();
-  if (pos_ >= contacts.size()) return std::nullopt;
-  return contacts[pos_++];
-}
-
-namespace {
-
-using LineParser = LineParse (*)(std::string_view, Contact*, std::string*);
-
-/// Streams a text trace log through a compact index.
-///
-/// Pass 1 (construction) runs the shared line parser over every line —
-/// identical validation to the materialized readers — but keeps only
-/// (start, end, byte offset) per accepted contact, 24 bytes instead of a
-/// member vector. The index is sorted by (start, end, offset); emission
-/// re-parses lines on demand. Lines tied on (start, end) are parsed as a
-/// group and ordered by their member lists, reproducing sortByStart's
-/// (start, end, members) order exactly.
-class IndexedLogStream final : public ContactStream {
- public:
-  IndexedLogStream(std::istream& is, LineParser parser, std::string name)
-      : is_(&is), parser_(parser), name_(std::move(name)) {}
-
-  /// The index pass. False (with a line-numbered `error`) on bad input.
-  bool index(std::string* error) {
-    is_->clear();
-    is_->seekg(0);
-    std::string line;
-    std::size_t lineNo = 0;
-    while (true) {
-      const auto offset = is_->tellg();
-      if (!std::getline(*is_, line)) break;
-      ++lineNo;
-      Contact c;
-      std::string why;
-      switch (parser_(line, &c, &why)) {
-        case LineParse::kBlank:
-          break;
-        case LineParse::kError:
-          if (error != nullptr) {
-            *error = "line " + std::to_string(lineNo) + ": " + why;
-          }
-          return false;
-        case LineParse::kContact: {
-          // Mirror addContact's normalization and rejection rules.
-          std::sort(c.members.begin(), c.members.end());
-          c.members.erase(std::unique(c.members.begin(), c.members.end()),
-                          c.members.end());
-          if (c.members.size() < 2 || c.end <= c.start) break;
-          index_.push_back(IndexEntry{
-              c.start, c.end, static_cast<std::uint64_t>(offset)});
-          for (NodeId m : c.members) {
-            nodeCount_ = std::max<std::size_t>(nodeCount_, m.value + 1);
-          }
-          endTime_ = std::max(endTime_, c.end);
-          break;
-        }
-      }
-    }
-    std::sort(index_.begin(), index_.end(),
-              [](const IndexEntry& a, const IndexEntry& b) {
-                if (a.start != b.start) return a.start < b.start;
-                if (a.end != b.end) return a.end < b.end;
-                return a.offset < b.offset;
-              });
-    return true;
-  }
-
-  std::optional<Contact> next() override {
-    if (groupPos_ >= group_.size()) {
-      if (!fillGroup()) return std::nullopt;
-    }
-    return std::move(group_[groupPos_++]);
-  }
-
-  void reset() override {
-    pos_ = 0;
-    group_.clear();
-    groupPos_ = 0;
-  }
-
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] std::size_t nodeCount() const override { return nodeCount_; }
-  [[nodiscard]] SimTime endTime() const override { return endTime_; }
-
- private:
-  struct IndexEntry {
-    SimTime start;
-    SimTime end;
-    std::uint64_t offset;
-  };
-
-  Contact parseAt(std::uint64_t offset) {
-    is_->clear();
-    is_->seekg(static_cast<std::streamoff>(offset));
-    std::string line;
-    std::getline(*is_, line);
-    Contact c;
-    [[maybe_unused]] const LineParse parsed = parser_(line, &c, nullptr);
-    assert(parsed == LineParse::kContact && "index points at a valid line");
-    std::sort(c.members.begin(), c.members.end());
-    c.members.erase(std::unique(c.members.begin(), c.members.end()),
-                    c.members.end());
-    return c;
-  }
-
-  /// Loads the next run of index entries tied on (start, end) and orders
-  /// the parsed contacts by members.
-  bool fillGroup() {
-    group_.clear();
-    groupPos_ = 0;
-    if (pos_ >= index_.size()) return false;
-    const IndexEntry& head = index_[pos_];
-    std::size_t last = pos_;
-    while (last + 1 < index_.size() && index_[last + 1].start == head.start &&
-           index_[last + 1].end == head.end) {
-      ++last;
-    }
-    group_.reserve(last - pos_ + 1);
-    for (std::size_t i = pos_; i <= last; ++i) {
-      group_.push_back(parseAt(index_[i].offset));
-    }
-    pos_ = last + 1;
-    std::sort(group_.begin(), group_.end(),
-              [](const Contact& a, const Contact& b) {
-                return a.members < b.members;
-              });
-    return true;
-  }
-
-  std::istream* is_;
-  LineParser parser_;
-  std::string name_;
-  std::vector<IndexEntry> index_;
-  std::size_t nodeCount_ = 0;
-  SimTime endTime_ = 0;
-  std::size_t pos_ = 0;
-  std::vector<Contact> group_;
-  std::size_t groupPos_ = 0;
-};
-
-std::unique_ptr<ContactStream> openLogStream(std::istream& is,
-                                             LineParser parser,
-                                             std::string name,
-                                             std::string* error) {
-  auto stream =
-      std::make_unique<IndexedLogStream>(is, parser, std::move(name));
-  if (!stream->index(error)) return nullptr;
-  return stream;
-}
-
-}  // namespace
-
-std::unique_ptr<ContactStream> openNusSessionStream(std::istream& is,
-                                                    std::string* error) {
-  return openLogStream(is, &parseNusSessionLine, "nus-import", error);
-}
-
-std::unique_ptr<ContactStream> openDieselNetStream(std::istream& is,
-                                                   std::string* error) {
-  return openLogStream(is, &parseDieselNetLine, "dieselnet-import", error);
-}
 
 ContactTrace materialize(ContactStream& stream) {
   stream.reset();

@@ -6,24 +6,13 @@
 // demand, in exactly the (start, end, members) order ContactTrace::sortByStart
 // establishes, so the sharded engine (core/sharded_engine.hpp) can consume a
 // day-long city trace holding only one sync epoch of contacts at a time.
-//
-// Three families of streams:
-//   * MaterializedStream — adapts an existing (sorted) ContactTrace; the
-//     bridge that lets every consumer take a stream.
-//   * indexed log streams (openNusSessionStream / openDieselNetStream) —
-//     retrofit the text-log importers: pass 1 validates every line with the
-//     same parser the materialized reader uses and builds a compact
-//     (start, end, byte-offset) index; next() then seeks and re-parses lines
-//     on demand, so member lists never all coexist in memory.
-//   * CityStream (trace/citygen.hpp) — generates contacts lazily.
+// CityStream (trace/citygen.hpp) generates its contacts lazily.
 //
 // Equivalence contract (tested): iterating a stream yields the exact contact
 // sequence the corresponding materialized ContactTrace holds.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,46 +46,13 @@ class ContactStream {
   /// front for every stream family (index pass / trace span / day count).
   [[nodiscard]] virtual SimTime endTime() const = 0;
 
-  /// Optional node -> partition label. A generator that constructs contacts
+  /// Node -> partition label. A generator that constructs contacts
   /// partition-local (CityStream: contacts never span districts) reports the
   /// labels here so the sharded engine can skip its union-find pre-pass over
   /// all contacts. Empty = unknown; labels need not be dense.
   [[nodiscard]] virtual const std::vector<std::uint32_t>& partitionHint()
-      const;
+      const = 0;
 };
-
-/// Adapts a sorted ContactTrace (non-owning; the trace must outlive the
-/// stream and must already be sortByStart()-ordered).
-class MaterializedStream final : public ContactStream {
- public:
-  explicit MaterializedStream(const ContactTrace& trace) : trace_(&trace) {}
-
-  std::optional<Contact> next() override;
-  void reset() override { pos_ = 0; }
-  [[nodiscard]] const std::string& name() const override {
-    return trace_->name();
-  }
-  [[nodiscard]] std::size_t nodeCount() const override {
-    return trace_->nodeCount();
-  }
-  [[nodiscard]] SimTime endTime() const override { return trace_->endTime(); }
-
- private:
-  const ContactTrace* trace_;
-  std::size_t pos_ = 0;
-};
-
-/// Streaming NUS session-log reader over a seekable istream (file or string
-/// stream; non-owning, must outlive the returned stream). Performs the index
-/// pass immediately: on malformed input returns nullptr with a line-numbered
-/// message in `error`, exactly like readNusSessions.
-[[nodiscard]] std::unique_ptr<ContactStream> openNusSessionStream(
-    std::istream& is, std::string* error);
-
-/// Streaming DieselNet meeting-log reader; same contract as above, matching
-/// readDieselNetLog.
-[[nodiscard]] std::unique_ptr<ContactStream> openDieselNetStream(
-    std::istream& is, std::string* error);
 
 /// Drains a stream into a ContactTrace (reset first, then every contact).
 /// Intended for tests and small inputs; defeats the purpose at city scale.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <unordered_map>
 
 namespace hdtn::trace {
@@ -39,18 +40,6 @@ TraceSummary summarize(const ContactTrace& trace) {
   SampleSet gaps = interContactTimes(trace);
   s.meanInterContactTime = gaps.count() ? gaps.mean() : 0.0;
   return s;
-}
-
-std::map<NodePair, std::size_t> pairContactCounts(const ContactTrace& trace) {
-  std::map<NodePair, std::size_t> counts;
-  for (const Contact& c : trace.contacts()) {
-    for (std::size_t i = 0; i < c.members.size(); ++i) {
-      for (std::size_t j = i + 1; j < c.members.size(); ++j) {
-        ++counts[makePair(c.members[i], c.members[j])];
-      }
-    }
-  }
-  return counts;
 }
 
 SampleSet interContactTimes(const ContactTrace& trace) {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -36,10 +35,6 @@ struct TraceSummary {
 };
 
 [[nodiscard]] TraceSummary summarize(const ContactTrace& trace);
-
-/// Per-pair contact counts (pairwise decomposition of clique contacts).
-[[nodiscard]] std::map<NodePair, std::size_t> pairContactCounts(
-    const ContactTrace& trace);
 
 /// Inter-contact gap samples over all pairs (start-to-start deltas).
 [[nodiscard]] SampleSet interContactTimes(const ContactTrace& trace);

@@ -81,17 +81,6 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Rng::normal(double mean, double stddev) {
-  double u1;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
-  const double z = std::sqrt(-2.0 * std::log(u1)) *
-                   std::cos(2.0 * 3.141592653589793 * u2);
-  return mean + stddev * z;
-}
-
 std::size_t Rng::pickIndex(std::size_t size) {
   assert(size > 0);
   return static_cast<std::size_t>(

@@ -46,9 +46,6 @@ class Rng {
   /// Exponentially distributed value with the given mean (> 0).
   double exponential(double mean);
 
-  /// Normal draw via Box-Muller.
-  double normal(double mean, double stddev);
-
   /// Picks a uniformly random element index of a non-empty range size.
   std::size_t pickIndex(std::size_t size);
 

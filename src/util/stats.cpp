@@ -2,54 +2,18 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <numeric>
 #include <sstream>
 
 namespace hdtn {
 
 void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++n_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
 
 double RunningStats::mean() const { return n_ ? mean_ : 0.0; }
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const { return n_ ? min_ : 0.0; }
-
-double RunningStats::max() const { return n_ ? max_ : 0.0; }
-
-void RunningStats::merge(const RunningStats& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const auto total = static_cast<double>(n_ + other.n_);
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) / total;
-  mean_ += delta * static_cast<double>(other.n_) / total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
-  n_ += other.n_;
-}
 
 void SampleSet::add(double x) {
   if (!samples_.empty() && x < samples_.back()) sorted_ = false;
@@ -67,14 +31,6 @@ double SampleSet::mean() const {
   if (samples_.empty()) return 0.0;
   return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
          static_cast<double>(samples_.size());
-}
-
-double SampleSet::stddev() const {
-  if (samples_.size() < 2) return 0.0;
-  const double m = mean();
-  double acc = 0.0;
-  for (double x : samples_) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(samples_.size() - 1));
 }
 
 double SampleSet::quantile(double q) const {

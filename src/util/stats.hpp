@@ -10,29 +10,18 @@
 
 namespace hdtn {
 
-/// Online mean/variance (Welford) plus min/max. O(1) space.
+/// Online mean (Welford's update) and sum. O(1) space.
 class RunningStats {
  public:
   void add(double x);
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const;
-  /// Sample variance (n-1 denominator); 0 when fewer than two samples.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
   [[nodiscard]] double sum() const { return sum_; }
-
-  /// Merges another accumulator into this one (parallel-friendly).
-  void merge(const RunningStats& other);
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
   double sum_ = 0.0;
 };
 
@@ -45,7 +34,6 @@ class SampleSet {
 
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
   [[nodiscard]] double mean() const;
-  [[nodiscard]] double stddev() const;
   /// Linear-interpolated quantile, q in [0, 1]. Requires non-empty.
   [[nodiscard]] double quantile(double q) const;
   [[nodiscard]] double median() const { return quantile(0.5); }

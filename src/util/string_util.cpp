@@ -1,6 +1,7 @@
 #include "src/util/string_util.hpp"
 
 #include <cctype>
+#include <cstdio>
 
 namespace hdtn {
 
@@ -52,6 +53,19 @@ std::string_view trim(std::string_view s) {
 
 bool startsWith(std::string_view s, std::string_view prefix) {
   return s.substr(0, prefix.size()) == prefix;
+}
+
+std::string formatTime(SimTime t) {
+  const SimTime day = t / kDay;
+  SimTime rem = t % kDay;
+  if (rem < 0) rem += kDay;
+  const int h = static_cast<int>(rem / kHour);
+  const int m = static_cast<int>((rem % kHour) / kMinute);
+  const int s = static_cast<int>(rem % kMinute);
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "d%lld %02d:%02d:%02d",
+                static_cast<long long>(day), h, m, s);
+  return buf;
 }
 
 }  // namespace hdtn

@@ -5,6 +5,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/util/types.hpp"
+
 namespace hdtn {
 
 /// ASCII lowercase copy.
@@ -27,5 +29,8 @@ namespace hdtn {
 
 /// True if `s` begins with `prefix`.
 [[nodiscard]] bool startsWith(std::string_view s, std::string_view prefix);
+
+/// Formats a SimTime as "d<day> hh:mm:ss" for reports.
+[[nodiscard]] std::string formatTime(SimTime t);
 
 }  // namespace hdtn

@@ -67,9 +67,6 @@ using Uri = std::string;
 /// user is interested in the file (paper Section VI-A).
 using Popularity = double;
 
-/// Formats a SimTime as "d<day> hh:mm:ss" for logs and reports.
-[[nodiscard]] std::string formatTime(SimTime t);
-
 }  // namespace hdtn
 
 namespace std {

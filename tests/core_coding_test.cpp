@@ -46,9 +46,6 @@ TEST(GfArithmetic, EveryNonZeroElementHasInverse) {
   for (int a = 1; a < 256; ++a) {
     const auto inv = gfInv(static_cast<std::uint8_t>(a));
     ASSERT_EQ(gfMul(static_cast<std::uint8_t>(a), inv), 1) << a;
-    ASSERT_EQ(gfDiv(static_cast<std::uint8_t>(a),
-                    static_cast<std::uint8_t>(a)),
-              1);
   }
 }
 

@@ -31,7 +31,6 @@ TEST(PopularityTable, ObservedCountsDistinctRequestersInWindow) {
   EXPECT_DOUBLE_EQ(table.observed(FileId(1), 100, 10), 0.2);
   EXPECT_DOUBLE_EQ(table.observed(FileId(1), 100, 0), 0.0);
   EXPECT_DOUBLE_EQ(table.observed(FileId(9), 100, 10), 0.0);
-  EXPECT_EQ(table.totalRequests(FileId(1)), 3u);
 }
 
 TEST(PopularityTable, WindowSlides) {
@@ -80,16 +79,6 @@ TEST(InternetServices, TopPopularLimited) {
   EXPECT_EQ(top[0]->file, FileId(9));
   EXPECT_EQ(top[1]->file, FileId(8));
   EXPECT_EQ(top[2]->file, FileId(7));
-}
-
-TEST(InternetServices, MetadataForUri) {
-  InternetServices internet;
-  const FileId id =
-      internet.publish(request("fox news ep0", "fox", 0.5, 0, kDay));
-  const Uri uri = internet.catalog().find(id)->uri;
-  ASSERT_NE(internet.metadataForUri(uri), nullptr);
-  EXPECT_EQ(internet.metadataForUri(uri)->file, id);
-  EXPECT_EQ(internet.metadataForUri("dtn://nope/f0"), nullptr);
 }
 
 TEST(SyntheticBatch, PublishesRequestedCount) {

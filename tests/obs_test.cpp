@@ -253,7 +253,7 @@ TEST(TimeSeries, SampledTotalsAreMonotone) {
   }
 }
 
-TEST(TimeSeries, CsvAndJsonSerializeEverySample) {
+TEST(TimeSeries, CsvSerializesEverySample) {
   const auto trace = smallTrace();
   Engine engine(trace, baseParams());
   TimeSeries series;
@@ -263,7 +263,18 @@ TEST(TimeSeries, CsvAndJsonSerializeEverySample) {
   std::istringstream lines(csv.str());
   std::string line;
   ASSERT_TRUE(std::getline(lines, line));
-  EXPECT_EQ(line, TimeSeries::csvHeader());
+  // The documented schema (docs/OBSERVABILITY.md).
+  EXPECT_EQ(line,
+            "time_s"
+            ",queries,metadata_delivered,files_delivered,metadata_ratio"
+            ",file_ratio,mean_metadata_delay_s,mean_file_delay_s"
+            ",access_queries,access_metadata_delivered,access_files_delivered"
+            ",access_metadata_ratio,access_file_ratio"
+            ",access_mean_metadata_delay_s,access_mean_file_delay_s"
+            ",contacts_processed,files_published,queries_generated"
+            ",metadata_broadcasts,piece_broadcasts,metadata_receptions"
+            ",piece_receptions,forgeries_crafted,forgeries_accepted"
+            ",forgeries_rejected");
   const std::string header = line;
   const auto columns = static_cast<std::size_t>(
       std::count(header.begin(), header.end(), ',') + 1);
@@ -276,17 +287,6 @@ TEST(TimeSeries, CsvAndJsonSerializeEverySample) {
     ++rows;
   }
   EXPECT_EQ(rows, series.samples().size());
-
-  std::ostringstream json;
-  series.writeJson(json);
-  const std::string text = json.str();
-  EXPECT_EQ(text.find("{\"samples\":["), 0u);
-  std::size_t sampleObjects = 0;
-  for (std::size_t pos = text.find("\"time_s\":"); pos != std::string::npos;
-       pos = text.find("\"time_s\":", pos + 1)) {
-    ++sampleObjects;
-  }
-  EXPECT_EQ(sampleObjects, series.samples().size());
 }
 
 TEST(TimeSeries, RunSampledRejectsBadInputs) {

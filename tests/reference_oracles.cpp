@@ -15,123 +15,6 @@
 #include "src/util/string_util.hpp"
 
 namespace hdtn {
-namespace {
-
-// Reference Bron-Kerbosch with pivoting. R: current clique, P: candidates,
-// X: already processed. Sets are kept as sorted vectors; intersections are
-// linear.
-class BronKerboschReference {
- public:
-  explicit BronKerboschReference(const AdjacencyGraph& graph)
-      : graph_(graph) {}
-
-  std::vector<std::vector<NodeId>> run() {
-    std::vector<NodeId> r;
-    std::vector<NodeId> p = graph_.nodes();
-    std::vector<NodeId> x;
-    expand(r, p, x);
-    std::sort(out_.begin(), out_.end(), [](const auto& a, const auto& b) {
-      if (a.size() != b.size()) return a.size() > b.size();
-      return a < b;
-    });
-    return std::move(out_);
-  }
-
- private:
-  std::vector<NodeId> intersectNeighbors(const std::vector<NodeId>& set,
-                                         NodeId v) const {
-    std::vector<NodeId> out;
-    const auto* nbrs = graph_.neighborSet(v);
-    if (nbrs == nullptr) return out;
-    for (NodeId n : set) {
-      if (nbrs->contains(n)) out.push_back(n);
-    }
-    return out;
-  }
-
-  void expand(std::vector<NodeId>& r, std::vector<NodeId> p,
-              std::vector<NodeId> x) {
-    if (p.empty() && x.empty()) {
-      if (!r.empty()) {
-        std::vector<NodeId> clique = r;
-        std::sort(clique.begin(), clique.end());
-        out_.push_back(std::move(clique));
-      }
-      return;
-    }
-    // Pivot: the vertex in P union X with the most neighbors in P minimizes
-    // branching.
-    NodeId pivot;
-    std::size_t best = 0;
-    bool first = true;
-    for (const auto& set : {p, x}) {
-      for (NodeId v : set) {
-        const std::size_t deg = intersectNeighbors(p, v).size();
-        if (first || deg > best) {
-          pivot = v;
-          best = deg;
-          first = false;
-        }
-      }
-    }
-    const auto* pivotNbrs = graph_.neighborSet(pivot);
-    std::vector<NodeId> candidates;
-    for (NodeId v : p) {
-      if (pivotNbrs == nullptr || !pivotNbrs->contains(v)) {
-        candidates.push_back(v);
-      }
-    }
-    for (NodeId v : candidates) {
-      r.push_back(v);
-      expand(r, intersectNeighbors(p, v), intersectNeighbors(x, v));
-      r.pop_back();
-      p.erase(std::find(p.begin(), p.end(), v));
-      x.push_back(v);
-    }
-  }
-
-  const AdjacencyGraph& graph_;
-  std::vector<std::vector<NodeId>> out_;
-};
-
-}  // namespace
-
-std::vector<std::vector<NodeId>> maximalCliquesReference(
-    const AdjacencyGraph& graph) {
-  return BronKerboschReference(graph).run();
-}
-
-std::vector<std::vector<NodeId>> maximalCliquesContainingReference(
-    const AdjacencyGraph& graph, NodeId node) {
-  std::vector<std::vector<NodeId>> out;
-  for (auto& clique : maximalCliquesReference(graph)) {
-    if (std::binary_search(clique.begin(), clique.end(), node)) {
-      out.push_back(std::move(clique));
-    }
-  }
-  return out;
-}
-
-std::vector<std::vector<NodeId>> partitionIntoCliquesReference(
-    const AdjacencyGraph& graph) {
-  AdjacencyGraph work = graph;
-  std::vector<std::vector<NodeId>> out;
-  while (work.nodeCount() > 0) {
-    auto cliques = maximalCliquesReference(work);
-    if (cliques.empty()) break;
-    // maximalCliques sorts by (size desc, members asc), so front() is the
-    // deterministic greedy choice.
-    std::vector<NodeId> chosen = cliques.front();
-    for (NodeId n : chosen) work.removeNode(n);
-    out.push_back(std::move(chosen));
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    if (a.size() != b.size()) return a.size() > b.size();
-    return a < b;
-  });
-  return out;
-}
-
 namespace core {
 
 namespace {
@@ -517,17 +400,6 @@ std::uint32_t PieceStoreReference::pieceCount(FileId file) const {
   return it == entries_.end() ? 0 : it->second.pieces;
 }
 
-std::vector<std::uint32_t> PieceStoreReference::missingPieces(
-    FileId file) const {
-  std::vector<std::uint32_t> out;
-  auto it = entries_.find(file);
-  if (it == entries_.end()) return out;
-  for (std::uint32_t p = 0; p < it->second.pieces; ++p) {
-    if (!bit(it->second, p)) out.push_back(p);
-  }
-  return out;
-}
-
 const std::vector<FileId>& PieceStoreReference::files() const {
   if (filesViewStale_) {
     filesView_.clear();
@@ -619,10 +491,6 @@ void CreditLedgerReference::onReceivedUnrequested(NodeId peer,
 
 void CreditLedgerReference::addCredit(NodeId peer, double delta) {
   credits_[peer] += delta;
-}
-
-void CreditLedgerReference::decay(double factor) {
-  for (auto& [_, credit] : credits_) credit *= factor;
 }
 
 std::vector<std::pair<NodeId, double>> CreditLedgerReference::ranking() const {
@@ -985,7 +853,9 @@ void AccessSyncReference::sync(ReferenceNode& member, SimTime now,
 
   if (config_.fetchPeerWants) {
     for (const Uri& uri : member.peerWantedUris(now)) {
-      const SharedMetadata md = internet_.metadataForUri(uri);
+      const FileInfo* info = internet_.catalog().findByUri(uri);
+      if (info == nullptr) continue;
+      const SharedMetadata& md = internet_.catalog().sharedMetadataFor(info->id);
       if (md == nullptr || md->expired(now)) continue;
       acceptFromServer(md);
       host.deliverWholeFile(node, md->file, now);

@@ -18,24 +18,11 @@
 #include "src/core/internet.hpp"
 #include "src/core/node.hpp"
 #include "src/core/protocol.hpp"
-#include "src/graph/adjacency.hpp"
 #include "src/trace/trace_stats.hpp"
 #include "src/util/serialize.hpp"
 #include "src/util/types.hpp"
 
 namespace hdtn {
-
-// The direct set-vector Bron-Kerbosch (O(|P|^2) pivot scan, full
-// re-enumeration per partition round); see graph_clique_test.cpp.
-
-[[nodiscard]] std::vector<std::vector<NodeId>> maximalCliquesReference(
-    const AdjacencyGraph& graph);
-
-[[nodiscard]] std::vector<std::vector<NodeId>> maximalCliquesContainingReference(
-    const AdjacencyGraph& graph, NodeId node);
-
-[[nodiscard]] std::vector<std::vector<NodeId>> partitionIntoCliquesReference(
-    const AdjacencyGraph& graph);
 
 namespace core {
 
@@ -78,7 +65,6 @@ class PieceStoreReference {
   [[nodiscard]] bool isComplete(FileId file) const;
   [[nodiscard]] std::uint32_t piecesHeld(FileId file) const;
   [[nodiscard]] std::uint32_t pieceCount(FileId file) const;
-  [[nodiscard]] std::vector<std::uint32_t> missingPieces(FileId file) const;
   [[nodiscard]] const std::vector<FileId>& files() const;
   [[nodiscard]] std::vector<FileId> completeFiles() const;
   [[nodiscard]] std::size_t totalPiecesHeld() const { return totalHeld_; }
@@ -123,7 +109,6 @@ class CreditLedgerReference {
   void onReceivedRequested(NodeId peer);
   void onReceivedUnrequested(NodeId peer, Popularity popularity);
   void addCredit(NodeId peer, double delta);
-  void decay(double factor);
   [[nodiscard]] std::size_t knownPeers() const { return credits_.size(); }
   [[nodiscard]] std::vector<std::pair<NodeId, double>> ranking() const;
   void saveState(Serializer& out) const;

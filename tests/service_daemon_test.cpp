@@ -221,13 +221,13 @@ TEST(ServiceDaemonTest, WorkerExitWakesTheDaemon) {
   std::string error;
   ASSERT_TRUE(daemon.start(&error)) << error;
   ASSERT_TRUE(daemon.step(0.0));
-  ASSERT_EQ(daemon.queue()->find(first)->state, JobState::kRunning);
+  ASSERT_EQ(daemon.queue()->jobs().at(first).state, JobState::kRunning);
 
   // Nothing but the worker's exit can end this wait before 5 s.
   ASSERT_TRUE(daemon.step(5.0));
   const auto returned = fs::file_time_type::clock::now();
-  EXPECT_EQ(daemon.queue()->find(first)->state, JobState::kDone);
-  EXPECT_EQ(daemon.queue()->find(second)->state, JobState::kRunning);
+  EXPECT_EQ(daemon.queue()->jobs().at(first).state, JobState::kDone);
+  EXPECT_EQ(daemon.queue()->jobs().at(second).state, JobState::kRunning);
   // The worker's last output came less than a second before the step
   // returned.
   const auto lastOutput =

@@ -52,6 +52,18 @@ TEST(RunChildTest, ExecFailureIsExit127) {
   EXPECT_EQ(run.exitCode, 127);
 }
 
+TEST(RunChildTest, DrainsOutputLargerThanThePipeBuffer) {
+  // 1 MiB of output would deadlock a parent that reads only after waitpid.
+  const ChildOutcome run = runChild(
+      {"/bin/sh", "-c", "i=0; while [ $i -lt 16384 ]; do"
+                        " echo 0123456789012345678901234567890123456789012345678901234567890123;"
+                        " i=$((i+1)); done"},
+      30.0);
+  EXPECT_EQ(run.cause, ExitCause::kCleanExit);
+  EXPECT_EQ(run.exitCode, 0);
+  EXPECT_EQ(run.output.size(), 16384u * 65u);
+}
+
 TEST(ChildProcessTest, LogFileModeRedirectsStdoutAndStderr) {
   const std::string log = tempPath("hdtn_exec_log_test.log");
   ChildProcess child;

@@ -1,7 +1,9 @@
 // The durable work queue: submits survive reopen, running jobs requeue
 // with resume, torn WAL tails and malformed lines are tolerated with
-// line-numbered warnings, backpressure sheds past the depth bound, and
-// compaction keeps the WAL bounded while pruning old terminal jobs.
+// line-numbered warnings and leave the WAL ending at a line boundary, a
+// short WAL write refuses its submit, backpressure sheds past the depth
+// bound, and compaction keeps the WAL bounded while pruning old terminal
+// jobs.
 #include "src/service/queue.hpp"
 
 #include <gtest/gtest.h>
@@ -115,6 +117,48 @@ TEST(WorkQueueTest, DropsATornFinalLineWithAWarning) {
   EXPECT_NE(warnings[0].find("truncated final line"), std::string::npos);
   EXPECT_NE(reopened.find(1), nullptr);
   EXPECT_EQ(reopened.find(2), nullptr);
+}
+
+// Reopening must leave the WAL ending at a line boundary. Otherwise the
+// next acknowledged submit is glued onto the torn bytes, and the replay
+// after that rejects it as malformed.
+TEST(WorkQueueTest, AppendsAfterATornTailStartANewLine) {
+  TempDir dir;
+  const std::string walPath = dir.path + "/queue.wal";
+  std::string error;
+  {
+    WorkQueue queue(dir.path, smallLimits());
+    ASSERT_TRUE(queue.open(&error, nullptr)) << error;
+    ASSERT_EQ(queue.submit("a", 0, "seed = 1\n", &error), 1u);
+  }
+  std::ofstream(walPath, std::ios::app) << "{\"op\":\"submit\",\"id\":2,\"na";
+  {
+    WorkQueue queue(dir.path, smallLimits());
+    std::vector<std::string> warnings;
+    ASSERT_TRUE(queue.open(&error, &warnings)) << error;
+    EXPECT_EQ(warnings.size(), 1u);
+    ASSERT_EQ(queue.submit("b", 0, "seed = 2\n", &error), 2u);
+  }
+  // A final line that parses in full but lacks its newline is applied, and
+  // terminated before anything follows it.
+  std::ofstream(walPath, std::ios::app)
+      << "{\"op\":\"submit\",\"id\":3,\"name\":\"c\",\"priority\":0,"
+         "\"scenario\":\"seed = 3\\n\"}";
+  {
+    WorkQueue queue(dir.path, smallLimits());
+    std::vector<std::string> warnings;
+    ASSERT_TRUE(queue.open(&error, &warnings)) << error;
+    EXPECT_TRUE(warnings.empty());
+    ASSERT_EQ(queue.submit("d", 0, "seed = 4\n", &error), 4u);
+  }
+  WorkQueue reopened(dir.path, smallLimits());
+  std::vector<std::string> warnings;
+  ASSERT_TRUE(reopened.open(&error, &warnings)) << error;
+  EXPECT_TRUE(warnings.empty()) << warnings.front();
+  ASSERT_EQ(reopened.jobs().size(), 4u);
+  EXPECT_EQ(reopened.find(2)->spec.name, "b");
+  EXPECT_EQ(reopened.find(3)->spec.name, "c");
+  EXPECT_EQ(reopened.find(4)->spec.name, "d");
 }
 
 TEST(WorkQueueTest, ReportsMalformedInteriorLinesWithLineNumbers) {
@@ -262,6 +306,41 @@ TEST(WorkQueueTest, FailedSnapshotWriteKeepsEveryAcknowledgedJob) {
   for (std::uint64_t id = 1; id <= 50; ++id) {
     EXPECT_NE(reopened.find(id), nullptr) << "job " << id << " lost";
   }
+}
+
+// A submit whose WAL line does not reach the disk in full (a file-size
+// limit stands in for a full disk) is refused, and the partial line is cut
+// off so the next submit replays cleanly.
+TEST(WorkQueueTest, ShortWalWriteRefusesTheSubmit) {
+  TempDir dir;
+  std::string error;
+  {
+    WorkQueue queue(dir.path, smallLimits());
+    ASSERT_TRUE(queue.open(&error, nullptr)) << error;
+    ASSERT_EQ(queue.submit("a", 0, "seed = 1\n", &error), 1u);
+    struct sigaction ignore {};
+    struct sigaction previous {};
+    ignore.sa_handler = SIG_IGN;
+    ASSERT_EQ(sigaction(SIGXFSZ, &ignore, &previous), 0);
+    rlimit saved{};
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit small = saved;
+    small.rlim_cur = queue.walBytes() + 20;
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &small), 0);
+    const std::uint64_t refused = queue.submit("b", 0, "seed = 2\n", &error);
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &saved), 0);
+    ASSERT_EQ(sigaction(SIGXFSZ, &previous, nullptr), 0);
+    EXPECT_EQ(refused, 0u);
+    EXPECT_NE(error.find("queue.wal"), std::string::npos) << error;
+    EXPECT_EQ(queue.jobs().size(), 1u);
+    EXPECT_EQ(queue.submit("c", 0, "seed = 3\n", &error), 2u);
+  }
+  WorkQueue reopened(dir.path, smallLimits());
+  std::vector<std::string> warnings;
+  ASSERT_TRUE(reopened.open(&error, &warnings)) << error;
+  EXPECT_TRUE(warnings.empty()) << warnings.front();
+  ASSERT_EQ(reopened.jobs().size(), 2u);
+  EXPECT_EQ(reopened.find(2)->spec.name, "c");
 }
 
 }  // namespace

@@ -30,41 +30,16 @@ TEST(EventQueue, EqualTimesFifo) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  const EventId id = q.schedule(10, [&] { ran = true; });
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));  // double cancel fails
-  while (q.runNext()) {
-  }
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, CancelUnknownIdFails) {
-  EventQueue q;
-  EXPECT_FALSE(q.cancel(12345));
-}
-
 TEST(EventQueue, SizeTracksLiveEvents) {
   EventQueue q;
-  const EventId a = q.schedule(1, [] {});
+  q.schedule(1, [] {});
   q.schedule(2, [] {});
   EXPECT_EQ(q.size(), 2u);
-  q.cancel(a);
+  q.runNext();
   EXPECT_EQ(q.size(), 1u);
   q.runNext();
   EXPECT_EQ(q.size(), 0u);
   EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, NextTimeSkipsCancelled) {
-  EventQueue q;
-  const EventId a = q.schedule(5, [] {});
-  q.schedule(9, [] {});
-  EXPECT_EQ(q.nextTime(), 5);
-  q.cancel(a);
-  EXPECT_EQ(q.nextTime(), 9);
 }
 
 TEST(EventQueue, NextTimeInfinityWhenEmpty) {
@@ -98,30 +73,6 @@ TEST(EventQueue, SlotsAreReusedAcrossPopCycles) {
     }
   }
   EXPECT_EQ(q.slotCapacity(), 10u);
-}
-
-TEST(EventQueue, CancelledSlotsAreReused) {
-  EventQueue q;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 8; ++i) ids.push_back(q.schedule(100 + i, [] {}));
-  for (const EventId id : ids) EXPECT_TRUE(q.cancel(id));
-  EXPECT_EQ(q.size(), 0u);
-  // The cancelled slots back the next schedules without growing the pool.
-  for (int i = 0; i < 8; ++i) q.schedule(200 + i, [] {});
-  EXPECT_EQ(q.slotCapacity(), 8u);
-  EXPECT_EQ(q.size(), 8u);
-}
-
-TEST(EventQueue, StaleIdCannotCancelSlotsNextTenant) {
-  EventQueue q;
-  const EventId stale = q.schedule(1, [] {});
-  ASSERT_TRUE(q.cancel(stale));
-  bool ran = false;
-  q.schedule(2, [&] { ran = true; });  // reuses the recycled slot
-  EXPECT_FALSE(q.cancel(stale));       // generation mismatch
-  while (q.runNext()) {
-  }
-  EXPECT_TRUE(ran);
 }
 
 TEST(EventQueue, ReservePreSizesSlotPool) {

@@ -72,18 +72,5 @@ TEST(ContactTrace, DurationAndPairwiseAccessors) {
   EXPECT_TRUE(c.isPairwise());
 }
 
-TEST(ContactTrace, SliceClipsAndFilters) {
-  ContactTrace t("t", 4);
-  t.addContact(makeContact(0, 10, {0, 1}));    // before window end, kept
-  t.addContact(makeContact(20, 40, {1, 2}));   // straddles, clipped
-  t.addContact(makeContact(100, 110, {2, 3})); // after window, dropped
-  const ContactTrace sliced = t.slice(5, 30);
-  ASSERT_EQ(sliced.contactCount(), 2u);
-  EXPECT_EQ(sliced.contacts()[0].start, 5);
-  EXPECT_EQ(sliced.contacts()[0].end, 10);
-  EXPECT_EQ(sliced.contacts()[1].start, 20);
-  EXPECT_EQ(sliced.contacts()[1].end, 30);
-}
-
 }  // namespace
 }  // namespace hdtn::trace

@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <sstream>
 
 #include "src/trace/trace_stats.hpp"
 
 namespace hdtn::trace {
 namespace {
+
+/// The generator's documented route rule: bus b serves route b % routes.
+int routeOf(const DieselNetParams& p, NodeId bus) {
+  return static_cast<int>(bus.value) % p.routes;
+}
 
 DieselNetParams smallParams() {
   DieselNetParams p;
@@ -61,7 +65,11 @@ TEST(DieselNet, SameRoutePairsMeetMoreOften) {
   p.days = 10;
   p.seed = 11;
   const auto trace = generateDieselNet(p);
-  const auto counts = pairContactCounts(trace);
+  // Every DieselNet contact is one pair.
+  std::map<NodePair, std::size_t> counts;
+  for (const Contact& c : trace.contacts()) {
+    ++counts[makePair(c.members[0], c.members[1])];
+  }
   double sameRouteTotal = 0, sameRoutePairs = 0;
   double otherTotal = 0, otherPairs = 0;
   for (std::uint32_t a = 0; a < 16; ++a) {
@@ -69,7 +77,7 @@ TEST(DieselNet, SameRoutePairsMeetMoreOften) {
       const auto it = counts.find(makePair(NodeId(a), NodeId(b)));
       const double n =
           it == counts.end() ? 0.0 : static_cast<double>(it->second);
-      if (dieselNetRouteOf(p, NodeId(a)) == dieselNetRouteOf(p, NodeId(b))) {
+      if (routeOf(p, NodeId(a)) == routeOf(p, NodeId(b))) {
         sameRouteTotal += n;
         ++sameRoutePairs;
       } else {
@@ -105,7 +113,7 @@ TEST(DieselNet, FrequentPairsAtThreeDayPeriodIncludeSameRoute) {
   // With 2 same-route meetings/day, same-route pairs all qualify.
   std::size_t sameRouteFrequent = 0;
   for (const auto& [a, b] : pairs) {
-    if (dieselNetRouteOf(p, a) == dieselNetRouteOf(p, b)) {
+    if (routeOf(p, a) == routeOf(p, b)) {
       ++sameRouteFrequent;
     }
   }
@@ -123,66 +131,9 @@ TEST(DieselNet, ZeroBackgroundRateIsolatesUnrelatedPairs) {
   p.seed = 19;
   const auto trace = generateDieselNet(p);
   for (const Contact& c : trace.contacts()) {
-    EXPECT_EQ(dieselNetRouteOf(p, c.members[0]),
-              dieselNetRouteOf(p, c.members[1]));
+    EXPECT_EQ(routeOf(p, c.members[0]),
+              routeOf(p, c.members[1]));
   }
-}
-
-// --- native meeting-log import --------------------------------------------
-
-TEST(DieselNetImport, ParsesMeetingsWithOptionalByteCounts) {
-  std::istringstream in(
-      "# bus-a bus-b start duration bytes\n"
-      "0 1 100 50 12345\n"
-      "3 2 10.5 0.25\n"
-      "\n"
-      "1 2 400 90\n");
-  std::string error;
-  const auto trace = readDieselNetLog(in, &error);
-  ASSERT_TRUE(trace.has_value()) << error;
-  ASSERT_EQ(trace->contactCount(), 3u);
-  EXPECT_EQ(trace->nodeCount(), 4u);
-  EXPECT_TRUE(trace->isPairwiseOnly());
-  // Sub-second meeting rounded up to one second, ids sorted.
-  EXPECT_EQ(trace->contacts()[0].start, 10);
-  EXPECT_EQ(trace->contacts()[0].end, 11);
-  EXPECT_EQ(trace->contacts()[0].members,
-            (std::vector<NodeId>{NodeId(2), NodeId(3)}));
-}
-
-TEST(DieselNetImport, MalformedRecordIsALineNumberedError) {
-  std::istringstream in(
-      "0 1 100 50\n"
-      "0 one 200 50\n");
-  std::string error;
-  EXPECT_FALSE(readDieselNetLog(in, &error).has_value());
-  EXPECT_NE(error.find("line 2"), std::string::npos);
-  EXPECT_NE(error.find("malformed meeting record"), std::string::npos);
-}
-
-TEST(DieselNetImport, BusMeetingItselfRejected) {
-  std::istringstream in("4 4 100 50\n");
-  std::string error;
-  EXPECT_FALSE(readDieselNetLog(in, &error).has_value());
-  EXPECT_NE(error.find("line 1"), std::string::npos);
-  EXPECT_NE(error.find("cannot meet itself"), std::string::npos);
-}
-
-TEST(DieselNetImport, NegativeStartAndNonPositiveDurationRejected) {
-  std::string error;
-  std::istringstream negative("0 1 -5 50\n");
-  EXPECT_FALSE(readDieselNetLog(negative, &error).has_value());
-  EXPECT_NE(error.find("negative meeting start"), std::string::npos);
-  std::istringstream zero("0 1 5 0\n");
-  EXPECT_FALSE(readDieselNetLog(zero, &error).has_value());
-  EXPECT_NE(error.find("non-positive meeting duration"), std::string::npos);
-}
-
-TEST(DieselNetImport, TrailingJunkRejected) {
-  std::istringstream in("0 1 100 50 12345 extra\n");
-  std::string error;
-  EXPECT_FALSE(readDieselNetLog(in, &error).has_value());
-  EXPECT_NE(error.find("trailing field"), std::string::npos);
 }
 
 }  // namespace

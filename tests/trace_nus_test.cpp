@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <sstream>
 
 #include "src/trace/trace_stats.hpp"
 
@@ -136,58 +135,6 @@ TEST(Nus, MultipleSessionsPerDaySupported) {
   }
   const auto trace = generateNus(p, schedule);
   EXPECT_GT(trace.contactCount(), generateNus(smallParams()).contactCount());
-}
-
-// --- native session-log import --------------------------------------------
-
-TEST(NusImport, ParsesSessionsIntoCliqueContacts) {
-  std::istringstream in(
-      "# day offset duration students...\n"
-      "0 28800 7200 3 1 2\n"
-      "1 36000 3600 4 5\n"
-      "2 28800 7200 9\n");  // one attendee: well-formed, no contact
-  std::string error;
-  const auto trace = readNusSessions(in, &error);
-  ASSERT_TRUE(trace.has_value()) << error;
-  ASSERT_EQ(trace->contactCount(), 2u);
-  EXPECT_EQ(trace->contacts()[0].start, 28800);
-  EXPECT_EQ(trace->contacts()[0].end, 36000);
-  EXPECT_EQ(trace->contacts()[0].members,
-            (std::vector<NodeId>{NodeId(1), NodeId(2), NodeId(3)}));
-  EXPECT_EQ(trace->contacts()[1].start, kDay + 36000);
-}
-
-TEST(NusImport, MalformedRecordIsALineNumberedError) {
-  std::istringstream in(
-      "0 28800 7200 1 2\n"
-      "0 nine 7200 1 2\n");
-  std::string error;
-  EXPECT_FALSE(readNusSessions(in, &error).has_value());
-  EXPECT_NE(error.find("line 2"), std::string::npos);
-  EXPECT_NE(error.find("malformed session record"), std::string::npos);
-}
-
-TEST(NusImport, RejectsOutOfDayOffsetsAndBadDurations) {
-  std::string error;
-  std::istringstream late("0 90000 3600 1 2\n");
-  EXPECT_FALSE(readNusSessions(late, &error).has_value());
-  EXPECT_NE(error.find("outside the day"), std::string::npos);
-  std::istringstream negativeDay("-1 28800 3600 1 2\n");
-  EXPECT_FALSE(readNusSessions(negativeDay, &error).has_value());
-  EXPECT_NE(error.find("negative day"), std::string::npos);
-  std::istringstream zeroDuration("0 28800 0 1 2\n");
-  EXPECT_FALSE(readNusSessions(zeroDuration, &error).has_value());
-  EXPECT_NE(error.find("non-positive session duration"), std::string::npos);
-}
-
-TEST(NusImport, RejectsMissingOrMalformedAttendees) {
-  std::string error;
-  std::istringstream none("0 28800 3600\n");
-  EXPECT_FALSE(readNusSessions(none, &error).has_value());
-  EXPECT_NE(error.find("no attendees"), std::string::npos);
-  std::istringstream junk("0 28800 3600 1 bob\n");
-  EXPECT_FALSE(readNusSessions(junk, &error).has_value());
-  EXPECT_NE(error.find("malformed student id"), std::string::npos);
 }
 
 }  // namespace

@@ -26,16 +26,6 @@ TEST(MakePair, Orders) {
             (NodePair{NodeId(2), NodeId(5)}));
 }
 
-TEST(PairContactCounts, DecomposesCliques) {
-  ContactTrace t("t", 3);
-  t.addContact(makeContact(0, 10, {0, 1, 2}));  // 3 pairs
-  t.addContact(makeContact(20, 30, {0, 1}));    // 1 pair
-  const auto counts = pairContactCounts(t);
-  EXPECT_EQ(counts.at(makePair(NodeId(0), NodeId(1))), 2u);
-  EXPECT_EQ(counts.at(makePair(NodeId(0), NodeId(2))), 1u);
-  EXPECT_EQ(counts.at(makePair(NodeId(1), NodeId(2))), 1u);
-}
-
 TEST(InterContactTimes, StartToStartGaps) {
   ContactTrace t("t", 2);
   t.addContact(makeContact(0, 10, {0, 1}));

@@ -48,14 +48,17 @@ TEST(Rng, ForkIsIndependentAndDeterministic) {
 TEST(Rng, UniformInUnitInterval) {
   Rng rng(7);
   RunningStats stats;
+  RunningStats squares;
   for (int i = 0; i < 20000; ++i) {
     const double u = rng.uniform();
     ASSERT_GE(u, 0.0);
     ASSERT_LT(u, 1.0);
     stats.add(u);
+    squares.add(u * u);
   }
   EXPECT_NEAR(stats.mean(), 0.5, 0.01);
-  EXPECT_NEAR(stats.stddev(), std::sqrt(1.0 / 12.0), 0.01);
+  const double variance = squares.mean() - stats.mean() * stats.mean();
+  EXPECT_NEAR(std::sqrt(variance), std::sqrt(1.0 / 12.0), 0.01);
 }
 
 TEST(Rng, UniformIntCoversRangeInclusive) {
@@ -98,17 +101,12 @@ TEST(Rng, ChanceMatchesProbability) {
 TEST(Rng, ExponentialMean) {
   Rng rng(23);
   RunningStats stats;
-  for (int i = 0; i < 50000; ++i) stats.add(rng.exponential(42.0));
+  for (int i = 0; i < 50000; ++i) {
+    const double x = rng.exponential(42.0);
+    ASSERT_GT(x, 0.0);
+    stats.add(x);
+  }
   EXPECT_NEAR(stats.mean(), 42.0, 1.0);
-  EXPECT_GT(stats.min(), 0.0);
-}
-
-TEST(Rng, NormalMoments) {
-  Rng rng(29);
-  RunningStats stats;
-  for (int i = 0; i < 50000; ++i) stats.add(rng.normal(10.0, 2.0));
-  EXPECT_NEAR(stats.mean(), 10.0, 0.05);
-  EXPECT_NEAR(stats.stddev(), 2.0, 0.05);
 }
 
 TEST(Rng, ShufflePreservesElements) {

@@ -57,5 +57,12 @@ TEST(StartsWith, Basic) {
   EXPECT_FALSE(startsWith("", "a"));
 }
 
+TEST(FormatTime, DayHourMinuteSecond) {
+  EXPECT_EQ(formatTime(0), "d0 00:00:00");
+  EXPECT_EQ(formatTime(kDay + 2 * kHour + 3 * kMinute + 4), "d1 02:03:04");
+  EXPECT_EQ(formatTime(kDailyPublishHour), "d0 14:00:00");
+  EXPECT_EQ(formatTime(10 * kDay - 1), "d9 23:59:59");
+}
+
 }  // namespace
 }  // namespace hdtn
