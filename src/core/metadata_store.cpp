@@ -132,6 +132,14 @@ std::size_t MetadataStore::expire(SimTime now) {
   return dropped;
 }
 
+void MetadataStore::remove(FileId file) {
+  const auto it = lowerBound(entries_, file);
+  if (it != entries_.end() && it->file == file) {
+    entries_.erase(it);
+    ++generation_;
+  }
+}
+
 std::span<const Metadata* const> MetadataStore::byPopularity() const {
   PopularityView& view = popularityView_.getOrCreate();
   if (view.generation != generation_) {

@@ -65,6 +65,9 @@ class PieceStore {
   [[nodiscard]] std::uint32_t piecesHeld(FileId file) const;
   [[nodiscard]] std::uint32_t pieceCount(FileId file) const;
 
+  /// Indices of pieces of `file` not yet held (empty if unregistered).
+  [[nodiscard]] std::vector<std::uint32_t> missingPieces(FileId file) const;
+
   /// All registered files, ascending id: a random-access view over the
   /// entries (size(), operator[], range-for). Valid until the next
   /// registerFile, removeFile or loadState.

@@ -39,6 +39,13 @@ constexpr AttackName kAttackNames[] = {
 
 }  // namespace
 
+const char* attackKindName(AttackKind kind) {
+  for (const AttackName& entry : kAttackNames) {
+    if (entry.kind == kind) return entry.name;
+  }
+  return "unknown";
+}
+
 bool parseAttackMask(const std::string& text, std::uint32_t* mask,
                      std::string* error) {
   std::uint32_t out = 0;

@@ -44,6 +44,9 @@ enum class FaultKind : std::uint32_t {
   kNodeChurn = 4,
 };
 
+/// Stable snake_case name (JSONL consumers, docs).
+[[nodiscard]] const char* faultKindName(FaultKind kind);
+
 struct FaultParams {
   /// Probability that one deliverable message (a metadata record or a
   /// piece, per receiver) is lost inside a DTN contact.

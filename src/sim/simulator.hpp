@@ -1,7 +1,9 @@
-// Simulation driver: a clock over an EventQueue with run-until semantics.
-// The file-sharing engine (core/engine) layers the protocol logic on top of
-// this.
+// Simulation driver: a clock over an EventQueue with run-until semantics and
+// periodic tasks. The file-sharing engine (core/engine) layers the protocol
+// logic on top of this.
 #pragma once
+
+#include <functional>
 
 #include "src/sim/event_queue.hpp"
 #include "src/util/types.hpp"
@@ -19,6 +21,13 @@ class Simulator {
   /// Schedules at an absolute time.
   void at(SimTime when, EventFn fn) { queue_.schedule(when, std::move(fn)); }
 
+  /// Schedules `delay` seconds from now.
+  void after(Duration delay, EventFn fn);
+
+  /// Schedules `fn(now)` every `period` seconds, starting at `first`, until
+  /// the horizon passed to run().
+  void every(SimTime first, Duration period, std::function<void(SimTime)> fn);
+
   /// Runs events until the queue drains or the next event is at or after
   /// `horizon`. The clock finishes at min(horizon, time of last event run).
   void runUntil(SimTime horizon);
@@ -27,7 +36,8 @@ class Simulator {
   void run() { runUntil(kTimeInfinity); }
 
   /// Runs exactly one event. Returns false when the queue is empty (nothing
-  /// ran).
+  /// ran). Recurring tasks scheduled with every() reschedule against an
+  /// infinite horizon here, as in run().
   bool runOne();
 
   /// Discards the next event without executing it, advancing the clock to
@@ -44,6 +54,7 @@ class Simulator {
  private:
   EventQueue queue_;
   std::uint64_t executed_ = 0;
+  SimTime horizon_ = kTimeInfinity;
 };
 
 }  // namespace hdtn::sim

@@ -2,6 +2,17 @@
 
 namespace hdtn::trace {
 
+const std::vector<std::uint32_t>& ContactStream::partitionHint() const {
+  static const std::vector<std::uint32_t> kNone;
+  return kNone;
+}
+
+std::optional<Contact> MaterializedStream::next() {
+  const auto contacts = trace_->contacts();
+  if (pos_ >= contacts.size()) return std::nullopt;
+  return contacts[pos_++];
+}
+
 ContactTrace materialize(ContactStream& stream) {
   stream.reset();
   ContactTrace out(stream.name(), stream.nodeCount());

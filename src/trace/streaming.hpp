@@ -6,7 +6,9 @@
 // demand, in exactly the (start, end, members) order ContactTrace::sortByStart
 // establishes, so the sharded engine (core/sharded_engine.hpp) can consume a
 // day-long city trace holding only one sync epoch of contacts at a time.
-// CityStream (trace/citygen.hpp) generates its contacts lazily.
+// CityStream (trace/citygen.hpp) generates its contacts lazily;
+// MaterializedStream adapts an existing (sorted) ContactTrace, so tests can
+// hold a stream consumer to the trace it was given.
 //
 // Equivalence contract (tested): iterating a stream yields the exact contact
 // sequence the corresponding materialized ContactTrace holds.
@@ -46,12 +48,33 @@ class ContactStream {
   /// front for every stream family (index pass / trace span / day count).
   [[nodiscard]] virtual SimTime endTime() const = 0;
 
-  /// Node -> partition label. A generator that constructs contacts
+  /// Optional node -> partition label. A generator that constructs contacts
   /// partition-local (CityStream: contacts never span districts) reports the
   /// labels here so the sharded engine can skip its union-find pre-pass over
   /// all contacts. Empty = unknown; labels need not be dense.
   [[nodiscard]] virtual const std::vector<std::uint32_t>& partitionHint()
-      const = 0;
+      const;
+};
+
+/// Adapts a sorted ContactTrace (non-owning; the trace must outlive the
+/// stream and must already be sortByStart()-ordered).
+class MaterializedStream final : public ContactStream {
+ public:
+  explicit MaterializedStream(const ContactTrace& trace) : trace_(&trace) {}
+
+  std::optional<Contact> next() override;
+  void reset() override { pos_ = 0; }
+  [[nodiscard]] const std::string& name() const override {
+    return trace_->name();
+  }
+  [[nodiscard]] std::size_t nodeCount() const override {
+    return trace_->nodeCount();
+  }
+  [[nodiscard]] SimTime endTime() const override { return trace_->endTime(); }
+
+ private:
+  const ContactTrace* trace_;
+  std::size_t pos_ = 0;
 };
 
 /// Drains a stream into a ContactTrace (reset first, then every contact).

@@ -28,14 +28,24 @@ class BloomFilter {
   /// No false negatives; false positives at roughly the design rate.
   [[nodiscard]] bool mayContain(std::uint64_t key) const;
 
+  void clear();
   [[nodiscard]] std::size_t bitCount() const { return words_.size() * 64; }
   [[nodiscard]] int hashCount() const { return hashes_; }
+  [[nodiscard]] std::size_t insertions() const { return insertions_; }
+
+  /// Fraction of bits set; load above ~0.5 means the design capacity was
+  /// exceeded and the false-positive rate is degrading.
+  [[nodiscard]] double load() const;
+
+  /// Union with a filter of identical geometry (asserts on mismatch).
+  void merge(const BloomFilter& other);
 
  private:
   [[nodiscard]] std::uint64_t probe(std::uint64_t key, int i) const;
 
   std::vector<std::uint64_t> words_;
   int hashes_;
+  std::size_t insertions_ = 0;
 };
 
 }  // namespace hdtn

@@ -87,6 +87,20 @@ struct SweepQueue {
   service::WorkQueue queue;
 };
 
+TEST(SuperviseOnePointTest, JournalHitRunsNothing) {
+  TempPath dir("hdtn_supervisor_hit_test");
+  SweepQueue sweep(dir.path);
+  std::string error;
+  ASSERT_EQ(sweep.queue.submit("p:0:0:1", 0, "", &error), 1u) << error;
+  sweep.queue.markDone(1, "4 5");
+  // /bin/false as the child: if the supervisor ran it, the point would fail.
+  const auto values = superviseOnePoint(fastOptions(), sweep.queue, "p:0:0:1",
+                                        {"/bin/false"}, "", &error);
+  ASSERT_TRUE(values.has_value()) << error;
+  EXPECT_EQ(*values, (std::vector<double>{4.0, 5.0}));
+  EXPECT_EQ(sweep.queue.find(1)->attempts, 0);
+}
+
 TEST(SuperviseOnePointTest, RecoversACrashedPointWithinTheRetryBudget) {
   TempPath dir("hdtn_supervisor_retry_test");
   TempPath marker("hdtn_supervisor_retry_marker");

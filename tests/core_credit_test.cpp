@@ -45,6 +45,15 @@ TEST(CreditLedger, AddCreditDirect) {
   EXPECT_DOUBLE_EQ(ledger.credit(NodeId(3)), -2.0);
 }
 
+TEST(CreditLedger, DecayScalesAll) {
+  CreditLedger ledger;
+  ledger.addCredit(NodeId(1), 10.0);
+  ledger.addCredit(NodeId(2), 4.0);
+  ledger.decay(0.5);
+  EXPECT_DOUBLE_EQ(ledger.credit(NodeId(1)), 5.0);
+  EXPECT_DOUBLE_EQ(ledger.credit(NodeId(2)), 2.0);
+}
+
 TEST(CreditLedger, RankingSortedByCreditThenId) {
   CreditLedger ledger;
   ledger.addCredit(NodeId(5), 1.0);
@@ -84,7 +93,7 @@ TEST(CreditLedger, MatchesHashMapReferenceOnRandomSequences) {
     const auto peers = static_cast<std::uint32_t>(rng.uniformInt(1, 60));
     for (int step = 0; step < 400; ++step) {
       const NodeId peer(static_cast<std::uint32_t>(rng.uniformInt(0, peers)));
-      switch (rng.uniformInt(0, 3)) {
+      switch (rng.uniformInt(0, 4)) {
         case 0:
           ledger.onReceivedRequested(peer);
           reference.onReceivedRequested(peer);
@@ -99,6 +108,12 @@ TEST(CreditLedger, MatchesHashMapReferenceOnRandomSequences) {
           const double delta = rng.uniform() * 10.0 - 5.0;
           ledger.addCredit(peer, delta);
           reference.addCredit(peer, delta);
+          break;
+        }
+        case 3: {
+          const double factor = rng.uniform();
+          ledger.decay(factor);
+          reference.decay(factor);
           break;
         }
         default: {

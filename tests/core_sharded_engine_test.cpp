@@ -248,34 +248,6 @@ TEST(ShardedEngine, SharedPublishStreamKeepsCatalogsAligned) {
   EXPECT_EQ(result.totals.filesPublished, 5u * 5u * sharded.componentCount());
 }
 
-/// Feeds a sorted trace as a stream without a partition hint, so the
-/// sharded engine takes its union-find pass over the stream.
-class TraceStream final : public trace::ContactStream {
- public:
-  explicit TraceStream(const trace::ContactTrace& trace) : trace_(&trace) {}
-  std::optional<trace::Contact> next() override {
-    if (pos_ >= trace_->contactCount()) return std::nullopt;
-    return trace_->contacts()[pos_++];
-  }
-  void reset() override { pos_ = 0; }
-  [[nodiscard]] const std::string& name() const override {
-    return trace_->name();
-  }
-  [[nodiscard]] std::size_t nodeCount() const override {
-    return trace_->nodeCount();
-  }
-  [[nodiscard]] SimTime endTime() const override { return trace_->endTime(); }
-  [[nodiscard]] const std::vector<std::uint32_t>& partitionHint()
-      const override {
-    return noHint_;
-  }
-
- private:
-  const trace::ContactTrace* trace_;
-  std::size_t pos_ = 0;
-  std::vector<std::uint32_t> noHint_;
-};
-
 TEST(ShardedEngine, StreamingMatchesMaterialized) {
   // kMbtQ distributes metadata but not queries: the frequent-contact
   // relation (empty in feed mode) is inert, so the streamed run must be
@@ -284,7 +256,7 @@ TEST(ShardedEngine, StreamingMatchesMaterialized) {
     SCOPED_TRACE(which);
     const ShardedParams params = shardedParams(ProtocolKind::kMbtQ, 2, 2);
     const EngineResult materialized = ShardedEngine(t, params).run();
-    TraceStream stream(t);
+    trace::MaterializedStream stream(t);
     const EngineResult streamed = ShardedEngine(stream, params).run();
     expectResultsIdentical(materialized, streamed);
   };

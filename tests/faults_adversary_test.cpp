@@ -59,6 +59,14 @@ TEST(AdversaryParams, ValidateRejectsBadFractionAndUnknownBits) {
   EXPECT_NE(errors.front().find("unknown bits"), std::string::npos);
 }
 
+TEST(AttackMask, KindNamesAreStable) {
+  EXPECT_STREQ(attackKindName(AttackKind::kPollution), "pollution");
+  EXPECT_STREQ(attackKindName(AttackKind::kPieceLie), "piece-lie");
+  EXPECT_STREQ(attackKindName(AttackKind::kFalseSummary), "false-summary");
+  EXPECT_STREQ(attackKindName(AttackKind::kAckSpoof), "ack-spoof");
+  EXPECT_STREQ(attackKindName(AttackKind::kCoordinator), "coordinator");
+}
+
 TEST(AttackMask, ParseAcceptsListsAllAndNone) {
   std::uint32_t mask = 0;
   EXPECT_TRUE(parseAttackMask("all", &mask));

@@ -400,6 +400,17 @@ std::uint32_t PieceStoreReference::pieceCount(FileId file) const {
   return it == entries_.end() ? 0 : it->second.pieces;
 }
 
+std::vector<std::uint32_t> PieceStoreReference::missingPieces(
+    FileId file) const {
+  std::vector<std::uint32_t> out;
+  auto it = entries_.find(file);
+  if (it == entries_.end()) return out;
+  for (std::uint32_t p = 0; p < it->second.pieces; ++p) {
+    if (!bit(it->second, p)) out.push_back(p);
+  }
+  return out;
+}
+
 const std::vector<FileId>& PieceStoreReference::files() const {
   if (filesViewStale_) {
     filesView_.clear();
@@ -491,6 +502,10 @@ void CreditLedgerReference::onReceivedUnrequested(NodeId peer,
 
 void CreditLedgerReference::addCredit(NodeId peer, double delta) {
   credits_[peer] += delta;
+}
+
+void CreditLedgerReference::decay(double factor) {
+  for (auto& [_, credit] : credits_) credit *= factor;
 }
 
 std::vector<std::pair<NodeId, double>> CreditLedgerReference::ranking() const {

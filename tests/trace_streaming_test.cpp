@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "src/trace/dieselnet.hpp"
@@ -10,28 +9,6 @@
 
 namespace hdtn::trace {
 namespace {
-
-// A deliberately messy NUS session log: comments, blanks, unsorted starts,
-// ties that only differ in members, and a one-student session (well-formed
-// but contact-less).
-const char* kNusLog =
-    "# NUS session log\n"
-    "1 28800 3600 4 2 9\n"
-    "\n"
-    "0 28800 3600 1 2 3\n"
-    "0 28800 3600 0 5\n"
-    "0 50400 1800 7\n"
-    "   # indented comment\n"
-    "0 28800 3600 1 2 4\n"
-    "2 0 120 8 9\n";
-
-// DieselNet meeting log: optional byte counts, duplicate pair at a tie.
-const char* kDieselLog =
-    "# bus meetings\n"
-    "3 1 7200 300 1048576\n"
-    "0 1 3600 600\n"
-    "2 4 3600 600 99\n"
-    "1 0 86400 60\n";
 
 std::vector<Contact> drain(ContactStream& stream) {
   std::vector<Contact> out;
@@ -50,31 +27,16 @@ void expectStreamEqualsTrace(ContactStream& stream, const ContactTrace& t) {
   EXPECT_EQ(stream.endTime(), t.endTime());
 }
 
-TEST(Streaming, NusStreamMatchesMaterializedReader) {
-  std::istringstream materializedInput(kNusLog);
-  std::string error;
-  const auto materialized = readNusSessions(materializedInput, &error);
-  ASSERT_TRUE(materialized.has_value()) << error;
-
-  std::istringstream streamInput(kNusLog);
-  const auto stream = openNusSessionStream(streamInput, &error);
-  ASSERT_NE(stream, nullptr) << error;
-  expectStreamEqualsTrace(*stream, *materialized);
+ContactTrace dieselNetTrace() {
+  DieselNetParams p;
+  p.buses = 10;
+  p.routes = 2;
+  p.days = 2;
+  p.seed = 9;
+  return generateDieselNet(p);
 }
 
-TEST(Streaming, DieselNetStreamMatchesMaterializedReader) {
-  std::istringstream materializedInput(kDieselLog);
-  std::string error;
-  const auto materialized = readDieselNetLog(materializedInput, &error);
-  ASSERT_TRUE(materialized.has_value()) << error;
-
-  std::istringstream streamInput(kDieselLog);
-  const auto stream = openDieselNetStream(streamInput, &error);
-  ASSERT_NE(stream, nullptr) << error;
-  expectStreamEqualsTrace(*stream, *materialized);
-}
-
-TEST(Streaming, GeneratedNusRoundTripsThroughLogStream) {
+ContactTrace nusTrace() {
   NusParams p;
   p.students = 30;
   p.courses = 6;
@@ -82,94 +44,42 @@ TEST(Streaming, GeneratedNusRoundTripsThroughLogStream) {
   p.days = 3;
   p.attendanceRate = 0.8;
   p.seed = 5;
-  const ContactTrace trace = generateNus(p);
-
-  // Re-serialize the generated trace as a session log (the trace is clique
-  // sessions, so every contact is one log line).
-  std::ostringstream log;
-  for (const Contact& c : trace.contacts()) {
-    log << c.start / kDay << ' ' << c.start % kDay << ' ' << c.duration();
-    for (const NodeId m : c.members) log << ' ' << m.value;
-    log << '\n';
-  }
-  std::istringstream input(log.str());
-  std::string error;
-  const auto stream = openNusSessionStream(input, &error);
-  ASSERT_NE(stream, nullptr) << error;
-  const std::vector<Contact> streamed = drain(*stream);
-  ASSERT_EQ(streamed.size(), trace.contactCount());
-  for (std::size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_EQ(streamed[i], trace.contacts()[i]) << "contact " << i;
-  }
-}
-
-TEST(Streaming, StreamErrorsMatchMaterializedReaderErrors) {
-  const char* bad = "0 28800 3600 1 2\nnot a record\n";
-  std::istringstream materializedInput(bad);
-  std::string materializedError;
-  EXPECT_FALSE(
-      readNusSessions(materializedInput, &materializedError).has_value());
-
-  std::istringstream streamInput(bad);
-  std::string streamError;
-  EXPECT_EQ(openNusSessionStream(streamInput, &streamError), nullptr);
-  EXPECT_EQ(streamError, materializedError);
-  EXPECT_NE(streamError.find("line 2"), std::string::npos) << streamError;
-}
-
-TEST(Streaming, DieselNetStreamRejectsSelfMeeting) {
-  const char* bad = "1 1 3600 600\n";
-  std::istringstream input(bad);
-  std::string error;
-  EXPECT_EQ(openDieselNetStream(input, &error), nullptr);
-  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+  return generateNus(p);
 }
 
 TEST(Streaming, ResetReplaysIdenticalSequence) {
-  std::istringstream input(kNusLog);
-  std::string error;
-  const auto stream = openNusSessionStream(input, &error);
-  ASSERT_NE(stream, nullptr) << error;
-  const std::vector<Contact> first = drain(*stream);
-  const std::vector<Contact> second = drain(*stream);
+  const ContactTrace trace = nusTrace();
+  MaterializedStream stream(trace);
+  const std::vector<Contact> first = drain(stream);
+  const std::vector<Contact> second = drain(stream);
   EXPECT_EQ(first, second);
   EXPECT_FALSE(first.empty());
 }
 
 TEST(Streaming, MaterializedStreamAdaptsSortedTrace) {
-  DieselNetParams p;
-  p.buses = 10;
-  p.routes = 2;
-  p.days = 2;
-  p.seed = 9;
-  const ContactTrace trace = generateDieselNet(p);
+  const ContactTrace trace = dieselNetTrace();
   MaterializedStream stream(trace);
   expectStreamEqualsTrace(stream, trace);
 }
 
 TEST(Streaming, MaterializeRebuildsTheTrace) {
-  std::istringstream input(kDieselLog);
-  std::string error;
-  const auto stream = openDieselNetStream(input, &error);
-  ASSERT_NE(stream, nullptr) << error;
-  const ContactTrace rebuilt = materialize(*stream);
-
-  std::istringstream materializedInput(kDieselLog);
-  const auto direct = readDieselNetLog(materializedInput, &error);
-  ASSERT_TRUE(direct.has_value());
-  ASSERT_EQ(rebuilt.contactCount(), direct->contactCount());
+  const ContactTrace direct = dieselNetTrace();
+  MaterializedStream stream(direct);
+  // A partly consumed stream is rewound before draining.
+  ASSERT_TRUE(stream.next().has_value());
+  const ContactTrace rebuilt = materialize(stream);
+  ASSERT_EQ(rebuilt.contactCount(), direct.contactCount());
   for (std::size_t i = 0; i < rebuilt.contactCount(); ++i) {
-    EXPECT_EQ(rebuilt.contacts()[i], direct->contacts()[i]);
+    EXPECT_EQ(rebuilt.contacts()[i], direct.contacts()[i]);
   }
-  EXPECT_EQ(rebuilt.nodeCount(), direct->nodeCount());
+  EXPECT_EQ(rebuilt.nodeCount(), direct.nodeCount());
+  EXPECT_EQ(rebuilt.name(), direct.name());
 }
 
 TEST(Streaming, PartitionHintDefaultsToEmpty) {
-  std::istringstream input(kDieselLog);
-  std::string error;
-  const auto stream = openDieselNetStream(input, &error);
-  ASSERT_NE(stream, nullptr) << error;
-  EXPECT_TRUE(stream->partitionHint().empty());
+  const ContactTrace trace = dieselNetTrace();
+  MaterializedStream stream(trace);
+  EXPECT_TRUE(stream.partitionHint().empty());
 }
 
 }  // namespace

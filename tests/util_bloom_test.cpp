@@ -39,6 +39,34 @@ TEST(BloomFilter, FalsePositiveRateNearDesign) {
   EXPECT_GT(rate, target / 10.0);  // not degenerate either
 }
 
+TEST(BloomFilter, ClearResets) {
+  BloomFilter filter(256, 3);
+  filter.insert(42);
+  EXPECT_TRUE(filter.mayContain(42));
+  filter.clear();
+  EXPECT_FALSE(filter.mayContain(42));
+  EXPECT_EQ(filter.insertions(), 0u);
+  EXPECT_DOUBLE_EQ(filter.load(), 0.0);
+}
+
+TEST(BloomFilter, LoadGrowsWithInsertions) {
+  BloomFilter filter(512, 4);
+  const double empty = filter.load();
+  for (std::uint64_t k = 0; k < 40; ++k) filter.insert(k);
+  EXPECT_GT(filter.load(), empty);
+  EXPECT_LE(filter.load(), 1.0);
+}
+
+TEST(BloomFilter, MergeIsUnion) {
+  BloomFilter a(512, 4), b(512, 4);
+  a.insert(1);
+  b.insert(2);
+  a.merge(b);
+  EXPECT_TRUE(a.mayContain(1));
+  EXPECT_TRUE(a.mayContain(2));
+  EXPECT_EQ(a.insertions(), 2u);
+}
+
 TEST(BloomFilter, ForCapacityGeometryReasonable) {
   const BloomFilter filter = BloomFilter::forCapacity(1000, 0.01);
   // Optimal: ~9585 bits, ~7 hashes.
