@@ -11,7 +11,9 @@
 //
 // The same runs check the link-model identities between the event stream
 // and the totals (docs/OBSERVABILITY.md), and pin the exact bytes of a
-// checkpoint saved halfway through each run.
+// checkpoint saved halfway through each run. EngineTotalsParity maps every
+// EngineTotals counter to the event counts it equals, or names why no event
+// tells it.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -25,6 +27,7 @@
 #include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "src/core/engine.hpp"
 #include "src/faults/adversary.hpp"
@@ -56,6 +59,14 @@ class PinObserver final : public obs::EngineObserver {
                                     std::uint32_t extra) const {
     const auto it = counts_.find({type, extra});
     return it == counts_.end() ? 0 : it->second;
+  }
+  /// The sum of `extra` over every event of `type`.
+  [[nodiscard]] std::uint64_t sumExtra(obs::SimEventType type) const {
+    std::uint64_t sum = 0;
+    for (const auto& [key, n] : counts_) {
+      if (key.first == type) sum += key.second * n;
+    }
+    return sum;
   }
 
  private:
@@ -313,6 +324,179 @@ INSTANTIATE_TEST_SUITE_P(Matrix, EnginePin, testing::ValuesIn(kPinCases),
                          [](const testing::TestParamInfo<PinCase>& info) {
                            return std::string(info.param.name);
                          });
+
+// One row per EngineTotals counter: the event-count identities it must
+// equal, or why the event stream cannot tell it.
+using Identity = std::uint64_t (*)(const PinObserver&, const EngineTotals&);
+
+struct ParityRow {
+  const char* name;
+  std::uint64_t EngineTotals::*counter;
+  std::vector<Identity> identities;
+  /// Set exactly when `identities` is empty.
+  const char* exemption = nullptr;
+};
+
+template <obs::SimEventType kType>
+std::uint64_t countOf(const PinObserver& events, const EngineTotals&) {
+  return events.count(kType);
+}
+
+template <faults::FaultKind kKind>
+std::uint64_t faultsOf(const PinObserver& events, const EngineTotals&) {
+  return events.count(obs::SimEventType::kFaultInjected,
+                      static_cast<std::uint32_t>(kKind));
+}
+
+template <faults::AttackKind kKind>
+std::uint64_t attacksOf(const PinObserver& events, const EngineTotals&) {
+  return events.count(obs::SimEventType::kAttackInjected,
+                      static_cast<std::uint32_t>(kKind));
+}
+
+std::vector<ParityRow> parityTable() {
+  using E = obs::SimEventType;
+  using faults::AttackKind;
+  using faults::FaultKind;
+  using T = EngineTotals;
+  return {
+      {"contactsProcessed", &T::contactsProcessed,
+       {countOf<E::kContactBegin>, countOf<E::kContactEnd>,
+        countOf<E::kCliqueFormed>}},
+      {"filesPublished", &T::filesPublished, {countOf<E::kFilePublished>}},
+      {"queriesGenerated", &T::queriesGenerated, {},
+       "queries are issued at publish instants without an event"},
+      {"metadataBroadcasts", &T::metadataBroadcasts,
+       {countOf<E::kMetadataBroadcast>}},
+      {"pieceBroadcasts", &T::pieceBroadcasts,
+       {[](const PinObserver& e, const EngineTotals&) {
+         return e.count(E::kPieceBroadcast) + e.count(E::kCodedBroadcast);
+       }}},
+      {"metadataReceptions", &T::metadataReceptions, {},
+       "a record a bounded store sheds on admission is counted with no "
+       "accept or reject event (Observer.EventCountsMatchEngineTotals "
+       "checks accepted + rejected on unbounded stores)"},
+      {"pieceReceptions", &T::pieceReceptions, {countOf<E::kPieceReceived>}},
+      {"forgeriesCrafted", &T::forgeriesCrafted,
+       {countOf<E::kForgeryCrafted>}},
+      {"forgeriesAccepted", &T::forgeriesAccepted,
+       {countOf<E::kForgeryAccepted>}},
+      {"forgeriesRejected", &T::forgeriesRejected,
+       {countOf<E::kMetadataRejected>}},
+      {"faultMessagesDropped", &T::faultMessagesDropped,
+       {faultsOf<FaultKind::kMessageLoss>}},
+      {"faultContactsTruncated", &T::faultContactsTruncated,
+       {faultsOf<FaultKind::kContactTruncation>}},
+      {"faultPiecesRejectedCorrupt", &T::faultPiecesRejectedCorrupt,
+       {faultsOf<FaultKind::kPieceCorruption>}},
+      {"faultNodeDownIntervals", &T::faultNodeDownIntervals,
+       {countOf<E::kNodeDown>}},
+      {"recoveryFramesLost", &T::recoveryFramesLost, {},
+       "the message-loss faults a recording session noted; the fault event "
+       "does not say whether a session was recording"},
+      {"recoveryRetransmits", &T::recoveryRetransmits,
+       {countOf<E::kRetransmit>}},
+      {"recoveryRedeliveries", &T::recoveryRedeliveries, {},
+       "a stored retransmission is evented as an ordinary reception"},
+      {"coordinatorFailovers", &T::coordinatorFailovers,
+       {countOf<E::kCoordinatorFailover>}},
+      {"repairRequests", &T::repairRequests, {countOf<E::kRepairRequested>}},
+      {"metadataEvictions", &T::metadataEvictions,
+       {countOf<E::kMetadataEvicted>}},
+      {"codedBroadcasts", &T::codedBroadcasts, {countOf<E::kCodedBroadcast>}},
+      {"codedInnovativeFrames", &T::codedInnovativeFrames,
+       {countOf<E::kInnovativeFrame>}},
+      {"codedRedundantFrames", &T::codedRedundantFrames, {},
+       "a redundant reception changes no state and has no event"},
+      {"generationsDecoded", &T::generationsDecoded,
+       {countOf<E::kGenerationDecoded>}},
+      {"codedDecodeFailures", &T::codedDecodeFailures,
+       {countOf<E::kDecodeFailed>}},
+      {"codedDecodeRowOps", &T::codedDecodeRowOps, {},
+       "a work counter (decoder row operations), not an action"},
+      {"codedDegenerateFrames", &T::codedDegenerateFrames, {},
+       "rejected inside the decoder before any row operation, with no event"},
+      {"adversaryAttacks", &T::adversaryAttacks,
+       {countOf<E::kAttackInjected>,
+        [](const PinObserver&, const EngineTotals& t) {
+          return t.pollutionInjected + t.piecesLied + t.summariesForged +
+                 t.acksSpoofed + t.broadcastsSuppressed;
+        }}},
+      {"pollutionInjected", &T::pollutionInjected,
+       {attacksOf<AttackKind::kPollution>}},
+      {"pollutionDetected", &T::pollutionDetected,
+       {[](const PinObserver& e, const EngineTotals&) {
+         return e.sumExtra(E::kPollutionDetected);
+       }}},
+      {"pollutedDeliveries", &T::pollutedDeliveries, {},
+       "an undefended garbage generation is stored like a decoded one and "
+       "has no event of its own"},
+      {"generationsRolledBack", &T::generationsRolledBack,
+       {countOf<E::kGenerationRolledBack>}},
+      {"piecesLied", &T::piecesLied, {attacksOf<AttackKind::kPieceLie>}},
+      {"summariesForged", &T::summariesForged,
+       {attacksOf<AttackKind::kFalseSummary>}},
+      {"acksSpoofed", &T::acksSpoofed, {attacksOf<AttackKind::kAckSpoof>}},
+      {"broadcastsSuppressed", &T::broadcastsSuppressed,
+       {attacksOf<AttackKind::kCoordinator>}},
+      {"nodesQuarantined", &T::nodesQuarantined,
+       {countOf<E::kNodeQuarantined>}},
+      {"nodesReleased", &T::nodesReleased, {countOf<E::kNodeReleased>}},
+      {"falseQuarantines", &T::falseQuarantines, {},
+       "ground truth (was the node Byzantine?) that no event carries"},
+  };
+}
+
+// Every counter of every pin run equals each of its identities, and the
+// table has exactly one row per word of EngineTotalsWords.
+TEST(EngineTotalsParity, EveryCounterHasAnIdentityOrANamedExemption) {
+  const std::vector<ParityRow> table = parityTable();
+  std::array<int, std::tuple_size_v<EngineTotalsWords>> rowsPerWord{};
+  for (const ParityRow& row : table) {
+    EXPECT_EQ(row.identities.empty(), row.exemption != nullptr) << row.name;
+    EngineTotals probe;
+    probe.*row.counter = 1;
+    const EngineTotalsWords words = totalsWords(probe);
+    for (std::size_t i = 0; i < words.size(); ++i) rowsPerWord[i] += words[i];
+  }
+  for (std::size_t i = 0; i < rowsPerWord.size(); ++i) {
+    EXPECT_EQ(rowsPerWord[i], 1) << "EngineTotals word " << i;
+  }
+
+  // Every pin run, and each forger run once more with verification off, so
+  // that honest nodes store forgeries.
+  std::vector<std::pair<std::string, EngineParams>> runs;
+  for (const PinCase& c : kPinCases) {
+    runs.emplace_back(c.name, pinParams(c));
+    if (c.forgerFraction > 0.0) {
+      runs.emplace_back(std::string(c.name) + "Unverified", pinParams(c));
+      runs.back().second.verifyMetadata = false;
+    }
+  }
+
+  const trace::ContactTrace trace = pinTrace();
+  std::vector<bool> exercised(table.size(), false);
+  for (const auto& [name, params] : runs) {
+    Engine engine(trace, params);
+    PinObserver events;
+    engine.setObserver(&events);
+    const EngineTotals t = engine.run().totals;
+    for (std::size_t r = 0; r < table.size(); ++r) {
+      const ParityRow& row = table[r];
+      const std::uint64_t value = t.*row.counter;
+      if (value > 0) exercised[r] = true;
+      for (const Identity identity : row.identities) {
+        EXPECT_EQ(value, identity(events, t)) << name << ": " << row.name;
+      }
+    }
+  }
+  // An identity that only ever compares zeros checks nothing.
+  for (std::size_t r = 0; r < table.size(); ++r) {
+    if (!table[r].identities.empty()) {
+      EXPECT_TRUE(exercised[r]) << table[r].name << " stays 0 in every run";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace hdtn::core
