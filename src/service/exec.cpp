@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -82,6 +83,7 @@ bool ChildProcess::start(const std::vector<std::string>& argv,
   }
   args.push_back(nullptr);
 
+  const pid_t parent = getpid();
   const pid_t pid = fork();
   if (pid < 0) {
     if (pipeFds[0] >= 0) close(pipeFds[0]);
@@ -91,6 +93,14 @@ bool ChildProcess::start(const std::vector<std::string>& argv,
     return false;
   }
   if (pid == 0) {
+    // The worker dies with the process that forked it, so a SIGKILLed
+    // supervisor or daemon leaves no orphan still writing its checkpoint.
+    // The signal follows the forking thread: the daemon loop, the
+    // supervisor loop and the tests' DaemonHarness thread each outlive
+    // their children. A parent that died before prctl ran is caught by
+    // the getppid() check.
+    prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (getppid() != parent) _exit(127);
     // Child: stdout → pipe or log file, then exec. _exit(127) on exec
     // failure keeps the failure visible as a distinct exit code.
     if (logFd >= 0) {

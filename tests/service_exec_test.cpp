@@ -4,6 +4,10 @@
 #include "src/service/exec.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/prctl.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -25,6 +29,57 @@ std::string readFile(const std::string& path) {
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+// A worker dies with the process that started it. The test process is a
+// child subreaper, so the worker of a SIGKILLed helper is reparented here
+// and can be reaped and examined.
+TEST(ChildProcessTest, DiesWithTheProcessThatStartedIt) {
+  ASSERT_EQ(prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  const pid_t helper = fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    close(fds[0]);
+    ChildProcess child;
+    std::string error;
+    if (!child.start({"/bin/sleep", "30"}, "/dev/null", &error)) _exit(1);
+    const pid_t worker = child.pid();
+    if (write(fds[1], &worker, sizeof(worker)) != sizeof(worker)) _exit(1);
+    for (;;) pause();
+  }
+  close(fds[1]);
+  pid_t worker = -1;
+  const bool gotWorker =
+      read(fds[0], &worker, sizeof(worker)) == sizeof(worker);
+  close(fds[0]);
+  // Kill the helper only once the worker runs sleep, past its prctl.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (gotWorker && std::chrono::steady_clock::now() < deadline &&
+         readFile("/proc/" + std::to_string(worker) + "/cmdline")
+                 .rfind("/bin/sleep", 0) != 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  kill(helper, SIGKILL);
+  int status = 0;
+  ASSERT_EQ(waitpid(helper, &status, 0), helper);
+  ASSERT_TRUE(gotWorker);
+
+  pid_t reaped = 0;
+  const auto reapBy = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((reaped = waitpid(worker, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < reapBy) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (reaped == 0) {  // still running: clean up before failing
+    kill(worker, SIGKILL);
+    waitpid(worker, nullptr, 0);
+  }
+  prctl(PR_SET_CHILD_SUBREAPER, 0);
+  ASSERT_EQ(reaped, worker) << "the worker outlived its parent";
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 }
 
 TEST(RunChildTest, CapturesExitCodeAndOutput) {
