@@ -39,10 +39,6 @@ void CreditLedger::addCredit(NodeId peer, double delta) {
   entry(peer) += delta;
 }
 
-void CreditLedger::decay(double factor) {
-  for (auto& [_, credit] : credits_) credit *= factor;
-}
-
 std::vector<std::pair<NodeId, double>> CreditLedger::ranking() const {
   std::vector<std::pair<NodeId, double>> out = credits_;
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {

@@ -31,12 +31,8 @@ class CreditLedger {
   /// Records receiving an *unrequested* item from `peer` (+popularity).
   void onReceivedUnrequested(NodeId peer, Popularity popularity);
 
-  /// Direct adjustment (tests, decay policies).
+  /// Direct adjustment (tests).
   void addCredit(NodeId peer, double delta);
-
-  /// Multiplies every credit by `factor` in [0, 1]; aging-out policy so
-  /// ancient contributions do not dominate forever.
-  void decay(double factor);
 
   [[nodiscard]] std::size_t knownPeers() const { return credits_.size(); }
 

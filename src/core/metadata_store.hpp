@@ -96,7 +96,7 @@ class MetadataStore {
   /// was admitted (a bounded store may shed the incoming record instead).
   /// A record shed by capacity pressure (a stored victim, or the incoming
   /// record refused admission) is handed to `shed` when given; at most one
-  /// record is shed per call, and TTL expiry and remove() shed nothing.
+  /// record is shed per call, and TTL expiry sheds nothing.
   bool add(const SharedMetadata& md, SharedMetadata* shed = nullptr);
   /// Stores a new object holding `md` (tests, whose records come from no
   /// other holder).
@@ -114,8 +114,6 @@ class MetadataStore {
   /// After a drop that leaves the capacity above twice the size plus 8,
   /// the entries move to an exact-size vector.
   std::size_t expire(SimTime now);
-
-  void remove(FileId file);
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }

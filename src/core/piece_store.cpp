@@ -118,16 +118,6 @@ std::uint32_t PieceStore::pieceCount(FileId file) const {
   return e == nullptr ? 0 : e->pieces;
 }
 
-std::vector<std::uint32_t> PieceStore::missingPieces(FileId file) const {
-  std::vector<std::uint32_t> out;
-  const Entry* e = find(file);
-  if (e == nullptr) return out;
-  for (std::uint32_t p = 0; p < e->pieces; ++p) {
-    if (!bit(*e, p)) out.push_back(p);
-  }
-  return out;
-}
-
 std::vector<FileId> PieceStore::completeFiles() const {
   std::vector<FileId> out;
   for (const Entry& e : entries_) {

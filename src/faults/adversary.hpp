@@ -60,8 +60,6 @@ inline constexpr std::uint32_t kAllAttacks =
     static_cast<std::uint32_t>(AttackKind::kAckSpoof) |
     static_cast<std::uint32_t>(AttackKind::kCoordinator);
 
-/// Stable kebab-case name (scenario knob values, JSONL consumers, docs).
-[[nodiscard]] const char* attackKindName(AttackKind kind);
 
 /// Parses a comma-separated attack list ("pollution,ack-spoof", or "all")
 /// into a mask. Returns false and leaves *mask untouched on an unknown

@@ -17,20 +17,6 @@ constexpr std::uint64_t kChurnSalt = 4;
 
 }  // namespace
 
-const char* faultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kMessageLoss:
-      return "message_loss";
-    case FaultKind::kContactTruncation:
-      return "contact_truncation";
-    case FaultKind::kPieceCorruption:
-      return "piece_corruption";
-    case FaultKind::kNodeChurn:
-      return "node_churn";
-  }
-  return "unknown";
-}
-
 bool FaultParams::enabled() const {
   return messageLossRate > 0.0 || contactTruncationRate > 0.0 ||
          pieceCorruptionRate > 0.0 || churnDownFraction > 0.0;

@@ -45,7 +45,6 @@ void BloomFilter::insert(std::uint64_t key) {
     const std::uint64_t bit = probe(key, i);
     words_[bit / 64] |= 1ull << (bit % 64);
   }
-  ++insertions_;
 }
 
 bool BloomFilter::mayContain(std::uint64_t key) const {
@@ -54,28 +53,6 @@ bool BloomFilter::mayContain(std::uint64_t key) const {
     if ((words_[bit / 64] & (1ull << (bit % 64))) == 0) return false;
   }
   return true;
-}
-
-void BloomFilter::clear() {
-  for (auto& word : words_) word = 0;
-  insertions_ = 0;
-}
-
-double BloomFilter::load() const {
-  std::size_t set = 0;
-  for (std::uint64_t word : words_) {
-    set += static_cast<std::size_t>(__builtin_popcountll(word));
-  }
-  return static_cast<double>(set) / static_cast<double>(words_.size() * 64);
-}
-
-void BloomFilter::merge(const BloomFilter& other) {
-  assert(words_.size() == other.words_.size());
-  assert(hashes_ == other.hashes_);
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i] |= other.words_[i];
-  }
-  insertions_ += other.insertions_;
 }
 
 }  // namespace hdtn

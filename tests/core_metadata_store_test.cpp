@@ -179,13 +179,6 @@ TEST(MetadataStore, ShrinkOnExpireKeepsEveryAnswer) {
   EXPECT_EQ(store.all()[20]->file, FileId(500));
 }
 
-TEST(MetadataStore, RemoveSpecific) {
-  MetadataStore store;
-  store.add(makeMetadata(1, 0.5, 0, 100));
-  store.remove(FileId(1));
-  EXPECT_TRUE(store.empty());
-}
-
 TEST(MetadataStore, AllSortedByFileId) {
   MetadataStore store;
   store.add(makeMetadata(5, 0.1, 0, 100));
@@ -460,8 +453,6 @@ class StoreModel {
                          [&](const auto& kv) { return kv.second.md->expired(now); });
   }
 
-  void remove(FileId file) { held_.erase(file); }
-
   [[nodiscard]] std::vector<const Metadata*> all() const {
     std::vector<const Metadata*> out;
     for (const auto& [file, h] : held_) out.push_back(h.md.get());
@@ -546,9 +537,6 @@ TEST(MetadataStoreProperty, MatchesMapModel) {
           }
         } else if (op < 8) {
           EXPECT_EQ(store.expire(now), model.expire(now)) << where;
-        } else if (op < 9) {
-          store.remove(file);
-          model.remove(file);
         } else {
           // Round trip through a checkpoint.
           const std::string bytes = storeBytes(store);

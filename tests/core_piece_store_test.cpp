@@ -49,16 +49,6 @@ TEST(PieceStore, CompletionDetection) {
   EXPECT_EQ(store.completeFiles(), (std::vector<FileId>{FileId(5)}));
 }
 
-TEST(PieceStore, MissingPieces) {
-  PieceStore store;
-  store.registerFile(FileId(2), 4);
-  store.addPiece(FileId(2), 1);
-  store.addPiece(FileId(2), 3);
-  EXPECT_EQ(store.missingPieces(FileId(2)),
-            (std::vector<std::uint32_t>{0, 2}));
-  EXPECT_TRUE(store.missingPieces(FileId(9)).empty());
-}
-
 TEST(PieceStore, AddWholeFile) {
   PieceStore store;
   store.registerFile(FileId(3), 5);
@@ -336,7 +326,6 @@ void expectStoresAgree(const PieceStore& store,
     EXPECT_EQ(store.isComplete(file), reference.isComplete(file)) << f;
     EXPECT_EQ(store.piecesHeld(file), reference.piecesHeld(file)) << f;
     EXPECT_EQ(store.pieceCount(file), reference.pieceCount(file)) << f;
-    EXPECT_EQ(store.missingPieces(file), reference.missingPieces(file)) << f;
     for (std::uint32_t p = 0; p <= maxPieces; ++p) {
       ASSERT_EQ(store.hasPiece(file, p), reference.hasPiece(file, p))
           << f << " " << p;

@@ -353,14 +353,5 @@ TEST(EngineFaults, ChurnEventsBalanceAndMatchTotals) {
   EXPECT_EQ(counter.count(obs::SimEventType::kNodeUp), planned);
 }
 
-TEST(FaultKindNames, AreStable) {
-  EXPECT_STREQ(faultKindName(FaultKind::kMessageLoss), "message_loss");
-  EXPECT_STREQ(faultKindName(FaultKind::kContactTruncation),
-               "contact_truncation");
-  EXPECT_STREQ(faultKindName(FaultKind::kPieceCorruption),
-               "piece_corruption");
-  EXPECT_STREQ(faultKindName(FaultKind::kNodeChurn), "node_churn");
-}
-
 }  // namespace
 }  // namespace hdtn::faults

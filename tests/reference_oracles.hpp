@@ -65,7 +65,6 @@ class PieceStoreReference {
   [[nodiscard]] bool isComplete(FileId file) const;
   [[nodiscard]] std::uint32_t piecesHeld(FileId file) const;
   [[nodiscard]] std::uint32_t pieceCount(FileId file) const;
-  [[nodiscard]] std::vector<std::uint32_t> missingPieces(FileId file) const;
   [[nodiscard]] const std::vector<FileId>& files() const;
   [[nodiscard]] std::vector<FileId> completeFiles() const;
   [[nodiscard]] std::size_t totalPiecesHeld() const { return totalHeld_; }
@@ -110,7 +109,6 @@ class CreditLedgerReference {
   void onReceivedRequested(NodeId peer);
   void onReceivedUnrequested(NodeId peer, Popularity popularity);
   void addCredit(NodeId peer, double delta);
-  void decay(double factor);
   [[nodiscard]] std::size_t knownPeers() const { return credits_.size(); }
   [[nodiscard]] std::vector<std::pair<NodeId, double>> ranking() const;
   void saveState(Serializer& out) const;
