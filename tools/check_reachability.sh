@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Lists the libhdtn.a functions that no tool, example, bench (bench_micro
 # excepted) or bench/e2e binary links, and fails when one of them is missing
-# from tools/reachability_allowlist.txt.
+# from tools/reachability_allowlist.txt or an allowlist entry is stale.
 #
 #   tools/check_reachability.sh [BUILD_DIR]      (default: build-reach)
 #
-# Every binary is built with per-function sections, without the inliner's
-# discretionary passes, and linked with --gc-sections, so a library function
+# Every binary is built with per-function sections and without inlining
+# (an inlined call leaves no symbol behind), and linked with --gc-sections, so a library function
 # survives in a binary only when that binary calls it. The union of the
 # binaries' text symbols is then diffed against libhdtn.a's global text
 # symbols (`T`). What is left has no caller outside the unit tests and
@@ -17,7 +17,7 @@ export LC_ALL=C
 root=$(cd "$(dirname "$0")/.." && pwd)
 out=$(realpath -m "${1:-$root/build-reach}")
 allowlist="$root/tools/reachability_allowlist.txt"
-flags="-ffunction-sections -fdata-sections -fno-inline-functions -fno-inline-small-functions"
+flags="-ffunction-sections -fdata-sections -fno-inline"
 configure=(-DCMAKE_BUILD_TYPE=Release "-DCMAKE_CXX_FLAGS=$flags"
            "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
 
@@ -73,6 +73,6 @@ if [ -n "$missing" ]; then
   echo "not in tools/reachability_allowlist.txt: give each a caller, delete it"
   echo "with the tests that only check it, or allowlist it with a reason:"
   printf '%s\n' "$missing" | sed 's/^/  /'
-  exit 1
 fi
+[ -z "$stale" ] && [ -z "$missing" ] || exit 1
 echo "every unreached function is allowlisted"
