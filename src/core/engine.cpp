@@ -1,7 +1,6 @@
 #include "src/core/engine.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <set>
 #include <stdexcept>
@@ -729,19 +728,14 @@ void Engine::runDiscoveryPhase(const std::vector<Node*>& members, SimTime now,
 
   // Each broadcast hands receivers the planned record's object. That is the
   // copy the planner chose, held by the highest-index member that holds the
-  // file; under observed popularity it may carry a different snapshot than
-  // the sender's own copy. Take them all before delivering: a bounded
-  // receiver store may shed a record a later broadcast of this plan sends.
+  // file (the broadcast's holder); under observed popularity it may carry a
+  // different snapshot than the sender's own copy. Take them all before
+  // delivering: a bounded receiver store may shed a record a later
+  // broadcast of this plan sends.
   std::vector<SharedMetadata> records;
   records.reserve(plan.size());
   for (const MetadataBroadcast& b : plan) {
-    const FileId file = b.metadata->file;
-    const auto holder =
-        std::find_if(members.rbegin(), members.rend(), [&](const Node* m) {
-          return m->metadata().get(file) == b.metadata;
-        });
-    assert(holder != members.rend());
-    records.push_back((*holder)->metadata().shared(file));
+    records.push_back(members[b.holder]->metadata().shared(b.metadata->file));
   }
 
   for (std::size_t k = 0; k < plan.size(); ++k) {

@@ -127,11 +127,15 @@ FileId InternetServices::publish(const FileCatalog::PublishRequest& request) {
 
 std::vector<RankedMatch> InternetServices::search(const FileQuery& query,
                                                   SimTime now) const {
-  std::vector<const Metadata*> candidates;
-  for (FileId id : catalog_.aliveFiles(now)) {
-    candidates.push_back(&catalog_.metadataFor(id));
-  }
-  return rankMatches(query, candidates, &catalog_);
+  std::vector<const Metadata*> matched;
+  query.forEachMatch(catalog_, catalog_.firstUnexpired(now),
+                     static_cast<std::uint32_t>(catalog_.size()),
+                     [&](FileId id) {
+                       if (catalog_.find(id)->alive(now)) {
+                         matched.push_back(&catalog_.metadataFor(id));
+                       }
+                     });
+  return rankMatches(query, matched, &catalog_);
 }
 
 std::vector<SharedMetadata> InternetServices::topPopular(

@@ -77,8 +77,9 @@ class InternetServices {
   void setObserver(obs::EngineObserver* observer) { observer_ = observer; }
 
   /// Server-side keyword search over the catalog's records of the files
-  /// alive at `now`, ranked by rankMatches. The catalog's records answer
-  /// from the query's match row (see matches()).
+  /// alive at `now`, ranked by rankMatches. The query walks its match row
+  /// (FileQuery::forEachMatch) from the lowest file unexpired at `now`, so
+  /// only the matching records are read and ranked.
   [[nodiscard]] std::vector<RankedMatch> search(const FileQuery& query,
                                                 SimTime now) const;
 

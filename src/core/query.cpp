@@ -1,6 +1,7 @@
 #include "src/core/query.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/util/string_util.hpp"
 
@@ -127,29 +128,42 @@ bool FileQuery::matchAndStore(const Metadata& md,
   const bool hit = queryTokensMatchPrehashed(tokens, tokenHashes, md);
   if (catalog == nullptr) return hit;
   MatchCounts& counts = catalog->matchCounts_;
-  if (!catalog->holds(md)) {
-    ++counts.direct;
-    return hit;
-  }
-  if (rowCatalog_ != catalog->identity()) {
-    rowCatalog_ = catalog->identity();
-    rowBase_ = catalog->firstUnexpired(issuedAt);
-    row_.clear();
-  }
-  if (md.file.value < rowBase_) {
+  if (!catalog->holds(md) || md.file.value < coverRow(*catalog)) {
     ++counts.direct;
     return hit;
   }
   const std::size_t slot = md.file.value - rowBase_;
-  if (slot / kEntriesPerWord >= row_.size()) {
-    // Cover every file published so far; a later file grows it again.
-    row_.resize((catalog->size() - rowBase_ + kEntriesPerWord - 1) /
-                kEntriesPerWord);
-  }
   row_[slot / kEntriesPerWord] |= (hit ? kMatch : kMiss)
                                   << (2 * (slot % kEntriesPerWord));
   ++counts.rowFills;
   return hit;
+}
+
+std::uint32_t FileQuery::coverRow(const FileCatalog& catalog) const {
+  if (rowCatalog_ != catalog.identity()) {
+    rowCatalog_ = catalog.identity();
+    rowBase_ = catalog.firstUnexpired(issuedAt);
+    row_.clear();
+  }
+  // Cover every file published so far; a later file grows it again.
+  const std::size_t words =
+      (catalog.size() - rowBase_ + kEntriesPerWord - 1) / kEntriesPerWord;
+  if (row_.size() < words) row_.resize(words);
+  return rowBase_;
+}
+
+std::uint64_t FileQuery::fillWord(const FileCatalog& catalog, std::size_t word,
+                                  std::uint64_t unknown) const {
+  for (; unknown != 0; unknown &= unknown - 1) {
+    const auto bit = static_cast<std::size_t>(std::countr_zero(unknown));
+    const FileId file(static_cast<std::uint32_t>(
+        rowBase_ + word * kEntriesPerWord + bit / 2));
+    const bool hit = queryTokensMatchPrehashed(tokens, tokenHashes,
+                                               catalog.metadataFor(file));
+    row_[word] |= (hit ? kMatch : kMiss) << bit;
+    ++catalog.matchCounts_.rowFills;
+  }
+  return row_[word];
 }
 
 std::vector<RankedMatch> rankMatches(

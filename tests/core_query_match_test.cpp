@@ -3,10 +3,12 @@
 // text-keyed search kept in tests/reference_oracles.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/engine.hpp"
@@ -122,68 +124,86 @@ SharedMetadata strippedCopy(const Metadata& md, bool keepKeywords) {
   return stripped;
 }
 
-// Six publish days of batches with mixed TTLs. After each day the rows
-// (some filled the day before, over fewer files) must agree with the
-// direct match on the catalog's records of every file, on the old records
-// the server replaced, on forged, tampered and stripped copies, and the
-// object search with the text search at several instants.
+// Six publish days of batches with mixed TTLs, two batches a day, with
+// queries made at each file's publish instant (canonical and partial) and
+// four known by their text alone, the empty one included. After each
+// day's publishes the server replaces some records (their holders keep
+// the old ones), and holders alter others: forged, tampered and stripped
+// copies.
+struct RandomCatalogDays {
+  InternetServices internet;
+  Rng rng;
+  std::vector<SharedQuery> queries = {
+      std::make_shared<const FileQuery>("news"),
+      std::make_shared<const FileQuery>("fox sports"),
+      std::make_shared<const FileQuery>("weather late"),
+      std::make_shared<const FileQuery>("")};
+  std::vector<SharedMetadata> held;  // records holders kept or altered
+  std::uint32_t nextForged = kForgedIdBase;
+
+  explicit RandomCatalogDays(std::uint64_t seed) : rng(seed) {}
+
+  // Publishes day `day`'s batches and alters records; returns an instant
+  // two hours after the day's first batch.
+  SimTime advance(int day) {
+    FileCatalog& catalog = internet.catalog();
+    for (int b = 0; b < 2; ++b) {
+      SyntheticBatchParams batch;
+      batch.count = static_cast<int>(rng.uniformInt(4, 16));
+      batch.publishedAt = day * kDay + kDailyPublishHour + b * kHour;
+      batch.ttl = rng.uniformInt(1, 3) * kDay;
+      batch.lambda = batch.count / 2.0;
+      for (const FileId f : publishSyntheticBatch(internet, batch, rng)) {
+        const FileInfo& info = *catalog.find(f);
+        if (rng.chance(0.5)) {
+          queries.push_back(std::make_shared<const FileQuery>(
+              canonicalQueryText(info), f, info.publishedAt, info.ttl));
+        }
+        if (rng.chance(0.2)) {
+          // "<topic> <style>": several files match.
+          const auto tokens = keywordTokens(info.name);
+          queries.push_back(std::make_shared<const FileQuery>(
+              tokens[1] + " " + tokens[2], f, info.publishedAt, info.ttl));
+        }
+      }
+    }
+    const SimTime now = day * kDay + kDailyPublishHour + 2 * kHour;
+    for (const FileId f : catalog.aliveFiles(now)) {
+      const SharedMetadata current = catalog.sharedMetadataFor(f);
+      if (rng.chance(0.3)) {
+        // The server replaces the record; its holders keep the old one.
+        held.push_back(current);
+        catalog.setPopularity(f, rng.uniform(0.0, 1.0));
+      }
+      if (rng.chance(0.1)) held.push_back(forgedCopy(*current, nextForged++));
+      if (rng.chance(0.1)) held.push_back(tamperedCopy(*current));
+      if (rng.chance(0.1)) {
+        held.push_back(strippedCopy(*current, rng.chance(0.5)));
+      }
+    }
+    return now;
+  }
+};
+
+// After each day of RandomCatalogDays the rows (some filled the day
+// before, over fewer files) must agree with the direct match on the
+// catalog's records of every file, on the old records the server
+// replaced, on forged, tampered and stripped copies, and the object search
+// with the text search at several instants.
 TEST(QueryMatchRows, AgreeWithDirectMatchOverRandomCatalogs) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    InternetServices internet;
-    FileCatalog& catalog = internet.catalog();
-    Rng rng(seed);
-    // Queries known by their text alone, the empty one included; engine
-    // queries are added per published file.
-    std::vector<SharedQuery> queries = {
-        std::make_shared<const FileQuery>("news"),
-        std::make_shared<const FileQuery>("fox sports"),
-        std::make_shared<const FileQuery>("weather late"),
-        std::make_shared<const FileQuery>("")};
-    std::vector<SharedMetadata> held;  // records holders kept or altered
-    std::uint32_t nextForged = kForgedIdBase;
+    RandomCatalogDays run(seed);
+    const FileCatalog& catalog = run.internet.catalog();
     for (int day = 0; day < 6; ++day) {
-      for (int b = 0; b < 2; ++b) {
-        SyntheticBatchParams batch;
-        batch.count = static_cast<int>(rng.uniformInt(4, 16));
-        batch.publishedAt = day * kDay + kDailyPublishHour + b * kHour;
-        batch.ttl = rng.uniformInt(1, 3) * kDay;
-        batch.lambda = batch.count / 2.0;
-        for (const FileId f : publishSyntheticBatch(internet, batch, rng)) {
-          const FileInfo& info = *catalog.find(f);
-          if (rng.chance(0.5)) {
-            queries.push_back(std::make_shared<const FileQuery>(
-                canonicalQueryText(info), f, info.publishedAt, info.ttl));
-          }
-          if (rng.chance(0.2)) {
-            // "<topic> <style>": several files match.
-            const auto tokens = keywordTokens(info.name);
-            queries.push_back(std::make_shared<const FileQuery>(
-                tokens[1] + " " + tokens[2], f, info.publishedAt, info.ttl));
-          }
-        }
-      }
-      const SimTime now = day * kDay + kDailyPublishHour + 2 * kHour;
-      for (const FileId f : catalog.aliveFiles(now)) {
-        const SharedMetadata current = catalog.sharedMetadataFor(f);
-        if (rng.chance(0.3)) {
-          // The server replaces the record; its holders keep the old one.
-          held.push_back(current);
-          catalog.setPopularity(f, rng.uniform(0.0, 1.0));
-        }
-        if (rng.chance(0.1)) held.push_back(forgedCopy(*current, nextForged++));
-        if (rng.chance(0.1)) held.push_back(tamperedCopy(*current));
-        if (rng.chance(0.1)) {
-          held.push_back(strippedCopy(*current, rng.chance(0.5)));
-        }
-      }
-      std::vector<SharedMetadata> records = held;
+      const SimTime now = run.advance(day);
+      std::vector<SharedMetadata> records = run.held;
       for (const FileId f : catalog.allFiles()) {
         records.push_back(catalog.sharedMetadataFor(f));
       }
-      expectRowAnswers(queries, records, catalog);
+      expectRowAnswers(run.queries, records, catalog);
       for (const SimTime at : {now - 2 * kHour, now, now + kDay / 2}) {
-        expectSearchesMatchReference(internet, queries, at);
+        expectSearchesMatchReference(run.internet, run.queries, at);
       }
     }
     // Every kind of answer was exercised.
@@ -191,6 +211,102 @@ TEST(QueryMatchRows, AgreeWithDirectMatchOverRandomCatalogs) {
     EXPECT_GT(counts.rowHits, counts.rowFills);
     EXPECT_GT(counts.rowFills, 0u);
     EXPECT_GT(counts.direct, 0u);
+  }
+}
+
+std::uint64_t answered(const MatchCounts& counts) {
+  return counts.rowHits + counts.rowFills + counts.direct;
+}
+
+// Walks `query` over [begin, end) of `catalog` and expects exactly the
+// files whose catalog record queryTokensMatchPrehashed accepts, ascending,
+// with one counted answer per file of the window. Returns the matches.
+std::vector<FileId> expectWalk(const FileQuery& query,
+                               const FileCatalog& catalog, std::uint32_t begin,
+                               std::uint32_t end) {
+  std::vector<FileId> want;
+  const auto size = static_cast<std::uint32_t>(catalog.size());
+  for (std::uint32_t f = begin; f < std::min(end, size); ++f) {
+    if (queryTokensMatchPrehashed(query.tokens, query.tokenHashes,
+                                  catalog.metadataFor(FileId(f)))) {
+      want.push_back(FileId(f));
+    }
+  }
+  const std::uint64_t before = answered(catalog.matchCounts());
+  std::vector<FileId> got;
+  query.forEachMatch(catalog, begin, end,
+                     [&got](FileId file) { got.push_back(file); });
+  const std::string where = "query \"" + query.text + "\" issued at " +
+                            std::to_string(query.issuedAt) + ", files [" +
+                            std::to_string(begin) + ", " +
+                            std::to_string(end) + ")";
+  EXPECT_EQ(got, want) << where;
+  EXPECT_EQ(answered(catalog.matchCounts()) - before,
+            begin < std::min(end, size) ? std::min(end, size) - begin : 0u)
+      << where;
+  return got;
+}
+
+// Over RandomCatalogDays, every query walks several windows after each
+// day: the whole catalog and the files alive now (both start below the
+// row of a query issued later), windows around the row's start, and short
+// random windows, one of them past the catalog's end. Queries walked on
+// earlier days must see the files published since. A second catalog (a
+// copy that publishes other text under the next file id) keeps its own
+// answers, and so does the first after it.
+TEST(QueryMatchRows, WalksReportExactlyTheMatchingCatalogFiles) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomCatalogDays run(seed);
+    FileCatalog& catalog = run.internet.catalog();
+    Rng windows(seed + 100);
+    for (int day = 0; day < 6; ++day) {
+      const SimTime now = run.advance(day);
+      const auto size = static_cast<std::uint32_t>(catalog.size());
+      for (const SharedQuery& query : run.queries) {
+        const std::uint32_t base = lowestUnexpired(catalog, query->issuedAt);
+        const auto a = static_cast<std::uint32_t>(windows.pickIndex(size + 1));
+        const auto b = static_cast<std::uint32_t>(windows.pickIndex(size + 1));
+        for (const auto& [begin, end] :
+             std::vector<std::pair<std::uint32_t, std::uint32_t>>{
+                 {0, size},
+                 {catalog.firstUnexpired(now), size},
+                 {base, size},
+                 {base > 3 ? base - 3 : 0, base + 40},
+                 {base + 1, base + 33},
+                 {std::min(a, b), std::max(a, b)},
+                 {a, a},
+                 {a, size + 70}}) {
+          expectWalk(*query, catalog, begin, end);
+        }
+      }
+    }
+    const MatchCounts& counts = catalog.matchCounts();
+    EXPECT_GT(counts.rowHits, counts.rowFills);
+    EXPECT_GT(counts.rowFills, 0u);
+    EXPECT_GT(counts.direct, 0u);
+
+    FileCatalog second = catalog;
+    ASSERT_NE(second.identity(), catalog.identity());
+    FileCatalog::PublishRequest extra;
+    extra.publisher = "pub";
+    extra.sizeBytes = 1024;
+    extra.pieceSizeBytes = 1024;
+    extra.publishedAt = 6 * kDay;
+    extra.ttl = kDay;
+    extra.name = "news fox sports weather late extra";
+    const FileId inFirst = catalog.publish(extra);
+    extra.name = "drama extra";
+    ASSERT_EQ(second.publish(extra), inFirst);
+    const auto size = static_cast<std::uint32_t>(catalog.size());
+    for (int round = 0; round < 2; ++round) {
+      for (const SharedQuery& query : run.queries) {
+        const auto inSecond = expectWalk(*query, second, 0, size);
+        EXPECT_EQ(std::count(inSecond.begin(), inSecond.end(), inFirst), 0)
+            << query->text;
+        expectWalk(*query, catalog, 0, size);
+      }
+    }
   }
 }
 

@@ -22,25 +22,27 @@ namespace {
 std::vector<MetadataBroadcast> planCooperativeDiscoveryReference(
     std::span<const DiscoveryPeer> peers, int budget, bool useRequestPhase) {
   // Member by member: the copy of the highest-index holder wins.
-  std::map<FileId, const Metadata*> records;
+  std::map<FileId, std::pair<const Metadata*, std::uint32_t>> records;
   std::map<FileId, std::vector<std::size_t>> contributingHolders;
   for (std::size_t i = 0; i < peers.size(); ++i) {
     if (peers[i].store == nullptr) continue;
     for (const Metadata* md : peers[i].store->all()) {
-      records[md->file] = md;
+      records[md->file] = {md, static_cast<std::uint32_t>(i)};
       if (peers[i].contributes) contributingHolders[md->file].push_back(i);
     }
   }
   struct Candidate {
     const Metadata* md;
+    std::uint32_t holder;
     NodeId sender;
     std::vector<NodeId> requesters;
   };
   std::vector<Candidate> candidates;
-  for (const auto& [file, md] : records) {
+  for (const auto& [file, record] : records) {
+    const auto [md, holder] = record;
     const std::vector<std::size_t>& holders = contributingHolders[file];
     if (holders.empty()) continue;
-    Candidate cand{md, peers[holders.front()].id, {}};
+    Candidate cand{md, holder, peers[holders.front()].id, {}};
     for (std::size_t h : holders) cand.sender = std::min(cand.sender, peers[h].id);
     bool anyLacker = false;
     for (const DiscoveryPeer& peer : peers) {
@@ -89,6 +91,7 @@ std::vector<MetadataBroadcast> planCooperativeDiscoveryReference(
     MetadataBroadcast b;
     b.sender = cand.sender;
     b.metadata = cand.md;
+    b.holder = cand.holder;
     b.requesters = cand.requesters;
     b.phase = cand.requesters.empty() ? 2 : 1;
     plan.push_back(std::move(b));
