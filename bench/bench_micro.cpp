@@ -8,6 +8,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/core/access_sync.hpp"
@@ -104,15 +105,19 @@ void BM_QueryMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryMatch);
 
-// Shared fixture for the discovery-planning benchmarks: each member holds
-// the catalog's own record objects and asks one catalog query object, as
-// engine members do, and one scratch serves every plan.
+// Shared fixture for the discovery-planning benchmarks, shaped like the
+// engine's calls: each member holds the catalog's own record objects, asks
+// its own catalog query object plus zero to six of other members' (the
+// objects its proxied queries share), passes the empty refusal sets every
+// engine member passes, and one scratch serves every plan.
 struct DiscoveryFixture {
   InternetServices internet;
   std::vector<SharedQuery> fileQueries;  ///< one per file, as the engine
   std::vector<MetadataStore> stores;
   std::vector<CreditLedger> ledgers;
   std::vector<std::vector<const FileQuery*>> queryLists;
+  std::unordered_set<FileId> noRejected;
+  std::unordered_set<NodeId> noDistrusted;
   std::vector<DiscoveryPeer> peers;
   DiscoveryScratch scratch;
 
@@ -132,16 +137,24 @@ struct DiscoveryFixture {
       for (FileId f : catalog.allFiles()) {
         if (rng.chance(0.4)) stores[i].add(catalog.sharedMetadataFor(f));
       }
-      DiscoveryPeer peer;
-      peer.id = NodeId(static_cast<std::uint32_t>(i));
-      peer.store = &stores[i];
       queryLists[i] = {fileQueries[rng.pickIndex(150)].get()};
-      peer.queryObjects = &queryLists[i];
-      peer.credits = &ledgers[i];
       for (std::size_t p = 0; p < members; ++p) {
         ledgers[i].addCredit(NodeId(static_cast<std::uint32_t>(p)),
                              rng.uniform(0.0, 10.0));
       }
+    }
+    for (std::size_t i = 0; i < members; ++i) {
+      const auto proxied = rng.uniformInt(0, 6);
+      for (std::int64_t q = 0; q < proxied; ++q) {
+        queryLists[i].push_back(queryLists[rng.pickIndex(members)].front());
+      }
+      DiscoveryPeer peer;
+      peer.id = NodeId(static_cast<std::uint32_t>(i));
+      peer.store = &stores[i];
+      peer.rejected = &noRejected;
+      peer.distrustedSenders = &noDistrusted;
+      peer.queryObjects = &queryLists[i];
+      peer.credits = &ledgers[i];
       peers.push_back(std::move(peer));
     }
   }
@@ -158,7 +171,7 @@ void BM_PlanDiscovery(benchmark::State& state) {
     benchmark::DoNotOptimize(fx.plan(Scheduling::kCooperative));
   }
 }
-BENCHMARK(BM_PlanDiscovery)->Arg(2)->Arg(8)->Arg(20);
+BENCHMARK(BM_PlanDiscovery)->Arg(2)->Arg(8)->Arg(20)->Arg(65);
 
 void BM_PlanDiscoveryTft(benchmark::State& state) {
   DiscoveryFixture fx(static_cast<std::size_t>(state.range(0)));
@@ -166,7 +179,7 @@ void BM_PlanDiscoveryTft(benchmark::State& state) {
     benchmark::DoNotOptimize(fx.plan(Scheduling::kTitForTat));
   }
 }
-BENCHMARK(BM_PlanDiscoveryTft)->Arg(2)->Arg(8)->Arg(20);
+BENCHMARK(BM_PlanDiscoveryTft)->Arg(2)->Arg(8)->Arg(20)->Arg(65);
 
 // One access node's server searches at a publish instant: 40 files a day
 // with a 3-day TTL over five days, so 120 of the 200 files are alive, and
