@@ -103,11 +103,6 @@ bool MetadataStore::add(const SharedMetadata& md, SharedMetadata* shed) {
 
 bool MetadataStore::has(FileId file) const { return find(file) != nullptr; }
 
-const Metadata* MetadataStore::get(FileId file) const {
-  const Entry* entry = find(file);
-  return entry == nullptr ? nullptr : entry->md.get();
-}
-
 SharedMetadata MetadataStore::shared(FileId file) const {
   const Entry* entry = find(file);
   return entry == nullptr ? nullptr : entry->md;

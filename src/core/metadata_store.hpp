@@ -105,7 +105,6 @@ class MetadataStore {
   }
 
   [[nodiscard]] bool has(FileId file) const;
-  [[nodiscard]] const Metadata* get(FileId file) const;
   /// The held object itself, to forward to another holder; null when absent.
   [[nodiscard]] SharedMetadata shared(FileId file) const;
 

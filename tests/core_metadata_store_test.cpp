@@ -62,9 +62,9 @@ TEST(MetadataStore, AddAndGet) {
   EXPECT_FALSE(store.add(makeMetadata(1, 0.5, 0, 100)));  // duplicate
   EXPECT_TRUE(store.has(FileId(1)));
   EXPECT_FALSE(store.has(FileId(2)));
-  ASSERT_NE(store.get(FileId(1)), nullptr);
-  EXPECT_EQ(store.get(FileId(1))->popularity, 0.5);
-  EXPECT_EQ(store.get(FileId(9)), nullptr);
+  ASSERT_NE(store.shared(FileId(1)).get(), nullptr);
+  EXPECT_EQ(store.shared(FileId(1)).get()->popularity, 0.5);
+  EXPECT_EQ(store.shared(FileId(9)).get(), nullptr);
   EXPECT_EQ(store.size(), 1u);
 }
 
@@ -72,9 +72,9 @@ TEST(MetadataStore, RefreshKeepsHigherPopularity) {
   MetadataStore store;
   store.add(makeMetadata(1, 0.3, 0, 100));
   store.add(makeMetadata(1, 0.8, 0, 100));  // popularity rose
-  EXPECT_DOUBLE_EQ(store.get(FileId(1))->popularity, 0.8);
+  EXPECT_DOUBLE_EQ(store.shared(FileId(1)).get()->popularity, 0.8);
   store.add(makeMetadata(1, 0.1, 0, 100));  // stale snapshot ignored
-  EXPECT_DOUBLE_EQ(store.get(FileId(1))->popularity, 0.8);
+  EXPECT_DOUBLE_EQ(store.shared(FileId(1)).get()->popularity, 0.8);
 }
 
 TEST(MetadataStore, ExpireDropsOldRecords) {
@@ -159,7 +159,7 @@ TEST(MetadataStore, ShrinkOnExpireKeepsEveryAnswer) {
   }
   std::vector<const Metadata*> got;
   for (std::uint32_t id = 0; id < 200; ++id) {
-    const Metadata* md = store.get(FileId(id));
+    const Metadata* md = store.shared(FileId(id)).get();
     got.push_back(survives(md) ? md : nullptr);
   }
 
@@ -171,7 +171,7 @@ TEST(MetadataStore, ShrinkOnExpireKeepsEveryAnswer) {
   EXPECT_EQ(std::vector<const Metadata*>(view.begin(), view.end()),
             byPopularity);
   for (std::uint32_t id = 0; id < 200; ++id) {
-    EXPECT_EQ(store.get(FileId(id)), got[id]) << id;
+    EXPECT_EQ(store.shared(FileId(id)).get(), got[id]) << id;
   }
 
   EXPECT_TRUE(store.add(makeMetadata(500, 0.5, kDay, kDay)));
@@ -253,7 +253,7 @@ TEST(MetadataStore, BoundedRefreshNeverEvicts) {
   // Refreshing a held record is not an insertion: no capacity pressure.
   EXPECT_FALSE(addCollecting(store, makeMetadata(1, 0.9, 0, 100), shed));
   EXPECT_TRUE(shed.empty());
-  EXPECT_DOUBLE_EQ(store.get(FileId(1))->popularity, 0.9);
+  EXPECT_DOUBLE_EQ(store.shared(FileId(1)).get()->popularity, 0.9);
 }
 
 TEST(MetadataStore, BoundedSaveLoadRoundTripKeepsEvictionOrder) {
@@ -285,15 +285,15 @@ TEST(MetadataStoreSharing, StoresHoldTheObjectTheyAreGiven) {
   MetadataStore b;
   EXPECT_TRUE(a.add(md));
   EXPECT_TRUE(b.add(md));
-  EXPECT_EQ(a.get(FileId(1)), md.get());
-  EXPECT_EQ(b.get(FileId(1)), md.get());
+  EXPECT_EQ(a.shared(FileId(1)).get(), md.get());
+  EXPECT_EQ(b.shared(FileId(1)).get(), md.get());
   EXPECT_EQ(a.shared(FileId(1)), md);
   EXPECT_EQ(a.all()[0], md.get());
   EXPECT_EQ(a.shared(FileId(2)), nullptr);
   // A store forwards the object it holds, not a copy of it.
   MetadataStore c;
   c.add(a.shared(FileId(1)));
-  EXPECT_EQ(c.get(FileId(1)), md.get());
+  EXPECT_EQ(c.shared(FileId(1)).get(), md.get());
 }
 
 TEST(MetadataStoreSharing, RefreshCopiesOnWrite) {
@@ -304,7 +304,7 @@ TEST(MetadataStoreSharing, RefreshCopiesOnWrite) {
   b.add(md);
   EXPECT_FALSE(a.add(makeShared(1, 0.8)));
   // `a` now holds a private copy with the raised popularity...
-  const Metadata* own = a.get(FileId(1));
+  const Metadata* own = a.shared(FileId(1)).get();
   ASSERT_NE(own, nullptr);
   EXPECT_NE(own, md.get());
   EXPECT_DOUBLE_EQ(own->popularity, 0.8);
@@ -312,13 +312,13 @@ TEST(MetadataStoreSharing, RefreshCopiesOnWrite) {
   expected.popularity = 0.8;
   EXPECT_EQ(*own, expected);
   // ...while the other holder and the original keep the old one.
-  EXPECT_EQ(b.get(FileId(1)), md.get());
+  EXPECT_EQ(b.shared(FileId(1)).get(), md.get());
   EXPECT_DOUBLE_EQ(md->popularity, 0.3);
   EXPECT_DOUBLE_EQ(b.byPopularity()[0]->popularity, 0.3);
   // A lower snapshot changes nothing, in either store.
   EXPECT_FALSE(b.add(makeShared(1, 0.1)));
-  EXPECT_EQ(b.get(FileId(1)), md.get());
-  EXPECT_EQ(a.get(FileId(1)), own);
+  EXPECT_EQ(b.shared(FileId(1)).get(), md.get());
+  EXPECT_EQ(a.shared(FileId(1)).get(), own);
 }
 
 TEST(MetadataStoreSharing, EvictionHookReceivesTheShedRecord) {
@@ -333,7 +333,7 @@ TEST(MetadataStoreSharing, EvictionHookReceivesTheShedRecord) {
   EXPECT_EQ(shed[0], nullptr);
   EXPECT_EQ(shed[1], low);
   EXPECT_EQ(shed[2], lower);
-  EXPECT_EQ(store.get(FileId(2)), high.get());
+  EXPECT_EQ(store.shared(FileId(2)).get(), high.get());
 }
 
 TEST(MetadataStoreSharing, InternedLoadReusesEqualRecords) {
@@ -355,16 +355,16 @@ TEST(MetadataStoreSharing, InternedLoadReusesEqualRecords) {
   loadStore(first, bytes, interner);
   loadStore(second, bytes, interner);
   loadStore(third, raisedBytes, interner);
-  EXPECT_EQ(first.get(FileId(1)), catalogRecord.get());
-  EXPECT_EQ(second.get(FileId(1)), catalogRecord.get());
-  EXPECT_EQ(first.get(FileId(2)), second.get(FileId(2)));
+  EXPECT_EQ(first.shared(FileId(1)).get(), catalogRecord.get());
+  EXPECT_EQ(second.shared(FileId(1)).get(), catalogRecord.get());
+  EXPECT_EQ(first.shared(FileId(2)).get(), second.shared(FileId(2)).get());
   // A record that differs in any field keeps its own object.
-  EXPECT_NE(third.get(FileId(1)), catalogRecord.get());
-  EXPECT_DOUBLE_EQ(third.get(FileId(1))->popularity, 0.6);
+  EXPECT_NE(third.shared(FileId(1)).get(), catalogRecord.get());
+  EXPECT_DOUBLE_EQ(third.shared(FileId(1)).get()->popularity, 0.6);
   // ...and later records equal to it reuse that object.
   MetadataStore fourth;
   loadStore(fourth, raisedBytes, interner);
-  EXPECT_EQ(fourth.get(FileId(1)), third.get(FileId(1)));
+  EXPECT_EQ(fourth.shared(FileId(1)).get(), third.shared(FileId(1)).get());
 }
 
 TEST(MetadataStoreSharing, InternerKeepsEverySnapshotOfAFile) {
@@ -385,8 +385,11 @@ TEST(MetadataStoreSharing, InternerKeepsEverySnapshotOfAFile) {
     loadStore(second[day], saved[day], interner);
   }
   for (int day = 0; day < kSnapshots; ++day) {
-    EXPECT_EQ(second[day].get(FileId(1)), first[day].get(FileId(1))) << day;
-    EXPECT_DOUBLE_EQ(first[day].get(FileId(1))->popularity, 0.01 * (day + 1));
+    EXPECT_EQ(second[day].shared(FileId(1)).get(),
+              first[day].shared(FileId(1)).get())
+        << day;
+    EXPECT_DOUBLE_EQ(first[day].shared(FileId(1))->popularity,
+                     0.01 * (day + 1));
   }
 }
 
@@ -400,9 +403,9 @@ TEST(MetadataStoreSharing, InternerKeepsAnUnequalRecordApart) {
   interner.seed(catalogRecord);
   MetadataStore restored;
   loadStore(restored, storeBytes(other), interner);
-  ASSERT_NE(restored.get(FileId(1)), nullptr);
-  EXPECT_NE(restored.get(FileId(1)), catalogRecord.get());
-  EXPECT_EQ(restored.get(FileId(1))->publishedAt, 50);
+  ASSERT_NE(restored.shared(FileId(1)).get(), nullptr);
+  EXPECT_NE(restored.shared(FileId(1)).get(), catalogRecord.get());
+  EXPECT_EQ(restored.shared(FileId(1)).get()->publishedAt, 50);
 }
 
 // --- property test against a std::map model ---------------------------------
@@ -568,8 +571,8 @@ TEST(MetadataStoreProperty, MatchesMapModel) {
           const Metadata* md = model.get(FileId(f));
           EXPECT_EQ(store.has(FileId(f)), md != nullptr) << where;
           if (md == nullptr) continue;
-          ASSERT_NE(store.get(FileId(f)), nullptr) << where;
-          EXPECT_EQ(*store.get(FileId(f)), *md) << where;
+          ASSERT_NE(store.shared(FileId(f)).get(), nullptr) << where;
+          EXPECT_EQ(*store.shared(FileId(f)).get(), *md) << where;
         }
         EXPECT_EQ(storeBytes(store), model.bytes()) << where;
       }
