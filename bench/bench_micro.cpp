@@ -351,9 +351,9 @@ BENCHMARK(BM_HelloExchange);
 class BenchSyncHost final : public AccessSync::Host {
  public:
   explicit BenchSyncHost(const FileCatalog& catalog) : catalog_(catalog) {}
-  void storeMetadata(Node& node, const SharedMetadata& md,
+  bool storeMetadata(Node& node, const SharedMetadata& md,
                      SimTime now) override {
-    node.acceptMetadata(md, now);
+    return node.acceptMetadata(md, now).added;
   }
   void gotMetadata(const Node&, FileId, SimTime) override {}
   void deliverWholeFile(Node& node, FileId file, SimTime now) override {

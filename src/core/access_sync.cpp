@@ -29,9 +29,9 @@ void AccessSync::beginEpoch(SimTime publishAt) {
                    ? static_cast<std::uint32_t>(internet_.catalog().size())
                    : alive.front().value;
   const auto stock = std::min(
-      config_.stockLimit,
+      kStockLimit,
       std::max<std::size_t>(
-          10, static_cast<std::size_t>(config_.stockFraction *
+          10, static_cast<std::size_t>(kStockFraction *
                                        static_cast<double>(alive.size()))));
   carryStock_ = internet_.topPopular(publishAt, stock);
 }
@@ -76,11 +76,7 @@ void AccessSync::sync(Node& node, SimTime now, ContactViews& views,
 
   // The node's store shares the catalog's record object.
   auto acceptFromServer = [&](const SharedMetadata& md) {
-    if (md->expired(now)) return;
-    const bool isNew = !node.metadata().has(md->file);
-    host.storeMetadata(node, md, now);
-    // Re-check has(): a bounded store may have shed the record on admission.
-    if (isNew && node.metadata().has(md->file)) {
+    if (host.storeMetadata(node, md, now)) {
       host.gotMetadata(node, md->file, now);
     }
   };

@@ -39,12 +39,20 @@ namespace hdtn::core {
 
 class AccessSync {
  public:
+  /// The carry stock covers this share of the alive files, at least 10
+  /// records and at most kStockLimit. Deliberately below 1.0: targeted
+  /// (query-driven) collection is what MBT's query proxying adds on top of
+  /// the stock, so full coverage would erase the MBT-vs-MBT-Q distinction.
+  static constexpr double kStockFraction = 0.25;
+  static constexpr std::size_t kStockLimit = 500;
+
   /// The engine side of a sync (tests substitute their own).
   class Host {
    public:
     /// Stores a server record at `node`, with the engine's verification
-    /// and bounded-store accounting.
-    virtual void storeMetadata(Node& node, const SharedMetadata& md,
+    /// and bounded-store accounting. Returns true when the node did not
+    /// hold the record and now does.
+    virtual bool storeMetadata(Node& node, const SharedMetadata& md,
                                SimTime now) = 0;
     /// `node` newly holds `file`'s record (the delivery metric).
     virtual void gotMetadata(const Node& node, FileId file, SimTime now) = 0;
@@ -62,10 +70,6 @@ class AccessSync {
     bool takeCarryStock = false;
     /// Step 4 runs.
     bool fetchPeerWants = false;
-    /// Carry-stock size: this share of the alive files, at least 10 and at
-    /// most stockLimit.
-    double stockFraction = 0.25;
-    std::size_t stockLimit = 500;
   };
 
   AccessSync(const InternetServices& internet, Config config)

@@ -106,12 +106,9 @@ void Engine::setupNodes() {
 
   std::set<NodeId> access;
   std::set<NodeId> freeRiders;
-  if (!params_.explicitAccessNodes.empty() ||
-      !params_.explicitFreeRiders.empty()) {
+  if (!params_.explicitAccessNodes.empty()) {
     access.insert(params_.explicitAccessNodes.begin(),
                   params_.explicitAccessNodes.end());
-    freeRiders.insert(params_.explicitFreeRiders.begin(),
-                      params_.explicitFreeRiders.end());
   } else {
     const auto accessCount = static_cast<std::size_t>(std::llround(
         params_.internetAccessFraction * static_cast<double>(n)));
@@ -371,7 +368,6 @@ void Engine::publishDay(SimTime now) {
   batch.ttl = static_cast<Duration>(params_.fileTtlDays) * kDay;
   batch.lambda = popularityLambdaForFilesPerDay(params_.newFilesPerDay);
   batch.piecesPerFile = params_.piecesPerFile;
-  batch.pieceSizeBytes = params_.pieceSizeBytes;
   const std::vector<FileId> files = publishSyntheticBatch(
       internet_, batch, hasPublishRng_ ? publishRng_ : rng_);
   totals_.filesPublished += files.size();
@@ -426,7 +422,7 @@ void Engine::publishDay(SimTime now) {
   // tag no registry secret produced, and a URI that resolves to nothing.
   if (params_.forgerFraction > 0.0) {
     const auto topToday = internet_.topPopular(
-        now, static_cast<std::size_t>(params_.forgeriesPerForgerPerDay));
+        now, static_cast<std::size_t>(kForgeriesPerForgerPerDay));
     for (NodeId forgerId : nodes_.forgerIds()) {
       Node& forger = nodes_[forgerId];
       for (const SharedMetadata& genuine : topToday) {
@@ -461,8 +457,6 @@ AccessSync& Engine::accessSync() {
     config.searchProxiedQueries = params_.protocol.distributesQueries();
     config.takeCarryStock = params_.protocol.distributesMetadata();
     config.fetchPeerWants = params_.accessFetchesPeerRequests;
-    config.stockFraction = params_.accessMetadataSyncFraction;
-    config.stockLimit = params_.accessMetadataSyncLimit;
     access_ = std::make_unique<AccessSync>(internet_, config);
   }
   return *access_;
@@ -537,18 +531,9 @@ void Engine::processContact(const trace::Contact& contact) {
   exchangeHellos(members, params_.protocol, internet_.catalog(), now,
                  views_);
 
-  // Optional airtime model: long contacts move proportionally more.
-  int budgetMultiplier = 1;
-  if (params_.scaleBudgetsWithDuration &&
-      params_.referenceContactDuration > 0) {
-    budgetMultiplier = std::max<int>(
-        1, static_cast<int>(contact.duration() /
-                            params_.referenceContactDuration));
-  }
-  int metadataBudget = params_.metadataPerContact * budgetMultiplier;
-  int pieceBudget = params_.filesPerContact *
-                    static_cast<int>(params_.piecesPerFile) *
-                    budgetMultiplier;
+  int metadataBudget = params_.metadataPerContact;
+  int pieceBudget =
+      params_.filesPerContact * static_cast<int>(params_.piecesPerFile);
 
   // A truncated contact ends early: both phases lose the same tail
   // fraction of their budgets (possibly down to nothing).
@@ -845,19 +830,20 @@ bool Engine::sendFirst(const LostFrame& frame, RecoverySession* session,
   return outcome == Link::kDelivered;
 }
 
-void Engine::storeMetadata(Node& node, const SharedMetadata& md,
+bool Engine::storeMetadata(Node& node, const SharedMetadata& md,
                            SimTime now) {
-  if (md->expired(now)) return;
+  if (md->expired(now)) return false;
   if (params_.verifyMetadata && !node.options().forger &&
       !internet_.registry().verify(*md)) {
     ++totals_.forgeriesRejected;
     node.rejectMetadata(md->file);
     if (access_) access_->forget(node.id(), md->file);
-    return;
+    return false;
   }
   SharedMetadata shed;
-  node.acceptMetadata(md, now, &shed);
+  const bool added = node.acceptMetadata(md, now, &shed).added;
   if (shed != nullptr) noteMetadataEvicted(node, *shed);
+  return added;
 }
 
 void Engine::noteMetadataEvicted(const Node& node, const Metadata& md) {
@@ -879,7 +865,7 @@ void Engine::deliverMetadataTo(Node& receiver, NodeId sender,
   const Metadata& md = *shared;
   // Credit the sender before the store flips the query state.
   const bool requested = receiver.anyQueryMatches(md, now);
-  storeMetadata(receiver, shared, now);
+  const bool added = storeMetadata(receiver, shared, now);
   ++totals_.metadataReceptions;
   if (receiver.rejectedMetadata().contains(md.file)) {
     // Failed verification: remember the offender, no credit.
@@ -896,8 +882,9 @@ void Engine::deliverMetadataTo(Node& receiver, NodeId sender,
     return;
   }
   // A bounded store may have shed the record on admission: nothing was
-  // stored, so no credit, no metrics, no accept event.
-  if (!receiver.metadata().has(md.file)) return;
+  // stored, so no credit, no metrics, no accept event. (Every caller sends
+  // only records the receiver lacks, so a stored record is a new one.)
+  if (!added) return;
   const bool forgedAccept =
       md.file.value >= kForgedIdBase && !receiver.options().forger;
   if (forgedAccept) ++totals_.forgeriesAccepted;

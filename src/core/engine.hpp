@@ -44,6 +44,9 @@ namespace hdtn::core {
 
 struct CodedEngineState;  // RLNC decoders + coded RNG stream (engine.cpp)
 
+/// Fake records each forger crafts per publication day.
+inline constexpr int kForgeriesPerForgerPerDay = 3;
+
 struct EngineParams {
   ProtocolConfig protocol;
   DownloadMode downloadMode = DownloadMode::kBroadcast;
@@ -59,17 +62,12 @@ struct EngineParams {
   /// File transmissions allowed per contact (whole-file units; the piece
   /// budget is filesPerContact * piecesPerFile).
   int filesPerContact = 2;
-  /// When true, per-contact budgets scale linearly with contact duration
-  /// relative to referenceContactDuration (min multiplier 1). The paper's
-  /// model is a fixed number per contact; this option models airtime.
-  bool scaleBudgetsWithDuration = false;
-  Duration referenceContactDuration = 10 * kMinute;
   /// Ordering of the download push phase (paper: popularity;
   /// rarest-first is the BitTorrent-style alternative, Ablation A7).
   PushOrder pushOrder = PushOrder::kPopularity;
-  /// Pieces per published file; 1 matches the paper's whole-file exchange.
+  /// Pieces per published file (kSyntheticPieceSizeBytes each); 1 matches
+  /// the paper's whole-file exchange.
   std::uint32_t piecesPerFile = 1;
-  std::uint32_t pieceSizeBytes = 1024;
   /// Window defining the frequent-contact relation (3 days for DieselNet,
   /// 1 day for NUS per the paper).
   Duration frequentContactPeriod = 3 * kDay;
@@ -86,12 +84,11 @@ struct EngineParams {
   /// and report each shed via the metadata_evicted event.
   std::size_t nodeMetadataCapacity = 0;
   /// Fraction of non-access nodes that are *forgers*: each publication day
-  /// they craft fake metadata mimicking the day's most popular files
-  /// (copied names, inflated popularity, unverifiable authentication tags)
-  /// and push it into the DTN. Models the paper's fake-publisher threat.
+  /// they craft kForgeriesPerForgerPerDay fake records mimicking the day's
+  /// most popular files (copied names, inflated popularity, unverifiable
+  /// authentication tags) and push them into the DTN. Models the paper's
+  /// fake-publisher threat.
   double forgerFraction = 0.0;
-  /// Fake records crafted per forger per day.
-  int forgeriesPerForgerPerDay = 3;
   /// When true, nodes verify metadata authentication tags against the
   /// well-known publisher registry before accepting (paper Section III-B,
   /// metadata field (f)); forged records are rejected on contact.
@@ -102,20 +99,10 @@ struct EngineParams {
   /// generation still uses the ground-truth interest probability; only the
   /// ranking/push order sees the estimate.
   bool useObservedPopularity = false;
-  /// When non-empty, exactly these nodes have Internet access and
-  /// internetAccessFraction is ignored (scenario tests, examples).
+  /// When non-empty, exactly these nodes have Internet access, no node
+  /// free-rides, and internetAccessFraction and freeRiderFraction are
+  /// ignored (scenario tests, examples).
   std::vector<NodeId> explicitAccessNodes;
-  /// When non-empty, exactly these nodes free-ride and freeRiderFraction is
-  /// ignored.
-  std::vector<NodeId> explicitFreeRiders;
-  /// Access nodes carry a popularity-ordered metadata "stock" covering this
-  /// fraction of the currently alive files (at least 10 records, at most
-  /// accessMetadataSyncLimit). Deliberately below 1.0: targeted
-  /// (query-driven) collection is what MBT's query proxying adds on top of
-  /// the stock, so full coverage would erase the MBT-vs-MBT-Q distinction.
-  double accessMetadataSyncFraction = 0.25;
-  /// Absolute cap on the carry stock.
-  std::size_t accessMetadataSyncLimit = 500;
   /// Fault injection (message loss, contact truncation, piece corruption,
   /// node churn; see src/faults/faults.hpp). All-zero rates disable the
   /// subsystem entirely: no plan is constructed, no extra RNG draws happen,
@@ -516,8 +503,9 @@ class Engine : private AccessSync::Host {
   /// is on (every node but a forger checks the authentication tag against
   /// the publisher registry, paper Section III-B field (f)): a forgery is
   /// counted and remembered as rejected instead. A record the node's
-  /// bounded store sheds to make room is counted and evented.
-  void storeMetadata(Node& node, const SharedMetadata& md,
+  /// bounded store sheds to make room is counted and evented. Returns true
+  /// when the node did not hold `md`'s file and now does.
+  bool storeMetadata(Node& node, const SharedMetadata& md,
                      SimTime now) override;
   /// Counts and events one record `node`'s bounded store shed.
   void noteMetadataEvicted(const Node& node, const Metadata& md);

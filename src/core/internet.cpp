@@ -177,8 +177,8 @@ std::vector<FileId> publishSyntheticBatch(InternetServices& internet,
     req.description = std::string("poster advertisement for the ") + style +
                       " " + topic + " show " + episode + " by " + publisher;
     req.sizeBytes = static_cast<std::uint64_t>(params.piecesPerFile) *
-                    params.pieceSizeBytes;
-    req.pieceSizeBytes = params.pieceSizeBytes;
+                    kSyntheticPieceSizeBytes;
+    req.pieceSizeBytes = kSyntheticPieceSizeBytes;
     req.popularity = samplePopularity(rng, params.lambda);
     req.publishedAt = params.publishedAt;
     req.ttl = params.ttl;

@@ -104,6 +104,9 @@ class InternetServices {
   obs::EngineObserver* observer_ = nullptr;
 };
 
+/// Bytes per piece of a synthetic file.
+inline constexpr std::uint32_t kSyntheticPieceSizeBytes = 1024;
+
 /// Parameters for one day's synthetic publication batch (Section VI-A: "a
 /// number n of new files are generated on the Internet every day at 2PM").
 struct SyntheticBatchParams {
@@ -113,7 +116,6 @@ struct SyntheticBatchParams {
   /// Popularity distribution shape; the paper uses lambda = count / 2.
   double lambda = 20.0;
   std::uint32_t piecesPerFile = 1;
-  std::uint32_t pieceSizeBytes = 1024;
 };
 
 /// Publishes `params.count` files with names drawn from a publisher/topic

@@ -63,7 +63,8 @@ std::vector<MetadataStore::Entry>::iterator MetadataStore::evictionVictim() {
   return victim;
 }
 
-bool MetadataStore::add(const SharedMetadata& md, SharedMetadata* shed) {
+MetadataStore::Admission MetadataStore::add(const SharedMetadata& md,
+                                            SharedMetadata* shed) {
   auto it = lowerBound(entries_, md->file);
   if (it != entries_.end() && it->file == md->file) {
     if (md->popularity > it->md->popularity) {
@@ -74,7 +75,7 @@ bool MetadataStore::add(const SharedMetadata& md, SharedMetadata* shed) {
       it->md = std::move(own);
       ++generation_;
     }
-    return false;
+    return Admission::kHeld;
   }
   if (capacity_ && entries_.size() >= *capacity_) {
     auto victim = evictionVictim();
@@ -82,7 +83,7 @@ bool MetadataStore::add(const SharedMetadata& md, SharedMetadata* shed) {
       // Admission control: the incoming record would be the next victim
       // itself, so shed it instead of churning the store.
       if (shed != nullptr) *shed = md;
-      return false;
+      return Admission::kShed;
     }
     if (victim != entries_.end()) {
       if (shed != nullptr) *shed = std::move(victim->md);
@@ -98,7 +99,7 @@ bool MetadataStore::add(const SharedMetadata& md, SharedMetadata* shed) {
                             md});
   earliestExpiry_ = std::min(earliestExpiry_, md->expiresAt());
   ++generation_;
-  return true;
+  return Admission::kAdded;
 }
 
 bool MetadataStore::has(FileId file) const { return find(file) != nullptr; }

@@ -89,18 +89,24 @@ class MetadataStore {
     return capacity_;
   }
 
+  /// What add() did with the offered record.
+  enum class Admission : std::uint8_t {
+    kAdded,  ///< not held before, stored now
+    kHeld,   ///< already held (and refreshed when more popular)
+    kShed,   ///< a full store refused it: it would be the next victim
+  };
+
   /// Inserts (or refreshes) a record. Inserting stores `md` itself, not a
   /// copy; refreshing a held record is one lookup and, when `md` carries a
   /// higher popularity, a private copy of the held record with that
-  /// popularity. Returns true when the record was not present before and
-  /// was admitted (a bounded store may shed the incoming record instead).
-  /// A record shed by capacity pressure (a stored victim, or the incoming
-  /// record refused admission) is handed to `shed` when given; at most one
-  /// record is shed per call, and TTL expiry sheds nothing.
-  bool add(const SharedMetadata& md, SharedMetadata* shed = nullptr);
+  /// popularity. A record shed by capacity pressure (a stored victim, or
+  /// the incoming record refused admission) is handed to `shed` when
+  /// given; at most one record is shed per call, and TTL expiry sheds
+  /// nothing.
+  Admission add(const SharedMetadata& md, SharedMetadata* shed = nullptr);
   /// Stores a new object holding `md` (tests, whose records come from no
   /// other holder).
-  bool add(const Metadata& md, SharedMetadata* shed = nullptr) {
+  Admission add(const Metadata& md, SharedMetadata* shed = nullptr) {
     return add(std::make_shared<const Metadata>(md), shed);
   }
 

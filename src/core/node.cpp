@@ -72,16 +72,17 @@ bool Node::anyQueryMatches(const Metadata& md, SimTime now) const {
   });
 }
 
-std::vector<QueryId> Node::acceptMetadata(const SharedMetadata& shared,
-                                          SimTime now, SharedMetadata* shed) {
+Node::Accepted Node::acceptMetadata(const SharedMetadata& shared,
+                                    SimTime now, SharedMetadata* shed) {
   const Metadata& md = *shared;
-  std::vector<QueryId> selected;
-  if (md.expired(now)) return selected;
+  Accepted accepted;
+  if (md.expired(now)) return accepted;
   touch();
-  metadata_.add(shared, shed);
+  const MetadataStore::Admission admission = metadata_.add(shared, shed);
+  accepted.added = admission == MetadataStore::Admission::kAdded;
   // A bounded store may shed the incoming record under capacity pressure;
   // a record that was never stored must not be selected for download.
-  if (!metadata_.has(md.file)) return selected;
+  if (admission == MetadataStore::Admission::kShed) return accepted;
   for (QueryState& qs : liveQueries(now)) {
     if (qs.metadataFound || qs.query->expired(now)) continue;
     if (!matches(*qs.query, md, catalog_)) continue;
@@ -90,9 +91,9 @@ std::vector<QueryId> Node::acceptMetadata(const SharedMetadata& shared,
     qs.chosenFile = md.file;
     pieces_.registerFile(md.file, md.pieceCount());
     pieces_.setPriority(md.file, md.popularity);
-    selected.push_back(qs.id);
+    accepted.selected.push_back(qs.id);
   }
-  return selected;
+  return accepted;
 }
 
 std::vector<QueryId> Node::acceptPiece(FileId file, std::uint32_t piece,

@@ -137,17 +137,24 @@ class Node {
 
   // --- store update hooks (called by the engine when data arrives) -------
 
+  /// What acceptMetadata did with a record.
+  struct Accepted {
+    /// The store did not hold the record and now does.
+    bool added = false;
+    /// The queries that selected the record.
+    std::vector<QueryId> selected;
+  };
+
   /// Stores a metadata record; attaches it to any matching pending queries
-  /// (the user selects it) and registers the file for download. Returns ids
-  /// of queries that selected this record. The store shares `md` rather
-  /// than copying it (MetadataStore::add); a record the bounded store sheds
-  /// to make room (or refuses) goes to `shed` when given. Authenticity
-  /// (paper Section III-B field (f)) is the caller's check: a record that
-  /// fails it goes to rejectMetadata() instead.
-  std::vector<QueryId> acceptMetadata(const SharedMetadata& md, SimTime now,
-                                      SharedMetadata* shed = nullptr);
+  /// (the user selects it) and registers the file for download. The store
+  /// shares `md` rather than copying it (MetadataStore::add); a record the
+  /// bounded store sheds to make room (or refuses) goes to `shed` when
+  /// given. Authenticity (paper Section III-B field (f)) is the caller's
+  /// check: a record that fails it goes to rejectMetadata() instead.
+  Accepted acceptMetadata(const SharedMetadata& md, SimTime now,
+                          SharedMetadata* shed = nullptr);
   /// Accepts a new object holding `md` (tests).
-  std::vector<QueryId> acceptMetadata(const Metadata& md, SimTime now) {
+  Accepted acceptMetadata(const Metadata& md, SimTime now) {
     return acceptMetadata(std::make_shared<const Metadata>(md), now);
   }
 

@@ -3,13 +3,27 @@
 #include <algorithm>
 
 namespace hdtn::core {
+namespace {
+
+/// The suspicion one anomaly of `kind` adds (docs/ADVERSARY.md).
+double evidenceWeight(EvidenceKind kind) {
+  switch (kind) {
+    case EvidenceKind::kFailedVerification: return 1.0;
+    case EvidenceKind::kSummaryMismatch: return 0.5;
+    case EvidenceKind::kAckAnomaly: return 0.15;
+    case EvidenceKind::kBroadcastSuppressed: return 0.5;
+  }
+  return 0.0;
+}
+
+}  // namespace
 
 void ReputationTracker::decay(Entry& entry, SimTime now) const {
   if (now <= entry.lastUpdate) return;
   const double elapsedDays =
       static_cast<double>(now - entry.lastUpdate) / static_cast<double>(kDay);
   entry.suspicion =
-      std::max(0.0, entry.suspicion - params_.decayPerDay * elapsedDays);
+      std::max(0.0, entry.suspicion - kSuspicionDecayPerDay * elapsedDays);
   entry.lastUpdate = now;
 }
 
@@ -17,22 +31,7 @@ bool ReputationTracker::addEvidence(NodeId node, EvidenceKind kind,
                                     SimTime now) {
   Entry& entry = entries_[node.value];
   decay(entry, now);
-  double weight = 0.0;
-  switch (kind) {
-    case EvidenceKind::kFailedVerification:
-      weight = params_.failedVerificationWeight;
-      break;
-    case EvidenceKind::kSummaryMismatch:
-      weight = params_.summaryMismatchWeight;
-      break;
-    case EvidenceKind::kAckAnomaly:
-      weight = params_.ackAnomalyWeight;
-      break;
-    case EvidenceKind::kBroadcastSuppressed:
-      weight = params_.broadcastSuppressedWeight;
-      break;
-  }
-  entry.suspicion += weight;
+  entry.suspicion += evidenceWeight(kind);
   if (!entry.quarantined && entry.suspicion >= params_.quarantineThreshold) {
     entry.quarantined = true;
     return true;

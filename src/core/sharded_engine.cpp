@@ -183,23 +183,11 @@ ShardedEngine::ShardedEngine(const trace::ContactTrace& trace,
   }
   globalEnd_ = trace.endTime();
 
-  std::vector<std::uint32_t> labels;
-  if (!params_.partition.empty()) {
-    if (params_.partition.size() != n) {
-      throw std::invalid_argument(
-          "ShardedEngine: partition has " +
-          std::to_string(params_.partition.size()) + " labels for " +
-          std::to_string(n) + " nodes");
-    }
-    labels = params_.partition;
-  } else {
-    UnionFind uf(n);
-    for (const trace::Contact& contact : trace.contacts()) {
-      uniteContact(uf, contact, n);
-    }
-    labels = uf.labels();
+  UnionFind uf(n);
+  for (const trace::Contact& contact : trace.contacts()) {
+    uniteContact(uf, contact, n);
   }
-  buildComponents(n, labels);
+  buildComponents(n, uf.labels());
 
   for (Component& c : components_) {
     c.trace = trace::ContactTrace(trace.name(), c.globalIds.size());
@@ -227,15 +215,7 @@ ShardedEngine::ShardedEngine(trace::ContactStream& stream,
   globalEnd_ = stream.endTime();
 
   std::vector<std::uint32_t> labels;
-  if (!params_.partition.empty()) {
-    if (params_.partition.size() != n) {
-      throw std::invalid_argument(
-          "ShardedEngine: partition has " +
-          std::to_string(params_.partition.size()) + " labels for " +
-          std::to_string(n) + " nodes");
-    }
-    labels = params_.partition;
-  } else if (!stream.partitionHint().empty()) {
+  if (!stream.partitionHint().empty()) {
     if (stream.partitionHint().size() != n) {
       throw std::invalid_argument(
           "ShardedEngine: the stream's partition hint has " +
@@ -284,29 +264,22 @@ void ShardedEngine::buildComponents(std::size_t nodeCount,
 }
 
 void ShardedEngine::buildEngines() {
-  const bool explicitMode = !params_.engine.explicitAccessNodes.empty() ||
-                            !params_.engine.explicitFreeRiders.empty();
+  const std::vector<NodeId>& explicitAccess =
+      params_.engine.explicitAccessNodes;
   const std::uint64_t publishSeed = mixSeed(params_.engine.seed, kPublishSalt);
   for (std::size_t index = 0; index < components_.size(); ++index) {
     Component& c = components_[index];
     EngineParams ep = params_.engine;
     ep.seed = mixSeed(params_.engine.seed, c.globalIds.front().value);
-    auto remapIds = [&](const std::vector<NodeId>& global) {
-      std::vector<NodeId> local;
-      for (const NodeId id : global) {
-        if (id.value < componentOf_.size() &&
-            componentOf_[id.value] == index) {
-          local.emplace_back(localId_[id.value]);
-        }
+    ep.explicitAccessNodes.clear();
+    for (const NodeId id : explicitAccess) {
+      if (id.value < componentOf_.size() && componentOf_[id.value] == index) {
+        ep.explicitAccessNodes.emplace_back(localId_[id.value]);
       }
-      return local;
-    };
-    ep.explicitAccessNodes = remapIds(params_.engine.explicitAccessNodes);
-    ep.explicitFreeRiders = remapIds(params_.engine.explicitFreeRiders);
+    }
     // An explicit global assignment that names none of this component's
     // nodes must not fall back to fractional assignment.
-    if (explicitMode && ep.explicitAccessNodes.empty() &&
-        ep.explicitFreeRiders.empty()) {
+    if (!explicitAccess.empty() && ep.explicitAccessNodes.empty()) {
       ep.internetAccessFraction = 0.0;
       ep.freeRiderFraction = 0.0;
     }

@@ -7,13 +7,13 @@
 // makes identical everywhere by sharing one publication stream (every
 // component publishes the same daily catalog) and one publish horizon.
 //
-// ShardedEngine finds the components (union-find over the contacts, or an
-// explicit partition hint), runs one Engine per component, and steps the
-// components on a worker pool. The `shards` parameter only groups components
-// into scheduling units; because components share no mutable state and every
-// merge happens in canonical component order (ascending smallest global node
-// id), the merged result is byte-identical at any --shards / --threads
-// setting. The determinism reference is the sharded run itself: shards=N
+// ShardedEngine finds the components (union-find over the contacts, or the
+// labels of a stream's partition hint), runs one Engine per component, and
+// steps the components on a worker pool. The `shards` parameter only groups
+// components into scheduling units; because components share no mutable
+// state and every merge happens in canonical component order (ascending
+// smallest global node id), the merged result is byte-identical at any
+// --shards / --threads setting. The determinism reference is the sharded run itself: shards=N
 // equals shards=1. (It intentionally differs from a monolithic Engine run of
 // the same trace: role assignment and query draws happen per component.)
 //
@@ -55,8 +55,8 @@ struct ShardedParams {
   /// Base engine configuration. `engine.seed` is the run seed: component
   /// engines derive their streams from it (mixed with the component's
   /// smallest global node id), and the shared publication stream is derived
-  /// from it too. Explicit access / free-rider node lists are global ids;
-  /// they are filtered and remapped per component.
+  /// from it too. The explicit access node list holds global ids; it is
+  /// filtered and remapped per component.
   EngineParams engine;
   /// Scheduling groups. Purely a performance knob: results are identical at
   /// every value. Components are assigned round-robin.
@@ -64,12 +64,6 @@ struct ShardedParams {
   /// Worker threads stepping the shard groups; 0 = defaultThreadCount().
   /// Purely a performance knob: results are identical at every value.
   unsigned threads = 1;
-  /// Optional explicit partition: one label per global node id. Nodes with
-  /// equal labels form one component (labels must not be spanned by any
-  /// contact — violating contacts throw at construction). Empty = derive
-  /// components by union-find (materialized / streaming without a hint) or
-  /// from the stream's partitionHint().
-  std::vector<std::uint32_t> partition;
 
   /// One message per violation; empty when valid (engine params are
   /// validated by the component Engine constructors).
@@ -81,14 +75,18 @@ struct ShardedParams {
 /// setting. Not reentrant; drive from one thread.
 class ShardedEngine {
  public:
-  /// Materialized mode. The trace must outlive the engine.
-  /// Throws std::invalid_argument on invalid params or an explicit
-  /// partition spanned by a contact.
+  /// Materialized mode: the components come from union-find over the
+  /// trace's contacts. The trace must outlive the engine. Throws
+  /// std::invalid_argument on invalid params.
   ShardedEngine(const trace::ContactTrace& trace, ShardedParams params);
 
   /// Streaming mode. The stream must outlive the engine and must yield
   /// contacts in ascending start order; it is reset before partition
-  /// discovery and again before feeding (and on checkpoint restore).
+  /// discovery and again before feeding (and on checkpoint restore). A
+  /// non-empty partitionHint() is authoritative: nodes with equal labels
+  /// form one component. A hint whose size is not the node count throws
+  /// std::invalid_argument here; a contact that spans two labels throws
+  /// std::invalid_argument when it is pulled (runUntil, run, finish).
   ShardedEngine(trace::ContactStream& stream, ShardedParams params);
 
   ~ShardedEngine();
@@ -166,7 +164,7 @@ class ShardedEngine {
     std::vector<trace::Contact> feedBucket;
   };
 
-  /// Groups nodes into components from explicit labels or union-find roots,
+  /// Groups nodes into components from hint labels or union-find roots,
   /// pooling isolated nodes (no contacts) into one component; fills
   /// componentOf_/localId_ and the components' globalIds in canonical
   /// order.
@@ -177,7 +175,7 @@ class ShardedEngine {
   void buildEngines();
   /// Remaps a global contact into its owning component's id space; returns
   /// the component index. Throws std::invalid_argument when the contact
-  /// spans components (bad explicit partition / lying stream hint).
+  /// spans components (a lying stream hint).
   std::uint32_t remapContact(const trace::Contact& contact,
                              trace::Contact* local) const;
   /// Streaming: pulls every stream contact with start < horizon into the

@@ -586,30 +586,6 @@ TEST_F(CheckpointErrors, DifferentDefenseParamsFailFingerprint) {
   EXPECT_THROW(engine.restoreCheckpoint(path_), CheckpointError);
 }
 
-// The four evidence weights joined the fingerprint after v5: a defended run
-// saved with the default weights must not restore under any other weight.
-TEST_F(CheckpointErrors, DifferentEvidenceWeightsFailFingerprint) {
-  EngineParams defended = params_;
-  defended.reputation.defense = true;
-  Engine saver(trace_, defended);
-  for (int i = 0; i < 20; ++i) ASSERT_TRUE(saver.step());
-  saver.saveCheckpoint(path_);
-
-  Engine same(trace_, defended);
-  EXPECT_NO_THROW(same.restoreCheckpoint(path_));
-  const std::vector<double ReputationParams::*> weights = {
-      &ReputationParams::failedVerificationWeight,
-      &ReputationParams::summaryMismatchWeight,
-      &ReputationParams::ackAnomalyWeight,
-      &ReputationParams::broadcastSuppressedWeight};
-  for (double ReputationParams::*weight : weights) {
-    EngineParams other = defended;
-    other.reputation.*weight = 2.5;
-    Engine engine(trace_, other);
-    EXPECT_THROW(engine.restoreCheckpoint(path_), CheckpointError);
-  }
-}
-
 TEST_F(CheckpointErrors, DifferentMetadataCapacityFailsFingerprint) {
   EngineParams other = params_;
   other.nodeMetadataCapacity = 32;

@@ -39,13 +39,14 @@ class TestHost final : public AccessSync::Host {
  public:
   explicit TestHost(const FileCatalog& catalog) : catalog_(catalog) {}
 
-  void storeMetadata(Node& node, const SharedMetadata& md,
+  bool storeMetadata(Node& node, const SharedMetadata& md,
                      SimTime now) override {
     SharedMetadata shed;
-    node.acceptMetadata(md, now, &shed);
+    const bool added = node.acceptMetadata(md, now, &shed).added;
     if (shed != nullptr && visits != nullptr) {
       visits->forget(node.id(), shed->file);
     }
+    return added;
   }
   void gotMetadata(const Node&, FileId, SimTime) override {}
   void deliverWholeFile(Node& node, FileId file, SimTime now) override {
@@ -264,9 +265,7 @@ class CooperativeRun {
   [[nodiscard]] AccessSync::Config syncConfig() const {
     return {.searchProxiedQueries = protocol_.distributesQueries(),
             .takeCarryStock = protocol_.distributesMetadata(),
-            .fetchPeerWants = true,
-            .stockFraction = 0.25,
-            .stockLimit = 500};
+            .fetchPeerWants = true};
   }
 
   [[nodiscard]] Node makeNode(std::uint32_t i) const {

@@ -90,7 +90,8 @@ TEST(Node, QueryAdvertisedUntilMetadataFound) {
   EXPECT_EQ(textsOf(node.activeQueries(0)),
             (std::vector<std::string>{"fox news ep1"}));
   const auto selected =
-      node.acceptMetadata(makeMetadata(10, "fox news ep1", 2, 0.5), 100);
+      node.acceptMetadata(makeMetadata(10, "fox news ep1", 2, 0.5), 100)
+          .selected;
   ASSERT_EQ(selected.size(), 1u);
   EXPECT_EQ(selected[0], QueryId(0));
   EXPECT_TRUE(node.activeQueries(100).empty());
@@ -121,7 +122,7 @@ TEST(Node, ExpiredMetadataNotAccepted) {
   Node node(NodeId(1), {});
   node.addQuery(makeQuery(0, 1, "fox news ep1", 10));
   Metadata md = makeMetadata(10, "fox news ep1", 1, 0.5);
-  const auto selected = node.acceptMetadata(md, md.expiresAt());
+  const auto selected = node.acceptMetadata(md, md.expiresAt()).selected;
   EXPECT_TRUE(selected.empty());
   EXPECT_FALSE(node.metadata().has(FileId(10)));
 }
@@ -131,7 +132,8 @@ TEST(Node, MultipleQueriesSatisfiedByOneMetadata) {
   node.addQuery(makeQuery(0, 1, "fox news", 10));
   node.addQuery(makeQuery(1, 1, "news ep1", 10));
   const auto selected =
-      node.acceptMetadata(makeMetadata(10, "fox news ep1", 1, 0.5), 5);
+      node.acceptMetadata(makeMetadata(10, "fox news ep1", 1, 0.5), 5)
+          .selected;
   EXPECT_EQ(selected.size(), 2u);
 }
 
@@ -376,7 +378,8 @@ TEST(Node, WatermarkScansMatchFullScans) {
           const std::vector<QueryId> expected =
               md.expired(now) ? std::vector<QueryId>{}
                               : metadataSelectionReference(node, md, now);
-          EXPECT_EQ(node.acceptMetadata(md, now), expected) << where;
+          EXPECT_EQ(node.acceptMetadata(md, now).selected, expected)
+              << where;
           break;
         }
         case 2: {

@@ -51,12 +51,6 @@ TEST(EngineParamsValidate, RejectsForgerFractionOutOfRange) {
   EXPECT_TRUE(singleErrorMentioning(params, "forgerFraction"));
 }
 
-TEST(EngineParamsValidate, RejectsSyncFractionOutOfRange) {
-  auto params = validParams();
-  params.accessMetadataSyncFraction = 1.01;
-  EXPECT_TRUE(singleErrorMentioning(params, "accessMetadataSyncFraction"));
-}
-
 TEST(EngineParamsValidate, RejectsNonPositiveFilesPerDay) {
   auto params = validParams();
   params.newFilesPerDay = 0;
@@ -87,30 +81,10 @@ TEST(EngineParamsValidate, RejectsZeroPiecesPerFile) {
   EXPECT_TRUE(singleErrorMentioning(params, "piecesPerFile"));
 }
 
-TEST(EngineParamsValidate, RejectsZeroPieceSize) {
-  auto params = validParams();
-  params.pieceSizeBytes = 0;
-  EXPECT_TRUE(singleErrorMentioning(params, "pieceSizeBytes"));
-}
-
-TEST(EngineParamsValidate, RejectsNegativeForgeryRate) {
-  auto params = validParams();
-  params.forgeriesPerForgerPerDay = -1;
-  EXPECT_TRUE(singleErrorMentioning(params, "forgeriesPerForgerPerDay"));
-}
-
 TEST(EngineParamsValidate, RejectsNonPositiveFrequentContactPeriod) {
   auto params = validParams();
   params.frequentContactPeriod = 0;
   EXPECT_TRUE(singleErrorMentioning(params, "frequentContactPeriod"));
-}
-
-TEST(EngineParamsValidate, RejectsZeroReferenceDurationOnlyWhenScaling) {
-  auto params = validParams();
-  params.referenceContactDuration = 0;
-  EXPECT_TRUE(params.validate().empty());  // unused without scaling
-  params.scaleBudgetsWithDuration = true;
-  EXPECT_TRUE(singleErrorMentioning(params, "referenceContactDuration"));
 }
 
 TEST(EngineParamsValidate, RejectsMisbehaverFractionsExceedingOne) {
@@ -193,12 +167,6 @@ TEST(EngineParamsValidate, RejectsBadReputationKnobs) {
   params.reputation.quarantineThreshold = 0.0;
   EXPECT_TRUE(
       singleErrorMentioning(params, "reputation.quarantineThreshold"));
-  params = validParams();
-  params.reputation.ackAnomalyWeight = -0.1;
-  EXPECT_TRUE(singleErrorMentioning(params, "reputation.ackAnomalyWeight"));
-  params = validParams();
-  params.reputation.decayPerDay = -1.0;
-  EXPECT_TRUE(singleErrorMentioning(params, "reputation.decayPerDay"));
 }
 
 TEST(EngineParamsValidate, CollectsEveryViolationAtOnce) {

@@ -36,21 +36,6 @@ TEST(ReputationParams, ValidateRejectsBadThresholdWeightsAndDecay) {
   ReputationParams params = defenseParams();
   params.quarantineThreshold = 0.0;
   expectSingle(params, "quarantineThreshold");
-  params = defenseParams();
-  params.failedVerificationWeight = -1.0;
-  expectSingle(params, "failedVerificationWeight");
-  params = defenseParams();
-  params.summaryMismatchWeight = -0.5;
-  expectSingle(params, "summaryMismatchWeight");
-  params = defenseParams();
-  params.ackAnomalyWeight = -0.1;
-  expectSingle(params, "ackAnomalyWeight");
-  params = defenseParams();
-  params.broadcastSuppressedWeight = -2.0;
-  expectSingle(params, "broadcastSuppressedWeight");
-  params = defenseParams();
-  params.decayPerDay = -1.0;
-  expectSingle(params, "decayPerDay");
 }
 
 TEST(ReputationTracker, EvidenceAccumulatesByKindWeight) {
@@ -71,7 +56,7 @@ TEST(ReputationTracker, EvidenceAccumulatesByKindWeight) {
 }
 
 TEST(ReputationTracker, SuspicionDecaysLinearlyAndClampsAtZero) {
-  ReputationTracker tracker(defenseParams());  // decayPerDay = 1.0
+  ReputationTracker tracker(defenseParams());  // kSuspicionDecayPerDay = 1
   const NodeId node{1};
   (void)tracker.addEvidence(node, EvidenceKind::kFailedVerification, 0);
   (void)tracker.addEvidence(node, EvidenceKind::kFailedVerification, 0);

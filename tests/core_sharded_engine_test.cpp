@@ -1,20 +1,25 @@
 // ShardedEngine: the determinism contract (results byte-identical at every
 // --shards / --threads setting, streaming or materialized), the component
-// decomposition (union-find, explicit partitions, stream hints, isolated-node
-// pooling), and sharded checkpoints restoring across shard counts and modes.
+// decomposition (union-find, explicit labels from a stream's hint,
+// isolated-node pooling), and sharded checkpoints restoring across shard
+// counts and modes.
 #include "src/core/sharded_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/core/checkpoint.hpp"
 #include "src/trace/citygen.hpp"
 #include "src/trace/dieselnet.hpp"
 #include "src/trace/nus.hpp"
+#include "src/trace/streaming.hpp"
 #include "src/util/sha1.hpp"
 
 namespace hdtn::core {
@@ -99,6 +104,34 @@ std::string ckptPath(const char* name) {
   return testing::TempDir() + "/" + name + ".shard.ckpt";
 }
 
+/// A sorted trace as a stream that reports `hint` as its partition hint,
+/// right or wrong: explicit component labels reach the sharded engine only
+/// through a stream's hint.
+class HintedStream final : public trace::ContactStream {
+ public:
+  HintedStream(const trace::ContactTrace& trace,
+               std::vector<std::uint32_t> hint)
+      : inner_(trace), hint_(std::move(hint)) {}
+
+  std::optional<trace::Contact> next() override { return inner_.next(); }
+  void reset() override { inner_.reset(); }
+  [[nodiscard]] const std::string& name() const override {
+    return inner_.name();
+  }
+  [[nodiscard]] std::size_t nodeCount() const override {
+    return inner_.nodeCount();
+  }
+  [[nodiscard]] SimTime endTime() const override { return inner_.endTime(); }
+  [[nodiscard]] const std::vector<std::uint32_t>& partitionHint()
+      const override {
+    return hint_;
+  }
+
+ private:
+  trace::MaterializedStream inner_;
+  std::vector<std::uint32_t> hint_;
+};
+
 /// 8 nodes: contacts join {0,1,2} and {4,5}; 3, 6, 7 never appear.
 trace::ContactTrace componentFixture() {
   trace::ContactTrace t("fixture", 8);
@@ -160,34 +193,43 @@ TEST(ShardedEngine, ComponentDecompositionIsCanonical) {
 }
 
 TEST(ShardedEngine, ExplicitPartitionIsAuthoritative) {
-  trace::ContactTrace t("split", 4);
+  trace::ContactTrace t("split", 5);
   t.addContact({100, 200, {NodeId(0), NodeId(1)}});
   t.addContact({100, 200, {NodeId(2), NodeId(3)}});
   t.sortByStart();
-  ShardedParams params = shardedParams(ProtocolKind::kMbt, 2, 1);
-  params.partition = {7, 7, 9, 9};
-  ShardedEngine sharded(t, params);
+  // Node 4 meets no one, yet its label puts it with nodes 0 and 1 instead
+  // of in the pool of isolated nodes union-find would give it.
+  HintedStream stream(t, {7, 7, 9, 9, 7});
+  ShardedEngine sharded(stream, shardedParams(ProtocolKind::kMbt, 2, 1));
   EXPECT_EQ(sharded.componentCount(), 2u);
   EXPECT_EQ(sharded.componentNodes(0),
-            (std::vector<NodeId>{NodeId(0), NodeId(1)}));
+            (std::vector<NodeId>{NodeId(0), NodeId(1), NodeId(4)}));
   EXPECT_EQ(sharded.componentNodes(1),
             (std::vector<NodeId>{NodeId(2), NodeId(3)}));
+  EXPECT_EQ(sharded.run().totals.contactsProcessed, 2u);
 }
 
 TEST(ShardedEngine, ContactSpanningExplicitPartitionThrows) {
   trace::ContactTrace t("bad", 4);
   t.addContact({100, 200, {NodeId(1), NodeId(2)}});
   t.sortByStart();
-  ShardedParams params = shardedParams(ProtocolKind::kMbt, 2, 1);
-  params.partition = {0, 0, 1, 1};
-  EXPECT_THROW(ShardedEngine(t, params), std::invalid_argument);
+  const ShardedParams params = shardedParams(ProtocolKind::kMbt, 2, 1);
+  // A stream is pulled lazily: the constructor trusts the hint, and the
+  // contact that contradicts it throws when a slice or the run pulls it.
+  HintedStream sliced(t, {0, 0, 1, 1});
+  ShardedEngine slices(sliced, params);
+  slices.runUntil(100);  // the contact starts at 100: not pulled yet
+  EXPECT_THROW(slices.runUntil(kDay), std::invalid_argument);
+  HintedStream whole(t, {0, 0, 1, 1});
+  ShardedEngine run(whole, params);
+  EXPECT_THROW(run.run(), std::invalid_argument);
 }
 
 TEST(ShardedEngine, PartitionSizeMismatchThrows) {
   const auto t = componentFixture();
-  ShardedParams params = shardedParams(ProtocolKind::kMbt, 2, 1);
-  params.partition = {0, 0, 0};  // 3 labels for 8 nodes
-  EXPECT_THROW(ShardedEngine(t, params), std::invalid_argument);
+  HintedStream stream(t, {0, 0, 0});  // 3 labels for 8 nodes
+  EXPECT_THROW(ShardedEngine(stream, shardedParams(ProtocolKind::kMbt, 2, 1)),
+               std::invalid_argument);
 }
 
 TEST(ShardedEngine, MergedResultEqualsComponentSum) {
@@ -390,32 +432,6 @@ TEST(ShardedEngine, StreamingCheckpointRejectsDifferentStream) {
   trace::CityStream otherStream(other);
   ShardedEngine restored(otherStream, params);
   EXPECT_THROW(restored.restoreCheckpoint(path), CheckpointError);
-}
-
-// The component fingerprints cover the evidence weights, so the sharded
-// fingerprint does too.
-TEST(ShardedEngine, CheckpointRejectsDifferentEvidenceWeights) {
-  const auto diesel = smallDieselTrace();
-  const std::string path = ckptPath("evidence-weights");
-  ShardedParams defended = shardedParams(ProtocolKind::kMbt, 2, 1);
-  defended.engine.reputation.defense = true;
-  ShardedEngine saver(diesel, defended);
-  saver.runUntil(kDay);
-  saver.saveCheckpoint(path);
-
-  ShardedEngine same(diesel, defended);
-  EXPECT_NO_THROW(same.restoreCheckpoint(path));
-  const std::vector<double ReputationParams::*> weights = {
-      &ReputationParams::failedVerificationWeight,
-      &ReputationParams::summaryMismatchWeight,
-      &ReputationParams::ackAnomalyWeight,
-      &ReputationParams::broadcastSuppressedWeight};
-  for (double ReputationParams::*weight : weights) {
-    ShardedParams other = defended;
-    other.engine.reputation.*weight = 2.5;
-    ShardedEngine restored(diesel, other);
-    EXPECT_THROW(restored.restoreCheckpoint(path), CheckpointError);
-  }
 }
 
 TEST(ShardedEngine, RestoreRequiresFreshEngine) {

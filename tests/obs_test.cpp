@@ -127,7 +127,6 @@ TEST(Observer, EventCountsMatchTotalsWithForgersAndVerification) {
   const auto trace = smallTrace();
   auto params = baseParams();
   params.forgerFraction = 0.2;
-  params.forgeriesPerForgerPerDay = 3;
   params.verifyMetadata = true;
   Engine engine(trace, params);
   CountingObserver counter;

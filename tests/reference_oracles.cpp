@@ -804,9 +804,9 @@ void AccessSyncReference::beginEpoch(SimTime publishAt) {
   lastPublishAt_ = publishAt;
   const std::size_t alive = internet_.catalog().aliveFiles(publishAt).size();
   const auto stock = std::min(
-      config_.stockLimit,
+      AccessSync::kStockLimit,
       std::max<std::size_t>(
-          10, static_cast<std::size_t>(config_.stockFraction *
+          10, static_cast<std::size_t>(AccessSync::kStockFraction *
                                        static_cast<double>(alive))));
   topPopular_ = internet_.topPopular(publishAt, stock);
 }
