@@ -13,7 +13,10 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 namespace hdtn::service {
 namespace {
@@ -204,6 +207,61 @@ TEST(DescribeOutcomeTest, NamesTheFailure) {
   outcome.cause = ExitCause::kTimedOut;
   EXPECT_NE(describeOutcome(outcome, 60.0).find("timed out"),
             std::string::npos);
+}
+
+// hdtn_sim checks its own numeric flags before anything starts: a value a
+// cast would wrap (a negative count) or a non-positive duration exits 2 with
+// a message naming the flag. Each case runs with a deadline, so a build that
+// accepted a flag and went on serving cannot hang the suite; every value is
+// one that starts no thread and no worker even where it is accepted: a
+// sharded run with a single group, and a daemon on an empty state directory.
+TEST(SimFlagsTest, RejectsOutOfRangeNumbersBeforeStarting) {
+  // exec keeps the simulator's own exit code; 2>&1 captures its message.
+  const auto run = [](const std::vector<std::string>& flags) {
+    std::vector<std::string> argv = {
+        "/bin/sh", "-c", "exec \"$0\" \"$@\" 2>&1", HDTN_SIM_BINARY};
+    argv.insert(argv.end(), flags.begin(), flags.end());
+    return runChild(argv, 5.0);
+  };
+  const std::vector<std::string> trace = {
+      "--trace-family=nus", "--trace-students=10", "--trace-courses=2",
+      "--trace-days=1"};
+  const std::vector<std::pair<std::string, std::vector<std::string>>>
+      sharded = {{"threads", {"--shards=1", "--threads=-1"}},
+                 {"threads", {"--shards=1", "--threads=4294967296"}},
+                 {"shards", {"--shards=-1"}},
+                 {"shards", {"--shards=4294967297"}}};
+  for (const auto& [flag, values] : sharded) {
+    std::vector<std::string> flags = trace;
+    flags.insert(flags.end(), values.begin(), values.end());
+    const ChildOutcome outcome = run(flags);
+    EXPECT_EQ(outcome.cause, ExitCause::kCleanExit) << values.back();
+    EXPECT_EQ(outcome.exitCode, 2) << values.back();
+    EXPECT_NE(outcome.output.find("--" + flag + " must be"), std::string::npos)
+        << values.back() << ": " << outcome.output;
+  }
+
+  const std::vector<std::string> serve = {
+      "--workers=-1",       "--workers=0",
+      "--max-queue=-1",     "--wal-max-bytes=-1",
+      "--job-timeout=0",    "--job-timeout=-1",
+      "--grace=0",          "--grace=-5",
+      "--max-attempts=0",   "--max-attempts=-1",
+      "--job-checkpoint-every=0", "--job-checkpoint-every=-21600"};
+  for (const std::string& value : serve) {
+    const fs::path stateDir = tempPath("hdtn_sim_flags_state");
+    fs::remove_all(stateDir);
+    fs::create_directories(stateDir);
+    const ChildOutcome outcome =
+        run({"--serve", "--state-dir=" + stateDir.string(), value});
+    EXPECT_EQ(outcome.cause, ExitCause::kCleanExit) << value;
+    EXPECT_EQ(outcome.exitCode, 2) << value;
+    const std::string flag = value.substr(0, value.find('='));
+    EXPECT_NE(outcome.output.find(flag + " must be"), std::string::npos)
+        << value << ": " << outcome.output;
+    EXPECT_TRUE(fs::is_empty(stateDir)) << value;
+    fs::remove_all(stateDir);
+  }
 }
 
 }  // namespace
